@@ -1,0 +1,89 @@
+"""Byte-level golden outputs of the command line.
+
+Each case runs one CLI command in-process and compares its stdout with
+tests/golden/cli/<name>.txt.  A changed golden file is an output change to
+be reviewed, never a way to make this test pass.  To rewrite the files
+after a reviewed change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from padicasai.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+INPUTS = GOLDEN / "inputs"
+
+SATAKE_ELEM = json.dumps(
+    {"group": "inert_F", "terms": [{"T": 1, "S": -1, "coef": "2"}, {"T": 0, "S": 1, "coef": "-1/3"}]}
+)
+
+CASES = {
+    "zeta_inert_p3": ["--prime", "3", "zeta", "--phi", "builtin:unramified", "--g", "identity"],
+    "zeta_inert_p5": ["--prime", "5", "zeta", "--phi", "builtin:unramified", "--g", "t:1,0"],
+    "zeta_normalize_phi_p2": ["--prime", "3", "zeta", "--phi", "builtin:phi_p2", "--g", "n_b:1", "--normalize"],
+    "zeta_split": ["--prime", "3", "zeta", "--phi", "builtin:unramified", "--case", "split", "--g", "identity;t:1,0"],
+    "zeta_satake_normalize": ["--prime", "3", "--satake", "2,3", "zeta", "--phi", "builtin:unramified", "--normalize"],
+    **{
+        f"euler_poly_{kind}": ["--prime", "3", "euler-poly", "--kind", kind]
+        for kind in ("asai_inert", "asai_star_inert", "asai_star_split", "standard_F", "rs_split")
+    },
+    "satake": ["--prime", "3", "satake", "--elem", SATAKE_ELEM],
+    **{
+        f"delta1_{case}_p{p}": ["--prime", str(p), "delta1-verify", "--case", case]
+        for case in ("inert", "split")
+        for p in (3, 5)
+    },
+    "gstar_inert": ["--prime", "3", "gstar-factor", "--case", "inert"],
+    "gstar_split": ["--prime", "3", "gstar-factor", "--case", "split"],
+    "local_factor": ["--prime", "3", "local-factor", "--vector", "{inputs}/vec_K.json"],
+    "certify_part1": ["--prime", "3", "certify", "--vector", "{inputs}/vec_K.json", "--part", "1"],
+    "certify_part2": ["--prime", "3", "certify", "--vector", "{inputs}/vec_Kp_vanishing.json", "--part", "2"],
+    "certify_part3": ["--prime", "3", "certify", "--vector", "{inputs}/vec_Kp.json", "--part", "3"],
+    "hilbert_w2": ["hilbert-check", "--form", "builtin:synthetic_w2", "--ell", "5"],
+    "hilbert_w2_quad": ["hilbert-check", "--form", "builtin:synthetic_w2_quad", "--ell", "5"],
+    "hilbert_w2_s0_11": [
+        "hilbert-check", "--form", "builtin:synthetic_w2", "--ell", "5",
+        "--inputs", "{inputs}/inputs_split11.json", "--s0", "11",
+    ],
+    "hilbert_w2_quad_s0_11": [
+        "hilbert-check", "--form", "builtin:synthetic_w2_quad", "--ell", "5",
+        "--inputs", "{inputs}/inputs_inert11.json", "--s0", "11",
+    ],
+    # irrational Satake values at 13 and a constant period at 7
+    "hilbert_w2_quad_s0_13": [
+        "hilbert-check", "--form", "builtin:synthetic_w2_quad", "--ell", "3",
+        "--inputs", "{inputs}/inputs_split13.json", "--s0", "13",
+    ],
+    "verify_suite": ["--prime", "3", "verify-suite", "--only", "1,2,4,7,9,10"],
+}
+
+
+def run_cli(argv: list[str]) -> tuple[int, str]:
+    argv = [a.replace("{inputs}", str(INPUTS)) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_golden(name):
+    code, stdout = run_cli(CASES[name])
+    assert code == 0
+    assert stdout == (GOLDEN / "cli" / f"{name}.txt").read_text()
+
+
+if __name__ == "__main__":
+    for name, argv in sorted(CASES.items()):
+        code, stdout = run_cli(argv)
+        if code:
+            sys.exit(f"{name}: exit {code}")
+        (GOLDEN / "cli" / f"{name}.txt").write_text(stdout)
