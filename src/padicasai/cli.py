@@ -1,14 +1,18 @@
 """Batch command-line front end.
 
 Machine-readable JSON goes to stdout, short human summaries to stderr.
-Exit codes: 0 success, 2 input error, 3 precision overflow, 4 assertion
-or verification failure.  Identical configuration and seed produce byte
-identical output; the worker count never changes a result.
+Exit codes: 0 success; 2 input error, including a malformed number (a zero
+denominator) or a singular matrix; 3 precision overflow, including a
+Schwartz function with more than 5 cells, whose stabilizer enumeration is
+capped; 4 assertion or verification failure.  Identical configuration and
+seed produce byte identical output; the worker count never changes a
+result.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -29,7 +33,6 @@ class RunConfig:
     prime: int
     nonresidue: int | None = None
     precision_cap: int = 12
-    symbolic: bool = True
     satake_values: str | None = None
     seed: int = 0
     workers: int = 1
@@ -54,6 +57,21 @@ def _emit(cfg: RunConfig, payload: dict, summary: str) -> None:
     sys.stderr.write(summary + "\n")
 
 
+def _input_parser(fn):
+    """Report a zero denominator met while parsing user input as an input
+    error (exit 2) instead of a ZeroDivisionError traceback."""
+
+    @functools.wraps(fn)
+    def parse(*args):
+        try:
+            return fn(*args)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"malformed number: {exc}") from None
+
+    return parse
+
+
+@_input_parser
 def _parse_matrix(ctx: QuadCtx, spec: str) -> Mat2:
     if spec == "identity":
         return Mat2.identity(ctx)
@@ -64,9 +82,13 @@ def _parse_matrix(ctx: QuadCtx, spec: str) -> Mat2:
         return Mat2.n_b(int(spec[4:]), ctx)
     if spec.startswith("n:"):
         return Mat2.upper(Fraction(spec[2:]), ctx)
-    return Mat2.from_json(json.loads(spec), ctx)
+    g = Mat2.from_json(json.loads(spec), ctx)
+    if g.det() == ctx.zero():
+        raise ValueError("singular matrix")
+    return g
 
 
+@_input_parser
 def _parse_phi(p: int, spec: str) -> SchwartzFn:
     if spec == "builtin:unramified":
         return SchwartzFn.char_zp2(p)
@@ -78,8 +100,9 @@ def _parse_phi(p: int, spec: str) -> SchwartzFn:
         return SchwartzFn.from_json(json.load(f), p)
 
 
+@_input_parser
 def _params(cfg: RunConfig, case: str) -> WhitParams | None:
-    if cfg.symbolic or not cfg.satake_values:
+    if not cfg.satake_values:
         return None
     vals = [Fraction(v) for v in cfg.satake_values.split(",")]
     if case == "inert":
@@ -91,6 +114,7 @@ def _params(cfg: RunConfig, case: str) -> WhitParams | None:
     )
 
 
+@_input_parser
 def _load_vector(cfg: RunConfig, path: str) -> TestVector:
     ctx = cfg.ctx()
     with open(path) as f:
@@ -186,25 +210,30 @@ def cmd_gstar_factor(cfg: RunConfig, args) -> None:
     _emit(cfg, payload, "G* local factor and certificate computed")
 
 
+@_input_parser
+def _load_local_inputs(path: str) -> list[dict]:
+    with open(path) as f:
+        docs = json.load(f)
+    inputs = []
+    for d in docs:
+        p = int(d["p"])
+        ctx = QuadCtx.make(p)
+        phi = SchwartzFn.from_json(d["phi"], p)
+        if isinstance(d["g"][0][0], dict):
+            g = Mat2.from_json(d["g"], ctx)
+        else:
+            g = tuple(Mat2.from_json(m, ctx) for m in d["g"])
+        inputs.append({"p": p, "phi": phi, "g": g, "level": d["level"]})
+    return inputs
+
+
 def cmd_hilbert_check(cfg: RunConfig, args) -> None:
     if args.form.startswith("builtin:"):
         data = load_fixture(args.form.split(":", 1)[1])
     else:
         with open(args.form) as f:
             data = ingest(json.load(f))
-    inputs = []
-    if args.inputs:
-        with open(args.inputs) as f:
-            docs = json.load(f)
-        for d in docs:
-            p = int(d["p"])
-            ctx = QuadCtx.make(p)
-            phi = SchwartzFn.from_json(d["phi"], p)
-            if isinstance(d["g"][0][0], dict):
-                g = Mat2.from_json(d["g"], ctx)
-            else:
-                g = tuple(Mat2.from_json(m, ctx) for m in d["g"])
-            inputs.append({"p": p, "phi": phi, "g": g, "level": d["level"]})
+    inputs = _load_local_inputs(args.inputs) if args.inputs else []
     s0 = [int(x) for x in args.s0.split(",")] if args.s0 else []
     rep = period_ideal_check(
         data, inputs, s0, args.ell, assume_class_coprime=args.assume_coprime
@@ -312,7 +341,6 @@ def main(argv=None) -> int:
             prime=args.prime,
             nonresidue=args.nonresidue,
             precision_cap=args.precision_cap,
-            symbolic=args.satake is None,
             satake_values=args.satake,
             seed=args.seed,
             workers=args.workers,

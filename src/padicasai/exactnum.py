@@ -47,10 +47,6 @@ class PrecisionOverflow(RuntimeError):
 # rationals
 
 
-def Fr(x, y=None) -> Fraction:
-    return Fraction(x) if y is None else Fraction(x, y)
-
-
 def val_p(x, p: int):
     """p-adic valuation of a Fraction, int or QuadElem; val_p(0) = +inf.
 
@@ -73,10 +69,6 @@ def val_p(x, p: int):
     return v
 
 
-def is_p_unit(x, p: int) -> bool:
-    return x != 0 and val_p(x, p) == 0
-
-
 def in_z_inv_p(x: Fraction, p: int) -> bool:
     """True when x lies in Z[1/p], i.e. its denominator is a power of p."""
     d = Fraction(x).denominator
@@ -88,10 +80,6 @@ def in_z_inv_p(x: Fraction, p: int) -> bool:
 def fr_to_str(x: Fraction) -> str:
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def fr_from_str(s: str) -> Fraction:
-    return Fraction(s)
 
 
 # ---------------------------------------------------------------------------
@@ -246,19 +234,6 @@ class QuadElem:
         return cls(Fraction(d["a"]), Fraction(d["b"]), ctx)
 
 
-def quad_arith(op: str, x: QuadElem, y: QuadElem | None = None) -> QuadElem:
-    """Field arithmetic dispatcher: op in {add, sub, mul, inv}."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "inv":
-        return x.inv()
-    raise ValueError(f"unknown op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # sparse multivariate Laurent polynomials over Q
 
@@ -303,9 +278,6 @@ class Lau:
     @classmethod
     def monomial(cls, variables, exps, c=1) -> "Lau":
         return cls(variables, {tuple(exps): Fraction(c)})
-
-    def zero_like(self) -> "Lau":
-        return Lau(self.vars)
 
     def one_like(self) -> "Lau":
         return Lau.const(self.vars, 1)
@@ -416,19 +388,11 @@ class Lau:
         i = self.vars.index(name)
         return max((e[i] for e in self.terms), default=0)
 
-    def min_degree_in(self, name: str):
-        i = self.vars.index(name)
-        return min((e[i] for e in self.terms), default=0)
-
     def coeff_of(self, name: str, k: int) -> "Lau":
         """Coefficient of name**k, as a Laurent polynomial in the other vars."""
         i = self.vars.index(name)
         rest = tuple(v for v in self.vars if v != name)
-        out = Lau(rest)
-        for e, c in self.terms.items():
-            if e[i] == k:
-                out = out + Lau.monomial(rest, e[:i] + e[i + 1:], c)
-        return out
+        return Lau(rest, {e[:i] + e[i + 1:]: c for e, c in self.terms.items() if e[i] == k})
 
     def swap(self, a: str, b: str) -> "Lau":
         i, j = self.vars.index(a), self.vars.index(b)
@@ -463,7 +427,8 @@ class Lau:
         return out
 
     def eval(self, point: Mapping[str, object]):
-        """Evaluate at field values (Fraction or QuadElem), all vars bound."""
+        """Evaluate at field values (Fraction, QuadElem, or any element with
+        +, * and Fraction(1) / x), all vars bound."""
         total = None
         for e, c in sorted(self.terms.items()):
             term = c
@@ -472,7 +437,7 @@ class Lau:
                     continue
                 x = point[v]
                 if k < 0:
-                    x = x.inv() if isinstance(x, QuadElem) else Fraction(1) / Fraction(x)
+                    x = Fraction(1) / x
                     k = -k
                 for _ in range(k):
                     term = term * x
@@ -515,13 +480,6 @@ class Lau:
         q = _poly_exact_div(a, b)
         shift = tuple(x - y for x, y in zip(sa, sb))
         return q * Lau.monomial(self.vars, shift)
-
-    def divisible_by(self, other: "Lau") -> bool:
-        try:
-            self.exact_div(other)
-            return True
-        except NotDivisible:
-            return False
 
     # -- misc -----------------------------------------------------------------
 
@@ -611,9 +569,8 @@ def sym_reduce(poly: Lau, pairs: Sequence[tuple[str, str]] | None = None) -> Lau
     else:
         enames = [f"e{j}_{i+1}" for i in range(len(pairs)) for j in (1, 2)]
     out_vars = tuple(enames) + tuple(vs[i] for i in extra_idx)
-    out = Lau(out_vars)
     if poly.is_zero():
-        return out
+        return Lau(out_vars)
     # clear negative pair exponents with a global power of e2 per pair
     shifts = [min(min(e[ix], e[iy]) for e in poly.terms) for ix, iy in pair_idx]
     work = Lau(vs)
@@ -628,6 +585,7 @@ def sym_reduce(poly: Lau, pairs: Sequence[tuple[str, str]] | None = None) -> Lau
         ks = tuple((max(e[ix], e[iy]), min(e[ix], e[iy])) for ix, iy in pair_idx)
         return (ks, tuple(e[i] for i in extra_idx), e)
 
+    terms: dict[tuple, Fraction] = {}
     while not work.is_zero():
         lead = max(work.terms, key=key)
         c = work.terms[lead]
@@ -642,9 +600,10 @@ def sym_reduce(poly: Lau, pairs: Sequence[tuple[str, str]] | None = None) -> Lau
             if lead[i]:
                 sub = sub * Lau.var(vs, vs[i], lead[i])
             oexp.append(lead[i])
-        out = out + Lau.monomial(out_vars, tuple(oexp), c)
+        oexp = tuple(oexp)
+        terms[oexp] = terms.get(oexp, Fraction(0)) + c
         work = work - sub
-    return out
+    return Lau(out_vars, terms)
 
 
 def _evar_pairs(variables: Sequence[str]) -> list[tuple[str, str]]:
@@ -697,14 +656,14 @@ def complete_homog(n: int, x: str, y: str, variables) -> Lau:
     hit = _homog_cache.get(key)
     if hit is not None:
         return hit
-    out = Lau(variables)
+    terms = {}
     if n >= 0:
         ix, iy = variables.index(x), variables.index(y)
         for i in range(n + 1):
             e = [0] * len(variables)
             e[ix], e[iy] = i, n - i
-            out = out + Lau.monomial(variables, tuple(e))
-    _homog_cache[key] = out
+            terms[tuple(e)] = 1
+    out = _homog_cache[key] = Lau(variables, terms)
     return out
 
 
@@ -783,9 +742,7 @@ class RatFunc:
         return self + (other * -1)
 
     def __mul__(self, other) -> "RatFunc":
-        if isinstance(other, (int, Fraction)):
-            return RatFunc(self.num * other, self.den)
-        if isinstance(other, Lau):
+        if isinstance(other, (int, Fraction, Lau)):
             return RatFunc(self.num * other, self.den)
         return RatFunc(self.num * other.num, self.den + other.den)
 
@@ -809,24 +766,6 @@ class RatFunc:
             raise NotDivisible(f"denominator {self.den} does not cancel")
         return self.num
 
-    def mul_poly_exact(self, g: Lau) -> "RatFunc":
-        return RatFunc(self.num * g, self.den)
-
-    def subst_x(self, name: str, value) -> "RatFunc":
-        """Specialize one variable to a rational number (denominators too)."""
-        c = Lau.const(self.num.vars, value)
-        num = self.num.subst({name: c})
-        den = []
-        for f in self.den:
-            f2 = f.subst({name: c})
-            if f2.is_zero():
-                raise ZeroDivisionError("denominator vanishes at substitution point")
-            if f2.is_constant():
-                num = num * (Fraction(1) / f2.constant_value())
-            else:
-                den.append(f2)
-        return RatFunc(num, den)
-
     def series_coeff(self, name: str, upto: int) -> list[Lau]:
         """Power-series coefficients in `name` (requires factors with
         constant term 1 in name and no negative powers of name)."""
@@ -846,16 +785,14 @@ class RatFunc:
             return out
 
         def poly_coeffs(f: Lau) -> list[Lau]:
-            out = [Lau(rest) for _ in range(upto + 1)]
+            out: list[dict] = [{} for _ in range(upto + 1)]
             for e, c in f.terms.items():
                 d = e[i]
                 if d < 0:
                     raise ValueError("negative power in series expansion")
                 if d <= upto:
-                    e2 = list(e)
-                    e2[i] = 0
-                    out[d] = out[d] + Lau.monomial(rest, tuple(e2), c)
-            return out
+                    out[d][e[:i] + (0,) + e[i + 1:]] = c
+            return [Lau(rest, t) for t in out]
 
         cur = poly_coeffs(self.num)
         for f in self.den:
@@ -896,17 +833,18 @@ def ratfunc_exact_div(f: RatFunc, g: Lau) -> Lau:
     """
     if g.is_zero():
         raise ZeroDivisionError("g = 0")
-    return f.mul_poly_exact(g).as_laurent()
+    return (f * g).as_laurent()
 
 
 def lau_eval_x1(h: Lau, name: str) -> Lau:
     """Evaluate a Laurent polynomial at name = 1 (drop that variable)."""
     rest = tuple(v for v in h.vars if v != name)
     i = h.vars.index(name)
-    out = Lau(rest)
+    terms: dict[tuple, Fraction] = {}
     for e, c in h.terms.items():
-        out = out + Lau.monomial(rest, e[:i] + e[i + 1:], c)
-    return out
+        key = e[:i] + e[i + 1:]
+        terms[key] = terms.get(key, Fraction(0)) + c
+    return Lau(rest, terms)
 
 
 def json_dumps(obj) -> str:

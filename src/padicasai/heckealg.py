@@ -148,10 +148,11 @@ class HeckeElem:
     @classmethod
     def from_json(cls, d: Mapping) -> "HeckeElem":
         vs = _vars_for(d["group"])
-        poly = Lau(vs)
+        terms: dict[tuple, Fraction] = {}
         for t in d["terms"]:
-            poly = poly + Lau.monomial(vs, tuple(int(t.get(v, 0)) for v in vs), Fraction(t["coef"]))
-        return cls(d["group"], poly)
+            e = tuple(int(t.get(v, 0)) for v in vs)
+            terms[e] = terms.get(e, Fraction(0)) + Fraction(t["coef"])
+        return cls(d["group"], Lau(vs, terms))
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +166,11 @@ def satake(h: HeckeElem, p: int) -> Lau:
     split:  T1^a S1^b T2^c S2^d -> p^-(b+d) e1_1^a e2_1^b e1_2^c e2_2^d
     """
     if h.group in ("inert_F", "gstar_inert"):
-        out = Lau(("e1", "e2"))
-        for (a, b), c in h.poly.terms.items():
-            out = out + Lau.monomial(("e1", "e2"), (a, b), c * Fraction(p) ** a)
-        return out
-    evars = ("e1_1", "e2_1", "e1_2", "e2_2")
-    out = Lau(evars)
-    for (a, b, cc, d), c in h.poly.terms.items():
-        out = out + Lau.monomial(evars, (a, b, cc, d), c * Fraction(p) ** (-(b + d)))
-    return out
+        return Lau(("e1", "e2"), {(a, b): c * Fraction(p) ** a for (a, b), c in h.poly.terms.items()})
+    return Lau(
+        ("e1_1", "e2_1", "e1_2", "e2_2"),
+        {(a, b, cc, d): c * Fraction(p) ** (-(b + d)) for (a, b, cc, d), c in h.poly.terms.items()},
+    )
 
 
 def inv_satake(f: Lau, group: str, p: int) -> HeckeElem:
@@ -184,15 +181,15 @@ def inv_satake(f: Lau, group: str, p: int) -> HeckeElem:
     gstar_split the monomials must be determinant balanced.
     """
     vs = _vars_for(group)
-    poly = Lau(vs)
+    terms = {}
     if group in ("inert_F", "gstar_inert"):
         if f.vars != ("e1", "e2"):
             raise ValueError("expected inert symmetric coordinates")
         for (a, b), c in f.terms.items():
             if a < 0:
                 raise NotInImage("negative power of e1")
-            poly = poly + Lau.monomial(vs, (a, b), c * Fraction(p) ** (-a))
-        return HeckeElem(group, poly)
+            terms[(a, b)] = c * Fraction(p) ** (-a)
+        return HeckeElem(group, Lau(vs, terms))
     if f.vars != ("e1_1", "e2_1", "e1_2", "e2_2"):
         raise ValueError("expected split symmetric coordinates")
     for (a, b, cc, d), c in f.terms.items():
@@ -200,21 +197,21 @@ def inv_satake(f: Lau, group: str, p: int) -> HeckeElem:
             raise NotInImage("negative power of e1")
         if group == "gstar_split" and a + 2 * b != cc + 2 * d:
             raise NotInImage("monomial not determinant balanced")
-        poly = poly + Lau.monomial(vs, (a, b, cc, d), c * Fraction(p) ** (b + d))
-    return HeckeElem(group, poly)
+        terms[(a, b, cc, d)] = c * Fraction(p) ** (b + d)
+    return HeckeElem(group, Lau(vs, terms))
 
 
 def involution(h: HeckeElem) -> HeckeElem:
     """xi -> xi((-)^(-1)): T -> T S^-1, S -> S^-1 on each component."""
     vs = h.poly.vars
-    out = Lau(vs)
+    terms = {}
     for e, c in h.poly.terms.items():
         e2 = list(e)
         for i in range(0, len(vs), 2):
             t, s = e2[i], e2[i + 1]
             e2[i], e2[i + 1] = t, -s - t
-        out = out + Lau.monomial(vs, tuple(e2), c)
-    return HeckeElem(h.group, out)
+        terms[tuple(e2)] = c
+    return HeckeElem(h.group, Lau(vs, terms))
 
 
 def monomial_det_val(group: str, exps: Sequence[int]) -> int:
@@ -474,7 +471,7 @@ def _mod_poly_sub(a: dict, b: dict, m: int) -> dict:
     return out
 
 
-def _mod_poly_mul_mono(a: dict, exps, coef: int, m: int, nvars: int) -> dict:
+def _mod_poly_mul_mono(a: dict, exps, coef: int, m: int) -> dict:
     out = {}
     for e, c in a.items():
         e2 = tuple(x + y for x, y in zip(e, exps))
@@ -490,7 +487,7 @@ def _shift_var(d: dict, var_index: int, k: int) -> dict:
     return {tuple(x + (k if i == var_index else 0) for i, x in enumerate(e)): c for e, c in d.items()}
 
 
-def _mod_divide_principal(P: dict, Q: dict, var_index: int, m: int, nvars: int):
+def _mod_divide_principal(P: dict, Q: dict, var_index: int, m: int):
     """Divide P by Q in the Laurent ring (Z/m)[gens^+-] along one variable.
 
     Requires the leading coefficient of Q in that variable to be a single
@@ -529,7 +526,7 @@ def _mod_divide_principal(P: dict, Q: dict, var_index: int, m: int, nvars: int):
         quot[qe] = (quot.get(qe, 0) + qc) % m
         if quot[qe] == 0:
             del quot[qe]
-        rem = _mod_poly_sub(rem, _mod_poly_mul_mono(Qs, qe, qc, m, nvars), m)
+        rem = _mod_poly_sub(rem, _mod_poly_mul_mono(Qs, qe, qc, m), m)
     return _shift_var(quot, var_index, sp - sq), _shift_var(rem, var_index, sp)
 
 
@@ -542,12 +539,11 @@ def _one_minus_s_mod(group: str, m: int) -> dict:
 
 def _extract_one_minus_s(Q: dict, group: str, m: int):
     """Q = (1 - S)^j * Q1 mod m with (1 - S) exactly divided out."""
-    vs = _vars_for(group)
     oms = _one_minus_s_mod(group, m)
     j = 0
     cur = Q
     while True:
-        res = _mod_divide_principal(cur, oms, 1, m, len(vs))
+        res = _mod_divide_principal(cur, oms, 1, m)
         if res is None:
             break
         q, r = res
@@ -561,24 +557,17 @@ def _extract_one_minus_s(Q: dict, group: str, m: int):
 
 
 def _lift_mod_poly(d: dict, group: str, m: int) -> HeckeElem:
-    vs = _vars_for(group)
-    poly = Lau(vs)
+    terms = {}
     for e, c in d.items():
         c = c % m
-        if c > m // 2:
-            c -= m
-        poly = poly + Lau.monomial(vs, e, c)
-    return HeckeElem(group, poly)
+        terms[e] = c - m if c > m // 2 else c
+    return HeckeElem(group, Lau(_vars_for(group), terms))
 
 
 def _project_balanced(h: HeckeElem, group: str) -> HeckeElem:
     """Keep the determinant-balanced monomials (projection onto the G* image)."""
-    vs = h.poly.vars
-    out = Lau(vs)
-    for e, c in h.poly.terms.items():
-        if e[0] + 2 * e[1] == e[2] + 2 * e[3]:
-            out = out + Lau.monomial(vs, e, c)
-    return HeckeElem(group, out)
+    terms = {e: c for e, c in h.poly.terms.items() if e[0] + 2 * e[1] == e[2] + 2 * e[3]}
+    return HeckeElem(group, Lau(h.poly.vars, terms))
 
 
 def ideal_cert(P: HeckeElem, gen1_kind: str, Q: HeckeElem, p: int) -> HeckeIdealCert:
@@ -627,21 +616,21 @@ def ideal_cert(P: HeckeElem, gen1_kind: str, Q: HeckeElem, p: int) -> HeckeIdeal
         if Pm:
             raise NotMember("Q vanishes mod p-1 but P does not", P)
         V = HeckeElem.zero(group)
-        U = _divide_exact_int(P - Q * V, m, group, p)
+        U = divide_exact_int(P - Q * V, m, p)
         cert = HeckeIdealCert(P, gen1_kind, Q, U, V, p)
         assert cert.verify()
         return cert
     j, Q1m = _extract_one_minus_s(Qm, group, m)
     cur = Pm
     for _ in range(j):
-        res = _mod_divide_principal(cur, _one_minus_s_mod(group, m), 1, m, len(vs))
+        res = _mod_divide_principal(cur, _one_minus_s_mod(group, m), 1, m)
         if res is None or res[1]:
             raise NotMember("target lacks the (1 - S) factor mod p-1", _lift_mod_poly(cur, group, m))
         cur = res[0]
     # principal variable: T (index 0); for split also try T2 (index 2)
     quotient = None
     for vi in (0, 2) if len(vs) == 4 else (0,):
-        res = _mod_divide_principal(cur, Q1m, vi, m, len(vs))
+        res = _mod_divide_principal(cur, Q1m, vi, m)
         if res is not None:
             q, r = res
             if not r:
@@ -656,18 +645,19 @@ def ideal_cert(P: HeckeElem, gen1_kind: str, Q: HeckeElem, p: int) -> HeckeIdeal
     V = _lift_mod_poly(quotient, group, m)
     if group == "gstar_split":
         V = _project_balanced(V, group)
-    U = _divide_exact_int(P - Q * V, m, group, p)
+    U = divide_exact_int(P - Q * V, m, p)
     cert = HeckeIdealCert(P, gen1_kind, Q, U, V, p)
     if not cert.verify():
         raise NotMember("lifted cofactors failed re-expansion", cert.target - Q * V)
     return cert
 
 
-def _divide_exact_int(W: HeckeElem, m: int, group: str, p: int) -> HeckeElem:
-    poly = Lau(W.poly.vars)
+def divide_exact_int(W: HeckeElem, m: int, p: int) -> HeckeElem:
+    """W / m, with NotMember unless every quotient coefficient is in Z[1/p]."""
+    terms = {}
     for e, c in W.poly.terms.items():
         q = c / m
         if not in_z_inv_p(q, p):
-            raise NotMember("discrepancy not divisible by p-1", W)
-        poly = poly + Lau.monomial(W.poly.vars, e, q)
-    return HeckeElem(group, poly)
+            raise NotMember(f"coefficient not divisible by {m}", W)
+        terms[e] = q
+    return HeckeElem(W.group, Lau(W.poly.vars, terms))

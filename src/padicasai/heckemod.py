@@ -22,22 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import (
-    AB,
-    Lau,
-    QuadCtx,
-    QuadElem,
-    RatFunc,
-    UV,
-    in_z_inv_p,
-    lau_eval_x1,
-    ratfunc_exact_div,
-    sym_reduce,
-)
+from .exactnum import Lau, PrecisionOverflow, QuadCtx, QuadElem, RatFunc, in_z_inv_p
 from .heckealg import (
     HeckeElem,
     HeckeIdealCert,
     NotMember,
+    divide_exact_int,
     euler_poly,
     hecke_homog,
     ideal_cert,
@@ -48,7 +38,9 @@ from .heckealg import (
 from .padicgrp import (
     Mat2,
     SubgroupConditions,
+    conj_condition_rows,
     coset_reps,
+    identity_rows,
     pgk_label,
     plocal_smith,
     subgroup_volume,
@@ -57,6 +49,7 @@ from .whitzeta import (
     SchwartzFn,
     VS_INERT,
     VS_SPLIT,
+    normalized_limit,
     psi_epsilon_extract,
     zeta_asai,
     zeta_rs_split,
@@ -107,11 +100,6 @@ class TestVector:
         assert (self.case, self.level, self.star) == (other.case, other.level, other.star)
         return TestVector(self.ctx, self.case, self.level, self.terms + other.terms, self.star)
 
-    def group_tag(self) -> str:
-        if self.case == "inert":
-            return "gstar_inert" if self.star else "inert_F"
-        return "gstar_split" if self.star else "split_pair"
-
     def to_json(self) -> dict:
         terms = []
         for phi, g, c in self.terms:
@@ -130,37 +118,22 @@ def generator_vector(ctx: QuadCtx, case: str = "inert", star: bool = False) -> T
 # integrality against the stabilizer-volume lattices
 
 
-def _conj_rows_rational(g: Mat2) -> list[list[Fraction]]:
-    """Rows of gamma -> components of g^-1 gamma g, gamma a rational 2x2."""
-    ctx = g.ctx
-    rows = [[Fraction(0)] * 4 for _ in range(8)]
-    gi = g.inv()
-    for k in range(4):
-        X = [Fraction(0)] * 4
-        X[k] = Fraction(1)
-        prod = gi * Mat2(X, ctx) * g
-        for eidx in range(4):
-            rows[2 * eidx][k] = prod.e[eidx].a
-            rows[2 * eidx + 1][k] = prod.e[eidx].b
-    return [r for r in rows if any(r)]
+MAX_PERMUTED_CELLS = 5
 
 
-def _identity_rows() -> list[list[Fraction]]:
-    rows = []
-    for i in range(4):
-        r = [Fraction(0)] * 4
-        r[i] = Fraction(1)
-        rows.append(r)
-    return rows
+def _cell_permutations(phi: SchwartzFn):
+    """Bijections of the cell set preserving coefficients (identity first).
 
-
-def _cell_permutations(phi: SchwartzFn, cap: int = 5):
-    """Bijections of the cell set preserving coefficients (identity first)."""
+    Raises PrecisionOverflow above MAX_PERMUTED_CELLS cells, where the
+    enumeration (one Smith form per bijection) is not attempted.
+    """
     from itertools import permutations
 
     cells = sorted(phi.cells)
-    if len(cells) > cap:
-        return [{c: c for c in cells}]
+    if len(cells) > MAX_PERMUTED_CELLS:
+        raise PrecisionOverflow(
+            f"{len(cells)} cells: stabilizer enumeration is capped at {MAX_PERMUTED_CELLS} cells"
+        )
     out = []
     for perm in permutations(cells):
         if all(phi.cells[a] == phi.cells[b] for a, b in zip(cells, perm)):
@@ -179,9 +152,10 @@ def stabilizer_conditions(phi: SchwartzFn, gs: Sequence[Mat2], level: str, star:
     p = ctx.p
     if not phi.cells:
         raise ValueError("zero Schwartz function")
-    rows_core = _identity_rows()
+    rows_core = identity_rows()
     for g in gs:
-        rows_core = rows_core + _conj_rows_rational(g)
+        # gamma -> g^-1 gamma g; rows that vanish identically carry no condition
+        rows_core += [r for r in conj_condition_rows(g.inv(), g) if any(r)]
     pn = Fraction(p) ** phi.level
     branches = []
     for sigma in _cell_permutations(phi):
@@ -261,21 +235,19 @@ def hecke_apply(h: HeckeElem, vec: TestVector) -> TestVector:
         raise ValueError("the spherical algebra acts at full level")
     ctx = vec.ctx
     split = vec.case == "split"
-    tcosets_q = _t_inverse_cosets(ctx, False)
-    tcosets_f = _t_inverse_cosets(ctx, True)
-    p = ctx.p
+    tcosets = _t_inverse_cosets(ctx, not split)
     out_terms = []
     for e, coef in h.poly.terms.items():
         for phi, g, c in vec.terms:
             gsets = [(g, Fraction(1))]
             if not split:
                 a, b = e
-                gsets = _apply_gen_power(gsets, tcosets_f, a, 0, ctx, split)
+                gsets = _apply_gen_power(gsets, tcosets, a, 0, split)
                 gsets = [(gg * Mat2.t(-b, -b, ctx), w) for gg, w in gsets]
             else:
                 a1, b1, a2, b2 = e
-                gsets = _apply_gen_power(gsets, tcosets_q, a1, 0, ctx, split)
-                gsets = _apply_gen_power(gsets, tcosets_q, a2, 1, ctx, split)
+                gsets = _apply_gen_power(gsets, tcosets, a1, 0, split)
+                gsets = _apply_gen_power(gsets, tcosets, a2, 1, split)
                 gsets = [
                     ((gg[0] * Mat2.t(-b1, -b1, ctx), gg[1] * Mat2.t(-b2, -b2, ctx)), w)
                     for gg, w in gsets
@@ -285,7 +257,7 @@ def hecke_apply(h: HeckeElem, vec: TestVector) -> TestVector:
     return TestVector(ctx, vec.case, "K", out_terms, vec.star)
 
 
-def _apply_gen_power(gsets, cosets, n: int, comp: int, ctx, split: bool):
+def _apply_gen_power(gsets, cosets, n: int, comp: int, split: bool):
     for _ in range(n):
         new = []
         for g, w in gsets:
@@ -322,20 +294,10 @@ def period_value(vec: TestVector):
 
 def normalized_period(vec: TestVector) -> Lau:
     """Z(delta) = lim_(s->0) (zeta pairing) / L(s), in symmetric coordinates."""
-    ctx = vec.ctx
-    rf = period_value(vec)
-    kind = "rs_split" if vec.case == "split" else "asai_inert"
-    ep = euler_poly(kind, ctx.p)
-    sym_x = ep.satake_in_x(ctx.p)
-    from .exactnum import sym_expand
-
-    pair_vars = UV if vec.case == "split" else AB
-    inv_l = sym_expand(sym_x, tuple(pair_vars))
-    h = ratfunc_exact_div(rf, inv_l)
-    return sym_reduce(lau_eval_x1(h, "X"))
+    return normalized_limit(period_value(vec), vec.case, vec.ctx.p)
 
 
-def local_factor(vec: TestVector, check_points: int = 3) -> HeckeElem:
+def local_factor(vec: TestVector) -> HeckeElem:
     """The unique spherical operator with P . generator = delta.
 
     The normalized period of delta equals Theta(P') (the convolution action
@@ -345,11 +307,11 @@ def local_factor(vec: TestVector, check_points: int = 3) -> HeckeElem:
     sym = normalized_period(vec)
     group = "split_pair" if vec.case == "split" else "inert_F"
     pprime = inv_satake(sym, group, vec.ctx.p)
-    # re-verify the transform pair at specialized parameter points
+    # re-verify the transform pair at three specialized parameter points
     import random as _random
 
     rng = _random.Random(20240)
-    for _ in range(check_points):
+    for _ in range(3):
         point = {v: Fraction(rng.randint(1, 9), rng.randint(1, 3)) for v in sym.vars}
         assert satake(pprime, vec.ctx.p).eval(point) == sym.eval(point)
     return involution(pprime)
@@ -579,7 +541,7 @@ def certify_ideal(vec: TestVector, part: int) -> CertReport:
         Q = euler_poly("standard_F", p).involute_at_one()
         # P = A' P_F'(1) + B'; B' is divisible by p-1 via the trace property
         try:
-            U = _exact_div_scalar(Bp, p - 1, p)
+            U = divide_exact_int(Bp, p - 1, p)
             cert = HeckeIdealCert(P, "p-1", Q, U, Ap, p)
             if cert.verify():
                 return CertReport(3, P, cert, True, "chain")
@@ -611,7 +573,7 @@ def certify_ideal(vec: TestVector, part: int) -> CertReport:
                     dchain.phi_weights[b] = phi_c_weight(0, b, ctx)
             At, E = _chain_operator_data(dchain, ctx)
             try:
-                E1 = _exact_div_scalar(E, p - 1, p)
+                E1 = divide_exact_int(E, p - 1, p)
                 U = -(HeckeElem.gen("inert_F", "S", -1) * involution(E1))
                 V = involution(At)
                 cert = HeckeIdealCert(P, "(p-1)(1-S)", Q, U, V, p)
@@ -622,16 +584,6 @@ def certify_ideal(vec: TestVector, part: int) -> CertReport:
         cert = ideal_cert(P, "(p-1)(1-S)", Q, p)
         return CertReport(2, P, cert, True, "division")
     raise ValueError("part must be 1, 2 or 3")
-
-
-def _exact_div_scalar(h: HeckeElem, m: int, p: int) -> HeckeElem:
-    poly = Lau(h.poly.vars)
-    for e, c in h.poly.terms.items():
-        q = c / m
-        if not in_z_inv_p(q, p):
-            raise NotMember("coefficient not divisible", h)
-        poly = poly + Lau.monomial(h.poly.vars, e, q)
-    return HeckeElem(h.group, poly)
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +662,7 @@ def delta1(ctx: QuadCtx, case: str) -> dict:
 def _vol_k011(ctx: QuadCtx) -> Fraction:
     """vol K^1_(0,1)(p^2) = vol{g in K: g = [[1,*],[0,1]] mod p^2}."""
     p = ctx.p
-    rows = _identity_rows()
+    rows = identity_rows()
     target = [Fraction(0)] * 4
     pn = Fraction(p) ** 2
     for idx, t in [(0, 1), (2, 0), (3, 1)]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exactnum import INF, Lau, QuadCtx, val_p
+from .exactnum import INF, QuadCtx, val_p
 from .heckealg import euler_poly
 from .heckemod import TestVector, integrality_check, normalized_period
 
@@ -84,6 +84,9 @@ class CoefElem:
 
     def __truediv__(self, other):
         return self * self._coerce(other).inv()
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) * self.inv()
 
     def conj(self) -> "CoefElem":
         return CoefElem(self.a, -self.b, self.d)
@@ -373,24 +376,7 @@ def rep_side_asai_inverse(data: EigenformData, p: int, x: Fraction) -> CoefElem:
     sym_x = ep.satake_in_x(p)
     point = dict(sat.values)
     point["X"] = CoefElem(x, 0, data.d)
-    return _eval_lau(sym_x, point, data.d)
-
-
-def _eval_lau(sym: Lau, point: Mapping[str, CoefElem], d) -> CoefElem:
-    total = CoefElem(0, 0, d)
-    for e, c in sorted(sym.terms.items()):
-        term = CoefElem(c, 0, d)
-        for v, k in zip(sym.vars, e):
-            if k == 0:
-                continue
-            x = point[v]
-            if k < 0:
-                x = x.inv()
-                k = -k
-            for _ in range(k):
-                term = term * x
-        total = total + term
-    return total
+    return sym_x.eval(point)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +412,6 @@ def period_ideal_check(
     local_inputs: Sequence[Mapping],
     S0: Sequence[int],
     ell: int,
-    conjugate_place: bool = False,
     assume_class_coprime: bool = False,
 ) -> dict:
     """Evaluate the product of normalized local periods on the given data
@@ -480,7 +465,8 @@ def period_ideal_check(
             # the period pairs with the traced (full-level) vector
             vec = TestVector(ctx, case, "K", terms)
             sym = normalized_period(vec)
-            zval = _eval_lau(sym, {k: v for k, v in sat.values.items()}, d)
+            # a constant period evaluates to a Fraction: coerce into the field
+            zval = CoefElem(0, 0, d) + sym.eval(sat.values)
         tate = False
         if p in S0 and phi0_nonzero and not assume_class_coprime:
             eps = data.epsilon_at(p)
@@ -491,16 +477,16 @@ def period_ideal_check(
         value = value * zval
         rep = PrimeLocalReport(p, sat.kind, zval, p in S0, tate)
         if p in S0:
-            rep.v_p_minus_1 = _v_str(ell_adic_valuation(CoefElem(p - 1, 0, d), ell, conjugate_place))
+            rep.v_p_minus_1 = _v_str(ell_adic_valuation(CoefElem(p - 1, 0, d), ell))
             linv = rep_side_asai_inverse(data, p, Fraction(1))
-            rep.v_l_inverse = _v_str(ell_adic_valuation(linv, ell, conjugate_place)) if not linv.is_zero() else "inf"
-            va = ell_adic_valuation(CoefElem(p - 1, 0, d), ell, conjugate_place)
-            vb = ell_adic_valuation(linv, ell, conjugate_place) if not linv.is_zero() else INF
+            rep.v_l_inverse = _v_str(ell_adic_valuation(linv, ell)) if not linv.is_zero() else "inf"
+            va = ell_adic_valuation(CoefElem(p - 1, 0, d), ell)
+            vb = ell_adic_valuation(linv, ell) if not linv.is_zero() else INF
             expo = min(va, vb)
             rep.exponent = _v_str(expo)
             exponents_total += 0 if expo == INF else expo
         reports.append(rep)
-    vval = ell_adic_valuation(value, ell, conjugate_place) if not value.is_zero() else INF
+    vval = ell_adic_valuation(value, ell) if not value.is_zero() else INF
     ok = vval == INF or vval >= exponents_total
     return {
         "ell": ell,

@@ -97,10 +97,6 @@ class Mat2:
         di = dt.inv()
         return Mat2([d * di, -b * di, -c * di, a * di], self.ctx)
 
-    def transpose(self) -> "Mat2":
-        a, b, c, d = self.e
-        return Mat2([a, c, b, d], self.ctx)
-
     def scale(self, s) -> "Mat2":
         return Mat2([x * s for x in self.e], self.ctx)
 
@@ -202,10 +198,6 @@ def iwasawa_F(g: Mat2) -> IwasawaParts:
 # p-local Smith normal form and lattice solving
 
 
-def _vp(x: Fraction, p: int):
-    return val_p(x, p)
-
-
 def plocal_smith(rows: list[list[Fraction]], p: int):
     """p-local Smith form: returns (U, exps, V) with U*M*V = D.
 
@@ -226,7 +218,7 @@ def plocal_smith(rows: list[list[Fraction]], p: int):
         for i in range(k, m):
             for j in range(k, n):
                 if M[i][j] != 0:
-                    v = _vp(M[i][j], p)
+                    v = val_p(M[i][j], p)
                     if best is None or v < best[0]:
                         best = (v, i, j)
         if best is None:
@@ -300,7 +292,7 @@ def lattice_solve_affine(rows: list[list[Fraction]], target: list[Fraction], p: 
     for i in range(n):
         y[i] = ut[i] / Fraction(p) ** exps[i]
     for i in range(n, m):
-        if ut[i] != 0 and _vp(ut[i], p) < 0:
+        if ut[i] != 0 and val_p(ut[i], p) < 0:
             return None
     x0 = [sum(V[r][i] * y[i] for i in range(n)) for r in range(n)]
     basis = []
@@ -309,7 +301,13 @@ def lattice_solve_affine(rows: list[list[Fraction]], target: list[Fraction], p: 
     return x0, basis
 
 
-def _conj_condition_rows(left: Mat2, right: Mat2) -> list[list[Fraction]]:
+def identity_rows() -> list[list[Fraction]]:
+    """The four unit rows: with them a condition matrix on a 2x2 unknown has
+    full column rank and confines the unknown to M2(Z_p)."""
+    return [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+
+
+def conj_condition_rows(left: Mat2, right: Mat2) -> list[list[Fraction]]:
     """Rows expressing the components of left * X * right for rational X.
 
     X is a rational 2x2 unknown (4 coordinates, row-major); each matrix
@@ -347,12 +345,7 @@ def kck_membership(g: Mat2, cell: Mat2):
     p = ctx.p
     if g.det_val() != cell.det_val():
         return None
-    rows = []
-    for i in range(4):
-        r = [Fraction(0)] * 4
-        r[i] = Fraction(1)
-        rows.append(r)
-    rows += _conj_condition_rows(cell.inv(), g)
+    rows = identity_rows() + conj_condition_rows(cell.inv(), g)
     basis = lattice_from_conditions(rows, p)
     coefs = _fp_point_with_unit_det(basis, p)
     if coefs is None:
@@ -530,7 +523,7 @@ def coset_reps(kind: str, ctx: QuadCtx, **kw) -> list[Mat2]:
         fieldq = kw.get("field", "base") == "quadratic"
         q = p ** L
         size = (q * q if fieldq else q) ** 4
-        if size > kw.get("cap", 10 ** 7):
+        if size > 10 ** 7:
             raise ValueError("enumeration too large")
         out = []
         rng = range(q)
@@ -714,5 +707,5 @@ def subgroup_volume(cond: SubgroupConditions) -> Fraction:
 
 def _level_of_vector(b: list[Fraction], p: int) -> int:
     """Elementary-divisor exponent of a primitive-times-p^a basis vector."""
-    v = min(_vp(x, p) for x in b if x != 0)
+    v = min(val_p(x, p) for x in b if x != 0)
     return int(v)

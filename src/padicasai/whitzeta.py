@@ -43,6 +43,7 @@ from .exactnum import (
     fr_to_str,
     lau_eval_x1,
     ratfunc_exact_div,
+    sym_expand,
     sym_reduce,
     val_p,
 )
@@ -153,7 +154,6 @@ class SchwartzFn:
         x1, x2 = Fraction(x1), Fraction(x2)
         p, N = self.p, self.level
         tot = Fraction(0)
-        pn = Fraction(p) ** N
         for (c1, c2), coef in self.cells.items():
             if _in_pn(x1 - c1, p, N) and _in_pn(x2 - c2, p, N):
                 tot += coef
@@ -254,10 +254,6 @@ class WhitParams:
         if self.values is None:
             raise ValueError("symbolic parameters cannot specialize")
         return sym.eval(dict(self.values))
-
-
-def symbolic_params(case: str) -> WhitParams:
-    return WhitParams(case)
 
 
 # ---------------------------------------------------------------------------
@@ -423,13 +419,14 @@ def wsph_value(g: Mat2, ctx: QuadCtx) -> WhitValue:
 # tails of Whittaker series
 
 
-def _seq_tail(aj, J: int, den_factors: list[Lau], vs, guard: int = 3) -> RatFunc:
+def _seq_tail(aj, J: int, den_factors: list[Lau], vs) -> RatFunc:
     """sum_(j >= J) aj(j) X^j as an exact rational function.
 
     den_factors are the (1 - root X) factors of the characteristic
     polynomial of the sequence; the numerator is reconstructed from the
-    initial terms, and the next `guard` coefficients are asserted to vanish.
+    initial terms, and the next guard = 2 coefficients are asserted to vanish.
     """
+    guard = 2
     D = Lau.const(vs, 1)
     for f in den_factors:
         D = D * f
@@ -439,15 +436,15 @@ def _seq_tail(aj, J: int, den_factors: list[Lau], vs, guard: int = 3) -> RatFunc
     for j in range(J, J + degD + guard):
         prefix = prefix + aj(j) * X ** j
     prod = D * prefix
-    num = Lau(vs)
+    num = {}
     xi = vs.index("X")
     for e, c in prod.terms.items():
         if e[xi] < J + degD:
-            num = num + Lau.monomial(vs, e, c)
+            num[e] = c
         elif e[xi] < J + degD + guard:
             raise AssertionError("sequence does not satisfy its recurrence")
         # terms at X-degree >= J + degD + guard come from prefix truncation
-    return RatFunc(num, den_factors)
+    return RatFunc(Lau(vs, num), den_factors)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +491,7 @@ def _y_integral(vbeta, vcs: list[int], omegas, vs, p: int) -> RatFunc:
         if jneg >= j0:
             finite = finite + aj(jneg) * X ** jneg * Fraction(-1, p - 1)
     den = [1 - r * X for r in roots]
-    tail = _seq_tail(aj, J, den, vs, guard=2)
+    tail = _seq_tail(aj, J, den, vs)
     return (tail + RatFunc.from_lau(finite)) * omegas
 
 
@@ -513,25 +510,27 @@ class ZetaResult:
         return self.ratfunc.series_coeff("X", upto)
 
     def normalized(self) -> Lau:
-        """Multiply by the inverse L-factor polynomial, check exact
-        divisibility, evaluate at X = 1 and reduce to symmetric coordinates."""
-        kind = "asai_inert" if self.case == "inert" else "rs_split"
-        ep = euler_poly(kind, self.p)
-        sym = ep.satake_in_x(self.p)
-        pair_vars = AB if self.case == "inert" else UV
-        inv_l = _sym_x_to_params(sym, pair_vars)
-        h = ratfunc_exact_div(self.ratfunc, inv_l)
-        at1 = lau_eval_x1(h, "X")
-        return sym_reduce(at1)
+        """The normalized period lim_(s->0) Z / L in symmetric coordinates."""
+        return normalized_limit(self.ratfunc, self.case, self.p)
 
     def to_json(self) -> dict:
         return {"case": self.case, "provenance": self.provenance, "ratfunc": self.ratfunc.to_json()}
 
 
-def _sym_x_to_params(sym_x: Lau, pair_vars) -> Lau:
-    from .exactnum import sym_expand
+def inverse_l_factor(case: str, p: int) -> Lau:
+    """L(s)^-1 as a polynomial in X over the pair variables: the Asai factor
+    in (A, B, X) for "inert", the Rankin-Selberg factor in (u1, .., v2, X)
+    for "split"."""
+    if case == "inert":
+        return sym_expand(euler_poly("asai_inert", p).satake_in_x(p), AB)
+    return sym_expand(euler_poly("rs_split", p).satake_in_x(p), UV)
 
-    return sym_expand(sym_x, tuple(pair_vars))
+
+def normalized_limit(rf: RatFunc, case: str, p: int) -> Lau:
+    """lim_(s->0) rf / L(s) in symmetric coordinates: multiply by the inverse
+    L-factor polynomial, check exact divisibility, evaluate at X = 1."""
+    h = ratfunc_exact_div(rf, inverse_l_factor(case, p))
+    return sym_reduce(lau_eval_x1(h, "X"))
 
 
 def _complete_row(v1: Fraction, v2: Fraction, ctx: QuadCtx) -> Mat2:
@@ -692,12 +691,7 @@ def zeta_asai(
     coordinates; specialize with params when given.
     """
     res = _zeta_engine(phi, [g], ctx, False, level_cap, level_bump, provenance="zeta_asai")
-    if not normalize:
-        return res
-    sym = res.normalized()
-    if params is not None and not params.symbolic:
-        return params.specialize(sym)
-    return sym
+    return _normalize_result(res, normalize, params)
 
 
 def zeta_rs_split(
@@ -714,6 +708,12 @@ def zeta_rs_split(
     if not (g1.is_rational() and g2.is_rational()):
         raise ValueError("split-case matrices live over Q_p")
     res = _zeta_engine(phi, [g1, g2], ctx, True, level_cap, level_bump, provenance="zeta_rs_split")
+    return _normalize_result(res, normalize, params)
+
+
+def _normalize_result(res: ZetaResult, normalize: bool, params: WhitParams | None):
+    """The shared tail of the zeta entry points: the raw result, or its
+    normalized period, specialized when params carry values."""
     if not normalize:
         return res
     sym = res.normalized()
@@ -748,7 +748,7 @@ def psi_secondary(a: int, b: int, ctx: QuadCtx) -> ZetaResult:
     if 0 <= jneg < J:
         finite = finite + aj(jneg) * X ** jneg * Fraction(-1, p - 1)
     den = [1 - Lau.var(vs, "A") * X, 1 - Lau.var(vs, "B") * X]
-    tail = _seq_tail(aj, J, den, vs, guard=2)
+    tail = _seq_tail(aj, J, den, vs)
     omega_a = Lau.monomial(vs, _evec(vs, {"A": a, "B": a}))
     rf = (tail + RatFunc.from_lau(finite)) * omega_a
     return ZetaResult(rf, "inert", f"psi_secondary(a={a}, b={b})", p)

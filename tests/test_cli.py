@@ -109,3 +109,34 @@ def test_verify_suite_workers_independent():
     r1 = run("--prime", "3", "verify-suite", "--only", "1,10")
     r2 = run("--prime", "3", "--workers", "2", "verify-suite", "--only", "1,10")
     assert r1.stdout == r2.stdout
+
+
+SINGULAR = json.dumps([[{"a": "1", "b": "0"}, {"a": "1", "b": "0"}], [{"a": "1", "b": "0"}, {"a": "1", "b": "0"}]])
+MALFORMED = {
+    "matrix zero denominator": ["zeta", "--phi", "builtin:unramified", "--g", "n:1/0"],
+    "satake zero denominator": ["--satake", "1/0,2", "zeta", "--phi", "builtin:unramified", "--normalize"],
+    "cell zero denominator": [
+        "zeta", "--phi", json.dumps({"level": 1, "cells": [{"c": ["1/0", "0"], "coef": "1"}]}),
+    ],
+    "singular matrix inert": ["zeta", "--phi", "builtin:unramified", "--g", SINGULAR],
+    "singular matrix split": ["zeta", "--phi", "builtin:unramified", "--case", "split", "--g", "identity;" + SINGULAR],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_exits_2(name):
+    r = run("--prime", "3", *MALFORMED[name])
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+
+
+def test_certify_above_cell_cap_exits_3(tmp_path):
+    # ch(Z_p^2) written on its nine level-1 cells: above the 5-cell cap
+    cells = [{"c": [str(x), str(y)], "coef": "1"} for x in range(3) for y in range(3)]
+    one = [[{"a": "1", "b": "0"}, {"a": "0", "b": "0"}], [{"a": "0", "b": "0"}, {"a": "1", "b": "0"}]]
+    vec = {"case": "inert", "level": "K", "terms": [{"phi": {"level": 1, "cells": cells}, "g": one, "coef": "1"}]}
+    path = tmp_path / "vec.json"
+    path.write_text(json.dumps(vec))
+    r = run("--prime", "3", "certify", "--vector", str(path), "--part", "1")
+    assert r.returncode == 3
+    assert "Traceback" not in r.stderr

@@ -270,3 +270,16 @@ def test_delta1_split(F3):
     # the traced factor descends through iota to the G* algebra
     star = iota_solve(rep["p_trace"])
     assert star.group == "gstar_split"
+
+
+def test_integrality_refuses_more_cells_than_the_cap(F3):
+    # the refined function is the same function, so a truncated enumeration
+    # would show as a different stabilizer volume; above the cap it raises
+    from padicasai.exactnum import PrecisionOverflow
+
+    phi = SchwartzFn.char_zp2(3)
+    fine = phi.refine(1)
+    assert fine == phi and len(fine.cells) == 9
+    assert integrality_check(phi, Mat2.identity(F3), "K", F3) == (1, True)
+    with pytest.raises(PrecisionOverflow):
+        integrality_check(fine, Mat2.identity(F3), "K", F3)
