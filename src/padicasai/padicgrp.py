@@ -189,8 +189,10 @@ def iwasawa_F(g: Mat2) -> IwasawaParts:
     f1, f2 = h.e[0], h.e[3]
     u = h.e[1] / f2
     parts = IwasawaParts(u, f1, f2, kappa)
-    assert parts.reassemble(ctx) == g
-    assert kappa.in_KF()
+    if parts.reassemble(ctx) != g:
+        raise AssertionError("Iwasawa witnesses do not reassemble g")
+    if not kappa.in_KF():
+        raise AssertionError("Iwasawa kappa is not in GL2(O_F)")
     return parts
 
 

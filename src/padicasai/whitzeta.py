@@ -17,6 +17,14 @@ v -> (inner integral) is constant on cells of level max(1, Cartan spread
 of g0), so a Schwartz function contributes finitely many exact terms, and
 the shells around v = 0 sum to a geometric series in omega(p) X^2.
 
+The inner integral depends on the row only through three valuations of
+that decomposition: v(f1 / f2), v(f2) and the valuation of the psi-phase
+of u.  _y_data_for_row computes them in closed form from the coordinates
+of (v1, v2) g0 and of one row of g0, without building k or any matrix
+product.  Per engine call, each distinct data tuple is certified once
+against a verified iwasawa_F on the first row that yields it
+(_y_data_by_iwasawa); a disagreement raises AssertionError.
+
 Everything is carried as a rational function of X = p^(-s) whose
 coefficients are Laurent polynomials in the Satake parameters; the measure
 normalization (vol(Z_p^x) = 1, vol(GL2(Z_p)) = 1) is pinned by the
@@ -28,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .exactnum import (
@@ -61,23 +70,33 @@ VS_SPLIT = ("u1", "v1", "u2", "v2", "X")
 class SchwartzFn:
     """Finite signed combination of product cells c + p^N Z_p^2 in Q_p^2.
 
-    Cells are kept at a single common level N with canonical centers; adding
-    refines to the finer level, so equality of functions is dict equality.
+    Cells are kept at a single common level N >= 0 with canonical centers
+    (a negative level is refined to level 0 on construction); adding refines
+    to the finer level, so equality of functions is dict equality.
     """
 
     def __init__(self, p: int, level: int, cells: Mapping[tuple, Fraction] | None = None):
         self.p = p
-        self.level = level
+        self.level = max(level, 0)
         self.cells: dict[tuple[Fraction, Fraction], Fraction] = {}
-        if cells:
-            for c, coef in cells.items():
-                coef = Fraction(coef)
-                if not coef:
-                    continue
-                key = self._canon(c)
-                self.cells[key] = self.cells.get(key, Fraction(0)) + coef
-                if not self.cells[key]:
-                    del self.cells[key]
+        items = list(cells.items()) if cells else []
+        if level < 0:
+            # c + p^N Z_p^2 with N < 0 is the union of p^(-2N) cells of level 0
+            pn, step = Fraction(p) ** level, p ** -level
+            items = [
+                ((Fraction(c1) + pn * y1, Fraction(c2) + pn * y2), coef)
+                for (c1, c2), coef in items
+                for y1 in range(step)
+                for y2 in range(step)
+            ]
+        for c, coef in items:
+            coef = Fraction(coef)
+            if not coef:
+                continue
+            key = self._canon(c)
+            self.cells[key] = self.cells.get(key, Fraction(0)) + coef
+            if not self.cells[key]:
+                del self.cells[key]
 
     def _canon(self, c) -> tuple[Fraction, Fraction]:
         return (self._canon_coord(c[0]), self._canon_coord(c[1]))
@@ -151,13 +170,9 @@ class SchwartzFn:
         )
 
     def value_at(self, x1, x2) -> Fraction:
-        x1, x2 = Fraction(x1), Fraction(x2)
-        p, N = self.p, self.level
-        tot = Fraction(0)
-        for (c1, c2), coef in self.cells.items():
-            if _in_pn(x1 - c1, p, N) and _in_pn(x2 - c2, p, N):
-                tot += coef
-        return tot
+        """phi(x1, x2): the coefficient of the one cell holding the point,
+        found by the point's canonical centre."""
+        return self.cells.get(self._canon((x1, x2)), Fraction(0))
 
     def vanishes_at_origin(self) -> bool:
         return self.value_at(0, 0) == 0
@@ -218,11 +233,6 @@ class SchwartzFn:
             int(d["level"]),
             {(Fraction(c["c"][0]), Fraction(c["c"][1])): Fraction(c["coef"]) for c in d["cells"]},
         )
-
-
-def _in_pn(x: Fraction, p: int, N: int) -> bool:
-    v = val_p(x, p)
-    return v == INF or v >= N
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +562,64 @@ def _required_cell_level(gs: Sequence[Mat2]) -> int:
 
 def _y_data_for_row(v1, v2, gs: Sequence[Mat2], ctx: QuadCtx, split: bool) -> tuple:
     """The value-determining data of the inner integral at a primitive row:
-    (phase valuation, torus valuations, omega exponents)."""
+    (phase valuation, torus valuations, omega exponents).
+
+    Closed form of the three valuations that the Iwasawa decomposition
+    k g0 = n(u) diag(f1, f2) kappa supplies, k = _complete_row(v1, v2).
+    Let (a, b) be the top row of k g0: row 1 of g0 over v2 when v(v2) = 0,
+    row 2 of g0 over -v1 otherwise, a unit multiple either way.  Let
+    (c, d) = (v1, v2) g0 be its bottom row.  iwasawa_F takes (x, y) = (b, d)
+    when v(c) >= v(d) and (x, y) = (a, c) otherwise; then u = x / y, f2 = y
+    and f1 = det(g0) / y, so w = v(y) and v(f1 / f2) = v(det g0) - 2w.  The
+    phase valuation is that of the sqrt(r)-part of u in the inert case,
+    (x_b y_a - x_a y_b) / N(y) with v(N(y)) = 2w, and v(u_1 - u_2) in the
+    split case; neither changes when x is scaled by a unit, so x is read off
+    g0 unscaled.  All of it is coordinate arithmetic over Q.  _zeta_engine
+    certifies each distinct result once against _y_data_by_iwasawa.
+    """
+    p = ctx.p
+    if val_p(v2, p) == 0:
+        top = 0
+    elif val_p(v1, p) == 0:
+        top = 2
+    else:
+        raise ValueError("row is not primitive")
+    vcs, ws, xys = [], [], []
+    for g0 in gs:
+        A, B, C, D = g0.e
+        c = (v1 * A.a + v2 * C.a, v1 * A.b + v2 * C.b)
+        d = (v1 * B.a + v2 * D.a, v1 * B.b + v2 * D.b)
+        vc, vd = _val_pair(c, p), _val_pair(d, p)
+        if vc >= vd:
+            x, y, w = g0.e[top + 1], d, vd
+        else:
+            x, y, w = g0.e[top], c, vc
+        vcs.append(_det_val(g0) - 2 * w)
+        ws.append(w)
+        xys.append((x, y))
+    if not split:
+        (x, y), = xys
+        vbeta = val_p(x.b * y[0] - x.a * y[1], p) - 2 * ws[0]
+    else:
+        (x1, y1), (x2, y2) = xys
+        vbeta = val_p(x1.a / y1[0] - x2.a / y2[0], p)
+    return (vbeta, tuple(vcs), tuple(ws))
+
+
+@lru_cache(maxsize=16)
+def _det_val(g: Mat2) -> int:
+    """v(det g), computed once per matrix rather than once per row."""
+    return int(g.det_val())
+
+
+def _val_pair(z: tuple[Fraction, Fraction], p: int) -> int:
+    """Valuation of z[0] + z[1] sqrt(r), an element of the unramified F."""
+    return min(val_p(z[0], p), val_p(z[1], p))
+
+
+def _y_data_by_iwasawa(v1, v2, gs: Sequence[Mat2], ctx: QuadCtx, split: bool) -> tuple:
+    """_y_data_for_row read off a verified iwasawa_F of k g0 per component:
+    the certificate for the closed form."""
     p = ctx.p
     k = _complete_row(v1, v2, ctx)
     if not split:
@@ -566,7 +633,8 @@ def _y_data_for_row(v1, v2, gs: Sequence[Mat2], ctx: QuadCtx, split: bool) -> tu
     ws = []
     for g0 in gs:
         parts = iwasawa_F(k * g0)
-        assert parts.u.is_rational()  # base-field matrices throughout
+        if not parts.u.is_rational():
+            raise AssertionError("split-case Iwasawa phase left the base field")
         us.append(parts.u.a)
         vcs.append(int(parts.f1.val() - parts.f2.val()))
         ws.append(int(parts.f2.val()))
@@ -615,6 +683,7 @@ def _zeta_engine(
     pref = Fraction(p * p, p * p - 1)  # (1 - p^-2)^-1
     omx2 = _omega_x2(vs, split, p)
     data_of_row: dict[tuple, tuple] = {}
+    certified: set[tuple] = set()
     # accumulated weight per (y-data, shell kind); shell kinds are
     # ("pow", m) for a fixed shell and ("geom", N) for the origin tail
     weights: dict[tuple, Fraction] = {}
@@ -623,7 +692,14 @@ def _zeta_engine(
         lamkey = max(lam_req, 1)
         rkey = (_mod_red(v1, p, lamkey), _mod_red(v2, p, lamkey))
         if rkey not in data_of_row:
-            data_of_row[rkey] = _y_data_for_row(v1, v2, gs, ctx, split)
+            data = _y_data_for_row(v1, v2, gs, ctx, split)
+            if data not in certified:
+                if _y_data_by_iwasawa(v1, v2, gs, ctx, split) != data:
+                    raise AssertionError(
+                        f"row ({v1}, {v2}): closed-form data {data} disagrees with iwasawa_F"
+                    )
+                certified.add(data)
+            data_of_row[rkey] = data
         key = (data_of_row[rkey], shell)
         weights[key] = weights.get(key, Fraction(0)) + wt
 
@@ -766,7 +842,8 @@ def psi_epsilon_extract(b: int, ctx: QuadCtx) -> dict[int, Fraction]:
             continue
         sn = complete_homog(n, "A", "B", ("A", "B"))
         out[n] = coef.exact_div(sn).constant_value()
-    assert lau.degree_in("X") < b
+    if lau.degree_in("X") >= b:
+        raise AssertionError("Psi(n_b W) - Psi(W) has a term of X-degree >= b")
     return out
 
 
@@ -839,37 +916,50 @@ def godement_section(phi: SchwartzFn, ctx: QuadCtx) -> dict:
 
     Returns {"level": L, "values": {row: RatFunc}} with rows primitive mod
     p^L; the delta_1 verification checks the support and constancy claims.
+    On a shell m >= 0 the points p^m u (r1, r2) are integral, and the
+    canonical centre of an integral cell is an integer pair in [0, p^N)^2,
+    so phi there is one lookup of the point's residue mod p^N.
     """
     p = ctx.p
-    L = max(phi.level, 1)
+    N = phi.level
+    L = max(N, 1)
     vs = VS_INERT
-    X = Lau.var(vs, "X")
-    om = Lau.var(vs, "A") * Lau.var(vs, "B")
-    values = {}
-    phi0 = phi.value_at(0, 0)
+    om_x2 = Lau.var(vs, "A") * Lau.var(vs, "B") * Lau.var(vs, "X") ** 2
+    pN = p ** N
+    int_cells = {
+        (c1.numerator, c2.numerator): coef
+        for (c1, c2), coef in phi.cells.items()
+        if c1.denominator == 1 and c2.denominator == 1
+    }
     cell_vals = []
     for (c1, c2) in phi.cells:
         v = min(val_p(c1, p), val_p(c2, p))
-        cell_vals.append(phi.level if v == INF else min(int(v), phi.level))
+        cell_vals.append(N if v == INF else min(int(v), N))
     m_min = min(cell_vals, default=0)
+    # finite shells m in [m_min, N]: (m, unit classes mod p^ell, their volume, (omega X^2)^m)
+    shells = []
+    for m in range(m_min, N + 1):
+        units = [u for u in range(1, p ** max(N - m, 1)) if u % p != 0]
+        shells.append((m, units, Fraction(1, len(units)), om_x2 ** m))
+    # constant value phi(0) beyond the last shell
+    phi0 = phi.value_at(0, 0)
+    tail = RatFunc(om_x2 ** (N + 1) * phi0, [1 - om_x2]) if phi0 else None
+    values = {}
     for r1 in range(p ** L):
         for r2 in range(p ** L):
             if r1 % p == 0 and r2 % p == 0:
                 continue
             acc = RatFunc(Lau(vs))
-            # finite shells m in [m_min, N]; constant value phi(0) beyond
-            for m in range(m_min, phi.level + 1):
-                ell = max(phi.level - m, 1)
-                tot = Fraction(0)
-                classes = [u for u in range(1, p ** ell) if u % p != 0]
-                volc = Fraction(1, len(classes))
-                pm = Fraction(p) ** m
-                for u in classes:
-                    tot += phi.value_at(pm * u * r1, pm * u * r2)
+            for m, units, volc, om_m in shells:
+                if m >= 0:
+                    s1, s2 = p ** m * r1, p ** m * r2
+                    tot = sum(int_cells.get((s1 * u % pN, s2 * u % pN), 0) for u in units)
+                else:
+                    pm = Fraction(p) ** m
+                    tot = sum(phi.value_at(pm * u * r1, pm * u * r2) for u in units)
                 if tot:
-                    acc = acc + RatFunc.from_lau((om * X ** 2) ** m * (tot * volc))
-            if phi0:
-                mstart = phi.level + 1
-                acc = acc + RatFunc((om * X ** 2) ** mstart * phi0, [1 - om * X ** 2])
+                    acc = acc + RatFunc.from_lau(om_m * (tot * volc))
+            if tail is not None:
+                acc = acc + tail
             values[(r1, r2)] = acc
     return {"level": L, "values": values}

@@ -130,6 +130,14 @@ def test_malformed_input_exits_2(name):
     assert "Traceback" not in r.stderr
 
 
+def test_negative_level_phi_runs():
+    # level -1 made p ** N a float inside the cell canonicalization: exit 1
+    phi = json.dumps({"level": -1, "cells": [{"c": ["0", "0"], "coef": "1"}]})
+    r = run("--prime", "3", "zeta", "--phi", phi, "--normalize")
+    assert r.returncode == 0
+    assert "Traceback" not in r.stderr
+
+
 def test_certify_above_cell_cap_exits_3(tmp_path):
     # ch(Z_p^2) written on its nine level-1 cells: above the 5-cell cap
     cells = [{"c": [str(x), str(y)], "coef": "1"} for x in range(3) for y in range(3)]

@@ -10,6 +10,8 @@ after a reviewed change:
 
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -79,6 +81,19 @@ def test_cli_golden(name):
     code, stdout = run_cli(CASES[name])
     assert code == 0
     assert stdout == (GOLDEN / "cli" / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("name", ["zeta_inert_p5", "delta1_inert_p5", "delta1_split_p3"])
+def test_cli_golden_under_optimize(name):
+    # python -O strips bare asserts; every check must survive it unchanged
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    r = subprocess.run(
+        [sys.executable, "-O", "-m", "padicasai.cli", *CASES[name]],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == (GOLDEN / "cli" / f"{name}.txt").read_text()
 
 
 if __name__ == "__main__":

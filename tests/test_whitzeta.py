@@ -17,6 +17,8 @@ from padicasai.exactnum import (
     val_p,
 )
 from padicasai.padicgrp import Mat2
+from padicasai import whitzeta
+from padicasai.cli import main
 from padicasai.whitzeta import (
     SchwartzFn,
     VS_INERT,
@@ -166,6 +168,24 @@ def test_zeta_asai_central_translation(F3):
     vs = VS_INERT
     fac = Lau.var(vs, "A") * Lau.var(vs, "B") * Lau.var(vs, "X") ** 2
     assert lhs == rhs * fac
+
+
+def test_negative_level_is_refined_to_level_zero(F3):
+    # dilating by p^-1 gave level -1, whose p ** N is a float: TypeError
+    p = 3
+    wide = SchwartzFn.char_zp2(p).dilate(Fraction(1, p))
+    assert wide.level == 0 and len(wide.cells) == p * p
+    assert wide == SchwartzFn(p, -1, {(0, 0): 1})
+    for a in range(-9, 10):
+        for b in (0, 1, 3, 5):
+            expect = 1 if a % p == 0 and b % p == 0 else 0
+            assert wide.value_at(Fraction(a, p * p), Fraction(b, p * p)) == expect
+    # Z(phi(p .), W, s) = (omega(p) X^2)^-1 Z(phi, W, s)
+    vs = VS_INERT
+    fac = Lau.var(vs, "A") * Lau.var(vs, "B") * Lau.var(vs, "X") ** 2
+    lhs = zeta_asai(wide, Mat2.identity(F3), F3).ratfunc
+    rhs = zeta_asai(SchwartzFn.char_zp2(p), Mat2.identity(F3), F3).ratfunc
+    assert lhs * fac == rhs
 
 
 def test_zeta_asai_specialized(F3):
@@ -348,3 +368,155 @@ def test_godement_section_support_and_value(p):
             assert val == RatFunc.from_lau(Lau.const(vs, expect))
         else:
             assert val == RatFunc.from_lau(Lau(vs))
+
+
+# -- differential oracles: the closed-form row data and the Godement lookup ------
+
+
+def inert_g0s(ctx):
+    """The inert group elements of random_integral_vector, plus t(2, -1),
+    n_b(2) and a matrix whose determinant is not rational."""
+    p = ctx.p
+    return {
+        "identity": Mat2.identity(ctx),
+        "t(1,0)": Mat2.t(1, 0, ctx),
+        "t(1,1)": Mat2.t(1, 1, ctx),
+        "n_b(1)": Mat2.n_b(1, ctx),
+        "lower(sqrt r) t(1,0)": Mat2.lower(QuadElem(0, 1, ctx), ctx) * Mat2.t(1, 0, ctx),
+        "t(2,-1)": Mat2.t(2, -1, ctx),
+        "n_b(2)": Mat2.n_b(2, ctx),
+        "irrational det": Mat2([QuadElem(1, 1, ctx), Fraction(1, p), p, QuadElem(0, 1, ctx)], ctx),
+    }
+
+
+def split_g0s(ctx):
+    """The split pairs of random_integral_vector."""
+    p = ctx.p
+    one, t10, t11 = Mat2.identity(ctx), Mat2.t(1, 0, ctx), Mat2.t(1, 1, ctx)
+    return {
+        "(1, 1)": [one, one],
+        "(t(1,0), t(1,0))": [t10, t10],
+        "(1, upper(1/p))": [one, Mat2.upper(Fraction(1, p), ctx)],
+        "(t(1,1), t(1,1))": [t11, t11],
+    }
+
+
+# every primitive row mod p^lam for lam <= 3 at p = 3 and lam <= 2 at p = 5:
+# the representatives in [0, p^lam)^2 of the largest lam contain the others
+ROW_SWEEP = [(3, 3), (5, 2)]
+
+
+@pytest.mark.parametrize("p,lam", ROW_SWEEP)
+def test_row_data_closed_form_matches_iwasawa(p, lam):
+    ctx = QuadCtx.make(p)
+    rows = [
+        (Fraction(a), Fraction(b))
+        for a in range(p ** lam)
+        for b in range(p ** lam)
+        if a % p or b % p
+    ]
+    cases = [([g], False) for g in inert_g0s(ctx).values()]
+    cases += [(pair, True) for pair in split_g0s(ctx).values()]
+    for gs, split in cases:
+        for v1, v2 in rows:
+            fast = whitzeta._y_data_for_row(v1, v2, gs, ctx, split)
+            assert fast == whitzeta._y_data_by_iwasawa(v1, v2, gs, ctx, split), (gs, v1, v2)
+
+
+def test_wrong_row_data_fails_verification(monkeypatch, capsys):
+    closed_form = whitzeta._y_data_for_row
+
+    def off_by_one(v1, v2, gs, ctx, split):
+        vbeta, vcs, ws = closed_form(v1, v2, gs, ctx, split)
+        return (vbeta, vcs, tuple(w + 1 for w in ws))
+
+    monkeypatch.setattr(whitzeta, "_y_data_for_row", off_by_one)
+    ctx = QuadCtx.make(3)
+    with pytest.raises(AssertionError, match="disagrees with iwasawa_F"):
+        zeta_asai(SchwartzFn.char_zp2(3), Mat2.identity(ctx), ctx)
+    capsys.readouterr()
+    assert main(["--prime", "3", "zeta", "--phi", "builtin:unramified", "--g", "identity"]) == 4
+    err = capsys.readouterr().err
+    assert "verification failure" in err and "Traceback" not in err
+
+
+def value_by_scan(phi, x1, x2):
+    """The O(cells) membership scan value_at used to be."""
+    x1, x2 = Fraction(x1), Fraction(x2)
+    p, N = phi.p, phi.level
+    tot = Fraction(0)
+    for (c1, c2), coef in phi.cells.items():
+        if all(d == 0 or val_p(d, p) >= N for d in (x1 - c1, x2 - c2)):
+            tot += coef
+    return tot
+
+
+def godement_by_scan(phi, ctx):
+    """godement_section as it was, with every phi value from the scan."""
+    p = ctx.p
+    L = max(phi.level, 1)
+    vs = VS_INERT
+    X = Lau.var(vs, "X")
+    om = Lau.var(vs, "A") * Lau.var(vs, "B")
+    values = {}
+    phi0 = value_by_scan(phi, 0, 0)
+    cell_vals = []
+    for (c1, c2) in phi.cells:
+        v = min(val_p(c1, p), val_p(c2, p))
+        cell_vals.append(phi.level if v == INF else min(int(v), phi.level))
+    m_min = min(cell_vals, default=0)
+    for r1 in range(p ** L):
+        for r2 in range(p ** L):
+            if r1 % p == 0 and r2 % p == 0:
+                continue
+            acc = RatFunc(Lau(vs))
+            for m in range(m_min, phi.level + 1):
+                ell = max(phi.level - m, 1)
+                tot = Fraction(0)
+                classes = [u for u in range(1, p ** ell) if u % p != 0]
+                volc = Fraction(1, len(classes))
+                pm = Fraction(p) ** m
+                for u in classes:
+                    tot += value_by_scan(phi, pm * u * r1, pm * u * r2)
+                if tot:
+                    acc = acc + RatFunc.from_lau((om * X ** 2) ** m * (tot * volc))
+            if phi0:
+                mstart = phi.level + 1
+                acc = acc + RatFunc((om * X ** 2) ** mstart * phi0, [1 - om * X ** 2])
+            values[(r1, r2)] = acc
+    return {"level": L, "values": values}
+
+
+GODEMENT_PHIS = {
+    "phi_p2": SchwartzFn.phi_p2,
+    "char_zp2": SchwartzFn.char_zp2,
+    "multi-cell level 2": lambda p: SchwartzFn(
+        p, 2, {(0, 1): 2, (p, 1): -1, (1, p): 3, (0, 0): 5, (p + 1, 2 * p): 1}
+    ),
+    "non-integral centre": lambda p: SchwartzFn.cell(p, 1, Fraction(1, p), 2, 3)
+    + SchwartzFn.char_zp2(p),
+    "level 3": lambda p: SchwartzFn(
+        p, 3, {(p * p, 0): 1, (0, p * p): 2, (p * p, 2 * p * p): -1}
+    ),
+}
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("name", sorted(GODEMENT_PHIS))
+def test_godement_section_matches_scan(name, p):
+    ctx = QuadCtx.make(p)
+    phi = GODEMENT_PHIS[name](p)
+    rng = random.Random(p)
+    points = [(0, 0)] + [
+        (Fraction(rng.randrange(-p ** 4, p ** 4), p ** rng.randrange(3)),
+         Fraction(rng.randrange(-p ** 4, p ** 4), p ** rng.randrange(3)))
+        for _ in range(300)
+    ]
+    points += [(c1 + p ** phi.level * 7, c2 - p ** phi.level) for c1, c2 in phi.cells]
+    for x1, x2 in points:
+        assert phi.value_at(x1, x2) == value_by_scan(phi, x1, x2), (x1, x2)
+    fast, slow = godement_section(phi, ctx), godement_by_scan(phi, ctx)
+    assert fast["level"] == slow["level"]
+    assert fast["values"].keys() == slow["values"].keys()
+    for row, val in slow["values"].items():
+        assert fast["values"][row] == val, row
