@@ -77,7 +77,8 @@ def gstar_factor(vec: TestVector) -> GStarFactorReport:
     kind = "asai_star_inert" if vec.case == "inert" else "asai_star_split"
     Q = euler_poly(kind, p).involute_at_one()
     cert = ideal_cert(P_star, "p-1", Q, p)
-    assert iota_embed(P_star) == P
+    if iota_embed(P_star) != P:
+        raise AssertionError("iota(P*) does not reproduce the local factor")
     return GStarFactorReport(P_star, P, cert)
 
 

@@ -255,7 +255,8 @@ class EulerPoly:
     coeffs: list  # HeckeElem, degree 0 first
 
     def __post_init__(self):
-        assert self.coeffs[0] == HeckeElem.one(self.group)
+        if self.coeffs[0] != HeckeElem.one(self.group):
+            raise ValueError("an Euler polynomial has constant term 1")
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -618,7 +619,8 @@ def ideal_cert(P: HeckeElem, gen1_kind: str, Q: HeckeElem, p: int) -> HeckeIdeal
         V = HeckeElem.zero(group)
         U = divide_exact_int(P - Q * V, m, p)
         cert = HeckeIdealCert(P, gen1_kind, Q, U, V, p)
-        assert cert.verify()
+        if not cert.verify():
+            raise AssertionError("certificate re-expansion failed")
         return cert
     j, Q1m = _extract_one_minus_s(Qm, group, m)
     cur = Pm

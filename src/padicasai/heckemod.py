@@ -97,7 +97,8 @@ class TestVector:
         )
 
     def __add__(self, other: "TestVector") -> "TestVector":
-        assert (self.case, self.level, self.star) == (other.case, other.level, other.star)
+        if (self.case, self.level, self.star) != (other.case, other.level, other.star):
+            raise ValueError("test vectors of different case, level or star do not add")
         return TestVector(self.ctx, self.case, self.level, self.terms + other.terms, self.star)
 
     def to_json(self) -> dict:

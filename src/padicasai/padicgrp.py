@@ -360,8 +360,10 @@ def kck_membership(g: Mat2, cell: Mat2):
     x = Mat2(vec, ctx)
     kappa = cell.inv() * x * g
     k = x.inv()
-    assert x.in_K_base() and kappa.in_KF()
-    assert k * cell * kappa == g
+    if not (x.in_K_base() and kappa.in_KF()):
+        raise AssertionError("KcK witnesses are not in K")
+    if k * cell * kappa != g:
+        raise AssertionError("KcK witnesses do not reassemble g")
     return k, kappa
 
 
@@ -425,7 +427,8 @@ def pgk_label(g: Mat2) -> CosetWitness:
     else:
         kap1 = Mat2([-(D / C), QuadElem(pa, 0, ctx) / C, 1, 0], ctx)
     gp = g * kap1
-    assert gp.e[2] == ctx.zero() and gp.e[3] == ctx.elem(pa)
+    if gp.e[2] != ctx.zero() or gp.e[3] != ctx.elem(pa):
+        raise AssertionError("pgk_label: g kappa1 is not upper triangular with corner p^a")
     A, B = gp.e[0], gp.e[1]
     vA = A.val()
     vB2 = val_p(B.b, p)
@@ -439,10 +442,12 @@ def pgk_label(g: Mat2) -> CosetWitness:
     q = Mat2([QuadElem(q1, 0, ctx), QuadElem(q2, 0, ctx), ctx.zero(), ctx.one()], ctx)
     M = pgk_canonical(a, b, ctx)
     kap2 = (q * M).inv() * gp
-    assert kap2.in_KF()
+    if not kap2.in_KF():
+        raise AssertionError("pgk_label: kappa2 is not in GL2(O_F)")
     right = kap2 * kap1.inv()
     out = CosetWitness((a, b), q, right, "pgk")
-    assert q * M * right == g
+    if q * M * right != g:
+        raise AssertionError("pgk_label witnesses do not reassemble g")
     return out
 
 
@@ -622,7 +627,8 @@ def sl2_diag_factor(g: Mat2) -> tuple[Mat2, int, int, Mat2]:
     lo = Mat2.lower(-(m.e[2] / a), ctx)
     m = lo * m
     left = left * lo.inv()
-    assert m.e[1] == ctx.zero() and m.e[2] == ctx.zero()
+    if m.e[1] != ctx.zero() or m.e[2] != ctx.zero():
+        raise AssertionError("sl2_diag_factor: elimination left an off-diagonal entry")
     d1, d2 = m.e[0], m.e[3]
     a1, a2 = d1.val(), d2.val()
     # fold units: diag(d1, d2) = diag(u1, u1^-1) diag(p^a1, p^a2), u1 u2 = 1
@@ -636,9 +642,12 @@ def sl2_diag_factor(g: Mat2) -> tuple[Mat2, int, int, Mat2]:
         right = w * right
         a1, a2 = a2, a1
     k1, k2 = left, right
-    assert k1.det() == ctx.one() and k2.det() == ctx.one()
-    assert k1.in_KF() and k2.in_KF()
-    assert k1 * Mat2.t(a1, a2, ctx) * k2 == g
+    if k1.det() != ctx.one() or k2.det() != ctx.one():
+        raise AssertionError("sl2_diag_factor: a K factor has determinant other than 1")
+    if not (k1.in_KF() and k2.in_KF()):
+        raise AssertionError("sl2_diag_factor: a K factor is not in GL2(O_F)")
+    if k1 * Mat2.t(a1, a2, ctx) * k2 != g:
+        raise AssertionError("sl2_diag_factor witnesses do not reassemble g")
     return k1, a1, a2, k2
 
 

@@ -527,10 +527,11 @@ class ZetaResult:
         return {"case": self.case, "provenance": self.provenance, "ratfunc": self.ratfunc.to_json()}
 
 
+@lru_cache(maxsize=16)
 def inverse_l_factor(case: str, p: int) -> Lau:
     """L(s)^-1 as a polynomial in X over the pair variables: the Asai factor
     in (A, B, X) for "inert", the Rankin-Selberg factor in (u1, .., v2, X)
-    for "split"."""
+    for "split".  Memoized on (case, p); treat the result as immutable."""
     if case == "inert":
         return sym_expand(euler_poly("asai_inert", p).satake_in_x(p), AB)
     return sym_expand(euler_poly("rs_split", p).satake_in_x(p), UV)
@@ -642,7 +643,19 @@ def _y_data_by_iwasawa(v1, v2, gs: Sequence[Mat2], ctx: QuadCtx, split: bool) ->
     return (vbeta, tuple(vcs), tuple(ws))
 
 
+@lru_cache(maxsize=256)
 def _y_value_from_data(data: tuple, vs, p: int) -> RatFunc:
+    """The inner integral of one row-data class, data = (vbeta, vcs, ws) as
+    returned by _y_data_for_row, over the variables vs at p.
+
+    Memoized process-wide on (data, vs, p), at most 256 entries: the value
+    depends on nothing else, and the same classes recur within a zeta call,
+    across the terms of a Hecke-translated vector and across vectors.  Each
+    miss runs _seq_tail and its recurrence check.  Sharing the cached
+    RatFunc is safe because every RatFunc and Lau operation returns a new
+    object; only __init__ and _cancel assign .num, .den or .terms, on their
+    own object (complete_homog shares its Lau values the same way).
+    """
     vbeta, vcs, ws = data
     omegas = Lau.const(vs, 1)
     if len(vcs) == 1:
@@ -732,11 +745,8 @@ def _zeta_engine(
                     # omega(p)^m X^(2m) p^(2m) merged with the volume p^(-2m)
                     add_weight(t1 + pnm * y1, t2 + pnm * y2, ("pow", m), wt)
     acc = RatFunc(Lau(vs))
-    yvals: dict[tuple, RatFunc] = {}
     for (data, shell), wt in sorted(weights.items(), key=repr):
-        if data not in yvals:
-            yvals[data] = _y_value_from_data(data, vs, p)
-        y = yvals[data]
+        y = _y_value_from_data(data, vs, p)
         if shell[0] == "pow":
             contrib = y * RatFunc.from_lau(omx2 ** shell[1])
         else:

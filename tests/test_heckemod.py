@@ -5,6 +5,7 @@ import pytest
 
 from padicasai.exactnum import Lau, QuadCtx, QuadElem
 from padicasai.heckealg import (
+    EulerPoly,
     HeckeElem,
     euler_poly,
     involution,
@@ -116,6 +117,13 @@ def test_freeness_witness_split(F3, seed):
     h = HeckeElem.monomial("split_pair", e, Fraction(rng.randint(1, 4)))
     vec = hecke_apply(h, generator_vector(F3, case="split"))
     assert local_factor(vec) == h
+
+
+def test_contract_checks_raise_value_error(F3):
+    with pytest.raises(ValueError, match="do not add"):
+        generator_vector(F3, "inert") + generator_vector(F3, "split")
+    with pytest.raises(ValueError, match="constant term 1"):
+        EulerPoly("inert_F", [HeckeElem.zero("inert_F")])
 
 
 def test_hecke_apply_sum(F3):

@@ -16,6 +16,8 @@ from padicasai.exactnum import (
     sym_reduce,
     val_p,
 )
+from padicasai.heckealg import HeckeElem
+from padicasai.heckemod import delta1, generator_vector, hecke_apply, local_factor
 from padicasai.padicgrp import Mat2
 from padicasai import whitzeta
 from padicasai.cli import main
@@ -438,6 +440,51 @@ def test_wrong_row_data_fails_verification(monkeypatch, capsys):
     assert main(["--prime", "3", "zeta", "--phi", "builtin:unramified", "--g", "identity"]) == 4
     err = capsys.readouterr().err
     assert "verification failure" in err and "Traceback" not in err
+
+
+def split_t2_freeness(ctx):
+    """local_factor(1 (x) T^2 . generator), the split T^2 freeness job."""
+    h = HeckeElem.monomial("split_pair", (0, 0, 2, 0), 2)
+    return h, local_factor(hecke_apply(h, generator_vector(ctx, "split")))
+
+
+def test_y_value_memo_matches_fresh_builds(monkeypatch):
+    memo = whitzeta._y_value_from_data
+    served = {}
+
+    def recording(data, vs, p):
+        out = served[(data, vs, p)] = memo(data, vs, p)
+        return out
+
+    def run_engines():
+        split_t2_freeness(QuadCtx.make(3))
+        delta1(QuadCtx.make(5), "inert")
+
+    def same(a, b):
+        return a.num == b.num and a.den == b.den
+
+    monkeypatch.setattr(whitzeta, "_y_value_from_data", recording)
+    run_engines()
+    assert {(vs, p) for _, vs, p in served} == {(VS_SPLIT, 3), (VS_INERT, 5)}
+    for key in served:
+        assert same(memo(*key), memo.__wrapped__(*key)), key
+    # a caller mutating a shared value in place would show on the second run
+    run_engines()
+    for key, y in served.items():
+        fresh = memo.__wrapped__(*key)
+        assert same(y, fresh) and same(memo(*key), fresh), key
+
+
+def test_y_value_memo_second_run_is_all_hits():
+    ctx = QuadCtx.make(3)
+    memo = whitzeta._y_value_from_data
+    h, first = split_t2_freeness(ctx)
+    before = memo.cache_info()
+    _, second = split_t2_freeness(ctx)
+    after = memo.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
+    assert second == first == h
 
 
 def value_by_scan(phi, x1, x2):
