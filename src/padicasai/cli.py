@@ -4,9 +4,10 @@ Machine-readable JSON goes to stdout, short human summaries to stderr.
 Exit codes: 0 success; 2 input error, including a malformed number (a zero
 denominator) or a singular matrix; 3 precision overflow, including a
 Schwartz function with more than 5 cells, whose stabilizer enumeration is
-capped; 4 assertion or verification failure.  Identical configuration and
-seed produce byte identical output; the worker count never changes a
-result.
+capped; 4 assertion or verification failure, including an exact division,
+inverse Satake transform or symmetric reduction that fails inside the
+engine.  Identical configuration and seed produce byte identical output;
+the worker count never changes a result.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import Lau, PrecisionOverflow, QuadCtx, json_dumps
+from .exactnum import Lau, NotDivisible, NotInImage, NotSymmetric, PrecisionOverflow, QuadCtx, json_dumps
 from .heckealg import HeckeElem, NotMember, euler_poly, satake
 from .heckemod import TestVector, certify_ideal, delta1, local_factor, trace_level
 from .gstar import cyclotomic_factor_candidate, gstar_factor
@@ -351,7 +352,9 @@ def main(argv=None) -> int:
     except PrecisionOverflow as exc:
         sys.stderr.write(f"precision overflow: {exc}\n")
         return 3
-    except (AssertionError, NotMember, DecompositionError) as exc:
+    except (AssertionError, NotMember, DecompositionError, NotDivisible, NotInImage, NotSymmetric) as exc:
+        # NotInImage and NotSymmetric are ValueErrors, but only the engine
+        # raises them: a verification failure, not an input error
         sys.stderr.write(f"verification failure: {exc}\n")
         return 4
     except (ValueError, KeyError, OSError, SchemaError, json.JSONDecodeError) as exc:

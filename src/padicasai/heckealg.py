@@ -27,6 +27,7 @@ from typing import Mapping, Sequence
 
 from .exactnum import (
     Lau,
+    NotDivisible,
     NotInImage,
     fr_to_str,
     in_z_inv_p,
@@ -596,11 +597,11 @@ def ideal_cert(P: HeckeElem, gen1_kind: str, Q: HeckeElem, p: int) -> HeckeIdeal
         # (1 - S) * <p-1, Q/(1-S)> and membership reduces to the p-1 case
         try:
             Q1 = HeckeElem(group, Q.poly.exact_div((one - S).poly))
-        except Exception as exc:
+        except NotDivisible as exc:
             raise ValueError("second generator is not divisible by (1 - S)") from exc
         try:
             P1 = HeckeElem(group, P.poly.exact_div((one - S).poly))
-        except Exception:
+        except NotDivisible:
             raise NotMember("target not divisible by (1 - S)", P)
         inner = ideal_cert(P1, "p-1", Q1, p)
         cert = HeckeIdealCert(P, gen1_kind, Q, inner.U, inner.V, p)

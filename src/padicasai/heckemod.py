@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .exactnum import Lau, PrecisionOverflow, QuadCtx, QuadElem, RatFunc, in_z_inv_p
@@ -366,9 +367,15 @@ def mirabolic_volume(g: Mat2) -> Fraction:
     return vol_add * unit_fraction / (1 - Fraction(1, p))
 
 
+@lru_cache(maxsize=256)
 def phi_c_weight(a: int, b: int, ctx: QuadCtx) -> Fraction:
     """The weight of the mirabolic collapse on ch(t_a n_b K): the inverse
-    volume of P(Q_p) cap (t_a n_b) K_F (t_a n_b)^-1."""
+    volume of P(Q_p) cap (t_a n_b) K_F (t_a n_b)^-1.
+
+    Memoized process-wide on (a, b, ctx), at most 256 entries: each miss
+    runs one mirabolic_volume Smith form, and the chain asks for the same
+    few b in every vector.  A Fraction is immutable, so sharing it is safe.
+    """
     g = Mat2.t(a, a, ctx) * Mat2.n_b(b, ctx)
     return Fraction(1) / mirabolic_volume(g)
 
@@ -401,11 +408,25 @@ def xi_phi_chain(vec: TestVector, p_delta: HeckeElem | None = None) -> XiPhiChai
     return XiPhiChain(p_delta, coeffs, weights, collapsed)
 
 
+@lru_cache(maxsize=256)
+def _mirabolic_successors(a: int, b: int, ctx: QuadCtx) -> tuple:
+    """The labels of t_a n_b g_i over the single cosets g_i of K t K, in
+    coset_reps order: the row of one mirabolic cell in the T-step.
+
+    Memoized process-wide on (a, b, ctx), at most 256 entries; a window
+    holds (2 tmax + 5)(tmax + 2) cells per p, 21 at T-degree 1 and 55 at
+    T-degree 3.  Each miss runs pgk_label, with all three of its witness
+    checks, once per coset.  Only tuples of integer label pairs are cached,
+    and they are immutable, so sharing them is safe.
+    """
+    x0 = Mat2.t(a, a, ctx) * Mat2.n_b(b, ctx)
+    tcos = coset_reps("double_to_single", ctx, lam=1, field="quadratic")
+    return tuple(pgk_label(x0 * gi).label for gi in tcos)
+
+
 def _act_on_mirabolic(h: HeckeElem, ctx: QuadCtx) -> dict:
     """Right-convolution action of h on ch(P K_F), coefficients on the basis
     ch(P t_a n_b K_F) computed pointwise through the coset labels."""
-    p = ctx.p
-    tcos = coset_reps("double_to_single", ctx, lam=1, field="quadratic")
     tmax = max((e[0] for e in h.poly.terms), default=0)
     # each T application spreads the support by at most one cell index
     window_b = range(0, tmax + 2)
@@ -417,12 +438,7 @@ def _act_on_mirabolic(h: HeckeElem, ctx: QuadCtx) -> dict:
     def tstep(prev, k):
         out = {}
         for (a, b) in prev:
-            x0 = Mat2.t(a, a, ctx) * Mat2.n_b(b, ctx)
-            tot = Fraction(0)
-            for gi in tcos:
-                lab = pgk_label(x0 * gi).label
-                tot += prev.get(lab, Fraction(0))
-            out[(a, b)] = tot
+            out[(a, b)] = sum((prev.get(lab, 0) for lab in _mirabolic_successors(a, b, ctx)), Fraction(0))
         for (a, b), v in out.items():
             if v and (abs(a) > k or b > k):
                 raise AssertionError("mirabolic support escaped its window")

@@ -148,3 +148,26 @@ def test_certify_above_cell_cap_exits_3(tmp_path):
     r = run("--prime", "3", "certify", "--vector", str(path), "--part", "1")
     assert r.returncode == 3
     assert "Traceback" not in r.stderr
+
+
+ENGINE_FAULTS = ["NotDivisible", "NotInImage", "NotSymmetric"]
+
+
+@pytest.mark.parametrize("name", ENGINE_FAULTS)
+def test_engine_fault_exits_4(name, monkeypatch, capsys):
+    # raised past parsing, inside the local-factor engine: a verification failure
+    from pathlib import Path
+
+    from padicasai import exactnum, heckemod
+    from padicasai.cli import main
+
+    def broken(*args, **kwargs):
+        raise getattr(exactnum, name)("injected engine fault")
+
+    monkeypatch.setattr(heckemod, "inv_satake", broken)
+    vec = Path(__file__).parent / "golden" / "inputs" / "vec_K.json"
+    code = main(["--prime", "3", "local-factor", "--vector", str(vec)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "verification failure: injected engine fault" in err
+    assert "Traceback" not in err

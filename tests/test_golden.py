@@ -68,8 +68,12 @@ CASES = {
 }
 
 
+def resolve(argv: list[str]) -> list[str]:
+    return [a.replace("{inputs}", str(INPUTS)) for a in argv]
+
+
 def run_cli(argv: list[str]) -> tuple[int, str]:
-    argv = [a.replace("{inputs}", str(INPUTS)) for a in argv]
+    argv = resolve(argv)
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
@@ -83,13 +87,13 @@ def test_cli_golden(name):
     assert stdout == (GOLDEN / "cli" / f"{name}.txt").read_text()
 
 
-@pytest.mark.parametrize("name", ["zeta_inert_p5", "delta1_inert_p5", "delta1_split_p3"])
+@pytest.mark.parametrize("name", ["zeta_inert_p5", "delta1_inert_p5", "delta1_split_p3", "certify_part3"])
 def test_cli_golden_under_optimize(name):
     # python -O strips bare asserts; every check must survive it unchanged
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     r = subprocess.run(
-        [sys.executable, "-O", "-m", "padicasai.cli", *CASES[name]],
+        [sys.executable, "-O", "-m", "padicasai.cli", *resolve(CASES[name])],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert r.returncode == 0, r.stderr

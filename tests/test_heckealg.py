@@ -266,6 +266,22 @@ def test_ideal_cert_two_generator_kind():
     assert P == cert.gen1() * cert.U + Q * cert.V
 
 
+def test_ideal_cert_two_generator_kind_only_catches_not_divisible(monkeypatch):
+    p = 3
+    Q = euler_poly("asai_inert", p).involute_at_one()
+    # a target without the (1 - S) factor is a non-member
+    with pytest.raises(NotMember):
+        ideal_cert(HeckeElem.one("inert_F"), "(p-1)(1-S)", Q, p)
+
+    # any other fault inside the division propagates unchanged
+    def broken(self, other):
+        raise TypeError("fault inside exact_div")
+
+    monkeypatch.setattr(Lau, "exact_div", broken)
+    with pytest.raises(TypeError, match="fault inside exact_div"):
+        ideal_cert(HeckeElem.one("inert_F"), "(p-1)(1-S)", Q, p)
+
+
 def test_ideal_cert_not_member():
     p = 3
     Q = euler_poly("asai_inert", p).involute_at_one()

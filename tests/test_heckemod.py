@@ -12,8 +12,10 @@ from padicasai.heckealg import (
     iota_solve,
     satake,
 )
+from padicasai import heckemod
 from padicasai.heckemod import (
     TestVector,
+    _act_on_mirabolic,
     certify_ideal,
     chain_identity_rhs,
     delta1,
@@ -30,7 +32,7 @@ from padicasai.heckemod import (
     vector_is_integral,
     xi_phi_chain,
 )
-from padicasai.padicgrp import Mat2
+from padicasai.padicgrp import Mat2, coset_reps, pgk_label
 from padicasai.whitzeta import SchwartzFn
 
 
@@ -291,3 +293,111 @@ def test_integrality_refuses_more_cells_than_the_cap(F3):
     assert integrality_check(phi, Mat2.identity(F3), "K", F3) == (1, True)
     with pytest.raises(PrecisionOverflow):
         integrality_check(fine, Mat2.identity(F3), "K", F3)
+
+
+# -- the memoized mirabolic step ----------------------------------------------------------
+
+
+def act_on_mirabolic_by_labels(h, ctx):
+    """_act_on_mirabolic as it was before its rows were memoized: one
+    pgk_label per (cell, coset) at every T-step."""
+    tcos = coset_reps("double_to_single", ctx, lam=1, field="quadratic")
+    tmax = max((e[0] for e in h.poly.terms), default=0)
+    window_b = range(0, tmax + 2)
+    window_a = range(-(tmax + 2), tmax + 3)
+    values = {0: {(a, b): Fraction(1 if (a, b) == (0, 0) else 0) for a in window_a for b in window_b}}
+
+    def tstep(prev, k):
+        out = {}
+        for (a, b) in prev:
+            x0 = Mat2.t(a, a, ctx) * Mat2.n_b(b, ctx)
+            tot = Fraction(0)
+            for gi in tcos:
+                lab = pgk_label(x0 * gi).label
+                tot += prev.get(lab, Fraction(0))
+            out[(a, b)] = tot
+        for (a, b), v in out.items():
+            if v and (abs(a) > k or b > k):
+                raise AssertionError("mirabolic support escaped its window")
+        return out
+
+    for k in range(1, tmax + 1):
+        values[k] = tstep(values[k - 1], k)
+    out = {}
+    for (texp, sexp), coef in h.poly.terms.items():
+        for (a, b), v in values[texp].items():
+            if v:
+                key = (a - sexp, b)
+                out[key] = out.get(key, Fraction(0)) + coef * v
+    return {k: v for k, v in out.items() if v}
+
+
+def inert_elem(terms):
+    """sum coef T^t S^s over {(t, s): coef}."""
+    return HeckeElem("inert_F", Lau(("T", "S"), {e: Fraction(c) for e, c in terms.items()}))
+
+
+MIRABOLIC_CASES = [
+    (3, {(0, 0): 1, (0, 2): -2}),
+    (3, {(1, 0): 1, (0, -1): Fraction(-1, 3)}),
+    (3, {(2, -1): 2, (1, 1): -1, (0, 0): 5}),
+    (3, {(3, 0): 1, (1, -2): 4, (2, 1): Fraction(1, 2)}),
+    (5, {(0, 1): 3}),
+    (5, {(1, 1): -1, (1, 0): 2, (0, -2): 1}),
+]
+
+
+def test_mirabolic_step_matches_labels_oracle(monkeypatch):
+    rows, weights = heckemod._mirabolic_successors, heckemod.phi_c_weight
+    served_rows, served_weights = set(), set()
+
+    def recording_rows(a, b, ctx):
+        served_rows.add((a, b, ctx))
+        return rows(a, b, ctx)
+
+    def recording_weights(a, b, ctx):
+        served_weights.add((a, b, ctx))
+        return weights(a, b, ctx)
+
+    monkeypatch.setattr(heckemod, "_mirabolic_successors", recording_rows)
+    monkeypatch.setattr(heckemod, "phi_c_weight", recording_weights)
+    for p, terms in MIRABOLIC_CASES:
+        ctx = QuadCtx.make(p)
+        h = inert_elem(terms)
+        expect = act_on_mirabolic_by_labels(h, ctx)
+        assert _act_on_mirabolic(h, ctx) == expect, (p, terms)
+        assert xi_phi_chain(generator_vector(ctx), h).xi_coeffs == expect
+    # T-degree 3 at p = 3 fills its (2 * 3 + 5)(3 + 2) = 55-cell window
+    assert sum(1 for _, _, ctx in served_rows if ctx.p == 3) >= 55
+    assert {ctx.p for _, _, ctx in served_rows} == {3, 5}
+    for key in served_rows:
+        assert rows(*key) == rows.__wrapped__(*key), key
+    assert {ctx.p for _, _, ctx in served_weights} == {3, 5}
+    for key in served_weights:
+        assert weights(*key) == weights.__wrapped__(*key), key
+
+
+def test_mirabolic_memo_second_certificate_labels_nothing(F3, monkeypatch):
+    # P of this vector has T-degree 1, so its chain takes one T-step
+    phi = SchwartzFn(3, 2, {(Fraction(3), Fraction(1)): Fraction(432)})
+    g = Mat2.upper(QuadElem(0, Fraction(1, 3), F3), F3)
+    vec = TestVector(F3, "inert", "K[p]", [(phi, g, Fraction(1))])
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return pgk_label(g)
+
+    monkeypatch.setattr(heckemod, "pgk_label", counting)
+    heckemod._mirabolic_successors.cache_clear()
+    first = certify_ideal(vec, 3)
+    assert first.route == "chain" and max(e[0] for e in first.p_target.poly.terms) == 1
+    assert calls
+    before = heckemod._mirabolic_successors.cache_info()
+    weights_before = heckemod.phi_c_weight.cache_info()
+    calls.clear()
+    second = certify_ideal(vec, 3)
+    assert calls == []
+    assert heckemod._mirabolic_successors.cache_info().misses == before.misses
+    assert heckemod.phi_c_weight.cache_info().misses == weights_before.misses
+    assert second.to_json() == first.to_json()
