@@ -2,12 +2,14 @@
 
 Machine-readable JSON goes to stdout, short human summaries to stderr.
 Exit codes: 0 success; 2 input error, including a malformed number (a zero
-denominator) or a singular matrix; 3 precision overflow, including a
-Schwartz function with more than 5 cells, whose stabilizer enumeration is
-capped; 4 assertion or verification failure, including an exact division,
-inverse Satake transform or symmetric reduction that fails inside the
-engine.  Identical configuration and seed produce byte identical output;
-the worker count never changes a result.
+denominator), a singular matrix, or a --prime or --ell that is not an odd
+prime; 3 precision overflow, including a Schwartz function with more than
+5 cells, whose stabilizer enumeration is capped; 4 assertion or
+verification failure, including an exact division, inverse Satake
+transform or symmetric reduction that fails inside the engine.  Without
+--satake the Satake parameters stay symbolic.  Identical configuration and
+seed produce byte identical output; the worker count never changes a
+result.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import Lau, NotDivisible, NotInImage, NotSymmetric, PrecisionOverflow, QuadCtx, json_dumps
+from .exactnum import Lau, NotDivisible, NotInImage, NotSymmetric, PrecisionOverflow, QuadCtx, is_odd_prime, json_dumps
 from .heckealg import HeckeElem, NotMember, euler_poly, satake
 from .heckemod import TestVector, certify_ideal, delta1, local_factor, trace_level
 from .gstar import cyclotomic_factor_candidate, gstar_factor
@@ -40,8 +42,8 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if self.prime < 3 or self.prime % 2 == 0:
-            raise ValueError("the prime must be odd")
+        if not is_odd_prime(self.prime):
+            raise ValueError(f"the prime {self.prime} is not an odd prime")
         if self.precision_cap < 2:
             raise ValueError("precision cap must be at least 2")
 
@@ -269,9 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out", type=str, default=None)
-    mode = ap.add_mutually_exclusive_group()
-    mode.add_argument("--symbolic", action="store_true", default=True)
-    mode.add_argument(
+    ap.add_argument(
         "--satake",
         default=None,
         metavar="A,B",

@@ -20,6 +20,7 @@ division followed by evaluation at X = 1 (X stands for p^{-s}).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -77,6 +78,18 @@ def in_z_inv_p(x: Fraction, p: int) -> bool:
     return d == 1
 
 
+def fr_mod(x: Fraction, p: int, k: int) -> int:
+    """The residue in [0, p^k) of a p-integral Fraction; a denominator
+    divisible by p has no inverse mod p^k and raises ValueError."""
+    m = p ** k
+    return x.numerator * pow(x.denominator, -1, m) % m
+
+
+def is_odd_prime(n: int) -> bool:
+    """Trial division: n is an odd prime."""
+    return n > 2 and n % 2 == 1 and all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+
+
 def fr_to_str(x: Fraction) -> str:
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
@@ -112,7 +125,7 @@ class QuadCtx:
     r: int
 
     def __post_init__(self):
-        if self.p == 2 or self.p < 2:
+        if not is_odd_prime(self.p):
             raise ValueError("p must be an odd prime")
         if self.r % self.p == 0 or is_qr(self.r, self.p):
             raise ValueError(f"r={self.r} is not a non-residue unit mod {self.p}")
@@ -545,30 +558,23 @@ AB = ("A", "B")
 UV = ("u1", "v1", "u2", "v2")
 
 
-def sym_reduce(poly: Lau, pairs: Sequence[tuple[str, str]] | None = None) -> Lau:
-    """Rewrite a Laurent polynomial symmetric in each pair (x, y) in terms of
-    e1 = x + y and e2 = x*y (Laurent in e2); unpaired variables pass through.
+def sym_reduce(poly: Lau) -> Lau:
+    """Rewrite a Laurent polynomial symmetric in each consecutive pair (x, y)
+    of its variables in terms of e1 = x + y and e2 = x*y (Laurent in e2).
 
-    pairs defaults to the full variable tuple split into consecutive pairs.
     Raises NotSymmetric when the input is not swap-invariant.
     """
     vs = poly.vars
-    if pairs is None:
-        if len(vs) % 2:
-            raise ValueError("odd number of variables and no pairs given")
-        pairs = [(vs[2 * i], vs[2 * i + 1]) for i in range(len(vs) // 2)]
-    pairs = list(pairs)
-    for x, y in pairs:
-        if poly.swap(x, y) != poly:
-            raise NotSymmetric(f"not symmetric under {x} <-> {y}")
-    pair_idx = [(vs.index(x), vs.index(y)) for x, y in pairs]
-    paired = {i for ij in pair_idx for i in ij}
-    extra_idx = [i for i in range(len(vs)) if i not in paired]
-    if len(pairs) == 1:
-        enames = ["e1", "e2"]
+    if len(vs) % 2:
+        raise ValueError("odd number of variables")
+    pair_idx = [(i, i + 1) for i in range(0, len(vs), 2)]
+    for ix, iy in pair_idx:
+        if poly.swap(vs[ix], vs[iy]) != poly:
+            raise NotSymmetric(f"not symmetric under {vs[ix]} <-> {vs[iy]}")
+    if len(pair_idx) == 1:
+        out_vars = ("e1", "e2")
     else:
-        enames = [f"e{j}_{i+1}" for i in range(len(pairs)) for j in (1, 2)]
-    out_vars = tuple(enames) + tuple(vs[i] for i in extra_idx)
+        out_vars = tuple(f"e{j}_{i+1}" for i in range(len(pair_idx)) for j in (1, 2))
     if poly.is_zero():
         return Lau(out_vars)
     # clear negative pair exponents with a global power of e2 per pair
@@ -583,7 +589,7 @@ def sym_reduce(poly: Lau, pairs: Sequence[tuple[str, str]] | None = None) -> Lau
 
     def key(e):
         ks = tuple((max(e[ix], e[iy]), min(e[ix], e[iy])) for ix, iy in pair_idx)
-        return (ks, tuple(e[i] for i in extra_idx), e)
+        return (ks, e)
 
     terms: dict[tuple, Fraction] = {}
     while not work.is_zero():
@@ -596,10 +602,6 @@ def sym_reduce(poly: Lau, pairs: Sequence[tuple[str, str]] | None = None) -> Lau
             oexp += [a - b, b + s]
             sub = sub * (Lau.var(vs, vs[ix]) + Lau.var(vs, vs[iy])) ** (a - b)
             sub = sub * (Lau.var(vs, vs[ix]) * Lau.var(vs, vs[iy])) ** b
-        for i in extra_idx:
-            if lead[i]:
-                sub = sub * Lau.var(vs, vs[i], lead[i])
-            oexp.append(lead[i])
         oexp = tuple(oexp)
         terms[oexp] = terms.get(oexp, Fraction(0)) + c
         work = work - sub

@@ -30,7 +30,6 @@ from .heckealg import (
     NotMember,
     divide_exact_int,
     euler_poly,
-    hecke_homog,
     ideal_cert,
     inv_satake,
     involution,
@@ -42,16 +41,17 @@ from .padicgrp import (
     conj_condition_rows,
     coset_reps,
     identity_rows,
+    lattice_measure,
     pgk_label,
-    plocal_smith,
+    plocal_smith,  # not called here: bench/spans.py REQUIRED_SITES traces this import site
     subgroup_volume,
 )
 from .whitzeta import (
     SchwartzFn,
     VS_INERT,
     VS_SPLIT,
+    eps_operator,
     normalized_limit,
-    psi_epsilon_extract,
     zeta_asai,
     zeta_rs_split,
 )
@@ -327,44 +327,21 @@ def local_factor(vec: TestVector) -> HeckeElem:
 def mirabolic_volume(g: Mat2) -> Fraction:
     """vol of P(Q_p) cap g GL2(O_F) g^-1, normalized with vol(P(Z_p)) = 1.
 
-    Elements [[alpha, beta], [0, 1]]: the constraint lattice in (alpha - 1,
-    beta) is exact, and the unit condition on alpha removes the mod-p
-    classes with alpha = 0.
+    Elements [[1 + x, beta], [0, 1]]: the lattice measure of the integral
+    (x, beta) with g^-1 [[x, beta], [0, 0]] g in M2(O_F) and 1 + x a unit,
+    over the measure 1 - 1/p of P(Z_p) in these coordinates.
     """
     ctx = g.ctx
     p = ctx.p
     gi = g.inv()
-    # unknowns (x, beta) with gamma = [[1 + x, beta], [0, 1]]; the lattice is
-    # {(x, beta) integral : g^-1 [[x, beta], [0, 0]] g in M2(O_F)}
     rows = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     prods = [gi * Mat2([1, 0, 0, 0], ctx) * g, gi * Mat2([0, 1, 0, 0], ctx) * g]
     for eidx in range(4):
         rows.append([prods[0].e[eidx].a, prods[1].e[eidx].a])
         rows.append([prods[0].e[eidx].b, prods[1].e[eidx].b])
     rows = [r for r in rows if any(r)]
-    U, exps, V = plocal_smith(rows, p)
-    if len(exps) < 2:
-        raise ValueError("degenerate mirabolic lattice")
-    basis = [[V[r][i] * Fraction(p) ** (-exps[i]) for r in range(2)] for i in range(2)]
-    vol_add = Fraction(p) ** (exps[0] + exps[1])
-    if vol_add > 1:
-        raise ValueError("mirabolic lattice not inside Z_p^2")
-    # fraction of lattice points with alpha = 1 + x a non-unit (x = -1 mod p)
-    red = []
-    for b in basis:
-        red.append([c.numerator * pow(c.denominator, -1, p) % p for c in b])
-    from itertools import product as _prod
-
-    hits = 0
-    total = 0
-    free = [r for r, e in zip(red, exps) if e == 0]
-    for coefs in _prod(range(p), repeat=len(free)):
-        x = sum(cc * r[0] for cc, r in zip(coefs, free)) % p
-        total += 1
-        if (1 + x) % p == 0:
-            hits += 1
-    unit_fraction = Fraction(total - hits, total)
-    return vol_add * unit_fraction / (1 - Fraction(1, p))
+    vol = lattice_measure(rows, [Fraction(0)] * len(rows), p, lambda x: (1 + x[0]) % p != 0)
+    return vol / (1 - Fraction(1, p))
 
 
 @lru_cache(maxsize=256)
@@ -501,7 +478,6 @@ class CertReport:
 
 def _chain_operator_data(chain: XiPhiChain, ctx: QuadCtx):
     """The operators A = sum c w_b S^a (sum eps h_n) and B = sum c w_b S^a."""
-    p = ctx.p
     group = "inert_F"
     A = HeckeElem.zero(group)
     B = HeckeElem.zero(group)
@@ -509,12 +485,7 @@ def _chain_operator_data(chain: XiPhiChain, ctx: QuadCtx):
         wb = chain.phi_weights[b]
         Sa = HeckeElem.gen(group, "S", a) if a else HeckeElem.one(group)
         B = B + Sa * (c * wb)
-        if b > 0:
-            eps = psi_epsilon_extract(b, ctx)
-            inner = HeckeElem.zero(group)
-            for n, en in eps.items():
-                inner = inner + hecke_homog(n, group, p) * en
-            A = A + Sa * inner * (c * wb)
+        A = A + Sa * eps_operator(b, ctx) * (c * wb)
     return A, B
 
 
@@ -702,42 +673,38 @@ def random_integral_vector(
     origin_vanishing: bool,
     case: str = "inert",
     star: bool = False,
-    n_terms: int = 1,
 ) -> TestVector:
-    """Sample a lattice element: bounded cells and group elements, with the
-    coefficient scaled by the computed inverse stabilizer volume so that
-    membership holds by construction."""
+    """Sample a one-term lattice element: bounded cells and group elements,
+    with the coefficient scaled by the computed inverse stabilizer volume so
+    that membership holds by construction."""
     p = ctx.p
-    terms = []
-    for _ in range(n_terms):
-        lvl = rng.choice([1, 2])
-        cells = {}
-        for _ in range(rng.choice([1, 2])):
-            c1 = Fraction(rng.randrange(p ** lvl))
-            c2 = Fraction(rng.randrange(p ** lvl))
-            if origin_vanishing and c1 % p ** lvl == 0 and c2 % p ** lvl == 0:
-                c2 = Fraction(1 + rng.randrange(p ** lvl - 1))
-            cells[(c1, c2)] = Fraction(rng.randint(1, 3))
-        phi = SchwartzFn(p, lvl, cells)
-        if case == "inert":
-            pool = [
-                Mat2.identity(ctx),
-                Mat2.t(1, 0, ctx),
-                Mat2.t(1, 1, ctx),
-                Mat2.upper(QuadElem(0, Fraction(1, p), ctx), ctx),
-                Mat2.lower(QuadElem(0, 1, ctx), ctx) * Mat2.t(1, 0, ctx),
-            ]
-            g = pool[rng.randrange(len(pool))]
-            if star and not g.det().is_rational():
-                g = Mat2.identity(ctx)
-        else:
-            pool = [
-                (Mat2.identity(ctx), Mat2.identity(ctx)),
-                (Mat2.t(1, 0, ctx), Mat2.t(1, 0, ctx)),
-                (Mat2.identity(ctx), Mat2.upper(Fraction(1, p), ctx)),
-                (Mat2.t(1, 1, ctx), Mat2.t(1, 1, ctx)),
-            ]
-            g = pool[rng.randrange(len(pool))]
-        vinv, _ = integrality_check(phi, g, level, ctx, case, star)
-        terms.append((phi.scale(vinv), g, Fraction(rng.randint(1, 2))))
-    return TestVector(ctx, case, level, terms, star)
+    lvl = rng.choice([1, 2])
+    cells = {}
+    for _ in range(rng.choice([1, 2])):
+        c1 = Fraction(rng.randrange(p ** lvl))
+        c2 = Fraction(rng.randrange(p ** lvl))
+        if origin_vanishing and c1 % p ** lvl == 0 and c2 % p ** lvl == 0:
+            c2 = Fraction(1 + rng.randrange(p ** lvl - 1))
+        cells[(c1, c2)] = Fraction(rng.randint(1, 3))
+    phi = SchwartzFn(p, lvl, cells)
+    if case == "inert":
+        pool = [
+            Mat2.identity(ctx),
+            Mat2.t(1, 0, ctx),
+            Mat2.t(1, 1, ctx),
+            Mat2.upper(QuadElem(0, Fraction(1, p), ctx), ctx),
+            Mat2.lower(QuadElem(0, 1, ctx), ctx) * Mat2.t(1, 0, ctx),
+        ]
+        g = pool[rng.randrange(len(pool))]
+        if star and not g.det().is_rational():
+            g = Mat2.identity(ctx)
+    else:
+        pool = [
+            (Mat2.identity(ctx), Mat2.identity(ctx)),
+            (Mat2.t(1, 0, ctx), Mat2.t(1, 0, ctx)),
+            (Mat2.identity(ctx), Mat2.upper(Fraction(1, p), ctx)),
+            (Mat2.t(1, 1, ctx), Mat2.t(1, 1, ctx)),
+        ]
+        g = pool[rng.randrange(len(pool))]
+    vinv, _ = integrality_check(phi, g, level, ctx, case, star)
+    return TestVector(ctx, case, level, [(phi.scale(vinv), g, Fraction(rng.randint(1, 2)))], star)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exactnum import INF, QuadCtx, val_p
+from .exactnum import INF, QuadCtx, fr_mod, is_odd_prime, val_p
 from .heckealg import euler_poly
 from .heckemod import TestVector, integrality_check, normalized_period
 
@@ -167,9 +167,7 @@ def ell_adic_valuation(x: CoefElem, ell: int, conjugate_place: bool = False):
     s = _sqrt_mod_lk(d, ell, K)
     if conjugate_place:
         s = -s
-    mod = ell ** K
-    num = xs.a + xs.b * s
-    rep = num.numerator * pow(num.denominator, -1, mod) % mod
+    rep = fr_mod(xs.a + xs.b * s, ell, K)
     if rep == 0:
         raise AssertionError("valuation exceeded its norm bound")
     return int(val_p(Fraction(rep), ell)) - m
@@ -423,8 +421,8 @@ def period_ideal_check(
     level data.  The class-number coprimality is an assertion of the
     caller (assume_class_coprime), not something this package computes.
     """
-    if ell == 2:
-        raise ValueError("l = 2 lies in the excluded set S")
+    if not is_odd_prime(ell):
+        raise ValueError(f"l = {ell} is not an odd prime (l = 2 lies in the excluded set S)")
     if data.level_norm % ell == 0:
         raise ValueError("l must not divide the level norm")
     d = data.d

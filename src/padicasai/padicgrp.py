@@ -4,7 +4,11 @@ Provides exact Iwasawa decomposition, the mirabolic coset labels
 P(Q_p) t_a n_b G(O_F) (with witnesses), the generalized Cartan labels
 G(Z_p) \\ G(F) / G(O_F) (decided by an exact lattice computation, no
 precision cap), finite coset enumerations, and a p-local Smith engine
-used throughout for lattice membership and subgroup volumes.
+used throughout for lattice membership.  One lattice measure,
+lattice_measure, gives the additive Haar measure of the points of an
+affine lattice with a prescribed reduction mod p; every stabilizer volume
+(subgroup_volume here, the mirabolic volumes of the Hecke-module layer) is
+read off it.
 
 Matrices are immutable; every decomposition returns witnesses and is
 re-verified by exact multiplication before being returned.
@@ -14,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
-from .exactnum import INF, QuadCtx, QuadElem, val_p
+from .exactnum import INF, QuadCtx, QuadElem, fr_mod, val_p
 
 
 class DecompositionError(RuntimeError):
@@ -260,6 +265,16 @@ def plocal_smith(rows: list[list[Fraction]], p: int):
     return U, exps, V
 
 
+def _smith_basis(rows: list[list[Fraction]], p: int):
+    """plocal_smith of the rows, (U, exps, V), and the basis of
+    L = {x : rows @ x is p-integral}: column i of V over p^exps[i]."""
+    n = len(rows[0])
+    U, exps, V = plocal_smith(rows, p)
+    if len(exps) < n:
+        raise ValueError("condition matrix not of full column rank")
+    return U, exps, V, [[V[r][i] * Fraction(p) ** (-exps[i]) for r in range(n)] for i in range(n)]
+
+
 def lattice_from_conditions(rows: list[list[Fraction]], p: int):
     """Basis of L = {x in Q^n : (rows @ x) is p-integral componentwise}.
 
@@ -267,15 +282,7 @@ def lattice_from_conditions(rows: list[list[Fraction]], p: int):
     identity rows, so this always holds).  Returns a list of n basis
     vectors; L = Z_(p)-span of them.
     """
-    n = len(rows[0])
-    U, exps, V = plocal_smith(rows, p)
-    if len(exps) < n:
-        raise ValueError("condition matrix not of full column rank")
-    basis = []
-    for i in range(n):
-        col = [V[r][i] * Fraction(p) ** (-exps[i]) for r in range(n)]
-        basis.append(col)
-    return basis
+    return _smith_basis(rows, p)[3]
 
 
 def lattice_solve_affine(rows: list[list[Fraction]], target: list[Fraction], p: int):
@@ -285,9 +292,7 @@ def lattice_solve_affine(rows: list[list[Fraction]], target: list[Fraction], p: 
     """
     m = len(rows)
     n = len(rows[0])
-    U, exps, V = plocal_smith(rows, p)
-    if len(exps) < n:
-        raise ValueError("condition matrix not of full column rank")
+    U, exps, V, basis = _smith_basis(rows, p)
     # U @ target
     ut = [sum(U[i][j] * target[j] for j in range(m)) for i in range(m)]
     y = [Fraction(0)] * n
@@ -297,10 +302,33 @@ def lattice_solve_affine(rows: list[list[Fraction]], target: list[Fraction], p: 
         if ut[i] != 0 and val_p(ut[i], p) < 0:
             return None
     x0 = [sum(V[r][i] * y[i] for i in range(n)) for r in range(n)]
-    basis = []
-    for i in range(n):
-        basis.append([V[r][i] * Fraction(p) ** (-exps[i]) for r in range(n)])
     return x0, basis
+
+
+def lattice_measure(rows: list[list[Fraction]], target: list[Fraction], p: int, accept) -> Fraction:
+    """Additive Haar measure (vol Z_p^n = 1) of {x in x0 + L : accept(x mod p)},
+    with x0 + L = {x : rows@x - target is p-integral} from lattice_solve_affine.
+
+    A basis vector of level a (p^a times a primitive vector) contributes
+    p^-a to vol L.  The level-0 ones are independent mod p, so x mod p runs
+    over x0 plus their span, each residue class (a list of ints, handed to
+    accept) carrying the same measure: p^-(sum a) hits / p^(#level 0).
+    A coset outside Z_p^n raises ValueError.
+    """
+    sol = lattice_solve_affine(rows, target, p)
+    if sol is None:
+        return Fraction(0)
+    x0, basis = sol
+    levels = [min(val_p(x, p) for x in b if x) for b in basis]
+    if min(levels) < 0:
+        raise ValueError("lattice not contained in Z_p^n")
+    free = [[fr_mod(x, p, 1) for x in b] for b, a in zip(basis, levels) if a == 0]
+    start = [fr_mod(x, p, 1) for x in x0]
+    hits = 0
+    for coefs in product(range(p), repeat=len(free)):
+        x = [(s + sum(c * b[i] for c, b in zip(coefs, free))) % p for i, s in enumerate(start)]
+        hits += bool(accept(x))
+    return Fraction(hits, p ** (sum(levels) + len(free)))
 
 
 def identity_rows() -> list[list[Fraction]]:
@@ -326,12 +354,6 @@ def conj_condition_rows(left: Mat2, right: Mat2) -> list[list[Fraction]]:
             rows[2 * eidx][k] = prod.e[eidx].a
             rows[2 * eidx + 1][k] = prod.e[eidx].b
     return rows
-
-
-def _fr_mod_p(x: Fraction, p: int) -> int:
-    if x.denominator % p == 0:
-        raise ValueError("non p-integral value")
-    return x.numerator * pow(x.denominator, -1, p) % p
 
 
 def kck_membership(g: Mat2, cell: Mat2):
@@ -369,9 +391,7 @@ def kck_membership(g: Mat2, cell: Mat2):
 
 def _fp_point_with_unit_det(basis: list[list[Fraction]], p: int):
     """Small integer coefficients on the basis making det(sum) a p-unit."""
-    from itertools import product
-
-    red = [[_fr_mod_p(x, p) for x in b] for b in basis]
+    red = [[fr_mod(x, p, 1) for x in b] for b in basis]
     for coefs in product(range(p), repeat=len(basis)):
         if all(c == 0 for c in coefs):
             continue
@@ -533,17 +553,13 @@ def coset_reps(kind: str, ctx: QuadCtx, **kw) -> list[Mat2]:
         if size > 10 ** 7:
             raise ValueError("enumeration too large")
         out = []
-        rng = range(q)
-        if fieldq:
-            elems = [QuadElem(a, b, ctx) for a in rng for b in rng]
-        else:
-            elems = [QuadElem(a, 0, ctx) for a in rng]
+        elems = _of_residues(ctx, L, fieldq)
         for e11 in elems:
             for e12 in elems:
                 for e21 in elems:
                     for e22 in elems:
                         m = Mat2([e11, e12, e21, e22], ctx)
-                        if _detunit(m.det(), p):
+                        if m.det().is_unit():
                             out.append(m)
         return out
     if kind == "K_over_Kp":
@@ -577,10 +593,6 @@ def coset_reps(kind: str, ctx: QuadCtx, **kw) -> list[Mat2]:
         out.append(Mat2([1, 0, 0, Fraction(p) ** lam], ctx))
         return out
     raise ValueError(f"unknown kind {kind!r}")
-
-
-def _detunit(d: QuadElem, p: int) -> bool:
-    return val_p(d, p) == 0
 
 
 def _of_residues(ctx: QuadCtx, L: int, fieldq: bool) -> list[QuadElem]:
@@ -673,50 +685,16 @@ class SubgroupConditions:
 def subgroup_volume(cond: SubgroupConditions) -> Fraction:
     """Haar volume (vol GL2(Z_p) = 1) of the condition set.
 
-    Exact at every odd p: counts the level-1 image by enumerating the
-    lattice reduction mod p, and multiplies fiber sizes read off the
-    elementary divisors; no large enumeration.
+    Exact at every odd p: the lattice measure of each branch, with the
+    determinant condition read mod p, over vol GL2(Z_p) = |GL2(F_p)| / p^4
+    in the additive measure of M2(Z_p); no large enumeration.
     """
     p = cond.p
-    total = Fraction(0)
-    gl2_fp = (p ** 2 - 1) * (p ** 2 - p)
-    for rows, target in cond.branches:
-        sol = lattice_solve_affine(rows, target, p)
-        if sol is None:
-            continue
-        x0, basis = sol
-        # elementary divisor exponents of the lattice inside M2(Z_p)
-        aexps = [_level_of_vector(b, p) for b in basis]
-        if any(a < 0 for a in aexps):
-            raise ValueError("lattice not contained in M2(Z_p)")
-        M = max(aexps) + 1
-        # fiber dimensions: d_k = #{i: a_i <= k}, k = 1..M-1
-        fib = 1
-        for k in range(1, M):
-            dk = sum(1 for a in aexps if a <= k)
-            fib *= p ** dk
-        # level-1 image: enumerate combinations of the a_i = 0 basis vectors
-        free = [b for b, a in zip(basis, aexps) if a == 0]
-        count1 = 0
-        from itertools import product as iproduct
+    unit = cond.det_mode == "unit"
 
-        for coefs in iproduct(range(p), repeat=len(free)):
-            vec = list(x0)
-            for c, b in zip(coefs, free):
-                if c:
-                    for i in range(4):
-                        vec[i] += c * b[i]
-            det1 = vec[0] * vec[3] - vec[1] * vec[2]
-            dmodp = _fr_mod_p(det1, p)
-            if cond.det_mode == "unit" and dmodp != 0:
-                count1 += 1
-            elif cond.det_mode == "one_mod_p" and dmodp == 1 % p:
-                count1 += 1
-        total += Fraction(count1 * fib, gl2_fp * p ** (4 * (M - 1)))
-    return total
+    def accept(x):
+        det = (x[0] * x[3] - x[1] * x[2]) % p
+        return det != 0 if unit else det == 1
 
-
-def _level_of_vector(b: list[Fraction], p: int) -> int:
-    """Elementary-divisor exponent of a primitive-times-p^a basis vector."""
-    v = min(val_p(x, p) for x in b if x != 0)
-    return int(v)
+    total = sum((lattice_measure(rows, target, p, accept) for rows, target in cond.branches), Fraction(0))
+    return total * p ** 4 / ((p ** 2 - 1) * (p ** 2 - p))

@@ -49,6 +49,7 @@ from .exactnum import (
     RatFunc,
     UV,
     complete_homog,
+    fr_mod,
     fr_to_str,
     lau_eval_x1,
     ratfunc_exact_div,
@@ -56,7 +57,7 @@ from .exactnum import (
     sym_reduce,
     val_p,
 )
-from .heckealg import euler_poly
+from .heckealg import HeckeElem, euler_poly, hecke_homog, satake
 from .padicgrp import Mat2, iwasawa_F
 
 VS_INERT = ("A", "B", "X")
@@ -105,10 +106,8 @@ class SchwartzFn:
         x = Fraction(x)
         p, N = self.p, self.level
         w = max(0, -int(val_p(x, p))) if x else 0
-        scale = p ** w
-        num = x * scale  # now p-integral
-        mod = p ** N * scale
-        return Fraction(num.numerator * pow(num.denominator, -1, mod) % mod, scale)
+        # x p^w is p-integral; its residue mod p^(N + w) fixes x mod p^N
+        return Fraction(fr_mod(x * p ** w, p, N + w), p ** w)
 
     # constructors ------------------------------------------------------------
 
@@ -465,11 +464,11 @@ def _y_integral(vbeta, vcs: list[int], omegas, vs, p: int) -> RatFunc:
     """int W-values(diag(delta,1)-part) |delta|^(s-1) dx(delta).
 
     vcs lists v(f1/f2) per component; omegas is the Laurent prefactor
-    (the omega(f2) contributions); vbeta the valuation of the psi-phase.
+    (the omega(f2) contributions); vbeta the valuation of the psi-phase,
+    which gauss_shell turns into the weight of each shell v(delta) = j.
     """
     if len(vcs) == 1:
         vc = vcs[0]
-        pairs = [("A", "B")]
         roots = [Lau.var(vs, "A"), Lau.var(vs, "B")]
 
         def aj(j):
@@ -490,16 +489,13 @@ def _y_integral(vbeta, vcs: list[int], omegas, vs, p: int) -> RatFunc:
             )
 
     X = Lau.var(vs, "X")
-    j0 = max(-v for v in vcs)
-    if vbeta == INF:
-        J = j0
-        finite = Lau(vs)
-    else:
-        J = max(j0, -int(vbeta))
-        finite = Lau(vs)
-        jneg = -int(vbeta) - 1
-        if jneg >= j0:
-            finite = finite + aj(jneg) * X ** jneg * Fraction(-1, p - 1)
+    # shells below the first full one (gauss_shell = 1) are finite terms
+    J = max(-v for v in vcs)
+    finite = Lau(vs)
+    while (w := gauss_shell(J, vbeta, p)) != 1:
+        if w:
+            finite = finite + aj(J) * X ** J * w
+        J += 1
     den = [1 - r * X for r in roots]
     tail = _seq_tail(aj, J, den, vs)
     return (tail + RatFunc.from_lau(finite)) * omegas
@@ -703,7 +699,7 @@ def _zeta_engine(
 
     def add_weight(v1, v2, shell, wt: Fraction):
         lamkey = max(lam_req, 1)
-        rkey = (_mod_red(v1, p, lamkey), _mod_red(v2, p, lamkey))
+        rkey = (fr_mod(v1, p, lamkey), fr_mod(v2, p, lamkey))
         if rkey not in data_of_row:
             data = _y_data_for_row(v1, v2, gs, ctx, split)
             if data not in certified:
@@ -753,11 +749,6 @@ def _zeta_engine(
             contrib = y * RatFunc(omx2 ** shell[1], [1 - omx2])
         acc = acc + contrib * wt
     return ZetaResult(acc, "split" if split else "inert", provenance, p)
-
-
-def _mod_red(x: Fraction, p: int, lam: int):
-    num = x.numerator * pow(x.denominator, -1, p ** lam) % p ** lam
-    return num
 
 
 def zeta_asai(
@@ -815,29 +806,15 @@ def _normalize_result(res: ZetaResult, normalize: bool, params: WhitParams | Non
 def psi_secondary(a: int, b: int, ctx: QuadCtx) -> ZetaResult:
     """Psi(t_a n_b W_sph, s) from the definition, via Gauss shells.
 
-    Psi = omega(p)^a sum_(j >= 0) gauss(j, -b) p^-j s_j(A, B) p^(j(1-s)).
+    Psi = omega(p)^a sum_(j >= 0) gauss(j, -b) p^-j s_j(A, B) p^(j(1-s)):
+    the inner integral of the row-data class (vbeta, v(f1/f2), v(f2)) =
+    (-b, 0, a), since psi_F(x p^-b sqrt r) has phase valuation -b in x.
+    The RatFunc is the memo's shared value; treat it as immutable.
     """
     if b < 0:
         raise ValueError("b must be >= 0")
-    p = ctx.p
-    vs = VS_INERT
-    X = Lau.var(vs, "X")
-
-    def aj(j):
-        return complete_homog(j, "A", "B", vs)
-
-    vbeta = -b  # psi_F(x p^-b sqrt r) has phase valuation -b in x
-    j0 = 0
-    J = max(j0, b)
-    finite = Lau(vs)
-    jneg = b - 1
-    if 0 <= jneg < J:
-        finite = finite + aj(jneg) * X ** jneg * Fraction(-1, p - 1)
-    den = [1 - Lau.var(vs, "A") * X, 1 - Lau.var(vs, "B") * X]
-    tail = _seq_tail(aj, J, den, vs)
-    omega_a = Lau.monomial(vs, _evec(vs, {"A": a, "B": a}))
-    rf = (tail + RatFunc.from_lau(finite)) * omega_a
-    return ZetaResult(rf, "inert", f"psi_secondary(a={a}, b={b})", p)
+    rf = _y_value_from_data((-b, (0,), (a,)), VS_INERT, ctx.p)
+    return ZetaResult(rf, "inert", f"psi_secondary(a={a}, b={b})", ctx.p)
 
 
 def psi_epsilon_extract(b: int, ctx: QuadCtx) -> dict[int, Fraction]:
@@ -886,6 +863,16 @@ def epsilon_report(b_max: int, ctx: QuadCtx) -> dict:
     }
 
 
+def eps_operator(b: int, ctx: QuadCtx) -> HeckeElem:
+    """sum_(n<b) eps_n(b) h_n(S, T) in H(GL2(F)), zero at b = 0, with the
+    extracted eps-coefficients of psi_epsilon_extract."""
+    group = "inert_F"
+    out = HeckeElem.zero(group)
+    for n, c in (psi_epsilon_extract(b, ctx) if b > 0 else {}).items():
+        out = out + hecke_homog(n, group, ctx.p) * c
+    return out
+
+
 def lambda_form(a: int, b: int, ctx: QuadCtx) -> Lau:
     """The explicit linear form on ch(t_a n_b K): in symmetric coordinates,
 
@@ -894,19 +881,13 @@ def lambda_form(a: int, b: int, ctx: QuadCtx) -> Lau:
     with the extracted eps-coefficients; equals the normalized secondary
     integral by construction of both routes.
     """
-    from .heckealg import HeckeElem, hecke_homog, satake
-
     p = ctx.p
     group = "inert_F"
     S = HeckeElem.gen(group, "S")
-    eps = psi_epsilon_extract(b, ctx) if b > 0 else {}
-    inner = HeckeElem.zero(group)
-    for n, c in eps.items():
-        inner = inner + hecke_homog(n, group, p) * c
     pas1 = euler_poly("asai_inert", p).at_one()
     one = HeckeElem.one(group)
     Sa = HeckeElem.gen(group, "S", a) if a != 0 else one
-    op = Sa * inner * pas1 + Sa * (one - S)
+    op = Sa * eps_operator(b, ctx) * pas1 + Sa * (one - S)
     return satake(op, p)
 
 

@@ -25,7 +25,7 @@ def test_criterion_2_psi_identity():
 
 
 def test_criterion_3_decomposition_covers():
-    _report(acc.criterion_3_decomposition_covers(samples=500))
+    _report(acc.criterion_3_decomposition_covers())
 
 
 def test_criterion_4_phi_c_weights():
@@ -33,13 +33,13 @@ def test_criterion_4_phi_c_weights():
 
 
 def test_criterion_5_delta1():
-    res = acc.criterion_5_delta1(primes=(3, 5, 7))
+    res = acc.criterion_5_delta1()
     # < 60 s per prime, three primes
     _report(res, budget=180)
 
 
 def test_criterion_6_certificates():
-    _report(acc.criterion_6_certificates(per_combo=20))
+    _report(acc.criterion_6_certificates())
 
 
 def test_criterion_7_gauss_oracle():
@@ -47,7 +47,7 @@ def test_criterion_7_gauss_oracle():
 
 
 def test_criterion_8_chain_identity():
-    _report(acc.criterion_8_chain_identity(samples=10))
+    _report(acc.criterion_8_chain_identity())
 
 
 def test_criterion_9_hilbert():

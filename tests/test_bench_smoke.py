@@ -1,5 +1,5 @@
 """The benchmark's workloads build and run: the first job of every workload
-at seed 0 passes its exact oracle."""
+at seed 0 passes its exact oracle, also under the benchmark's tracer."""
 
 import importlib.util
 import sys
@@ -7,20 +7,32 @@ from pathlib import Path
 
 import pytest
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    mod = importlib.util.module_from_spec(spec)
+    # dataclasses look the defining module up in sys.modules
+    sys.modules[spec.name] = mod
+    spec.loader.exec_module(mod)
+    return mod
 
 
 @pytest.fixture(scope="module")
 def workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-    mod = importlib.util.module_from_spec(spec)
-    # dataclasses look the defining module up in sys.modules
-    sys.modules[spec.name] = mod
     try:
-        spec.loader.exec_module(mod)
-        yield mod
+        yield _load("bench_workloads", BENCH / "workloads.py")
     finally:
-        del sys.modules[spec.name]
+        sys.modules.pop("bench_workloads", None)
+
+
+@pytest.fixture(scope="module")
+def spans(workloads):
+    try:
+        yield _load("bench_spans", BENCH / "spans.py")
+    finally:
+        sys.modules.pop("bench_spans", None)
 
 
 @pytest.mark.parametrize("name", ["hecke_freeness", "zeta_primes", "chain_certify", "coset_labels"])
@@ -29,3 +41,18 @@ def test_first_job_passes_its_oracle(workloads, name):
     out, ok, _ = jobs[0].run()
     assert ok, (name, jobs[0].kind)
     assert out
+
+
+def test_traced_job_finds_every_site(workloads, spans):
+    # Tracer() raises when an import site of REQUIRED_SITES has moved, so a
+    # refactor that drops one fails here rather than in a traced bench run
+    from padicasai import heckemod, padicgrp
+
+    tracer = spans.Tracer()
+    job = workloads.build("chain_certify", 0)[0]
+    with tracer.active(0):
+        out, ok, _ = job.run()
+    assert ok and out
+    assert len(tracer.start) > 0
+    assert heckemod.plocal_smith is padicgrp.plocal_smith
+    assert not hasattr(padicgrp.plocal_smith, "__wrapped__")

@@ -120,6 +120,13 @@ MALFORMED = {
     ],
     "singular matrix inert": ["zeta", "--phi", "builtin:unramified", "--g", SINGULAR],
     "singular matrix split": ["zeta", "--phi", "builtin:unramified", "--case", "split", "--g", "identity;" + SINGULAR],
+    # --prime and --ell must be odd primes; a later --prime overrides the 3
+    "ell zero": ["hilbert-check", "--form", "builtin:synthetic_w2", "--ell", "0"],
+    "ell four": ["hilbert-check", "--form", "builtin:synthetic_w2", "--ell", "4"],
+    "ell negative": ["hilbert-check", "--form", "builtin:synthetic_w2", "--ell", "-5"],
+    "prime nine zeta": ["--prime", "9", "zeta", "--phi", "builtin:unramified"],
+    "prime nine euler-poly": ["--prime", "9", "euler-poly", "--kind", "asai_inert"],
+    "prime fifteen delta1": ["--prime", "15", "delta1-verify"],
 }
 
 

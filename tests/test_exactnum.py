@@ -13,7 +13,9 @@ from padicasai.exactnum import (
     QuadElem,
     RatFunc,
     complete_homog,
+    fr_mod,
     in_z_inv_p,
+    is_odd_prime,
     lau_eval_x1,
     ratfunc_exact_div,
     smallest_nonresidue,
@@ -282,3 +284,19 @@ def test_json_roundtrip():
     ctx = QuadCtx.make(5)
     x = ctx.elem(Fraction(3, 5), Fraction(-1, 2))
     assert QuadElem.from_json(x.to_json(), ctx) == x
+
+
+def test_is_odd_prime_by_trial_division():
+    assert [n for n in range(-5, 40) if is_odd_prime(n)] == [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    # the quadratic context refuses odd composites, which have non-residues
+    for n in (9, 15, 25):
+        with pytest.raises(ValueError):
+            QuadCtx(n, 2)
+
+
+def test_fr_mod_reduces_p_integral_fractions():
+    assert fr_mod(Fraction(1, 2), 3, 1) == 2
+    assert fr_mod(Fraction(-7, 4), 5, 2) == (-7 * pow(4, -1, 25)) % 25
+    assert fr_mod(Fraction(27), 3, 2) == 0
+    with pytest.raises(ValueError):
+        fr_mod(Fraction(1, 3), 3, 1)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicasai.exactnum import Lau, QuadCtx, QuadElem
+from padicasai.exactnum import Lau, QuadCtx, QuadElem, val_p
 from padicasai.heckealg import (
     EulerPoly,
     HeckeElem,
@@ -32,7 +32,14 @@ from padicasai.heckemod import (
     vector_is_integral,
     xi_phi_chain,
 )
-from padicasai.padicgrp import Mat2, coset_reps, pgk_label
+from padicasai.padicgrp import (
+    Mat2,
+    coset_reps,
+    lattice_solve_affine,
+    pgk_label,
+    plocal_smith,
+    subgroup_volume,
+)
 from padicasai.whitzeta import SchwartzFn
 
 
@@ -401,3 +408,116 @@ def test_mirabolic_memo_second_certificate_labels_nothing(F3, monkeypatch):
     assert heckemod._mirabolic_successors.cache_info().misses == before.misses
     assert heckemod.phi_c_weight.cache_info().misses == weights_before.misses
     assert second.to_json() == first.to_json()
+
+
+# -- stabilizer volumes against reference enumerations ------------------------
+
+
+def _fr_mod_p_oracle(x, p):
+    if x.denominator % p == 0:
+        raise ValueError("non p-integral value")
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def subgroup_volume_oracle(cond):
+    """Reference volume: per branch, the level-1 image counted in Fractions
+    and the fiber sizes read off the elementary divisors."""
+    from itertools import product as iproduct
+
+    p = cond.p
+    total = Fraction(0)
+    gl2_fp = (p ** 2 - 1) * (p ** 2 - p)
+    for rows, target in cond.branches:
+        sol = lattice_solve_affine(rows, target, p)
+        if sol is None:
+            continue
+        x0, basis = sol
+        aexps = [int(min(val_p(x, p) for x in b if x != 0)) for b in basis]
+        if any(a < 0 for a in aexps):
+            raise ValueError("lattice not contained in M2(Z_p)")
+        M = max(aexps) + 1
+        fib = 1
+        for k in range(1, M):
+            dk = sum(1 for a in aexps if a <= k)
+            fib *= p ** dk
+        free = [b for b, a in zip(basis, aexps) if a == 0]
+        count1 = 0
+        for coefs in iproduct(range(p), repeat=len(free)):
+            vec = list(x0)
+            for c, b in zip(coefs, free):
+                if c:
+                    for i in range(4):
+                        vec[i] += c * b[i]
+            det1 = vec[0] * vec[3] - vec[1] * vec[2]
+            dmodp = _fr_mod_p_oracle(det1, p)
+            if cond.det_mode == "unit" and dmodp != 0:
+                count1 += 1
+            elif cond.det_mode == "one_mod_p" and dmodp == 1 % p:
+                count1 += 1
+        total += Fraction(count1 * fib, gl2_fp * p ** (4 * (M - 1)))
+    return total
+
+
+def mirabolic_volume_oracle(g):
+    """Reference mirabolic volume: its own Smith basis and mod-p count."""
+    from itertools import product as iproduct
+
+    ctx = g.ctx
+    p = ctx.p
+    gi = g.inv()
+    rows = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    prods = [gi * Mat2([1, 0, 0, 0], ctx) * g, gi * Mat2([0, 1, 0, 0], ctx) * g]
+    for eidx in range(4):
+        rows.append([prods[0].e[eidx].a, prods[1].e[eidx].a])
+        rows.append([prods[0].e[eidx].b, prods[1].e[eidx].b])
+    rows = [r for r in rows if any(r)]
+    U, exps, V = plocal_smith(rows, p)
+    if len(exps) < 2:
+        raise ValueError("degenerate mirabolic lattice")
+    basis = [[V[r][i] * Fraction(p) ** (-exps[i]) for r in range(2)] for i in range(2)]
+    vol_add = Fraction(p) ** (exps[0] + exps[1])
+    if vol_add > 1:
+        raise ValueError("mirabolic lattice not inside Z_p^2")
+    red = [[c.numerator * pow(c.denominator, -1, p) % p for c in b] for b in basis]
+    hits = 0
+    total = 0
+    free = [r for r, e in zip(red, exps) if e == 0]
+    for coefs in iproduct(range(p), repeat=len(free)):
+        x = sum(cc * r[0] for cc, r in zip(coefs, free)) % p
+        total += 1
+        if (1 + x) % p == 0:
+            hits += 1
+    return vol_add * Fraction(total - hits, total) / (1 - Fraction(1, p))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_mirabolic_volume_matches_enumeration_oracle(p):
+    ctx = QuadCtx.make(p)
+    cells = [Mat2.t(a, a, ctx) * Mat2.n_b(b, ctx) for a in range(-2, 3) for b in range(0, 5)]
+    cells += [
+        Mat2.t(1, 0, ctx),
+        Mat2.lower(QuadElem(0, 1, ctx), ctx) * Mat2.t(1, 0, ctx),
+        Mat2.upper(QuadElem(1, Fraction(1, p ** 2), ctx), ctx) * Mat2.t(0, 2, ctx),
+    ]
+    for g in cells:
+        assert mirabolic_volume(g) == mirabolic_volume_oracle(g), g
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_subgroup_volume_matches_enumeration_oracle(p):
+    # stabilizer conditions of sampled vectors: every level, case and star
+    ctx = QuadCtx.make(p)
+    rng = random.Random(600 + p)
+    modes = set()
+    for level in ("K", "K[p]"):
+        for case in ("inert", "split"):
+            for star in (False, True):
+                for _ in range(10):
+                    vanish = rng.random() < 0.5
+                    vec = random_integral_vector(ctx, rng, level, vanish, case=case, star=star)
+                    (phi, g, _), = vec.terms
+                    gs = list(g) if case == "split" else [g]
+                    cond = heckemod.stabilizer_conditions(phi, gs, level, star, ctx)
+                    modes.add((cond.det_mode, len(cond.branches) > 1))
+                    assert subgroup_volume(cond) == subgroup_volume_oracle(cond), (level, case, star)
+    assert {m for m, _ in modes} == {"unit", "one_mod_p"}

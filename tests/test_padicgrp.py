@@ -13,6 +13,7 @@ from padicasai.padicgrp import (
     iwasawa_F,
     kck_membership,
     lattice_from_conditions,
+    lattice_measure,
     pgk_canonical,
     pgk_label,
     plocal_smith,
@@ -292,6 +293,24 @@ def id_rows():
         r[i] = Fraction(1)
         rows.append(r)
     return rows
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_lattice_measure_of_simple_cosets(p):
+    zero = [Fraction(0)] * 4
+    assert lattice_measure(id_rows(), zero, p, lambda x: True) == 1
+    assert lattice_measure(id_rows(), zero, p, lambda x: x[0] != 0) == Fraction(p - 1, p)
+    # x0 + L = (1 + p Z_p) x Z_p^3: level 1 in the first coordinate
+    r = [Fraction(1, p), Fraction(0), Fraction(0), Fraction(0)]
+    target = zero + [Fraction(1, p)]
+    assert lattice_measure(id_rows() + [r], target, p, lambda x: x[0] == 1) == Fraction(1, p)
+    assert lattice_measure(id_rows() + [r], target, p, lambda x: x[0] == 0) == 0
+    # x / p = 1 / p^2 mod Z_p contradicts x in Z_p: the empty set
+    target = zero + [Fraction(1, p ** 2)]
+    assert lattice_measure(id_rows() + [r], target, p, lambda x: True) == 0
+    # a coset outside Z_p^4 has no measure here
+    with pytest.raises(ValueError):
+        lattice_measure(id_rows(), [Fraction(1, p)] + zero[1:], p, lambda x: True)
 
 
 def test_volume_full_K(F3):

@@ -282,6 +282,85 @@ def test_psi_identity_with_L_quotient(F3):
     assert lhs.as_laurent() == 1 - A * B * X ** 2
 
 
+def psi_secondary_oracle(a, b, p):
+    """Reference: Psi(t_a n_b W_sph) summed from its own Gauss-shell series."""
+    vs = VS_INERT
+    X = Lau.var(vs, "X")
+
+    def aj(j):
+        return complete_homog(j, "A", "B", vs)
+
+    J = max(0, b)
+    finite = Lau(vs)
+    jneg = b - 1
+    if 0 <= jneg < J:
+        finite = finite + aj(jneg) * X ** jneg * Fraction(-1, p - 1)
+    den = [1 - Lau.var(vs, "A") * X, 1 - Lau.var(vs, "B") * X]
+    tail = whitzeta._seq_tail(aj, J, den, vs)
+    omega_a = Lau.monomial(vs, (a, a, 0))
+    return (tail + RatFunc.from_lau(finite)) * omega_a
+
+
+def same_ratfunc(f, g):
+    return f.num.terms == g.num.terms and f.den == g.den and repr(f) == repr(g)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_psi_secondary_matches_reference_series(p):
+    ctx = QuadCtx.make(p)
+    for a in range(-3, 4):
+        for b in range(0, 6):
+            got = psi_secondary(a, b, ctx)
+            assert same_ratfunc(got.ratfunc, psi_secondary_oracle(a, b, p)), (a, b)
+            assert got.provenance == f"psi_secondary(a={a}, b={b})"
+
+
+def y_integral_oracle(vbeta, vcs, omegas, vs, p):
+    """Reference inner integral with the Gauss-shell rule written inline."""
+    if len(vcs) == 1:
+        vc = vcs[0]
+        roots = [Lau.var(vs, "A"), Lau.var(vs, "B")]
+
+        def aj(j):
+            return complete_homog(j + vc, "A", "B", vs) * Fraction(p) ** (-vc)
+
+    else:
+        vc1, vc2 = vcs
+        roots = [Lau.var(vs, a) * Lau.var(vs, b) * Fraction(1, p) for a in ("u1", "v1") for b in ("u2", "v2")]
+
+        def aj(j):
+            return (
+                complete_homog(j + vc1, "u1", "v1", vs)
+                * complete_homog(j + vc2, "u2", "v2", vs)
+                * Fraction(p) ** (-j - vc1 - vc2)
+            )
+
+    X = Lau.var(vs, "X")
+    j0 = max(-v for v in vcs)
+    finite = Lau(vs)
+    if vbeta == INF:
+        J = j0
+    else:
+        J = max(j0, -int(vbeta))
+        jneg = -int(vbeta) - 1
+        if jneg >= j0:
+            finite = finite + aj(jneg) * X ** jneg * Fraction(-1, p - 1)
+    tail = whitzeta._seq_tail(aj, J, [1 - r * X for r in roots], vs)
+    return (tail + RatFunc.from_lau(finite)) * omegas
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_y_integral_takes_its_shells_from_gauss_shell(p):
+    vbetas = list(range(-5, 4)) + [INF]
+    inert = [((vc,), Lau.monomial(VS_INERT, (w, w, 0))) for vc in range(-2, 3) for w in (0, 1)]
+    split = [((vc1, vc2), Lau.const(VS_SPLIT, 1)) for vc1 in (-1, 0, 1) for vc2 in (-1, 0, 1)]
+    for vs, cases in ((VS_INERT, inert), (VS_SPLIT, split)):
+        for vcs, omegas in cases:
+            for vbeta in vbetas:
+                got = whitzeta._y_integral(vbeta, list(vcs), omegas, vs, p)
+                assert same_ratfunc(got, y_integral_oracle(vbeta, list(vcs), omegas, vs, p)), (vbeta, vcs)
+
+
 def test_epsilon_extraction(F3):
     p = 3
     for b in (1, 2, 3):
