@@ -122,16 +122,20 @@ def _load_vector(cfg: RunConfig, path: str) -> TestVector:
     ctx = cfg.ctx()
     with open(path) as f:
         doc = json.load(f)
-    case = doc["case"]
+    case, level, star = doc["case"], doc["level"], bool(doc.get("star", False))
+    TestVector(ctx, case, level, [], star)  # an unknown case or level fails before any term
     terms = []
     for t in doc["terms"]:
         phi = SchwartzFn.from_json(t["phi"], cfg.prime)
-        if case == "split":
-            g = tuple(Mat2.from_json(m, ctx) for m in t["g"])
-        else:
-            g = Mat2.from_json(t["g"], ctx)
-        terms.append((phi, g, Fraction(t["coef"])))
-    return TestVector(ctx, case, doc["level"], terms, bool(doc.get("star", False)))
+        try:
+            gs = [Mat2.from_json(m, ctx) for m in (t["g"] if case == "split" else [t["g"]])]
+            if len(gs) != (2 if case == "split" else 1):
+                raise ValueError(f"{len(gs)} matrices")
+        except (ValueError, TypeError) as exc:
+            shape = "a pair of matrices" if case == "split" else "one matrix"
+            raise ValueError(f"term field 'g' of a {case} vector must be {shape}: {exc}") from None
+        terms.append((phi, tuple(gs) if case == "split" else gs[0], Fraction(t["coef"])))
+    return TestVector(ctx, case, level, terms, star)
 
 
 def cmd_satake(cfg: RunConfig, args) -> None:

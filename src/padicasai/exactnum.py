@@ -242,6 +242,8 @@ class QuadElem:
 
     @classmethod
     def from_json(cls, d: Mapping, ctx: QuadCtx) -> "QuadElem":
+        if not isinstance(d, Mapping):
+            raise ValueError(f"a field element is an object {{a, b}}, not {type(d).__name__}")
         if int(d.get("r", ctx.r)) != ctx.r:
             raise ValueError("non-residue mismatch")
         return cls(Fraction(d["a"]), Fraction(d["b"]), ctx)

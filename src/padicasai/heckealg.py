@@ -31,6 +31,7 @@ from .exactnum import (
     NotInImage,
     fr_to_str,
     in_z_inv_p,
+    is_odd_prime,
 )
 
 INERT_VARS = ("T", "S")
@@ -160,12 +161,18 @@ class HeckeElem:
 # Satake transform and its inverse
 
 
+def _check_prime(p: int) -> None:
+    if not is_odd_prime(p):
+        raise ValueError(f"p = {p} is not an odd prime")
+
+
 def satake(h: HeckeElem, p: int) -> Lau:
     """Satake transform into symmetric coordinates, as a ring homomorphism.
 
     inert:  T^a S^b -> p^a e1^a e2^b
     split:  T1^a S1^b T2^c S2^d -> p^-(b+d) e1_1^a e2_1^b e1_2^c e2_2^d
     """
+    _check_prime(p)
     if h.group in ("inert_F", "gstar_inert"):
         return Lau(("e1", "e2"), {(a, b): c * Fraction(p) ** a for (a, b), c in h.poly.terms.items()})
     return Lau(
@@ -181,6 +188,7 @@ def inv_satake(f: Lau, group: str, p: int) -> HeckeElem:
     (e1_1, e2_1, e1_2, e2_2).  e1-exponents must be non-negative; for
     gstar_split the monomials must be determinant balanced.
     """
+    _check_prime(p)
     vs = _vars_for(group)
     terms = {}
     if group in ("inert_F", "gstar_inert"):
@@ -329,8 +337,7 @@ def euler_poly(kind: str, p: int) -> EulerPoly:
     rs_split        the Rankin-Selberg factor, defined through the
                     interpolation property Theta(P)(p^-s) = L(pi1 x pi2, s)^-1.
     """
-    if p == 2:
-        raise ValueError("p must be odd")
+    _check_prime(p)
     if kind in ("asai_inert", "asai_star_inert"):
         group = "inert_F" if kind == "asai_inert" else "gstar_inert"
         one = HeckeElem.one(group)

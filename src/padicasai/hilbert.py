@@ -475,11 +475,10 @@ def period_ideal_check(
         value = value * zval
         rep = PrimeLocalReport(p, sat.kind, zval, p in S0, tate)
         if p in S0:
-            rep.v_p_minus_1 = _v_str(ell_adic_valuation(CoefElem(p - 1, 0, d), ell))
             linv = rep_side_asai_inverse(data, p, Fraction(1))
-            rep.v_l_inverse = _v_str(ell_adic_valuation(linv, ell)) if not linv.is_zero() else "inf"
             va = ell_adic_valuation(CoefElem(p - 1, 0, d), ell)
             vb = ell_adic_valuation(linv, ell) if not linv.is_zero() else INF
+            rep.v_p_minus_1, rep.v_l_inverse = _v_str(va), _v_str(vb)
             expo = min(va, vb)
             rep.exponent = _v_str(expo)
             exponents_total += 0 if expo == INF else expo

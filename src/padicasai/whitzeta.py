@@ -25,6 +25,15 @@ product.  Per engine call, each distinct data tuple is certified once
 against a verified iwasawa_F on the first row that yields it
 (_y_data_by_iwasawa); a disagreement raises AssertionError.
 
+A group element is a tuple of components: one matrix over F at an inert
+prime, two matrices over Q_p (the Rankin-Selberg pair) at a split one.
+Component i carries its Satake pair (x_i, y_i), (A, B) or (u_i, v_i), and
+with n components and e = n - 1 the inner integral is one Shintani series:
+roots prod z_i / p^e over z_i in {x_i, y_i}, coefficients
+a_j = p^(-e j - sum vc_i) prod h_(j + vc_i)(x_i, y_i), omega prefactor
+prod (x_i y_i)^(w_i) p^(-e w_i), and omega(p) X^2 = prod (x_i y_i) X^2 / p^(2e).
+Only the phase valuation of a row is read per case.
+
 Everything is carried as a rational function of X = p^(-s) whose
 coefficients are Laurent polynomials in the Satake parameters; the measure
 normalization (vol(Z_p^x) = 1, vol(GL2(Z_p)) = 1) is pinned by the
@@ -34,9 +43,11 @@ suite checks symbolically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import Mapping, Sequence
 
 from .exactnum import (
@@ -62,6 +73,8 @@ from .padicgrp import Mat2, iwasawa_F
 
 VS_INERT = ("A", "B", "X")
 VS_SPLIT = ("u1", "v1", "u2", "v2", "X")
+# the Satake pair (x_i, y_i) of each group component, per variable tuple
+_PAIRS = {VS_INERT: (("A", "B"),), VS_SPLIT: (("u1", "v1"), ("u2", "v2"))}
 
 
 # ---------------------------------------------------------------------------
@@ -467,26 +480,13 @@ def _y_integral(vbeta, vcs: list[int], omegas, vs, p: int) -> RatFunc:
     (the omega(f2) contributions); vbeta the valuation of the psi-phase,
     which gauss_shell turns into the weight of each shell v(delta) = j.
     """
-    if len(vcs) == 1:
-        vc = vcs[0]
-        roots = [Lau.var(vs, "A"), Lau.var(vs, "B")]
+    pairs = _PAIRS[vs]
+    e = len(pairs) - 1
+    roots = [Lau.monomial(vs, _evec(vs, dict.fromkeys(zs, 1)), Fraction(1, p ** e)) for zs in product(*pairs)]
 
-        def aj(j):
-            return complete_homog(j + vc, "A", "B", vs) * Fraction(p) ** (-vc)
-
-    else:
-        vc1, vc2 = vcs
-        roots = []
-        for a in ("u1", "v1"):
-            for b in ("u2", "v2"):
-                roots.append(Lau.var(vs, a) * Lau.var(vs, b) * Fraction(1, p))
-
-        def aj(j):
-            return (
-                complete_homog(j + vc1, "u1", "v1", vs)
-                * complete_homog(j + vc2, "u2", "v2", vs)
-                * Fraction(p) ** (-j - vc1 - vc2)
-            )
+    def aj(j):
+        hs = [complete_homog(j + vc, x, y, vs) for (x, y), vc in zip(pairs, vcs)]
+        return math.prod(hs[1:], start=hs[0]) * Fraction(p) ** (-e * j - sum(vcs))
 
     X = Lau.var(vs, "X")
     # shells below the first full one (gauss_shell = 1) are finite terms
@@ -557,7 +557,7 @@ def _required_cell_level(gs: Sequence[Mat2]) -> int:
     return w
 
 
-def _y_data_for_row(v1, v2, gs: Sequence[Mat2], ctx: QuadCtx, split: bool) -> tuple:
+def _y_data_for_row(v1, v2, gs: Sequence[Mat2], ctx: QuadCtx) -> tuple:
     """The value-determining data of the inner integral at a primitive row:
     (phase valuation, torus valuations, omega exponents).
 
@@ -594,7 +594,7 @@ def _y_data_for_row(v1, v2, gs: Sequence[Mat2], ctx: QuadCtx, split: bool) -> tu
         vcs.append(_det_val(g0) - 2 * w)
         ws.append(w)
         xys.append((x, y))
-    if not split:
+    if len(xys) == 1:
         (x, y), = xys
         vbeta = val_p(x.b * y[0] - x.a * y[1], p) - 2 * ws[0]
     else:
@@ -614,28 +614,22 @@ def _val_pair(z: tuple[Fraction, Fraction], p: int) -> int:
     return min(val_p(z[0], p), val_p(z[1], p))
 
 
-def _y_data_by_iwasawa(v1, v2, gs: Sequence[Mat2], ctx: QuadCtx, split: bool) -> tuple:
+def _y_data_by_iwasawa(v1, v2, gs: Sequence[Mat2], ctx: QuadCtx) -> tuple:
     """_y_data_for_row read off a verified iwasawa_F of k g0 per component:
     the certificate for the closed form."""
-    p = ctx.p
     k = _complete_row(v1, v2, ctx)
-    if not split:
-        parts = iwasawa_F(k * gs[0])
-        vb = val_p(parts.u.b, p)  # phase beta = 2 r u_b, and 2r is a unit
-        vc = int(parts.f1.val() - parts.f2.val())
-        w = int(parts.f2.val())
-        return (vb, (vc,), (w,))
-    us = []
-    vcs = []
-    ws = []
+    us, vcs, ws = [], [], []
     for g0 in gs:
         parts = iwasawa_F(k * g0)
-        if not parts.u.is_rational():
-            raise AssertionError("split-case Iwasawa phase left the base field")
-        us.append(parts.u.a)
+        us.append(parts.u)
         vcs.append(int(parts.f1.val() - parts.f2.val()))
         ws.append(int(parts.f2.val()))
-    vbeta = val_p(us[0] - us[1], p)
+    if len(us) == 1:
+        vbeta = val_p(us[0].b, ctx.p)  # phase beta = 2 r u_b, and 2r is a unit
+    elif all(u.is_rational() for u in us):
+        vbeta = val_p(us[0].a - us[1].a, ctx.p)
+    else:
+        raise AssertionError("split-case Iwasawa phase left the base field")
     return (vbeta, tuple(vcs), tuple(ws))
 
 
@@ -653,13 +647,9 @@ def _y_value_from_data(data: tuple, vs, p: int) -> RatFunc:
     own object (complete_homog shares its Lau values the same way).
     """
     vbeta, vcs, ws = data
-    omegas = Lau.const(vs, 1)
-    if len(vcs) == 1:
-        omegas = Lau.monomial(vs, _evec(vs, {"A": ws[0], "B": ws[0]}))
-    else:
-        for i, w in enumerate(ws):
-            names = ("u1", "v1") if i == 0 else ("u2", "v2")
-            omegas = omegas * Lau.monomial(vs, _evec(vs, {names[0]: w, names[1]: w})) * Fraction(p) ** (-w)
+    pairs = _PAIRS[vs]
+    exps = {z: w for pair, w in zip(pairs, ws) for z in pair}
+    omegas = Lau.monomial(vs, _evec(vs, exps), Fraction(p) ** (-(len(pairs) - 1) * sum(ws)))
     return _y_integral(vbeta, list(vcs), omegas, vs, p)
 
 
@@ -667,30 +657,26 @@ def _evec(vs, d: Mapping[str, int]):
     return tuple(d.get(v, 0) for v in vs)
 
 
-def _omega_x2(vs, split: bool, p: int) -> Lau:
-    X2 = Lau.var(vs, "X") ** 2
-    if not split:
-        return Lau.var(vs, "A") * Lau.var(vs, "B") * X2
-    return (
-        Lau.var(vs, "u1") * Lau.var(vs, "v1") * Lau.var(vs, "u2") * Lau.var(vs, "v2")
-        * X2 * Fraction(1, p ** 2)
-    )
+def _omega_x2(vs, p: int) -> Lau:
+    """omega(p) X^2: the product of every Satake pair, X^2, over p^(2e)."""
+    pairs = _PAIRS[vs]
+    exps = {z: 1 for pair in pairs for z in pair} | {"X": 2}
+    return Lau.monomial(vs, _evec(vs, exps), Fraction(1, p ** (2 * len(pairs) - 2)))
 
 
 def _zeta_engine(
     phi: SchwartzFn,
     gs: Sequence[Mat2],
     ctx: QuadCtx,
-    split: bool,
     level_cap: int = 12,
     level_bump: int = 0,
     provenance: str = "",
 ) -> ZetaResult:
     p = ctx.p
-    vs = VS_SPLIT if split else VS_INERT
+    vs = VS_SPLIT if len(gs) == 2 else VS_INERT
     lam_req = _required_cell_level(gs) + level_bump
     pref = Fraction(p * p, p * p - 1)  # (1 - p^-2)^-1
-    omx2 = _omega_x2(vs, split, p)
+    omx2 = _omega_x2(vs, p)
     data_of_row: dict[tuple, tuple] = {}
     certified: set[tuple] = set()
     # accumulated weight per (y-data, shell kind); shell kinds are
@@ -701,9 +687,9 @@ def _zeta_engine(
         lamkey = max(lam_req, 1)
         rkey = (fr_mod(v1, p, lamkey), fr_mod(v2, p, lamkey))
         if rkey not in data_of_row:
-            data = _y_data_for_row(v1, v2, gs, ctx, split)
+            data = _y_data_for_row(v1, v2, gs, ctx)
             if data not in certified:
-                if _y_data_by_iwasawa(v1, v2, gs, ctx, split) != data:
+                if _y_data_by_iwasawa(v1, v2, gs, ctx) != data:
                     raise AssertionError(
                         f"row ({v1}, {v2}): closed-form data {data} disagrees with iwasawa_F"
                     )
@@ -748,7 +734,7 @@ def _zeta_engine(
         else:
             contrib = y * RatFunc(omx2 ** shell[1], [1 - omx2])
         acc = acc + contrib * wt
-    return ZetaResult(acc, "split" if split else "inert", provenance, p)
+    return ZetaResult(acc, "split" if len(gs) == 2 else "inert", provenance, p)
 
 
 def zeta_asai(
@@ -767,7 +753,7 @@ def zeta_asai(
     (multiply by the inverse L-factor, evaluate at X = 1), in symmetric
     coordinates; specialize with params when given.
     """
-    res = _zeta_engine(phi, [g], ctx, False, level_cap, level_bump, provenance="zeta_asai")
+    res = _zeta_engine(phi, [g], ctx, level_cap, level_bump, provenance="zeta_asai")
     return _normalize_result(res, normalize, params)
 
 
@@ -784,7 +770,7 @@ def zeta_rs_split(
     g1, g2 = gpair
     if not (g1.is_rational() and g2.is_rational()):
         raise ValueError("split-case matrices live over Q_p")
-    res = _zeta_engine(phi, [g1, g2], ctx, True, level_cap, level_bump, provenance="zeta_rs_split")
+    res = _zeta_engine(phi, [g1, g2], ctx, level_cap, level_bump, provenance="zeta_rs_split")
     return _normalize_result(res, normalize, params)
 
 
@@ -915,7 +901,7 @@ def godement_section(phi: SchwartzFn, ctx: QuadCtx) -> dict:
     N = phi.level
     L = max(N, 1)
     vs = VS_INERT
-    om_x2 = Lau.var(vs, "A") * Lau.var(vs, "B") * Lau.var(vs, "X") ** 2
+    om_x2 = _omega_x2(vs, p)
     pN = p ** N
     int_cells = {
         (c1.numerator, c2.numerator): coef

@@ -178,3 +178,27 @@ def test_engine_fault_exits_4(name, monkeypatch, capsys):
     assert code == 4
     assert "verification failure: injected engine fault" in err
     assert "Traceback" not in err
+
+
+ONE = [[{"a": "1", "b": "0"}, {"a": "0", "b": "0"}], [{"a": "0", "b": "0"}, {"a": "1", "b": "0"}]]
+# (case, level, g, the field stderr must name): each g has the wrong shape
+# for its case, or the case or level is unknown
+MALFORMED_VECTORS = {
+    "pair under inert": ("inert", "K", [ONE, ONE], "'g'"),
+    "matrix under split": ("split", "K", ONE, "'g'"),
+    "case Split": ("Split", "K", ONE, "case"),
+    "level k": ("inert", "k", ONE, "level"),
+}
+
+
+@pytest.mark.parametrize("command", [["local-factor"], ["certify", "--part", "1"]])
+@pytest.mark.parametrize("name", sorted(MALFORMED_VECTORS))
+def test_malformed_vector_file_exits_2(name, command, tmp_path):
+    case, level, g, field = MALFORMED_VECTORS[name]
+    phi = {"level": 0, "cells": [{"c": ["0", "0"], "coef": "1"}]}
+    path = tmp_path / "vec.json"
+    path.write_text(json.dumps({"case": case, "level": level, "terms": [{"phi": phi, "g": g, "coef": "1"}]}))
+    r = run("--prime", "3", command[0], "--vector", str(path), *command[1:])
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert "input error" in r.stderr and field in r.stderr

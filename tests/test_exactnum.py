@@ -284,6 +284,10 @@ def test_json_roundtrip():
     ctx = QuadCtx.make(5)
     x = ctx.elem(Fraction(3, 5), Fraction(-1, 2))
     assert QuadElem.from_json(x.to_json(), ctx) == x
+    # a matrix row or a string where an element belongs: a ValueError
+    for bad in ([x.to_json(), x.to_json()], "3", None):
+        with pytest.raises(ValueError, match="object"):
+            QuadElem.from_json(bad, ctx)
 
 
 def test_is_odd_prime_by_trial_division():

@@ -318,3 +318,20 @@ def test_ideal_cert_gstar_split():
 def test_json_roundtrip():
     h = HeckeElem.monomial("inert_F", (2, -1), Fraction(5, 3))
     assert HeckeElem.from_json(h.to_json()) == h
+
+
+@pytest.mark.parametrize("p", [2, 9, 15, 1, 0, -3])
+def test_entry_points_refuse_p_not_an_odd_prime(p):
+    # euler_poly("asai_inert", 9) once returned 1 - S^2 - T/9 + T S/9
+    with pytest.raises(ValueError, match="not an odd prime"):
+        euler_poly("asai_inert", p)
+    with pytest.raises(ValueError, match="not an odd prime"):
+        satake(HeckeElem.gen("inert_F", "T"), p)
+    with pytest.raises(ValueError, match="not an odd prime"):
+        inv_satake(ev("e1"), "inert_F", p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_entry_points_accept_odd_primes(p):
+    h = euler_poly("asai_inert", p).at_one()
+    assert inv_satake(satake(h, p), "inert_F", p) == h

@@ -133,6 +133,20 @@ def test_contract_checks_raise_value_error(F3):
         generator_vector(F3, "inert") + generator_vector(F3, "split")
     with pytest.raises(ValueError, match="constant term 1"):
         EulerPoly("inert_F", [HeckeElem.zero("inert_F")])
+    with pytest.raises(ValueError, match="case must be"):
+        TestVector(F3, "Split", "K", [])
+    with pytest.raises(ValueError, match="level must be"):
+        TestVector(F3, "inert", "K[p^2]", [])
+    with pytest.raises(ValueError, match="does not act"):
+        hecke_apply(HeckeElem.gen("inert_F", "T"), generator_vector(F3, "split"))
+
+
+def test_local_factor_checks_its_satake_round_trip(F3, monkeypatch):
+    # inv_satake returning a wrong preimage must be caught exactly
+    real = heckemod.inv_satake
+    monkeypatch.setattr(heckemod, "inv_satake", lambda f, group, p: real(f, group, p) * 2)
+    with pytest.raises(AssertionError, match="Satake round-trip"):
+        local_factor(generator_vector(F3))
 
 
 def test_hecke_apply_sum(F3):
@@ -141,6 +155,80 @@ def test_hecke_apply_sum(F3):
     h = T + S * Fraction(2, 3)
     vec = hecke_apply(h, generator_vector(F3))
     assert local_factor(vec) == h
+
+
+def hecke_apply_two_branch(h, vec):
+    """hecke_apply as it was with one branch per case: the inert power of T,
+    then each split component's power in turn."""
+    ctx = vec.ctx
+    split = vec.case == "split"
+    tcosets = heckemod._t_inverse_cosets(ctx, not split)
+    out_terms = []
+    for e, coef in h.poly.terms.items():
+        for phi, g, c in vec.terms:
+            gsets = [(g, Fraction(1))]
+            if not split:
+                a, b = e
+                gsets = apply_gen_power_two_branch(gsets, tcosets, a, 0, split)
+                gsets = [(gg * Mat2.t(-b, -b, ctx), w) for gg, w in gsets]
+            else:
+                a1, b1, a2, b2 = e
+                gsets = apply_gen_power_two_branch(gsets, tcosets, a1, 0, split)
+                gsets = apply_gen_power_two_branch(gsets, tcosets, a2, 1, split)
+                gsets = [
+                    ((gg[0] * Mat2.t(-b1, -b1, ctx), gg[1] * Mat2.t(-b2, -b2, ctx)), w)
+                    for gg, w in gsets
+                ]
+            for gg, w in gsets:
+                out_terms.append((phi, gg, c * coef * w))
+    return TestVector(ctx, vec.case, "K", out_terms, vec.star)
+
+
+def apply_gen_power_two_branch(gsets, cosets, n, comp, split):
+    for _ in range(n):
+        new = []
+        for g, w in gsets:
+            for hj in cosets:
+                if split:
+                    pair = list(g)
+                    pair[comp] = pair[comp] * hj
+                    new.append((tuple(pair), w))
+                else:
+                    new.append((g * hj, w))
+        gsets = new
+    return gsets
+
+
+def random_hecke_elem(rng, group, terms):
+    """terms random monomials, T-exponents <= 1, S-exponents in [-1, 1]."""
+    n = 2 if group == "inert_F" else 4
+    out = HeckeElem.zero(group)
+    for _ in range(terms):
+        e = tuple(rng.randint(0, 1) if i % 2 == 0 else rng.randint(-1, 1) for i in range(n))
+        out = out + HeckeElem.monomial(group, e, Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_hecke_apply_matches_two_branch_oracle(p):
+    ctx = QuadCtx.make(p)
+    cases = []
+    for a in range(3):
+        for b in (-1, 0, 2):
+            cases.append((HeckeElem.monomial("inert_F", (a, b), 2), generator_vector(ctx)))
+    for a1 in range(3):
+        for a2 in range(3):
+            e = (a1, a1 - 1, a2, 1 - a2)
+            cases.append((HeckeElem.monomial("split_pair", e, Fraction(1, 3)), generator_vector(ctx, "split")))
+    # multi-term elements on multi-term traced random vectors
+    rng = random.Random(70 + p)
+    for case, group in (("inert", "inert_F"), ("split", "split_pair")):
+        for _ in range(3):
+            vec = random_integral_vector(ctx, rng, "K[p]", False, case=case)
+            vec = trace_level(vec + random_integral_vector(ctx, rng, "K[p]", False, case=case))
+            cases.append((random_hecke_elem(rng, group, 3), vec))
+    for h, vec in cases:
+        assert hecke_apply(h, vec).to_json() == hecke_apply_two_branch(h, vec).to_json(), (h, vec.case)
 
 
 # -- mirabolic chain -------------------------------------------------------------------
@@ -517,7 +605,7 @@ def test_subgroup_volume_matches_enumeration_oracle(p):
                     vec = random_integral_vector(ctx, rng, level, vanish, case=case, star=star)
                     (phi, g, _), = vec.terms
                     gs = list(g) if case == "split" else [g]
-                    cond = heckemod.stabilizer_conditions(phi, gs, level, star, ctx)
+                    cond = heckemod.stabilizer_conditions(phi, gs, level, ctx)
                     modes.add((cond.det_mode, len(cond.branches) > 1))
                     assert subgroup_volume(cond) == subgroup_volume_oracle(cond), (level, case, star)
     assert {m for m, _ in modes} == {"unit", "one_mod_p"}

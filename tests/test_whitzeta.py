@@ -496,19 +496,19 @@ def test_row_data_closed_form_matches_iwasawa(p, lam):
         for b in range(p ** lam)
         if a % p or b % p
     ]
-    cases = [([g], False) for g in inert_g0s(ctx).values()]
-    cases += [(pair, True) for pair in split_g0s(ctx).values()]
-    for gs, split in cases:
+    cases = [[g] for g in inert_g0s(ctx).values()]
+    cases += list(split_g0s(ctx).values())
+    for gs in cases:
         for v1, v2 in rows:
-            fast = whitzeta._y_data_for_row(v1, v2, gs, ctx, split)
-            assert fast == whitzeta._y_data_by_iwasawa(v1, v2, gs, ctx, split), (gs, v1, v2)
+            fast = whitzeta._y_data_for_row(v1, v2, gs, ctx)
+            assert fast == whitzeta._y_data_by_iwasawa(v1, v2, gs, ctx), (gs, v1, v2)
 
 
 def test_wrong_row_data_fails_verification(monkeypatch, capsys):
     closed_form = whitzeta._y_data_for_row
 
-    def off_by_one(v1, v2, gs, ctx, split):
-        vbeta, vcs, ws = closed_form(v1, v2, gs, ctx, split)
+    def off_by_one(v1, v2, gs, ctx):
+        vbeta, vcs, ws = closed_form(v1, v2, gs, ctx)
         return (vbeta, vcs, tuple(w + 1 for w in ws))
 
     monkeypatch.setattr(whitzeta, "_y_data_for_row", off_by_one)
