@@ -2,8 +2,10 @@
 
 Machine-readable JSON goes to stdout, short human summaries to stderr.
 Exit codes: 0 success; 2 input error, including a malformed number (a zero
-denominator), a singular matrix, or a --prime or --ell that is not an odd
-prime; 3 precision overflow, including a Schwartz function with more than
+denominator), a singular matrix, a --prime or --ell that is not an odd
+prime, or a JSON document of the wrong shape (a --elem, --phi, --inputs or
+--form document whose fields are not the objects and lists they must be);
+3 precision overflow, including a Schwartz function with more than
 5 cells, whose stabilizer enumeration is capped; 4 assertion or
 verification failure, including an exact division, inverse Satake
 transform or symmetric reduction that fails inside the engine.  Without
@@ -25,7 +27,7 @@ from .exactnum import Lau, NotDivisible, NotInImage, NotSymmetric, PrecisionOver
 from .heckealg import HeckeElem, NotMember, euler_poly, satake
 from .heckemod import TestVector, certify_ideal, delta1, local_factor, trace_level
 from .gstar import cyclotomic_factor_candidate, gstar_factor
-from .hilbert import SchemaError, ingest, load_fixture, period_ideal_check
+from .hilbert import EigenformData, SchemaError, ingest, load_fixture, period_ideal_check
 from .padicgrp import DecompositionError, Mat2
 from .whitzeta import SchwartzFn, WhitParams, zeta_asai, zeta_rs_split
 from . import acceptance
@@ -61,8 +63,9 @@ def _emit(cfg: RunConfig, payload: dict, summary: str) -> None:
 
 
 def _input_parser(fn):
-    """Report a zero denominator met while parsing user input as an input
-    error (exit 2) instead of a ZeroDivisionError traceback."""
+    """Report a zero denominator or a JSON document of the wrong shape met
+    while parsing user input as an input error (exit 2) instead of a
+    traceback."""
 
     @functools.wraps(fn)
     def parse(*args):
@@ -70,6 +73,8 @@ def _input_parser(fn):
             return fn(*args)
         except ZeroDivisionError as exc:
             raise ValueError(f"malformed number: {exc}") from None
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed document: {exc}") from None
 
     return parse
 
@@ -138,8 +143,13 @@ def _load_vector(cfg: RunConfig, path: str) -> TestVector:
     return TestVector(ctx, case, level, terms, star)
 
 
+@_input_parser
+def _parse_elem(spec: str) -> HeckeElem:
+    return HeckeElem.from_json(json.loads(spec))
+
+
 def cmd_satake(cfg: RunConfig, args) -> None:
-    h = HeckeElem.from_json(json.loads(args.elem))
+    h = _parse_elem(args.elem)
     img = satake(h, cfg.prime)
     _emit(cfg, {"input": h.to_json(), "satake": img.to_json()}, f"satake transform of a {h.group} element")
 
@@ -234,12 +244,16 @@ def _load_local_inputs(path: str) -> list[dict]:
     return inputs
 
 
+@_input_parser
+def _load_form(spec: str) -> EigenformData:
+    if spec.startswith("builtin:"):
+        return load_fixture(spec.split(":", 1)[1])
+    with open(spec) as f:
+        return ingest(json.load(f))
+
+
 def cmd_hilbert_check(cfg: RunConfig, args) -> None:
-    if args.form.startswith("builtin:"):
-        data = load_fixture(args.form.split(":", 1)[1])
-    else:
-        with open(args.form) as f:
-            data = ingest(json.load(f))
+    data = _load_form(args.form)
     inputs = _load_local_inputs(args.inputs) if args.inputs else []
     s0 = [int(x) for x in args.s0.split(",")] if args.s0 else []
     rep = period_ideal_check(

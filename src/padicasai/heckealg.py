@@ -454,129 +454,54 @@ class HeckeIdealCert:
         }
 
 
-def _mod_reduce(h: HeckeElem, m: int) -> dict:
-    """Coefficients mod m = p - 1 (p maps to 1, so p-power denominators drop)."""
-    out = {}
-    for e, c in h.poly.terms.items():
-        num = c.numerator % m
-        den = c.denominator % m
-        # denominator is a p power, p = 1 mod m, so den = 1 mod m
-        if den != 1 % m:
-            inv = pow(den, -1, m)
-            num = num * inv % m
-        if num:
-            out[e] = num
-    return out
+def _mod(f: Lau, m: int) -> Lau:
+    """Coefficients reduced into [0, m), m = p - 1: p = 1 mod m, so p-power
+    denominators are units."""
+    return f.map_coeff(lambda c: c.numerator * pow(c.denominator, -1, m) % m)
 
 
-def _mod_poly_sub(a: dict, b: dict, m: int) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        v = (out.get(e, 0) - c) % m
-        if v:
-            out[e] = v
-        elif e in out:
-            del out[e]
-    return out
+def _lift(f: Lau, m: int) -> Lau:
+    """The balanced lift of residues mod m into (-m/2, m/2]."""
+    return f.map_coeff(lambda c: c - m if c > m // 2 else c)
 
 
-def _mod_poly_mul_mono(a: dict, exps, coef: int, m: int) -> dict:
-    out = {}
-    for e, c in a.items():
-        e2 = tuple(x + y for x, y in zip(e, exps))
-        v = c * coef % m
-        if v:
-            out[e2] = v
-    return out
+def _mod_divide_principal(P: Lau, Q: Lau, i: int, m: int):
+    """Divide P by Q in the Laurent ring (Z/m)[gens^+-] along variable i.
 
-
-def _shift_var(d: dict, var_index: int, k: int) -> dict:
-    if k == 0 or not d:
-        return dict(d)
-    return {tuple(x + (k if i == var_index else 0) for i, x in enumerate(e)): c for e, c in d.items()}
-
-
-def _mod_divide_principal(P: dict, Q: dict, var_index: int, m: int):
-    """Divide P by Q in the Laurent ring (Z/m)[gens^+-] along one variable.
-
+    P carries residues in [0, m), Q integer coefficients read mod m.
     Requires the leading coefficient of Q in that variable to be a single
     monomial with a unit coefficient mod m (then division with remainder is
-    unique since that leading unit makes Q regular).  Returns
-    (quotient, remainder) or None when the leading-unit test fails.
+    unique since that leading unit makes Q regular).  Returns (quotient,
+    remainder) or None when the leading-unit test fails.
     """
-    if not Q:
+    if Q.is_zero():
         raise ZeroDivisionError
-    if not P:
-        return {}, {}
-    # normalize away negative powers of the principal variable
-    sp = min(e[var_index] for e in P)
-    sq = min(e[var_index] for e in Q)
-    Ps = _shift_var(P, var_index, -sp)
-    Qs = _shift_var(Q, var_index, -sq)
-    dq = max(e[var_index] for e in Qs)
-    lead = {e: c for e, c in Qs.items() if e[var_index] == dq}
+    if P.is_zero():
+        return P, P
+    # a monomial is a unit of the Laurent ring: divide the polynomial parts
+    Ps, sp = P.shift_to_poly()
+    Qs, sq = Q.shift_to_poly()
+    dq = max(e[i] for e in Qs.terms)
+    lead = [(e, c) for e, c in Qs.terms.items() if e[i] == dq]
     if len(lead) != 1:
         return None
-    ((lexp, lcoef),) = lead.items()
+    ((lexp, lcoef),) = lead
     try:
-        linv = pow(lcoef, -1, m)
+        linv = pow(int(lcoef), -1, m)
     except ValueError:
         return None
-    quot: dict = {}
-    rem = dict(Ps)
-    while rem:
-        dr = max(e[var_index] for e in rem)
+    vs = P.vars
+    quot = Lau(vs)
+    rem = Ps
+    while not rem.is_zero():
+        dr = max(e[i] for e in rem.terms)
         if dr < dq:
             break
-        e = min(e for e in rem if e[var_index] == dr)
-        c = rem[e]
-        qe = tuple(x - y for x, y in zip(e, lexp))
-        qc = c * linv % m
-        quot[qe] = (quot.get(qe, 0) + qc) % m
-        if quot[qe] == 0:
-            del quot[qe]
-        rem = _mod_poly_sub(rem, _mod_poly_mul_mono(Qs, qe, qc, m), m)
-    return _shift_var(quot, var_index, sp - sq), _shift_var(rem, var_index, sp)
-
-
-def _one_minus_s_mod(group: str, m: int) -> dict:
-    vs = _vars_for(group)
-    one = (0,) * len(vs)
-    s = tuple(1 if i == 1 else 0 for i in range(len(vs)))
-    return {one: 1 % m, s: (-1) % m}
-
-
-def _extract_one_minus_s(Q: dict, group: str, m: int):
-    """Q = (1 - S)^j * Q1 mod m with (1 - S) exactly divided out."""
-    oms = _one_minus_s_mod(group, m)
-    j = 0
-    cur = Q
-    while True:
-        res = _mod_divide_principal(cur, oms, 1, m)
-        if res is None:
-            break
-        q, r = res
-        if r:
-            break
-        cur = q
-        j += 1
-        if not cur:
-            break
-    return j, cur
-
-
-def _lift_mod_poly(d: dict, group: str, m: int) -> HeckeElem:
-    terms = {}
-    for e, c in d.items():
-        c = c % m
-        terms[e] = c - m if c > m // 2 else c
-    return HeckeElem(group, Lau(_vars_for(group), terms))
-
-
-def _project_balanced(h: HeckeElem, group: str) -> HeckeElem:
-    """Keep the determinant-balanced monomials (projection onto the G* image)."""
-    terms = {e: c for e, c in h.poly.terms.items() if e[0] + 2 * e[1] == e[2] + 2 * e[3]}
-    return HeckeElem(group, Lau(h.poly.vars, terms))
+        e = min(e for e in rem.terms if e[i] == dr)
+        q = Lau.monomial(vs, tuple(x - y for x, y in zip(e, lexp)), rem.terms[e] * linv % m)
+        quot = quot + q
+        rem = _mod(rem - Qs * q, m)
+    return quot * Lau.monomial(vs, tuple(a - b for a, b in zip(sp, sq))), rem * Lau.monomial(vs, sp)
 
 
 def ideal_cert(P: HeckeElem, gen1_kind: str, Q: HeckeElem, p: int) -> HeckeIdealCert:
@@ -619,42 +544,36 @@ def ideal_cert(P: HeckeElem, gen1_kind: str, Q: HeckeElem, p: int) -> HeckeIdeal
     if gen1_kind != "p-1":
         raise ValueError(f"unknown ideal kind {gen1_kind!r}")
 
-    Pm = _mod_reduce(P, m)
-    Qm = _mod_reduce(Q, m)
-    if not Qm:
-        if Pm:
+    Pm = _mod(P.poly, m)
+    Q1 = _mod(Q.poly, m)
+    V = HeckeElem.zero(group)
+    if Q1.is_zero():
+        if not Pm.is_zero():
             raise NotMember("Q vanishes mod p-1 but P does not", P)
-        V = HeckeElem.zero(group)
-        U = divide_exact_int(P - Q * V, m, p)
-        cert = HeckeIdealCert(P, gen1_kind, Q, U, V, p)
-        if not cert.verify():
-            raise AssertionError("certificate re-expansion failed")
-        return cert
-    j, Q1m = _extract_one_minus_s(Qm, group, m)
-    cur = Pm
-    for _ in range(j):
-        res = _mod_divide_principal(cur, _one_minus_s_mod(group, m), 1, m)
-        if res is None or res[1]:
-            raise NotMember("target lacks the (1 - S) factor mod p-1", _lift_mod_poly(cur, group, m))
-        cur = res[0]
-    # principal variable: T (index 0); for split also try T2 (index 2)
-    quotient = None
-    for vi in (0, 2) if len(vs) == 4 else (0,):
-        res = _mod_divide_principal(cur, Q1m, vi, m)
-        if res is not None:
-            q, r = res
-            if not r:
-                quotient = q
+    else:
+        # Q = (1 - S)^j Q1 mod m, and P must carry the same factor
+        one_minus_s = 1 - Lau.var(vs, vs[1])
+        j = 0
+        while True:
+            q, r = _mod_divide_principal(Q1, one_minus_s, 1, m)
+            if not r.is_zero():
                 break
-            last_rem = r
+            Q1, j = q, j + 1
+        for _ in range(j):
+            q, r = _mod_divide_principal(Pm, one_minus_s, 1, m)
+            if not r.is_zero():
+                raise NotMember("target lacks the (1 - S) factor mod p-1", HeckeElem(group, _lift(Pm, m)))
+            Pm = q
+        # divide along a T generator (even index): T, or T1 and then T2
+        for i in range(0, len(vs), 2):
+            res = _mod_divide_principal(Pm, Q1, i, m)
+            rem = None if res is None else res[1]
+            if rem is not None and rem.is_zero():
+                break
         else:
-            last_rem = None
-    if quotient is None:
-        rem = _lift_mod_poly(last_rem, group, m) if last_rem else None
-        raise NotMember("nonzero remainder mod p-1", rem)
-    V = _lift_mod_poly(quotient, group, m)
-    if group == "gstar_split":
-        V = _project_balanced(V, group)
+            raise NotMember("nonzero remainder mod p-1", None if rem is None else HeckeElem(group, _lift(rem, m)))
+        # a quotient of balanced by balanced is balanced, as gstar_split needs
+        V = HeckeElem(group, _lift(res[0], m))
     U = divide_exact_int(P - Q * V, m, p)
     cert = HeckeIdealCert(P, gen1_kind, Q, U, V, p)
     if not cert.verify():

@@ -283,16 +283,20 @@ def normalized_period(vec: TestVector) -> Lau:
 
 
 def local_factor(vec: TestVector) -> HeckeElem:
-    """The unique spherical operator with P . generator = delta.
+    """The unique spherical operator with P . generator = delta."""
+    return factor_of_period(period_value(vec), vec.case, vec.ctx.p)
+
+
+def factor_of_period(period: RatFunc, case: str, p: int) -> HeckeElem:
+    """The local factor of a vector with the given period value.
 
     The normalized period of delta equals Theta(P') (the convolution action
     twists by the inversion involution), so P is the involution of the
     inverse Satake transform of the period value.
     """
-    sym = normalized_period(vec)
-    group = "split_pair" if vec.case == "split" else "inert_F"
-    pprime = inv_satake(sym, group, vec.ctx.p)
-    if satake(pprime, vec.ctx.p) != sym:
+    sym = normalized_limit(period, case, p)
+    pprime = inv_satake(sym, "split_pair" if case == "split" else "inert_F", p)
+    if satake(pprime, p) != sym:
         raise AssertionError("Satake round-trip of the local factor failed")
     return involution(pprime)
 
@@ -447,17 +451,16 @@ class CertReport:
         return out
 
 
-def _chain_operator_data(coeffs: dict, ctx: QuadCtx):
-    """The operators A = sum c w_b S^a (sum eps h_n) and B = sum c w_b S^a
-    over coeffs {(a, b): c}, with w_b the memoized phi_c_weight(0, b)."""
+def _chain_operator_data(collapsed: dict, ctx: QuadCtx):
+    """The operators A = sum w S^a (sum eps h_n) and B = sum w S^a over the
+    collapsed chain coefficients {(a, b): w}."""
     group = "inert_F"
     A = HeckeElem.zero(group)
     B = HeckeElem.zero(group)
-    for (a, b), c in coeffs.items():
-        wb = phi_c_weight(0, b, ctx)
+    for (a, b), w in collapsed.items():
         Sa = HeckeElem.gen(group, "S", a) if a else HeckeElem.one(group)
-        B = B + Sa * (c * wb)
-        A = A + Sa * eps_operator(b, ctx) * (c * wb)
+        B = B + Sa * w
+        A = A + Sa * eps_operator(b, ctx) * w
     return A, B
 
 
@@ -470,12 +473,15 @@ def certify_ideal(vec: TestVector, part: int) -> CertReport:
     part 3: delta in the determinant-level lattice; P_(Tr delta) in
             <p-1, P_F'(1)>.
 
-    Certificates are built constructively from the mirabolic chain data
-    (split case: by the division algorithm) and always re-verified by exact
-    expansion; the division route is the fallback.
+    Inert part 3 certificates are built constructively from the mirabolic
+    chain data, with the division algorithm as the fallback; part 2 and
+    the split case come from the division algorithm.  Every certificate is
+    re-verified by exact expansion.
     """
     ctx = vec.ctx
     p = ctx.p
+    if part not in (1, 2, 3):
+        raise ValueError("part must be 1, 2 or 3")
     if not vector_is_integral(vec):
         raise ValueError("the vector fails its integrality precondition")
     if part == 1:
@@ -485,62 +491,28 @@ def certify_ideal(vec: TestVector, part: int) -> CertReport:
         return CertReport(1, P, None, P.is_integral(p), "coefficients")
     if vec.level != "K[p]":
         raise ValueError("parts 2 and 3 concern determinant-level vectors")
+    if vec.case == "split" and part != 3:
+        raise ValueError("the split engine certifies the <p-1, P'(1)> ideal")
+    if part == 2 and not all(phi.vanishes_at_origin() for phi, _, _ in vec.terms):
+        raise ValueError("part 2 needs origin-vanishing Schwartz data")
     traced = trace_level(vec)
     P = local_factor(traced)
-    if vec.case == "split":
-        if part != 3:
-            raise ValueError("the split engine certifies the <p-1, P'(1)> ideal")
-        Q = euler_poly("rs_split", p).involute_at_one()
-        cert = ideal_cert(P, "p-1", Q, p)
-        return CertReport(3, P, cert, True, "division")
-    chain = xi_phi_chain(traced, P)
-    A, B = _chain_operator_data(chain.xi_coeffs, ctx)
-    Ap, Bp = involution(A), involution(B)
-    one = HeckeElem.one("inert_F")
-    S = HeckeElem.gen("inert_F", "S")
-    if part == 3:
-        Q = euler_poly("standard_F", p).involute_at_one()
-        # P = A' P_F'(1) + B'; B' is divisible by p-1 via the trace property
-        try:
-            U = divide_exact_int(Bp, p - 1, p)
-            cert = HeckeIdealCert(P, "p-1", Q, U, Ap, p)
-            if cert.verify():
-                return CertReport(3, P, cert, True, "chain")
-        except NotMember:
-            pass
-        cert = ideal_cert(P, "p-1", Q, p)
-        return CertReport(3, P, cert, True, "division")
     if part == 2:
-        if not all(phi.vanishes_at_origin() for phi, _, _ in vec.terms):
-            raise ValueError("part 2 needs origin-vanishing Schwartz data")
         Q = euler_poly("asai_inert", p).involute_at_one()
-        # c = (1 - S) d with d(a, b) = sum_(j >= a) c(j, b)
-        dcoeffs = {}
-        ok = True
-        for b in {ab[1] for ab in chain.xi_coeffs}:
-            col = {a: c for (a, bb), c in chain.xi_coeffs.items() if bb == b}
-            if sum(col.values()):
-                ok = False
-                break
-            amin, amax = min(col), max(col)
-            for a in range(amin, amax + 1):
-                d = sum(col.get(j, Fraction(0)) for j in range(a, amax + 1))
-                if d:
-                    dcoeffs[(a, b)] = d
-        if ok:
-            At, E = _chain_operator_data(dcoeffs, ctx)
-            try:
-                E1 = divide_exact_int(E, p - 1, p)
-                U = -(HeckeElem.gen("inert_F", "S", -1) * involution(E1))
-                V = involution(At)
-                cert = HeckeIdealCert(P, "(p-1)(1-S)", Q, U, V, p)
-                if cert.verify():
-                    return CertReport(2, P, cert, True, "chain")
-            except NotMember:
-                pass
-        cert = ideal_cert(P, "(p-1)(1-S)", Q, p)
-        return CertReport(2, P, cert, True, "division")
-    raise ValueError("part must be 1, 2 or 3")
+        return CertReport(2, P, ideal_cert(P, "(p-1)(1-S)", Q, p), True, "division")
+    if vec.case == "split":
+        Q = euler_poly("rs_split", p).involute_at_one()
+        return CertReport(3, P, ideal_cert(P, "p-1", Q, p), True, "division")
+    Q = euler_poly("standard_F", p).involute_at_one()
+    A, B = _chain_operator_data(xi_phi_chain(traced, P).collapsed, ctx)
+    # P = A' P_F'(1) + B'; B' is divisible by p-1 via the trace property
+    try:
+        cert = HeckeIdealCert(P, "p-1", Q, divide_exact_int(involution(B), p - 1, p), involution(A), p)
+        if cert.verify():
+            return CertReport(3, P, cert, True, "chain")
+    except NotMember:
+        pass
+    return CertReport(3, P, ideal_cert(P, "p-1", Q, p), True, "division")
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +541,8 @@ def delta1(ctx: QuadCtx, case: str) -> dict:
     vec = TestVector(ctx, case, "K[p]", [(phi, g1, Fraction(1)), (phi, gn, Fraction(-1))], star=True)
     traced = trace_level(vec)
     # A(s) = Z(phi, W - n W, s) = 1 identically
-    report["A_s_equals_one"] = period_value(traced) == RatFunc.from_lau(Lau.const(vs, 1))
+    period = period_value(traced)
+    report["A_s_equals_one"] = period == RatFunc.from_lau(Lau.const(vs, 1))
     vinv_n, ok_n = integrality_check(phi, gn, "K[p]", ctx, case)
     vinv_1, ok_1 = integrality_check(phi, g1, "K[p]", ctx, case)
     report["integral"] = ok_n and ok_1
@@ -590,7 +563,7 @@ def delta1(ctx: QuadCtx, case: str) -> dict:
         report["vol_K011_p2"] = str(vol)
         report["vol_identity_ok"] = vol == Fraction(1, p ** 2 * nu)
         report["stabilizer_relation_ok"] = vol == Fraction(1, p) / vinv_n
-    P = local_factor(traced)
+    P = factor_of_period(period, case, p)
     report[check] = P == euler_poly(kind, p).involute_at_one()
     report["vector"] = vec
     report["p_trace"] = P

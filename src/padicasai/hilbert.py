@@ -252,12 +252,16 @@ def ingest(doc: Mapping) -> EigenformData:
         d = int(d)
         if d in (0, 1) or any(d % (q * q) == 0 for q in range(2, abs(d)) if q * q <= abs(d)):
             raise SchemaError("d must be squarefree and not a square")
+    if not isinstance(doc["primes"], Mapping):
+        raise SchemaError("primes must be an object")
     primes = {}
     for key, rec in doc["primes"].items():
         p = int(key)
         kind = rec["type"]
         if kind not in ("inert", "split"):
             raise SchemaError(f"bad splitting type at {p}")
+        if not (isinstance(rec["lambda"], list) and isinstance(rec["omega"], list)):
+            raise SchemaError(f"lambda and omega at {p} must be lists")
         lam = [CoefElem.from_json(v, d) for v in rec["lambda"]]
         om = [CoefElem.from_json(v, d) for v in rec["omega"]]
         want = 1 if kind == "inert" else 2

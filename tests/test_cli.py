@@ -111,6 +111,21 @@ def test_verify_suite_workers_independent():
     assert r1.stdout == r2.stdout
 
 
+# one prime of the builtin synthetic_w2 form; hilbert-check accepts it as is
+PRIME3 = {"type": "inert", "lambda": ["2"], "omega": ["1"]}
+FORM = {
+    "schema": 1,
+    "field_disc": 12,
+    "weights": {"k": [2, 2], "t": [0, 0]},
+    "coefficient_field": {"d": None},
+    "primes": {"3": PRIME3},
+}
+
+
+def form_with_lambda(lam):
+    return dict(FORM, primes={"3": dict(PRIME3, **{"lambda": lam})})
+
+
 SINGULAR = json.dumps([[{"a": "1", "b": "0"}, {"a": "1", "b": "0"}], [{"a": "1", "b": "0"}, {"a": "1", "b": "0"}]])
 MALFORMED = {
     "matrix zero denominator": ["zeta", "--phi", "builtin:unramified", "--g", "n:1/0"],
@@ -127,14 +142,39 @@ MALFORMED = {
     "prime nine zeta": ["--prime", "9", "zeta", "--phi", "builtin:unramified"],
     "prime nine euler-poly": ["--prime", "9", "euler-poly", "--kind", "asai_inert"],
     "prime fifteen delta1": ["--prime", "15", "delta1-verify"],
+    # JSON documents of the wrong shape; a dict or list below is written to
+    # a file and passed by its path
+    "elem terms not a list": ["satake", "--elem", json.dumps({"group": "inert_F", "terms": "x"})],
+    "elem not an object": ["satake", "--elem", "[1]"],
+    "elem zero denominator": ["satake", "--elem", json.dumps({"group": "inert_F", "terms": [{"T": 1, "coef": "1/0"}]})],
+    "phi cell not an object": ["zeta", "--phi", json.dumps({"level": 1, "cells": [5]})],
+    "inputs not a list": ["hilbert-check", "--form", "builtin:synthetic_w2", "--ell", "5", "--inputs", {"p": 11}],
+    "form lambda zero denominator": ["hilbert-check", "--ell", "5", "--form", form_with_lambda(["1/0"])],
+    "form lambda not a list": ["hilbert-check", "--ell", "5", "--form", form_with_lambda("2")],
+    "form primes not an object": ["hilbert-check", "--ell", "5", "--form", dict(FORM, primes=[])],
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
-def test_malformed_input_exits_2(name):
-    r = run("--prime", "3", *MALFORMED[name])
+def test_malformed_input_exits_2(name, tmp_path):
+    args = []
+    for i, arg in enumerate(MALFORMED[name]):
+        if not isinstance(arg, str):
+            path = tmp_path / f"doc{i}.json"
+            path.write_text(json.dumps(arg))
+            arg = str(path)
+        args.append(arg)
+    r = run("--prime", "3", *args)
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
+
+
+def test_well_formed_form_file_runs(tmp_path):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(FORM))
+    r = run("--prime", "3", "hilbert-check", "--form", str(path), "--ell", "5")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["member"] is True
 
 
 def test_negative_level_phi_runs():

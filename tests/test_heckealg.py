@@ -1,13 +1,32 @@
+import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from padicasai.exactnum import AB, UV, Lau, NotInImage, complete_homog, sym_expand, sym_invert_params, sym_reduce
+from padicasai.exactnum import (
+    AB,
+    UV,
+    Lau,
+    NotDivisible,
+    NotInImage,
+    complete_homog,
+    sym_expand,
+    sym_invert_params,
+    sym_reduce,
+)
 from padicasai.heckealg import (
+    INERT_VARS,
+    SPLIT_VARS,
     EulerPoly,
     HeckeElem,
+    HeckeIdealCert,
     NotMember,
+    _mod,
+    _mod_divide_principal,
+    _vars_for,
+    divide_exact_int,
     euler_poly,
     gstar_gen,
     hecke_homog,
@@ -335,3 +354,325 @@ def test_entry_points_refuse_p_not_an_odd_prime(p):
 def test_entry_points_accept_odd_primes(p):
     h = euler_poly("asai_inert", p).at_one()
     assert inv_satake(satake(h, p), "inert_F", p) == h
+
+
+# -- ideal certificates on Lau arithmetic against the dict-arithmetic oracle ----
+#
+# The helpers below are the earlier mod-(p-1) arithmetic on exponent dicts,
+# kept verbatim as the reference for _mod_divide_principal and ideal_cert.
+
+
+def mod_reduce_oracle(h: HeckeElem, m: int) -> dict:
+    """Coefficients mod m = p - 1 (p maps to 1, so p-power denominators drop)."""
+    out = {}
+    for e, c in h.poly.terms.items():
+        num = c.numerator % m
+        den = c.denominator % m
+        # denominator is a p power, p = 1 mod m, so den = 1 mod m
+        if den != 1 % m:
+            inv = pow(den, -1, m)
+            num = num * inv % m
+        if num:
+            out[e] = num
+    return out
+
+
+def _mod_poly_sub(a: dict, b: dict, m: int) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        v = (out.get(e, 0) - c) % m
+        if v:
+            out[e] = v
+        elif e in out:
+            del out[e]
+    return out
+
+
+def _mod_poly_mul_mono(a: dict, exps, coef: int, m: int) -> dict:
+    out = {}
+    for e, c in a.items():
+        e2 = tuple(x + y for x, y in zip(e, exps))
+        v = c * coef % m
+        if v:
+            out[e2] = v
+    return out
+
+
+def _shift_var(d: dict, var_index: int, k: int) -> dict:
+    if k == 0 or not d:
+        return dict(d)
+    return {tuple(x + (k if i == var_index else 0) for i, x in enumerate(e)): c for e, c in d.items()}
+
+
+def mod_divide_principal_oracle(P: dict, Q: dict, var_index: int, m: int):
+    """Divide P by Q in the Laurent ring (Z/m)[gens^+-] along one variable.
+
+    Requires the leading coefficient of Q in that variable to be a single
+    monomial with a unit coefficient mod m (then division with remainder is
+    unique since that leading unit makes Q regular).  Returns
+    (quotient, remainder) or None when the leading-unit test fails.
+    """
+    if not Q:
+        raise ZeroDivisionError
+    if not P:
+        return {}, {}
+    # normalize away negative powers of the principal variable
+    sp = min(e[var_index] for e in P)
+    sq = min(e[var_index] for e in Q)
+    Ps = _shift_var(P, var_index, -sp)
+    Qs = _shift_var(Q, var_index, -sq)
+    dq = max(e[var_index] for e in Qs)
+    lead = {e: c for e, c in Qs.items() if e[var_index] == dq}
+    if len(lead) != 1:
+        return None
+    ((lexp, lcoef),) = lead.items()
+    try:
+        linv = pow(lcoef, -1, m)
+    except ValueError:
+        return None
+    quot: dict = {}
+    rem = dict(Ps)
+    while rem:
+        dr = max(e[var_index] for e in rem)
+        if dr < dq:
+            break
+        e = min(e for e in rem if e[var_index] == dr)
+        c = rem[e]
+        qe = tuple(x - y for x, y in zip(e, lexp))
+        qc = c * linv % m
+        quot[qe] = (quot.get(qe, 0) + qc) % m
+        if quot[qe] == 0:
+            del quot[qe]
+        rem = _mod_poly_sub(rem, _mod_poly_mul_mono(Qs, qe, qc, m), m)
+    return _shift_var(quot, var_index, sp - sq), _shift_var(rem, var_index, sp)
+
+
+def _one_minus_s_mod(group: str, m: int) -> dict:
+    vs = _vars_for(group)
+    one = (0,) * len(vs)
+    s = tuple(1 if i == 1 else 0 for i in range(len(vs)))
+    return {one: 1 % m, s: (-1) % m}
+
+
+def _extract_one_minus_s(Q: dict, group: str, m: int):
+    """Q = (1 - S)^j * Q1 mod m with (1 - S) exactly divided out."""
+    oms = _one_minus_s_mod(group, m)
+    j = 0
+    cur = Q
+    while True:
+        res = mod_divide_principal_oracle(cur, oms, 1, m)
+        if res is None:
+            break
+        q, r = res
+        if r:
+            break
+        cur = q
+        j += 1
+        if not cur:
+            break
+    return j, cur
+
+
+def _lift_mod_poly(d: dict, group: str, m: int) -> HeckeElem:
+    terms = {}
+    for e, c in d.items():
+        c = c % m
+        terms[e] = c - m if c > m // 2 else c
+    return HeckeElem(group, Lau(_vars_for(group), terms))
+
+
+def _project_balanced(h: HeckeElem, group: str) -> HeckeElem:
+    """Keep the determinant-balanced monomials (projection onto the G* image)."""
+    terms = {e: c for e, c in h.poly.terms.items() if e[0] + 2 * e[1] == e[2] + 2 * e[3]}
+    return HeckeElem(group, Lau(h.poly.vars, terms))
+
+
+def ideal_cert_oracle(P: HeckeElem, gen1_kind: str, Q: HeckeElem, p: int) -> HeckeIdealCert:
+    """Certificate that P lies in <gen1, Q>, gen1 = (p-1) or (p-1)(1-S).
+
+    Algorithm: reduce mod p - 1 (p becomes invertible, in fact 1); peel off
+    the (1 - S)-factors both generators share; divide by the remaining
+    unit-T-leading part; lift the quotient and divide the discrepancy by
+    gen1 exactly.  NotMember carries the offending remainder.
+    """
+    group = P.group
+    if Q.group != group:
+        raise ValueError("mixed groups")
+    if not (P.is_integral(p) and Q.is_integral(p)):
+        raise ValueError("ideal_cert expects Z[1/p] coefficients")
+    m = p - 1
+    vs = _vars_for(group)
+
+    if gen1_kind == "(p-1)(1-S)":
+        if group not in ("inert_F", "gstar_inert"):
+            raise ValueError("the (p-1)(1-S) ideal arises in the inert setting")
+        one = HeckeElem.one(group)
+        S = HeckeElem.gen(group, "S")
+        # both generators carry a (1 - S) factor, so the ideal is
+        # (1 - S) * <p-1, Q/(1-S)> and membership reduces to the p-1 case
+        try:
+            Q1 = HeckeElem(group, Q.poly.exact_div((one - S).poly))
+        except NotDivisible as exc:
+            raise ValueError("second generator is not divisible by (1 - S)") from exc
+        try:
+            P1 = HeckeElem(group, P.poly.exact_div((one - S).poly))
+        except NotDivisible:
+            raise NotMember("target not divisible by (1 - S)", P)
+        inner = ideal_cert_oracle(P1, "p-1", Q1, p)
+        cert = HeckeIdealCert(P, gen1_kind, Q, inner.U, inner.V, p)
+        if not cert.verify():
+            raise AssertionError("certificate re-expansion failed")
+        return cert
+
+    if gen1_kind != "p-1":
+        raise ValueError(f"unknown ideal kind {gen1_kind!r}")
+
+    Pm = mod_reduce_oracle(P, m)
+    Qm = mod_reduce_oracle(Q, m)
+    if not Qm:
+        if Pm:
+            raise NotMember("Q vanishes mod p-1 but P does not", P)
+        V = HeckeElem.zero(group)
+        U = divide_exact_int(P - Q * V, m, p)
+        cert = HeckeIdealCert(P, gen1_kind, Q, U, V, p)
+        if not cert.verify():
+            raise AssertionError("certificate re-expansion failed")
+        return cert
+    j, Q1m = _extract_one_minus_s(Qm, group, m)
+    cur = Pm
+    for _ in range(j):
+        res = mod_divide_principal_oracle(cur, _one_minus_s_mod(group, m), 1, m)
+        if res is None or res[1]:
+            raise NotMember("target lacks the (1 - S) factor mod p-1", _lift_mod_poly(cur, group, m))
+        cur = res[0]
+    # principal variable: T (index 0); for split also try T2 (index 2)
+    quotient = None
+    for vi in (0, 2) if len(vs) == 4 else (0,):
+        res = mod_divide_principal_oracle(cur, Q1m, vi, m)
+        if res is not None:
+            q, r = res
+            if not r:
+                quotient = q
+                break
+            last_rem = r
+        else:
+            last_rem = None
+    if quotient is None:
+        rem = _lift_mod_poly(last_rem, group, m) if last_rem else None
+        raise NotMember("nonzero remainder mod p-1", rem)
+    V = _lift_mod_poly(quotient, group, m)
+    if group == "gstar_split":
+        V = _project_balanced(V, group)
+    U = divide_exact_int(P - Q * V, m, p)
+    cert = HeckeIdealCert(P, gen1_kind, Q, U, V, p)
+    if not cert.verify():
+        raise NotMember("lifted cofactors failed re-expansion", cert.target - Q * V)
+    return cert
+
+
+def rand_laurent(rng, vs, n_terms, coef):
+    """Random Laurent polynomial with negative exponents in every variable."""
+    return Lau(vs, {tuple(rng.randint(-2, 2) for _ in vs): coef(rng) for _ in range(n_terms)})
+
+
+def rand_unit_led(rng, vs, i, m):
+    """A polynomial whose leading part in variable i is a single monomial;
+    its coefficient is a non-unit mod m about one time in four."""
+    deg = rng.randint(1, 2)
+    lead = [rng.randint(0, 1) for _ in vs]
+    lead[i] = deg
+    rest = rand_laurent(rng, vs, rng.randint(1, 3), lambda r: r.randint(1, m - 1))
+    rest = Lau(vs, {e: c for e, c in rest.terms.items() if e[i] < deg})
+    lc = rng.choice([c for c in range(1, m) if math.gcd(c, m) > 1] or [1]) if rng.random() < 0.25 else 1
+    return rest + Lau.monomial(vs, lead, lc)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_mod_divide_principal_matches_dict_oracle(p):
+    m = p - 1
+    rng = random.Random(p)
+    seen = {"divided": 0, "refused": 0}
+    for vs in (INERT_VARS, SPLIT_VARS):
+        for i in range(len(vs)):
+            for _ in range(20):
+                if rng.random() < 0.7:
+                    Q = rand_unit_led(rng, vs, i, m)
+                else:
+                    Q = rand_laurent(rng, vs, 3, lambda r: r.randint(-9, 9))
+                P = rand_laurent(rng, vs, rng.randint(0, 4), lambda r: Fraction(r.randint(-20, 20), p ** r.randint(0, 2)))
+                if rng.random() < 0.5:
+                    P = P + Q * rand_laurent(rng, vs, 2, lambda r: r.randint(-5, 5))
+                Pm, Qm = _mod(P, m), _mod(Q, m)
+                # the oracle reads only .poly; T exponents may be negative here
+                Pd, Qd = (mod_reduce_oracle(SimpleNamespace(poly=f), m) for f in (P, Q))
+                assert Pm == Lau(vs, Pd) and Qm == Lau(vs, Qd)
+                if Qm.is_zero():
+                    continue
+                got = _mod_divide_principal(Pm, Qm, i, m)
+                want = mod_divide_principal_oracle(Pd, Qd, i, m)
+                if want is None:
+                    assert got is None
+                    seen["refused"] += 1
+                else:
+                    assert got == (Lau(vs, want[0]), Lau(vs, want[1]))
+                    seen["divided"] += 1
+    assert seen["divided"] > 50 and seen["refused"] > 0
+
+
+def rand_member_part(rng, group, p):
+    """Random element with Z[1/p] coefficients; balanced monomials for gstar_split."""
+    vs = INERT_VARS if group in ("inert_F", "gstar_inert") else SPLIT_VARS
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        if len(vs) == 2:
+            e = (rng.randint(0, 2), rng.randint(-2, 2))
+        else:
+            a, b, c = rng.randint(0, 2), rng.randint(-1, 1), rng.randint(0, 2)
+            if group == "gstar_split":
+                c = a if (a + c) % 2 else c
+                e = (a, b, c, (a + 2 * b - c) // 2)
+            else:
+                e = (a, b, c, rng.randint(-1, 1))
+        terms[e] = Fraction(rng.randint(-6, 6), p ** rng.randint(0, 2))
+    return HeckeElem(group, Lau(vs, terms))
+
+
+# (group, ideal kind, Euler polynomial whose involuted value at 1 is Q)
+CERT_CASES = [
+    ("inert_F", "p-1", "standard_F"),
+    ("inert_F", "p-1", "asai_inert"),
+    ("inert_F", "(p-1)(1-S)", "asai_inert"),
+    ("gstar_inert", "p-1", "asai_star_inert"),
+    ("gstar_inert", "(p-1)(1-S)", "asai_star_inert"),
+    ("split_pair", "p-1", "rs_split"),
+    ("gstar_split", "p-1", "asai_star_split"),
+]
+
+
+def cert_outcome(fn, *args):
+    try:
+        return "cert", fn(*args).to_json()
+    except NotMember as exc:
+        rem = exc.remainder
+        return "NotMember", str(exc), None if rem is None else rem.to_json()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+@pytest.mark.parametrize("group,kind,euler", CERT_CASES)
+def test_ideal_cert_matches_dict_oracle(group, kind, euler, p):
+    rng = random.Random(f"{group}{kind}{euler}{p}")
+    Q = euler_poly(euler, p).involute_at_one()
+    outcomes = []
+    for _ in range(8):
+        U, V = rand_member_part(rng, group, p), rand_member_part(rng, group, p)
+        cert = HeckeIdealCert(Q, kind, Q, U, V, p)
+        member = cert.gen1() * U + Q * V
+        got = cert_outcome(ideal_cert, member, kind, Q, p)
+        assert got[0] == "cert"
+        assert got == cert_outcome(ideal_cert_oracle, member, kind, Q, p)
+        # a perturbed target is mostly a non-member: same remainder either way
+        other = member + rand_member_part(rng, group, p)
+        got = cert_outcome(ideal_cert, other, kind, Q, p)
+        assert got == cert_outcome(ideal_cert_oracle, other, kind, Q, p)
+        outcomes.append(got[0])
+    assert "NotMember" in outcomes

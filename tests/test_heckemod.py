@@ -377,6 +377,25 @@ def test_delta1_split(F3):
     assert star.group == "gstar_split"
 
 
+@pytest.mark.parametrize("case", ["inert", "split"])
+def test_delta1_computes_each_traced_period_once(case, monkeypatch):
+    # A(s) and the traced local factor come from one period value: one
+    # engine call per term of the traced vector, not two
+    from padicasai import whitzeta
+
+    engine = whitzeta._zeta_engine
+    calls = []
+
+    def counted(phi, gs, *args, **kwargs):
+        calls.append(gs)
+        return engine(phi, gs, *args, **kwargs)
+
+    monkeypatch.setattr(whitzeta, "_zeta_engine", counted)
+    rep = delta1(QuadCtx.make(5), case)
+    assert len(calls) == len(rep["vector"].terms) == 2
+    assert all(v for v in rep.values() if isinstance(v, bool))
+
+
 def test_integrality_refuses_more_cells_than_the_cap(F3):
     # the refined function is the same function, so a truncated enumeration
     # would show as a different stabilizer volume; above the cap it raises
