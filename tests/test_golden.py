@@ -33,6 +33,10 @@ CASES = {
     "zeta_normalize_phi_p2": ["--prime", "3", "zeta", "--phi", "builtin:phi_p2", "--g", "n_b:1", "--normalize"],
     "zeta_split": ["--prime", "3", "zeta", "--phi", "builtin:unramified", "--case", "split", "--g", "identity;t:1,0"],
     "zeta_satake_normalize": ["--prime", "3", "--satake", "2,3", "zeta", "--phi", "builtin:unramified", "--normalize"],
+    "zeta_split_satake_normalize": [
+        "--prime", "3", "--satake", "2,3,5,7", "zeta", "--case", "split",
+        "--phi", "builtin:phi_p2", "--g", "identity;n:1/3", "--normalize",
+    ],
     **{
         f"euler_poly_{kind}": ["--prime", "3", "euler-poly", "--kind", kind]
         for kind in ("asai_inert", "asai_star_inert", "asai_star_split", "standard_F", "rs_split")
