@@ -18,12 +18,12 @@ one = Mat2.identity(ctx)
 res = zeta_asai(phi, one, ctx)
 print("Z(ch(Z_p^2), W, s) =", res.ratfunc)
 
-print("\nnormalized period on the unramified vector:", zeta_asai(phi, one, ctx, normalize=True))
+print("\nnormalized period on the unramified vector:", res.normalized())
 
 # a translated vector: the value changes, the normalized period is computed
 # the same way and the result is still a polynomial in the parameters
 n = Mat2.n_b(1, ctx)
-print("normalized on the n_1-translate:", zeta_asai(phi, n, ctx, normalize=True))
+print("normalized on the n_1-translate:", zeta_asai(phi, n, ctx).normalized())
 
 # the split (Rankin-Selberg) analogue
 res2 = zeta_rs_split(phi, (one, one), ctx)

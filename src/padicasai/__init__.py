@@ -47,7 +47,6 @@ from .heckealg import (
 )
 from .whitzeta import (
     SchwartzFn,
-    WhitParams,
     ZetaResult,
     epsilon_report,
     gauss_shell,

@@ -12,7 +12,7 @@ import random
 import time
 from fractions import Fraction
 
-from .exactnum import Lau, QuadCtx
+from .exactnum import Lau, QuadCtx, QuadElem
 from .heckealg import HeckeElem, euler_poly, iota_embed
 from .heckemod import (
     certify_ideal,
@@ -42,7 +42,6 @@ from .whitzeta import (
     gauss_shell_oracle,
     inverse_l_factor,
     lambda_form,
-    psi_normalized,
     psi_secondary,
     zeta_asai,
 )
@@ -90,7 +89,7 @@ def criterion_2_psi_identity(seed: int = 0) -> dict:
         pairs = True
         for a in range(-2, 3):
             for b in range(0, 4):
-                if lambda_form(a, b, ctx) != psi_normalized(a, b, ctx):
+                if lambda_form(a, b, ctx) != psi_secondary(a, b, ctx).normalized():
                     pairs = False
         details[p] = {"psi_L_quotient": bool(good), "lambda_matches": pairs}
         ok = ok and good and pairs
@@ -106,7 +105,6 @@ def criterion_3_decomposition_covers(seed: int = 0) -> dict:
     p = 3
     ctx = QuadCtx.make(p)
     rng = random.Random(seed)
-    from .exactnum import QuadElem
 
     def rand_mat():
         while True:
@@ -140,8 +138,6 @@ def criterion_3_decomposition_covers(seed: int = 0) -> dict:
                 fails += 1
     # exhaustive sweep over translated canonical cells with indices <= 2
     def rand_q():
-        from .exactnum import QuadElem
-
         a0 = Fraction(rng.choice([1, 2, 4, 1]), rng.choice([1, 3]))
         return Mat2(
             [QuadElem(a0, 0, ctx), QuadElem(Fraction(rng.randint(-4, 4), rng.choice([1, 3])), 0, ctx), ctx.zero(), ctx.one()],
@@ -149,8 +145,6 @@ def criterion_3_decomposition_covers(seed: int = 0) -> dict:
         )
 
     def rand_k(quad):
-        from .exactnum import QuadElem
-
         while True:
             m = Mat2(
                 [QuadElem(rng.randrange(9), rng.randrange(9) if quad else 0, ctx) for _ in range(4)],

@@ -9,9 +9,12 @@ prime, or a JSON document of the wrong shape (a --elem, --phi, --inputs or
 5 cells, whose stabilizer enumeration is capped; 4 assertion or
 verification failure, including an exact division, inverse Satake
 transform or symmetric reduction that fails inside the engine.  Without
---satake the Satake parameters stay symbolic.  Identical configuration and
-seed produce byte identical output; the worker count never changes a
-result.
+--satake the Satake parameters stay symbolic; --satake specializes the
+normalized period, so zeta needs --normalize with it, and a zero product
+of a Satake pair (a non-invertible central character) is an input error.
+verify-suite --only takes criterion numbers 1 to 10.  Identical
+configuration and seed produce byte identical output; the worker count
+never changes a result.
 """
 
 from __future__ import annotations
@@ -20,44 +23,27 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import Lau, NotDivisible, NotInImage, NotSymmetric, PrecisionOverflow, QuadCtx, is_odd_prime, json_dumps
+from .exactnum import NotDivisible, NotInImage, NotSymmetric, PrecisionOverflow, QuadCtx, is_odd_prime, json_dumps
 from .heckealg import HeckeElem, NotMember, euler_poly, satake
 from .heckemod import TestVector, certify_ideal, delta1, local_factor, trace_level
 from .gstar import cyclotomic_factor_candidate, gstar_factor
-from .hilbert import EigenformData, SchemaError, ingest, load_fixture, period_ideal_check
+from .hilbert import EigenformData, ingest, load_fixture, period_ideal_check
 from .padicgrp import DecompositionError, Mat2
-from .whitzeta import SchwartzFn, WhitParams, zeta_asai, zeta_rs_split
+from .whitzeta import SchwartzFn, zeta_asai, zeta_rs_split
 from . import acceptance
 
 
-@dataclass
-class RunConfig:
-    prime: int
-    nonresidue: int | None = None
-    precision_cap: int = 12
-    satake_values: str | None = None
-    seed: int = 0
-    workers: int = 1
-    out: str | None = None
-
-    def __post_init__(self):
-        if not is_odd_prime(self.prime):
-            raise ValueError(f"the prime {self.prime} is not an odd prime")
-        if self.precision_cap < 2:
-            raise ValueError("precision cap must be at least 2")
-
-    def ctx(self) -> QuadCtx:
-        return QuadCtx.make(self.prime, self.nonresidue)
+def _ctx(args) -> QuadCtx:
+    return QuadCtx.make(args.prime, args.nonresidue)
 
 
-def _emit(cfg: RunConfig, payload: dict, summary: str) -> None:
+def _emit(args, payload: dict, summary: str) -> None:
     text = json_dumps(payload)
     sys.stdout.write(text + "\n")
-    if cfg.out:
-        with open(cfg.out, "w") as f:
+    if args.out:
+        with open(args.out, "w") as f:
             f.write(text + "\n")
     sys.stderr.write(summary + "\n")
 
@@ -109,29 +95,31 @@ def _parse_phi(p: int, spec: str) -> SchwartzFn:
 
 
 @_input_parser
-def _params(cfg: RunConfig, case: str) -> WhitParams | None:
-    if not cfg.satake_values:
-        return None
-    vals = [Fraction(v) for v in cfg.satake_values.split(",")]
-    if case == "inert":
-        a, b = vals
-        return WhitParams("inert", {"e1": a + b, "e2": a * b})
-    u1, v1, u2, v2 = vals
-    return WhitParams(
-        "split", {"e1_1": u1 + v1, "e2_1": u1 * v1, "e1_2": u2 + v2, "e2_2": u2 * v2}
-    )
+def _satake_point(spec: str, case: str) -> dict[str, Fraction]:
+    """--satake as symmetric coordinates: A,B gives e1, e2 (inert);
+    u1,v1,u2,v2 gives e1_i, e2_i per component (split)."""
+    vals = [Fraction(v) for v in spec.split(",")]
+    suffixes = [""] if case == "inert" else ["_1", "_2"]
+    if len(vals) != 2 * len(suffixes):
+        raise ValueError(f"--satake takes {2 * len(suffixes)} values in the {case} case")
+    point = {}
+    for sfx, x, y in zip(suffixes, vals[::2], vals[1::2]):
+        if x * y == 0:
+            raise ValueError("central character value must be invertible")
+        point["e1" + sfx], point["e2" + sfx] = x + y, x * y
+    return point
 
 
 @_input_parser
-def _load_vector(cfg: RunConfig, path: str) -> TestVector:
-    ctx = cfg.ctx()
-    with open(path) as f:
+def _load_vector(args) -> TestVector:
+    ctx = _ctx(args)
+    with open(args.vector) as f:
         doc = json.load(f)
     case, level, star = doc["case"], doc["level"], bool(doc.get("star", False))
     TestVector(ctx, case, level, [], star)  # an unknown case or level fails before any term
     terms = []
     for t in doc["terms"]:
-        phi = SchwartzFn.from_json(t["phi"], cfg.prime)
+        phi = SchwartzFn.from_json(t["phi"], args.prime)
         try:
             gs = [Mat2.from_json(m, ctx) for m in (t["g"] if case == "split" else [t["g"]])]
             if len(gs) != (2 if case == "split" else 1):
@@ -148,83 +136,82 @@ def _parse_elem(spec: str) -> HeckeElem:
     return HeckeElem.from_json(json.loads(spec))
 
 
-def cmd_satake(cfg: RunConfig, args) -> None:
+def cmd_satake(args) -> None:
     h = _parse_elem(args.elem)
-    img = satake(h, cfg.prime)
-    _emit(cfg, {"input": h.to_json(), "satake": img.to_json()}, f"satake transform of a {h.group} element")
+    img = satake(h, args.prime)
+    _emit(args, {"input": h.to_json(), "satake": img.to_json()}, f"satake transform of a {h.group} element")
 
 
-def cmd_euler_poly(cfg: RunConfig, args) -> None:
-    ep = euler_poly(args.kind, cfg.prime)
+def cmd_euler_poly(args) -> None:
+    ep = euler_poly(args.kind, args.prime)
     payload = {
         "kind": args.kind,
         "coefficients": [c.to_json() for c in ep.coeffs],
         "at_one": ep.at_one().to_json(),
         "involuted_at_one": ep.involute_at_one().to_json(),
     }
-    _emit(cfg, payload, f"Euler polynomial {args.kind} at p={cfg.prime}")
+    _emit(args, payload, f"Euler polynomial {args.kind} at p={args.prime}")
 
 
-def cmd_zeta(cfg: RunConfig, args) -> None:
-    ctx = cfg.ctx()
-    phi = _parse_phi(cfg.prime, args.phi)
+def cmd_zeta(args) -> None:
+    ctx = _ctx(args)
+    phi = _parse_phi(args.prime, args.phi)
     case = args.case
-    params = _params(cfg, case)
+    if args.satake and not args.normalize:
+        raise ValueError("--satake specializes the normalized period: add --normalize")
+    point = _satake_point(args.satake, case) if args.satake else None
     if case == "split":
         gs = tuple(_parse_matrix(ctx, s) for s in args.g.split(";"))
-        out = zeta_rs_split(phi, gs, ctx, normalize=args.normalize, params=params, level_cap=cfg.precision_cap)
+        res = zeta_rs_split(phi, gs, ctx, level_cap=args.precision_cap)
     else:
-        g = _parse_matrix(ctx, args.g)
-        out = zeta_asai(phi, g, ctx, normalize=args.normalize, params=params, level_cap=cfg.precision_cap)
-    if args.normalize:
-        if isinstance(out, Lau):
-            payload = {"normalized": out.to_json()}
-        else:
-            payload = {"normalized_value": str(out)}
-    else:
-        payload = out.to_json()
-    _emit(cfg, payload, f"zeta integral ({case}, normalize={args.normalize})")
+        res = zeta_asai(phi, _parse_matrix(ctx, args.g), ctx, level_cap=args.precision_cap)
+    if not args.normalize:
+        _emit(args, res.to_json(), f"zeta integral ({case})")
+        return
+    sym = res.normalized()
+    payload = {"normalized": sym.to_json()} if point is None else {"normalized_value": str(sym.eval(point))}
+    _emit(args, payload, f"normalized zeta integral ({case})")
 
 
-def cmd_local_factor(cfg: RunConfig, args) -> None:
-    vec = _load_vector(cfg, args.vector)
+def cmd_local_factor(args) -> None:
+    vec = _load_vector(args)
     if vec.level == "K[p]":
         vec = trace_level(vec)
     P = local_factor(vec)
-    _emit(cfg, {"local_factor": P.to_json()}, "local factor computed")
+    _emit(args, {"local_factor": P.to_json()}, "local factor computed")
 
 
-def cmd_certify(cfg: RunConfig, args) -> None:
-    vec = _load_vector(cfg, args.vector)
+def cmd_certify(args) -> None:
+    vec = _load_vector(args)
     rep = certify_ideal(vec, args.part)
     if not rep.verified():
         raise AssertionError("certificate failed verification")
-    _emit(cfg, rep.to_json(), f"part {args.part} certificate verified")
+    _emit(args, rep.to_json(), f"part {args.part} certificate verified")
 
 
-def cmd_delta1_verify(cfg: RunConfig, args) -> None:
-    rep = delta1(cfg.ctx(), args.case)
+def cmd_delta1_verify(args) -> None:
+    rep = delta1(_ctx(args), args.case)
     vec = rep.pop("vector")
     p_tr = rep.pop("p_trace")
     rep["traced_local_factor"] = p_tr.to_json()
     checks = [v for k, v in rep.items() if isinstance(v, bool)]
     if not all(checks):
-        _emit(cfg, rep, "delta_1 verification FAILED")
+        _emit(args, rep, "delta_1 verification FAILED")
         raise AssertionError("delta_1 verification failed")
-    _emit(cfg, rep, f"delta_1 ({args.case}, p={cfg.prime}): all identities verified")
+    _emit(args, rep, f"delta_1 ({args.case}, p={args.prime}): all identities verified")
 
 
-def cmd_gstar_factor(cfg: RunConfig, args) -> None:
+def cmd_gstar_factor(args) -> None:
     if args.vector:
-        vec = _load_vector(cfg, args.vector)
+        vec = _load_vector(args)
     else:
-        vec = delta1(cfg.ctx(), args.case)["vector"]
+        vec = delta1(_ctx(args), args.case)["vector"]
     out = gstar_factor(vec)
     payload = out.to_json()
     payload["cyclotomic_candidate"] = cyclotomic_factor_candidate(out)
     if not out.cert.verified:
         raise AssertionError("G* certificate failed verification")
-    _emit(cfg, payload, "G* local factor and certificate computed")
+    _emit(args, payload, "G* local factor and certificate computed")
 
 
 @_input_parser
@@ -252,21 +239,24 @@ def _load_form(spec: str) -> EigenformData:
         return ingest(json.load(f))
 
 
-def cmd_hilbert_check(cfg: RunConfig, args) -> None:
+def cmd_hilbert_check(args) -> None:
     data = _load_form(args.form)
     inputs = _load_local_inputs(args.inputs) if args.inputs else []
     s0 = [int(x) for x in args.s0.split(",")] if args.s0 else []
     rep = period_ideal_check(
         data, inputs, s0, args.ell, assume_class_coprime=args.assume_coprime
     )
-    _emit(cfg, rep, f"period check: member={rep['member']}")
+    _emit(args, rep, f"period check: member={rep['member']}")
     if not rep["member"]:
         raise AssertionError("period value outside the stated ideal")
 
 
-def cmd_verify_suite(cfg: RunConfig, args) -> None:
+def cmd_verify_suite(args) -> None:
     only = [int(x) for x in args.only.split(",")] if args.only else None
-    rep = acceptance.run_suite(seed=cfg.seed, workers=cfg.workers, only=only)
+    n = len(acceptance.CRITERIA)
+    if only and not all(1 <= i <= n for i in only):
+        raise ValueError(f"--only takes criterion numbers 1 to {n}")
+    rep = acceptance.run_suite(seed=args.seed, workers=args.workers, only=only)
     lines = [
         f"  [{r['criterion']:2d}] {'PASS' if r['ok'] else 'FAIL'}  {r['name']} ({r['seconds']}s)"
         for r in rep["criteria"]
@@ -276,7 +266,7 @@ def cmd_verify_suite(cfg: RunConfig, args) -> None:
         **rep,
         "criteria": [{k: v for k, v in r.items() if k != "seconds"} for r in rep["criteria"]],
     }
-    _emit(cfg, payload, "acceptance battery:\n" + "\n".join(lines))
+    _emit(args, payload, "acceptance battery:\n" + "\n".join(lines))
     if not rep["all_ok"]:
         raise AssertionError("acceptance criteria failed")
 
@@ -293,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--satake",
         default=None,
         metavar="A,B",
-        help="specialize the parameters: A,B (inert) or u1,v1,u2,v2 (split)",
+        help="specialize the normalized period (zeta --normalize): A,B (inert) or u1,v1,u2,v2 (split)",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -335,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--assume-coprime", action="store_true")
 
     s = sub.add_parser("verify-suite", help="run the acceptance battery")
-    s.add_argument("--only", default=None, help="comma-separated criterion numbers")
+    s.add_argument("--only", default=None, help="comma-separated criterion numbers, 1 to 10")
     return ap
 
 
@@ -356,16 +346,11 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        cfg = RunConfig(
-            prime=args.prime,
-            nonresidue=args.nonresidue,
-            precision_cap=args.precision_cap,
-            satake_values=args.satake,
-            seed=args.seed,
-            workers=args.workers,
-            out=args.out,
-        )
-        COMMANDS[args.command](cfg, args)
+        if not is_odd_prime(args.prime):
+            raise ValueError(f"the prime {args.prime} is not an odd prime")
+        if args.precision_cap < 2:
+            raise ValueError("precision cap must be at least 2")
+        COMMANDS[args.command](args)
         return 0
     except PrecisionOverflow as exc:
         sys.stderr.write(f"precision overflow: {exc}\n")
@@ -375,7 +360,7 @@ def main(argv=None) -> int:
         # raises them: a verification failure, not an input error
         sys.stderr.write(f"verification failure: {exc}\n")
         return 4
-    except (ValueError, KeyError, OSError, SchemaError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import QuadCtx
+from .exactnum import QuadCtx, QuadElem
 from .heckealg import (
     HeckeElem,
     HeckeIdealCert,
@@ -30,7 +30,7 @@ from .heckealg import (
     iota_solve,
     monomial_det_val,
 )
-from .heckemod import TestVector, local_factor, trace_level
+from .heckemod import TestVector, local_factor, trace_level, vector_is_integral
 from .padicgrp import Mat2, sl2_diag_factor
 
 
@@ -66,8 +66,6 @@ def gstar_factor(vec: TestVector) -> GStarFactorReport:
     """
     if not vec.star or vec.level != "K[p]":
         raise ValueError("gstar_factor expects a G* vector at determinant level")
-    from .heckemod import vector_is_integral
-
     if not vector_is_integral(vec):
         raise ValueError("the vector fails its integrality precondition")
     p = vec.ctx.p
@@ -198,8 +196,6 @@ def _rand_sl2_base(ctx: QuadCtx, rng) -> Mat2:
 
 
 def _rand_sl2_quad(ctx: QuadCtx, rng) -> Mat2:
-    from .exactnum import QuadElem
-
     p = ctx.p
 
     def qe():

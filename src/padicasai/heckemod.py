@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 from typing import Sequence
 
 from .exactnum import Lau, PrecisionOverflow, QuadCtx, QuadElem, RatFunc, in_z_inv_p
@@ -53,6 +53,7 @@ from .whitzeta import (
     VS_SPLIT,
     eps_operator,
     godement_section,
+    lambda_form,
     normalized_limit,
     zeta_asai,
     zeta_rs_split,
@@ -136,8 +137,6 @@ def _cell_permutations(phi: SchwartzFn):
     Raises PrecisionOverflow above MAX_PERMUTED_CELLS cells, where the
     enumeration (one Smith form per bijection) is not attempted.
     """
-    from itertools import permutations
-
     cells = sorted(phi.cells)
     if len(cells) > MAX_PERMUTED_CELLS:
         raise PrecisionOverflow(
@@ -412,8 +411,6 @@ def _act_on_mirabolic(h: HeckeElem, ctx: QuadCtx) -> dict:
 
 def lambda_of_chain(chain: XiPhiChain, ctx: QuadCtx) -> Lau:
     """Lambda(Phi_c(Xi_c(delta))) as a symmetric-coordinate polynomial."""
-    from .whitzeta import lambda_form
-
     out = Lau(("e1", "e2"))
     for (a, b), c in chain.collapsed.items():
         out = out + lambda_form(a, b, ctx) * c

@@ -248,37 +248,6 @@ class SchwartzFn:
 
 
 # ---------------------------------------------------------------------------
-# parameters
-
-
-@dataclass(frozen=True)
-class WhitParams:
-    """Satake data: symbolic, or specialized values of the symmetric
-    coordinates (e1, e2) per group component.  The parameter product (the
-    central character value) must be invertible; degenerate choices such
-    as e2 = 1 (trivial central character) are the caller's concern where
-    the linear-form statements need them excluded."""
-
-    case: str  # "inert" or "split"
-    values: Mapping[str, object] | None = None  # e.g. {"e1": Fraction, "e2": ...}
-
-    def __post_init__(self):
-        if self.values is not None:
-            for name, v in self.values.items():
-                if name.startswith("e2") and v == 0:
-                    raise ValueError("central character value must be invertible")
-
-    @property
-    def symbolic(self) -> bool:
-        return self.values is None
-
-    def specialize(self, sym: Lau):
-        if self.values is None:
-            raise ValueError("symbolic parameters cannot specialize")
-        return sym.eval(dict(self.values))
-
-
-# ---------------------------------------------------------------------------
 # Gauss shells and the root-of-unity oracle
 
 
@@ -669,12 +638,10 @@ def _zeta_engine(
     gs: Sequence[Mat2],
     ctx: QuadCtx,
     level_cap: int = 12,
-    level_bump: int = 0,
-    provenance: str = "",
 ) -> ZetaResult:
     p = ctx.p
     vs = VS_SPLIT if len(gs) == 2 else VS_INERT
-    lam_req = _required_cell_level(gs) + level_bump
+    lam_req = _required_cell_level(gs)
     pref = Fraction(p * p, p * p - 1)  # (1 - p^-2)^-1
     omx2 = _omega_x2(vs, p)
     data_of_row: dict[tuple, tuple] = {}
@@ -734,55 +701,25 @@ def _zeta_engine(
         else:
             contrib = y * RatFunc(omx2 ** shell[1], [1 - omx2])
         acc = acc + contrib * wt
-    return ZetaResult(acc, "split" if len(gs) == 2 else "inert", provenance, p)
+    if len(gs) == 2:
+        return ZetaResult(acc, "split", "zeta_rs_split", p)
+    return ZetaResult(acc, "inert", "zeta_asai", p)
 
 
-def zeta_asai(
-    phi: SchwartzFn,
-    g: Mat2,
-    ctx: QuadCtx,
-    normalize: bool = False,
-    params: WhitParams | None = None,
-    level_cap: int = 12,
-    level_bump: int = 0,
-):
-    """The local Asai zeta integral Z(phi, g . W_sph, s), exactly.
-
-    normalize=False: ZetaResult (rational function of X with coefficients
-    Laurent in A, B).  normalize=True: the value of the normalized period
-    (multiply by the inverse L-factor, evaluate at X = 1), in symmetric
-    coordinates; specialize with params when given.
-    """
-    res = _zeta_engine(phi, [g], ctx, level_cap, level_bump, provenance="zeta_asai")
-    return _normalize_result(res, normalize, params)
+def zeta_asai(phi: SchwartzFn, g: Mat2, ctx: QuadCtx, level_cap: int = 12) -> ZetaResult:
+    """The local Asai zeta integral Z(phi, g . W_sph, s), exactly: a rational
+    function of X with coefficients Laurent in A, B.  Its normalized period
+    is .normalized(), a polynomial in the symmetric coordinates (e1, e2);
+    .normalized().eval(point) specializes it."""
+    return _zeta_engine(phi, [g], ctx, level_cap)
 
 
-def zeta_rs_split(
-    phi: SchwartzFn,
-    gpair: Sequence[Mat2],
-    ctx: QuadCtx,
-    normalize: bool = False,
-    params: WhitParams | None = None,
-    level_cap: int = 12,
-    level_bump: int = 0,
-):
+def zeta_rs_split(phi: SchwartzFn, gpair: Sequence[Mat2], ctx: QuadCtx, level_cap: int = 12) -> ZetaResult:
     """The split (Rankin-Selberg) analogue with W = W1 (x) W2."""
     g1, g2 = gpair
     if not (g1.is_rational() and g2.is_rational()):
         raise ValueError("split-case matrices live over Q_p")
-    res = _zeta_engine(phi, [g1, g2], ctx, level_cap, level_bump, provenance="zeta_rs_split")
-    return _normalize_result(res, normalize, params)
-
-
-def _normalize_result(res: ZetaResult, normalize: bool, params: WhitParams | None):
-    """The shared tail of the zeta entry points: the raw result, or its
-    normalized period, specialized when params carry values."""
-    if not normalize:
-        return res
-    sym = res.normalized()
-    if params is not None and not params.symbolic:
-        return params.specialize(sym)
-    return sym
+    return _zeta_engine(phi, [g1, g2], ctx, level_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -875,12 +812,6 @@ def lambda_form(a: int, b: int, ctx: QuadCtx) -> Lau:
     Sa = HeckeElem.gen(group, "S", a) if a != 0 else one
     op = Sa * eps_operator(b, ctx) * pas1 + Sa * (one - S)
     return satake(op, p)
-
-
-def psi_normalized(a: int, b: int, ctx: QuadCtx) -> Lau:
-    """lim_(s->0) Psi(t_a n_b W, s) / L(As Pi, s) in symmetric coordinates."""
-    res = psi_secondary(a, b, ctx)
-    return res.normalized()
 
 
 # ---------------------------------------------------------------------------

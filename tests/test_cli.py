@@ -130,6 +130,16 @@ SINGULAR = json.dumps([[{"a": "1", "b": "0"}, {"a": "1", "b": "0"}], [{"a": "1",
 MALFORMED = {
     "matrix zero denominator": ["zeta", "--phi", "builtin:unramified", "--g", "n:1/0"],
     "satake zero denominator": ["--satake", "1/0,2", "zeta", "--phi", "builtin:unramified", "--normalize"],
+    # --satake specializes the normalized period, at an invertible central character
+    "satake without normalize": ["--satake", "2,3", "zeta", "--phi", "builtin:unramified"],
+    "satake zero central character inert": ["--satake", "0,3", "zeta", "--phi", "builtin:unramified", "--normalize"],
+    "satake zero central character split": [
+        "--satake", "2,3,0,7", "zeta", "--case", "split",
+        "--phi", "builtin:phi_p2", "--g", "identity;n:1/3", "--normalize",
+    ],
+    # the battery has criteria 1 to 10
+    "only ninety-nine": ["verify-suite", "--only", "99"],
+    "only zero and seven": ["verify-suite", "--only", "0,7"],
     "cell zero denominator": [
         "zeta", "--phi", json.dumps({"level": 1, "cells": [{"c": ["1/0", "0"], "coef": "1"}]}),
     ],

@@ -25,14 +25,12 @@ from padicasai.whitzeta import (
     SchwartzFn,
     VS_INERT,
     VS_SPLIT,
-    WhitParams,
     epsilon_report,
     gauss_shell,
     gauss_shell_oracle,
     godement_section,
     lambda_form,
     psi_epsilon_extract,
-    psi_normalized,
     psi_secondary,
     wsph_value,
     zeta_asai,
@@ -156,7 +154,7 @@ def test_zeta_asai_unramified(p):
 
 
 def test_zeta_asai_normalized_unramified(F3):
-    val = zeta_asai(SchwartzFn.char_zp2(3), Mat2.identity(F3), F3, normalize=True)
+    val = zeta_asai(SchwartzFn.char_zp2(3), Mat2.identity(F3), F3).normalized()
     assert val == Lau.const(("e1", "e2"), 1)
 
 
@@ -191,8 +189,8 @@ def test_negative_level_is_refined_to_level_zero(F3):
 
 
 def test_zeta_asai_specialized(F3):
-    params = WhitParams("inert", {"e1": Fraction(1), "e2": Fraction(2)})
-    val = zeta_asai(SchwartzFn.char_zp2(3), Mat2.identity(F3), F3, normalize=True, params=params)
+    point = {"e1": Fraction(1), "e2": Fraction(2)}
+    val = zeta_asai(SchwartzFn.char_zp2(3), Mat2.identity(F3), F3).normalized().eval(point)
     assert val == 1
 
 
@@ -247,12 +245,20 @@ def test_zeta_denominator_divides_l_inverse(F3):
             pool.remove(f)
 
 
-def test_zeta_level_independence(F3):
+def test_zeta_level_independence(F3, monkeypatch):
     phi = SchwartzFn.phi_p2(3)
     g = Mat2.upper(QuadElem(0, Fraction(1, 3), F3), F3)
     a = zeta_asai(phi, g, F3).ratfunc
-    b = zeta_asai(phi, g, F3, level_bump=1).ratfunc
-    assert a == b
+    required = whitzeta._required_cell_level
+    bumped = []
+
+    def one_level_finer(gs):
+        bumped.append(required(gs) + 1)
+        return bumped[-1]
+
+    monkeypatch.setattr(whitzeta, "_required_cell_level", one_level_finer)
+    b = zeta_asai(phi, g, F3).ratfunc
+    assert bumped and a == b
 
 
 # -- the secondary integral and the linear form -------------------------------------
@@ -381,7 +387,7 @@ def test_lambda_form_matches_normalized_psi(p):
     ctx = QuadCtx.make(p)
     for a in range(-2, 3):
         for b in range(0, 4):
-            assert lambda_form(a, b, ctx) == psi_normalized(a, b, ctx)
+            assert lambda_form(a, b, ctx) == psi_secondary(a, b, ctx).normalized()
 
 
 def test_lambda_form_values(F3):
@@ -407,7 +413,7 @@ def test_zeta_rs_split_unramified(p):
 
 def test_zeta_rs_split_normalized(F3):
     one = Mat2.identity(F3)
-    val = zeta_rs_split(SchwartzFn.char_zp2(3), (one, one), F3, normalize=True)
+    val = zeta_rs_split(SchwartzFn.char_zp2(3), (one, one), F3).normalized()
     assert val == Lau.const(("e1_1", "e2_1", "e1_2", "e2_2"), 1)
 
 
