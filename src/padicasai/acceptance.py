@@ -1,8 +1,8 @@
 """The acceptance battery: every desk-scale identity the engine asserts.
 
 Each criterion is a function returning {"name", "ok", "seconds", ...};
-run_suite executes all of them (optionally in worker processes) and the
-result is reproducible bit for bit for a fixed seed.  All comparisons are
+run_suite executes the selected ones in order and the result is
+reproducible bit for bit for a fixed seed.  All comparisons are
 exact; there are no tolerances to tune.
 """
 
@@ -339,28 +339,12 @@ CRITERIA = [
 ]
 
 
-def _run_one(args):
-    idx, seed = args
-    out = CRITERIA[idx](seed=seed)
-    out["criterion"] = idx + 1
-    return out
-
-
-def run_suite(seed: int = 0, workers: int = 1, only: list[int] | None = None) -> dict:
-    """Run the battery; the report is independent of the worker count."""
-    idxs = [i for i in range(len(CRITERIA)) if only is None or (i + 1) in only]
-    jobs = [(i, seed) for i in idxs]
-    if workers > 1:
-        try:
-            import multiprocessing as mp
-
-            with mp.Pool(workers) as pool:
-                results = pool.map(_run_one, jobs)
-        except OSError:
-            results = [_run_one(j) for j in jobs]
-    else:
-        results = [_run_one(j) for j in jobs]
-    results.sort(key=lambda r: r["criterion"])
+def run_suite(seed: int = 0, only: list[int] | None = None) -> dict:
+    """Run the selected criteria in order; the report is reproducible for a fixed seed."""
+    results = []
+    for i, criterion in enumerate(CRITERIA, start=1):
+        if only is None or i in only:
+            results.append({**criterion(seed=seed), "criterion": i})
     return {
         "seed": seed,
         "all_ok": all(r["ok"] for r in results),

@@ -28,15 +28,15 @@ from typing import Iterable, Mapping, Sequence
 INF = float("inf")
 
 
-class NotSymmetric(ValueError):
+class NotSymmetric(AssertionError):
     """Input polynomial is not invariant under the required variable swap."""
 
 
-class NotDivisible(ArithmeticError):
+class NotDivisible(AssertionError):
     """Exact division failed (a denominator factor does not cancel)."""
 
 
-class NotInImage(ValueError):
+class NotInImage(AssertionError):
     """Symmetric expression is not in the image of the Satake transform."""
 
 
@@ -204,9 +204,6 @@ class QuadElem:
 
     def conj(self) -> "QuadElem":
         return QuadElem(self.a, -self.b, self.ctx)
-
-    def trace(self) -> Fraction:
-        return 2 * self.a
 
     def norm(self) -> Fraction:
         return self.a * self.a - self.ctx.r * self.b * self.b
@@ -554,8 +551,6 @@ def _poly_exact_div(a: Lau, b: Lau) -> Lau:
 # ---------------------------------------------------------------------------
 # symmetric reduction (elementary symmetric coordinates)
 
-SYM_INERT = ("e1", "e2")
-SYM_SPLIT = ("e1_1", "e2_1", "e1_2", "e2_2")
 AB = ("A", "B")
 UV = ("u1", "v1", "u2", "v2")
 

@@ -40,7 +40,7 @@ SPLIT_VARS = ("T1", "S1", "T2", "S2")
 GROUPS = ("inert_F", "split_pair", "gstar_inert", "gstar_split")
 
 
-class NotMember(ValueError):
+class NotMember(AssertionError):
     """Ideal membership failed; carries the irreducible remainder."""
 
     def __init__(self, msg, remainder=None):
@@ -266,9 +266,6 @@ class EulerPoly:
     def __post_init__(self):
         if self.coeffs[0] != HeckeElem.one(self.group):
             raise ValueError("an Euler polynomial has constant term 1")
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def at_one(self) -> HeckeElem:
         out = HeckeElem.zero(self.group)

@@ -86,19 +86,19 @@ class TestVector:
         if self.level not in ("K", "K[p]"):
             raise ValueError(f"vector level must be 'K' or 'K[p]', not {self.level!r}")
         zero = self.ctx.zero()
+        n = 2 if self.case == "split" else 1
         for phi, g, c in self.terms:
-            dets = [gi.det() for gi in _components(g, self.case)]
+            gs = tuple(g) if n == 2 and isinstance(g, (tuple, list)) else (g,)
+            if len(gs) != n or not all(isinstance(gi, Mat2) for gi in gs):
+                shape = "a pair of Mat2" if n == 2 else "one Mat2"
+                raise ValueError(f"term field 'g' of a {self.case} vector must be {shape}")
+            dets = [gi.det() for gi in gs]
             if zero in dets:
                 raise ValueError("group elements must be invertible")
             if self.star and self.case == "split" and dets[0] != dets[1]:
                 raise ValueError("G* pair needs equal determinants")
             if self.star and self.case == "inert" and not dets[0].is_rational():
                 raise ValueError("G* element needs rational determinant")
-
-    def scale(self, s) -> "TestVector":
-        return TestVector(
-            self.ctx, self.case, self.level, [(phi, g, c * Fraction(s)) for phi, g, c in self.terms], self.star
-        )
 
     def __add__(self, other: "TestVector") -> "TestVector":
         if (self.case, self.level, self.star) != (other.case, other.level, other.star):
@@ -118,10 +118,10 @@ def _components(g, case: str) -> tuple:
     return tuple(g) if case == "split" else (g,)
 
 
-def generator_vector(ctx: QuadCtx, case: str = "inert", star: bool = False) -> TestVector:
+def generator_vector(ctx: QuadCtx, case: str = "inert") -> TestVector:
     one = Mat2.identity(ctx)
     g = (one, one) if case == "split" else one
-    return TestVector(ctx, case, "K", [(SchwartzFn.char_zp2(ctx.p), g, Fraction(1))], star)
+    return TestVector(ctx, case, "K", [(SchwartzFn.char_zp2(ctx.p), g, Fraction(1))])
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +196,7 @@ def integrality_check(phi: SchwartzFn, g, level: str, ctx: QuadCtx, case: str = 
     cond = stabilizer_conditions(phi, _components(g, case), level, ctx)
     vol = subgroup_volume(cond)
     if vol == 0:
-        raise ValueError("stabilizer volume vanished (engine bug)")
+        raise AssertionError("stabilizer volume vanished (engine bug)")
     vinv = Fraction(1) / vol
     ok = all(in_z_inv_p(c / vinv, ctx.p) for c in phi.cells.values())
     return vinv, ok
@@ -232,7 +232,7 @@ def trace_level(vec: TestVector) -> TestVector:
 
 def _t_inverse_cosets(ctx: QuadCtx, fieldq: bool) -> list[Mat2]:
     """Single cosets h_j K with K t(1,0)^-1 K = union h_j K."""
-    reps = coset_reps("double_to_single", ctx, lam=1, field="quadratic" if fieldq else "base")
+    reps = coset_reps(1, ctx, fieldq)
     pinv = Fraction(1, ctx.p)
     return [r.scale(pinv) for r in reps]
 
@@ -371,7 +371,7 @@ def _mirabolic_successors(a: int, b: int, ctx: QuadCtx) -> tuple:
     and they are immutable, so sharing them is safe.
     """
     x0 = Mat2.t(a, a, ctx) * Mat2.n_b(b, ctx)
-    tcos = coset_reps("double_to_single", ctx, lam=1, field="quadratic")
+    tcos = coset_reps(1, ctx, True)
     return tuple(pgk_label(x0 * gi).label for gi in tcos)
 
 

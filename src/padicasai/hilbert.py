@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 from .exactnum import INF, QuadCtx, fr_mod, is_odd_prime, val_p
 from .heckealg import euler_poly
-from .heckemod import TestVector, integrality_check, normalized_period
+from .heckemod import TestVector, normalized_period, trace_level, vector_is_integral
 
 
 class SchemaError(ValueError):
@@ -129,10 +129,11 @@ class CoefElem:
         return {"a": str(self.a), "b": str(self.b)}
 
 
-def ell_adic_valuation(x: CoefElem, ell: int, conjugate_place: bool = False):
+def ell_adic_valuation(x: CoefElem, ell: int):
     """Normalized valuation of x at a place v | l of Q(sqrt d).
 
-    Split l: v(x) = v_l(a + b s) for a Hensel lift s of sqrt(d);
+    Split l: v(x) = v_l(a + b s) for a Hensel lift s of sqrt(d) (the
+    conjugate place values x as this one values x.conj());
     inert l: min(v_l(a), v_l(b)); ramified l | d: v(sqrt d) = 1, v(l) = 2.
     """
     if x.is_zero():
@@ -164,10 +165,7 @@ def ell_adic_valuation(x: CoefElem, ell: int, conjugate_place: bool = False):
     xs = CoefElem(x.a * Fraction(ell) ** m, x.b * Fraction(ell) ** m, d)
     n = int(val_p(xs.norm(), ell))
     K = n + 2
-    s = _sqrt_mod_lk(d, ell, K)
-    if conjugate_place:
-        s = -s
-    rep = fr_mod(xs.a + xs.b * s, ell, K)
+    rep = fr_mod(xs.a + xs.b * _sqrt_mod_lk(d, ell, K), ell, K)
     if rep == 0:
         raise AssertionError("valuation exceeded its norm bound")
     return int(val_p(Fraction(rep), ell)) - m
@@ -450,23 +448,18 @@ def period_ideal_check(
         if items:
             ctx = QuadCtx.make(p)
             level = items[0]["level"]
-            case = sat.kind
-            terms = []
-            for it in items:
-                if it["level"] != level:
-                    raise ValueError("mixed levels at one prime")
-                phi, g = it["phi"], it["g"]
-                vinv, ok = integrality_check(phi, g, level, ctx, case)
-                if not ok:
-                    raise ValueError(f"input at {p} fails the integrality precondition")
-                if phi.value_at(0, 0) != 0:
-                    phi0_nonzero = True
-                terms.append((phi, g, Fraction(1)))
+            if any(it["level"] != level for it in items):
+                raise ValueError("mixed levels at one prime")
+            # an unknown level or a g of the wrong shape for the splitting
+            # type fails here, before any stabilizer is computed
+            vec = TestVector(ctx, sat.kind, level, [(it["phi"], it["g"], Fraction(1)) for it in items])
+            if not vector_is_integral(vec):
+                raise ValueError(f"input at {p} fails the integrality precondition")
+            phi0_nonzero = any(phi.value_at(0, 0) != 0 for phi, _, _ in vec.terms)
             if p in S0 and level != "K[p]":
                 raise ValueError(f"{p} in S0 needs determinant-level data")
             # the period pairs with the traced (full-level) vector
-            vec = TestVector(ctx, case, "K", terms)
-            sym = normalized_period(vec)
+            sym = normalized_period(trace_level(vec) if level == "K[p]" else vec)
             # a constant period evaluates to a Fraction: coerce into the field
             zval = CoefElem(0, 0, d) + sym.eval(sat.values)
         tate = False

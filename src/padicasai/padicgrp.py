@@ -3,8 +3,8 @@
 Provides exact Iwasawa decomposition, the mirabolic coset labels
 P(Q_p) t_a n_b G(O_F) (with witnesses), the generalized Cartan labels
 G(Z_p) \\ G(F) / G(O_F) (decided by an exact lattice computation, no
-precision cap), finite coset enumerations, and a p-local Smith engine
-used throughout for lattice membership.  One lattice measure,
+precision cap), the single cosets of K t(lam, 0) K, and a p-local Smith
+engine used throughout for lattice membership.  One lattice measure,
 lattice_measure, gives the additive Haar measure of the points of an
 affine lattice with a prescribed reduction mod p; every stabilizer volume
 (subgroup_volume here, the mirabolic volumes of the Hecke-module layer) is
@@ -24,7 +24,7 @@ from typing import Sequence
 from .exactnum import INF, QuadCtx, QuadElem, fr_mod, val_p
 
 
-class DecompositionError(RuntimeError):
+class DecompositionError(AssertionError):
     """A coset decomposition the theory guarantees could not be found."""
 
 
@@ -526,78 +526,31 @@ def gen_cartan_label(g: Mat2, all_matches: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# finite coset enumerations
+# single cosets of K t(lam, 0) K
 
 
-def _units_mod(p: int, L: int) -> list[int]:
-    return [u for u in range(1, p ** L) if u % p != 0]
+def coset_reps(lam: int, ctx: QuadCtx, quadratic: bool) -> list[Mat2]:
+    """Single cosets x_i GL2(O) covering GL2(O) t(lam, 0) GL2(O), O = O_F
+    (quadratic) or Z_p: [[p^lam, b], [0, 1]] for b mod p^lam, then
+    [[p^i, b], [0, p^(lam-i)]] for 0 < i < lam and b a unit mod p^i, then
+    diag(1, p^lam)."""
+    if lam < 0:
+        raise ValueError("lam must be >= 0")
+    if lam == 0:
+        return [Mat2.identity(ctx)]
+    p = Fraction(ctx.p)
+    out = [Mat2([p ** lam, b, 0, 1], ctx) for b in _of_residues(ctx, lam, quadratic)]
+    for i in range(1, lam):
+        for b in _of_residues(ctx, i, quadratic):
+            if b.val() == 0:
+                out.append(Mat2([p ** i, b, 0, p ** (lam - i)], ctx))
+    out.append(Mat2([1, 0, 0, p ** lam], ctx))
+    return out
 
 
-def coset_reps(kind: str, ctx: QuadCtx, **kw) -> list[Mat2]:
-    """Finite coset systems used by the Hecke module layer.
-
-    kind = "full_mod_pL": all of GL2(Z/p^L) (field="base") or GL2(O_F/p^L)
-        (field="quadratic"), as integral lifts;
-    kind = "K_over_Kp": the p^2 - 1 representatives of
-        GL2(O_F) / {det = 1 mod p} (field="quadratic"), or the p - 1
-        diagonal representatives for the base field;
-    kind = "double_to_single": single cosets x_i GL2(O) covering
-        GL2(O) t(lam, 0) GL2(O).
-    """
-    p = ctx.p
-    if kind == "full_mod_pL":
-        L = kw.get("L", 1)
-        fieldq = kw.get("field", "base") == "quadratic"
-        q = p ** L
-        size = (q * q if fieldq else q) ** 4
-        if size > 10 ** 7:
-            raise ValueError("enumeration too large")
-        out = []
-        elems = _of_residues(ctx, L, fieldq)
-        for e11 in elems:
-            for e12 in elems:
-                for e21 in elems:
-                    for e22 in elems:
-                        m = Mat2([e11, e12, e21, e22], ctx)
-                        if m.det().is_unit():
-                            out.append(m)
-        return out
-    if kind == "K_over_Kp":
-        if kw.get("field", "quadratic") == "base":
-            return [Mat2.diag(u, 1, ctx) for u in _units_mod(p, 1)]
-        out = []
-        alpha = ctx.sqrt_r()
-        for u in _units_mod(p, 1):
-            out.append(Mat2.diag(u, 1, ctx))
-        for u in _units_mod(p, 1):
-            out.append(Mat2.diag(QuadElem(u, 0, ctx) * alpha, 1, ctx))
-        for u in _units_mod(p, 1):
-            for v in _units_mod(p, 1):
-                out.append(Mat2.diag(QuadElem(u, 0, ctx) * (alpha + v), 1, ctx))
-        return out
-    if kind == "double_to_single":
-        lam = kw["lam"]
-        fieldq = kw.get("field", "quadratic") == "quadratic"
-        if lam < 0:
-            raise ValueError("lam must be >= 0")
-        if lam == 0:
-            return [Mat2.identity(ctx)]
-        out = []
-        betas_full = _of_residues(ctx, lam, fieldq)
-        for b in betas_full:
-            out.append(Mat2([Fraction(p) ** lam, b, 0, 1], ctx))
-        for i in range(1, lam):
-            for b in _of_residues(ctx, i, fieldq):
-                if b.val() == 0:
-                    out.append(Mat2([Fraction(p) ** i, b, 0, Fraction(p) ** (lam - i)], ctx))
-        out.append(Mat2([1, 0, 0, Fraction(p) ** lam], ctx))
-        return out
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def _of_residues(ctx: QuadCtx, L: int, fieldq: bool) -> list[QuadElem]:
+def _of_residues(ctx: QuadCtx, L: int, quadratic: bool) -> list[QuadElem]:
     q = ctx.p ** L
-    if fieldq:
+    if quadratic:
         return [QuadElem(a, b, ctx) for a in range(q) for b in range(q)]
     return [QuadElem(a, 0, ctx) for a in range(q)]
 

@@ -284,12 +284,6 @@ class Cyclotomic:
         if not self.coeffs[e]:
             del self.coeffs[e]
 
-    def __add__(self, other: "Cyclotomic") -> "Cyclotomic":
-        out = Cyclotomic(self.p, self.k, self.coeffs)
-        for e, c in other.coeffs.items():
-            out._add(e, c)
-        return out
-
     def reduce(self) -> "Cyclotomic":
         """Canonical form modulo Phi_(p^k): exponents with e mod p^(k-1)
         fixed and top p-layer eliminated via the vanishing sum."""

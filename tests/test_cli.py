@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -105,12 +106,6 @@ def test_verify_suite_subset_deterministic():
     assert r1.stdout == r2.stdout
 
 
-def test_verify_suite_workers_independent():
-    r1 = run("--prime", "3", "verify-suite", "--only", "1,10")
-    r2 = run("--prime", "3", "--workers", "2", "verify-suite", "--only", "1,10")
-    assert r1.stdout == r2.stdout
-
-
 # one prime of the builtin synthetic_w2 form; hilbert-check accepts it as is
 PRIME3 = {"type": "inert", "lambda": ["2"], "omega": ["1"]}
 FORM = {
@@ -126,12 +121,16 @@ def form_with_lambda(lam):
     return dict(FORM, primes={"3": dict(PRIME3, **{"lambda": lam})})
 
 
+INPUTS = Path(__file__).parent / "golden" / "inputs"
+SPLIT11 = json.loads((INPUTS / "inputs_split11.json").read_text())
 SINGULAR = json.dumps([[{"a": "1", "b": "0"}, {"a": "1", "b": "0"}], [{"a": "1", "b": "0"}, {"a": "1", "b": "0"}]])
 MALFORMED = {
     "matrix zero denominator": ["zeta", "--phi", "builtin:unramified", "--g", "n:1/0"],
     "satake zero denominator": ["--satake", "1/0,2", "zeta", "--phi", "builtin:unramified", "--normalize"],
     # --satake specializes the normalized period, at an invertible central character
     "satake without normalize": ["--satake", "2,3", "zeta", "--phi", "builtin:unramified"],
+    "satake with euler-poly": ["--satake", "2,3", "euler-poly", "--kind", "asai_inert"],
+    "satake with delta1-verify": ["--satake", "2,3", "delta1-verify"],
     "satake zero central character inert": ["--satake", "0,3", "zeta", "--phi", "builtin:unramified", "--normalize"],
     "satake zero central character split": [
         "--satake", "2,3,0,7", "zeta", "--case", "split",
@@ -159,6 +158,24 @@ MALFORMED = {
     "elem zero denominator": ["satake", "--elem", json.dumps({"group": "inert_F", "terms": [{"T": 1, "coef": "1/0"}]})],
     "phi cell not an object": ["zeta", "--phi", json.dumps({"level": 1, "cells": [5]})],
     "inputs not a list": ["hilbert-check", "--form", "builtin:synthetic_w2", "--ell", "5", "--inputs", {"p": 11}],
+    # each --inputs g must match the splitting type of its prime (11 splits in
+    # synthetic_w2 and is inert in synthetic_w2_quad), and its level be K or K[p]
+    "inputs one matrix at a split prime": [
+        "hilbert-check", "--form", "builtin:synthetic_w2", "--ell", "5",
+        "--inputs", str(INPUTS / "inputs_inert11.json"), "--s0", "11",
+    ],
+    "inputs matrix pair at an inert prime": [
+        "hilbert-check", "--form", "builtin:synthetic_w2_quad", "--ell", "5",
+        "--inputs", str(INPUTS / "inputs_split11.json"), "--s0", "11",
+    ],
+    "inputs level banana": [
+        "hilbert-check", "--form", "builtin:synthetic_w2", "--ell", "5",
+        "--inputs", [dict(d, level="banana") for d in SPLIT11],
+    ],
+    "inputs g empty": [
+        "hilbert-check", "--form", "builtin:synthetic_w2", "--ell", "5",
+        "--inputs", [dict(d, g=[]) for d in SPLIT11],
+    ],
     "form lambda zero denominator": ["hilbert-check", "--ell", "5", "--form", form_with_lambda(["1/0"])],
     "form lambda not a list": ["hilbert-check", "--ell", "5", "--form", form_with_lambda("2")],
     "form primes not an object": ["hilbert-check", "--ell", "5", "--form", dict(FORM, primes=[])],
@@ -207,19 +224,18 @@ def test_certify_above_cell_cap_exits_3(tmp_path):
     assert "Traceback" not in r.stderr
 
 
-ENGINE_FAULTS = ["NotDivisible", "NotInImage", "NotSymmetric"]
+ENGINE_FAULTS = ["NotDivisible", "NotInImage", "NotSymmetric", "DecompositionError"]
 
 
 @pytest.mark.parametrize("name", ENGINE_FAULTS)
 def test_engine_fault_exits_4(name, monkeypatch, capsys):
     # raised past parsing, inside the local-factor engine: a verification failure
-    from pathlib import Path
-
-    from padicasai import exactnum, heckemod
+    import padicasai
+    from padicasai import heckemod
     from padicasai.cli import main
 
     def broken(*args, **kwargs):
-        raise getattr(exactnum, name)("injected engine fault")
+        raise getattr(padicasai, name)("injected engine fault")
 
     monkeypatch.setattr(heckemod, "inv_satake", broken)
     vec = Path(__file__).parent / "golden" / "inputs" / "vec_K.json"

@@ -81,10 +81,10 @@ def test_trace_relabels(F3):
 
 
 def test_trace_tiles_full_level(F3):
-    # union over K/K[p] of K[p] gamma^-1 is K, each element covered once
-    from padicasai.padicgrp import coset_reps
-
-    reps = coset_reps("K_over_Kp", F3)
+    # union over K/K[p] of K[p] gamma^-1 is K, each element covered once;
+    # K/K[p] is represented by diag(x, 1), x a unit of O_F mod p
+    reps = [Mat2.diag(QuadElem(a, b, F3), 1, F3) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
+    assert len(reps) == F3.p ** 2 - 1
     # count how many translates contain a sample of K-elements
     rng = random.Random(1)
     for _ in range(20):
@@ -415,7 +415,7 @@ def test_integrality_refuses_more_cells_than_the_cap(F3):
 def act_on_mirabolic_by_labels(h, ctx):
     """_act_on_mirabolic as it was before its rows were memoized: one
     pgk_label per (cell, coset) at every T-step."""
-    tcos = coset_reps("double_to_single", ctx, lam=1, field="quadratic")
+    tcos = coset_reps(1, ctx, True)
     tmax = max((e[0] for e in h.poly.terms), default=0)
     window_b = range(0, tmax + 2)
     window_a = range(-(tmax + 2), tmax + 3)

@@ -65,8 +65,8 @@ def test_ell_valuations(x, ell, expect):
 def test_ell_valuation_split():
     # 11 splits in Q(sqrt 5) (5 is a QR mod 11: 4^2 = 16 = 5)
     x = CoefElem(4, -1, 5)  # 4 - sqrt(5): one place gives 4 - 4 = 0 mod 11
-    v1 = ell_adic_valuation(x, 11, conjugate_place=False)
-    v2 = ell_adic_valuation(x, 11, conjugate_place=True)
+    v1 = ell_adic_valuation(x, 11)
+    v2 = ell_adic_valuation(x.conj(), 11)  # x at the conjugate place
     assert sorted([v1, v2]) == [0, 1]
     assert ell_adic_valuation(x * x.conj(), 11) == 1  # norm = 11
 

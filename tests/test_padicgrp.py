@@ -228,41 +228,55 @@ def test_cartan_det_invariant(F3):
         assert cartan_cell(nu2, nu1, nu, F3).det_val() == -(nu2 + nu1 + nu)
 
 
-# -- coset enumerations ---------------------------------------------------------
+# -- single cosets of K t(lam, 0) K -----------------------------------------
 
 
-def test_k_over_kp_count_and_dets(F3):
-    reps = coset_reps("K_over_Kp", F3)
-    assert len(reps) == F3.p ** 2 - 1
-    # determinants cover F_9^* exactly once
-    seen = set()
-    for m in reps:
-        d = m.det()
-        key = (d.a % 3, d.b % 3)
-        assert key != (0, 0)
-        assert key not in seen
-        seen.add(key)
-    assert len(seen) == 8
+def coset_reps_oracle(lam, ctx, quadratic):
+    """coset_reps("double_to_single", ctx, lam=lam, field=...) as it was when
+    coset_reps still dispatched on a kind string."""
+    p = ctx.p
+
+    def residues(L):
+        q = p ** L
+        if quadratic:
+            return [QuadElem(a, b, ctx) for a in range(q) for b in range(q)]
+        return [QuadElem(a, 0, ctx) for a in range(q)]
+
+    if lam == 0:
+        return [Mat2.identity(ctx)]
+    out = []
+    for b in residues(lam):
+        out.append(Mat2([Fraction(p) ** lam, b, 0, 1], ctx))
+    for i in range(1, lam):
+        for b in residues(i):
+            if b.val() == 0:
+                out.append(Mat2([Fraction(p) ** i, b, 0, Fraction(p) ** (lam - i)], ctx))
+    out.append(Mat2([1, 0, 0, Fraction(p) ** lam], ctx))
+    return out
+
+
+@pytest.mark.parametrize(
+    "p, lam", [(p, lam) for p in (3, 5, 7) for lam in (0, 1, 2)] + [(3, 3)]
+)
+def test_coset_reps_matches_oracle(p, lam):
+    ctx = QuadCtx.make(p)
+    for quadratic in (True, False):
+        assert coset_reps(lam, ctx, quadratic) == coset_reps_oracle(lam, ctx, quadratic)
 
 
 def test_double_to_single_counts(F3):
     q = F3.p ** 2
-    reps1 = coset_reps("double_to_single", F3, lam=1, field="quadratic")
+    reps1 = coset_reps(1, F3, True)
     assert len(reps1) == q + 1
-    reps2 = coset_reps("double_to_single", F3, lam=2, field="quadratic")
+    reps2 = coset_reps(2, F3, True)
     assert len(reps2) == q ** 2 + q
-    base1 = coset_reps("double_to_single", F3, lam=1, field="base")
+    base1 = coset_reps(1, F3, False)
     assert len(base1) == F3.p + 1
-
-
-def test_full_mod_p_order(F3):
-    g = coset_reps("full_mod_pL", F3, L=1, field="base")
-    assert len(g) == 48  # |GL2(F_3)|
 
 
 def test_double_coset_reps_pairwise_distinct(F3):
     # distinct single cosets x K_F: x_i^-1 x_j not in K_F
-    reps = coset_reps("double_to_single", F3, lam=1, field="quadratic")
+    reps = coset_reps(1, F3, True)
     for i, x in enumerate(reps):
         for y in reps[i + 1:]:
             assert not (x.inv() * y).in_KF()
@@ -271,7 +285,7 @@ def test_double_coset_reps_pairwise_distinct(F3):
 @pytest.mark.parametrize("lam", [1, 2])
 def test_double_to_single_det_one_witnesses(F3, lam):
     # every representative is k1 t(lam, 0) k2 with det(k1) = det(k2) = 1
-    for m in coset_reps("double_to_single", F3, lam=lam, field="quadratic"):
+    for m in coset_reps(lam, F3, True):
         k1, a1, a2, k2 = sl2_diag_factor(m)
         assert (a1, a2) == (lam, 0)
         assert k1.det() == F3.one() and k2.det() == F3.one()
