@@ -12,7 +12,6 @@ from padicasai import (
     QuadCtx,
     RatFunc,
     complete_homog,
-    ratfunc_exact_div,
     sym_expand,
     sym_reduce,
     val_p,
@@ -41,4 +40,4 @@ A, B, X = (Lau.var(vs, v) for v in vs)
 L_inv = (1 - A * X) * (1 - B * X) * (1 - A * B * X ** 2)
 f = RatFunc(Lau.const(vs, 1), [1 - A * X, 1 - B * X, 1 - A * B * X ** 2])
 print("\nf =", f)
-print("f * L^-1 =", ratfunc_exact_div(f, L_inv))
+print("f * L^-1 =", (f * L_inv).as_laurent())

@@ -18,7 +18,6 @@ from .exactnum import (
     QuadElem,
     RatFunc,
     complete_homog,
-    ratfunc_exact_div,
     sym_expand,
     sym_reduce,
     val_p,

@@ -11,7 +11,9 @@ integrals) is built on the four algebraic layers in this module:
   carries symmetric-coordinate polynomials, Hecke operators and zeta
   numerators, distinguished only by their variable tuples);
 * ``RatFunc``, quotients of Laurent polynomials with the denominator kept
-  as an explicit multiset of factors of constant term 1.
+  as an explicit multiset of factors of constant term 1: the reduced form
+  of a zeta value (carried as a numerator over a fixed L-factor
+  denominator) and the values of the Godement section.
 
 No floating point is used anywhere: limits s -> 0 are taken by exact
 division followed by evaluation at X = 1 (X stands for p^{-s}).
@@ -705,10 +707,6 @@ class RatFunc:
         return cls(num, [])
 
     @property
-    def numerator(self) -> Lau:
-        return self.num
-
-    @property
     def denominator(self) -> Lau:
         d = self.num.one_like()
         for f in self.den:
@@ -820,19 +818,6 @@ class RatFunc:
     @classmethod
     def from_json(cls, d: Mapping) -> "RatFunc":
         return cls(Lau.from_json(d["num"]), [Lau.from_json(f) for f in d["den"]])
-
-
-def ratfunc_exact_div(f: RatFunc, g: Lau) -> Lau:
-    """Return the Laurent polynomial h with f = h * (1/g), i.e. h = f*g.
-
-    Raises NotDivisible when f*g still has uncancelled denominator factors.
-    This is the s -> 0 workhorse: multiply a zeta value by the inverse
-    L-factor polynomial, check the quotient is a Laurent polynomial, then
-    evaluate at X = 1.
-    """
-    if g.is_zero():
-        raise ZeroDivisionError("g = 0")
-    return (f * g).as_laurent()
 
 
 def lau_eval_x1(h: Lau, name: str) -> Lau:

@@ -51,10 +51,10 @@ from .whitzeta import (
     SchwartzFn,
     VS_INERT,
     VS_SPLIT,
+    ZetaResult,
     eps_operator,
     godement_section,
     lambda_form,
-    normalized_limit,
     zeta_asai,
     zeta_rs_split,
 )
@@ -265,36 +265,37 @@ def hecke_apply(h: HeckeElem, vec: TestVector) -> TestVector:
 # the local factor
 
 
-def period_value(vec: TestVector):
-    """The zeta pairing of a level-K vector: an exact rational function of X."""
+def period_value(vec: TestVector) -> ZetaResult:
+    """The zeta pairing of a level-K vector: its terms share one denominator,
+    so their numerators add."""
     if vec.level != "K":
         raise ValueError("the period pairs with level-K vectors")
     zeta = zeta_rs_split if vec.case == "split" else zeta_asai
-    acc = RatFunc(Lau(VS_SPLIT if vec.case == "split" else VS_INERT))
+    num = Lau(VS_SPLIT if vec.case == "split" else VS_INERT)
     for phi, g, c in vec.terms:
-        acc = acc + zeta(phi, g, vec.ctx).ratfunc * c
-    return acc
+        num = num + zeta(phi, g, vec.ctx).num * c
+    return ZetaResult(num, vec.case, "period_value", vec.ctx.p)
 
 
 def normalized_period(vec: TestVector) -> Lau:
     """Z(delta) = lim_(s->0) (zeta pairing) / L(s), in symmetric coordinates."""
-    return normalized_limit(period_value(vec), vec.case, vec.ctx.p)
+    return period_value(vec).normalized()
 
 
 def local_factor(vec: TestVector) -> HeckeElem:
     """The unique spherical operator with P . generator = delta."""
-    return factor_of_period(period_value(vec), vec.case, vec.ctx.p)
+    return factor_of_period(period_value(vec))
 
 
-def factor_of_period(period: RatFunc, case: str, p: int) -> HeckeElem:
+def factor_of_period(period: ZetaResult) -> HeckeElem:
     """The local factor of a vector with the given period value.
 
     The normalized period of delta equals Theta(P') (the convolution action
     twists by the inversion involution), so P is the involution of the
     inverse Satake transform of the period value.
     """
-    sym = normalized_limit(period, case, p)
-    pprime = inv_satake(sym, "split_pair" if case == "split" else "inert_F", p)
+    sym, p = period.normalized(), period.p
+    pprime = inv_satake(sym, "split_pair" if period.case == "split" else "inert_F", p)
     if satake(pprime, p) != sym:
         raise AssertionError("Satake round-trip of the local factor failed")
     return involution(pprime)
@@ -539,7 +540,7 @@ def delta1(ctx: QuadCtx, case: str) -> dict:
     traced = trace_level(vec)
     # A(s) = Z(phi, W - n W, s) = 1 identically
     period = period_value(traced)
-    report["A_s_equals_one"] = period == RatFunc.from_lau(Lau.const(vs, 1))
+    report["A_s_equals_one"] = period.ratfunc == RatFunc.from_lau(Lau.const(vs, 1))
     vinv_n, ok_n = integrality_check(phi, gn, "K[p]", ctx, case)
     vinv_1, ok_1 = integrality_check(phi, g1, "K[p]", ctx, case)
     report["integral"] = ok_n and ok_1
@@ -560,7 +561,7 @@ def delta1(ctx: QuadCtx, case: str) -> dict:
         report["vol_K011_p2"] = str(vol)
         report["vol_identity_ok"] = vol == Fraction(1, p ** 2 * nu)
         report["stabilizer_relation_ok"] = vol == Fraction(1, p) / vinv_n
-    P = factor_of_period(period, case, p)
+    P = factor_of_period(period)
     report[check] = P == euler_poly(kind, p).involute_at_one()
     report["vector"] = vec
     report["p_trace"] = P

@@ -34,11 +34,13 @@ a_j = p^(-e j - sum vc_i) prod h_(j + vc_i)(x_i, y_i), omega prefactor
 prod (x_i y_i)^(w_i) p^(-e w_i), and omega(p) X^2 = prod (x_i y_i) X^2 / p^(2e).
 Only the phase valuation of a row is read per case.
 
-Everything is carried as a rational function of X = p^(-s) whose
-coefficients are Laurent polynomials in the Satake parameters; the measure
-normalization (vol(Z_p^x) = 1, vol(GL2(Z_p)) = 1) is pinned by the
-unramified identity Z(ch(Z_p^2), W_sph, s) = L(As Pi, s), which the test
-suite checks symbolically.
+A value is carried as its numerator, Laurent in X = p^(-s) and the Satake
+parameters, over a fixed denominator: R = prod (1 - root X) over the roots
+for an inner integral, R (1 - omega(p) X^2) for a zeta integral, which is
+L(s)^-1 at an inert prime and L(s)^-1 (1 - omega(p) X^2) at a split one.
+The measure normalization (vol(Z_p^x) = 1, vol(GL2(Z_p)) = 1) is pinned by
+the unramified identity Z(ch(Z_p^2), W_sph, s) = L(As Pi, s), which the
+test suite checks symbolically.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ from .exactnum import (
     fr_mod,
     fr_to_str,
     lau_eval_x1,
-    ratfunc_exact_div,
     sym_expand,
     sym_reduce,
     val_p,
@@ -404,17 +405,14 @@ def wsph_value(g: Mat2, ctx: QuadCtx) -> WhitValue:
 # tails of Whittaker series
 
 
-def _seq_tail(aj, J: int, den_factors: list[Lau], vs) -> RatFunc:
-    """sum_(j >= J) aj(j) X^j as an exact rational function.
+def _seq_tail(aj, J: int, D: Lau, vs) -> Lau:
+    """The numerator of sum_(j >= J) aj(j) X^j over D.
 
-    den_factors are the (1 - root X) factors of the characteristic
-    polynomial of the sequence; the numerator is reconstructed from the
-    initial terms, and the next guard = 2 coefficients are asserted to vanish.
+    D = prod (1 - root X) is the characteristic polynomial of the sequence;
+    the numerator is reconstructed from the initial terms, and the next
+    guard = 2 coefficients are asserted to vanish.
     """
     guard = 2
-    D = Lau.const(vs, 1)
-    for f in den_factors:
-        D = D * f
     degD = D.degree_in("X")
     X = Lau.var(vs, "X")
     prefix = Lau(vs)
@@ -429,15 +427,26 @@ def _seq_tail(aj, J: int, den_factors: list[Lau], vs) -> RatFunc:
         elif e[xi] < J + degD + guard:
             raise AssertionError("sequence does not satisfy its recurrence")
         # terms at X-degree >= J + degD + guard come from prefix truncation
-    return RatFunc(Lau(vs, num), den_factors)
+    return Lau(vs, num)
 
 
 # ---------------------------------------------------------------------------
 # the inner (delta-)integral of the zeta machine
 
 
-def _y_integral(vbeta, vcs: list[int], omegas, vs, p: int) -> RatFunc:
-    """int W-values(diag(delta,1)-part) |delta|^(s-1) dx(delta).
+@lru_cache(maxsize=16)
+def _root_factors(vs, p: int) -> tuple[Lau, ...]:
+    """The factors 1 - root X of R, one per Shintani root prod z_i / p^e
+    over z_i in {x_i, y_i}.  Memoized; treat the result as immutable."""
+    pairs = _PAIRS[vs]
+    X = Lau.var(vs, "X")
+    scale = Fraction(1, p ** (len(pairs) - 1))
+    return tuple(1 - Lau.monomial(vs, _evec(vs, dict.fromkeys(zs, 1)), scale) * X for zs in product(*pairs))
+
+
+def _y_integral(vbeta, vcs: list[int], omegas, vs, p: int) -> Lau:
+    """int W-values(diag(delta,1)-part) |delta|^(s-1) dx(delta), as its
+    numerator over R = prod _root_factors(vs, p).
 
     vcs lists v(f1/f2) per component; omegas is the Laurent prefactor
     (the omega(f2) contributions); vbeta the valuation of the psi-phase,
@@ -445,7 +454,6 @@ def _y_integral(vbeta, vcs: list[int], omegas, vs, p: int) -> RatFunc:
     """
     pairs = _PAIRS[vs]
     e = len(pairs) - 1
-    roots = [Lau.monomial(vs, _evec(vs, dict.fromkeys(zs, 1)), Fraction(1, p ** e)) for zs in product(*pairs)]
 
     def aj(j):
         hs = [complete_homog(j + vc, x, y, vs) for (x, y), vc in zip(pairs, vcs)]
@@ -459,9 +467,8 @@ def _y_integral(vbeta, vcs: list[int], omegas, vs, p: int) -> RatFunc:
         if w:
             finite = finite + aj(J) * X ** J * w
         J += 1
-    den = [1 - r * X for r in roots]
-    tail = _seq_tail(aj, J, den, vs)
-    return (tail + RatFunc.from_lau(finite)) * omegas
+    R = math.prod(_root_factors(vs, p))
+    return (_seq_tail(aj, J, R, vs) + finite * R) * omegas
 
 
 # ---------------------------------------------------------------------------
@@ -470,17 +477,30 @@ def _y_integral(vbeta, vcs: list[int], omegas, vs, p: int) -> RatFunc:
 
 @dataclass
 class ZetaResult:
-    ratfunc: RatFunc
+    """Z = num / (R (1 - omega(p) X^2)), R = prod _root_factors(vs, p)."""
+
+    num: Lau
     case: str
     provenance: str
     p: int
+
+    @property
+    def ratfunc(self) -> RatFunc:
+        """Z as one reduced RatFunc, built anew on each access."""
+        vs = self.num.vars
+        return RatFunc(self.num, [*_root_factors(vs, self.p), 1 - _omega_x2(vs, self.p)])
 
     def series(self, upto: int) -> list[Lau]:
         return self.ratfunc.series_coeff("X", upto)
 
     def normalized(self) -> Lau:
-        """The normalized period lim_(s->0) Z / L in symmetric coordinates."""
-        return normalized_limit(self.ratfunc, self.case, self.p)
+        """The normalized period lim_(s->0) Z / L in symmetric coordinates:
+        Z L^-1 at X = 1, with Z L^-1 = num / (1 - omega(p) X^2) exactly at a
+        split prime (else NotDivisible)."""
+        h = self.num
+        if self.case == "split":
+            h = h.exact_div(1 - _omega_x2(h.vars, self.p))
+        return sym_reduce(lau_eval_x1(h, "X"))
 
     def to_json(self) -> dict:
         return {"case": self.case, "provenance": self.provenance, "ratfunc": self.ratfunc.to_json()}
@@ -494,13 +514,6 @@ def inverse_l_factor(case: str, p: int) -> Lau:
     if case == "inert":
         return sym_expand(euler_poly("asai_inert", p).satake_in_x(p), AB)
     return sym_expand(euler_poly("rs_split", p).satake_in_x(p), UV)
-
-
-def normalized_limit(rf: RatFunc, case: str, p: int) -> Lau:
-    """lim_(s->0) rf / L(s) in symmetric coordinates: multiply by the inverse
-    L-factor polynomial, check exact divisibility, evaluate at X = 1."""
-    h = ratfunc_exact_div(rf, inverse_l_factor(case, p))
-    return sym_reduce(lau_eval_x1(h, "X"))
 
 
 def _complete_row(v1: Fraction, v2: Fraction, ctx: QuadCtx) -> Mat2:
@@ -597,17 +610,18 @@ def _y_data_by_iwasawa(v1, v2, gs: Sequence[Mat2], ctx: QuadCtx) -> tuple:
 
 
 @lru_cache(maxsize=256)
-def _y_value_from_data(data: tuple, vs, p: int) -> RatFunc:
+def _y_value_from_data(data: tuple, vs, p: int) -> Lau:
     """The inner integral of one row-data class, data = (vbeta, vcs, ws) as
-    returned by _y_data_for_row, over the variables vs at p.
+    returned by _y_data_for_row, over the variables vs at p: its numerator
+    over R, as _y_integral returns it.
 
     Memoized process-wide on (data, vs, p), at most 256 entries: the value
     depends on nothing else, and the same classes recur within a zeta call,
     across the terms of a Hecke-translated vector and across vectors.  Each
-    miss runs _seq_tail and its recurrence check.  Sharing the cached
-    RatFunc is safe because every RatFunc and Lau operation returns a new
-    object; only __init__ and _cancel assign .num, .den or .terms, on their
-    own object (complete_homog shares its Lau values the same way).
+    miss runs _seq_tail and its recurrence check.  Sharing the cached Lau is
+    safe because every Lau operation returns a new object; only __init__
+    fills .terms, on its own object (complete_homog shares its values the
+    same way).
     """
     vbeta, vcs, ws = data
     pairs = _PAIRS[vs]
@@ -627,21 +641,16 @@ def _omega_x2(vs, p: int) -> Lau:
     return Lau.monomial(vs, _evec(vs, exps), Fraction(1, p ** (2 * len(pairs) - 2)))
 
 
-def _zeta_engine(
-    phi: SchwartzFn,
-    gs: Sequence[Mat2],
-    ctx: QuadCtx,
-    level_cap: int = 12,
-) -> ZetaResult:
+def _shell_weights(phi: SchwartzFn, gs: Sequence[Mat2], ctx: QuadCtx, level_cap: int) -> dict[tuple, Fraction]:
+    """The accumulated weight of each (row data, shell kind) in
+    Z(phi, gs . W_sph, s); shell kinds are ("pow", m) for a fixed shell and
+    ("geom", N) for the origin tail's shells m >= N.  Each distinct row data
+    is certified once against _y_data_by_iwasawa."""
     p = ctx.p
-    vs = VS_SPLIT if len(gs) == 2 else VS_INERT
     lam_req = _required_cell_level(gs)
     pref = Fraction(p * p, p * p - 1)  # (1 - p^-2)^-1
-    omx2 = _omega_x2(vs, p)
     data_of_row: dict[tuple, tuple] = {}
     certified: set[tuple] = set()
-    # accumulated weight per (y-data, shell kind); shell kinds are
-    # ("pow", m) for a fixed shell and ("geom", N) for the origin tail
     weights: dict[tuple, Fraction] = {}
 
     def add_weight(v1, v2, shell, wt: Fraction):
@@ -687,17 +696,21 @@ def _zeta_engine(
                 for y2 in range(step):
                     # omega(p)^m X^(2m) p^(2m) merged with the volume p^(-2m)
                     add_weight(t1 + pnm * y1, t2 + pnm * y2, ("pow", m), wt)
-    acc = RatFunc(Lau(vs))
-    for (data, shell), wt in sorted(weights.items(), key=repr):
-        y = _y_value_from_data(data, vs, p)
-        if shell[0] == "pow":
-            contrib = y * RatFunc.from_lau(omx2 ** shell[1])
-        else:
-            contrib = y * RatFunc(omx2 ** shell[1], [1 - omx2])
-        acc = acc + contrib * wt
+    return weights
+
+
+def _zeta_engine(phi: SchwartzFn, gs: Sequence[Mat2], ctx: QuadCtx, level_cap: int = 12) -> ZetaResult:
+    p = ctx.p
+    vs = VS_SPLIT if len(gs) == 2 else VS_INERT
+    omx2 = _omega_x2(vs, p)
+    # numerators over R: shell m adds y omx2^m, the origin tail y omx2^N / (1 - omx2)
+    parts = {"pow": Lau(vs), "geom": Lau(vs)}
+    for (data, (kind, m)), wt in _shell_weights(phi, gs, ctx, level_cap).items():
+        parts[kind] = parts[kind] + _y_value_from_data(data, vs, p) * (omx2 ** m * wt)
+    num = parts["pow"] * (1 - omx2) + parts["geom"]
     if len(gs) == 2:
-        return ZetaResult(acc, "split", "zeta_rs_split", p)
-    return ZetaResult(acc, "inert", "zeta_asai", p)
+        return ZetaResult(num, "split", "zeta_rs_split", p)
+    return ZetaResult(num, "inert", "zeta_asai", p)
 
 
 def zeta_asai(phi: SchwartzFn, g: Mat2, ctx: QuadCtx, level_cap: int = 12) -> ZetaResult:
@@ -726,12 +739,11 @@ def psi_secondary(a: int, b: int, ctx: QuadCtx) -> ZetaResult:
     Psi = omega(p)^a sum_(j >= 0) gauss(j, -b) p^-j s_j(A, B) p^(j(1-s)):
     the inner integral of the row-data class (vbeta, v(f1/f2), v(f2)) =
     (-b, 0, a), since psi_F(x p^-b sqrt r) has phase valuation -b in x.
-    The RatFunc is the memo's shared value; treat it as immutable.
     """
     if b < 0:
         raise ValueError("b must be >= 0")
-    rf = _y_value_from_data((-b, (0,), (a,)), VS_INERT, ctx.p)
-    return ZetaResult(rf, "inert", f"psi_secondary(a={a}, b={b})", ctx.p)
+    num = _y_value_from_data((-b, (0,), (a,)), VS_INERT, ctx.p) * (1 - _omega_x2(VS_INERT, ctx.p))
+    return ZetaResult(num, "inert", f"psi_secondary(a={a}, b={b})", ctx.p)
 
 
 def psi_epsilon_extract(b: int, ctx: QuadCtx) -> dict[int, Fraction]:
@@ -845,13 +857,13 @@ def godement_section(phi: SchwartzFn, ctx: QuadCtx) -> dict:
         shells.append((m, units, Fraction(1, len(units)), om_x2 ** m))
     # constant value phi(0) beyond the last shell
     phi0 = phi.value_at(0, 0)
-    tail = RatFunc(om_x2 ** (N + 1) * phi0, [1 - om_x2]) if phi0 else None
+    tail = RatFunc(om_x2 ** (N + 1) * phi0, [1 - om_x2])
     values = {}
     for r1 in range(p ** L):
         for r2 in range(p ** L):
             if r1 % p == 0 and r2 % p == 0:
                 continue
-            acc = RatFunc(Lau(vs))
+            acc = Lau(vs)
             for m, units, volc, om_m in shells:
                 if m >= 0:
                     s1, s2 = p ** m * r1, p ** m * r2
@@ -860,8 +872,6 @@ def godement_section(phi: SchwartzFn, ctx: QuadCtx) -> dict:
                     pm = Fraction(p) ** m
                     tot = sum(phi.value_at(pm * u * r1, pm * u * r2) for u in units)
                 if tot:
-                    acc = acc + RatFunc.from_lau(om_m * (tot * volc))
-            if tail is not None:
-                acc = acc + tail
-            values[(r1, r2)] = acc
+                    acc = acc + om_m * (tot * volc)
+            values[(r1, r2)] = tail + RatFunc.from_lau(acc) if phi0 else RatFunc.from_lau(acc)
     return {"level": L, "values": values}

@@ -1,7 +1,10 @@
 """The benchmark's workloads build and run: the first job of every workload
-at seed 0 passes its exact oracle, also under the benchmark's tracer."""
+at seed 0 passes its exact oracle, also under the benchmark's tracer, and
+the zeta and certificate workloads print what bench/digests.json records."""
 
+import hashlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -41,6 +44,15 @@ def test_first_job_passes_its_oracle(workloads, name):
     out, ok, _ = jobs[0].run()
     assert ok, (name, jobs[0].kind)
     assert out
+
+
+@pytest.mark.parametrize("name", ["hecke_freeness", "zeta_primes", "chain_certify"])
+def test_first_pass_matches_digest(workloads, name):
+    # the seed-0 digest bench/run.py checks, so a changed printed result
+    # fails here and not only in a benchmark run
+    outs = [job.run()[0] for job in workloads.build(name, 0)]
+    expected = json.loads((BENCH / "digests.json").read_text())[name]
+    assert hashlib.sha256("\n".join(outs).encode()).hexdigest() == expected
 
 
 def test_traced_job_finds_every_site(workloads, spans):

@@ -17,7 +17,6 @@ from padicasai.exactnum import (
     in_z_inv_p,
     is_odd_prime,
     lau_eval_x1,
-    ratfunc_exact_div,
     smallest_nonresidue,
     sym_expand,
     sym_invert_params,
@@ -218,27 +217,27 @@ def test_ratfunc_exact_div_full_cancel():
     L = [1 - A * X, 1 - B * X]
     f = RatFunc(Lau.const(vs, 1), L)
     g = (1 - A * X) * (1 - B * X)
-    assert ratfunc_exact_div(f, g) == Lau.const(vs, 1)
+    assert (f * g).as_laurent() == Lau.const(vs, 1)
 
 
 def test_ratfunc_exact_div_partial():
     X = Lau.var(("X",), "X")
     f = RatFunc(1 + X, [1 - X])
-    assert ratfunc_exact_div(f, 1 - X) == 1 + X
+    assert (f * (1 - X)).as_laurent() == 1 + X
 
 
 def test_ratfunc_exact_div_laurent_quotient():
     # (1 - X^2)/(1 - X) is the Laurent polynomial 1 + X, so division succeeds
     X = Lau.var(("X",), "X")
     f = RatFunc(Lau.const(("X",), 1), [1 - X])
-    assert ratfunc_exact_div(f, 1 - X ** 2) == 1 + X
+    assert (f * (1 - X ** 2)).as_laurent() == 1 + X
 
 
 def test_ratfunc_exact_div_not_divisible():
     X = Lau.var(("X",), "X")
     f = RatFunc(Lau.const(("X",), 1), [1 - X, 1 - 2 * X])
     with pytest.raises(NotDivisible):
-        ratfunc_exact_div(f, 1 - X)
+        (f * (1 - X)).as_laurent()
 
 
 def test_series_coeff_geometric():
@@ -273,7 +272,7 @@ def test_ratfunc_sum_order_independent():
     for t in reversed(terms):
         acc2 = acc2 + t
     assert acc1 == acc2
-    assert acc1.numerator == acc2.numerator and acc1.denominator == acc2.denominator
+    assert acc1.num == acc2.num and acc1.denominator == acc2.denominator
 
 
 def test_json_roundtrip():

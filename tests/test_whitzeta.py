@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -12,12 +13,13 @@ from padicasai.exactnum import (
     RatFunc,
     UV,
     complete_homog,
+    lau_eval_x1,
     sym_expand,
     sym_reduce,
     val_p,
 )
 from padicasai.heckealg import HeckeElem
-from padicasai.heckemod import delta1, generator_vector, hecke_apply, local_factor
+from padicasai.heckemod import delta1, generator_vector, hecke_apply, local_factor, period_value
 from padicasai.padicgrp import Mat2
 from padicasai import whitzeta
 from padicasai.cli import main
@@ -302,7 +304,7 @@ def psi_secondary_oracle(a, b, p):
     if 0 <= jneg < J:
         finite = finite + aj(jneg) * X ** jneg * Fraction(-1, p - 1)
     den = [1 - Lau.var(vs, "A") * X, 1 - Lau.var(vs, "B") * X]
-    tail = whitzeta._seq_tail(aj, J, den, vs)
+    tail = RatFunc(whitzeta._seq_tail(aj, J, den[0] * den[1], vs), den)
     omega_a = Lau.monomial(vs, (a, a, 0))
     return (tail + RatFunc.from_lau(finite)) * omega_a
 
@@ -351,7 +353,8 @@ def y_integral_oracle(vbeta, vcs, omegas, vs, p):
         jneg = -int(vbeta) - 1
         if jneg >= j0:
             finite = finite + aj(jneg) * X ** jneg * Fraction(-1, p - 1)
-    tail = whitzeta._seq_tail(aj, J, [1 - r * X for r in roots], vs)
+    den = [1 - r * X for r in roots]
+    tail = RatFunc(whitzeta._seq_tail(aj, J, math.prod(den), vs), den)
     return (tail + RatFunc.from_lau(finite)) * omegas
 
 
@@ -363,7 +366,7 @@ def test_y_integral_takes_its_shells_from_gauss_shell(p):
     for vs, cases in ((VS_INERT, inert), (VS_SPLIT, split)):
         for vcs, omegas in cases:
             for vbeta in vbetas:
-                got = whitzeta._y_integral(vbeta, list(vcs), omegas, vs, p)
+                got = RatFunc(whitzeta._y_integral(vbeta, list(vcs), omegas, vs, p), whitzeta._root_factors(vs, p))
                 assert same_ratfunc(got, y_integral_oracle(vbeta, list(vcs), omegas, vs, p)), (vbeta, vcs)
 
 
@@ -545,19 +548,17 @@ def test_y_value_memo_matches_fresh_builds(monkeypatch):
         split_t2_freeness(QuadCtx.make(3))
         delta1(QuadCtx.make(5), "inert")
 
-    def same(a, b):
-        return a.num == b.num and a.den == b.den
-
+    # numerators over the one denominator R: equal numerators, equal values
     monkeypatch.setattr(whitzeta, "_y_value_from_data", recording)
     run_engines()
     assert {(vs, p) for _, vs, p in served} == {(VS_SPLIT, 3), (VS_INERT, 5)}
     for key in served:
-        assert same(memo(*key), memo.__wrapped__(*key)), key
+        assert memo(*key) == memo.__wrapped__(*key), key
     # a caller mutating a shared value in place would show on the second run
     run_engines()
     for key, y in served.items():
         fresh = memo.__wrapped__(*key)
-        assert same(y, fresh) and same(memo(*key), fresh), key
+        assert y == fresh and memo(*key) == fresh, key
 
 
 def test_y_value_memo_second_run_is_all_hits():
@@ -570,6 +571,76 @@ def test_y_value_memo_second_run_is_all_hits():
     assert after.misses == before.misses
     assert after.hits > before.hits
     assert second == first == h
+
+
+def zeta_by_ratfunc(phi, gs, ctx):
+    """_zeta_engine's sum as it was: one RatFunc per (row data, shell)
+    weight, each inner integral from y_integral_oracle."""
+    p = ctx.p
+    vs = VS_SPLIT if len(gs) == 2 else VS_INERT
+    omx2 = whitzeta._omega_x2(vs, p)
+    ys = {}
+    acc = RatFunc(Lau(vs))
+    for (data, shell), wt in sorted(whitzeta._shell_weights(phi, gs, ctx, 12).items(), key=repr):
+        if data not in ys:
+            vbeta, vcs, ws = data
+            omegas = Lau.monomial(vs, [w for w in ws for _ in "xy"] + [0], Fraction(p) ** ((1 - len(ws)) * sum(ws)))
+            ys[data] = y_integral_oracle(vbeta, list(vcs), omegas, vs, p)
+        y = ys[data]
+        if shell[0] == "pow":
+            contrib = y * RatFunc.from_lau(omx2 ** shell[1])
+        else:
+            contrib = y * RatFunc(omx2 ** shell[1], [1 - omx2])
+        acc = acc + contrib * wt
+    return acc
+
+
+def normalized_by_ratfunc(rf, case, p):
+    """lim_(s->0) rf / L(s) by multiplying with L(s)^-1, as it was taken."""
+    return sym_reduce(lau_eval_x1((rf * whitzeta.inverse_l_factor(case, p)).as_laurent(), "X"))
+
+
+def test_zeta_numerator_matches_ratfunc_sum():
+    ctx = QuadCtx.make(3)
+    phis = [SchwartzFn.char_zp2(3), SchwartzFn.phi_p2(3), SchwartzFn.cell(3, 1, Fraction(1, 3), 2, 5)]
+    cases = [("inert", [g]) for g in inert_g0s(ctx).values()]
+    cases += [("split", gs) for gs in split_g0s(ctx).values()]
+    for case, gs in cases:
+        for phi in phis:
+            got = whitzeta._zeta_engine(phi, gs, ctx)
+            want = zeta_by_ratfunc(phi, gs, ctx)
+            assert same_ratfunc(got.ratfunc, want), (gs, phi)
+            assert got.normalized() == normalized_by_ratfunc(want, case, 3), (gs, phi)
+
+
+def test_period_numerator_matches_ratfunc_sum():
+    # the split 1 (x) T^2 generator vector: one pairing of 16 terms at p = 3
+    ctx = QuadCtx.make(3)
+    h = HeckeElem.monomial("split_pair", (0, 0, 2, 0), 2)
+    vec = hecke_apply(h, generator_vector(ctx, "split"))
+    want = RatFunc(Lau(VS_SPLIT))
+    for phi, gs, c in vec.terms:
+        want = want + zeta_by_ratfunc(phi, gs, ctx) * c
+    got = period_value(vec)
+    assert same_ratfunc(got.ratfunc, want)
+    assert got.normalized() == normalized_by_ratfunc(want, "split", 3)
+
+
+@pytest.mark.parametrize("case", ["inert", "split"])
+def test_local_factor_builds_no_ratfunc(case, monkeypatch):
+    # T^2 at an inert prime, 1 (x) T^2 at a split one
+    h = HeckeElem.monomial("inert_F", (2, 0)) if case == "inert" else HeckeElem.monomial("split_pair", (0, 0, 2, 0))
+    vec = hecke_apply(h, generator_vector(QuadCtx.make(3), case))
+    built = []
+    init = RatFunc.__init__
+
+    def counting(self, *args, **kw):
+        built.append(1)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(RatFunc, "__init__", counting)
+    assert local_factor(vec) == h
+    assert not built
 
 
 def value_by_scan(phi, x1, x2):
