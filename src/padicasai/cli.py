@@ -156,11 +156,15 @@ def cmd_zeta(args) -> None:
     phi = _parse_phi(args.prime, args.phi)
     case = args.case
     point = _satake_point(args.satake, case) if args.satake else None
+    specs = args.g.split(";")
+    need = 2 if case == "split" else 1
+    if len(specs) != need:
+        raise ValueError(f"--g takes {need} ';'-joined matrix spec(s) in the {case} case, got {len(specs)}")
+    gs = tuple(_parse_matrix(ctx, s) for s in specs)
     if case == "split":
-        gs = tuple(_parse_matrix(ctx, s) for s in args.g.split(";"))
         res = zeta_rs_split(phi, gs, ctx, level_cap=args.precision_cap)
     else:
-        res = zeta_asai(phi, _parse_matrix(ctx, args.g), ctx, level_cap=args.precision_cap)
+        res = zeta_asai(phi, gs[0], ctx, level_cap=args.precision_cap)
     if not args.normalize:
         _emit(args, res.to_json(), f"zeta integral ({case})")
         return

@@ -43,6 +43,7 @@ from .padicgrp import (
     coset_reps,
     identity_rows,
     lattice_measure,
+    pgk_canonical,
     pgk_label,
     plocal_smith,  # not called here: bench/spans.py REQUIRED_SITES traces this import site
     subgroup_volume,
@@ -312,14 +313,10 @@ def mirabolic_volume(g: Mat2) -> Fraction:
     (x, beta) with g^-1 [[x, beta], [0, 0]] g in M2(O_F) and 1 + x a unit,
     over the measure 1 - 1/p of P(Z_p) in these coordinates.
     """
-    ctx = g.ctx
-    p = ctx.p
-    gi = g.inv()
+    p = g.ctx.p
     rows = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    prods = [gi * Mat2([1, 0, 0, 0], ctx) * g, gi * Mat2([0, 1, 0, 0], ctx) * g]
-    for eidx in range(4):
-        rows.append([prods[0].e[eidx].a, prods[1].e[eidx].a])
-        rows.append([prods[0].e[eidx].b, prods[1].e[eidx].b])
+    # the E_11 and E_12 columns: x and beta
+    rows += [r[:2] for r in conj_condition_rows(g.inv(), g)]
     rows = [r for r in rows if any(r)]
     vol = lattice_measure(rows, [Fraction(0)] * len(rows), p, lambda x: (1 + x[0]) % p != 0)
     return vol / (1 - Fraction(1, p))
@@ -334,8 +331,7 @@ def phi_c_weight(a: int, b: int, ctx: QuadCtx) -> Fraction:
     runs one mirabolic_volume Smith form, and the chain asks for the same
     few b in every vector.  A Fraction is immutable, so sharing it is safe.
     """
-    g = Mat2.t(a, a, ctx) * Mat2.n_b(b, ctx)
-    return Fraction(1) / mirabolic_volume(g)
+    return Fraction(1) / mirabolic_volume(pgk_canonical(a, b, ctx))
 
 
 @dataclass
@@ -371,7 +367,7 @@ def _mirabolic_successors(a: int, b: int, ctx: QuadCtx) -> tuple:
     checks, once per coset.  Only tuples of integer label pairs are cached,
     and they are immutable, so sharing them is safe.
     """
-    x0 = Mat2.t(a, a, ctx) * Mat2.n_b(b, ctx)
+    x0 = pgk_canonical(a, b, ctx)
     tcos = coset_reps(1, ctx, True)
     return tuple(pgk_label(x0 * gi).label for gi in tcos)
 

@@ -383,30 +383,6 @@ def rep_side_asai_inverse(data: EigenformData, p: int, x: Fraction) -> CoefElem:
 # the period ideal check
 
 
-@dataclass
-class PrimeLocalReport:
-    p: int
-    kind: str
-    zeta_value: CoefElem
-    in_S0: bool
-    tate_applied: bool
-    v_p_minus_1: object = None
-    v_l_inverse: object = None
-    exponent: object = None
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "kind": self.kind,
-            "zeta_value": self.zeta_value.to_json(),
-            "in_S0": self.in_S0,
-            "tate_applied": self.tate_applied,
-            "v(p-1)": self.v_p_minus_1,
-            "v(L_inverse)": self.v_l_inverse,
-            "ideal_exponent": self.exponent,
-        }
-
-
 def period_ideal_check(
     data: EigenformData,
     local_inputs: Sequence[Mapping],
@@ -470,14 +446,22 @@ def period_ideal_check(
             value = value * tate_factor_inverse(data, p)
             tate = True
         value = value * zval
-        rep = PrimeLocalReport(p, sat.kind, zval, p in S0, tate)
+        rep = {
+            "p": p,
+            "kind": sat.kind,
+            "zeta_value": zval.to_json(),
+            "in_S0": p in S0,
+            "tate_applied": tate,
+            "v(p-1)": None,
+            "v(L_inverse)": None,
+            "ideal_exponent": None,
+        }
         if p in S0:
             linv = rep_side_asai_inverse(data, p, Fraction(1))
             va = ell_adic_valuation(CoefElem(p - 1, 0, d), ell)
             vb = ell_adic_valuation(linv, ell) if not linv.is_zero() else INF
-            rep.v_p_minus_1, rep.v_l_inverse = _v_str(va), _v_str(vb)
             expo = min(va, vb)
-            rep.exponent = _v_str(expo)
+            rep["v(p-1)"], rep["v(L_inverse)"], rep["ideal_exponent"] = _v_str(va), _v_str(vb), _v_str(expo)
             exponents_total += 0 if expo == INF else expo
         reports.append(rep)
     vval = ell_adic_valuation(value, ell) if not value.is_zero() else INF
@@ -489,7 +473,7 @@ def period_ideal_check(
         "required_exponent": exponents_total,
         "member": bool(ok),
         "assume_class_coprime": assume_class_coprime,
-        "primes": [r.to_json() for r in reports],
+        "primes": reports,
     }
 
 

@@ -3,12 +3,16 @@
 Provides exact Iwasawa decomposition, the mirabolic coset labels
 P(Q_p) t_a n_b G(O_F) (with witnesses), the generalized Cartan labels
 G(Z_p) \\ G(F) / G(O_F) (decided by an exact lattice computation, no
-precision cap), the single cosets of K t(lam, 0) K, and a p-local Smith
-engine used throughout for lattice membership.  One lattice measure,
-lattice_measure, gives the additive Haar measure of the points of an
-affine lattice with a prescribed reduction mod p; every stabilizer volume
-(subgroup_volume here, the mirabolic volumes of the Hecke-module layer) is
-read off it.
+precision cap), and the single cosets of K t(lam, 0) K.
+
+Every lattice question takes one path.  conj_condition_rows writes
+"left X right is integral" as linear conditions on X; the one solver,
+lattice_solve_affine (the only caller of the p-local Smith engine),
+turns conditions into an affine Z_p-lattice; and one residue search,
+lattice_residues, reads that lattice mod p.  lattice_measure counts its
+residue classes, which gives every stabilizer volume (subgroup_volume
+here, the mirabolic volumes of the Hecke-module layer), and kck_membership
+takes its first class of unit determinant as the Cartan witness.
 
 Matrices are immutable; every decomposition returns witnesses and is
 re-verified by exact multiplication before being returned.
@@ -265,34 +269,20 @@ def plocal_smith(rows: list[list[Fraction]], p: int):
     return U, exps, V
 
 
-def _smith_basis(rows: list[list[Fraction]], p: int):
-    """plocal_smith of the rows, (U, exps, V), and the basis of
-    L = {x : rows @ x is p-integral}: column i of V over p^exps[i]."""
+def lattice_solve_affine(rows: list[list[Fraction]], target: list[Fraction], p: int):
+    """Solve {x : rows@x - target is p-integral}; returns (x0, basis) or None.
+
+    basis spans the homogeneous solution lattice L = {x : rows@x is
+    p-integral}: column i of V over p^exps[i], from plocal_smith.  The
+    condition matrix must have full column rank (callers stack identity
+    rows, so this always holds).
+    """
+    m = len(rows)
     n = len(rows[0])
     U, exps, V = plocal_smith(rows, p)
     if len(exps) < n:
         raise ValueError("condition matrix not of full column rank")
-    return U, exps, V, [[V[r][i] * Fraction(p) ** (-exps[i]) for r in range(n)] for i in range(n)]
-
-
-def lattice_from_conditions(rows: list[list[Fraction]], p: int):
-    """Basis of L = {x in Q^n : (rows @ x) is p-integral componentwise}.
-
-    Requires the condition matrix to have full column rank (callers stack
-    identity rows, so this always holds).  Returns a list of n basis
-    vectors; L = Z_(p)-span of them.
-    """
-    return _smith_basis(rows, p)[3]
-
-
-def lattice_solve_affine(rows: list[list[Fraction]], target: list[Fraction], p: int):
-    """Solve {x : rows@x - target is p-integral}; returns (x0, basis) or None.
-
-    basis spans the homogeneous solution lattice.
-    """
-    m = len(rows)
-    n = len(rows[0])
-    U, exps, V, basis = _smith_basis(rows, p)
+    basis = [[V[r][i] * Fraction(p) ** (-exps[i]) for r in range(n)] for i in range(n)]
     # U @ target
     ut = [sum(U[i][j] * target[j] for j in range(m)) for i in range(m)]
     y = [Fraction(0)] * n
@@ -305,30 +295,47 @@ def lattice_solve_affine(rows: list[list[Fraction]], target: list[Fraction], p: 
     return x0, basis
 
 
-def lattice_measure(rows: list[list[Fraction]], target: list[Fraction], p: int, accept) -> Fraction:
-    """Additive Haar measure (vol Z_p^n = 1) of {x in x0 + L : accept(x mod p)},
-    with x0 + L = {x : rows@x - target is p-integral} from lattice_solve_affine.
+def lattice_residues(rows: list[list[Fraction]], target: list[Fraction], p: int):
+    """The coset x0 + L = {x : rows@x - target is p-integral} read mod p.
 
-    A basis vector of level a (p^a times a primitive vector) contributes
-    p^-a to vol L.  The level-0 ones are independent mod p, so x mod p runs
-    over x0 plus their span, each residue class (a list of ints, handed to
-    accept) carrying the same measure: p^-(sum a) hits / p^(#level 0).
+    Returns None when the coset is empty, else (free, weight, classes).  A
+    basis vector of level a is p^a times a primitive vector; free are the
+    level-0 ones, which are independent mod p.  classes yields
+    (coefs, x mod p) for x = x0 + sum(coefs * free), over coefs in
+    range(p)^len(free) in product order: every residue class of x0 + L once.
+    Each class has additive Haar measure (vol Z_p^n = 1) weight: a level-a
+    vector contributes p^-a to vol L, so weight = p^-(sum a) / p^(#level 0).
     A coset outside Z_p^n raises ValueError.
     """
     sol = lattice_solve_affine(rows, target, p)
     if sol is None:
-        return Fraction(0)
+        return None
     x0, basis = sol
     levels = [min(val_p(x, p) for x in b if x) for b in basis]
     if min(levels) < 0:
         raise ValueError("lattice not contained in Z_p^n")
-    free = [[fr_mod(x, p, 1) for x in b] for b, a in zip(basis, levels) if a == 0]
+    free = [b for b, a in zip(basis, levels) if a == 0]
+    red = [[fr_mod(x, p, 1) for x in b] for b in free]
     start = [fr_mod(x, p, 1) for x in x0]
-    hits = 0
-    for coefs in product(range(p), repeat=len(free)):
-        x = [(s + sum(c * b[i] for c, b in zip(coefs, free))) % p for i, s in enumerate(start)]
-        hits += bool(accept(x))
-    return Fraction(hits, p ** (sum(levels) + len(free)))
+
+    def classes():
+        for coefs in product(range(p), repeat=len(red)):
+            yield coefs, [(s + sum(c * b[i] for c, b in zip(coefs, red))) % p for i, s in enumerate(start)]
+
+    return free, Fraction(1, p ** (sum(levels) + len(free))), classes()
+
+
+def lattice_measure(rows: list[list[Fraction]], target: list[Fraction], p: int, accept) -> Fraction:
+    """Additive Haar measure (vol Z_p^n = 1) of {x in x0 + L : accept(x mod p)},
+    with x0 + L = {x : rows@x - target is p-integral}: the residue classes
+    of lattice_residues (lists of ints, handed to accept) that accept takes,
+    each of the same measure.
+    """
+    res = lattice_residues(rows, target, p)
+    if res is None:
+        return Fraction(0)
+    _, weight, classes = res
+    return sum(bool(accept(x)) for _, x in classes) * weight
 
 
 def identity_rows() -> list[list[Fraction]]:
@@ -340,19 +347,17 @@ def identity_rows() -> list[list[Fraction]]:
 def conj_condition_rows(left: Mat2, right: Mat2) -> list[list[Fraction]]:
     """Rows expressing the components of left * X * right for rational X.
 
-    X is a rational 2x2 unknown (4 coordinates, row-major); each matrix
-    entry of the product contributes two rows (1 and sqrt(r) components).
+    X is a rational 2x2 unknown (4 coordinates, row-major).  Entry (i, j) of
+    left * E_rs * right is left_ir * right_sj; each entry contributes two
+    rows (its 1 and sqrt(r) components), in row-major entry order.
     """
-    ctx = left.ctx
-    rows = [[Fraction(0)] * 4 for _ in range(8)]
-    for k in range(4):
-        X = [Fraction(0)] * 4
-        X[k] = Fraction(1)
-        xm = Mat2(X, ctx)
-        prod = left * xm * right
-        for eidx in range(4):
-            rows[2 * eidx][k] = prod.e[eidx].a
-            rows[2 * eidx + 1][k] = prod.e[eidx].b
+    L, R = left.e, right.e
+    rows = []
+    for i in range(2):
+        for j in range(2):
+            prods = [L[2 * i + r] * R[2 * s + j] for r in range(2) for s in range(2)]
+            rows.append([x.a for x in prods])
+            rows.append([x.b for x in prods])
     return rows
 
 
@@ -361,25 +366,21 @@ def kck_membership(g: Mat2, cell: Mat2):
 
     Returns (k, kappa) with g = k * cell * kappa, or None.  The set
     {x : cell^-1 x g in M2(O_F), x in M2(Z_p)} is an exact Z_p-lattice;
-    a point of unit determinant in it is found by reducing a basis mod p,
-    or shown not to exist (the determinant mod p is a quadratic form on
-    the reduction, so emptiness mod p settles exact emptiness).
+    a point of unit determinant in it is the first residue class of
+    lattice_residues with a unit determinant, or shown not to exist (the
+    determinant mod p is a quadratic form on the reduction, so emptiness
+    mod p settles exact emptiness).
     """
     ctx = g.ctx
     p = ctx.p
     if g.det_val() != cell.det_val():
         return None
     rows = identity_rows() + conj_condition_rows(cell.inv(), g)
-    basis = lattice_from_conditions(rows, p)
-    coefs = _fp_point_with_unit_det(basis, p)
+    free, _, classes = lattice_residues(rows, [Fraction(0)] * len(rows), p)
+    coefs = next((c for c, v in classes if (v[0] * v[3] - v[1] * v[2]) % p), None)
     if coefs is None:
         return None
-    vec = [Fraction(0)] * 4
-    for c, b in zip(coefs, basis):
-        if c:
-            for i in range(4):
-                vec[i] += c * b[i]
-    x = Mat2(vec, ctx)
+    x = Mat2([sum(c * b[i] for c, b in zip(coefs, free)) for i in range(4)], ctx)
     kappa = cell.inv() * x * g
     k = x.inv()
     if not (x.in_K_base() and kappa.in_KF()):
@@ -387,18 +388,6 @@ def kck_membership(g: Mat2, cell: Mat2):
     if k * cell * kappa != g:
         raise AssertionError("KcK witnesses do not reassemble g")
     return k, kappa
-
-
-def _fp_point_with_unit_det(basis: list[list[Fraction]], p: int):
-    """Small integer coefficients on the basis making det(sum) a p-unit."""
-    red = [[fr_mod(x, p, 1) for x in b] for b in basis]
-    for coefs in product(range(p), repeat=len(basis)):
-        if all(c == 0 for c in coefs):
-            continue
-        v = [sum(c * r[i] for c, r in zip(coefs, red)) % p for i in range(4)]
-        if (v[0] * v[3] - v[1] * v[2]) % p != 0:
-            return coefs
-    return None
 
 
 # ---------------------------------------------------------------------------

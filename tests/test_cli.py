@@ -87,6 +87,17 @@ def test_input_error_exit_code():
     assert r2.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "case, g", [("split", "identity"), ("split", "identity;identity;identity"), ("inert", "identity;t:1,0")]
+)
+def test_zeta_g_spec_count_is_an_input_error(case, g):
+    # a split zeta takes exactly two ';'-joined matrix specs, an inert one exactly one
+    r = run("--prime", "3", "zeta", "--phi", "builtin:unramified", "--case", case, "--g", g)
+    assert r.returncode == 2
+    assert "input error: --g takes" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_precision_overflow_exit_code(tmp_path):
     # a deep cell forces a refinement level above a tiny cap
     phi = {"level": 2, "cells": [{"c": ["0", "1"], "coef": "1"}]}

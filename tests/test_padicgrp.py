@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from padicasai.exactnum import QuadCtx, QuadElem, val_p
 from padicasai.padicgrp import (
@@ -11,9 +13,11 @@ from padicasai.padicgrp import (
     coset_reps,
     gen_cartan_label,
     iwasawa_F,
+    conj_condition_rows,
+    gen_cartan_candidates,
     kck_membership,
-    lattice_from_conditions,
     lattice_measure,
+    lattice_solve_affine,
     pgk_canonical,
     pgk_label,
     plocal_smith,
@@ -135,12 +139,88 @@ def test_plocal_smith_shapes():
                 assert prod[i][j] == 0
 
 
-def test_lattice_from_conditions_simple():
+def test_lattice_solve_affine_zero_target_simple():
     # {x in Z_p^2 : x1/9 integral} = 9Z x Z
     rows = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)], [Fraction(1, 9), Fraction(0)]]
-    basis = lattice_from_conditions(rows, 3)
+    x0, basis = lattice_solve_affine(rows, [Fraction(0)] * 3, 3)
+    assert x0 == [0, 0]
     vals = sorted(min(val_p(c, 3) for c in b if c != 0) for b in basis)
     assert vals == [0, 2]
+
+
+def conj_condition_rows_oracle(left, right):
+    """conj_condition_rows as it was: one Mat2 triple product left * E_k * right
+    per coordinate k of X."""
+    ctx = left.ctx
+    rows = [[Fraction(0)] * 4 for _ in range(8)]
+    for k in range(4):
+        X = [Fraction(0)] * 4
+        X[k] = Fraction(1)
+        prod = left * Mat2(X, ctx) * right
+        for eidx in range(4):
+            rows[2 * eidx][k] = prod.e[eidx].a
+            rows[2 * eidx + 1][k] = prod.e[eidx].b
+    return rows
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_conj_condition_rows_match_triple_products(p):
+    ctx = QuadCtx.make(p)
+    rng = random.Random(p)
+    for _ in range(300):
+        left, right = rand_gl2(ctx, rng, -3, 3), rand_gl2(ctx, rng, -3, 3)
+        assert conj_condition_rows(left, right) == conj_condition_rows_oracle(left, right)
+
+
+def kck_membership_oracle(g, cell):
+    """kck_membership as it was: the full Smith basis of the lattice, then a
+    search over all p^4 coefficient tuples on it, in product order, for the
+    first nonzero one whose reduction has a unit determinant."""
+    ctx = g.ctx
+    p = ctx.p
+    if g.det_val() != cell.det_val():
+        return None
+    rows = id_rows() + conj_condition_rows_oracle(cell.inv(), g)
+    U, exps, V = plocal_smith(rows, p)
+    basis = [[V[r][i] * Fraction(p) ** (-exps[i]) for r in range(4)] for i in range(4)]
+    red = [[x.numerator * pow(x.denominator, -1, p) % p for x in b] for b in basis]
+    for coefs in product(range(p), repeat=4):
+        if not any(coefs):
+            continue
+        v = [sum(c * r[i] for c, r in zip(coefs, red)) % p for i in range(4)]
+        if (v[0] * v[3] - v[1] * v[2]) % p:
+            break
+    else:
+        return None
+    x = Mat2([sum(c * b[i] for c, b in zip(coefs, basis)) for i in range(4)], ctx)
+    return x.inv(), cell.inv() * x * g
+
+
+def criterion_3_matrix(ctx, rng):
+    """A random invertible matrix drawn as criterion 3 draws it: entries
+    (a + b sqrt r) p^v with |a|, |b| <= 8 and |v| <= 2."""
+    p = ctx.p
+    while True:
+        es = []
+        for _ in range(4):
+            v = rng.randint(-2, 2)
+            es.append(QuadElem(Fraction(rng.randint(-8, 8)) * Fraction(p) ** v, Fraction(rng.randint(-8, 8)) * Fraction(p) ** v, ctx))
+        m = Mat2(es, ctx)
+        if m.det() != ctx.zero():
+            return m
+
+
+def test_kck_membership_matches_full_basis_search(F3):
+    rng = random.Random(3)
+    found = 0
+    for _ in range(100):
+        g = criterion_3_matrix(F3, rng)
+        for label in gen_cartan_candidates(g):
+            cell = cartan_cell(*label, F3)
+            got = kck_membership(g, cell)
+            assert got == kck_membership_oracle(g, cell)
+            found += got is not None
+    assert found == 100  # one cell per matrix
 
 
 # -- P t_a n_b K labels -------------------------------------------------------
@@ -390,3 +470,102 @@ def test_volume_K0_and_K011(p, c):
     cond2 = SubgroupConditions(p, [(rows2 + extra, targets)], "unit")
     nu_p = p * (p - 1) ** 2 * (p + 1)
     assert subgroup_volume(cond2) == Fraction(1, p ** 2 * nu_p)
+
+
+# -- properties ------------------------------------------------------------------
+
+PROPERTY = settings(derandomize=True, max_examples=50, deadline=None)
+
+
+@st.composite
+def k_base(draw, ctx):
+    """An element of GL2(Z_p)."""
+    m = Mat2([draw(st.integers(0, ctx.p ** 2)) for _ in range(4)], ctx)
+    assume(m.in_K_base())
+    return m
+
+
+@st.composite
+def k_field(draw, ctx):
+    """An element of GL2(O_F)."""
+    m = Mat2([QuadElem(draw(st.integers(0, ctx.p ** 2)), draw(st.integers(0, ctx.p ** 2)), ctx) for _ in range(4)], ctx)
+    assume(m.in_KF())
+    return m
+
+
+@st.composite
+def mirabolic(draw, ctx):
+    """An element [[a, b], [0, 1]] of P(Q_p)."""
+    p = ctx.p
+    a = Fraction(draw(st.integers(1, p ** 2).filter(lambda n: n % p))) * Fraction(p) ** draw(st.integers(-2, 2))
+    b = Fraction(draw(st.integers(-p ** 2, p ** 2)), p ** draw(st.integers(0, 2)))
+    return Mat2([QuadElem(a, 0, ctx), QuadElem(b, 0, ctx), ctx.zero(), ctx.one()], ctx)
+
+
+@st.composite
+def gl2_F(draw, ctx):
+    """An invertible matrix with entries (a + b sqrt r) p^v, |a|, |b| <= 8, |v| <= 2."""
+    p = ctx.p
+    es = []
+    for _ in range(4):
+        v = Fraction(p) ** draw(st.integers(-2, 2))
+        es.append(QuadElem(draw(st.integers(-8, 8)) * v, draw(st.integers(-8, 8)) * v, ctx))
+    m = Mat2(es, ctx)
+    assume(m.det() != ctx.zero())
+    return m
+
+
+F3_CTX = QuadCtx.make(3)
+
+
+@PROPERTY
+@given(gl2_F(F3_CTX), k_base(F3_CTX), k_field(F3_CTX))
+def test_gen_cartan_label_is_bi_invariant(g, k, kappa):
+    assert gen_cartan_label(k * g * kappa).label == gen_cartan_label(g).label
+
+
+@PROPERTY
+@given(gl2_F(F3_CTX), mirabolic(F3_CTX), k_field(F3_CTX))
+def test_pgk_label_is_bi_invariant(g, q, kappa):
+    assert pgk_label(q * g * kappa).label == pgk_label(g).label
+
+
+def frac_det(rows):
+    """Exact determinant of a square Fraction matrix by elimination."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            q = m[i][k] / m[k][k]
+            m[i] = [x - q * y for x, y in zip(m[i], m[k])]
+    return det
+
+
+@st.composite
+def p_and_matrix(draw):
+    p = draw(st.sampled_from([3, 5, 7]))
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    entry = st.builds(lambda a, e, u: Fraction(a, p ** e * u), st.integers(-20, 20), st.integers(0, 2), st.sampled_from([1, 2]))
+    return p, [[draw(entry) for _ in range(n)] for _ in range(m)]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(p_and_matrix())
+def test_plocal_smith_is_a_unit_equivalence(pm):
+    p, M = pm
+    m, n = len(M), len(M[0])
+    U, exps, V = plocal_smith(M, p)
+    UM = [[sum(U[i][k] * M[k][j] for k in range(m)) for j in range(n)] for i in range(m)]
+    D = [[sum(UM[i][k] * V[k][j] for k in range(n)) for j in range(n)] for i in range(m)]
+    for i in range(m):
+        for j in range(n):
+            assert D[i][j] == (Fraction(p) ** exps[i] if i == j and i < len(exps) else 0)
+    assert val_p(frac_det(U), p) == 0 and val_p(frac_det(V), p) == 0
