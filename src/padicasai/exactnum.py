@@ -5,8 +5,8 @@ integrals) is built on the four algebraic layers in this module:
 
 * ``Fraction`` rationals, with p-adic valuations and Z[1/p] membership
   tests;
-* ``QuadElem``, elements a + b*sqrt(r) of the unramified quadratic
-  extension F = Q_p(sqrt(r));
+* ``QuadElem``, elements (x + y*sqrt(r)) / d (integers, lowest terms) of
+  the unramified quadratic extension F = Q_p(sqrt(r));
 * ``Lau``, sparse multivariate Laurent polynomials over Q (the same class
   carries symmetric-coordinate polynomials, Hecke operators and zeta
   numerators, distinguished only by their variable tuples);
@@ -57,18 +57,21 @@ def val_p(x, p: int):
     min(v_p(a), v_p(b)).
     """
     if isinstance(x, QuadElem):
-        return min(val_p(x.a, p), val_p(x.b, p))
+        return x.val() if p == x.ctx.p else min(val_p(x.a, p), val_p(x.b, p))
+    if isinstance(x, int):
+        return _vint(x, p) if x else INF
     x = Fraction(x)
     if x == 0:
         return INF
+    return _vint(x.numerator, p) - _vint(x.denominator, p)
+
+
+def _vint(n: int, p: int) -> int:
+    """v_p of a nonzero integer."""
     v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
+    while n % p == 0:
+        n //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
     return v
 
 
@@ -146,57 +149,80 @@ class QuadCtx:
         return QuadElem(0, 0, self)
 
     def elem(self, a, b=0) -> "QuadElem":
-        return QuadElem(Fraction(a), Fraction(b), self)
+        return QuadElem(a, b, self)
 
 
 class QuadElem:
-    """a + b*sqrt(r) with exact rational coordinates."""
+    """(x + y*sqrt(r)) / d with integers x, y and d > 0, gcd(x, y, d) = 1.
 
-    __slots__ = ("a", "b", "ctx")
+    The form is canonical, so equality and hashing compare integer tuples.
+    a and b, the Fraction coordinates of a + b*sqrt(r), are for the edges
+    (printing and JSON); the arithmetic reads x, y and d.
+    """
+
+    __slots__ = ("x", "y", "d", "ctx")
 
     def __init__(self, a, b, ctx: QuadCtx):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        if type(a) is int and type(b) is int:
+            self.x, self.y, self.d = a, b, 1
+        else:
+            a, b = Fraction(a), Fraction(b)
+            da, db = a.denominator, b.denominator
+            d = da * db // math.gcd(da, db)
+            # over the least common denominator the form is already canonical
+            self.x, self.y, self.d = a.numerator * (d // da), b.numerator * (d // db), d
         self.ctx = ctx
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.x, self.d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.y, self.d)
 
     def _coerce(self, other) -> "QuadElem":
         if isinstance(other, QuadElem):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ValueError("mixed quadratic contexts")
             return other
-        return QuadElem(Fraction(other), 0, self.ctx)
+        return QuadElem(other, 0, self.ctx)
 
     def __add__(self, other):
         o = self._coerce(other)
-        return QuadElem(self.a + o.a, self.b + o.b, self.ctx)
+        if self.d == o.d:
+            return _quad(self.x + o.x, self.y + o.y, self.d, self.ctx)
+        return _quad(self.x * o.d + o.x * self.d, self.y * o.d + o.y * self.d, self.d * o.d, self.ctx)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        return QuadElem(self.a - o.a, self.b - o.b, self.ctx)
+        if self.d == o.d:
+            return _quad(self.x - o.x, self.y - o.y, self.d, self.ctx)
+        return _quad(self.x * o.d - o.x * self.d, self.y * o.d - o.y * self.d, self.d * o.d, self.ctx)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return QuadElem(-self.a, -self.b, self.ctx)
+        return _quad(-self.x, -self.y, self.d, self.ctx)
 
     def __mul__(self, other):
         o = self._coerce(other)
-        return QuadElem(
-            self.a * o.a + self.ctx.r * self.b * o.b,
-            self.a * o.b + self.b * o.a,
-            self.ctx,
-        )
+        x1, y1, x2, y2 = self.x, self.y, o.x, o.y
+        return _quad(x1 * x2 + self.ctx.r * y1 * y2, x1 * y2 + y1 * x2, self.d * o.d, self.ctx)
 
     __rmul__ = __mul__
 
     def inv(self) -> "QuadElem":
-        n = self.norm()
+        x, y = self.x, self.y
+        n = x * x - self.ctx.r * y * y
         if n == 0:
             raise ZeroDivisionError("inverse of zero in Q_p(sqrt r)")
-        return QuadElem(self.a / n, -self.b / n, self.ctx)
+        if n < 0:
+            n, x, y = -n, -x, -y
+        return _quad(self.d * x, -self.d * y, n, self.ctx)
 
     def __truediv__(self, other):
         return self * self._coerce(other).inv()
@@ -205,33 +231,40 @@ class QuadElem:
         return self._coerce(other) * self.inv()
 
     def conj(self) -> "QuadElem":
-        return QuadElem(self.a, -self.b, self.ctx)
+        return _quad(self.x, -self.y, self.d, self.ctx)
 
     def norm(self) -> Fraction:
-        return self.a * self.a - self.ctx.r * self.b * self.b
+        return Fraction(self.x * self.x - self.ctx.r * self.y * self.y, self.d * self.d)
 
     def val(self):
-        return val_p(self, self.ctx.p)
+        """min(v(a), v(b)); p divides d or misses one of x, y, as gcd(x, y, d) = 1."""
+        p = self.ctx.p
+        if self.d % p:
+            return min(val_p(self.x, p), val_p(self.y, p))
+        return -_vint(self.d, p)
 
     def is_integral(self) -> bool:
-        v = self.val()
-        return v == INF or v >= 0
+        return self.d % self.ctx.p != 0
 
     def is_unit(self) -> bool:
-        return self.val() == 0
+        p = self.ctx.p
+        return self.d % p != 0 and (self.x % p != 0 or self.y % p != 0)
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.y == 0
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.a == other and self.b == 0
+            return self.y == 0 and self.x == other * self.d
         if not isinstance(other, QuadElem):
             return NotImplemented
-        return self.ctx == other.ctx and self.a == other.a and self.b == other.b
+        return (
+            self.x == other.x and self.y == other.y and self.d == other.d
+            and (self.ctx is other.ctx or self.ctx == other.ctx)
+        )
 
     def __hash__(self):
-        return hash((self.a, self.b, self.ctx.p, self.ctx.r))
+        return hash((self.x, self.y, self.d, self.ctx.p, self.ctx.r))
 
     def __repr__(self):
         return f"({fr_to_str(self.a)}+{fr_to_str(self.b)}*sqrt{self.ctx.r})"
@@ -246,6 +279,17 @@ class QuadElem:
         if int(d.get("r", ctx.r)) != ctx.r:
             raise ValueError("non-residue mismatch")
         return cls(Fraction(d["a"]), Fraction(d["b"]), ctx)
+
+
+def _quad(x: int, y: int, d: int, ctx: QuadCtx) -> QuadElem:
+    """(x + y*sqrt(r)) / d for d > 0, in lowest terms: the one constructor of
+    internal results."""
+    g = math.gcd(x, y, d)
+    if g != 1:
+        x, y, d = x // g, y // g, d // g
+    q = object.__new__(QuadElem)
+    q.x, q.y, q.d, q.ctx = x, y, d, ctx
+    return q
 
 
 # ---------------------------------------------------------------------------

@@ -475,30 +475,42 @@ def _mod_divide_principal(P: Lau, Q: Lau, i: int, m: int):
         raise ZeroDivisionError
     if P.is_zero():
         return P, P
-    # a monomial is a unit of the Laurent ring: divide the polynomial parts
+    # a monomial is a unit of the Laurent ring: divide the polynomial parts,
+    # as {exponent: residue} dicts
     Ps, sp = P.shift_to_poly()
     Qs, sq = Q.shift_to_poly()
-    dq = max(e[i] for e in Qs.terms)
-    lead = [(e, c) for e, c in Qs.terms.items() if e[i] == dq]
+    qs = {e: int(c) % m for e, c in Qs.terms.items()}
+    dq = max(e[i] for e in qs)
+    lead = [(e, c) for e, c in qs.items() if e[i] == dq]
     if len(lead) != 1:
         return None
     ((lexp, lcoef),) = lead
     try:
-        linv = pow(int(lcoef), -1, m)
+        linv = pow(lcoef, -1, m)
     except ValueError:
         return None
-    vs = P.vars
-    quot = Lau(vs)
-    rem = Ps
-    while not rem.is_zero():
-        dr = max(e[i] for e in rem.terms)
+    quot = {}
+    rem = {e: int(c) for e, c in Ps.terms.items()}
+    while rem:
+        dr = max(e[i] for e in rem)
         if dr < dq:
             break
-        e = min(e for e in rem.terms if e[i] == dr)
-        q = Lau.monomial(vs, tuple(x - y for x, y in zip(e, lexp)), rem.terms[e] * linv % m)
-        quot = quot + q
-        rem = _mod(rem - Qs * q, m)
-    return quot * Lau.monomial(vs, tuple(a - b for a, b in zip(sp, sq))), rem * Lau.monomial(vs, sp)
+        e = min(e for e in rem if e[i] == dr)
+        c = rem[e] * linv % m
+        shift = tuple(x - y for x, y in zip(e, lexp))
+        quot[shift] = c
+        for eq, cq in qs.items():
+            k = tuple(x + y for x, y in zip(eq, shift))
+            r = (rem.get(k, 0) - cq * c) % m
+            if r:
+                rem[k] = r
+            else:
+                rem.pop(k, None)
+
+    def shifted(terms, s):
+        return Lau(P.vars, {tuple(x + y for x, y in zip(e, s)): c for e, c in terms.items()})
+
+    return shifted(quot, tuple(a - b for a, b in zip(sp, sq))), shifted(rem, sp)
 
 
 def ideal_cert(P: HeckeElem, gen1_kind: str, Q: HeckeElem, p: int) -> HeckeIdealCert:

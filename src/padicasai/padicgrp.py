@@ -43,14 +43,9 @@ class Mat2:
 
     def __init__(self, entries: Sequence, ctx: QuadCtx):
         self.ctx = ctx
-        es = []
-        for x in entries:
-            if not isinstance(x, QuadElem):
-                x = QuadElem(Fraction(x), 0, ctx)
-            es.append(x)
-        if len(es) != 4:
+        self.e = tuple(x if isinstance(x, QuadElem) else QuadElem(x, 0, ctx) for x in entries)
+        if len(self.e) != 4:
             raise ValueError("need 4 entries")
-        self.e = tuple(es)
 
     # constructors ----------------------------------------------------------
 
@@ -92,7 +87,7 @@ class Mat2:
         return isinstance(other, Mat2) and self.e == other.e and self.ctx == other.ctx
 
     def __hash__(self):
-        return hash((self.e, self.ctx.p, self.ctx.r))
+        return hash((self.ctx.p, self.ctx.r) + tuple((x.x, x.y, x.d) for x in self.e))
 
     def det(self) -> QuadElem:
         a, b, c, d = self.e
@@ -209,17 +204,19 @@ def iwasawa_F(g: Mat2) -> IwasawaParts:
 # p-local Smith normal form and lattice solving
 
 
-def plocal_smith(rows: list[list[Fraction]], p: int):
-    """p-local Smith form: returns (U, exps, V) with U*M*V = D.
+def plocal_smith(rows: list[list[Fraction]], target: list[Fraction], p: int):
+    """p-local Smith form of M = rows: returns (t, exps, V) with U*M*V = D
+    and t = U*target.
 
-    U (m x m) and V (n x n) are Z_(p)-invertible rational matrices and
-    D is diagonal with D[i][i] = p**exps[i] for i < len(exps), all other
-    entries zero.  Row i of D beyond len(exps) is identically zero.
+    U (m x m, applied to target as its row operations run, never built) and
+    V (n x n) are Z_(p)-invertible rational matrices and D is diagonal with
+    D[i][i] = p**exps[i] for i < len(exps), all other entries zero.  Row i
+    of D beyond len(exps) is identically zero.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     M = [[Fraction(x) for x in r] for r in rows]
-    U = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
+    t = [Fraction(x) for x in target]
     V = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     exps: list[int] = []
     k = 0
@@ -237,7 +234,7 @@ def plocal_smith(rows: list[list[Fraction]], p: int):
         v, bi, bj = best
         if bi != k:
             M[k], M[bi] = M[bi], M[k]
-            U[k], U[bi] = U[bi], U[k]
+            t[k], t[bi] = t[bi], t[k]
         if bj != k:
             for r in M:
                 r[k], r[bj] = r[bj], r[k]
@@ -247,16 +244,14 @@ def plocal_smith(rows: list[list[Fraction]], p: int):
         unit = M[k][k] / Fraction(p) ** v
         for j in range(n):
             M[k][j] = M[k][j] / unit
-        for j in range(m):
-            U[k][j] = U[k][j] / unit
+        t[k] = t[k] / unit
         piv = Fraction(p) ** v
         for i in range(k + 1, m):
             if M[i][k] != 0:
                 q = M[i][k] / piv
                 for j in range(n):
                     M[i][j] -= q * M[k][j]
-                for j in range(m):
-                    U[i][j] -= q * U[k][j]
+                t[i] -= q * t[k]
         for j in range(k + 1, n):
             if M[k][j] != 0:
                 q = M[k][j] / piv
@@ -266,7 +261,7 @@ def plocal_smith(rows: list[list[Fraction]], p: int):
                     V[i][j] -= q * V[i][k]
         exps.append(v)
         k += 1
-    return U, exps, V
+    return t, exps, V
 
 
 def lattice_solve_affine(rows: list[list[Fraction]], target: list[Fraction], p: int):
@@ -279,12 +274,10 @@ def lattice_solve_affine(rows: list[list[Fraction]], target: list[Fraction], p: 
     """
     m = len(rows)
     n = len(rows[0])
-    U, exps, V = plocal_smith(rows, p)
+    ut, exps, V = plocal_smith(rows, target, p)
     if len(exps) < n:
         raise ValueError("condition matrix not of full column rank")
     basis = [[V[r][i] * Fraction(p) ** (-exps[i]) for r in range(n)] for i in range(n)]
-    # U @ target
-    ut = [sum(U[i][j] * target[j] for j in range(m)) for i in range(m)]
     y = [Fraction(0)] * n
     for i in range(n):
         y[i] = ut[i] / Fraction(p) ** exps[i]
@@ -352,12 +345,14 @@ def conj_condition_rows(left: Mat2, right: Mat2) -> list[list[Fraction]]:
     rows (its 1 and sqrt(r) components), in row-major entry order.
     """
     L, R = left.e, right.e
+    r = left.ctx.r
     rows = []
     for i in range(2):
         for j in range(2):
-            prods = [L[2 * i + r] * R[2 * s + j] for r in range(2) for s in range(2)]
-            rows.append([x.a for x in prods])
-            rows.append([x.b for x in prods])
+            # the products (x + y sqrt r)/d on integer coordinates
+            pairs = [(u, v) for u in L[2 * i:2 * i + 2] for v in (R[j], R[2 + j])]
+            rows.append([Fraction(u.x * v.x + r * u.y * v.y, u.d * v.d) for u, v in pairs])
+            rows.append([Fraction(u.x * v.y + u.y * v.x, u.d * v.d) for u, v in pairs])
     return rows
 
 
@@ -440,8 +435,8 @@ def pgk_label(g: Mat2) -> CosetWitness:
         raise AssertionError("pgk_label: g kappa1 is not upper triangular with corner p^a")
     A, B = gp.e[0], gp.e[1]
     vA = A.val()
-    vB2 = val_p(B.b, p)
-    b = max(0, vA - vB2) if B.b != 0 else 0
+    # v(B_b), B = (x + y sqrt r) / d
+    b = max(0, vA - val_p(B.y, p) + val_p(B.d, p)) if B.y else 0
     # witnesses: q in P(Q_p), kappa2 with g' = q * (t_a n_b) * kappa2
     if b > 0:
         q1 = B.b * Fraction(p) ** (b - a)

@@ -547,21 +547,26 @@ def _y_data_for_row(v1, v2, gs: Sequence[Mat2], ctx: QuadCtx) -> tuple:
     phase valuation is that of the sqrt(r)-part of u in the inert case,
     (x_b y_a - x_a y_b) / N(y) with v(N(y)) = 2w, and v(u_1 - u_2) in the
     split case; neither changes when x is scaled by a unit, so x is read off
-    g0 unscaled.  All of it is coordinate arithmetic over Q.  _zeta_engine
-    certifies each distinct result once against _y_data_by_iwasawa.
+    g0 unscaled.  All of it is integer arithmetic on the coordinates
+    (x + y sqrt(r)) / d of the entries, with the row scaled to integers
+    (n1, n2) / m.  _zeta_engine certifies each distinct result once against
+    _y_data_by_iwasawa.
     """
     p = ctx.p
-    if val_p(v2, p) == 0:
+    m = v1.denominator * v2.denominator
+    n1, n2 = v1.numerator * v2.denominator, v2.numerator * v1.denominator
+    vm = val_p(m, p)
+    if val_p(n2, p) == vm:
         top = 0
-    elif val_p(v1, p) == 0:
+    elif val_p(n1, p) == vm:
         top = 2
     else:
         raise ValueError("row is not primitive")
     vcs, ws, xys = [], [], []
     for g0 in gs:
         A, B, C, D = g0.e
-        c = (v1 * A.a + v2 * C.a, v1 * A.b + v2 * C.b)
-        d = (v1 * B.a + v2 * D.a, v1 * B.b + v2 * D.b)
+        c = (n1 * A.x * C.d + n2 * C.x * A.d, n1 * A.y * C.d + n2 * C.y * A.d, m * A.d * C.d)
+        d = (n1 * B.x * D.d + n2 * D.x * B.d, n1 * B.y * D.d + n2 * D.y * B.d, m * B.d * D.d)
         vc, vd = _val_pair(c, p), _val_pair(d, p)
         if vc >= vd:
             x, y, w = g0.e[top + 1], d, vd
@@ -571,11 +576,14 @@ def _y_data_for_row(v1, v2, gs: Sequence[Mat2], ctx: QuadCtx) -> tuple:
         ws.append(w)
         xys.append((x, y))
     if len(xys) == 1:
+        # v(x_b y_a - x_a y_b) with x = (x.x + x.y sqrt r) / x.d, y likewise
         (x, y), = xys
-        vbeta = val_p(x.b * y[0] - x.a * y[1], p) - 2 * ws[0]
+        vbeta = val_p(x.y * y[0] - x.x * y[1], p) - val_p(x.d * y[2], p) - 2 * ws[0]
     else:
+        # v(x1_a / y1_a - x2_a / y2_a) over one denominator
         (x1, y1), (x2, y2) = xys
-        vbeta = val_p(x1.a / y1[0] - x2.a / y2[0], p)
+        num = x1.x * y1[2] * x2.d * y2[0] - x2.x * y2[2] * x1.d * y1[0]
+        vbeta = val_p(num, p) - val_p(x1.d * y1[0] * x2.d * y2[0], p)
     return (vbeta, tuple(vcs), tuple(ws))
 
 
@@ -585,9 +593,9 @@ def _det_val(g: Mat2) -> int:
     return int(g.det_val())
 
 
-def _val_pair(z: tuple[Fraction, Fraction], p: int) -> int:
-    """Valuation of z[0] + z[1] sqrt(r), an element of the unramified F."""
-    return min(val_p(z[0], p), val_p(z[1], p))
+def _val_pair(z: tuple[int, int, int], p: int) -> int:
+    """Valuation of (z[0] + z[1] sqrt(r)) / z[2], an element of the unramified F."""
+    return min(val_p(z[0], p), val_p(z[1], p)) - val_p(z[2], p)
 
 
 def _y_data_by_iwasawa(v1, v2, gs: Sequence[Mat2], ctx: QuadCtx) -> tuple:

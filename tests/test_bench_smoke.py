@@ -1,6 +1,6 @@
 """The benchmark's workloads build and run: the first job of every workload
 at seed 0 passes its exact oracle, also under the benchmark's tracer, and
-the zeta and certificate workloads print what bench/digests.json records."""
+every workload prints what bench/digests.json records."""
 
 import hashlib
 import importlib.util
@@ -46,7 +46,7 @@ def test_first_job_passes_its_oracle(workloads, name):
     assert out
 
 
-@pytest.mark.parametrize("name", ["hecke_freeness", "zeta_primes", "chain_certify"])
+@pytest.mark.parametrize("name", ["hecke_freeness", "zeta_primes", "chain_certify", "coset_labels"])
 def test_first_pass_matches_digest(workloads, name):
     # the seed-0 digest bench/run.py checks, so a changed printed result
     # fails here and not only in a benchmark run
@@ -68,3 +68,17 @@ def test_traced_job_finds_every_site(workloads, spans):
     assert len(tracer.start) > 0
     assert heckemod.plocal_smith is padicgrp.plocal_smith
     assert not hasattr(padicgrp.plocal_smith, "__wrapped__")
+
+
+def test_traced_coset_labels_job_counts_its_seams(workloads, spans):
+    # the per-layer metrics read these seams; a kernel that bypassed
+    # QuadElem.__mul__, or a Smith engine inlined into its caller, would
+    # zero them without failing anything else
+    tracer = spans.Tracer()
+    job = workloads.build("coset_labels", 0)[0]
+    with tracer.active(0):
+        out, ok, _ = job.run()
+    assert ok and out
+    metrics = tracer.layer_metrics()
+    assert metrics["exactnum.quad_mul.calls"][0] > 0
+    assert metrics["padicgrp.plocal_smith.calls"][0] >= 1

@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padicasai.exactnum import (
     AB,
@@ -14,6 +16,7 @@ from padicasai.exactnum import (
     RatFunc,
     complete_homog,
     fr_mod,
+    fr_to_str,
     in_z_inv_p,
     is_odd_prime,
     lau_eval_x1,
@@ -303,3 +306,164 @@ def test_fr_mod_reduces_p_integral_fractions():
     assert fr_mod(Fraction(27), 3, 2) == 0
     with pytest.raises(ValueError):
         fr_mod(Fraction(1, 3), 3, 1)
+
+
+# -- the integer QuadElem against its Fraction-pair predecessor ------------------
+
+
+def frac_val(x: Fraction, p: int):
+    """v_p of a Fraction by repeated division, as val_p computed it."""
+    if x == 0:
+        return INF
+    v = 0
+    num, den = x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+class FracQuadElem:
+    """QuadElem as it was: a + b*sqrt(r) with two Fraction coordinates."""
+
+    __slots__ = ("a", "b", "ctx")
+
+    def __init__(self, a, b, ctx):
+        self.a = Fraction(a)
+        self.b = Fraction(b)
+        self.ctx = ctx
+
+    def _coerce(self, other):
+        if isinstance(other, FracQuadElem):
+            return other
+        return FracQuadElem(Fraction(other), 0, self.ctx)
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return FracQuadElem(self.a + o.a, self.b + o.b, self.ctx)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return FracQuadElem(self.a - o.a, self.b - o.b, self.ctx)
+
+    def __neg__(self):
+        return FracQuadElem(-self.a, -self.b, self.ctx)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        return FracQuadElem(self.a * o.a + self.ctx.r * self.b * o.b, self.a * o.b + self.b * o.a, self.ctx)
+
+    def inv(self):
+        n = self.norm()
+        if n == 0:
+            raise ZeroDivisionError("inverse of zero in Q_p(sqrt r)")
+        return FracQuadElem(self.a / n, -self.b / n, self.ctx)
+
+    def __truediv__(self, other):
+        return self * self._coerce(other).inv()
+
+    def conj(self):
+        return FracQuadElem(self.a, -self.b, self.ctx)
+
+    def norm(self):
+        return self.a * self.a - self.ctx.r * self.b * self.b
+
+    def val(self):
+        return min(frac_val(self.a, self.ctx.p), frac_val(self.b, self.ctx.p))
+
+    def is_integral(self):
+        v = self.val()
+        return v == INF or v >= 0
+
+    def is_unit(self):
+        return self.val() == 0
+
+    def is_rational(self):
+        return self.b == 0
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.a == other and self.b == 0
+        return self.a == other.a and self.b == other.b
+
+    def __repr__(self):
+        return f"({fr_to_str(self.a)}+{fr_to_str(self.b)}*sqrt{self.ctx.r})"
+
+    def to_json(self):
+        return {"a": fr_to_str(self.a), "b": fr_to_str(self.b), "r": self.ctx.r}
+
+
+CTXS = [QuadCtx.make(3), QuadCtx.make(5), QuadCtx.make(7)]
+
+
+@st.composite
+def quad_pairs(draw):
+    """A context at p = 3, 5 or 7 and three coordinate pairs whose
+    denominators mix powers of p with other primes."""
+    ctx = draw(st.sampled_from(CTXS))
+    coord = st.builds(
+        lambda n, e, u: Fraction(n, ctx.p ** e * u),
+        st.integers(-30, 30),
+        st.integers(-2, 2).map(lambda e: max(e, 0)),
+        st.sampled_from([1, 1, 2, 4]),
+    )
+    scale = st.integers(-2, 2).map(lambda e: Fraction(ctx.p) ** e)
+    coords = [(draw(coord) * s, draw(coord) * s) for s in (draw(scale) for _ in range(3))]
+    return ctx, coords
+
+
+def same(q, f):
+    """q (QuadElem) and f (FracQuadElem) hold the same value, in canonical form."""
+    assert q.d > 0 and math.gcd(q.x, q.y, q.d) == 1
+    assert (q.a, q.b) == (f.a, f.b)
+    assert repr(q) == repr(f) and q.to_json() == f.to_json()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(quad_pairs())
+def test_quad_elem_matches_fraction_oracle(case):
+    ctx, coords = case
+    (x, fx), (y, fy), (z, fz) = [(QuadElem(a, b, ctx), FracQuadElem(a, b, ctx)) for a, b in coords]
+    same(x, fx)
+    for q, f in ((x + y, fx + fy), (x - y, fx - fy), (x * y, fx * fy), (-x, -fx), (x.conj(), fx.conj())):
+        same(q, f)
+    for c in (2, Fraction(-3, ctx.p)):
+        same(x + c, fx + c)
+        same(c + x, fx + c)
+        same(x * c, fx * c)
+        same(c * x, fx * c)
+        same(c - x, FracQuadElem(c, 0, ctx) - fx)
+        assert (x == c) == (fx == c)
+    assert x.norm() == fx.norm()
+    assert x.val() == fx.val() == val_p(x, ctx.p)
+    assert (x.is_integral(), x.is_unit(), x.is_rational()) == (fx.is_integral(), fx.is_unit(), fx.is_rational())
+    assert (x == y) == (fx == fy)
+    if fy.norm() != 0:
+        same(y.inv(), fy.inv())
+        same(x / y, fx / fy)
+        assert y * y.inv() == ctx.one()
+    else:
+        with pytest.raises(ZeroDivisionError):
+            y.inv()
+    # ring axioms
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z) and (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + ctx.zero() == x and x * ctx.one() == x and x - x == ctx.zero()
+
+
+def test_quad_elem_form_is_canonical(F3):
+    half = [
+        QuadElem(Fraction(2, 4), 0, F3),
+        F3.elem(1, 0) / 2,
+        F3.elem(Fraction(1, 6)) * 3,
+        (F3.one() + F3.sqrt_r()) * (F3.one() - F3.sqrt_r()) / (2 * (1 - F3.r)),
+        QuadElem.from_json({"a": "1/2", "b": "0"}, F3),
+    ]
+    assert {(h.x, h.y, h.d) for h in half} == {(1, 0, 2)}
+    assert len({hash(h) for h in half}) == 1 and all(h == Fraction(1, 2) for h in half)
+    assert (F3.zero().x, F3.zero().y, F3.zero().d) == (0, 0, 1)
+    assert ((F3.sqrt_r() * 3 - 3) / 9).d == 3

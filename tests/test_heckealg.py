@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from padicasai import heckealg
+from padicasai.acceptance import criterion_6_certificates
 from padicasai.exactnum import (
     AB,
     UV,
@@ -587,6 +589,52 @@ def rand_unit_led(rng, vs, i, m):
     return rest + Lau.monomial(vs, lead, lc)
 
 
+def mod_divide_principal_lau_oracle(P: Lau, Q: Lau, i: int, m: int):
+    """_mod_divide_principal as it was: each step builds a Fraction Lau
+    monomial and reduces the whole remainder with _mod."""
+    if Q.is_zero():
+        raise ZeroDivisionError
+    if P.is_zero():
+        return P, P
+    Ps, sp = P.shift_to_poly()
+    Qs, sq = Q.shift_to_poly()
+    dq = max(e[i] for e in Qs.terms)
+    lead = [(e, c) for e, c in Qs.terms.items() if e[i] == dq]
+    if len(lead) != 1:
+        return None
+    ((lexp, lcoef),) = lead
+    try:
+        linv = pow(int(lcoef), -1, m)
+    except ValueError:
+        return None
+    vs = P.vars
+    quot = Lau(vs)
+    rem = Ps
+    while not rem.is_zero():
+        dr = max(e[i] for e in rem.terms)
+        if dr < dq:
+            break
+        e = min(e for e in rem.terms if e[i] == dr)
+        q = Lau.monomial(vs, tuple(x - y for x, y in zip(e, lexp)), rem.terms[e] * linv % m)
+        quot = quot + q
+        rem = _mod(rem - Qs * q, m)
+    return quot * Lau.monomial(vs, tuple(a - b for a, b in zip(sp, sq))), rem * Lau.monomial(vs, sp)
+
+
+def test_mod_divide_principal_matches_lau_oracle_in_criterion_6(monkeypatch):
+    calls = []
+
+    def checked(P, Q, i, m):
+        got = _mod_divide_principal(P, Q, i, m)
+        assert got == mod_divide_principal_lau_oracle(P, Q, i, m)
+        calls.append(got is None)
+        return got
+
+    monkeypatch.setattr(heckealg, "_mod_divide_principal", checked)
+    assert criterion_6_certificates()["ok"]
+    assert len(calls) > 50
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_mod_divide_principal_matches_dict_oracle(p):
     m = p - 1
@@ -609,6 +657,7 @@ def test_mod_divide_principal_matches_dict_oracle(p):
                 if Qm.is_zero():
                     continue
                 got = _mod_divide_principal(Pm, Qm, i, m)
+                assert got == mod_divide_principal_lau_oracle(Pm, Qm, i, m)
                 want = mod_divide_principal_oracle(Pd, Qd, i, m)
                 if want is None:
                     assert got is None

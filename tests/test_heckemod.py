@@ -578,7 +578,7 @@ def mirabolic_volume_oracle(g):
         rows.append([prods[0].e[eidx].a, prods[1].e[eidx].a])
         rows.append([prods[0].e[eidx].b, prods[1].e[eidx].b])
     rows = [r for r in rows if any(r)]
-    U, exps, V = plocal_smith(rows, p)
+    _, exps, V = plocal_smith(rows, [0] * len(rows), p)
     if len(exps) < 2:
         raise ValueError("degenerate mirabolic lattice")
     basis = [[V[r][i] * Fraction(p) ** (-exps[i]) for r in range(2)] for i in range(2)]

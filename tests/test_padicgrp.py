@@ -123,10 +123,70 @@ def test_iwasawa_roundtrip_thousand(F3):
 # -- Smith / lattices ---------------------------------------------------------
 
 
+def plocal_smith_oracle(rows, p):
+    """plocal_smith as it was: it builds U and returns (U, exps, V) with
+    U*M*V = D, where plocal_smith applies U to a target instead."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    M = [[Fraction(x) for x in r] for r in rows]
+    U = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
+    V = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    exps = []
+    k = 0
+    while k < min(m, n):
+        best = None
+        for i in range(k, m):
+            for j in range(k, n):
+                if M[i][j] != 0:
+                    v = val_p(M[i][j], p)
+                    if best is None or v < best[0]:
+                        best = (v, i, j)
+        if best is None:
+            break
+        v, bi, bj = best
+        if bi != k:
+            M[k], M[bi] = M[bi], M[k]
+            U[k], U[bi] = U[bi], U[k]
+        if bj != k:
+            for r in M:
+                r[k], r[bj] = r[bj], r[k]
+            for r in V:
+                r[k], r[bj] = r[bj], r[k]
+        unit = M[k][k] / Fraction(p) ** v
+        for j in range(n):
+            M[k][j] = M[k][j] / unit
+        for j in range(m):
+            U[k][j] = U[k][j] / unit
+        piv = Fraction(p) ** v
+        for i in range(k + 1, m):
+            if M[i][k] != 0:
+                q = M[i][k] / piv
+                for j in range(n):
+                    M[i][j] -= q * M[k][j]
+                for j in range(m):
+                    U[i][j] -= q * U[k][j]
+        for j in range(k + 1, n):
+            if M[k][j] != 0:
+                q = M[k][j] / piv
+                for i in range(m):
+                    M[i][j] -= q * M[i][k]
+                for i in range(n):
+                    V[i][j] -= q * V[i][k]
+        exps.append(v)
+        k += 1
+    return U, exps, V
+
+
+def mat_vec(U, t):
+    return [sum(u * x for u, x in zip(row, t)) for row in U]
+
+
 def test_plocal_smith_shapes():
     rows = [[Fraction(3), Fraction(1)], [Fraction(9), Fraction(6)], [Fraction(0), Fraction(27)]]
-    U, exps, V = plocal_smith(rows, 3)
+    U, exps, V = plocal_smith_oracle(rows, 3)
     assert len(exps) == 2
+    target = [Fraction(1), Fraction(-2, 3), Fraction(5)]
+    assert plocal_smith(rows, target, 3) == (mat_vec(U, target), exps, V)
     # U * M * V = diag(p^e)
     m, n = 3, 2
     prod = [[sum(U[i][k] * rows[k][j] for k in range(m)) for j in range(n)] for i in range(m)]
@@ -181,7 +241,7 @@ def kck_membership_oracle(g, cell):
     if g.det_val() != cell.det_val():
         return None
     rows = id_rows() + conj_condition_rows_oracle(cell.inv(), g)
-    U, exps, V = plocal_smith(rows, p)
+    _, exps, V = plocal_smith(rows, [0] * len(rows), p)
     basis = [[V[r][i] * Fraction(p) ** (-exps[i]) for r in range(4)] for i in range(4)]
     red = [[x.numerator * pow(x.denominator, -1, p) % p for x in b] for b in basis]
     for coefs in product(range(p), repeat=4):
@@ -562,10 +622,34 @@ def p_and_matrix(draw):
 def test_plocal_smith_is_a_unit_equivalence(pm):
     p, M = pm
     m, n = len(M), len(M[0])
-    U, exps, V = plocal_smith(M, p)
+    U, exps, V = plocal_smith_oracle(M, p)
     UM = [[sum(U[i][k] * M[k][j] for k in range(m)) for j in range(n)] for i in range(m)]
     D = [[sum(UM[i][k] * V[k][j] for k in range(n)) for j in range(n)] for i in range(m)]
     for i in range(m):
         for j in range(n):
             assert D[i][j] == (Fraction(p) ** exps[i] if i == j and i < len(exps) else 0)
     assert val_p(frac_det(U), p) == 0 and val_p(frac_det(V), p) == 0
+
+
+@st.composite
+def smith_case(draw):
+    """(rows, target, p): a random matrix with a random target at p = 3, 5, 7,
+    or the Cartan conditions of a criterion-3 matrix against one of its cells
+    with a random target."""
+    if draw(st.booleans()):
+        p, rows = draw(p_and_matrix())
+    else:
+        ctx = draw(st.sampled_from([F3_CTX, QuadCtx.make(5), QuadCtx.make(7)]))
+        p, g = ctx.p, draw(gl2_F(ctx))
+        cell = cartan_cell(*draw(st.sampled_from(gen_cartan_candidates(g))), ctx)
+        rows = id_rows() + conj_condition_rows(cell.inv(), g)
+    entry = st.builds(lambda a, e: Fraction(a, p ** e), st.integers(-20, 20), st.integers(0, 2))
+    return rows, [draw(entry) for _ in rows], p
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(smith_case())
+def test_plocal_smith_applies_the_oracle_u_to_the_target(case):
+    rows, target, p = case
+    U, exps, V = plocal_smith_oracle(rows, p)
+    assert plocal_smith(rows, target, p) == (mat_vec(U, target), exps, V)
