@@ -68,6 +68,11 @@ CASES = {
         "hilbert-check", "--form", "builtin:synthetic_w2_quad", "--ell", "3",
         "--inputs", "{inputs}/inputs_split13.json", "--s0", "13",
     ],
+    # 11 splits in Q(sqrt 5): an irrational value takes the Hensel-lift valuation
+    "hilbert_w2_quad_ell11": [
+        "hilbert-check", "--form", "builtin:synthetic_w2_quad", "--ell", "11",
+        "--inputs", "{inputs}/inputs_split13.json",
+    ],
     "verify_suite": ["--prime", "3", "verify-suite", "--only", "1,2,4,7,9,10"],
 }
 
