@@ -6,7 +6,9 @@ integrals) is built on the four algebraic layers in this module:
 * ``Fraction`` rationals, with p-adic valuations and Z[1/p] membership
   tests;
 * ``QuadElem``, elements (x + y*sqrt(r)) / d (integers, lowest terms) of
-  the unramified quadratic extension F = Q_p(sqrt(r));
+  a quadratic field over a context holding r: the unramified extension
+  F = Q_p(sqrt(r)) of a ``QuadCtx``, and (through ``hilbert.CoefElem``) the
+  coefficient field Q(sqrt(r)) of an eigenform;
 * ``Lau``, sparse multivariate Laurent polynomials over Q (the same class
   carries symmetric-coordinate polynomials, Hecke operators and zeta
   numerators, distinguished only by their variable tuples);
@@ -157,7 +159,9 @@ class QuadElem:
 
     The form is canonical, so equality and hashing compare integer tuples.
     a and b, the Fraction coordinates of a + b*sqrt(r), are for the edges
-    (printing and JSON); the arithmetic reads x, y and d.
+    (printing and JSON); the arithmetic reads x, y, d and ctx.r, and keeps
+    its operands' class and context.  The p-adic methods (val, is_integral,
+    is_unit) read ctx.p and so need a QuadCtx.
     """
 
     __slots__ = ("x", "y", "d", "ctx")
@@ -186,32 +190,32 @@ class QuadElem:
             if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ValueError("mixed quadratic contexts")
             return other
-        return QuadElem(other, 0, self.ctx)
+        return self.__class__(other, 0, self.ctx)
 
     def __add__(self, other):
         o = self._coerce(other)
         if self.d == o.d:
-            return _quad(self.x + o.x, self.y + o.y, self.d, self.ctx)
-        return _quad(self.x * o.d + o.x * self.d, self.y * o.d + o.y * self.d, self.d * o.d, self.ctx)
+            return _quad(self.x + o.x, self.y + o.y, self.d, self)
+        return _quad(self.x * o.d + o.x * self.d, self.y * o.d + o.y * self.d, self.d * o.d, self)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
         if self.d == o.d:
-            return _quad(self.x - o.x, self.y - o.y, self.d, self.ctx)
-        return _quad(self.x * o.d - o.x * self.d, self.y * o.d - o.y * self.d, self.d * o.d, self.ctx)
+            return _quad(self.x - o.x, self.y - o.y, self.d, self)
+        return _quad(self.x * o.d - o.x * self.d, self.y * o.d - o.y * self.d, self.d * o.d, self)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return _quad(-self.x, -self.y, self.d, self.ctx)
+        return _quad(-self.x, -self.y, self.d, self)
 
     def __mul__(self, other):
         o = self._coerce(other)
         x1, y1, x2, y2 = self.x, self.y, o.x, o.y
-        return _quad(x1 * x2 + self.ctx.r * y1 * y2, x1 * y2 + y1 * x2, self.d * o.d, self.ctx)
+        return _quad(x1 * x2 + self.ctx.r * y1 * y2, x1 * y2 + y1 * x2, self.d * o.d, self)
 
     __rmul__ = __mul__
 
@@ -219,10 +223,10 @@ class QuadElem:
         x, y = self.x, self.y
         n = x * x - self.ctx.r * y * y
         if n == 0:
-            raise ZeroDivisionError("inverse of zero in Q_p(sqrt r)")
+            raise ZeroDivisionError("inverse of zero")
         if n < 0:
             n, x, y = -n, -x, -y
-        return _quad(self.d * x, -self.d * y, n, self.ctx)
+        return _quad(self.d * x, -self.d * y, n, self)
 
     def __truediv__(self, other):
         return self * self._coerce(other).inv()
@@ -231,7 +235,7 @@ class QuadElem:
         return self._coerce(other) * self.inv()
 
     def conj(self) -> "QuadElem":
-        return _quad(self.x, -self.y, self.d, self.ctx)
+        return _quad(self.x, -self.y, self.d, self)
 
     def norm(self) -> Fraction:
         return Fraction(self.x * self.x - self.ctx.r * self.y * self.y, self.d * self.d)
@@ -264,7 +268,7 @@ class QuadElem:
         )
 
     def __hash__(self):
-        return hash((self.x, self.y, self.d, self.ctx.p, self.ctx.r))
+        return hash((self.x, self.y, self.d, self.ctx.r))
 
     def __repr__(self):
         return f"({fr_to_str(self.a)}+{fr_to_str(self.b)}*sqrt{self.ctx.r})"
@@ -281,14 +285,14 @@ class QuadElem:
         return cls(Fraction(d["a"]), Fraction(d["b"]), ctx)
 
 
-def _quad(x: int, y: int, d: int, ctx: QuadCtx) -> QuadElem:
-    """(x + y*sqrt(r)) / d for d > 0, in lowest terms: the one constructor of
-    internal results."""
+def _quad(x: int, y: int, d: int, like: QuadElem) -> QuadElem:
+    """(x + y*sqrt(r)) / d for d > 0, in lowest terms, of like's class and
+    context: the one constructor of internal results."""
     g = math.gcd(x, y, d)
     if g != 1:
         x, y, d = x // g, y // g, d // g
-    q = object.__new__(QuadElem)
-    q.x, q.y, q.d, q.ctx = x, y, d, ctx
+    q = object.__new__(like.__class__)
+    q.x, q.y, q.d, q.ctx = x, y, d, like.ctx
     return q
 
 

@@ -15,11 +15,12 @@ most 2 over Q; larger fields are rejected rather than approximated).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exactnum import INF, QuadCtx, fr_mod, is_odd_prime, val_p
+from .exactnum import INF, QuadCtx, QuadElem, _vint, fr_to_str, is_odd_prime, is_qr, val_p
 from .heckealg import euler_poly
 from .heckemod import TestVector, normalized_period, trace_level, vector_is_integral
 
@@ -29,163 +30,69 @@ class SchemaError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# coefficient field Q(sqrt d)
+# coefficient field Q(sqrt r)
 
 
-class CoefElem:
-    """a + b sqrt(d) in the coefficient field (d squarefree, possibly None
-    for Q).  Separate from the p-adic quadratic context: d is arbitrary."""
+@dataclass(frozen=True)
+class CoefField:
+    """The coefficient field Q(sqrt r): r squarefree and not 1, or r = 0 for
+    Q.  Unlike QuadCtx it has no prime: r is arbitrary."""
 
-    __slots__ = ("a", "b", "d")
+    r: int
 
-    def __init__(self, a, b=0, d: int | None = None):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.d = d
-        if d is None and self.b:
-            raise ValueError("rational field has no sqrt part")
 
-    def _coerce(self, other) -> "CoefElem":
-        if isinstance(other, CoefElem):
-            if other.d != self.d and other.b:
-                raise ValueError("mixed coefficient fields")
-            return CoefElem(other.a, other.b, self.d)
-        return CoefElem(Fraction(other), 0, self.d)
+class CoefElem(QuadElem):
+    """(x + y sqrt r) / d in the coefficient field: QuadElem's arithmetic
+    over a CoefField context."""
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        return CoefElem(self.a + o.a, self.b + o.b, self.d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return CoefElem(self.a - o.a, self.b - o.b, self.d)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return CoefElem(-self.a, -self.b, self.d)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        d = self.d if self.d is not None else o.d
-        dd = d if d is not None else 0
-        return CoefElem(self.a * o.a + dd * self.b * o.b, self.a * o.b + self.b * o.a, d)
-
-    __rmul__ = __mul__
-
-    def inv(self) -> "CoefElem":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError
-        return CoefElem(self.a / n, -self.b / n, self.d)
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inv()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inv()
-
-    def conj(self) -> "CoefElem":
-        return CoefElem(self.a, -self.b, self.d)
-
-    def norm(self) -> Fraction:
-        return self.a * self.a - (self.d or 0) * self.b * self.b
-
-    def trace(self) -> Fraction:
-        return 2 * self.a
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+    __slots__ = ()
 
     def is_algebraic_integer(self) -> bool:
-        if self.d is None or self.b == 0:
-            return self.a.denominator == 1
-        return self.trace().denominator == 1 and self.norm().denominator == 1
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        return self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.d))
+        return 2 * self.x % self.d == 0 and self.norm().denominator == 1
 
     def __repr__(self):
-        if self.d is None or self.b == 0:
-            return str(self.a)
-        return f"({self.a}+{self.b}*sqrt{self.d})"
-
-    @classmethod
-    def from_json(cls, v, d: int | None) -> "CoefElem":
-        if isinstance(v, str):
-            return cls(Fraction(v), 0, d)
-        return cls(Fraction(v["a"]), Fraction(v.get("b", 0)), d)
+        return fr_to_str(self.a) if self.y == 0 else super().__repr__()
 
     def to_json(self):
-        if self.d is None or self.b == 0:
-            return str(self.a)
-        return {"a": str(self.a), "b": str(self.b)}
+        return fr_to_str(self.a) if self.y == 0 else {"a": fr_to_str(self.a), "b": fr_to_str(self.b)}
+
+    @classmethod
+    def from_json(cls, v, ctx: CoefField) -> "CoefElem":
+        if isinstance(v, str):
+            return cls(Fraction(v), 0, ctx)
+        b = Fraction(v.get("b", 0))
+        if b and not ctx.r:
+            raise ValueError("rational field has no sqrt part")
+        return cls(Fraction(v["a"]), b, ctx)
 
 
 def ell_adic_valuation(x: CoefElem, ell: int):
-    """Normalized valuation of x at a place v | l of Q(sqrt d).
+    """Normalized valuation of x = (a + b sqrt r) / d at a place v | l of
+    Q(sqrt r), for the integers a, b, d of x.
 
-    Split l: v(x) = v_l(a + b s) for a Hensel lift s of sqrt(d) (the
+    Split l: v(x) = v_l(a + b s) - v_l(d) for a Hensel lift s of sqrt(r) (the
     conjugate place values x as this one values x.conj());
-    inert l: min(v_l(a), v_l(b)); ramified l | d: v(sqrt d) = 1, v(l) = 2.
+    inert l: min(v_l(a), v_l(b)) - v_l(d); ramified l | r: v(sqrt r) = 1, v(l) = 2.
     """
-    if x.is_zero():
-        return INF
-    d = x.d
-    if d is None or x.b == 0:
-        return val_p(x.a, ell)
     if ell == 2:
         raise ValueError("l = 2 is excluded by the running hypotheses")
-    dm = d % ell
-    if dm == 0:
-        # ramified: v(a + b sqrt d) = min(2 v(a), 2 v(b) + 1)
-        va = val_p(x.a, ell)
-        vb = val_p(x.b, ell)
-        cands = []
-        if va != INF:
-            cands.append(2 * int(va))
-        if vb != INF:
-            cands.append(2 * int(vb) + 1)
-        return min(cands)
-    if pow(dm, (ell - 1) // 2, ell) != 1:
-        # inert
-        return min(val_p(x.a, ell), val_p(x.b, ell))
-    # split: scale to an l-integral element, whose valuation at one place is
-    # bounded by v(Norm), then read it off a deep enough Hensel lift
-    va = val_p(x.a, ell)
-    vb = val_p(x.b, ell)
-    m = max(0, -int(min(v for v in (va, vb) if v != INF)))
-    xs = CoefElem(x.a * Fraction(ell) ** m, x.b * Fraction(ell) ** m, d)
-    n = int(val_p(xs.norm(), ell))
-    K = n + 2
-    rep = fr_mod(xs.a + xs.b * _sqrt_mod_lk(d, ell, K), ell, K)
-    if rep == 0:
-        raise AssertionError("valuation exceeded its norm bound")
-    return int(val_p(Fraction(rep), ell)) - m
+    a, b, r = x.x, x.y, x.ctx.r
+    if r and r % ell == 0 and b:
+        return min(2 * val_p(a, ell), 2 * val_p(b, ell) + 1) - 2 * _vint(x.d, ell)
+    if b == 0 or not is_qr(r, ell):
+        return min(val_p(a, ell), val_p(b, ell)) - _vint(x.d, ell)
+    # split: a valuation at one place is at most v_l(a^2 - r b^2), so sqrt(r)
+    # one digit deeper reads it off
+    k = _vint(a * a - r * b * b, ell) + 1
+    return val_p((a + b * _sqrt_mod_lk(r, ell, k)) % ell ** k, ell) - _vint(x.d, ell)
 
 
-def _sqrt_mod_lk(d: int, ell: int, k: int) -> int:
-    r = None
-    for t in range(ell):
-        if (t * t - d) % ell == 0:
-            r = t
-            break
-    if r is None:
-        raise ValueError("d is not a square mod l")
-    modulus = ell
-    while modulus < ell ** k:
-        modulus *= ell
-        # Newton: r <- r - (r^2 - d)/(2r)
-        inv = pow(2 * r % modulus, -1, modulus)
-        r = (r - (r * r - d) * inv) % modulus
-    return r % ell ** k
+def _sqrt_mod_lk(r: int, ell: int, k: int) -> int:
+    """The root of r mod l^k that lifts the least root mod l (Newton)."""
+    s, m = next(t for t in range(ell) if (t * t - r) % ell == 0), ell ** k
+    for _ in range(k):
+        s = (s - (s * s - r) * pow(2 * s, -1, m)) % m
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +112,7 @@ class EigenformData:
     level_norm: int
     k: tuple[int, int]
     t: tuple[int, int]
-    d: int | None
+    field: CoefField
     primes: dict[int, PrimePlaceData]
     label: str = ""
     synthetic: bool = True
@@ -216,23 +123,12 @@ class EigenformData:
 
     def epsilon_at(self, p: int) -> CoefElem:
         """The central character on a uniformizer above p (product of the
-        places when p splits): q^(w-2) times the finite-order part."""
-        pd = self.primes[p]
-        w = self.w
-        if pd.kind == "inert":
-            q = p * p
-            return CoefElem(Fraction(q) ** (w - 2), 0, self.d) * pd.omega[0]
-        out = CoefElem(1, 0, self.d)
-        for om in pd.omega:
-            out = out * (CoefElem(Fraction(p) ** (w - 2), 0, self.d) * om)
-        return out
+        places when p splits): q^(w-2) times the finite-order part, which is
+        p^(2(w-2)) omega(pi_p) either way."""
+        return self.omega_at(p) * p ** (2 * (self.w - 2))
 
     def omega_at(self, p: int) -> CoefElem:
-        pd = self.primes[p]
-        out = CoefElem(1, 0, self.d)
-        for om in pd.omega:
-            out = out * om
-        return out
+        return math.prod(self.primes[p].omega, start=CoefElem(1, 0, self.field))
 
 
 def ingest(doc: Mapping) -> EigenformData:
@@ -248,8 +144,9 @@ def ingest(doc: Mapping) -> EigenformData:
     d = doc["coefficient_field"].get("d")
     if d is not None:
         d = int(d)
-        if d in (0, 1) or any(d % (q * q) == 0 for q in range(2, abs(d)) if q * q <= abs(d)):
+        if d in (0, 1) or any(d % (q * q) == 0 for q in range(2, math.isqrt(abs(d)) + 1)):
             raise SchemaError("d must be squarefree and not a square")
+    field = CoefField(d or 0)
     if not isinstance(doc["primes"], Mapping):
         raise SchemaError("primes must be an object")
     primes = {}
@@ -260,13 +157,13 @@ def ingest(doc: Mapping) -> EigenformData:
             raise SchemaError(f"bad splitting type at {p}")
         if not (isinstance(rec["lambda"], list) and isinstance(rec["omega"], list)):
             raise SchemaError(f"lambda and omega at {p} must be lists")
-        lam = [CoefElem.from_json(v, d) for v in rec["lambda"]]
-        om = [CoefElem.from_json(v, d) for v in rec["omega"]]
+        lam = [CoefElem.from_json(v, field) for v in rec["lambda"]]
+        om = [CoefElem.from_json(v, field) for v in rec["omega"]]
         want = 1 if kind == "inert" else 2
         if len(lam) != want or len(om) != want:
             raise SchemaError(f"wrong number of place entries at {p}")
         for o in om:
-            if (o * o != CoefElem(1, 0, d)) and (o * o * o * o != CoefElem(1, 0, d)):
+            if o * o != 1 and o * o * o * o != 1:
                 raise SchemaError("omega values must be finite order (order dividing 4 here)")
         primes[p] = PrimePlaceData(kind, lam, om)
     return EigenformData(
@@ -274,7 +171,7 @@ def ingest(doc: Mapping) -> EigenformData:
         int(doc.get("level_norm", 1)),
         k,
         t,
-        d,
+        field,
         primes,
         doc.get("label", ""),
         bool(doc.get("synthetic", True)),
@@ -309,45 +206,31 @@ def satake_from_eigen(data: EigenformData, p: int) -> SatakeData:
     if p not in data.primes:
         raise KeyError(f"no eigenvalue data at {p}")
     pd = data.primes[p]
-    w = data.w
-    d = data.d
+    scale = p ** (2 * (data.w - 2))
     if pd.kind == "inert":
-        q = p * p
-        lam = pd.lam[0]
-        eps = CoefElem(Fraction(q) ** (w - 2), 0, d) * pd.omega[0]
-        s_eig = CoefElem(Fraction(q) ** (w - 2), 0, d) * eps
-        for x in (lam, s_eig):
-            if not x.is_algebraic_integer():
-                raise ValueError("spherical eigenvalue is not an algebraic integer")
-        return SatakeData(
-            "inert",
-            {"e1": lam / CoefElem(p, 0, d), "e2": s_eig},
-        )
+        # q^(w-2) eps(pi) with q = p^2
+        places = [(pd.lam[0], data.epsilon_at(p) * scale)]
+    else:
+        places = [(lam, om * scale) for lam, om in zip(pd.lam, pd.omega)]
+    if not all(x.is_algebraic_integer() for place in places for x in place):
+        raise ValueError("spherical eigenvalue is not an algebraic integer")
+    if pd.kind == "inert":
+        return SatakeData("inert", {"e1": places[0][0] / p, "e2": places[0][1]})
     vals = {}
-    for i in range(2):
-        lam = pd.lam[i]
-        eps_v = CoefElem(Fraction(p) ** (w - 2), 0, d) * pd.omega[i]
-        s_eig = CoefElem(Fraction(p) ** (w - 2), 0, d) * eps_v
-        for x in (lam, s_eig):
-            if not x.is_algebraic_integer():
-                raise ValueError("spherical eigenvalue is not an algebraic integer")
-        vals[f"e1_{i+1}"] = lam
-        vals[f"e2_{i+1}"] = CoefElem(p, 0, d) * s_eig
+    for i, (lam, s_eig) in enumerate(places, 1):
+        vals[f"e1_{i}"], vals[f"e2_{i}"] = lam, s_eig * p
     return SatakeData("split", vals)
 
 
 def tate_factor_inverse(data: EigenformData, p: int) -> CoefElem:
     """L_p(eps_f, 0)^(-1) = 1 - eps_f(pi_p)."""
-    return CoefElem(1, 0, data.d) - data.epsilon_at(p)
+    return 1 - data.epsilon_at(p)
 
 
 def tate_identity_check(data: EigenformData, p: int) -> bool:
     """1 - eps(pi_p) = (1 - omega(pi_p)) - (p^(2(w-2)) - 1) omega(pi_p)."""
-    w = data.w
     om = data.omega_at(p)
-    lhs = tate_factor_inverse(data, p)
-    rhs = (CoefElem(1, 0, data.d) - om) - om * (Fraction(p) ** (2 * (w - 2)) - 1)
-    return lhs == rhs
+    return tate_factor_inverse(data, p) == (1 - om) - om * (p ** (2 * (data.w - 2)) - 1)
 
 
 def asai_artin_value(data: EigenformData, p: int, s0: int) -> CoefElem:
@@ -375,7 +258,7 @@ def rep_side_asai_inverse(data: EigenformData, p: int, x: Fraction) -> CoefElem:
     ep = euler_poly(kind, p)
     sym_x = ep.satake_in_x(p)
     point = dict(sat.values)
-    point["X"] = CoefElem(x, 0, data.d)
+    point["X"] = CoefElem(x, 0, data.field)
     return sym_x.eval(point)
 
 
@@ -403,12 +286,12 @@ def period_ideal_check(
         raise ValueError(f"l = {ell} is not an odd prime (l = 2 lies in the excluded set S)")
     if data.level_norm % ell == 0:
         raise ValueError("l must not divide the level norm")
-    d = data.d
+    F = data.field
     S0 = sorted(set(S0))
     for p in S0:
         if (p - 1) % ell != 0:
             raise ValueError(f"{p} is not 1 mod {ell}")
-    value = CoefElem(1, 0, d)
+    value = CoefElem(1, 0, F)
     reports = []
     by_p: dict[int, list] = {}
     for item in local_inputs:
@@ -420,7 +303,7 @@ def period_ideal_check(
         sat = satake_from_eigen(data, p)
         items = by_p.get(p, [])
         phi0_nonzero = False
-        zval = CoefElem(1, 0, d)
+        zval = CoefElem(1, 0, F)
         if items:
             ctx = QuadCtx.make(p)
             level = items[0]["level"]
@@ -437,11 +320,10 @@ def period_ideal_check(
             # the period pairs with the traced (full-level) vector
             sym = normalized_period(trace_level(vec) if level == "K[p]" else vec)
             # a constant period evaluates to a Fraction: coerce into the field
-            zval = CoefElem(0, 0, d) + sym.eval(sat.values)
+            zval = CoefElem(0, 0, F) + sym.eval(sat.values)
         tate = False
         if p in S0 and phi0_nonzero and not assume_class_coprime:
-            eps = data.epsilon_at(p)
-            if eps == CoefElem(1, 0, d):
+            if data.epsilon_at(p) == 1:
                 raise ValueError(f"eps(pi_{p}) = 1 with phi_p(0,0) != 0 is excluded")
             value = value * tate_factor_inverse(data, p)
             tate = True
@@ -458,13 +340,13 @@ def period_ideal_check(
         }
         if p in S0:
             linv = rep_side_asai_inverse(data, p, Fraction(1))
-            va = ell_adic_valuation(CoefElem(p - 1, 0, d), ell)
-            vb = ell_adic_valuation(linv, ell) if not linv.is_zero() else INF
+            va = ell_adic_valuation(CoefElem(p - 1, 0, F), ell)
+            vb = ell_adic_valuation(linv, ell)
             expo = min(va, vb)
             rep["v(p-1)"], rep["v(L_inverse)"], rep["ideal_exponent"] = _v_str(va), _v_str(vb), _v_str(expo)
             exponents_total += 0 if expo == INF else expo
         reports.append(rep)
-    vval = ell_adic_valuation(value, ell) if not value.is_zero() else INF
+    vval = ell_adic_valuation(value, ell)
     ok = vval == INF or vval >= exponents_total
     return {
         "ell": ell,

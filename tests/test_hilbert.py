@@ -5,6 +5,7 @@ import pytest
 from padicasai.exactnum import INF, QuadCtx
 from padicasai.hilbert import (
     CoefElem,
+    CoefField,
     EigenformData,
     SchemaError,
     asai_artin_value,
@@ -21,6 +22,9 @@ from padicasai.padicgrp import Mat2
 from padicasai.whitzeta import SchwartzFn
 
 
+QQ, Q5 = CoefField(0), CoefField(5)
+
+
 @pytest.fixture
 def form():
     return load_fixture("synthetic_w2")
@@ -35,27 +39,27 @@ def form_quad():
 
 
 def test_coef_arithmetic():
-    x = CoefElem(Fraction(1, 2), Fraction(1, 2), 5)
+    x = CoefElem(Fraction(1, 2), Fraction(1, 2), Q5)
     assert x.is_algebraic_integer()
     y = x * x - x
-    assert y == CoefElem(1, 0, 5)  # golden ratio relation x^2 = x + 1
-    assert (x * x.inv()) == CoefElem(1, 0, 5)
+    assert y == CoefElem(1, 0, Q5)  # golden ratio relation x^2 = x + 1
+    assert (x * x.inv()) == CoefElem(1, 0, Q5)
 
 
 def test_coef_not_integer():
-    assert not CoefElem(Fraction(1, 2), 0, 5).is_algebraic_integer()
-    assert not CoefElem(Fraction(1, 2), Fraction(1, 3), 5).is_algebraic_integer()
+    assert not CoefElem(Fraction(1, 2), 0, Q5).is_algebraic_integer()
+    assert not CoefElem(Fraction(1, 2), Fraction(1, 3), Q5).is_algebraic_integer()
 
 
 @pytest.mark.parametrize(
     "x,ell,expect",
     [
-        (CoefElem(9, 0, None), 3, 2),
-        (CoefElem(Fraction(1, 3), 0, None), 3, -1),
-        (CoefElem(0, 1, 5), 3, 0),  # 3 inert in Q(sqrt 5): min val
-        (CoefElem(3, 9, 5), 3, 1),
-        (CoefElem(0, 1, 5), 5, 1),  # ramified: v(sqrt 5) = 1, v(5) = 2
-        (CoefElem(5, 1, 5), 5, 1),
+        (CoefElem(9, 0, QQ), 3, 2),
+        (CoefElem(Fraction(1, 3), 0, QQ), 3, -1),
+        (CoefElem(0, 1, Q5), 3, 0),  # 3 inert in Q(sqrt 5): min val
+        (CoefElem(3, 9, Q5), 3, 1),
+        (CoefElem(0, 1, Q5), 5, 1),  # ramified: v(sqrt 5) = 1, v(5) = 2
+        (CoefElem(5, 1, Q5), 5, 1),
     ],
 )
 def test_ell_valuations(x, ell, expect):
@@ -64,7 +68,7 @@ def test_ell_valuations(x, ell, expect):
 
 def test_ell_valuation_split():
     # 11 splits in Q(sqrt 5) (5 is a QR mod 11: 4^2 = 16 = 5)
-    x = CoefElem(4, -1, 5)  # 4 - sqrt(5): one place gives 4 - 4 = 0 mod 11
+    x = CoefElem(4, -1, Q5)  # 4 - sqrt(5): one place gives 4 - 4 = 0 mod 11
     v1 = ell_adic_valuation(x, 11)
     v2 = ell_adic_valuation(x.conj(), 11)  # x at the conjugate place
     assert sorted([v1, v2]) == [0, 1]
@@ -91,7 +95,7 @@ def test_ingest_rejects_parity():
 
 
 def test_ingest_quadratic_ok(form_quad):
-    assert form_quad.d == 5
+    assert form_quad.field == Q5
 
 
 def test_satake_rejects_non_integral():
@@ -113,8 +117,8 @@ def test_satake_inert_w2(form):
     sat = satake_from_eigen(form, 3)
     assert sat.kind == "inert"
     # e1 = lambda / p, e2 = q^(w-2) eps = omega for w = 2
-    assert sat.values["e1"] == CoefElem(Fraction(2, 3), 0, None)
-    assert sat.values["e2"] == CoefElem(1, 0, None)
+    assert sat.values["e1"] == CoefElem(Fraction(2, 3), 0, QQ)
+    assert sat.values["e2"] == CoefElem(1, 0, QQ)
 
 
 def test_satake_split_structure(form):
@@ -122,8 +126,8 @@ def test_satake_split_structure(form):
     assert sat.kind == "split"
     assert set(sat.values) == {"e1_1", "e2_1", "e1_2", "e2_2"}
     # e2_i = p * p^(w-2) eps_i-part: for w = 2, e2_i = p * omega_i
-    assert sat.values["e2_1"] == CoefElem(7, 0, None)
-    assert sat.values["e2_2"] == CoefElem(-7, 0, None)
+    assert sat.values["e2_1"] == CoefElem(7, 0, QQ)
+    assert sat.values["e2_2"] == CoefElem(-7, 0, QQ)
 
 
 # -- L-factor identities --------------------------------------------------------------
