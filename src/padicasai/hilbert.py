@@ -77,7 +77,7 @@ def ell_adic_valuation(x: CoefElem, ell: int):
     if ell == 2:
         raise ValueError("l = 2 is excluded by the running hypotheses")
     a, b, r = x.x, x.y, x.ctx.r
-    if r and r % ell == 0 and b:
+    if r and r % ell == 0:
         return min(2 * val_p(a, ell), 2 * val_p(b, ell) + 1) - 2 * _vint(x.d, ell)
     if b == 0 or not is_qr(r, ell):
         return min(val_p(a, ell), val_p(b, ell)) - _vint(x.d, ell)

@@ -1,8 +1,10 @@
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from padicasai.exactnum import INF, QuadCtx
+from padicasai.exactnum import INF, QuadCtx, fr_mod, val_p
 from padicasai.hilbert import (
     CoefElem,
     CoefField,
@@ -75,6 +77,172 @@ def test_ell_valuation_split():
     assert ell_adic_valuation(x * x.conj(), 11) == 1  # norm = 11
 
 
+class FracCoefElem:
+    """CoefElem as it was: a + b sqrt(d) with two Fraction coordinates, d
+    None for Q."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a, b=0, d=None):
+        self.a = Fraction(a)
+        self.b = Fraction(b)
+        self.d = d
+        if d is None and self.b:
+            raise ValueError("rational field has no sqrt part")
+
+    def _coerce(self, other):
+        if isinstance(other, FracCoefElem):
+            return other
+        return FracCoefElem(Fraction(other), 0, self.d)
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return FracCoefElem(self.a + o.a, self.b + o.b, self.d)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return FracCoefElem(self.a - o.a, self.b - o.b, self.d)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        return FracCoefElem(self.a * o.a + (self.d or 0) * self.b * o.b, self.a * o.b + self.b * o.a, self.d)
+
+    def inv(self):
+        n = self.norm()
+        if n == 0:
+            raise ZeroDivisionError
+        return FracCoefElem(self.a / n, -self.b / n, self.d)
+
+    def __truediv__(self, other):
+        return self * self._coerce(other).inv()
+
+    def conj(self):
+        return FracCoefElem(self.a, -self.b, self.d)
+
+    def norm(self):
+        return self.a * self.a - (self.d or 0) * self.b * self.b
+
+    def is_zero(self):
+        return self.a == 0 and self.b == 0
+
+    def is_algebraic_integer(self):
+        if self.d is None or self.b == 0:
+            return self.a.denominator == 1
+        return (2 * self.a).denominator == 1 and self.norm().denominator == 1
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        return self.a == o.a and self.b == o.b
+
+    def __repr__(self):
+        if self.d is None or self.b == 0:
+            return str(self.a)
+        return f"({self.a}+{self.b}*sqrt{self.d})"
+
+    def to_json(self):
+        if self.d is None or self.b == 0:
+            return str(self.a)
+        return {"a": str(self.a), "b": str(self.b)}
+
+
+def _frac_sqrt_mod_lk(d, ell, k):
+    r = next(t for t in range(ell) if (t * t - d) % ell == 0)
+    modulus = ell
+    while modulus < ell ** k:
+        modulus *= ell
+        r = (r - (r * r - d) * pow(2 * r % modulus, -1, modulus)) % modulus
+    return r % ell ** k
+
+
+def frac_valuation(x, ell):
+    """The valuation on Fraction coordinates, scaled by l^m to be l-integral,
+    with v(l) = 2 for rationals at a ramified l as for every other element."""
+    if x.is_zero():
+        return INF
+    d = x.d
+    if d is None or x.b == 0:
+        return val_p(x.a, ell) * (2 if d is not None and d % ell == 0 else 1)
+    va, vb = val_p(x.a, ell), val_p(x.b, ell)
+    if d % ell == 0:
+        return min(2 * va, 2 * vb + 1)
+    if pow(d % ell, (ell - 1) // 2, ell) != 1:
+        return min(va, vb)
+    m = max(0, -min(v for v in (va, vb) if v != INF))
+    a, b = x.a * Fraction(ell) ** m, x.b * Fraction(ell) ** m
+    K = val_p(a * a - d * b * b, ell) + 2
+    return val_p(Fraction(fr_mod(a + b * _frac_sqrt_mod_lk(d, ell, K), ell, K)), ell) - m
+
+
+R_VALUES = [0, 5, 13, -3, 6]
+ELLS = [3, 5, 7, 11, 13]
+
+
+def coef(ell):
+    """A Fraction n/u * l^e: powers of l mixed with other primes."""
+    return st.builds(
+        lambda n, u, e: Fraction(n, u) * Fraction(ell) ** e,
+        st.integers(-40, 40),
+        st.sampled_from([1, 1, 2, 3, 4]),
+        st.integers(-2, 2),
+    )
+
+
+@st.composite
+def coef_triples(draw):
+    r, ell = draw(st.sampled_from(R_VALUES)), draw(st.sampled_from(ELLS))
+    c = coef(ell)
+    pairs = [(draw(c), draw(c) if r else Fraction(0)) for _ in range(3)]
+    return r, ell, pairs
+
+
+def same_coef(q, f):
+    assert type(q) is CoefElem and (q.a, q.b) == (f.a, f.b)
+    assert repr(q) == repr(f) and q.to_json() == f.to_json()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(coef_triples())
+def test_coef_elem_matches_fraction_oracle(case):
+    r, ell, pairs = case
+    F = CoefField(r)
+    (x, fx), (y, fy), (z, fz) = [(CoefElem(a, b, F), FracCoefElem(a, b, r or None)) for a, b in pairs]
+    for q, f in ((x, fx), (x + y, fx + fy), (x - y, fx - fy), (x * y, fx * fy), (x.conj(), fx.conj())):
+        same_coef(q, f)
+        assert q.norm() == f.norm()
+        assert q.is_algebraic_integer() == f.is_algebraic_integer()
+        assert ell_adic_valuation(q, ell) == frac_valuation(f, ell)
+    for c in (3, Fraction(-2, ell)):
+        same_coef(x + c, fx + c)
+        same_coef(c * x, fx * c)
+        assert (x == c) == (fx == c)
+    assert (x == y) == (fx == fy)
+    if fy.norm() != 0:
+        same_coef(y.inv(), fy.inv())
+        same_coef(x / y, fx / fy)
+        # the same value reached by another route compares and hashes equal
+        assert x * y / y == x and hash(x * y / y) == hash(x)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            y.inv()
+    assert hash(x + z - z) == hash(x)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(coef_triples())
+@example((5, 5, [(Fraction(0), Fraction(1)), (Fraction(0), Fraction(1)), (Fraction(0), Fraction(0))]))
+def test_ell_valuation_is_multiplicative(case):
+    # split, inert and ramified l all occur among (r, l); v(sqrt 5 sqrt 5) = v(5) = 2
+    r, ell, pairs = case
+    x, y, _ = [CoefElem(a, b, CoefField(r)) for a, b in pairs]
+    assert ell_adic_valuation(x * y, ell) == ell_adic_valuation(x, ell) + ell_adic_valuation(y, ell)
+
+
+def test_coef_from_json_rejects_sqrt_over_q():
+    assert CoefElem.from_json({"a": "1/2", "b": "0"}, QQ) == Fraction(1, 2)
+    with pytest.raises(ValueError, match="rational field has no sqrt part"):
+        CoefElem.from_json({"a": "1", "b": "1"}, QQ)
+
+
 # -- ingest -----------------------------------------------------------------------
 
 
@@ -92,6 +260,16 @@ def test_ingest_rejects_parity():
     }
     with pytest.raises(SchemaError):
         ingest(doc)
+
+
+def test_ingest_squarefree_check_is_fast():
+    # trial division stops at isqrt(|d|): about 10^6 steps here, not 10^12
+    doc = {"schema": 1, "weights": {"k": [2, 2], "t": [0, 0]}, "primes": {}}
+    start = time.perf_counter()
+    assert ingest({**doc, "coefficient_field": {"d": 999983 * 1000003}}).field == CoefField(999983 * 1000003)
+    with pytest.raises(SchemaError):
+        ingest({**doc, "coefficient_field": {"d": 2 * 999983 ** 2}})
+    assert time.perf_counter() - start < 10
 
 
 def test_ingest_quadratic_ok(form_quad):
