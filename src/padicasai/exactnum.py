@@ -190,7 +190,7 @@ class QuadElem:
             if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ValueError("mixed quadratic contexts")
             return other
-        return self.__class__(other, 0, self.ctx)
+        return type(self)(other, 0, self.ctx)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -291,7 +291,7 @@ def _quad(x: int, y: int, d: int, like: QuadElem) -> QuadElem:
     g = math.gcd(x, y, d)
     if g != 1:
         x, y, d = x // g, y // g, d // g
-    q = object.__new__(like.__class__)
+    q = object.__new__(type(like))
     q.x, q.y, q.d, q.ctx = x, y, d, like.ctx
     return q
 

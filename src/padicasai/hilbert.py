@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exactnum import INF, QuadCtx, QuadElem, _vint, fr_to_str, is_odd_prime, is_qr, val_p
+from .exactnum import INF, QuadCtx, QuadElem, fr_to_str, is_odd_prime, is_qr, val_p
 from .heckealg import euler_poly
 from .heckemod import TestVector, normalized_period, trace_level, vector_is_integral
 
@@ -76,15 +76,15 @@ def ell_adic_valuation(x: CoefElem, ell: int):
     """
     if ell == 2:
         raise ValueError("l = 2 is excluded by the running hypotheses")
-    a, b, r = x.x, x.y, x.ctx.r
+    a, b, r, vd = x.x, x.y, x.ctx.r, val_p(x.d, ell)
     if r and r % ell == 0:
-        return min(2 * val_p(a, ell), 2 * val_p(b, ell) + 1) - 2 * _vint(x.d, ell)
+        return min(2 * val_p(a, ell), 2 * val_p(b, ell) + 1) - 2 * vd
     if b == 0 or not is_qr(r, ell):
-        return min(val_p(a, ell), val_p(b, ell)) - _vint(x.d, ell)
+        return min(val_p(a, ell), val_p(b, ell)) - vd
     # split: a valuation at one place is at most v_l(a^2 - r b^2), so sqrt(r)
     # one digit deeper reads it off
-    k = _vint(a * a - r * b * b, ell) + 1
-    return val_p((a + b * _sqrt_mod_lk(r, ell, k)) % ell ** k, ell) - _vint(x.d, ell)
+    k = val_p(a * a - r * b * b, ell) + 1
+    return val_p((a + b * _sqrt_mod_lk(r, ell, k)) % ell ** k, ell) - vd
 
 
 def _sqrt_mod_lk(r: int, ell: int, k: int) -> int:

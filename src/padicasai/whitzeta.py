@@ -866,20 +866,34 @@ def godement_section(phi: SchwartzFn, ctx: QuadCtx) -> dict:
     # constant value phi(0) beyond the last shell
     phi0 = phi.value_at(0, 0)
     tail = RatFunc(om_x2 ** (N + 1) * phi0, [1 - om_x2])
-    values = {}
-    for r1 in range(p ** L):
-        for r2 in range(p ** L):
+
+    def section_at(r1, r2):
+        acc = Lau(vs)
+        for m, units, volc, om_m in shells:
+            if m >= 0:
+                s1, s2 = p ** m * r1, p ** m * r2
+                tot = sum(int_cells.get((s1 * u % pN, s2 * u % pN), 0) for u in units)
+            else:
+                pm = Fraction(p) ** m
+                tot = sum(phi.value_at(pm * u * r1, pm * u * r2) for u in units)
+            if tot:
+                acc = acc + om_m * (tot * volc)
+        return tail + RatFunc.from_lau(acc) if phi0 else RatFunc.from_lau(acc)
+
+    # a shell m >= 0 sums phi over every unit multiple of the row mod p^L, so
+    # without shells m < 0 the value depends only on the line through the row
+    pL = p ** L
+    inv = [pow(u, -1, pL) if u % p else 0 for u in range(pL)]
+    values, by_key = {}, {}
+    for r1 in range(pL):
+        for r2 in range(pL):
             if r1 % p == 0 and r2 % p == 0:
                 continue
-            acc = Lau(vs)
-            for m, units, volc, om_m in shells:
-                if m >= 0:
-                    s1, s2 = p ** m * r1, p ** m * r2
-                    tot = sum(int_cells.get((s1 * u % pN, s2 * u % pN), 0) for u in units)
-                else:
-                    pm = Fraction(p) ** m
-                    tot = sum(phi.value_at(pm * u * r1, pm * u * r2) for u in units)
-                if tot:
-                    acc = acc + om_m * (tot * volc)
-            values[(r1, r2)] = tail + RatFunc.from_lau(acc) if phi0 else RatFunc.from_lau(acc)
+            if m_min < 0:
+                key = (r1, r2)
+            else:
+                key = (1, r2 * inv[r1] % pL) if r1 % p else (r1 * inv[r2] % pL, 1)
+            if key not in by_key:
+                by_key[key] = section_at(*key)
+            values[(r1, r2)] = by_key[key]
     return {"level": L, "values": values}

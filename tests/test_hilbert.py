@@ -62,6 +62,7 @@ def test_coef_not_integer():
         (CoefElem(3, 9, Q5), 3, 1),
         (CoefElem(0, 1, Q5), 5, 1),  # ramified: v(sqrt 5) = 1, v(5) = 2
         (CoefElem(5, 1, Q5), 5, 1),
+        (CoefElem(10, 0, Q5), 5, 2),  # a rational at a ramified l: v(5) = 2
     ],
 )
 def test_ell_valuations(x, ell, expect):
@@ -205,7 +206,7 @@ def same_coef(q, f):
 def test_coef_elem_matches_fraction_oracle(case):
     r, ell, pairs = case
     F = CoefField(r)
-    (x, fx), (y, fy), (z, fz) = [(CoefElem(a, b, F), FracCoefElem(a, b, r or None)) for a, b in pairs]
+    (x, fx), (y, fy), (z, _) = [(CoefElem(a, b, F), FracCoefElem(a, b, r or None)) for a, b in pairs]
     for q, f in ((x, fx), (x + y, fx + fy), (x - y, fx - fy), (x * y, fx * fy), (x.conj(), fx.conj())):
         same_coef(q, f)
         assert q.norm() == f.norm()
