@@ -211,6 +211,7 @@ def satake_from_eigen(data: EigenformData, p: int) -> SatakeData:
         # q^(w-2) eps(pi) with q = p^2
         places = [(pd.lam[0], data.epsilon_at(p) * scale)]
     else:
+        # per place p^(w-2) eps_v, with eps_v = p^(w-2) omega_v
         places = [(lam, om * scale) for lam, om in zip(pd.lam, pd.omega)]
     if not all(x.is_algebraic_integer() for place in places for x in place):
         raise ValueError("spherical eigenvalue is not an algebraic integer")
