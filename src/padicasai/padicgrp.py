@@ -12,7 +12,10 @@ turns conditions into an affine Z_p-lattice; and one residue search,
 lattice_residues, reads that lattice mod p.  lattice_measure counts its
 residue classes, which gives every stabilizer volume (subgroup_volume
 here, the mirabolic volumes of the Hecke-module layer), and kck_membership
-takes its first class of unit determinant as the Cartan witness.
+takes its first class of unit determinant as the Cartan witness.  The
+Smith engine eliminates on ints: scaling a row by a p-adic unit, or every
+row by one power of p, moves no pivot and no ratio to a pivot, so its
+rational result is exactly that of Fraction elimination.
 
 Matrices are immutable; every decomposition returns witnesses and is
 re-verified by exact multiplication before being returned.
@@ -23,9 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 from typing import Sequence
 
-from .exactnum import INF, QuadCtx, QuadElem, fr_mod, val_p
+from .exactnum import INF, QuadCtx, QuadElem, _vint, fr_mod, val_p
 
 
 class DecompositionError(AssertionError):
@@ -211,57 +215,72 @@ def plocal_smith(rows: list[list[Fraction]], target: list[Fraction], p: int):
     U (m x m, applied to target as its row operations run, never built) and
     V (n x n) are Z_(p)-invertible rational matrices and D is diagonal with
     D[i][i] = p**exps[i] for i < len(exps), all other entries zero.  Row i
-    of D beyond len(exps) is identically zero.
+    of D beyond len(exps) is identically zero.  The pivot is the first
+    entry of least valuation in row-major order; it is scaled to p**exps[i].
+
+    The elimination runs on ints (Bareiss; Cohen, GTM 138, 2.4).  Row i of
+    (M | target) is carried times s_i * p^E: s_i is a p-unit, p^E one power
+    for all rows.  Row i is eliminated as (a/g)*row_i - (b/g)*row_k, with a
+    the pivot, b = row_i[k] and g = gcd(a, b); a/g is a p-unit and joins
+    s_i.  A unit scale changes no valuation, no zero pattern and no ratio
+    row_k[j]/a, and p^E shifts every valuation alike, so pivots, exps, V
+    (built from those ratios, column j over w[j]) and t are exactly those of
+    the Fraction elimination.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    M = [[Fraction(x) for x in r] for r in rows]
-    t = [Fraction(x) for x in target]
-    V = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    dens = [lcm(x.denominator, *(y.denominator for y in r)) for r, x in zip(rows, target)]
+    E = max((_vint(d, p) for d in dens), default=0)
+    pE = p ** E
+    scale = [d // p ** _vint(d, p) for d in dens]
+    M, t = [], []
+    for r, x, s in zip(rows, target, scale):
+        c = s * pE
+        M.append([y.numerator * (c // y.denominator) for y in r])
+        t.append(x.numerator * (c // x.denominator))
+    V, w = [[int(i == j) for j in range(n)] for i in range(n)], [1] * n
     exps: list[int] = []
-    k = 0
-    while k < min(m, n):
-        # find pivot of minimal valuation in the remaining block
-        best = None
+    for k in range(min(m, n)):
+        best = None  # the first entry of least valuation: p**v divides no earlier one
         for i in range(k, m):
             for j in range(k, n):
-                if M[i][j] != 0:
-                    v = val_p(M[i][j], p)
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
+                if M[i][j] and (best is None or M[i][j] % pv):
+                    best = (_vint(M[i][j], p), i, j)
+                    pv = p ** best[0]
         if best is None:
             break
         v, bi, bj = best
         if bi != k:
             M[k], M[bi] = M[bi], M[k]
             t[k], t[bi] = t[bi], t[k]
+            scale[k], scale[bi] = scale[bi], scale[k]
         if bj != k:
-            for r in M:
+            for r in M[k:] + V + [w]:
                 r[k], r[bj] = r[bj], r[k]
-            for r in V:
-                r[k], r[bj] = r[bj], r[k]
-        # normalize pivot to exactly p^v (scale row by a p-unit)
-        unit = M[k][k] / Fraction(p) ** v
-        for j in range(n):
-            M[k][j] = M[k][j] / unit
-        t[k] = t[k] / unit
-        piv = Fraction(p) ** v
+        rk = M[k]
+        a = rk[k]
         for i in range(k + 1, m):
-            if M[i][k] != 0:
-                q = M[i][k] / piv
-                for j in range(n):
-                    M[i][j] -= q * M[k][j]
-                t[i] -= q * t[k]
+            ri = M[i]
+            b = ri[k]
+            if b:
+                g = gcd(a, b)
+                a_g, b_g = a // g, b // g
+                for j in range(k + 1, n):
+                    ri[j] = a_g * ri[j] - b_g * rk[j]
+                ri[k] = 0
+                t[i] = a_g * t[i] - b_g * t[k]
+                scale[i] *= a_g
+        # the column step only clears row k; V gets column j -= (rk[j]/a) * column k
         for j in range(k + 1, n):
-            if M[k][j] != 0:
-                q = M[k][j] / piv
-                for i in range(m):
-                    M[i][j] -= q * M[i][k]
-                for i in range(n):
-                    V[i][j] -= q * V[i][k]
-        exps.append(v)
-        k += 1
-    return t, exps, V
+            if rk[j]:
+                c, d = a * w[k], rk[j] * w[j]
+                for r in V:
+                    r[j] = c * r[j] - d * r[k]
+                w[j] *= c
+        scale[k] = a // p ** v
+        exps.append(v - E)
+    t = [Fraction(x, s * pE) for x, s in zip(t, scale)]
+    return t, exps, [[Fraction(x, d) for x, d in zip(r, w)] for r in V]
 
 
 def lattice_solve_affine(rows: list[list[Fraction]], target: list[Fraction], p: int):

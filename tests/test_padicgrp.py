@@ -609,12 +609,21 @@ def frac_det(rows):
     return det
 
 
+def smith_entry(p):
+    """a / (p^e * u) with u a p'-part in {1, 2, 3, 4, 7}, or a plain int."""
+    units = [u for u in (1, 2, 3, 4, 7) if u % p]
+    frac = st.builds(lambda a, e, u: Fraction(a, p ** e * u), st.integers(-20, 20), st.integers(0, 2), st.sampled_from(units))
+    return st.one_of(frac, st.integers(-20, 20))
+
+
 @st.composite
 def p_and_matrix(draw):
+    """(p, rows) at p = 3, 5, 7: m x n with m < n possible, some rows zero."""
     p = draw(st.sampled_from([3, 5, 7]))
-    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 4))
-    entry = st.builds(lambda a, e, u: Fraction(a, p ** e * u), st.integers(-20, 20), st.integers(0, 2), st.sampled_from([1, 2]))
-    return p, [[draw(entry) for _ in range(n)] for _ in range(m)]
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, max(1, n - 1)) if draw(st.booleans()) else st.integers(1, 5))
+    entries = st.lists(smith_entry(p), min_size=n, max_size=n)
+    return p, [[0] * n if draw(st.integers(0, 3)) == 0 else draw(entries) for _ in range(m)]
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -643,8 +652,7 @@ def smith_case(draw):
         p, g = ctx.p, draw(gl2_F(ctx))
         cell = cartan_cell(*draw(st.sampled_from(gen_cartan_candidates(g))), ctx)
         rows = id_rows() + conj_condition_rows(cell.inv(), g)
-    entry = st.builds(lambda a, e: Fraction(a, p ** e), st.integers(-20, 20), st.integers(0, 2))
-    return rows, [draw(entry) for _ in rows], p
+    return rows, [draw(smith_entry(p)) for _ in rows], p
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -653,3 +661,13 @@ def test_plocal_smith_applies_the_oracle_u_to_the_target(case):
     rows, target, p = case
     U, exps, V = plocal_smith_oracle(rows, p)
     assert plocal_smith(rows, target, p) == (mat_vec(U, target), exps, V)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(smith_case())
+def test_plocal_smith_returns_fractions(case):
+    # the integer engine converts back: callers do Fraction arithmetic on t and V
+    rows, target, p = case
+    t, exps, V = plocal_smith(rows, target, p)
+    assert all(type(x) is Fraction for x in t + [y for r in V for y in r])
+    assert all(type(e) is int for e in exps)
