@@ -59,6 +59,8 @@ def val_p(x, p: int):
     min(v_p(a), v_p(b)).
     """
     if isinstance(x, QuadElem):
+        if not isinstance(x.ctx, QuadCtx):  # a CoefElem: min(v(a), v(b)) is no valuation at l
+            raise TypeError("val_p needs a QuadElem over Q_p; use hilbert.ell_adic_valuation")
         return x.val() if p == x.ctx.p else min(val_p(x.a, p), val_p(x.b, p))
     if isinstance(x, int):
         return _vint(x, p) if x else INF
@@ -801,6 +803,8 @@ class RatFunc:
             other = RatFunc.from_lau(Lau.const(self.num.vars, other))
         if not isinstance(other, RatFunc):
             return NotImplemented
+        if self.den == other.den:  # reduced factor lists are sorted alike
+            return self.num == other.num
         return (self.num * other.denominator) == (other.num * self.denominator)
 
     def is_laurent(self) -> bool:

@@ -467,3 +467,41 @@ def test_quad_elem_form_is_canonical(F3):
     assert len({hash(h) for h in half}) == 1 and all(h == Fraction(1, 2) for h in half)
     assert (F3.zero().x, F3.zero().y, F3.zero().d) == (0, 0, 1)
     assert ((F3.sqrt_r() * 3 - 3) / 9).d == 3
+
+
+def ratfunc_cross_eq(f, g):
+    """RatFunc.__eq__ as it was: cross-multiply by the expanded denominators."""
+    return (f.num * g.denominator) == (g.num * f.denominator)
+
+
+@st.composite
+def ratfunc_pairs(draw):
+    """Two RatFuncs over (A, B, X) with factors from a small pool: the same
+    value built with its factors in another order and times a cancelling
+    factor, another numerator over the same factors, or an unrelated value."""
+    A, B, X, vs = _xab()
+    pool = [1 - A * X, 1 - B * X, 1 - A * B * X ** 2, 1 + X, 1 - 2 * X]
+    monos = [Lau.const(vs, 1), A, B, X, A * X, B * X ** 2]
+    lau = st.lists(st.tuples(st.integers(-3, 3), st.sampled_from(monos)), min_size=1, max_size=4).map(
+        lambda cs: sum((c * m for c, m in cs), Lau(vs))
+    )
+    num, dens = draw(lau), draw(st.lists(st.sampled_from(pool), max_size=3))
+    kind = draw(st.sampled_from(["same", "shared", "other"]))
+    if kind == "same":
+        extra = draw(st.sampled_from(pool))
+        return kind, RatFunc(num, dens), RatFunc(num * extra, draw(st.permutations(dens + [extra])))
+    if kind == "shared":
+        return kind, RatFunc(num, dens), RatFunc(num + draw(lau), draw(st.permutations(dens)))
+    return kind, RatFunc(num, dens), RatFunc(draw(lau), draw(st.lists(st.sampled_from(pool), max_size=3)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(ratfunc_pairs())
+def test_ratfunc_eq_matches_cross_multiplication(case):
+    kind, f, g = case
+    assert (f == g) == (g == f) == ratfunc_cross_eq(f, g)
+    if kind == "same":
+        assert f == g
+    if kind == "shared" and f.den == g.den:
+        # the shortcut answers from the numerators alone
+        assert (f == g) == (f.num == g.num)
