@@ -19,6 +19,7 @@ from padicasai.hilbert import (
     rep_side_asai_inverse,
     satake_from_eigen,
     tate_identity_check,
+    _euler_in_x,
 )
 from padicasai.padicgrp import Mat2
 from padicasai.whitzeta import SchwartzFn
@@ -67,6 +68,12 @@ def test_coef_not_integer():
 )
 def test_ell_valuations(x, ell, expect):
     assert ell_adic_valuation(x, ell) == expect
+
+
+def test_val_p_refuses_a_coefficient():
+    # min(v(a), v(b)) is no valuation at a split or ramified l
+    with pytest.raises(TypeError, match="hilbert.ell_adic_valuation"):
+        val_p(CoefElem(5, 1, Q5), 5)
 
 
 def test_ell_valuation_split():
@@ -325,6 +332,14 @@ def test_asai_shift_identity(form, p):
 @pytest.mark.parametrize("p", [3, 7, 11, 13])
 def test_asai_shift_identity_quad(form_quad, p):
     assert asai_shift_identity_check(form_quad, p)
+
+
+def test_rep_side_builds_each_euler_polynomial_once(form):
+    # criterion 9 evaluates L^-1 six times per prime; Theta(P)(X) is built once
+    _euler_in_x.cache_clear()
+    for p in (3, 7, 3, 7):
+        assert asai_shift_identity_check(form, p)
+    assert _euler_in_x.cache_info().misses == 2
 
 
 def test_artin_value_at_ideal_point(form):
