@@ -82,3 +82,15 @@ def test_traced_coset_labels_job_counts_its_seams(workloads, spans):
     metrics = tracer.layer_metrics()
     assert metrics["exactnum.quad_mul.calls"][0] > 0
     assert metrics["padicgrp.plocal_smith.calls"][0] >= 1
+
+
+def test_traced_coset_labels_pass_counts_every_smith_form(workloads, spans):
+    # a seed-0 coset_labels pass makes 708 Smith forms; the count is the
+    # per-layer metric of the Smith engine, which an engine inlined into
+    # lattice_solve_affine or renamed would drop without failing anything else
+    tracer = spans.Tracer()
+    for i, job in enumerate(workloads.build("coset_labels", 0)):
+        with tracer.active(i):
+            out, ok, _ = job.run()
+        assert ok and out
+    assert tracer.layer_metrics()["padicgrp.plocal_smith.calls"][0] == 708
