@@ -683,18 +683,6 @@ def sym_expand(sym: Lau, pair_vars: Sequence[str]) -> Lau:
     return sym.subst(assign)
 
 
-def sym_invert_params(sym: Lau) -> Lau:
-    """Apply (x,y) -> (1/x,1/y) on each pair: e1 -> e1/e2, e2 -> 1/e2."""
-    vars_ = sym.vars
-    assign: dict[str, Lau] = {}
-    for e1n, e2n in _evar_pairs(vars_):
-        assign[e1n] = Lau.monomial(
-            vars_, tuple((1 if v == e1n else (-1 if v == e2n else 0)) for v in vars_)
-        )
-        assign[e2n] = Lau.monomial(vars_, tuple((-1 if v == e2n else 0) for v in vars_))
-    return sym.subst(assign)
-
-
 _homog_cache: dict = {}
 
 

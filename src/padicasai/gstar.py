@@ -23,7 +23,6 @@ from .exactnum import QuadCtx, QuadElem
 from .heckealg import (
     HeckeElem,
     HeckeIdealCert,
-    EulerPoly,
     euler_poly,
     ideal_cert,
     iota_embed,
@@ -115,16 +114,6 @@ def frob_grade(h: HeckeElem) -> GradedFactor:
         mono = HeckeElem.monomial(h.group, e, c)
         out.append((mono, monomial_det_val(h.group, e)))
     return GradedFactor(h.group, out)
-
-
-def euler_factor_at_frob_inverse(ep: EulerPoly) -> GradedFactor:
-    """P'(Frob^-1): the X^k coefficient of the involuted polynomial graded
-    by Frob^(-k); the norm-relation shape of the local factor."""
-    terms = []
-    for k, c in enumerate(ep.involute().coeffs):
-        for e, coef in sorted(c.poly.terms.items()):
-            terms.append((HeckeElem.monomial(ep.group, e, coef), -k))
-    return GradedFactor(ep.group, terms)
 
 
 def cyclotomic_factor_candidate(rep: GStarFactorReport) -> dict:

@@ -29,7 +29,7 @@ from itertools import product
 from math import gcd, lcm
 from typing import Sequence
 
-from .exactnum import INF, QuadCtx, QuadElem, _vint, fr_mod, val_p
+from .exactnum import QuadCtx, QuadElem, _vint, fr_mod, val_p
 
 
 class DecompositionError(AssertionError):
@@ -132,11 +132,6 @@ class Mat2:
 
     def is_rational(self) -> bool:
         return all(x.is_rational() for x in self.e)
-
-    def det_is_one_mod_p(self) -> bool:
-        d = self.det() - 1
-        v = d.val()
-        return v == INF or v >= 1
 
     def cartan_spread(self) -> int:
         """Difference of the two elementary-divisor exponents."""
@@ -296,10 +291,9 @@ def lattice_solve_affine(rows: list[list[Fraction]], target: list[Fraction], p: 
     ut, exps, V = plocal_smith(rows, target, p)
     if len(exps) < n:
         raise ValueError("condition matrix not of full column rank")
-    basis = [[V[r][i] * Fraction(p) ** (-exps[i]) for r in range(n)] for i in range(n)]
-    y = [Fraction(0)] * n
-    for i in range(n):
-        y[i] = ut[i] / Fraction(p) ** exps[i]
+    scale = [Fraction(p) ** -exps[i] for i in range(n)]  # one power per column
+    basis = [[V[r][i] * scale[i] for r in range(n)] for i in range(n)]
+    y = [ut[i] * scale[i] for i in range(n)]
     for i in range(n, m):
         if ut[i] != 0 and val_p(ut[i], p) < 0:
             return None

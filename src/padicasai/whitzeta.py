@@ -21,9 +21,15 @@ The inner integral depends on the row only through three valuations of
 that decomposition: v(f1 / f2), v(f2) and the valuation of the psi-phase
 of u.  _y_data_for_row computes them in closed form from the coordinates
 of (v1, v2) g0 and of one row of g0, without building k or any matrix
-product.  Per engine call, each distinct data tuple is certified once
-against a verified iwasawa_F on the first row that yields it
-(_y_data_by_iwasawa); a disagreement raises AssertionError.
+product.  The phase valuation is clamped at -J, J = max(-v(f1/f2)): from
+v(beta) = -J up, every shell from J on has Gauss weight 1.  Clamped, the
+data depends only on the line through the row mod p^L, L = max(1, Cartan
+spread of g0): a unit u scales the phase by u^-2 and keeps the torus
+valuations.  So the engine reads one row per projective line mod p^L, with
+the rows of each cell on it counted in closed form (_line_reps).  Per
+engine call, each distinct data tuple is certified once against a verified
+iwasawa_F on the first line that yields it (_y_data_by_iwasawa); a
+disagreement raises AssertionError.
 
 A group element is a tuple of components: one matrix over F at an inert
 prime, two matrices over Q_p (the Rankin-Selberg pair) at a split one.
@@ -535,7 +541,8 @@ def _required_cell_level(gs: Sequence[Mat2]) -> int:
 
 def _y_data_for_row(v1, v2, gs: Sequence[Mat2], ctx: QuadCtx) -> tuple:
     """The value-determining data of the inner integral at a primitive row:
-    (phase valuation, torus valuations, omega exponents).
+    (phase valuation clamped at min(torus valuations) = -J, INF included,
+    torus valuations, omega exponents); constant on lines mod p^L.
 
     Closed form of the three valuations that the Iwasawa decomposition
     k g0 = n(u) diag(f1, f2) kappa supplies, k = _complete_row(v1, v2).
@@ -584,7 +591,8 @@ def _y_data_for_row(v1, v2, gs: Sequence[Mat2], ctx: QuadCtx) -> tuple:
         (x1, y1), (x2, y2) = xys
         num = x1.x * y1[2] * x2.d * y2[0] - x2.x * y2[2] * x1.d * y1[0]
         vbeta = val_p(num, p) - val_p(x1.d * y1[0] * x2.d * y2[0], p)
-    return (vbeta, tuple(vcs), tuple(ws))
+    # clamped: every vbeta >= -J = min(vcs), INF too, gives the same value
+    return (min(vbeta, *vcs), tuple(vcs), tuple(ws))
 
 
 @lru_cache(maxsize=16)
@@ -614,7 +622,7 @@ def _y_data_by_iwasawa(v1, v2, gs: Sequence[Mat2], ctx: QuadCtx) -> tuple:
         vbeta = val_p(us[0].a - us[1].a, ctx.p)
     else:
         raise AssertionError("split-case Iwasawa phase left the base field")
-    return (vbeta, tuple(vcs), tuple(ws))
+    return (min(vbeta, *vcs), tuple(vcs), tuple(ws))
 
 
 @lru_cache(maxsize=256)
@@ -649,61 +657,70 @@ def _omega_x2(vs, p: int) -> Lau:
     return Lau.monomial(vs, _evec(vs, exps), Fraction(1, p ** (2 * len(pairs) - 2)))
 
 
+def _line_reps(t, k: int, lam: int, L: int, p: int) -> tuple[list[tuple[int, int]], int]:
+    """The lines mod p^L, as reps (1, x) or (p x', 1) in [0, p^L)^2, met by
+    the primitive rows of t + p^k Z_p^2 mod p^lam (lam >= max(k, L)), and
+    the number of those rows on each line.  k = 0 is the origin cell: every
+    line.  For k >= 1 and t primitive, a row lies on (1, t2/t1 + p^k j) if t1
+    is a unit, else on (t1/t2 + p^k j, 1), j < p^max(L-k, 0); the slope is
+    affine in y with a unit factor, so the rows spread evenly."""
+    pL = p ** L
+    if k == 0:
+        reps = [(1, x) for x in range(pL)] + [(p * y, 1) for y in range(pL // p)]
+        return reps, (p * p - 1) * p ** (2 * lam - 2) // len(reps)
+    pk, lines = p ** min(k, L), p ** max(L - k, 0)
+    u, v = t if t[0] % p else t[::-1]
+    xs = (v * pow(u, -1, pk) % pk + p ** k * j for j in range(lines))
+    return [(1, x) if t[0] % p else (x, 1) for x in xs], p ** (2 * (lam - k)) // lines
+
+
 def _shell_weights(phi: SchwartzFn, gs: Sequence[Mat2], ctx: QuadCtx, level_cap: int) -> dict[tuple, Fraction]:
     """The accumulated weight of each (row data, shell kind) in
     Z(phi, gs . W_sph, s); shell kinds are ("pow", m) for a fixed shell and
-    ("geom", N) for the origin tail's shells m >= N.  Each distinct row data
-    is certified once against _y_data_by_iwasawa."""
+    ("geom", N) for the origin tail's shells m >= N.  A row's data is that of
+    its line mod p^L, so a cell adds, per line it meets (_line_reps), the row
+    count times the row weight (1 - p^-2)^-1 coef / p^(2 lam).  Each line's
+    data is computed once per call, and each distinct data is certified once
+    against _y_data_by_iwasawa."""
     p = ctx.p
-    lam_req = _required_cell_level(gs)
+    L = max(_required_cell_level(gs), 1)
     pref = Fraction(p * p, p * p - 1)  # (1 - p^-2)^-1
-    data_of_row: dict[tuple, tuple] = {}
+    data_of_line: dict[tuple[int, int], tuple] = {}
     certified: set[tuple] = set()
     weights: dict[tuple, Fraction] = {}
-
-    def add_weight(v1, v2, shell, wt: Fraction):
-        lamkey = max(lam_req, 1)
-        rkey = (fr_mod(v1, p, lamkey), fr_mod(v2, p, lamkey))
-        if rkey not in data_of_row:
-            data = _y_data_for_row(v1, v2, gs, ctx)
-            if data not in certified:
-                if _y_data_by_iwasawa(v1, v2, gs, ctx) != data:
-                    raise AssertionError(
-                        f"row ({v1}, {v2}): closed-form data {data} disagrees with iwasawa_F"
-                    )
-                certified.add(data)
-            data_of_row[rkey] = data
-        key = (data_of_row[rkey], shell)
-        weights[key] = weights.get(key, Fraction(0)) + wt
-
     N = phi.level
     for (c1, c2), coef in sorted(phi.cells.items()):
         m = min(val_p(c1, p), val_p(c2, p))
         if m == INF or m >= N:
             # the cell around the origin: geometric sum over the shells m >= N
-            lam = max(lam_req, 1)
-            if lam > level_cap:
-                raise PrecisionOverflow(f"cell level {lam} above cap {level_cap}")
-            wt = pref * coef * Fraction(1, p ** (2 * lam))
-            for w1 in range(p ** lam):
-                for w2 in range(p ** lam):
-                    if w1 % p == 0 and w2 % p == 0:
-                        continue
-                    add_weight(Fraction(w1), Fraction(w2), ("geom", N), wt)
+            shell, k, lam, t = ("geom", N), 0, L, None
         else:
+            # the primitive rows t + p^k Z_p^2 of the shell m; omega(p)^m
+            # X^(2m) p^(2m) merged with the volume p^(-2m)
             m = int(m)
-            lam = max(N - m, lam_req)
-            if lam > level_cap:
-                raise PrecisionOverflow(f"cell level {lam} above cap {level_cap}")
+            shell, k = ("pow", m), N - m
+            lam = max(k, L)
             pm = Fraction(p) ** m
-            t1, t2 = c1 / pm, c2 / pm
-            step = p ** (lam - (N - m))
-            pnm = Fraction(p) ** (N - m)
-            wt = pref * coef * Fraction(1, p ** (2 * lam))
-            for y1 in range(step):
-                for y2 in range(step):
-                    # omega(p)^m X^(2m) p^(2m) merged with the volume p^(-2m)
-                    add_weight(t1 + pnm * y1, t2 + pnm * y2, ("pow", m), wt)
+            t = (fr_mod(c1 / pm, p, k), fr_mod(c2 / pm, p, k))
+        if lam > level_cap:
+            raise PrecisionOverflow(f"cell level {lam} above cap {level_cap}")
+        reps, per_line = _line_reps(t, k, lam, L, p)
+        counts: dict[tuple, int] = {}
+        for line in reps:
+            data = data_of_line.get(line)
+            if data is None:
+                v1, v2 = map(Fraction, line)
+                data = data_of_line[line] = _y_data_for_row(v1, v2, gs, ctx)
+                if data not in certified:
+                    if _y_data_by_iwasawa(v1, v2, gs, ctx) != data:
+                        raise AssertionError(
+                            f"row ({v1}, {v2}): closed-form data {data} disagrees with iwasawa_F"
+                        )
+                    certified.add(data)
+            counts[data] = counts.get(data, 0) + per_line
+        wt = pref * coef / p ** (2 * lam)
+        for data, n in counts.items():
+            weights[data, shell] = weights.get((data, shell), 0) + wt * n
     return weights
 
 

@@ -94,3 +94,17 @@ def test_traced_coset_labels_pass_counts_every_smith_form(workloads, spans):
             out, ok, _ = job.run()
         assert ok and out
     assert tracer.layer_metrics()["padicgrp.plocal_smith.calls"][0] == 708
+
+
+@pytest.mark.parametrize("name,lines", [("zeta_primes", 1064), ("hecke_freeness", 812)])
+def test_traced_pass_reads_each_line_once(workloads, spans, name, lines):
+    # the zeta engine reads one row per projective line mod p^L: a seed-0
+    # pass makes 1,064 (zeta_primes) and 812 (hecke_freeness) row-data
+    # calls, where a row-by-row engine made 5,030 and 2,200; the count is
+    # the per-layer row metric, so a bypassed or renamed seam changes it too
+    tracer = spans.Tracer()
+    for i, job in enumerate(workloads.build(name, 0)):
+        with tracer.active(i):
+            out, ok, _ = job.run()
+        assert ok and out
+    assert tracer.layer_metrics()["whitzeta.row_classes.calls"][0] == lines

@@ -22,7 +22,6 @@ from padicasai.exactnum import (
     lau_eval_x1,
     smallest_nonresidue,
     sym_expand,
-    sym_invert_params,
     sym_reduce,
     val_p,
 )
@@ -182,13 +181,6 @@ def test_sym_reduce_four_vars_roundtrip():
     f = complete_homog(2, "u1", "v1", vs) * complete_homog(1, "u2", "v2", vs)
     got = sym_reduce(f)
     assert sym_expand(got, vs) == f
-
-
-def test_sym_invert_params():
-    # e1 = A + B -> A^-1 + B^-1 = e1/e2
-    e = sym_reduce(Lau.var(AB, "A") + Lau.var(AB, "B"))
-    inv = sym_invert_params(e)
-    assert inv == Lau.monomial(("e1", "e2"), (1, -1))
 
 
 # -- rational functions -------------------------------------------------------

@@ -16,7 +16,6 @@ from padicasai.heckemod import (
 from padicasai.gstar import (
     GradedFactor,
     cyclotomic_factor_candidate,
-    euler_factor_at_frob_inverse,
     frob_grade,
     gstar_cartan_check,
     gstar_factor,
@@ -115,6 +114,16 @@ def test_frob_grade_multiplicative_on_monomials(F3):
     g2 = frob_grade(h2).terms[0][1]
     g12 = frob_grade(h1 * h2).terms[0][1]
     assert g12 == g1 + g2
+
+
+def euler_factor_at_frob_inverse(ep) -> GradedFactor:
+    """P'(Frob^-1): the X^k coefficient of the involuted polynomial graded
+    by Frob^(-k); the norm-relation shape of the local factor."""
+    terms = []
+    for k, c in enumerate(ep.involute().coeffs):
+        for e, coef in sorted(c.poly.terms.items()):
+            terms.append((HeckeElem.monomial(ep.group, e, coef), -k))
+    return GradedFactor(ep.group, terms)
 
 
 @pytest.mark.parametrize("kind", ["asai_star_inert", "asai_star_split"])

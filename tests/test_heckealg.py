@@ -13,9 +13,9 @@ from padicasai.exactnum import (
     Lau,
     NotDivisible,
     NotInImage,
+    _evar_pairs,
     complete_homog,
     sym_expand,
-    sym_invert_params,
     sym_reduce,
 )
 from padicasai.heckealg import (
@@ -47,6 +47,25 @@ E4 = ("e1_1", "e2_1", "e1_2", "e2_2")
 
 def ev(name, power=1, vs=E):
     return Lau.var(vs, name, power)
+
+
+def sym_invert_params(sym: Lau) -> Lau:
+    """Apply (x,y) -> (1/x,1/y) on each pair: e1 -> e1/e2, e2 -> 1/e2."""
+    vars_ = sym.vars
+    assign: dict[str, Lau] = {}
+    for e1n, e2n in _evar_pairs(vars_):
+        assign[e1n] = Lau.monomial(
+            vars_, tuple((1 if v == e1n else (-1 if v == e2n else 0)) for v in vars_)
+        )
+        assign[e2n] = Lau.monomial(vars_, tuple((-1 if v == e2n else 0) for v in vars_))
+    return sym.subst(assign)
+
+
+def test_sym_invert_params():
+    # e1 = A + B -> A^-1 + B^-1 = e1/e2
+    e = sym_reduce(Lau.var(AB, "A") + Lau.var(AB, "B"))
+    inv = sym_invert_params(e)
+    assert inv == Lau.monomial(("e1", "e2"), (1, -1))
 
 
 def rand_inert(rng, deg=3):

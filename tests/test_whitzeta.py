@@ -1,18 +1,23 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padicasai.exactnum import (
     AB,
     INF,
     Lau,
+    PrecisionOverflow,
     QuadCtx,
     QuadElem,
     RatFunc,
     UV,
     complete_homog,
+    fr_mod,
     lau_eval_x1,
     sym_expand,
     sym_reduce,
@@ -573,15 +578,71 @@ def test_y_value_memo_second_run_is_all_hits():
     assert second == first == h
 
 
+def shell_weights_by_rows(phi, gs, ctx, level_cap):
+    """_shell_weights as it was: every row mod p^lam of every cell visited
+    once, keyed by the row mod p^L."""
+    p = ctx.p
+    lam_req = whitzeta._required_cell_level(gs)
+    pref = Fraction(p * p, p * p - 1)  # (1 - p^-2)^-1
+    data_of_row: dict[tuple, tuple] = {}
+    certified: set[tuple] = set()
+    weights: dict[tuple, Fraction] = {}
+
+    def add_weight(v1, v2, shell, wt: Fraction):
+        lamkey = max(lam_req, 1)
+        rkey = (fr_mod(v1, p, lamkey), fr_mod(v2, p, lamkey))
+        if rkey not in data_of_row:
+            data = whitzeta._y_data_for_row(v1, v2, gs, ctx)
+            if data not in certified:
+                if whitzeta._y_data_by_iwasawa(v1, v2, gs, ctx) != data:
+                    raise AssertionError(
+                        f"row ({v1}, {v2}): closed-form data {data} disagrees with iwasawa_F"
+                    )
+                certified.add(data)
+            data_of_row[rkey] = data
+        key = (data_of_row[rkey], shell)
+        weights[key] = weights.get(key, Fraction(0)) + wt
+
+    N = phi.level
+    for (c1, c2), coef in sorted(phi.cells.items()):
+        m = min(val_p(c1, p), val_p(c2, p))
+        if m == INF or m >= N:
+            # the cell around the origin: geometric sum over the shells m >= N
+            lam = max(lam_req, 1)
+            if lam > level_cap:
+                raise PrecisionOverflow(f"cell level {lam} above cap {level_cap}")
+            wt = pref * coef * Fraction(1, p ** (2 * lam))
+            for w1 in range(p ** lam):
+                for w2 in range(p ** lam):
+                    if w1 % p == 0 and w2 % p == 0:
+                        continue
+                    add_weight(Fraction(w1), Fraction(w2), ("geom", N), wt)
+        else:
+            m = int(m)
+            lam = max(N - m, lam_req)
+            if lam > level_cap:
+                raise PrecisionOverflow(f"cell level {lam} above cap {level_cap}")
+            pm = Fraction(p) ** m
+            t1, t2 = c1 / pm, c2 / pm
+            step = p ** (lam - (N - m))
+            pnm = Fraction(p) ** (N - m)
+            wt = pref * coef * Fraction(1, p ** (2 * lam))
+            for y1 in range(step):
+                for y2 in range(step):
+                    # omega(p)^m X^(2m) p^(2m) merged with the volume p^(-2m)
+                    add_weight(t1 + pnm * y1, t2 + pnm * y2, ("pow", m), wt)
+    return weights
+
+
 def zeta_by_ratfunc(phi, gs, ctx):
     """_zeta_engine's sum as it was: one RatFunc per (row data, shell)
-    weight, each inner integral from y_integral_oracle."""
+    weight of the per-row oracle, each inner integral from y_integral_oracle."""
     p = ctx.p
     vs = VS_SPLIT if len(gs) == 2 else VS_INERT
     omx2 = whitzeta._omega_x2(vs, p)
     ys = {}
     acc = RatFunc(Lau(vs))
-    for (data, shell), wt in sorted(whitzeta._shell_weights(phi, gs, ctx, 12).items(), key=repr):
+    for (data, shell), wt in sorted(shell_weights_by_rows(phi, gs, ctx, 12).items(), key=repr):
         if data not in ys:
             vbeta, vcs, ws = data
             omegas = Lau.monomial(vs, [w for w in ws for _ in "xy"] + [0], Fraction(p) ** ((1 - len(ws)) * sum(ws)))
@@ -624,6 +685,125 @@ def test_period_numerator_matches_ratfunc_sum():
     got = period_value(vec)
     assert same_ratfunc(got.ratfunc, want)
     assert got.normalized() == normalized_by_ratfunc(want, "split", 3)
+
+
+def clamped(data):
+    """Row data with the phase valuation clamped at -J = min(vcs); a no-op
+    on clamped data, so the comparison holds wherever the clamping lives."""
+    vbeta, vcs, ws = data
+    return (min(vbeta, *vcs), vcs, ws)
+
+
+def num_from_weights(weights, vs, p):
+    """_zeta_engine's numerator of a weight dict."""
+    omx2 = whitzeta._omega_x2(vs, p)
+    parts = {"pow": Lau(vs), "geom": Lau(vs)}
+    for (data, (kind, m)), wt in weights.items():
+        parts[kind] = parts[kind] + whitzeta._y_value_from_data(data, vs, p) * (omx2 ** m * wt)
+    return parts["pow"] * (1 - omx2) + parts["geom"]
+
+
+def line_oracle_cases(p):
+    """(phi, gs): the row-sweep matrices against the unit ball, phi_p2, a
+    cell whose centre has p'-denominators and a level-3 cell."""
+    ctx = QuadCtx.make(p)
+    phis = [
+        SchwartzFn.char_zp2(p),
+        SchwartzFn.phi_p2(p),
+        SchwartzFn.cell(p, 1, Fraction(1, 2), Fraction(p, 7), 3),
+        SchwartzFn.cell(p, 3, p * p, p, -2),
+    ]
+    gss = [[g] for g in inert_g0s(ctx).values()] + list(split_g0s(ctx).values())
+    return ctx, [(phi, gs) for gs in gss for phi in phis]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_line_weights_match_row_weights(p):
+    # one data call per line with closed-form counts against one per row
+    ctx, cases = line_oracle_cases(p)
+    if p == 3:
+        h = HeckeElem.monomial("split_pair", (0, 0, 2, 0), 2)
+        cases += [(phi, gs) for phi, gs, _ in hecke_apply(h, generator_vector(ctx, "split")).terms]
+    for phi, gs in cases:
+        oracle = shell_weights_by_rows(phi, gs, ctx, 12)
+        merged = {}
+        for (data, shell), wt in oracle.items():
+            key = (clamped(data), shell)
+            merged[key] = merged.get(key, 0) + wt
+        assert whitzeta._shell_weights(phi, gs, ctx, 12) == merged, (gs, phi)
+        vs = VS_SPLIT if len(gs) == 2 else VS_INERT
+        assert whitzeta._zeta_engine(phi, gs, ctx).num == num_from_weights(oracle, vs, p), (gs, phi)
+
+
+@pytest.mark.parametrize(
+    "vs,vcs,ws",
+    [(VS_INERT, (0,), (0,)), (VS_INERT, (2,), (1,)), (VS_INERT, (-1,), (0,)), (VS_SPLIT, (1, -1), (0, 1)), (VS_SPLIT, (0, 2), (1, 0))],
+)
+def test_phase_clamped_at_minus_j_keeps_the_inner_integral(vs, vcs, ws):
+    # from vbeta = -J = min(vcs) on every shell has Gauss weight 1
+    fresh = whitzeta._y_value_from_data.__wrapped__
+    floor = min(vcs)
+    want = fresh((floor, vcs, ws), vs, 3)
+    for vbeta in (floor + 1, floor + 3, INF):
+        assert fresh((vbeta, vcs, ws), vs, 3) == want, vbeta
+    assert fresh((floor - 1, vcs, ws), vs, 3) != want
+
+
+@cache
+def row_sweep_cases(p):
+    """(gs, L) for every inert and split g0 of the row sweep."""
+    ctx = QuadCtx.make(p)
+    gss = [[g] for g in inert_g0s(ctx).values()] + list(split_g0s(ctx).values())
+    return ctx, [(gs, max(whitzeta._required_cell_level(gs), 1)) for gs in gss]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(a=st.integers(0, 10 ** 4), b=st.integers(0, 10 ** 4), u=st.integers(1, 10 ** 4), z1=st.integers(-50, 50), z2=st.integers(-50, 50))
+def test_clamped_row_data_is_constant_on_lines(p, a, b, u, z1, z2):
+    # u (a, b) + p^L z lies on the line of (a, b) mod p^L
+    if a % p == 0 and b % p == 0:
+        a += 1
+    if u % p == 0:
+        u += 1
+    ctx, cases = row_sweep_cases(p)
+    for gs, L in cases:
+        pL = p ** L
+        row = whitzeta._y_data_for_row(Fraction(a), Fraction(b), gs, ctx)
+        moved = whitzeta._y_data_for_row(Fraction(u * a + pL * z1), Fraction(u * b + pL * z2), gs, ctx)
+        assert moved == row, (gs, a, b, u)
+
+
+def line_of(a, b, p, L):
+    """The rep (1, x) or (x, 1) mod p^L of the line through a primitive row."""
+    pL = p ** L
+    return (1, b * pow(a, -1, pL) % pL) if a % p else (a * pow(b, -1, pL) % pL, 1)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    pL=st.sampled_from([(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]),
+    k=st.integers(0, 4),
+    extra=st.integers(0, 1),
+    t1=st.integers(0, 10 ** 4),
+    t2=st.integers(0, 10 ** 4),
+)
+def test_line_reps_count_every_row_of_a_cell(pL, k, extra, t1, t2):
+    # the reps are distinct lines, and each holds the stated number of the
+    # cell's primitive rows mod p^lam: k = 0 all of them, else t + p^k Z^2
+    p, L = pL
+    if t1 % p == 0 and t2 % p == 0:
+        t2 += 1
+    lam = max(k, L) + extra
+    plam = p ** lam
+    if k == 0:
+        rows = [(a, b) for a in range(plam) for b in range(plam) if a % p or b % p]
+    else:
+        step = p ** (lam - k)
+        rows = [((t1 + p ** k * y1) % plam, (t2 + p ** k * y2) % plam) for y1 in range(step) for y2 in range(step)]
+    reps, per_line = whitzeta._line_reps((t1, t2), k, lam, L, p)
+    assert len(set(reps)) == len(reps)
+    assert Counter(line_of(a, b, p, L) for a, b in rows) == dict.fromkeys(reps, per_line)
 
 
 @pytest.mark.parametrize("case", ["inert", "split"])
