@@ -2,7 +2,8 @@
 
 The whole engine runs on Fractions: the quadratic extension Q_p(sqrt r),
 sparse Laurent polynomials, symmetric coordinates, and rational functions
-with factored denominators.  No floating point appears anywhere.
+with factored denominators.  The one float is INF = float("inf"), the
+valuation of 0.
 """
 
 from fractions import Fraction

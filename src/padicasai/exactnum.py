@@ -17,8 +17,8 @@ integrals) is built on the four algebraic layers in this module:
   of a zeta value (carried as a numerator over a fixed L-factor
   denominator) and the values of the Godement section.
 
-No floating point is used anywhere: limits s -> 0 are taken by exact
-division followed by evaluation at X = 1 (X stands for p^{-s}).
+The one float is INF = float("inf"), the valuation of 0.  Limits s -> 0 are
+taken by exact division followed by evaluation at X = 1 (X stands for p^{-s}).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 INF = float("inf")
@@ -458,38 +459,6 @@ class Lau:
         rest = tuple(v for v in self.vars if v != name)
         return Lau(rest, {e[:i] + e[i + 1:]: c for e, c in self.terms.items() if e[i] == k})
 
-    def swap(self, a: str, b: str) -> "Lau":
-        i, j = self.vars.index(a), self.vars.index(b)
-        t = {}
-        for e, c in self.terms.items():
-            e2 = list(e)
-            e2[i], e2[j] = e2[j], e2[i]
-            t[tuple(e2)] = c
-        out = Lau(self.vars)
-        out.terms = t
-        return out
-
-    def subst(self, assign: Mapping[str, "Lau"]) -> "Lau":
-        """Substitute Laurent polynomials for variables (others unchanged).
-
-        Negative exponents require the substituted value to be an
-        invertible monomial.
-        """
-        names = [v for v in self.vars if v in assign]
-        if not names:
-            return self
-        target = assign[names[0]].vars
-        out = Lau(target)
-        for e, c in self.terms.items():
-            term = Lau.const(target, c)
-            for v, k in zip(self.vars, e):
-                if k == 0:
-                    continue
-                val = assign[v] if v in assign else Lau.var(target, v)
-                term = term * val ** k
-            out = out + term
-        return out
-
     def eval(self, point: Mapping[str, object]):
         """Evaluate at field values (Fraction, QuadElem, or any element with
         +, * and Fraction(1) / x), all vars bound."""
@@ -601,10 +570,44 @@ def _poly_exact_div(a: Lau, b: Lau) -> Lau:
 
 
 # ---------------------------------------------------------------------------
-# symmetric reduction (elementary symmetric coordinates)
+# symmetric reduction: per pair (x, y), e1 = x + y and e2 = x y.  A swap orbit
+# x^a y^b + x^b y^a (a > b) is e2^b W_(a-b), where Waring's formula gives the
+# power sum W_k = x^k + y^k = sum_(j <= k/2) (-1)^j k/(k-j) C(k-j, j) e1^(k-2j) e2^j,
+# and a fixed point x^a y^a is e2^a.  The binomial theorem goes back:
+# e1^a e2^b = sum_i C(a, i) x^(i+b) y^(a-i+b).  A symmetric Laurent polynomial
+# has one expression in Q[e1, e2, 1/e2], so the two maps are mutually inverse.
 
 AB = ("A", "B")
 UV = ("u1", "v1", "u2", "v2")
+
+
+def _orbit_sum(a: int, b: int) -> tuple:
+    """The swap orbit of x^a y^b as ((e1, e2) exponents, integer coefficient)
+    pairs: e2^b W_(a-b) for a >= b, W_0 = 1 at a fixed point; empty for
+    a < b, as that orbit is read at x^b y^a."""
+    k = a - b
+    return tuple(
+        ((k - 2 * j, j + b), (-1) ** j * (k * math.comb(k - j, j) // (k - j)) if j else 1)
+        for j in range(k // 2 + 1)
+    )
+
+
+def _binomial(a: int, b: int) -> tuple:
+    """e1^a e2^b as ((x, y) exponents, integer coefficient) pairs."""
+    if a < 0:
+        raise NotDivisible("negative power of a non-monomial")
+    return tuple(((i + b, a - i + b), math.comb(a, i)) for i in range(a + 1))
+
+
+def _sum_of_products(variables, rows) -> Lau:
+    """The sum of c * prod(factors) * monomial(tail) over rows (c, factors,
+    tail), each factor a tuple of (pair exponents, integer weight) pairs."""
+    out: dict[tuple, Fraction] = {}
+    for c, factors, tail in rows:
+        for picks in product(*factors):
+            k = sum((ex for ex, _ in picks), ()) + tail
+            out[k] = out.get(k, 0) + c * math.prod(w for _, w in picks)
+    return Lau(variables, out)
 
 
 def sym_reduce(poly: Lau) -> Lau:
@@ -613,48 +616,17 @@ def sym_reduce(poly: Lau) -> Lau:
 
     Raises NotSymmetric when the input is not swap-invariant.
     """
-    vs = poly.vars
+    vs, terms = poly.vars, poly.terms
     if len(vs) % 2:
         raise ValueError("odd number of variables")
-    pair_idx = [(i, i + 1) for i in range(0, len(vs), 2)]
-    for ix, iy in pair_idx:
-        if poly.swap(vs[ix], vs[iy]) != poly:
-            raise NotSymmetric(f"not symmetric under {vs[ix]} <-> {vs[iy]}")
-    if len(pair_idx) == 1:
-        out_vars = ("e1", "e2")
-    else:
-        out_vars = tuple(f"e{j}_{i+1}" for i in range(len(pair_idx)) for j in (1, 2))
-    if poly.is_zero():
-        return Lau(out_vars)
-    # clear negative pair exponents with a global power of e2 per pair
-    shifts = [min(min(e[ix], e[iy]) for e in poly.terms) for ix, iy in pair_idx]
-    work = Lau(vs)
-    for e, c in poly.terms.items():
-        e2 = list(e)
-        for (ix, iy), s in zip(pair_idx, shifts):
-            e2[ix] -= s
-            e2[iy] -= s
-        work.terms[tuple(e2)] = c
-
-    def key(e):
-        ks = tuple((max(e[ix], e[iy]), min(e[ix], e[iy])) for ix, iy in pair_idx)
-        return (ks, e)
-
-    terms: dict[tuple, Fraction] = {}
-    while not work.is_zero():
-        lead = max(work.terms, key=key)
-        c = work.terms[lead]
-        sub = Lau.const(vs, c)
-        oexp = []
-        for (ix, iy), s in zip(pair_idx, shifts):
-            a, b = max(lead[ix], lead[iy]), min(lead[ix], lead[iy])
-            oexp += [a - b, b + s]
-            sub = sub * (Lau.var(vs, vs[ix]) + Lau.var(vs, vs[iy])) ** (a - b)
-            sub = sub * (Lau.var(vs, vs[ix]) * Lau.var(vs, vs[iy])) ** b
-        oexp = tuple(oexp)
-        terms[oexp] = terms.get(oexp, Fraction(0)) + c
-        work = work - sub
-    return Lau(out_vars, terms)
+    pairs = range(0, len(vs), 2)
+    for i in pairs:
+        for e, c in terms.items():
+            if e[i] != e[i + 1] and terms.get(e[:i] + (e[i + 1], e[i]) + e[i + 2:]) != c:
+                raise NotSymmetric(f"not symmetric under {vs[i]} <-> {vs[i + 1]}")
+    out_vars = ("e1", "e2") if len(vs) == 2 else tuple(f"e{j}_{i // 2 + 1}" for i in pairs for j in (1, 2))
+    rows = ((c, [_orbit_sum(e[i], e[i + 1]) for i in pairs], ()) for e, c in terms.items())
+    return _sum_of_products(out_vars, rows)
 
 
 def _evar_pairs(variables: Sequence[str]) -> list[tuple[str, str]]:
@@ -669,18 +641,16 @@ def _evar_pairs(variables: Sequence[str]) -> list[tuple[str, str]]:
 
 
 def sym_expand(sym: Lau, pair_vars: Sequence[str]) -> Lau:
-    """Inverse of sym_reduce: substitute e1 -> x+y, e2 -> x*y per pair."""
-    epairs = _evar_pairs(sym.vars)
-    extra = [v for v in sym.vars if all(v not in pr for pr in epairs)]
-    target = tuple(pair_vars) + tuple(extra)
-    assign: dict[str, Lau] = {}
-    for i, (e1n, e2n) in enumerate(epairs):
-        x, y = pair_vars[2 * i], pair_vars[2 * i + 1]
-        assign[e1n] = Lau.var(target, x) + Lau.var(target, y)
-        assign[e2n] = Lau.var(target, x) * Lau.var(target, y)
-    for v in extra:
-        assign[v] = Lau.var(target, v)
-    return sym.subst(assign)
+    """Inverse of sym_reduce: e1 -> x+y, e2 -> x*y per pair (x, y) of
+    pair_vars, any other variable (X) carried through.  A negative power
+    of e1 raises NotDivisible."""
+    vs = sym.vars
+    epairs = _evar_pairs(vs)
+    extra = [v for v in vs if all(v not in pr for pr in epairs)]
+    idx = [(vs.index(e1n), vs.index(e2n)) for e1n, e2n in epairs]
+    rest = [vs.index(v) for v in extra]
+    rows = ((c, [_binomial(e[i], e[j]) for i, j in idx], tuple(e[k] for k in rest)) for e, c in sym.terms.items())
+    return _sum_of_products(tuple(pair_vars) + tuple(extra), rows)
 
 
 _homog_cache: dict = {}

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import QuadCtx, QuadElem
 from .heckealg import (
     HeckeElem,
     HeckeIdealCert,
@@ -30,7 +29,6 @@ from .heckealg import (
     monomial_det_val,
 )
 from .heckemod import TestVector, local_factor, trace_level, vector_is_integral
-from .padicgrp import Mat2, sl2_diag_factor
 
 
 def ip_embed(vec: TestVector) -> TestVector:
@@ -127,67 +125,3 @@ def cyclotomic_factor_candidate(rep: GStarFactorReport) -> dict:
         "interpretation": "graded traced local factor; canonical up to the "
         "stated intertwining convention",
     }
-
-
-# ---------------------------------------------------------------------------
-# desk-scale Cartan check for G*
-
-
-def gstar_cartan_check(ctx: QuadCtx, case: str, samples: int, rng) -> bool:
-    """Sampled verification that G* elements land in exactly one K*-double
-    coset of the stated diagonal shape (equal determinant valuations in the
-    split case)."""
-    p = ctx.p
-    for _ in range(samples):
-        if case == "inert":
-            # SL2(O_F) sits inside K*, so determinant-one witnesses realize
-            # the K*-double coset; the label is pinned by the two exact
-            # invariants (minimal entry valuation and v_p det)
-            n1 = rng.randint(-1, 2)
-            n2 = rng.randint(-1, n1)
-            g = _rand_sl2_quad(ctx, rng) * Mat2.t(n1, n2, ctx) * _rand_sl2_quad(ctx, rng)
-            if not g.det().is_rational():
-                return False
-            mv = g.min_val()
-            label = (g.det_val() - mv, mv)
-            if label != (n1, n2):
-                return False
-            k1, a1, a2, k2 = sl2_diag_factor(g)
-            if (a1, a2) != (n1, n2):
-                return False
-            if not (k1.det().is_rational() and k2.det().is_rational()):
-                return False
-        else:
-            # equal determinant valuation in the two components; determinant
-            # one witnesses make the pair a genuine K*-product
-            n1 = rng.randint(0, 2)
-            n2 = rng.randint(-1, n1)
-            tot = n1 + n2
-            m1 = rng.randint(max(n2, tot - 2), n1 + 1)
-            m2 = tot - m1
-            if m2 > m1:
-                m1, m2 = m2, m1
-            g1 = _rand_sl2_base(ctx, rng) * Mat2.t(n1, n2, ctx) * _rand_sl2_base(ctx, rng)
-            g2 = _rand_sl2_base(ctx, rng) * Mat2.t(m1, m2, ctx) * _rand_sl2_base(ctx, rng)
-            if g1.det() != g2.det():
-                return False
-            k1a, a1, a2, k1b = sl2_diag_factor(g1)
-            k2a, b1, b2, k2b = sl2_diag_factor(g2)
-            if (a1, a2) != (n1, n2) or (b1, b2) != (m1, m2) or a1 + a2 != b1 + b2:
-                return False
-    return True
-
-
-def _rand_sl2_base(ctx: QuadCtx, rng) -> Mat2:
-    p = ctx.p
-    x, y, z = (rng.randrange(p ** 2) for _ in range(3))
-    return Mat2.upper(x, ctx) * Mat2.lower(y, ctx) * Mat2.upper(z, ctx)
-
-
-def _rand_sl2_quad(ctx: QuadCtx, rng) -> Mat2:
-    p = ctx.p
-
-    def qe():
-        return QuadElem(rng.randrange(p ** 2), rng.randrange(p ** 2), ctx)
-
-    return Mat2.upper(qe(), ctx) * Mat2.lower(qe(), ctx) * Mat2.upper(qe(), ctx)

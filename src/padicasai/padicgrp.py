@@ -553,67 +553,6 @@ def _of_residues(ctx: QuadCtx, L: int, quadratic: bool) -> list[QuadElem]:
 
 
 # ---------------------------------------------------------------------------
-# determinant-one factorization through a diagonal (SL-Smith over O_F)
-
-
-def sl2_diag_factor(g: Mat2) -> tuple[Mat2, int, int, Mat2]:
-    """g = k1 * diag(p^a, p^b) * k2 with k1, k2 integral of determinant 1.
-
-    Requires det(g) = p^(a+b) exactly (unit part 1).  Used to verify that
-    double-coset representatives admit determinant-one witnesses.
-    """
-    ctx = g.ctx
-    p = ctx.p
-    dv = g.det_val()
-    if g.det() != ctx.elem(Fraction(p) ** dv):
-        raise ValueError("determinant is not an exact power of p")
-    left = Mat2.identity(ctx)
-    right = Mat2.identity(ctx)
-    w = Mat2([0, 1, -1, 0], ctx)  # det 1 rotation swap
-    m = g
-    # pivot: bring a minimal-valuation entry to position (1,1)
-    vals = [x.val() for x in m.e]
-    imin = vals.index(min(vals))
-    if imin in (2, 3):
-        m = w * m
-        left = left * w.inv()
-    vals = [m.e[0].val(), m.e[1].val()]
-    if vals[1] < vals[0]:
-        m = m * w
-        right = w.inv() * right
-    # clear (1,2) and (2,1)
-    a = m.e[0]
-    u = Mat2.upper(-(m.e[1] / a), ctx)
-    m = m * u
-    right = u.inv() * right
-    lo = Mat2.lower(-(m.e[2] / a), ctx)
-    m = lo * m
-    left = left * lo.inv()
-    if m.e[1] != ctx.zero() or m.e[2] != ctx.zero():
-        raise AssertionError("sl2_diag_factor: elimination left an off-diagonal entry")
-    d1, d2 = m.e[0], m.e[3]
-    a1, a2 = d1.val(), d2.val()
-    # fold units: diag(d1, d2) = diag(u1, u1^-1) diag(p^a1, p^a2), u1 u2 = 1
-    u1 = d1 / ctx.elem(Fraction(p) ** a1)
-    fold = Mat2.diag(u1, u1.inv(), ctx)
-    left = left * fold
-    # u1^-1 d2 = p^a2 since the unit parts multiply to det(g)/p^(a1+a2) = 1
-    if a1 < a2:
-        # diag(p^a1, p^a2) = w^-1 diag(p^a2, p^a1) w
-        left = left * w.inv()
-        right = w * right
-        a1, a2 = a2, a1
-    k1, k2 = left, right
-    if k1.det() != ctx.one() or k2.det() != ctx.one():
-        raise AssertionError("sl2_diag_factor: a K factor has determinant other than 1")
-    if not (k1.in_KF() and k2.in_KF()):
-        raise AssertionError("sl2_diag_factor: a K factor is not in GL2(O_F)")
-    if k1 * Mat2.t(a1, a2, ctx) * k2 != g:
-        raise AssertionError("sl2_diag_factor witnesses do not reassemble g")
-    return k1, a1, a2, k2
-
-
-# ---------------------------------------------------------------------------
 # exact volumes of congruence-type subgroups of GL2(Z_p)
 
 

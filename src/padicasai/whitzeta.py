@@ -684,6 +684,8 @@ def _shell_weights(phi: SchwartzFn, gs: Sequence[Mat2], ctx: QuadCtx, level_cap:
     against _y_data_by_iwasawa."""
     p = ctx.p
     L = max(_required_cell_level(gs), 1)
+    if L > level_cap:  # L alone sets the work, p^L + p^(L-1) lines; depth only scales counts
+        raise PrecisionOverflow(f"line level {L} above cap {level_cap}")
     pref = Fraction(p * p, p * p - 1)  # (1 - p^-2)^-1
     data_of_line: dict[tuple[int, int], tuple] = {}
     certified: set[tuple] = set()
@@ -702,8 +704,6 @@ def _shell_weights(phi: SchwartzFn, gs: Sequence[Mat2], ctx: QuadCtx, level_cap:
             lam = max(k, L)
             pm = Fraction(p) ** m
             t = (fr_mod(c1 / pm, p, k), fr_mod(c2 / pm, p, k))
-        if lam > level_cap:
-            raise PrecisionOverflow(f"cell level {lam} above cap {level_cap}")
         reps, per_line = _line_reps(t, k, lam, L, p)
         counts: dict[tuple, int] = {}
         for line in reps:

@@ -108,3 +108,27 @@ def test_traced_pass_reads_each_line_once(workloads, spans, name, lines):
             out, ok, _ = job.run()
         assert ok and out
     assert tracer.layer_metrics()["whitzeta.row_classes.calls"][0] == lines
+
+
+def test_traced_chain_certify_pass_counts_symmetric_reductions(workloads, spans):
+    # a seed-0 chain_certify pass makes 99 symmetric reductions and 3,138
+    # Lau products; the closed forms of sym_reduce and sym_expand build no
+    # Lau product, where the leading-term rewrite made 4,740 in all, and a
+    # renamed or inlined sym_reduce would drop the first count.  The counts
+    # are those of a fresh process, so every memo starts empty
+    from padicasai import exactnum
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("padicasai."):
+            for obj in vars(mod).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+    exactnum._homog_cache.clear()
+    tracer = spans.Tracer()
+    for i, job in enumerate(workloads.build("chain_certify", 0)):
+        with tracer.active(i):
+            out, ok, _ = job.run()
+        assert ok and out
+    metrics = tracer.layer_metrics()
+    assert metrics["exactnum.sym_reduce.calls"][0] == 99
+    assert metrics["exactnum.lau_mul.calls"][0] == 3138

@@ -99,7 +99,7 @@ def test_zeta_g_spec_count_is_an_input_error(case, g):
 
 
 def test_precision_overflow_exit_code(tmp_path):
-    # a deep cell forces a refinement level above a tiny cap
+    # g = n(1/27) has Cartan spread 6: its lines mod p^6 lie above a tiny cap
     phi = {"level": 2, "cells": [{"c": ["0", "1"], "coef": "1"}]}
     r = run(
         "--prime", "3", "--precision-cap", "2",

@@ -14,6 +14,8 @@ from padicasai.exactnum import (
     QuadCtx,
     QuadElem,
     RatFunc,
+    UV,
+    _evar_pairs,
     complete_homog,
     fr_mod,
     fr_to_str,
@@ -181,6 +183,168 @@ def test_sym_reduce_four_vars_roundtrip():
     f = complete_homog(2, "u1", "v1", vs) * complete_homog(1, "u2", "v2", vs)
     got = sym_reduce(f)
     assert sym_expand(got, vs) == f
+
+
+# -- the closed forms against the leading-term and substitution oracles ----------
+
+
+def subst(poly: Lau, assign) -> Lau:
+    """Substitute Laurent polynomials for variables (others unchanged);
+    a negative exponent needs the substituted value to be an invertible
+    monomial."""
+    names = [v for v in poly.vars if v in assign]
+    if not names:
+        return poly
+    target = assign[names[0]].vars
+    out = Lau(target)
+    for e, c in poly.terms.items():
+        term = Lau.const(target, c)
+        for v, k in zip(poly.vars, e):
+            if k == 0:
+                continue
+            val = assign[v] if v in assign else Lau.var(target, v)
+            term = term * val ** k
+        out = out + term
+    return out
+
+
+def _swap_pair(e: tuple, i: int) -> tuple:
+    return e[:i] + (e[i + 1], e[i]) + e[i + 2:]
+
+
+def sym_reduce_by_leading_terms(poly: Lau) -> Lau:
+    """sym_reduce by rewriting: subtract c (x+y)^(a-b) (xy)^b for the
+    leading term c x^a y^b until nothing is left."""
+    vs = poly.vars
+    if len(vs) % 2:
+        raise ValueError("odd number of variables")
+    pair_idx = [(i, i + 1) for i in range(0, len(vs), 2)]
+    for ix, iy in pair_idx:
+        if {_swap_pair(e, ix): c for e, c in poly.terms.items()} != poly.terms:
+            raise NotSymmetric(f"not symmetric under {vs[ix]} <-> {vs[iy]}")
+    if len(pair_idx) == 1:
+        out_vars = ("e1", "e2")
+    else:
+        out_vars = tuple(f"e{j}_{i+1}" for i in range(len(pair_idx)) for j in (1, 2))
+    if poly.is_zero():
+        return Lau(out_vars)
+    # clear negative pair exponents with a global power of e2 per pair
+    shifts = [min(min(e[ix], e[iy]) for e in poly.terms) for ix, iy in pair_idx]
+    work = Lau(vs)
+    for e, c in poly.terms.items():
+        e2 = list(e)
+        for (ix, iy), s in zip(pair_idx, shifts):
+            e2[ix] -= s
+            e2[iy] -= s
+        work.terms[tuple(e2)] = c
+
+    def key(e):
+        ks = tuple((max(e[ix], e[iy]), min(e[ix], e[iy])) for ix, iy in pair_idx)
+        return (ks, e)
+
+    terms: dict[tuple, Fraction] = {}
+    while not work.is_zero():
+        lead = max(work.terms, key=key)
+        c = work.terms[lead]
+        sub = Lau.const(vs, c)
+        oexp = []
+        for (ix, iy), s in zip(pair_idx, shifts):
+            a, b = max(lead[ix], lead[iy]), min(lead[ix], lead[iy])
+            oexp += [a - b, b + s]
+            sub = sub * (Lau.var(vs, vs[ix]) + Lau.var(vs, vs[iy])) ** (a - b)
+            sub = sub * (Lau.var(vs, vs[ix]) * Lau.var(vs, vs[iy])) ** b
+        oexp = tuple(oexp)
+        terms[oexp] = terms.get(oexp, Fraction(0)) + c
+        work = work - sub
+    return Lau(out_vars, terms)
+
+
+def sym_expand_by_subst(sym: Lau, pair_vars) -> Lau:
+    """sym_expand by substituting e1 -> x+y, e2 -> x*y per pair."""
+    epairs = _evar_pairs(sym.vars)
+    extra = [v for v in sym.vars if all(v not in pr for pr in epairs)]
+    target = tuple(pair_vars) + tuple(extra)
+    assign = {}
+    for i, (e1n, e2n) in enumerate(epairs):
+        x, y = pair_vars[2 * i], pair_vars[2 * i + 1]
+        assign[e1n] = Lau.var(target, x) + Lau.var(target, y)
+        assign[e2n] = Lau.var(target, x) * Lau.var(target, y)
+    for v in extra:
+        assign[v] = Lau.var(target, v)
+    return subst(sym, assign)
+
+
+EXPS = st.integers(-3, 4)
+COEFS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 9))
+
+
+@st.composite
+def pair_symmetric(draw, pairs=st.sampled_from([AB, UV])):
+    """A Laurent polynomial in one or two pairs, symmetric in each pair:
+    random monomials summed over their swap orbits."""
+    vs = draw(pairs)
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        orbit = {tuple(draw(EXPS) for _ in vs)}
+        for i in range(0, len(vs), 2):
+            orbit |= {_swap_pair(e, i) for e in orbit}
+        c = draw(COEFS)
+        for e in orbit:
+            terms[e] = terms.get(e, 0) + c
+    return Lau(vs, terms)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(pair_symmetric(), st.lists(st.integers(-2, 3), min_size=40, max_size=40))
+def test_sym_closed_forms_match_the_oracles(f, xs):
+    vs = f.vars
+    got = sym_reduce(f)
+    want = sym_reduce_by_leading_terms(f)
+    assert got.vars == want.vars and got.terms == want.terms
+    assert sym_expand(got, vs) == f
+    # an extra variable X is carried through; e1 exponents stay >= 0
+    g = Lau(got.vars + ("X",), {e + (x,): c for (e, c), x in zip(got.terms.items(), xs) if min(e[::2]) >= 0})
+    got, want = sym_expand(g, vs), sym_expand_by_subst(g, vs)
+    assert got.vars == want.vars == vs + ("X",) and got.terms == want.terms
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(pair_symmetric(st.just(UV)), st.sampled_from([0, 2]), st.tuples(EXPS, EXPS, EXPS), COEFS.filter(bool))
+def test_sym_reduce_names_the_one_asymmetric_pair(f, i, exps, c):
+    # c (m + m'), m' the swap of m in the other pair, keeps that pair's
+    # symmetry and breaks pair i's when m's exponents differ in pair i
+    a, b, o = exps
+    m = [o, o, o, o]
+    m[i], m[i + 1] = a, (a + 1 if b == a else b)
+    m = tuple(m)
+    g = f + Lau.monomial(UV, m, c) + Lau.monomial(UV, _swap_pair(m, 2 - i), c)
+    for reduce in (sym_reduce, sym_reduce_by_leading_terms):
+        with pytest.raises(NotSymmetric, match=f"{UV[i]} <-> {UV[i + 1]}"):
+            reduce(g)
+
+
+@pytest.mark.parametrize("sym,pair_vars", [
+    (Lau.monomial(("e1", "e2"), (-1, 0)), AB),
+    (Lau.monomial(("e1", "e2", "X"), (-1, 2, 1)), AB),
+    (Lau.monomial(("e1_1", "e2_1", "e1_2", "e2_2"), (2, 0, -1, -1)), UV),
+])
+def test_sym_expand_refuses_a_negative_power_of_e1(sym, pair_vars):
+    for expand in (sym_expand, sym_expand_by_subst):
+        with pytest.raises(NotDivisible):
+            expand(sym, pair_vars)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_sym_reduce_power_sum_is_warings_formula(k):
+    # W_k = x^k + y^k in (e1, e2), against sympy's symmetrization
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.polyfuncs import symmetrize
+
+    x, y, s1, s2 = sympy.symbols("x y s1 s2")
+    sym, rem, _ = symmetrize(x ** k + y ** k, x, y, formal=True, symbols=[s1, s2])
+    assert rem == 0
+    want = {e: Fraction(int(c)) for e, c in sympy.Poly(sym, s1, s2).as_dict().items()}
+    assert sym_reduce(Lau.var(AB, "A", k) + Lau.var(AB, "B", k)).terms == want
 
 
 # -- rational functions -------------------------------------------------------

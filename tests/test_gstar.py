@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicasai.exactnum import QuadCtx
+from padicasai.exactnum import QuadCtx, QuadElem
 from padicasai.heckealg import HeckeElem, euler_poly, gstar_gen, involution, iota_embed
 from padicasai.heckemod import (
     TestVector,
@@ -17,11 +17,10 @@ from padicasai.gstar import (
     GradedFactor,
     cyclotomic_factor_candidate,
     frob_grade,
-    gstar_cartan_check,
     gstar_factor,
     ip_embed,
 )
-from padicasai.padicgrp import Mat2
+from padicasai.padicgrp import Mat2, coset_reps
 from padicasai.whitzeta import SchwartzFn
 
 
@@ -140,6 +139,135 @@ def test_cyclotomic_candidate_report(F3):
     cand = cyclotomic_factor_candidate(out)
     assert cand["ideal_certificate"]["verified"]
     assert "interpretation" in cand
+
+
+# -- the desk-scale Cartan check for G*, through determinant-one witnesses ------
+
+
+def sl2_diag_factor(g: Mat2) -> tuple[Mat2, int, int, Mat2]:
+    """g = k1 * diag(p^a, p^b) * k2 with k1, k2 integral of determinant 1.
+
+    Requires det(g) = p^(a+b) exactly (unit part 1).  Used to verify that
+    double-coset representatives admit determinant-one witnesses.
+    """
+    ctx = g.ctx
+    p = ctx.p
+    dv = g.det_val()
+    if g.det() != ctx.elem(Fraction(p) ** dv):
+        raise ValueError("determinant is not an exact power of p")
+    left = Mat2.identity(ctx)
+    right = Mat2.identity(ctx)
+    w = Mat2([0, 1, -1, 0], ctx)  # det 1 rotation swap
+    m = g
+    # pivot: bring a minimal-valuation entry to position (1,1)
+    vals = [x.val() for x in m.e]
+    imin = vals.index(min(vals))
+    if imin in (2, 3):
+        m = w * m
+        left = left * w.inv()
+    vals = [m.e[0].val(), m.e[1].val()]
+    if vals[1] < vals[0]:
+        m = m * w
+        right = w.inv() * right
+    # clear (1,2) and (2,1)
+    a = m.e[0]
+    u = Mat2.upper(-(m.e[1] / a), ctx)
+    m = m * u
+    right = u.inv() * right
+    lo = Mat2.lower(-(m.e[2] / a), ctx)
+    m = lo * m
+    left = left * lo.inv()
+    if m.e[1] != ctx.zero() or m.e[2] != ctx.zero():
+        raise AssertionError("sl2_diag_factor: elimination left an off-diagonal entry")
+    d1, d2 = m.e[0], m.e[3]
+    a1, a2 = d1.val(), d2.val()
+    # fold units: diag(d1, d2) = diag(u1, u1^-1) diag(p^a1, p^a2), u1 u2 = 1
+    u1 = d1 / ctx.elem(Fraction(p) ** a1)
+    fold = Mat2.diag(u1, u1.inv(), ctx)
+    left = left * fold
+    # u1^-1 d2 = p^a2 since the unit parts multiply to det(g)/p^(a1+a2) = 1
+    if a1 < a2:
+        # diag(p^a1, p^a2) = w^-1 diag(p^a2, p^a1) w
+        left = left * w.inv()
+        right = w * right
+        a1, a2 = a2, a1
+    k1, k2 = left, right
+    if k1.det() != ctx.one() or k2.det() != ctx.one():
+        raise AssertionError("sl2_diag_factor: a K factor has determinant other than 1")
+    if not (k1.in_KF() and k2.in_KF()):
+        raise AssertionError("sl2_diag_factor: a K factor is not in GL2(O_F)")
+    if k1 * Mat2.t(a1, a2, ctx) * k2 != g:
+        raise AssertionError("sl2_diag_factor witnesses do not reassemble g")
+    return k1, a1, a2, k2
+
+
+def gstar_cartan_check(ctx: QuadCtx, case: str, samples: int, rng) -> bool:
+    """Sampled verification that G* elements land in exactly one K*-double
+    coset of the stated diagonal shape (equal determinant valuations in the
+    split case)."""
+    p = ctx.p
+    for _ in range(samples):
+        if case == "inert":
+            # SL2(O_F) sits inside K*, so determinant-one witnesses realize
+            # the K*-double coset; the label is pinned by the two exact
+            # invariants (minimal entry valuation and v_p det)
+            n1 = rng.randint(-1, 2)
+            n2 = rng.randint(-1, n1)
+            g = _rand_sl2_quad(ctx, rng) * Mat2.t(n1, n2, ctx) * _rand_sl2_quad(ctx, rng)
+            if not g.det().is_rational():
+                return False
+            mv = g.min_val()
+            label = (g.det_val() - mv, mv)
+            if label != (n1, n2):
+                return False
+            k1, a1, a2, k2 = sl2_diag_factor(g)
+            if (a1, a2) != (n1, n2):
+                return False
+            if not (k1.det().is_rational() and k2.det().is_rational()):
+                return False
+        else:
+            # equal determinant valuation in the two components; determinant
+            # one witnesses make the pair a genuine K*-product
+            n1 = rng.randint(0, 2)
+            n2 = rng.randint(-1, n1)
+            tot = n1 + n2
+            m1 = rng.randint(max(n2, tot - 2), n1 + 1)
+            m2 = tot - m1
+            if m2 > m1:
+                m1, m2 = m2, m1
+            g1 = _rand_sl2_base(ctx, rng) * Mat2.t(n1, n2, ctx) * _rand_sl2_base(ctx, rng)
+            g2 = _rand_sl2_base(ctx, rng) * Mat2.t(m1, m2, ctx) * _rand_sl2_base(ctx, rng)
+            if g1.det() != g2.det():
+                return False
+            k1a, a1, a2, k1b = sl2_diag_factor(g1)
+            k2a, b1, b2, k2b = sl2_diag_factor(g2)
+            if (a1, a2) != (n1, n2) or (b1, b2) != (m1, m2) or a1 + a2 != b1 + b2:
+                return False
+    return True
+
+
+def _rand_sl2_base(ctx: QuadCtx, rng) -> Mat2:
+    p = ctx.p
+    x, y, z = (rng.randrange(p ** 2) for _ in range(3))
+    return Mat2.upper(x, ctx) * Mat2.lower(y, ctx) * Mat2.upper(z, ctx)
+
+
+def _rand_sl2_quad(ctx: QuadCtx, rng) -> Mat2:
+    p = ctx.p
+
+    def qe():
+        return QuadElem(rng.randrange(p ** 2), rng.randrange(p ** 2), ctx)
+
+    return Mat2.upper(qe(), ctx) * Mat2.lower(qe(), ctx) * Mat2.upper(qe(), ctx)
+
+
+@pytest.mark.parametrize("lam", [1, 2])
+def test_double_to_single_det_one_witnesses(F3, lam):
+    # every representative is k1 t(lam, 0) k2 with det(k1) = det(k2) = 1
+    for m in coset_reps(lam, F3, True):
+        k1, a1, a2, k2 = sl2_diag_factor(m)
+        assert (a1, a2) == (lam, 0)
+        assert k1.det() == F3.one() and k2.det() == F3.one()
 
 
 @pytest.mark.parametrize("case", ["inert", "split"])

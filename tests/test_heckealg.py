@@ -50,15 +50,16 @@ def ev(name, power=1, vs=E):
 
 
 def sym_invert_params(sym: Lau) -> Lau:
-    """Apply (x,y) -> (1/x,1/y) on each pair: e1 -> e1/e2, e2 -> 1/e2."""
-    vars_ = sym.vars
-    assign: dict[str, Lau] = {}
-    for e1n, e2n in _evar_pairs(vars_):
-        assign[e1n] = Lau.monomial(
-            vars_, tuple((1 if v == e1n else (-1 if v == e2n else 0)) for v in vars_)
-        )
-        assign[e2n] = Lau.monomial(vars_, tuple((-1 if v == e2n else 0) for v in vars_))
-    return sym.subst(assign)
+    """Apply (x,y) -> (1/x,1/y) on each pair: e1 -> e1/e2, e2 -> 1/e2, so
+    e1^a e2^b -> e1^a e2^(-a-b)."""
+    idx = [(sym.vars.index(e1n), sym.vars.index(e2n)) for e1n, e2n in _evar_pairs(sym.vars)]
+    terms = {}
+    for e, c in sym.terms.items():
+        inv = list(e)
+        for i, j in idx:
+            inv[j] = -e[i] - e[j]
+        terms[tuple(inv)] = c
+    return Lau(sym.vars, terms)
 
 
 def test_sym_invert_params():

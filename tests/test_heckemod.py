@@ -7,6 +7,7 @@ from padicasai.exactnum import INF, Lau, QuadCtx, QuadElem, val_p
 from padicasai.heckealg import (
     EulerPoly,
     HeckeElem,
+    NotMember,
     euler_poly,
     involution,
     iota_solve,
@@ -321,6 +322,24 @@ def test_certify_part3_random(F3, seed):
     vec = random_integral_vector(F3, rng, "K[p]", origin_vanishing=False)
     rep = certify_ideal(vec, 3)
     assert rep.verified()
+
+
+def test_certify_part3_inert_falls_back_to_division(F3, monkeypatch):
+    # the chain route's integer division failing sends inert part 3 to the
+    # division algorithm: same target, a verified certificate that re-expands
+    vec = random_integral_vector(F3, random.Random(200), "K[p]", origin_vanishing=False)
+    chain = certify_ideal(vec, 3)
+    assert chain.route == "chain"
+
+    def refuse(W, m, p):
+        raise NotMember("refused", W)
+
+    monkeypatch.setattr(heckemod, "divide_exact_int", refuse)
+    rep = certify_ideal(vec, 3)
+    assert rep.route == "division"
+    assert rep.verified()
+    assert rep.cert.target == rep.cert.gen1() * rep.cert.U + rep.cert.Q * rep.cert.V
+    assert rep.p_target == chain.p_target
 
 
 def test_certified_vectors_are_integral(F3):

@@ -21,7 +21,6 @@ from padicasai.padicgrp import (
     pgk_canonical,
     pgk_label,
     plocal_smith,
-    sl2_diag_factor,
     subgroup_volume,
 )
 
@@ -420,15 +419,6 @@ def test_double_coset_reps_pairwise_distinct(F3):
     for i, x in enumerate(reps):
         for y in reps[i + 1:]:
             assert not (x.inv() * y).in_KF()
-
-
-@pytest.mark.parametrize("lam", [1, 2])
-def test_double_to_single_det_one_witnesses(F3, lam):
-    # every representative is k1 t(lam, 0) k2 with det(k1) = det(k2) = 1
-    for m in coset_reps(lam, F3, True):
-        k1, a1, a2, k2 = sl2_diag_factor(m)
-        assert (a1, a2) == (lam, 0)
-        assert k1.det() == F3.one() and k2.det() == F3.one()
 
 
 def test_kck_membership_negative(F3):

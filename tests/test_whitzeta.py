@@ -806,6 +806,20 @@ def test_line_reps_count_every_row_of_a_cell(pL, k, extra, t1, t2):
     assert Counter(line_of(a, b, p, L) for a, b in rows) == dict.fromkeys(reps, per_line)
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_level_cap_bounds_the_lines_not_the_cell_depth(p):
+    # a cell's depth only scales closed-form row counts, so a level-40 cell
+    # at g = 1 is computed: ch(p^N Z_p x (1 + p^N Z_p)) is the level-1 cell
+    # scaled by p^(-2(N-1)); only the line level L = Cartan spread is capped
+    ctx = QuadCtx.make(p)
+    one = Mat2.identity(ctx)
+    base = zeta_asai(SchwartzFn.cell(p, 1, 0, 1), one, ctx).num
+    for N in (13, 40):
+        assert zeta_asai(SchwartzFn.cell(p, N, 0, 1), one, ctx).num * p ** (2 * (N - 1)) == base
+    with pytest.raises(PrecisionOverflow):
+        zeta_asai(SchwartzFn.char_zp2(p), Mat2.t(0, 13, ctx), ctx)
+
+
 @pytest.mark.parametrize("case", ["inert", "split"])
 def test_local_factor_builds_no_ratfunc(case, monkeypatch):
     # T^2 at an inert prime, 1 (x) T^2 at a split one
