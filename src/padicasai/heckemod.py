@@ -143,12 +143,12 @@ def _cell_permutations(phi: SchwartzFn):
         raise PrecisionOverflow(
             f"{len(cells)} cells: stabilizer enumeration is capped at {MAX_PERMUTED_CELLS} cells"
         )
-    out = []
-    for perm in permutations(cells):
-        if all(phi.cells[a] == phi.cells[b] for a, b in zip(cells, perm)):
-            out.append(dict(zip(cells, perm)))
-    out.sort(key=lambda d: sorted(d.items()) != sorted({c: c for c in cells}.items()))
-    return out
+    # permutations of the sorted cells yield the identity first
+    return [
+        dict(zip(cells, perm))
+        for perm in permutations(cells)
+        if all(phi.cells[a] == phi.cells[b] for a, b in zip(cells, perm))
+    ]
 
 
 def stabilizer_conditions(phi: SchwartzFn, gs: Sequence[Mat2], level: str, ctx: QuadCtx) -> SubgroupConditions:
@@ -544,14 +544,12 @@ def delta1(ctx: QuadCtx, case: str) -> dict:
         # Godement section: supported on K_0(p^2) with value nu_p / (p(p-1))
         sec = godement_section(phi, ctx)
         expect = Fraction(nu, p * (p - 1))
-        support_ok = True
-        for (r1, r2), val in sec["values"].items():
-            in_k0 = r1 % p ** 2 == 0 and r2 % p != 0
-            target = RatFunc.from_lau(Lau.const(VS_INERT, expect if in_k0 else 0))
-            if val != target:
-                support_ok = False
+        inside, outside = (RatFunc.from_lau(Lau.const(VS_INERT, c)) for c in (expect, 0))
         report["godement_constant"] = str(expect)
-        report["godement_support_ok"] = support_ok
+        report["godement_support_ok"] = all(
+            val == (inside if r1 % p ** 2 == 0 and r2 % p != 0 else outside)
+            for (r1, r2), val in sec["values"].items()
+        )
         # volume identities
         vol = _vol_k011(ctx)
         report["vol_K011_p2"] = str(vol)

@@ -5,6 +5,11 @@ P(Q_p) t_a n_b G(O_F) (with witnesses), the generalized Cartan labels
 G(Z_p) \\ G(F) / G(O_F) (decided by an exact lattice computation, no
 precision cap), and the single cosets of K t(lam, 0) K.
 
+Iwasawa and the mirabolic labels clear the bottom row (c, d) of g by one
+pivot rule (_bottom_pivot: the entry y of least valuation, d on a tie) and
+read their witnesses off the entries of g in closed form (u = x/y,
+f1 = det/y, f2 = y; a = v(y), B = p^a x/y); no column operation is built.
+
 Every lattice question takes one path.  conj_condition_rows writes
 "left X right is integral" as linear conditions on X; the one solver,
 lattice_solve_affine (the only caller of the p-local Smith engine),
@@ -164,34 +169,31 @@ class IwasawaParts:
         return Mat2.upper(self.u, ctx) * Mat2.diag(self.f1, self.f2, ctx) * self.kappa
 
 
+def _bottom_pivot(g: Mat2):
+    """(x, y, det) for g = [[a, b], [c, d]]: (x, y) = (b, d) when
+    v(c) >= v(d), else (a, c), so y is the bottom-row entry of least
+    valuation and x the entry above it.  A singular g raises ZeroDivisionError.
+    """
+    a, b, c, d = g.e
+    det = g.det()
+    if det == 0:
+        raise ZeroDivisionError("singular matrix")
+    return (b, d, det) if c.val() >= d.val() else (a, c, det)
+
+
 def iwasawa_F(g: Mat2) -> IwasawaParts:
     """g = n(u) diag(f1, f2) kappa with kappa in GL2(O_F).
 
-    Clears the bottom row by a right column operation when v(g21) >= v(g22),
-    otherwise swaps columns by a unit of determinant 1 first.
+    In closed form from (x, y, det) = _bottom_pivot(g): u = x/y, f1 = det/y,
+    f2 = y, and kappa = [[1, 0], [c/d, 1]] when y = d, [[0, -1], [1, d/c]]
+    when y = c; kappa is integral because v(y) is least in the bottom row.
     """
     ctx = g.ctx
-    if g.det() == ctx.zero():
-        raise ZeroDivisionError("singular matrix")
-    a, b, c, d = g.e
-    vc = c.val()
-    vd = d.val()
-    if vc >= vd:
-        # kappa1 = [[1, 0], [-c/d, 1]] clears the (2,1) entry
-        k1 = Mat2([1, 0, -(c / d), 1], ctx)
-        h = g * k1
-        kappa = k1.inv()
-    else:
-        # swap columns with determinant 1: [[0, 1], [-1, 0]] then clear
-        w = Mat2([0, 1, -1, 0], ctx)
-        h0 = g * w
-        c0, d0 = h0.e[2], h0.e[3]
-        k1 = Mat2([1, 0, -(c0 / d0), 1], ctx)
-        h = h0 * k1
-        kappa = (w * k1).inv()
-    f1, f2 = h.e[0], h.e[3]
-    u = h.e[1] / f2
-    parts = IwasawaParts(u, f1, f2, kappa)
+    x, y, det = _bottom_pivot(g)
+    c, d = g.e[2], g.e[3]
+    yi = y.inv()
+    kappa = Mat2([1, 0, c * yi, 1], ctx) if y is d else Mat2([0, -1, 1, d * yi], ctx)
+    parts = IwasawaParts(x * yi, det * yi, y, kappa)
     if parts.reassemble(ctx) != g:
         raise AssertionError("Iwasawa witnesses do not reassemble g")
     if not kappa.in_KF():
@@ -383,13 +385,14 @@ def kck_membership(g: Mat2, cell: Mat2):
     p = ctx.p
     if g.det_val() != cell.det_val():
         return None
-    rows = identity_rows() + conj_condition_rows(cell.inv(), g)
+    cell_inv = cell.inv()
+    rows = identity_rows() + conj_condition_rows(cell_inv, g)
     free, _, classes = lattice_residues(rows, [Fraction(0)] * len(rows), p)
     coefs = next((c for c, v in classes if (v[0] * v[3] - v[1] * v[2]) % p), None)
     if coefs is None:
         return None
     x = Mat2([sum(c * b[i] for c, b in zip(coefs, free)) for i in range(4)], ctx)
-    kappa = cell.inv() * x * g
+    kappa = cell_inv * x * g
     k = x.inv()
     if not (x.in_K_base() and kappa.in_KF()):
         raise AssertionError("KcK witnesses are not in K")
@@ -429,43 +432,34 @@ def pgk_canonical(a: int, b: int, ctx: QuadCtx) -> Mat2:
 def pgk_label(g: Mat2) -> CosetWitness:
     """Unique (a, b) with g in P(Q_p) t_a n_b G(O_F), plus witnesses.
 
-    a is the valuation content of the bottom row; b is read off the
-    sqrt(r)-component of the top-right entry after clearing the row.
+    With (x, y, det) = _bottom_pivot(g), the column operation that clears
+    the bottom row to (0, p^a), a = v(y), leaves the top row (A, B) with
+    A = +-det/y and B = p^a x/y.  b and the mirabolic witness q are read
+    off B and v(A) = v(det) - a; the right witness is (q t_a n_b)^-1 g.
     """
     ctx = g.ctx
     p = ctx.p
-    if g.det() == ctx.zero():
-        raise ZeroDivisionError("singular matrix")
-    C, D = g.e[2], g.e[3]
-    a = min(C.val(), D.val())
+    x, y, det = _bottom_pivot(g)
+    a = y.val()
     pa = Fraction(p) ** a
-    if D.val() <= C.val():
-        kap1 = Mat2([1, 0, -(C / D), QuadElem(pa, 0, ctx) / D], ctx)
-    else:
-        kap1 = Mat2([-(D / C), QuadElem(pa, 0, ctx) / C, 1, 0], ctx)
-    gp = g * kap1
-    if gp.e[2] != ctx.zero() or gp.e[3] != ctx.elem(pa):
-        raise AssertionError("pgk_label: g kappa1 is not upper triangular with corner p^a")
-    A, B = gp.e[0], gp.e[1]
-    vA = A.val()
+    B = x / y * pa
+    vA = det.val() - a
     # v(B_b), B = (x + y sqrt r) / d
     b = max(0, vA - val_p(B.y, p) + val_p(B.d, p)) if B.y else 0
-    # witnesses: q in P(Q_p), kappa2 with g' = q * (t_a n_b) * kappa2
+    # q in P(Q_p) with (A, B; 0, p^a) in q * (t_a n_b) * GL2(O_F)
     if b > 0:
         q1 = B.b * Fraction(p) ** (b - a)
     else:
         q1 = Fraction(p) ** (vA - a)
     q2 = B.a / pa
     q = Mat2([QuadElem(q1, 0, ctx), QuadElem(q2, 0, ctx), ctx.zero(), ctx.one()], ctx)
-    M = pgk_canonical(a, b, ctx)
-    kap2 = (q * M).inv() * gp
-    if not kap2.in_KF():
-        raise AssertionError("pgk_label: kappa2 is not in GL2(O_F)")
-    right = kap2 * kap1.inv()
-    out = CosetWitness((a, b), q, right, "pgk")
-    if q * M * right != g:
+    qM = q * pgk_canonical(a, b, ctx)
+    right = qM.inv() * g
+    if not right.in_KF():
+        raise AssertionError("pgk_label: the right witness is not in GL2(O_F)")
+    if qM * right != g:
         raise AssertionError("pgk_label witnesses do not reassemble g")
-    return out
+    return CosetWitness((a, b), q, right, "pgk")
 
 
 # ---------------------------------------------------------------------------

@@ -548,7 +548,7 @@ def _y_data_for_row(v1, v2, gs: Sequence[Mat2], ctx: QuadCtx) -> tuple:
     k g0 = n(u) diag(f1, f2) kappa supplies, k = _complete_row(v1, v2).
     Let (a, b) be the top row of k g0: row 1 of g0 over v2 when v(v2) = 0,
     row 2 of g0 over -v1 otherwise, a unit multiple either way.  Let
-    (c, d) = (v1, v2) g0 be its bottom row.  iwasawa_F takes (x, y) = (b, d)
+    (c, d) = (v1, v2) g0 be its bottom row.  _bottom_pivot takes (x, y) = (b, d)
     when v(c) >= v(d) and (x, y) = (a, c) otherwise; then u = x / y, f2 = y
     and f1 = det(g0) / y, so w = v(y) and v(f1 / f2) = v(det g0) - 2w.  The
     phase valuation is that of the sqrt(r)-part of u in the inert case,

@@ -1,8 +1,6 @@
 """The acceptance battery, one test per criterion, printing a pass line
 with the measured runtime.  Every comparison inside is exact."""
 
-import pytest
-
 from padicasai import acceptance as acc
 
 

@@ -110,25 +110,43 @@ def test_traced_pass_reads_each_line_once(workloads, spans, name, lines):
     assert tracer.layer_metrics()["whitzeta.row_classes.calls"][0] == lines
 
 
-def test_traced_chain_certify_pass_counts_symmetric_reductions(workloads, spans):
-    # a seed-0 chain_certify pass makes 99 symmetric reductions and 3,138
-    # Lau products; the closed forms of sym_reduce and sym_expand build no
-    # Lau product, where the leading-term rewrite made 4,740 in all, and a
-    # renamed or inlined sym_reduce would drop the first count.  The counts
-    # are those of a fresh process, so every memo starts empty
+def _fresh_traced_pass(workloads, spans, name):
+    """The per-layer metrics of a traced seed-0 pass of workload name, with
+    every memo emptied first, as in a fresh process."""
     from padicasai import exactnum
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("padicasai."):
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("padicasai."):
             for obj in vars(mod).values():
                 if hasattr(obj, "cache_clear"):
                     obj.cache_clear()
     exactnum._homog_cache.clear()
     tracer = spans.Tracer()
-    for i, job in enumerate(workloads.build("chain_certify", 0)):
+    for i, job in enumerate(workloads.build(name, 0)):
         with tracer.active(i):
             out, ok, _ = job.run()
         assert ok and out
-    metrics = tracer.layer_metrics()
+    return tracer.layer_metrics()
+
+
+def test_traced_chain_certify_pass_counts_symmetric_reductions(workloads, spans):
+    # a seed-0 chain_certify pass makes 99 symmetric reductions and 3,138
+    # Lau products; the closed forms of sym_reduce and sym_expand build no
+    # Lau product, where the leading-term rewrite made 4,740 in all, and a
+    # renamed or inlined sym_reduce would drop the first count
+    metrics = _fresh_traced_pass(workloads, spans, "chain_certify")
     assert metrics["exactnum.sym_reduce.calls"][0] == 99
     assert metrics["exactnum.lau_mul.calls"][0] == 3138
+
+
+def test_traced_passes_count_closed_form_witness_products(workloads, spans):
+    # iwasawa_F and pgk_label read their witnesses off the entries of g in
+    # closed form: a seed-0 pass makes 19,041 QuadElem products on
+    # hecke_freeness and 34,440 on coset_labels, where the column-operation
+    # matrices made 27,142 and 43,080; the 457 Iwasawa certifications of
+    # hecke_freeness are pinned so that their count cannot move silently
+    metrics = _fresh_traced_pass(workloads, spans, "hecke_freeness")
+    assert metrics["exactnum.quad_mul.calls"][0] == 19041
+    assert metrics["padicgrp.iwasawa_F.calls"][0] == 457
+    metrics = _fresh_traced_pass(workloads, spans, "coset_labels")
+    assert metrics["exactnum.quad_mul.calls"][0] == 34440

@@ -61,7 +61,7 @@ def test_vector_serialization_roundtrip(tmp_path):
     from fractions import Fraction
 
     from padicasai.exactnum import QuadCtx
-    from padicasai.heckemod import TestVector, generator_vector
+    from padicasai.heckemod import TestVector
     from padicasai.padicgrp import Mat2
     from padicasai.whitzeta import SchwartzFn
 

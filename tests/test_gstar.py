@@ -4,11 +4,10 @@ from fractions import Fraction
 import pytest
 
 from padicasai.exactnum import QuadCtx, QuadElem
-from padicasai.heckealg import HeckeElem, euler_poly, gstar_gen, involution, iota_embed
+from padicasai.heckealg import HeckeElem, euler_poly, gstar_gen, iota_embed
 from padicasai.heckemod import (
     TestVector,
     delta1,
-    integrality_check,
     random_integral_vector,
     trace_level,
     vector_is_integral,

@@ -21,7 +21,6 @@ from padicasai.exactnum import (
 from padicasai.heckealg import (
     INERT_VARS,
     SPLIT_VARS,
-    EulerPoly,
     HeckeElem,
     HeckeIdealCert,
     NotMember,

@@ -9,9 +9,7 @@ from padicasai.heckealg import (
     HeckeElem,
     NotMember,
     euler_poly,
-    involution,
     iota_solve,
-    satake,
 )
 from padicasai import heckemod
 from padicasai.heckemod import (
@@ -26,7 +24,6 @@ from padicasai.heckemod import (
     lambda_of_chain,
     local_factor,
     mirabolic_volume,
-    normalized_period,
     phi_c_weight,
     random_integral_vector,
     trace_level,
@@ -62,6 +59,16 @@ def test_integrality_unramified_Kp(F3):
     vinv, ok = integrality_check(SchwartzFn.char_zp2(3), Mat2.identity(F3), "K[p]", F3)
     assert vinv == 3 - 1
     assert not ok
+
+
+def test_cell_permutations_keep_coefficients_identity_first():
+    # two of three cells share a coefficient: only the identity and the swap
+    # of those two preserve coefficients
+    phi = SchwartzFn(3, 1, {(0, 1): 2, (1, 0): 2, (1, 1): 5})
+    sigmas = heckemod._cell_permutations(phi)
+    assert len(sigmas) == 2
+    assert sigmas[0] == {c: c for c in phi.cells}
+    assert all(phi.cells[s[c]] == phi.cells[c] for s in sigmas for c in phi.cells)
 
 
 def test_integrality_scaled(F3):

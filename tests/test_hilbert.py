@@ -8,7 +8,6 @@ from padicasai.exactnum import INF, QuadCtx, fr_mod, val_p
 from padicasai.hilbert import (
     CoefElem,
     CoefField,
-    EigenformData,
     SchemaError,
     asai_artin_value,
     asai_shift_identity_check,

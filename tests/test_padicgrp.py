@@ -3,10 +3,12 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from padicasai.exactnum import QuadCtx, QuadElem, val_p
 from padicasai.padicgrp import (
+    CosetWitness,
+    IwasawaParts,
     Mat2,
     SubgroupConditions,
     cartan_cell,
@@ -578,6 +580,124 @@ def test_gen_cartan_label_is_bi_invariant(g, k, kappa):
 @given(gl2_F(F3_CTX), mirabolic(F3_CTX), k_field(F3_CTX))
 def test_pgk_label_is_bi_invariant(g, q, kappa):
     assert pgk_label(q * g * kappa).label == pgk_label(g).label
+
+
+# -- closed-form witnesses against the column operations ------------------------
+
+
+def iwasawa_by_column_ops(g):
+    """iwasawa_F as it was: clear the bottom row by a column operation (after
+    a determinant-1 column swap when v(c) < v(d)) and invert it."""
+    ctx = g.ctx
+    if g.det() == ctx.zero():
+        raise ZeroDivisionError("singular matrix")
+    a, b, c, d = g.e
+    if c.val() >= d.val():
+        k1 = Mat2([1, 0, -(c / d), 1], ctx)
+        h = g * k1
+        kappa = k1.inv()
+    else:
+        w = Mat2([0, 1, -1, 0], ctx)
+        h0 = g * w
+        k1 = Mat2([1, 0, -(h0.e[2] / h0.e[3]), 1], ctx)
+        h = h0 * k1
+        kappa = (w * k1).inv()
+    parts = IwasawaParts(h.e[1] / h.e[3], h.e[0], h.e[3], kappa)
+    assert parts.reassemble(ctx) == g and kappa.in_KF()
+    return parts
+
+
+def pgk_label_by_column_ops(g):
+    """pgk_label as it was: g kappa1 = [[A, B], [0, p^a]] by a column
+    operation kappa1, then kappa2 = (q t_a n_b)^-1 g kappa1 and
+    right = kappa2 kappa1^-1."""
+    ctx = g.ctx
+    p = ctx.p
+    if g.det() == ctx.zero():
+        raise ZeroDivisionError("singular matrix")
+    C, D = g.e[2], g.e[3]
+    a = min(C.val(), D.val())
+    pa = Fraction(p) ** a
+    if D.val() <= C.val():
+        kap1 = Mat2([1, 0, -(C / D), QuadElem(pa, 0, ctx) / D], ctx)
+    else:
+        kap1 = Mat2([-(D / C), QuadElem(pa, 0, ctx) / C, 1, 0], ctx)
+    gp = g * kap1
+    assert gp.e[2] == ctx.zero() and gp.e[3] == ctx.elem(pa)
+    A, B = gp.e[0], gp.e[1]
+    vA = A.val()
+    b = max(0, vA - val_p(B.y, p) + val_p(B.d, p)) if B.y else 0
+    q1 = B.b * Fraction(p) ** (b - a) if b > 0 else Fraction(p) ** (vA - a)
+    q = Mat2([QuadElem(q1, 0, ctx), QuadElem(B.a / pa, 0, ctx), ctx.zero(), ctx.one()], ctx)
+    M = pgk_canonical(a, b, ctx)
+    kap2 = (q * M).inv() * gp
+    assert kap2.in_KF()
+    right = kap2 * kap1.inv()
+    assert q * M * right == g
+    return CosetWitness((a, b), q, right, "pgk")
+
+
+@st.composite
+def gl2_pivot_case(draw):
+    """gl2_F at p = 3, 5 or 7, with c or d set to zero one time in four each."""
+    ctx = draw(st.sampled_from([F3_CTX, QuadCtx.make(5), QuadCtx.make(7)]))
+    e = list(draw(gl2_F(ctx)).e)
+    zero = draw(st.sampled_from([None, None, 2, 3]))
+    if zero is not None:
+        e[zero] = ctx.zero()
+    g = Mat2(e, ctx)
+    assume(g.det() != ctx.zero())
+    return g
+
+
+def _m3(*entries):
+    return Mat2([F3_CTX.elem(x) if isinstance(x, int) else x for x in entries], F3_CTX)
+
+
+_S = F3_CTX.sqrt_r()
+# y = d: v(c) > v(d), a tie, c = 0; y = c: v(c) < v(d), d = 0
+PIVOT_EXAMPLES = [_m3(1, 2, 3, 1), _m3(1, _S, 2, _S), _m3(1, 1, 0, 3), _m3(2, 1, _S, 3), _m3(1, 9, 3, 0)]
+
+
+def _with_examples(test):
+    for g in PIVOT_EXAMPLES:
+        test = example(g)(test)
+    return test
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@_with_examples
+@given(gl2_pivot_case())
+def test_iwasawa_matches_column_operations(g):
+    got, want = iwasawa_F(g), iwasawa_by_column_ops(g)
+    assert got.u == want.u
+    assert got.f1 == want.f1
+    assert got.f2 == want.f2
+    assert got.kappa == want.kappa
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@_with_examples
+@given(gl2_pivot_case())
+def test_pgk_label_matches_column_operations(g):
+    got, want = pgk_label(g), pgk_label_by_column_ops(g)
+    assert got.label == want.label
+    assert got.left == want.left
+    assert got.right == want.right
+
+
+def test_pivot_examples_take_both_branches():
+    # y = d on the first three examples, y = c on the last two
+    assert [g.e[2].val() >= g.e[3].val() for g in PIVOT_EXAMPLES] == [True, True, True, False, False]
+
+
+@pytest.mark.parametrize("entries", [(0, 0, 0, 0), (1, 2, 0, 0), (1, 2, 2, 4), (_S, 1, 3 * _S, 3), (0, 1, 0, 3)])
+def test_singular_matrix_raises_zero_division(entries):
+    g = _m3(*entries)
+    with pytest.raises(ZeroDivisionError):
+        iwasawa_F(g)
+    with pytest.raises(ZeroDivisionError):
+        pgk_label(g)
 
 
 def frac_det(rows):

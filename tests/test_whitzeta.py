@@ -15,11 +15,9 @@ from padicasai.exactnum import (
     QuadCtx,
     QuadElem,
     RatFunc,
-    UV,
     complete_homog,
     fr_mod,
     lau_eval_x1,
-    sym_expand,
     sym_reduce,
     val_p,
 )
