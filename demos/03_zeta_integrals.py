@@ -7,8 +7,8 @@ parameters.  The normalized period divides by the L-factor and evaluates
 at X = 1 (the s -> 0 limit), landing in the symmetric coordinates.
 """
 
-from padicasai import Lau, Mat2, QuadCtx, SchwartzFn, psi_secondary, zeta_asai, zeta_rs_split
-from padicasai.whitzeta import VS_INERT, epsilon_report
+from padicasai import Mat2, QuadCtx, SchwartzFn, psi_secondary, zeta_asai, zeta_rs_split
+from padicasai.whitzeta import epsilon_report
 
 p = 3
 ctx = QuadCtx.make(p)

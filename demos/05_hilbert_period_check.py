@@ -10,7 +10,7 @@ place above l of the coefficient field.
 from fractions import Fraction
 
 from padicasai import Mat2, QuadCtx, SchwartzFn, load_fixture, period_ideal_check, satake_from_eigen
-from padicasai.hilbert import asai_artin_value, rep_side_asai_inverse, tate_identity_check
+from padicasai.hilbert import asai_artin_value, tate_identity_check
 
 form = load_fixture("synthetic_w2")
 print("fixture:", form.label, " weight w =", form.w)

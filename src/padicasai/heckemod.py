@@ -39,6 +39,7 @@ from .heckealg import (
 from .padicgrp import (
     Mat2,
     SubgroupConditions,
+    condition_row,
     conj_condition_rows,
     coset_reps,
     identity_rows,
@@ -167,22 +168,18 @@ def stabilizer_conditions(phi: SchwartzFn, gs: Sequence[Mat2], level: str, ctx: 
     rows_core = identity_rows()
     for g in gs:
         # gamma -> g^-1 gamma g; rows that vanish identically carry no condition
-        rows_core += [r for r in conj_condition_rows(g.inv(), g) if any(r)]
+        rows_core += [r for r in conj_condition_rows(g.inv(), g) if any(r[0])]
     pn = Fraction(p) ** phi.level
     branches = []
     for sigma in _cell_permutations(phi):
-        rows = [list(r) for r in rows_core]
-        target = [Fraction(0)] * len(rows)
-        ok = True
+        rows = list(rows_core)
         for c, cprime in sigma.items():
             # c * gamma = c' mod p^N: two affine rows
             for j in range(2):
-                row = [Fraction(0)] * 4
-                row[0 + j] = c[0] / pn
-                row[2 + j] = c[1] / pn
-                rows.append(row)
-                target.append(cprime[j] / pn)
-        branches.append((rows, target))
+                row = [0] * 4
+                row[j], row[2 + j] = c
+                rows.append(condition_row([x / pn for x in row], cprime[j] / pn))
+        branches.append(rows)
     det_mode = "one_mod_p" if level == "K[p]" else "unit"
     return SubgroupConditions(p, branches, det_mode)
 
@@ -314,11 +311,10 @@ def mirabolic_volume(g: Mat2) -> Fraction:
     over the measure 1 - 1/p of P(Z_p) in these coordinates.
     """
     p = g.ctx.p
-    rows = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    rows = [([1, 0], 0, 1), ([0, 1], 0, 1)]
     # the E_11 and E_12 columns: x and beta
-    rows += [r[:2] for r in conj_condition_rows(g.inv(), g)]
-    rows = [r for r in rows if any(r)]
-    vol = lattice_measure(rows, [Fraction(0)] * len(rows), p, lambda x: (1 + x[0]) % p != 0)
+    rows += [(nums[:2], t, den) for nums, t, den in conj_condition_rows(g.inv(), g) if any(nums[:2])]
+    vol = lattice_measure(rows, p, lambda x: (1 + x[0]) % p != 0)
     return vol / (1 - Fraction(1, p))
 
 
@@ -566,14 +562,11 @@ def _vol_k011(ctx: QuadCtx) -> Fraction:
     """vol K^1_(0,1)(p^2) = vol{g in K: g = [[1,*],[0,1]] mod p^2}."""
     p = ctx.p
     rows = identity_rows()
-    target = [Fraction(0)] * 4
-    pn = Fraction(p) ** 2
     for idx, t in [(0, 1), (2, 0), (3, 1)]:
-        r = [Fraction(0)] * 4
-        r[idx] = 1 / pn
-        rows.append(r)
-        target.append(Fraction(t) / pn)
-    return subgroup_volume(SubgroupConditions(p, [(rows, target)], "unit"))
+        r = [0] * 4
+        r[idx] = 1
+        rows.append((r, t, p ** 2))
+    return subgroup_volume(SubgroupConditions(p, [rows], "unit"))
 
 
 # ---------------------------------------------------------------------------

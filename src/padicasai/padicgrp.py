@@ -17,10 +17,18 @@ turns conditions into an affine Z_p-lattice; and one residue search,
 lattice_residues, reads that lattice mod p.  lattice_measure counts its
 residue classes, which gives every stabilizer volume (subgroup_volume
 here, the mirabolic volumes of the Hecke-module layer), and kck_membership
-takes its first class of unit determinant as the Cartan witness.  The
-Smith engine eliminates on ints: scaling a row by a p-adic unit, or every
-row by one power of p, moves no pivot and no ratio to a pivot, so its
-rational result is exactly that of Fraction elimination.
+takes its first class of unit determinant as the Cartan witness.
+
+The lattice layer runs on ints.  Every condition has one row format, Row
+= (nums, t, den): integer coefficients and target over one positive
+denominator.  The Smith engine takes these rows and returns ints (t over
+its row scales, V as integer columns over w); it eliminates fraction-free,
+and scaling a row by a p-adic unit, or every row by one power of p, moves
+no pivot and no ratio to a pivot, so its rational result is exactly that
+of Fraction elimination.  The solver and the residue search read
+integrality, levels and residues mod p off those ints; a Fraction is built
+only where a result leaves the layer: a Cartan witness, a weight or a
+volume.
 
 Matrices are immutable; every decomposition returns witnesses and is
 re-verified by exact multiplication before being returned.
@@ -34,7 +42,7 @@ from itertools import product
 from math import gcd, lcm
 from typing import Sequence
 
-from .exactnum import QuadCtx, QuadElem, _vint, fr_mod, val_p
+from .exactnum import QuadCtx, QuadElem, _vint, val_p
 
 
 class DecompositionError(AssertionError):
@@ -205,36 +213,44 @@ def iwasawa_F(g: Mat2) -> IwasawaParts:
 # p-local Smith normal form and lattice solving
 
 
-def plocal_smith(rows: list[list[Fraction]], target: list[Fraction], p: int):
-    """p-local Smith form of M = rows: returns (t, exps, V) with U*M*V = D
-    and t = U*target.
+# A condition row (nums, t, den): the row nums/den of a condition matrix and
+# its target entry t/den, all ints, den > 0.
+Row = tuple[list[int], int, int]
 
-    U (m x m, applied to target as its row operations run, never built) and
-    V (n x n) are Z_(p)-invertible rational matrices and D is diagonal with
-    D[i][i] = p**exps[i] for i < len(exps), all other entries zero.  Row i
-    of D beyond len(exps) is identically zero.  The pivot is the first
-    entry of least valuation in row-major order; it is scaled to p**exps[i].
+
+def plocal_smith(rows: list[Row], p: int):
+    """p-local Smith form of the condition rows: returns (t, tden, exps, V, w),
+    all ints, with U*M*V = D and t[i]/tden[i] = (U*target)[i].
+
+    M and target are the rows nums/den and their entries t/den.  U (m x m,
+    applied to target as its row operations run, never built) and V (n x n,
+    entry V[i][j]/w[j]) are Z_(p)-invertible rational matrices and D is
+    diagonal with D[i][i] = p**exps[i] for i < len(exps), all other entries
+    zero.  Row i of D beyond len(exps) is identically zero.  The pivot is
+    the first entry of least valuation in row-major order; it is scaled to
+    p**exps[i].
 
     The elimination runs on ints (Bareiss; Cohen, GTM 138, 2.4).  Row i of
-    (M | target) is carried times s_i * p^E: s_i is a p-unit, p^E one power
-    for all rows.  Row i is eliminated as (a/g)*row_i - (b/g)*row_k, with a
-    the pivot, b = row_i[k] and g = gcd(a, b); a/g is a p-unit and joins
-    s_i.  A unit scale changes no valuation, no zero pattern and no ratio
+    (M | target) is carried times s_i * p^E = tden[i]: p^E is the largest
+    power of p in any den, and s_i a p-unit (on entry, den_i over its power
+    of p).  Row i is eliminated as (a/g)*row_i - (b/g)*row_k, with a the
+    pivot, b = row_i[k] and g = gcd(a, b); a/g is a p-unit and joins s_i.
+    A unit scale changes no valuation, no zero pattern and no ratio
     row_k[j]/a, and p^E shifts every valuation alike, so pivots, exps, V
-    (built from those ratios, column j over w[j]) and t are exactly those of
-    the Fraction elimination.
+    (built from those ratios) and t/tden are exactly those of the Fraction
+    elimination.
     """
     m = len(rows)
-    n = len(rows[0]) if m else 0
-    dens = [lcm(x.denominator, *(y.denominator for y in r)) for r, x in zip(rows, target)]
-    E = max((_vint(d, p) for d in dens), default=0)
+    n = len(rows[0][0]) if m else 0
+    vden = [_vint(d, p) for _, _, d in rows]
+    E = max(vden, default=0)
     pE = p ** E
-    scale = [d // p ** _vint(d, p) for d in dens]
-    M, t = [], []
-    for r, x, s in zip(rows, target, scale):
-        c = s * pE
-        M.append([y.numerator * (c // y.denominator) for y in r])
-        t.append(x.numerator * (c // x.denominator))
+    M, t, scale = [], [], []
+    for (nums, x, d), e in zip(rows, vden):
+        c = p ** (E - e)
+        M.append([y * c for y in nums])
+        t.append(x * c)
+        scale.append(d // p ** e)
     V, w = [[int(i == j) for j in range(n)] for i in range(n)], [1] * n
     exps: list[int] = []
     for k in range(min(m, n)):
@@ -276,55 +292,68 @@ def plocal_smith(rows: list[list[Fraction]], target: list[Fraction], p: int):
                 w[j] *= c
         scale[k] = a // p ** v
         exps.append(v - E)
-    t = [Fraction(x, s * pE) for x, s in zip(t, scale)]
-    return t, exps, [[Fraction(x, d) for x, d in zip(r, w)] for r in V]
+    return t, [s * pE for s in scale], exps, V, w
 
 
-def lattice_solve_affine(rows: list[list[Fraction]], target: list[Fraction], p: int):
+def lattice_solve_affine(rows: list[Row], p: int):
     """Solve {x : rows@x - target is p-integral}; returns (x0, basis) or None.
 
-    basis spans the homogeneous solution lattice L = {x : rows@x is
-    p-integral}: column i of V over p^exps[i], from plocal_smith.  The
-    condition matrix must have full column rank (callers stack identity
-    rows, so this always holds).
+    All ints, from one plocal_smith: x0 = (nums, den) is the point nums/den,
+    and basis vector i = (V column i, w[i], exps[i]) is that column over w[i]
+    times p^-exps[i].  basis spans the homogeneous solution lattice
+    L = {x : rows@x is p-integral}.  The condition matrix must have full
+    column rank (callers stack identity rows, so this always holds).
     """
-    m = len(rows)
-    n = len(rows[0])
-    ut, exps, V = plocal_smith(rows, target, p)
+    n = len(rows[0][0])
+    t, tden, exps, V, w = plocal_smith(rows, p)
     if len(exps) < n:
         raise ValueError("condition matrix not of full column rank")
-    scale = [Fraction(p) ** -exps[i] for i in range(n)]  # one power per column
-    basis = [[V[r][i] * scale[i] for r in range(n)] for i in range(n)]
-    y = [ut[i] * scale[i] for i in range(n)]
-    for i in range(n, m):
-        if ut[i] != 0 and val_p(ut[i], p) < 0:
-            return None
-    x0 = [sum(V[r][i] * y[i] for i in range(n)) for r in range(n)]
-    return x0, basis
+    # row i >= n of D is zero: it asks t[i]/tden[i] in Z_p
+    if any(t[i] and _vint(t[i], p) < _vint(tden[i], p) for i in range(n, len(rows))):
+        return None
+    # x0 = V y, y[i] = t[i]/tden[i] * p^-exps[i], over one denominator
+    ys = [(i, t[i] * p ** max(0, -exps[i]), tden[i] * w[i] * p ** max(0, exps[i])) for i in range(n) if t[i]]
+    den = lcm(*(d for _, _, d in ys))
+    x0 = [sum(V[r][i] * y * (den // d) for i, y, d in ys) for r in range(n)]
+    return (x0, den), [([r[i] for r in V], w[i], exps[i]) for i in range(n)]
 
 
-def lattice_residues(rows: list[list[Fraction]], target: list[Fraction], p: int):
+def _mod_p(nums: list[int], den: int, p: int) -> list[int]:
+    """The vector nums/den mod p; ValueError when it is not p-integral."""
+    pv = p ** _vint(den, p)
+    if any(x % pv for x in nums):
+        raise ValueError("lattice not contained in Z_p^n")
+    inv = pow(den // pv, -1, p)
+    return [x // pv * inv % p for x in nums]
+
+
+def lattice_residues(rows: list[Row], p: int):
     """The coset x0 + L = {x : rows@x - target is p-integral} read mod p.
 
     Returns None when the coset is empty, else (free, weight, classes).  A
     basis vector of level a is p^a times a primitive vector; free are the
-    level-0 ones, which are independent mod p.  classes yields
-    (coefs, x mod p) for x = x0 + sum(coefs * free), over coefs in
-    range(p)^len(free) in product order: every residue class of x0 + L once.
-    Each class has additive Haar measure (vol Z_p^n = 1) weight: a level-a
-    vector contributes p^-a to vol L, so weight = p^-(sum a) / p^(#level 0).
-    A coset outside Z_p^n raises ValueError.
+    level-0 ones, which are independent mod p, each as ints (column, w) for
+    the vector column/w.  classes yields (coefs, x mod p) for
+    x = x0 + sum(coefs * free), over coefs in range(p)^len(free) in product
+    order: every residue class of x0 + L once.  Each class has additive
+    Haar measure (vol Z_p^n = 1) weight: a level-a vector contributes p^-a
+    to vol L, so weight = p^-(sum a) / p^(#level 0).  A coset outside Z_p^n
+    raises ValueError.
+
+    Everything up to weight runs on the ints of lattice_solve_affine.  V is
+    Z_(p)-invertible, so each of its columns has a unit entry: the level of
+    basis vector i is -exps[i], and a level-0 column reduces mod p entrywise.
     """
-    sol = lattice_solve_affine(rows, target, p)
+    sol = lattice_solve_affine(rows, p)
     if sol is None:
         return None
     x0, basis = sol
-    levels = [min(val_p(x, p) for x in b if x) for b in basis]
+    levels = [-e for _, _, e in basis]
     if min(levels) < 0:
         raise ValueError("lattice not contained in Z_p^n")
-    free = [b for b, a in zip(basis, levels) if a == 0]
-    red = [[fr_mod(x, p, 1) for x in b] for b in free]
-    start = [fr_mod(x, p, 1) for x in x0]
+    free = [(col, w) for col, w, e in basis if e == 0]
+    red = [_mod_p(col, w, p) for col, w in free]
+    start = _mod_p(*x0, p)
 
     def classes():
         for coefs in product(range(p), repeat=len(red)):
@@ -333,31 +362,41 @@ def lattice_residues(rows: list[list[Fraction]], target: list[Fraction], p: int)
     return free, Fraction(1, p ** (sum(levels) + len(free))), classes()
 
 
-def lattice_measure(rows: list[list[Fraction]], target: list[Fraction], p: int, accept) -> Fraction:
+def lattice_measure(rows: list[Row], p: int, accept) -> Fraction:
     """Additive Haar measure (vol Z_p^n = 1) of {x in x0 + L : accept(x mod p)},
     with x0 + L = {x : rows@x - target is p-integral}: the residue classes
     of lattice_residues (lists of ints, handed to accept) that accept takes,
     each of the same measure.
     """
-    res = lattice_residues(rows, target, p)
+    res = lattice_residues(rows, p)
     if res is None:
         return Fraction(0)
     _, weight, classes = res
     return sum(bool(accept(x)) for _, x in classes) * weight
 
 
-def identity_rows() -> list[list[Fraction]]:
+def condition_row(coefs, target=0) -> Row:
+    """The condition row of rational coefs and target, over their least
+    common denominator."""
+    xs = [Fraction(x) for x in (*coefs, target)]
+    den = lcm(*(x.denominator for x in xs))
+    nums = [x.numerator * (den // x.denominator) for x in xs]
+    return nums[:-1], nums[-1], den
+
+
+def identity_rows() -> list[Row]:
     """The four unit rows: with them a condition matrix on a 2x2 unknown has
     full column rank and confines the unknown to M2(Z_p)."""
-    return [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+    return [([int(i == j) for j in range(4)], 0, 1) for i in range(4)]
 
 
-def conj_condition_rows(left: Mat2, right: Mat2) -> list[list[Fraction]]:
+def conj_condition_rows(left: Mat2, right: Mat2) -> list[Row]:
     """Rows expressing the components of left * X * right for rational X.
 
     X is a rational 2x2 unknown (4 coordinates, row-major).  Entry (i, j) of
     left * E_rs * right is left_ir * right_sj; each entry contributes two
-    rows (its 1 and sqrt(r) components), in row-major entry order.
+    rows (its 1 and sqrt(r) components), in row-major entry order, with
+    target 0 and one denominator, the lcm of the d d' of its products.
     """
     L, R = left.e, right.e
     r = left.ctx.r
@@ -366,8 +405,10 @@ def conj_condition_rows(left: Mat2, right: Mat2) -> list[list[Fraction]]:
         for j in range(2):
             # the products (x + y sqrt r)/d on integer coordinates
             pairs = [(u, v) for u in L[2 * i:2 * i + 2] for v in (R[j], R[2 + j])]
-            rows.append([Fraction(u.x * v.x + r * u.y * v.y, u.d * v.d) for u, v in pairs])
-            rows.append([Fraction(u.x * v.y + u.y * v.x, u.d * v.d) for u, v in pairs])
+            den = lcm(*(u.d * v.d for u, v in pairs))
+            cs = [den // (u.d * v.d) for u, v in pairs]
+            rows.append(([(u.x * v.x + r * u.y * v.y) * c for (u, v), c in zip(pairs, cs)], 0, den))
+            rows.append(([(u.x * v.y + u.y * v.x) * c for (u, v), c in zip(pairs, cs)], 0, den))
     return rows
 
 
@@ -386,12 +427,12 @@ def kck_membership(g: Mat2, cell: Mat2):
     if g.det_val() != cell.det_val():
         return None
     cell_inv = cell.inv()
-    rows = identity_rows() + conj_condition_rows(cell_inv, g)
-    free, _, classes = lattice_residues(rows, [Fraction(0)] * len(rows), p)
+    free, _, classes = lattice_residues(identity_rows() + conj_condition_rows(cell_inv, g), p)
     coefs = next((c for c, v in classes if (v[0] * v[3] - v[1] * v[2]) % p), None)
     if coefs is None:
         return None
-    x = Mat2([sum(c * b[i] for c, b in zip(coefs, free)) for i in range(4)], ctx)
+    den = lcm(*(w for _, w in free))
+    x = Mat2([Fraction(sum(c * col[i] * (den // w) for c, (col, w) in zip(coefs, free)), den) for i in range(4)], ctx)
     kappa = cell_inv * x * g
     k = x.inv()
     if not (x.in_K_base() and kappa.in_KF()):
@@ -555,13 +596,13 @@ class SubgroupConditions:
     """H = {gamma in GL2(Z_p): gamma = x0 + lattice, det in D} for one or
     more affine branches (cell permutations give several branches).
 
-    branches: list of (rows, target) affine lattice conditions; the rows
-    always include the four identity rows so the condition matrix has full
-    column rank.  det_mode: "unit" or "one_mod_p".
+    branches: one list of condition rows (Row: nums, t, den) per affine
+    branch; the rows always include the four identity rows so the condition
+    matrix has full column rank.  det_mode: "unit" or "one_mod_p".
     """
 
     p: int
-    branches: list[tuple[list[list[Fraction]], list[Fraction]]]
+    branches: list[list[Row]]
     det_mode: str = "unit"
 
 
@@ -579,5 +620,5 @@ def subgroup_volume(cond: SubgroupConditions) -> Fraction:
         det = (x[0] * x[3] - x[1] * x[2]) % p
         return det != 0 if unit else det == 1
 
-    total = sum((lattice_measure(rows, target, p, accept) for rows, target in cond.branches), Fraction(0))
+    total = sum((lattice_measure(rows, p, accept) for rows in cond.branches), Fraction(0))
     return total * p ** 4 / ((p ** 2 - 1) * (p ** 2 - p))

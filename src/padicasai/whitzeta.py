@@ -178,16 +178,6 @@ class SchwartzFn:
     def scale(self, s) -> "SchwartzFn":
         return SchwartzFn(self.p, self.level, {c: coef * Fraction(s) for c, coef in self.cells.items()})
 
-    def dilate(self, t) -> "SchwartzFn":
-        """phi(t^-1 * -): scales every cell by t."""
-        t = Fraction(t)
-        vt = val_p(t, self.p)
-        return SchwartzFn(
-            self.p,
-            self.level + int(vt),
-            {(c1 * t, c2 * t): coef for (c1, c2), coef in self.cells.items()},
-        )
-
     def value_at(self, x1, x2) -> Fraction:
         """phi(x1, x2): the coefficient of the one cell holding the point,
         found by the point's canonical centre."""
@@ -195,37 +185,6 @@ class SchwartzFn:
 
     def vanishes_at_origin(self) -> bool:
         return self.value_at(0, 0) == 0
-
-    def translate_matrix(self, gamma: Mat2) -> "SchwartzFn":
-        """phi((-) gamma) for a rational invertible gamma (row action v gamma)."""
-        p = self.p
-        if not gamma.is_rational():
-            raise ValueError("Schwartz translation needs a rational matrix")
-        gi = gamma.inv()
-        w = max(0, -min(0, int(min(x.val() for x in gamma.e if x != gamma.ctx.zero()))))
-        wi = max(0, -min(0, int(min(x.val() for x in gi.e if x != gi.ctx.zero()))))
-        # p^(level+w) Z^2 is inside p^level Z^2 gamma^-1, so the image tiles
-        # at level lvl; enumerating z mod p^(w+wi) hits every image cell
-        lvl = self.level + w
-        out = SchwartzFn(p, lvl)
-        src = self
-        pn = Fraction(p) ** src.level
-        step = p ** (w + wi)
-        a, b, c, d = (x.a for x in gi.e)
-        for (c1, c2), coef in src.cells.items():
-            for y1 in range(step):
-                for y2 in range(step):
-                    x1 = c1 + pn * y1
-                    x2 = c2 + pn * y2
-                    v1 = x1 * a + x2 * c
-                    v2 = x1 * b + x2 * d
-                    key = out._canon((v1, v2))
-                    prev = out.cells.get(key)
-                    if prev is None:
-                        out.cells[key] = coef
-                    elif prev != coef:
-                        raise AssertionError("cell image collision with distinct values")
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, SchwartzFn):

@@ -33,12 +33,11 @@ from padicasai.heckemod import (
 from padicasai.padicgrp import (
     Mat2,
     coset_reps,
-    lattice_solve_affine,
     pgk_label,
-    plocal_smith,
     subgroup_volume,
 )
 from padicasai.whitzeta import SchwartzFn
+from test_padicgrp import lattice_solve_affine_oracle, plocal_smith_oracle
 
 
 @pytest.fixture
@@ -559,14 +558,16 @@ def _fr_mod_p_oracle(x, p):
 
 def subgroup_volume_oracle(cond):
     """Reference volume: per branch, the level-1 image counted in Fractions
-    and the fiber sizes read off the elementary divisors."""
+    and the fiber sizes read off the elementary divisors, on the Fraction
+    lattice solver of the padicgrp tests."""
     from itertools import product as iproduct
 
     p = cond.p
     total = Fraction(0)
     gl2_fp = (p ** 2 - 1) * (p ** 2 - p)
-    for rows, target in cond.branches:
-        sol = lattice_solve_affine(rows, target, p)
+    for branch in cond.branches:
+        rows = [[Fraction(x, den) for x in nums] for nums, _, den in branch]
+        sol = lattice_solve_affine_oracle(rows, [Fraction(t, den) for _, t, den in branch], p)
         if sol is None:
             continue
         x0, basis = sol
@@ -597,7 +598,8 @@ def subgroup_volume_oracle(cond):
 
 
 def mirabolic_volume_oracle(g):
-    """Reference mirabolic volume: its own Smith basis and mod-p count."""
+    """Reference mirabolic volume: its own Smith basis (by the Fraction
+    elimination of the padicgrp tests) and mod-p count."""
     from itertools import product as iproduct
 
     ctx = g.ctx
@@ -609,7 +611,7 @@ def mirabolic_volume_oracle(g):
         rows.append([prods[0].e[eidx].a, prods[1].e[eidx].a])
         rows.append([prods[0].e[eidx].b, prods[1].e[eidx].b])
     rows = [r for r in rows if any(r)]
-    _, exps, V = plocal_smith(rows, [0] * len(rows), p)
+    _, exps, V = plocal_smith_oracle(rows, p)
     if len(exps) < 2:
         raise ValueError("degenerate mirabolic lattice")
     basis = [[V[r][i] * Fraction(p) ** (-exps[i]) for r in range(2)] for i in range(2)]

@@ -1,4 +1,4 @@
-"""No module of the package or its tests may import a name it never reads.
+"""No module of the package, its tests or its demos may import a name it never reads.
 
 A package __init__ imports to export, so it is not scanned.
 """
@@ -30,7 +30,7 @@ def test_scan_finds_an_unused_import():
 
 
 def test_no_unused_imports_in_package_or_tests():
-    files = sorted((ROOT / "src" / "padicasai").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    files = [path for d in ("src/padicasai", "tests", "demos") for path in sorted((ROOT / d).glob("*.py"))]
     found = {
         (path.stem, name): f"{path.relative_to(ROOT)}:{line}"
         for path in files

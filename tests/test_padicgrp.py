@@ -5,13 +5,15 @@ from itertools import product
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from padicasai.exactnum import QuadCtx, QuadElem, val_p
+from padicasai import padicgrp
+from padicasai.exactnum import QuadCtx, QuadElem, fr_mod, val_p
 from padicasai.padicgrp import (
     CosetWitness,
     IwasawaParts,
     Mat2,
     SubgroupConditions,
     cartan_cell,
+    condition_row,
     coset_reps,
     gen_cartan_label,
     iwasawa_F,
@@ -19,6 +21,7 @@ from padicasai.padicgrp import (
     gen_cartan_candidates,
     kck_membership,
     lattice_measure,
+    lattice_residues,
     lattice_solve_affine,
     pgk_canonical,
     pgk_label,
@@ -182,12 +185,74 @@ def mat_vec(U, t):
     return [sum(u * x for u, x in zip(row, t)) for row in U]
 
 
+def lattice_solve_affine_oracle(rows, target, p):
+    """lattice_solve_affine as it was, on Fraction rows and target through
+    plocal_smith_oracle: (x0, basis) as Fraction vectors, or None."""
+    m = len(rows)
+    n = len(rows[0])
+    U, exps, V = plocal_smith_oracle(rows, p)
+    ut = mat_vec(U, target)
+    if len(exps) < n:
+        raise ValueError("condition matrix not of full column rank")
+    scale = [Fraction(p) ** -exps[i] for i in range(n)]  # one power per column
+    basis = [[V[r][i] * scale[i] for r in range(n)] for i in range(n)]
+    y = [ut[i] * scale[i] for i in range(n)]
+    for i in range(n, m):
+        if ut[i] != 0 and val_p(ut[i], p) < 0:
+            return None
+    x0 = [sum(V[r][i] * y[i] for i in range(n)) for r in range(n)]
+    return x0, basis
+
+
+def lattice_residues_oracle(rows, target, p):
+    """lattice_residues as it was: levels by val_p of the Fraction basis,
+    residues by fr_mod, (free, weight, classes) with free as Fractions."""
+    sol = lattice_solve_affine_oracle(rows, target, p)
+    if sol is None:
+        return None
+    x0, basis = sol
+    levels = [min(val_p(x, p) for x in b if x) for b in basis]
+    if min(levels) < 0:
+        raise ValueError("lattice not contained in Z_p^n")
+    free = [b for b, a in zip(basis, levels) if a == 0]
+    red = [[fr_mod(x, p, 1) for x in b] for b in free]
+    start = [fr_mod(x, p, 1) for x in x0]
+
+    def classes():
+        for coefs in product(range(p), repeat=len(red)):
+            yield coefs, [(s + sum(c * b[i] for c, b in zip(coefs, red))) % p for i, s in enumerate(start)]
+
+    return free, Fraction(1, p ** (sum(levels) + len(free))), classes()
+
+
+def int_rows(rows, target):
+    """The condition rows (nums, t, den) of Fraction rows and their target."""
+    return [condition_row(r, x) for r, x in zip(rows, target)]
+
+
+def smith_view(rows, target, p):
+    """plocal_smith on Fraction rows and target, read back as the oracle's
+    Fractions: (U*target, exps, V)."""
+    t, tden, exps, V, w = plocal_smith(int_rows(rows, target), p)
+    return [Fraction(x, d) for x, d in zip(t, tden)], exps, [[Fraction(x, d) for x, d in zip(r, w)] for r in V]
+
+
+def solve_view(rows, target, p):
+    """lattice_solve_affine on Fraction rows and target, read back as the
+    oracle's Fraction (x0, basis), or None."""
+    sol = lattice_solve_affine(int_rows(rows, target), p)
+    if sol is None:
+        return None
+    (nums, den), basis = sol
+    return [Fraction(x, den) for x in nums], [[Fraction(c, w) * Fraction(p) ** -e for c in col] for col, w, e in basis]
+
+
 def test_plocal_smith_shapes():
     rows = [[Fraction(3), Fraction(1)], [Fraction(9), Fraction(6)], [Fraction(0), Fraction(27)]]
     U, exps, V = plocal_smith_oracle(rows, 3)
     assert len(exps) == 2
     target = [Fraction(1), Fraction(-2, 3), Fraction(5)]
-    assert plocal_smith(rows, target, 3) == (mat_vec(U, target), exps, V)
+    assert smith_view(rows, target, 3) == (mat_vec(U, target), exps, V)
     # U * M * V = diag(p^e)
     m, n = 3, 2
     prod = [[sum(U[i][k] * rows[k][j] for k in range(m)) for j in range(n)] for i in range(m)]
@@ -203,7 +268,7 @@ def test_plocal_smith_shapes():
 def test_lattice_solve_affine_zero_target_simple():
     # {x in Z_p^2 : x1/9 integral} = 9Z x Z
     rows = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)], [Fraction(1, 9), Fraction(0)]]
-    x0, basis = lattice_solve_affine(rows, [Fraction(0)] * 3, 3)
+    x0, basis = solve_view(rows, [Fraction(0)] * 3, 3)
     assert x0 == [0, 0]
     vals = sorted(min(val_p(c, 3) for c in b if c != 0) for b in basis)
     assert vals == [0, 2]
@@ -230,7 +295,9 @@ def test_conj_condition_rows_match_triple_products(p):
     rng = random.Random(p)
     for _ in range(300):
         left, right = rand_gl2(ctx, rng, -3, 3), rand_gl2(ctx, rng, -3, 3)
-        assert conj_condition_rows(left, right) == conj_condition_rows_oracle(left, right)
+        rows = conj_condition_rows(left, right)
+        assert all(t == 0 and den > 0 for _, t, den in rows)
+        assert [[Fraction(x, den) for x in nums] for nums, _, den in rows] == conj_condition_rows_oracle(left, right)
 
 
 def kck_membership_oracle(g, cell):
@@ -242,7 +309,7 @@ def kck_membership_oracle(g, cell):
     if g.det_val() != cell.det_val():
         return None
     rows = id_rows() + conj_condition_rows_oracle(cell.inv(), g)
-    _, exps, V = plocal_smith(rows, [0] * len(rows), p)
+    _, exps, V = plocal_smith_oracle(rows, p)
     basis = [[V[r][i] * Fraction(p) ** (-exps[i]) for r in range(4)] for i in range(4)]
     red = [[x.numerator * pow(x.denominator, -1, p) % p for x in b] for b in basis]
     for coefs in product(range(p), repeat=4):
@@ -441,32 +508,39 @@ def id_rows():
     return rows
 
 
+def measure(rows, target, p, accept):
+    return lattice_measure(int_rows(rows, target), p, accept)
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_lattice_measure_of_simple_cosets(p):
     zero = [Fraction(0)] * 4
-    assert lattice_measure(id_rows(), zero, p, lambda x: True) == 1
-    assert lattice_measure(id_rows(), zero, p, lambda x: x[0] != 0) == Fraction(p - 1, p)
+    assert measure(id_rows(), zero, p, lambda x: True) == 1
+    assert measure(id_rows(), zero, p, lambda x: x[0] != 0) == Fraction(p - 1, p)
     # x0 + L = (1 + p Z_p) x Z_p^3: level 1 in the first coordinate
     r = [Fraction(1, p), Fraction(0), Fraction(0), Fraction(0)]
     target = zero + [Fraction(1, p)]
-    assert lattice_measure(id_rows() + [r], target, p, lambda x: x[0] == 1) == Fraction(1, p)
-    assert lattice_measure(id_rows() + [r], target, p, lambda x: x[0] == 0) == 0
+    assert measure(id_rows() + [r], target, p, lambda x: x[0] == 1) == Fraction(1, p)
+    assert measure(id_rows() + [r], target, p, lambda x: x[0] == 0) == 0
     # x / p = 1 / p^2 mod Z_p contradicts x in Z_p: the empty set
     target = zero + [Fraction(1, p ** 2)]
-    assert lattice_measure(id_rows() + [r], target, p, lambda x: True) == 0
-    # a coset outside Z_p^4 has no measure here
-    with pytest.raises(ValueError):
-        lattice_measure(id_rows(), [Fraction(1, p)] + zero[1:], p, lambda x: True)
+    assert measure(id_rows() + [r], target, p, lambda x: True) == 0
+    # a coset outside Z_p^4 has no measure here: x0 = (1/p, 0, 0, 0) ...
+    with pytest.raises(ValueError, match=r"lattice not contained in Z_p\^n"):
+        measure(id_rows(), [Fraction(1, p)] + zero[1:], p, lambda x: True)
+    # ... or a basis vector of level -1: L = p^-1 Z_p x Z_p^3
+    with pytest.raises(ValueError, match=r"lattice not contained in Z_p\^n"):
+        measure([[p * x for x in r] for r in id_rows()[:1]] + id_rows()[1:], zero, p, lambda x: True)
 
 
 def test_volume_full_K(F3):
-    cond = SubgroupConditions(3, [(id_rows(), [Fraction(0)] * 4)], "unit")
+    cond = SubgroupConditions(3, [int_rows(id_rows(), [0] * 4)], "unit")
     assert subgroup_volume(cond) == 1
 
 
 def test_volume_det_level(F3):
     # {g in K : det g = 1 mod p} has index p - 1
-    cond = SubgroupConditions(3, [(id_rows(), [Fraction(0)] * 4)], "one_mod_p")
+    cond = SubgroupConditions(3, [int_rows(id_rows(), [0] * 4)], "one_mod_p")
     assert subgroup_volume(cond) == Fraction(1, 2)
 
 
@@ -484,7 +558,7 @@ def test_volume_against_enumeration_oracle(F3):
     r22 = [Fraction(0)] * 4
     r22[3] = Fraction(1, p)
     target = [Fraction(0)] * 5 + [Fraction(0), Fraction(1, p)]
-    cond = SubgroupConditions(p, [(rows + [r21, r22], target)], "one_mod_p")
+    cond = SubgroupConditions(p, [int_rows(rows + [r21, r22], target)], "one_mod_p")
     got = subgroup_volume(cond)
     q = p ** 2
     count = 0
@@ -509,7 +583,7 @@ def test_volume_K0_and_K011(p, c):
     rows = id_rows()
     r = [Fraction(0)] * 4
     r[2] = Fraction(1, p ** 2)
-    cond = SubgroupConditions(p, [(rows + [r], [Fraction(0)] * 5)], "unit")
+    cond = SubgroupConditions(p, [int_rows(rows + [r], [0] * 5)], "unit")
     assert subgroup_volume(cond) == Fraction(1, p * (p + 1))
     rows2 = id_rows()
     extra = []
@@ -519,7 +593,7 @@ def test_volume_K0_and_K011(p, c):
         rr[idx] = Fraction(1, p ** 2)
         extra.append(rr)
     targets = [Fraction(0)] * 4 + [Fraction(1, p ** 2), Fraction(0), Fraction(1, p ** 2)]
-    cond2 = SubgroupConditions(p, [(rows2 + extra, targets)], "unit")
+    cond2 = SubgroupConditions(p, [int_rows(rows2 + extra, targets)], "unit")
     nu_p = p * (p - 1) ** 2 * (p + 1)
     assert subgroup_volume(cond2) == Fraction(1, p ** 2 * nu_p)
 
@@ -761,7 +835,7 @@ def smith_case(draw):
         ctx = draw(st.sampled_from([F3_CTX, QuadCtx.make(5), QuadCtx.make(7)]))
         p, g = ctx.p, draw(gl2_F(ctx))
         cell = cartan_cell(*draw(st.sampled_from(gen_cartan_candidates(g))), ctx)
-        rows = id_rows() + conj_condition_rows(cell.inv(), g)
+        rows = id_rows() + conj_condition_rows_oracle(cell.inv(), g)
     return rows, [draw(smith_entry(p)) for _ in rows], p
 
 
@@ -770,14 +844,118 @@ def smith_case(draw):
 def test_plocal_smith_applies_the_oracle_u_to_the_target(case):
     rows, target, p = case
     U, exps, V = plocal_smith_oracle(rows, p)
-    assert plocal_smith(rows, target, p) == (mat_vec(U, target), exps, V)
+    assert smith_view(rows, target, p) == (mat_vec(U, target), exps, V)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(smith_case())
-def test_plocal_smith_returns_fractions(case):
-    # the integer engine converts back: callers do Fraction arithmetic on t and V
+def test_plocal_smith_returns_ints(case):
+    # ints in and out: t over tden = s_i p^E (s_i a p-unit of either sign,
+    # one E for all rows), V column j over w[j]; its Fraction view is the
+    # oracle's
     rows, target, p = case
-    t, exps, V = plocal_smith(rows, target, p)
-    assert all(type(x) is Fraction for x in t + [y for r in V for y in r])
-    assert all(type(e) is int for e in exps)
+    t, tden, exps, V, w = plocal_smith(int_rows(rows, target), p)
+    assert all(type(x) is int for x in t + tden + exps + w + [y for r in V for y in r])
+    assert len({val_p(d, p) for d in tden}) == 1
+    U, oexps, oV = plocal_smith_oracle(rows, p)
+    assert [Fraction(x, d) for x, d in zip(t, tden)] == mat_vec(U, target)
+    assert exps == oexps
+    assert [[Fraction(x, d) for x, d in zip(r, w)] for r in V] == oV
+
+
+@st.composite
+def lattice_case(draw):
+    """(rows, target, p) for the lattice layer: the Cartan conditions of a
+    criterion-3 matrix against one of its cells, or a random matrix with
+    p'-denominators at p = 3, 5, 7 under unit rows (three times in four) or
+    alone; the target is zero (as kck_membership asks) or random."""
+    if draw(st.booleans()):
+        ctx = draw(st.sampled_from([F3_CTX, QuadCtx.make(5), QuadCtx.make(7)]))
+        p, g = ctx.p, draw(gl2_F(ctx))
+        cell = cartan_cell(*draw(st.sampled_from(gen_cartan_candidates(g))), ctx)
+        rows = id_rows() + conj_condition_rows_oracle(cell.inv(), g)
+    else:
+        p, rows = draw(p_and_matrix())
+        n = len(rows[0])
+        if draw(st.integers(0, 3)):
+            rows = [[int(i == j) for j in range(n)] for i in range(n)] + rows
+    if draw(st.booleans()):
+        return rows, [0] * len(rows), p
+    return rows, [draw(smith_entry(p)) for _ in rows], p
+
+
+# an empty coset, a point outside Z_p, a basis vector of level -1, rank 1 < 2
+LATTICE_EXAMPLES = [
+    ([[1], [Fraction(1, 3)]], [0, Fraction(1, 9)], 3),
+    ([[1]], [Fraction(1, 5)], 5),
+    ([[7]], [0], 7),
+    ([[1, 1]], [0], 3),
+]
+
+
+def _with_lattice_examples(test):
+    for case in LATTICE_EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@_with_lattice_examples
+@given(lattice_case())
+def test_integer_lattice_layer_matches_the_fraction_oracles(case):
+    rows, target, p = case
+    irows = int_rows(rows, target)
+    try:
+        want = lattice_solve_affine_oracle(rows, target, p)
+    except ValueError:
+        with pytest.raises(ValueError, match="not of full column rank"):
+            lattice_solve_affine(irows, p)
+        return
+    assert solve_view(rows, target, p) == want
+    if want is None:
+        assert lattice_residues(irows, p) is None
+        return
+    # the level of basis vector i is -exps[i]
+    _, basis = lattice_solve_affine(irows, p)
+    assert [-e for _, _, e in basis] == [min(val_p(x, p) for x in b if x) for b in want[1]]
+    try:
+        wfree, wweight, wclasses = lattice_residues_oracle(rows, target, p)
+    except ValueError:
+        with pytest.raises(ValueError, match=r"lattice not contained in Z_p\^n"):
+            lattice_residues(irows, p)
+        return
+    free, weight, classes = lattice_residues(irows, p)
+    assert [[Fraction(c, w) for c in col] for col, w in free] == wfree
+    assert weight == wweight
+    assert list(classes) == list(wclasses)
+
+
+def test_lattice_examples_reach_every_outcome():
+    # None, the two ValueErrors of lattice_residues, and the rank error
+    outcomes = []
+    for rows, target, p in LATTICE_EXAMPLES:
+        try:
+            outcomes.append(lattice_residues(int_rows(rows, target), p))
+        except ValueError as e:
+            outcomes.append(str(e))
+    assert outcomes == [None, "lattice not contained in Z_p^n", "lattice not contained in Z_p^n", "condition matrix not of full column rank"]
+
+
+def test_zero_target_residues_build_no_fraction_but_the_weight(monkeypatch):
+    # kck_membership's question: every lattice condition stays an int until
+    # the weight, the one Fraction a zero-target lattice_residues returns
+    ctx = QuadCtx.make(5)
+    g = criterion_3_matrix(ctx, random.Random(5))
+    cell = cartan_cell(*gen_cartan_candidates(g)[0], ctx)
+    rows = padicgrp.identity_rows() + conj_condition_rows(cell.inv(), g)
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return Fraction.__new__(Fraction, *args, **kwargs)
+
+    monkeypatch.setattr(padicgrp, "Fraction", Counted)
+    free, weight, classes = lattice_residues(rows, 5)
+    list(classes)
+    assert len(built) == 1 and weight == Fraction(*built[0])
