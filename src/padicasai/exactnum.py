@@ -9,9 +9,10 @@ integrals) is built on the four algebraic layers in this module:
   a quadratic field over a context holding r: the unramified extension
   F = Q_p(sqrt(r)) of a ``QuadCtx``, and (through ``hilbert.CoefElem``) the
   coefficient field Q(sqrt(r)) of an eigenform;
-* ``Lau``, sparse multivariate Laurent polynomials over Q (the same class
-  carries symmetric-coordinate polynomials, Hecke operators and zeta
-  numerators, distinguished only by their variable tuples);
+* ``Lau``, sparse multivariate Laurent polynomials over Q, integer
+  numerators over one denominator (the same class carries symmetric
+  coordinates, Hecke operators and zeta numerators, told apart only by
+  their variable tuples);
 * ``RatFunc``, quotients of Laurent polynomials with the denominator kept
   as an explicit multiset of factors of constant term 1: the reduced form
   of a zeta value (carried as a numerator over a fixed L-factor
@@ -28,6 +29,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import add, sub
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 INF = float("inf")
@@ -100,9 +103,11 @@ def is_odd_prime(n: int) -> bool:
     return n > 2 and n % 2 == 1 and all(n % d for d in range(3, math.isqrt(n) + 1, 2))
 
 
-def fr_to_str(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def fr_to_str(x, d: int = 1) -> str:
+    """x / d in lowest terms as "n" or "n/d", for x an int or Fraction and d > 0."""
+    x, d = x.numerator, x.denominator * d
+    g = math.gcd(x, d)
+    return str(x // g) if d == g else f"{x // g}/{d // g}"
 
 
 # ---------------------------------------------------------------------------
@@ -304,48 +309,71 @@ def _quad(x: int, y: int, d: int, like: QuadElem) -> QuadElem:
 
 
 class Lau:
-    """Laurent polynomial in a fixed tuple of variables.
+    """Laurent polynomial over Q in a fixed tuple of variables.
 
-    terms maps exponent tuples (integers, possibly negative) to nonzero
-    Fractions.  Zero coefficients are never stored, so equality is plain
-    dict equality.
+    The coefficients are integer numerators over one denominator: _nums
+    maps exponent tuples (integers, possibly negative) to nonzero ints, over
+    the int _den, in the canonical form _den > 0 and
+    gcd(_den, *_nums.values()) == 1 (zero is {} over 1), so equality and
+    hashing are dict comparisons.  Other modules read the coefficients
+    through int_terms(), the integer form, or terms, a Fraction view built
+    on each access; both are read-only, so no Lau changes once built and
+    sharing one (a memo, a cache) is safe.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_nums", "_den")
 
     def __init__(self, variables: Sequence[str], terms: Mapping | None = None):
+        """From int or Fraction coefficients; equal exponents add up."""
         self.vars = tuple(variables)
-        self.terms: dict[tuple, Fraction] = {}
-        if terms:
-            for e, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    e = tuple(int(k) for k in e)
-                    if len(e) != len(self.vars):
-                        raise ValueError("exponent arity mismatch")
-                    self.terms[e] = self.terms.get(e, Fraction(0)) + c
-                    if not self.terms[e]:
-                        del self.terms[e]
+        fr: dict[tuple, Fraction] = {}
+        for e, c in (terms or {}).items():
+            if c := Fraction(c):
+                e = tuple(int(k) for k in e)
+                if len(e) != len(self.vars):
+                    raise ValueError("exponent arity mismatch")
+                fr[e] = fr.get(e, 0) + c
+        fr = {e: c for e, c in fr.items() if c}
+        # over the least common denominator the form is already canonical
+        d = self._den = math.lcm(*(c.denominator for c in fr.values()))
+        self._nums = {e: c.numerator * (d // c.denominator) for e, c in fr.items()}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def from_ints(cls, variables, nums: Mapping[tuple, int], den: int = 1) -> "Lau":
+        """nums / den in canonical form, for integer numerators (the keys integer
+        tuples of len(variables)) and a nonzero integer den."""
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        s = -1 if den < 0 else 1
+        return _canon(tuple(variables), {e: s * c for e, c in nums.items() if c}, s * den)
+
+    @classmethod
     def const(cls, variables, c) -> "Lau":
-        z = (0,) * len(variables)
-        return cls(variables, {z: Fraction(c)})
+        return cls.monomial(variables, (0,) * len(variables), c)
 
     @classmethod
     def var(cls, variables, name, power: int = 1) -> "Lau":
         e = [0] * len(variables)
         e[tuple(variables).index(name)] = power
-        return cls(variables, {tuple(e): Fraction(1)})
+        return cls.monomial(variables, e)
 
     @classmethod
     def monomial(cls, variables, exps, c=1) -> "Lau":
-        return cls(variables, {tuple(exps): Fraction(c)})
+        e, q = tuple(map(int, exps)), c if isinstance(c, (int, Fraction)) else Fraction(c)
+        if len(e) != len(variables):
+            raise ValueError("exponent arity mismatch")
+        return _lau(tuple(variables), {e: q.numerator} if q else {}, q.denominator)
 
-    def one_like(self) -> "Lau":
-        return Lau.const(self.vars, 1)
+    def int_terms(self) -> tuple[Mapping[tuple, int], int]:
+        """The integer form (numerators, denominator), read-only."""
+        return MappingProxyType(self._nums), self._den
+
+    @property
+    def terms(self) -> Mapping[tuple, Fraction]:
+        """The coefficients as a read-only Fraction view, built on each access."""
+        return MappingProxyType({e: Fraction(c, self._den) for e, c in self._nums.items()})
 
     # -- ring operations ----------------------------------------------------
 
@@ -358,16 +386,19 @@ class Lau:
 
     def __add__(self, other):
         o = self._chk(other)
-        t = dict(self.terms)
-        for e, c in o.terms.items():
-            c2 = t.get(e, Fraction(0)) + c
+        a, b, d = self._nums, o._nums, self._den
+        if d != o._den:
+            d = math.lcm(d, o._den)
+            a = {e: c * (d // self._den) for e, c in a.items()}
+            b = {e: c * (d // o._den) for e, c in b.items()}
+        t = dict(a)
+        for e, c in b.items():
+            c2 = t.get(e, 0) + c
             if c2:
                 t[e] = c2
-            elif e in t:
-                del t[e]
-        out = Lau(self.vars)
-        out.terms = t
-        return out
+            else:
+                del t[e]  # c != 0, so e was in t
+        return _canon(self.vars, t, d)
 
     __radd__ = __add__
 
@@ -378,40 +409,48 @@ class Lau:
         return self._chk(other) - self
 
     def __neg__(self):
-        out = Lau(self.vars)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return _lau(self.vars, {e: -c for e, c in self._nums.items()}, self._den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Lau(self.vars)
-            out = Lau(self.vars)
-            q = Fraction(other)
-            out.terms = {e: c * q for e, c in self.terms.items()}
-            return out
+            n = other.numerator
+            return _canon(self.vars, {e: c * n for e, c in self._nums.items()} if n else {}, self._den * other.denominator)
         o = self._chk(other)
-        t: dict[tuple, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = t.get(e, Fraction(0)) + c1 * c2
-                if c:
-                    t[e] = c
-                elif e in t:
-                    del t[e]
-        out = Lau(self.vars)
-        out.terms = t
-        return out
+        t: dict[tuple, int] = {}
+        get = t.get
+        for e1, c1 in self._nums.items():
+            for e2, c2 in o._nums.items():
+                e = tuple(map(add, e1, e2))
+                t[e] = get(e, 0) + c1 * c2
+        return _canon(self.vars, {e: c for e, c in t.items() if c}, self._den * o._den)
 
     __rmul__ = __mul__
 
+    def mul_below(self, other: "Lau", name: str, k: int) -> "Lau":
+        """The terms of self * other of degree < k in the variable name; the
+        pairs of terms of higher degree are never multiplied."""
+        o, i = self._chk(other), self.vars.index(name)
+        rows = sorted(o._nums.items(), key=lambda ec: ec[0][i])
+        t: dict[tuple, int] = {}
+        for e1, c1 in self._nums.items():
+            top = k - e1[i]
+            for e2, c2 in rows:
+                if e2[i] >= top:
+                    break
+                e = tuple(map(add, e1, e2))
+                t[e] = t.get(e, 0) + c1 * c2
+        return _canon(self.vars, {e: c for e, c in t.items() if c}, self._den * o._den)
+
     def __pow__(self, n: int):
         if n < 0:
-            if self.is_monomial():
-                e, c = next(iter(self.terms.items()))
-                return Lau.monomial(self.vars, tuple(n * k for k in e), Fraction(1) / c ** (-n))
-            raise NotDivisible("negative power of a non-monomial")
+            if not self.is_monomial():
+                raise NotDivisible("negative power of a non-monomial")
+            ((e, c),) = self._nums.items()
+            # (c/d)^n = d^-n / c^-n, in lowest terms as gcd(c, d) = 1
+            num, den = self._den ** -n, c ** -n
+            if den < 0:
+                num, den = -num, -den
+            return _lau(self.vars, {tuple(n * k for k in e): num}, den)
         out = Lau.const(self.vars, 1)
         base = self
         while n:
@@ -426,38 +465,36 @@ class Lau:
             other = Lau.const(self.vars, other)
         if not isinstance(other, Lau):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.vars == other.vars and self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, self._den, frozenset(self._nums.items())))
 
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return len(self._nums) == 1
 
     def constant_value(self) -> Fraction:
-        z = (0,) * len(self.vars)
-        if self.terms and (len(self.terms) > 1 or z not in self.terms):
+        if not self.is_constant():
             raise ValueError("not a constant")
-        return self.terms.get(z, Fraction(0))
+        return Fraction(self._nums.get((0,) * len(self.vars), 0), self._den)
 
     def is_constant(self) -> bool:
-        z = (0,) * len(self.vars)
-        return not self.terms or (len(self.terms) == 1 and z in self.terms)
+        return not self._nums or (len(self._nums) == 1 and (0,) * len(self.vars) in self._nums)
 
     def degree_in(self, name: str):
         i = self.vars.index(name)
-        return max((e[i] for e in self.terms), default=0)
+        return max((e[i] for e in self._nums), default=0)
 
     def coeff_of(self, name: str, k: int) -> "Lau":
         """Coefficient of name**k, as a Laurent polynomial in the other vars."""
         i = self.vars.index(name)
         rest = tuple(v for v in self.vars if v != name)
-        return Lau(rest, {e[:i] + e[i + 1:]: c for e, c in self.terms.items() if e[i] == k})
+        return _canon(rest, {e[:i] + e[i + 1:]: c for e, c in self._nums.items() if e[i] == k}, self._den)
 
     def eval(self, point: Mapping[str, object]):
         """Evaluate at field values (Fraction, QuadElem, or any element with
@@ -475,98 +512,107 @@ class Lau:
                 for _ in range(k):
                     term = term * x
             total = term if total is None else total + term
-        if total is None:
-            return Fraction(0)
-        return total
+        return Fraction(0) if total is None else total
 
     def extend_vars(self, variables: Sequence[str]) -> "Lau":
         variables = tuple(variables)
         idx = [variables.index(v) for v in self.vars]
-        out = Lau(variables)
-        for e, c in self.terms.items():
+        out = {}
+        for e, c in self._nums.items():
             e2 = [0] * len(variables)
             for pos, k in zip(idx, e):
                 e2[pos] = k
-            out.terms[tuple(e2)] = c
-        return out
+            out[tuple(e2)] = c
+        return _lau(variables, out, self._den)
 
     # -- division ------------------------------------------------------------
 
     def shift_to_poly(self) -> tuple["Lau", tuple]:
         """Factor out the minimal monomial so all exponents are >= 0."""
-        if not self.terms:
+        if not self._nums:
             return self, (0,) * len(self.vars)
-        mins = tuple(min(e[i] for e in self.terms) for i in range(len(self.vars)))
-        out = Lau(self.vars)
-        out.terms = {tuple(a - b for a, b in zip(e, mins)): c for e, c in self.terms.items()}
-        return out, mins
+        mins = tuple(map(min, *self._nums)) if len(self._nums) > 1 else next(iter(self._nums))
+        return _lau(self.vars, {tuple(map(sub, e, mins)): c for e, c in self._nums.items()}, self._den), mins
 
     def exact_div(self, other: "Lau") -> "Lau":
-        """Exact quotient self/other; raises NotDivisible when impossible."""
+        """Exact quotient self/other; raises NotDivisible when impossible.
+
+        The leading-term algorithm (lex) on the numerators of the polynomial
+        parts a and b: with b = cont * B, B primitive, Gauss's lemma puts the
+        quotient by B in Z[vars] whenever it exists, so every step divides
+        exactly and a remainder raises NotDivisible.
+        """
         o = self._chk(other)
         if o.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
-            return Lau(self.vars)
-        a, sa = self.shift_to_poly()
-        b, sb = o.shift_to_poly()
-        q = _poly_exact_div(a, b)
-        shift = tuple(x - y for x, y in zip(sa, sb))
-        return q * Lau.monomial(self.vars, shift)
+            return self
+        (a, sa), (b, sb) = self.shift_to_poly(), o.shift_to_poly()
+        shift = tuple(map(sub, sa, sb))
+        cont = math.gcd(*b._nums.values())
+        B = {e: c // cont for e, c in b._nums.items()}
+        lb = max(B)
+        cb = B[lb]
+        q, r = {}, dict(a._nums)
+        while r:
+            lr = max(r)
+            diff = tuple(map(sub, lr, lb))
+            if min(diff, default=0) < 0:
+                raise NotDivisible(f"leading term {lr} not divisible by {lb}")
+            c, rest = divmod(r[lr], cb)
+            if rest:
+                raise NotDivisible(f"leading coefficient at {lr} not divisible by {cb}")
+            q[tuple(map(add, diff, shift))] = c
+            for e, cq in B.items():
+                k = tuple(map(add, e, diff))
+                v = r.get(k, 0) - c * cq
+                if v:
+                    r[k] = v
+                else:
+                    del r[k]
+        # self / other = (quotient by B) * b's denominator / (a's * cont)
+        return _canon(self.vars, {e: c * b._den for e, c in q.items()}, a._den * cont)
 
     # -- misc -----------------------------------------------------------------
 
-    def map_coeff(self, f) -> "Lau":
-        out = Lau(self.vars)
-        for e, c in self.terms.items():
-            c2 = Fraction(f(c))
-            if c2:
-                out.terms[e] = c2
-        return out
-
     def coeffs_in_z_inv_p(self, p: int) -> bool:
-        return all(in_z_inv_p(c, p) for c in self.terms.values())
+        # the canonical denominator is the lcm of the coefficients' ones
+        return self._den == p ** _vint(self._den, p)
 
     def __repr__(self):
-        if not self.terms:
+        if not self._nums:
             return "0"
         bits = []
-        for e, c in sorted(self.terms.items()):
-            mon = "*".join(
-                f"{v}^{k}" if k != 1 else v for v, k in zip(self.vars, e) if k != 0
-            )
-            bits.append(fr_to_str(c) + ("*" + mon if mon else ""))
+        for e, c in sorted(self._nums.items()):
+            mon = "*".join(f"{v}^{k}" if k != 1 else v for v, k in zip(self.vars, e) if k != 0)
+            bits.append(fr_to_str(c, self._den) + ("*" + mon if mon else ""))
         return " + ".join(bits)
 
     def to_json(self) -> dict:
         return {
             "vars": list(self.vars),
-            "terms": {",".join(map(str, e)): fr_to_str(c) for e, c in sorted(self.terms.items())},
+            "terms": {",".join(map(str, e)): fr_to_str(c, self._den) for e, c in sorted(self._nums.items())},
         }
 
     @classmethod
     def from_json(cls, d: Mapping) -> "Lau":
-        return cls(
-            tuple(d["vars"]),
-            {tuple(int(x) for x in k.split(",")): Fraction(v) for k, v in d["terms"].items()},
-        )
+        return cls(tuple(d["vars"]), {tuple(int(x) for x in k.split(",")): Fraction(v) for k, v in d["terms"].items()})
 
 
-def _poly_exact_div(a: Lau, b: Lau) -> Lau:
-    """Division of true polynomials by the leading-term algorithm (lex)."""
-    q = Lau(a.vars)
-    r = a
-    lb = max(b.terms)
-    cb = b.terms[lb]
-    while not r.is_zero():
-        lr = max(r.terms)
-        diff = tuple(x - y for x, y in zip(lr, lb))
-        if any(d < 0 for d in diff):
-            raise NotDivisible(f"leading term {lr} not divisible by {lb}")
-        mono = Lau.monomial(a.vars, diff, r.terms[lr] / cb)
-        q = q + mono
-        r = r - mono * b
-    return q
+def _lau(variables: tuple, n: dict, d: int = 1) -> Lau:
+    """n over d, already canonical: the constructor of internal results."""
+    out = object.__new__(Lau)
+    out.vars, out._nums, out._den = variables, n, d
+    return out
+
+
+def _canon(variables: tuple, n: dict, d: int) -> Lau:
+    """Nonzero integer numerators n over d > 0, divided by their common gcd."""
+    if d != 1:
+        g = math.gcd(d, *n.values())
+        if g != 1:
+            n, d = {e: c // g for e, c in n.items()}, d // g
+    return _lau(variables, n, d)
 
 
 # ---------------------------------------------------------------------------
@@ -599,15 +645,16 @@ def _binomial(a: int, b: int) -> tuple:
     return tuple(((i + b, a - i + b), math.comb(a, i)) for i in range(a + 1))
 
 
-def _sum_of_products(variables, rows) -> Lau:
+def _sum_of_products(variables, rows, d: int) -> Lau:
     """The sum of c * prod(factors) * monomial(tail) over rows (c, factors,
-    tail), each factor a tuple of (pair exponents, integer weight) pairs."""
-    out: dict[tuple, Fraction] = {}
+    tail), over the denominator d; c is an integer numerator and each factor
+    a tuple of (pair exponents, integer weight) pairs."""
+    out: dict[tuple, int] = {}
     for c, factors, tail in rows:
         for picks in product(*factors):
             k = sum((ex for ex, _ in picks), ()) + tail
             out[k] = out.get(k, 0) + c * math.prod(w for _, w in picks)
-    return Lau(variables, out)
+    return _canon(variables, {k: c for k, c in out.items() if c}, d)
 
 
 def sym_reduce(poly: Lau) -> Lau:
@@ -616,7 +663,7 @@ def sym_reduce(poly: Lau) -> Lau:
 
     Raises NotSymmetric when the input is not swap-invariant.
     """
-    vs, terms = poly.vars, poly.terms
+    vs, terms = poly.vars, poly._nums
     if len(vs) % 2:
         raise ValueError("odd number of variables")
     pairs = range(0, len(vs), 2)
@@ -626,7 +673,7 @@ def sym_reduce(poly: Lau) -> Lau:
                 raise NotSymmetric(f"not symmetric under {vs[i]} <-> {vs[i + 1]}")
     out_vars = ("e1", "e2") if len(vs) == 2 else tuple(f"e{j}_{i // 2 + 1}" for i in pairs for j in (1, 2))
     rows = ((c, [_orbit_sum(e[i], e[i + 1]) for i in pairs], ()) for e, c in terms.items())
-    return _sum_of_products(out_vars, rows)
+    return _sum_of_products(out_vars, rows, poly._den)
 
 
 def _evar_pairs(variables: Sequence[str]) -> list[tuple[str, str]]:
@@ -649,8 +696,8 @@ def sym_expand(sym: Lau, pair_vars: Sequence[str]) -> Lau:
     extra = [v for v in vs if all(v not in pr for pr in epairs)]
     idx = [(vs.index(e1n), vs.index(e2n)) for e1n, e2n in epairs]
     rest = [vs.index(v) for v in extra]
-    rows = ((c, [_binomial(e[i], e[j]) for i, j in idx], tuple(e[k] for k in rest)) for e, c in sym.terms.items())
-    return _sum_of_products(tuple(pair_vars) + tuple(extra), rows)
+    rows = ((c, [_binomial(e[i], e[j]) for i, j in idx], tuple(e[k] for k in rest)) for e, c in sym._nums.items())
+    return _sum_of_products(tuple(pair_vars) + tuple(extra), rows, sym._den)
 
 
 _homog_cache: dict = {}
@@ -672,7 +719,7 @@ def complete_homog(n: int, x: str, y: str, variables) -> Lau:
             e = [0] * len(variables)
             e[ix], e[iy] = i, n - i
             terms[tuple(e)] = 1
-    out = _homog_cache[key] = Lau(variables, terms)
+    out = _homog_cache[key] = _lau(variables, terms)
     return out
 
 
@@ -703,7 +750,7 @@ class RatFunc:
             self.den = []
             return
         out = []
-        for f in sorted(self.den, key=lambda g: sorted(g.terms)):
+        for f in sorted(self.den, key=lambda g: sorted(g._nums)):
             try:
                 self.num = self.num.exact_div(f)
             except NotDivisible:
@@ -716,7 +763,7 @@ class RatFunc:
 
     @property
     def denominator(self) -> Lau:
-        d = self.num.one_like()
+        d = Lau.const(self.num.vars, 1)
         for f in self.den:
             d = d * f
         return d
@@ -793,13 +840,13 @@ class RatFunc:
 
         def poly_coeffs(f: Lau) -> list[Lau]:
             out: list[dict] = [{} for _ in range(upto + 1)]
-            for e, c in f.terms.items():
+            for e, c in f._nums.items():
                 d = e[i]
                 if d < 0:
                     raise ValueError("negative power in series expansion")
                 if d <= upto:
                     out[d][e[:i] + (0,) + e[i + 1:]] = c
-            return [Lau(rest, t) for t in out]
+            return [_canon(rest, t, f._den) for t in out]
 
         cur = poly_coeffs(self.num)
         for f in self.den:
@@ -834,11 +881,11 @@ def lau_eval_x1(h: Lau, name: str) -> Lau:
     """Evaluate a Laurent polynomial at name = 1 (drop that variable)."""
     rest = tuple(v for v in h.vars if v != name)
     i = h.vars.index(name)
-    terms: dict[tuple, Fraction] = {}
-    for e, c in h.terms.items():
+    terms: dict[tuple, int] = {}
+    for e, c in h._nums.items():
         key = e[:i] + e[i + 1:]
-        terms[key] = terms.get(key, Fraction(0)) + c
-    return Lau(rest, terms)
+        terms[key] = terms.get(key, 0) + c
+    return _canon(rest, {k: c for k, c in terms.items() if c}, h._den)
 
 
 def json_dumps(obj) -> str:

@@ -30,7 +30,6 @@ from .exactnum import (
     NotDivisible,
     NotInImage,
     fr_to_str,
-    in_z_inv_p,
     is_odd_prime,
 )
 
@@ -62,12 +61,13 @@ class HeckeElem:
             raise ValueError(f"unknown group tag {group!r}")
         if poly.vars != _vars_for(group):
             raise ValueError("variable tuple does not match group tag")
-        for e in poly.terms:
+        exps = poly.int_terms()[0]
+        for e in exps:
             t_exps = e[::2]
             if any(t < 0 for t in t_exps):
                 raise ValueError("negative exponent on a T generator")
         if group == "gstar_split":
-            for e in poly.terms:
+            for e in exps:
                 if e[0] + 2 * e[1] != e[2] + 2 * e[3]:
                     raise ValueError("gstar_split element is not determinant balanced")
         self.group = group
@@ -141,9 +141,10 @@ class HeckeElem:
 
     def to_json(self) -> dict:
         terms = []
-        for e, c in sorted(self.poly.terms.items()):
+        nums, den = self.poly.int_terms()
+        for e, c in sorted(nums.items()):
             d = {v: k for v, k in zip(self.poly.vars, e)}
-            d["coef"] = fr_to_str(c)
+            d["coef"] = fr_to_str(c, den)
             terms.append(d)
         return {"group": self.group, "terms": terms}
 
@@ -166,6 +167,13 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"p = {p} is not an odd prime")
 
 
+def _p_scaled(f: Lau, vs, weight, p: int) -> Lau:
+    """f over the variables vs, its term at e times p^weight(e)."""
+    nums, den = f.int_terms()
+    k = max([0, *(-weight(e) for e in nums)])
+    return Lau.from_ints(vs, {e: c * p ** (weight(e) + k) for e, c in nums.items()}, den * p ** k)
+
+
 def satake(h: HeckeElem, p: int) -> Lau:
     """Satake transform into symmetric coordinates, as a ring homomorphism.
 
@@ -174,11 +182,8 @@ def satake(h: HeckeElem, p: int) -> Lau:
     """
     _check_prime(p)
     if h.group in ("inert_F", "gstar_inert"):
-        return Lau(("e1", "e2"), {(a, b): c * Fraction(p) ** a for (a, b), c in h.poly.terms.items()})
-    return Lau(
-        ("e1_1", "e2_1", "e1_2", "e2_2"),
-        {(a, b, cc, d): c * Fraction(p) ** (-(b + d)) for (a, b, cc, d), c in h.poly.terms.items()},
-    )
+        return _p_scaled(h.poly, ("e1", "e2"), lambda e: e[0], p)
+    return _p_scaled(h.poly, ("e1_1", "e2_1", "e1_2", "e2_2"), lambda e: -(e[1] + e[3]), p)
 
 
 def inv_satake(f: Lau, group: str, p: int) -> HeckeElem:
@@ -190,37 +195,35 @@ def inv_satake(f: Lau, group: str, p: int) -> HeckeElem:
     """
     _check_prime(p)
     vs = _vars_for(group)
-    terms = {}
+    exps = f.int_terms()[0]
     if group in ("inert_F", "gstar_inert"):
         if f.vars != ("e1", "e2"):
             raise ValueError("expected inert symmetric coordinates")
-        for (a, b), c in f.terms.items():
-            if a < 0:
-                raise NotInImage("negative power of e1")
-            terms[(a, b)] = c * Fraction(p) ** (-a)
-        return HeckeElem(group, Lau(vs, terms))
+        if any(a < 0 for a, _ in exps):
+            raise NotInImage("negative power of e1")
+        return HeckeElem(group, _p_scaled(f, vs, lambda e: -e[0], p))
     if f.vars != ("e1_1", "e2_1", "e1_2", "e2_2"):
         raise ValueError("expected split symmetric coordinates")
-    for (a, b, cc, d), c in f.terms.items():
+    for a, b, cc, d in exps:
         if a < 0 or cc < 0:
             raise NotInImage("negative power of e1")
         if group == "gstar_split" and a + 2 * b != cc + 2 * d:
             raise NotInImage("monomial not determinant balanced")
-        terms[(a, b, cc, d)] = c * Fraction(p) ** (b + d)
-    return HeckeElem(group, Lau(vs, terms))
+    return HeckeElem(group, _p_scaled(f, vs, lambda e: e[1] + e[3], p))
 
 
 def involution(h: HeckeElem) -> HeckeElem:
     """xi -> xi((-)^(-1)): T -> T S^-1, S -> S^-1 on each component."""
     vs = h.poly.vars
+    nums, den = h.poly.int_terms()
     terms = {}
-    for e, c in h.poly.terms.items():
+    for e, c in nums.items():
         e2 = list(e)
         for i in range(0, len(vs), 2):
             t, s = e2[i], e2[i + 1]
             e2[i], e2[i + 1] = t, -s - t
         terms[tuple(e2)] = c
-    return HeckeElem(h.group, Lau(vs, terms))
+    return HeckeElem(h.group, Lau.from_ints(vs, terms, den))
 
 
 def monomial_det_val(group: str, exps: Sequence[int]) -> int:
@@ -405,7 +408,7 @@ def iota_solve(h: HeckeElem) -> HeckeElem:
     if h.group == "inert_F":
         return HeckeElem("gstar_inert", h.poly)
     if h.group == "split_pair":
-        for e in h.poly.terms:
+        for e in h.poly.int_terms()[0]:
             if e[0] + 2 * e[1] != e[2] + 2 * e[3]:
                 raise NotInImage(f"monomial {e} is not determinant balanced")
         return HeckeElem("gstar_split", h.poly)
@@ -454,12 +457,14 @@ class HeckeIdealCert:
 def _mod(f: Lau, m: int) -> Lau:
     """Coefficients reduced into [0, m), m = p - 1: p = 1 mod m, so p-power
     denominators are units."""
-    return f.map_coeff(lambda c: c.numerator * pow(c.denominator, -1, m) % m)
+    nums, den = f.int_terms()
+    inv = pow(den, -1, m)
+    return Lau.from_ints(f.vars, {e: c * inv % m for e, c in nums.items()})
 
 
 def _lift(f: Lau, m: int) -> Lau:
-    """The balanced lift of residues mod m into (-m/2, m/2]."""
-    return f.map_coeff(lambda c: c - m if c > m // 2 else c)
+    """The balanced lift of residues mod m (integers in [0, m)) into (-m/2, m/2]."""
+    return Lau.from_ints(f.vars, {e: c - m if c > m // 2 else c for e, c in f.int_terms()[0].items()})
 
 
 def _mod_divide_principal(P: Lau, Q: Lau, i: int, m: int):
@@ -479,7 +484,7 @@ def _mod_divide_principal(P: Lau, Q: Lau, i: int, m: int):
     # as {exponent: residue} dicts
     Ps, sp = P.shift_to_poly()
     Qs, sq = Q.shift_to_poly()
-    qs = {e: int(c) % m for e, c in Qs.terms.items()}
+    qs = {e: c % m for e, c in Qs.int_terms()[0].items()}
     dq = max(e[i] for e in qs)
     lead = [(e, c) for e, c in qs.items() if e[i] == dq]
     if len(lead) != 1:
@@ -490,7 +495,7 @@ def _mod_divide_principal(P: Lau, Q: Lau, i: int, m: int):
     except ValueError:
         return None
     quot = {}
-    rem = {e: int(c) for e, c in Ps.terms.items()}
+    rem = dict(Ps.int_terms()[0])
     while rem:
         dr = max(e[i] for e in rem)
         if dr < dq:
@@ -508,7 +513,7 @@ def _mod_divide_principal(P: Lau, Q: Lau, i: int, m: int):
                 rem.pop(k, None)
 
     def shifted(terms, s):
-        return Lau(P.vars, {tuple(x + y for x, y in zip(e, s)): c for e, c in terms.items()})
+        return Lau.from_ints(P.vars, {tuple(x + y for x, y in zip(e, s)): c for e, c in terms.items()})
 
     return shifted(quot, tuple(a - b for a, b in zip(sp, sq))), shifted(rem, sp)
 
@@ -592,10 +597,8 @@ def ideal_cert(P: HeckeElem, gen1_kind: str, Q: HeckeElem, p: int) -> HeckeIdeal
 
 def divide_exact_int(W: HeckeElem, m: int, p: int) -> HeckeElem:
     """W / m, with NotMember unless every quotient coefficient is in Z[1/p]."""
-    terms = {}
-    for e, c in W.poly.terms.items():
-        q = c / m
-        if not in_z_inv_p(q, p):
-            raise NotMember(f"coefficient not divisible by {m}", W)
-        terms[e] = q
-    return HeckeElem(W.group, Lau(W.poly.vars, terms))
+    nums, den = W.poly.int_terms()
+    q = Lau.from_ints(W.poly.vars, nums, den * m)
+    if not q.coeffs_in_z_inv_p(p):
+        raise NotMember(f"coefficient not divisible by {m}", W)
+    return HeckeElem(W.group, q)

@@ -371,7 +371,7 @@ def _mirabolic_successors(a: int, b: int, ctx: QuadCtx) -> tuple:
 def _act_on_mirabolic(h: HeckeElem, ctx: QuadCtx) -> dict:
     """Right-convolution action of h on ch(P K_F), coefficients on the basis
     ch(P t_a n_b K_F) computed pointwise through the coset labels."""
-    tmax = max((e[0] for e in h.poly.terms), default=0)
+    tmax = h.poly.degree_in("T")
     # each T application spreads the support by at most one cell index
     window_b = range(0, tmax + 2)
     window_a = range(-(tmax + 2), tmax + 3)

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd, lcm
 from typing import Sequence
 
@@ -356,8 +355,17 @@ def lattice_residues(rows: list[Row], p: int):
     start = _mod_p(*x0, p)
 
     def classes():
-        for coefs in product(range(p), repeat=len(red)):
-            yield coefs, [(s + sum(c * b[i] for c, b in zip(coefs, red))) % p for i, s in enumerate(start)]
+        # product order as an odometer: each digit that steps adds its vector (p-1 -> 0 adds 1-p = 1 mod p)
+        coefs, x = [0] * len(red), start
+        while True:
+            yield tuple(coefs), x
+            for j in reversed(range(len(red))):
+                x = [(a + b) % p for a, b in zip(x, red[j])]
+                coefs[j] = (coefs[j] + 1) % p
+                if coefs[j]:
+                    break
+            else:
+                return
 
     return free, Fraction(1, p ** (sum(levels) + len(free))), classes()
 

@@ -375,24 +375,20 @@ def _seq_tail(aj, J: int, D: Lau, vs) -> Lau:
 
     D = prod (1 - root X) is the characteristic polynomial of the sequence;
     the numerator is reconstructed from the initial terms, and the next
-    guard = 2 coefficients are asserted to vanish.
+    guard = 2 coefficients are checked to vanish.  Terms of X-degree
+    J + deg D + guard and above would come from truncating the prefix, so
+    they are never built.
     """
     guard = 2
-    degD = D.degree_in("X")
+    top = J + D.degree_in("X")
     X = Lau.var(vs, "X")
     prefix = Lau(vs)
-    for j in range(J, J + degD + guard):
+    for j in range(J, top + guard):
         prefix = prefix + aj(j) * X ** j
-    prod = D * prefix
-    num = {}
-    xi = vs.index("X")
-    for e, c in prod.terms.items():
-        if e[xi] < J + degD:
-            num[e] = c
-        elif e[xi] < J + degD + guard:
-            raise AssertionError("sequence does not satisfy its recurrence")
-        # terms at X-degree >= J + degD + guard come from prefix truncation
-    return Lau(vs, num)
+    num = D.mul_below(prefix, "X", top + guard)
+    if not num.is_zero() and num.degree_in("X") >= top:
+        raise AssertionError("sequence does not satisfy its recurrence")
+    return num
 
 
 # ---------------------------------------------------------------------------
@@ -594,9 +590,9 @@ def _y_value_from_data(data: tuple, vs, p: int) -> Lau:
     depends on nothing else, and the same classes recur within a zeta call,
     across the terms of a Hecke-translated vector and across vectors.  Each
     miss runs _seq_tail and its recurrence check.  Sharing the cached Lau is
-    safe because every Lau operation returns a new object; only __init__
-    fills .terms, on its own object (complete_homog shares its values the
-    same way).
+    safe because no Lau changes once built: its integer numerators and
+    denominator are set by its constructor, and .terms and .int_terms() are
+    read-only views (complete_homog shares its values the same way).
     """
     vbeta, vcs, ws = data
     pairs = _PAIRS[vs]

@@ -130,13 +130,16 @@ def _fresh_traced_pass(workloads, spans, name):
 
 
 def test_traced_chain_certify_pass_counts_symmetric_reductions(workloads, spans):
-    # a seed-0 chain_certify pass makes 99 symmetric reductions and 3,138
+    # a seed-0 chain_certify pass makes 99 symmetric reductions and 2,479
     # Lau products; the closed forms of sym_reduce and sym_expand build no
-    # Lau product, where the leading-term rewrite made 4,740 in all, and a
-    # renamed or inlined sym_reduce would drop the first count
+    # Lau product, where the leading-term rewrite made 4,740 in all, exact
+    # division runs on integer numerators without Lau products (646 of the
+    # 3,138 that the Fraction-coefficient division made) and _seq_tail's
+    # truncated product is no Lau product (13 more), and a renamed or
+    # inlined sym_reduce would drop the first count
     metrics = _fresh_traced_pass(workloads, spans, "chain_certify")
     assert metrics["exactnum.sym_reduce.calls"][0] == 99
-    assert metrics["exactnum.lau_mul.calls"][0] == 3138
+    assert metrics["exactnum.lau_mul.calls"][0] == 2479
 
 
 def test_traced_passes_count_closed_form_witness_products(workloads, spans):

@@ -230,13 +230,14 @@ def sym_reduce_by_leading_terms(poly: Lau) -> Lau:
         return Lau(out_vars)
     # clear negative pair exponents with a global power of e2 per pair
     shifts = [min(min(e[ix], e[iy]) for e in poly.terms) for ix, iy in pair_idx]
-    work = Lau(vs)
+    shifted = {}
     for e, c in poly.terms.items():
         e2 = list(e)
         for (ix, iy), s in zip(pair_idx, shifts):
             e2[ix] -= s
             e2[iy] -= s
-        work.terms[tuple(e2)] = c
+        shifted[tuple(e2)] = c
+    work = Lau(vs, shifted)
 
     def key(e):
         ks = tuple((max(e[ix], e[iy]), min(e[ix], e[iy])) for ix, iy in pair_idx)
@@ -661,3 +662,278 @@ def test_ratfunc_eq_matches_cross_multiplication(case):
     if kind == "shared" and f.den == g.den:
         # the shortcut answers from the numerators alone
         assert (f == g) == (f.num == g.num)
+
+
+# -- the integer Lau against its Fraction-coefficient predecessor ----------------
+
+
+class FracLau:
+    """Lau as it was: a dict of nonzero Fraction coefficients, with the
+    leading-term division on Fractions."""
+
+    __slots__ = ("vars", "terms")
+
+    def __init__(self, variables, terms=None):
+        self.vars = tuple(variables)
+        self.terms = {}
+        for e, c in (terms or {}).items():
+            c = Fraction(c)
+            if c:
+                e = tuple(int(k) for k in e)
+                self.terms[e] = self.terms.get(e, Fraction(0)) + c
+                if not self.terms[e]:
+                    del self.terms[e]
+
+    @classmethod
+    def monomial(cls, variables, exps, c=1):
+        return cls(variables, {tuple(exps): Fraction(c)})
+
+    def _chk(self, other):
+        if isinstance(other, FracLau):
+            assert other.vars == self.vars
+            return other
+        return FracLau.monomial(self.vars, (0,) * len(self.vars), other)
+
+    def __add__(self, other):
+        t = dict(self.terms)
+        for e, c in self._chk(other).terms.items():
+            c2 = t.get(e, Fraction(0)) + c
+            if c2:
+                t[e] = c2
+            elif e in t:
+                del t[e]
+        return FracLau(self.vars, t)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FracLau(self.vars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._chk(other))
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FracLau(self.vars, {e: c * other for e, c in self.terms.items()})
+        t = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in self._chk(other).terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                c = t.get(e, Fraction(0)) + c1 * c2
+                if c:
+                    t[e] = c
+                elif e in t:
+                    del t[e]
+        return FracLau(self.vars, t)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        if n < 0:
+            if len(self.terms) != 1:
+                raise NotDivisible("negative power of a non-monomial")
+            ((e, c),) = self.terms.items()
+            return FracLau.monomial(self.vars, tuple(n * k for k in e), Fraction(1) / c ** (-n))
+        out = FracLau.monomial(self.vars, (0,) * len(self.vars))
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        return self.vars == other.vars and self.terms == other.terms
+
+    def shift_to_poly(self):
+        if not self.terms:
+            return self, (0,) * len(self.vars)
+        mins = tuple(min(e[i] for e in self.terms) for i in range(len(self.vars)))
+        return FracLau(self.vars, {tuple(a - b for a, b in zip(e, mins)): c for e, c in self.terms.items()}), mins
+
+    def exact_div(self, other):
+        if not other.terms:
+            raise ZeroDivisionError("division by zero polynomial")
+        if not self.terms:
+            return FracLau(self.vars)
+        (r, sa), (b, sb) = self.shift_to_poly(), other.shift_to_poly()
+        q = FracLau(self.vars)
+        lb = max(b.terms)
+        while r.terms:
+            lr = max(r.terms)
+            diff = tuple(x - y for x, y in zip(lr, lb))
+            if any(d < 0 for d in diff):
+                raise NotDivisible(f"leading term {lr} not divisible by {lb}")
+            mono = FracLau.monomial(self.vars, diff, r.terms[lr] / b.terms[lb])
+            q = q + mono
+            r = r - mono * b
+        return q * FracLau.monomial(self.vars, tuple(x - y for x, y in zip(sa, sb)))
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        bits = []
+        for e, c in sorted(self.terms.items()):
+            mon = "*".join(f"{v}^{k}" if k != 1 else v for v, k in zip(self.vars, e) if k != 0)
+            bits.append(fr_to_str(c) + ("*" + mon if mon else ""))
+        return " + ".join(bits)
+
+    def to_json(self):
+        return {"vars": list(self.vars), "terms": {",".join(map(str, e)): fr_to_str(c) for e, c in sorted(self.terms.items())}}
+
+
+def canonical(f: Lau) -> Lau:
+    """f, after checking its integer form: den > 0, gcd(den, *nums) == 1 and
+    no zero numerator (zero is {} over 1)."""
+    nums, den = f.int_terms()
+    assert den > 0 and math.gcd(den, *nums.values()) == 1 and all(nums.values())
+    return f
+
+
+def same_lau(f: Lau, g: FracLau):
+    """f (Lau) and g (FracLau) hold the same polynomial; f is canonical."""
+    canonical(f)
+    assert f.vars == g.vars and dict(f.terms) == g.terms
+    assert repr(f) == repr(g) and f.to_json() == g.to_json()
+
+
+LAU_VARS = [("X",), ("A", "B", "X")]
+LAU_COEFS = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 1, 2, 3, 4, 6, 9]))
+
+
+@st.composite
+def lau_terms(draw, vs, max_terms=5):
+    """Coefficient dicts over vs: small exponents, so that sums and products
+    cancel terms, and negative or zero coefficients."""
+    return {tuple(draw(st.integers(-2, 2)) for _ in vs): draw(LAU_COEFS) for _ in range(draw(st.integers(0, max_terms)))}
+
+
+@st.composite
+def lau_triples(draw):
+    vs = draw(st.sampled_from(LAU_VARS))
+    return vs, [draw(lau_terms(vs)) for _ in range(3)]
+
+
+def to_sympy(f: Lau):
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(f.vars)
+    return sympy.expand(sum((sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(x ** k for x, k in zip(xs, e))) for e, c in f.terms.items()), sympy.Integer(0)))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(lau_triples(), st.sampled_from([0, 1, -2, Fraction(-3, 4), Fraction(5, 6)]))
+def test_lau_ring_matches_fraction_oracle_and_sympy(case, c):
+    vs, (tf, tg, th) = case
+    (f, F), (g, G), (h, H) = [(Lau(vs, t), FracLau(vs, t)) for t in (tf, tg, th)]
+    same_lau(f, F)
+    for got, want in ((f + g, F + G), (f - g, F - G), (f * g, F * G), (-f, -F), (f * c, F * c), (c * f, F * c),
+                      (f + c, F + c), (f - f, F - F), (f ** 2, F ** 2), (f ** 0, F ** 0)):
+        same_lau(got, want)
+    # the ring axioms, on canonical forms
+    assert f + g == g + f and f * g == g * f
+    assert (f + g) + h == f + (g + h) and (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
+    assert f + 0 == f and f * 1 == f and (f - f).int_terms() == ({}, 1) and (f * 0).is_zero()
+    assert hash(f * g) == hash(g * f) and hash(f + g) == hash(g + f)
+    # sympy as an independent oracle
+    sf, sg = to_sympy(f), to_sympy(g)
+    assert to_sympy(f * g) == (sf * sg).expand() and to_sympy(f + g) == (sf + sg).expand()
+    # a Lau built from its own Fraction view is equal, and from ints over
+    # any nonzero denominator, of either sign
+    assert Lau(vs, f.terms) == f
+    nums, den = f.int_terms()
+    assert canonical(Lau.from_ints(vs, {e: -3 * n for e, n in nums.items()}, -3 * den)) == f
+    if len(f.terms) == 1:
+        same_lau(f ** -1, F ** -1)
+        same_lau(f ** -3, F ** -3)
+        assert f ** -3 * f ** 3 == 1
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(lau_triples())
+def test_lau_exact_div_undoes_mul(case):
+    vs, (tf, tg, th) = case
+    (f, F), (g, G) = [(Lau(vs, t), FracLau(vs, t)) for t in (tf, tg)]
+    if g.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            f.exact_div(g)
+        return
+    q = canonical((f * g).exact_div(g))
+    assert q == f
+    same_lau(q, (F * G).exact_div(G))
+    assert to_sympy(q * g) == (to_sympy(f) * to_sympy(g)).expand()
+    # a non-monomial divides no monomial (the units are the monomials), so
+    # f g + m is no multiple of g, for the Fraction oracle either
+    if len(g.terms) > 1:
+        m = Lau.monomial(vs, next(iter(th), (0,) * len(vs)), 1)
+        for a, b in ((f * g + m, g), (F * G + FracLau(vs, m.terms), G)):
+            with pytest.raises(NotDivisible):
+                a.exact_div(b)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(lau_triples(), st.integers(-2, 2))
+def test_lau_structure_maps_are_canonical(case, k):
+    vs, (tf, tg, _) = case
+    f, g = Lau(vs, tf), Lau(vs, tg)
+    F = FracLau(vs, tf)
+    s, mins = f.shift_to_poly()
+    same_lau(s, F.shift_to_poly()[0])
+    assert mins == F.shift_to_poly()[1]
+    big = ("W",) + vs
+    assert canonical(f.extend_vars(big)) == Lau(big, {(0,) + e: c for e, c in f.terms.items()})
+    assert canonical(f.coeff_of("X", k)) == Lau(vs[:-1], {e[:-1]: c for e, c in f.terms.items() if e[-1] == k})
+    assert canonical(lau_eval_x1(f, "X")) == Lau(vs[:-1], {}) + sum((f.coeff_of("X", j) for j in range(-2, 3)), Lau(vs[:-1]))
+    # the truncated product is the full one with its high terms dropped
+    want = FracLau(vs, {e: c for e, c in (F * FracLau(vs, tg)).terms.items() if e[-1] < k})
+    same_lau(f.mul_below(g, "X", k), want)
+
+
+@st.composite
+def sym_coordinates(draw):
+    """A Laurent polynomial in (e1, e2) or in two such pairs, with e1
+    exponents >= 0: the image of sym_reduce."""
+    vs = draw(st.sampled_from([("e1", "e2"), ("e1_1", "e2_1", "e1_2", "e2_2")]))
+    terms = draw(lau_terms(vs, 4))
+    return Lau(vs, {tuple(abs(x) if v.startswith("e1") else x for v, x in zip(vs, e)): c for e, c in terms.items()})
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(sym_coordinates())
+def test_sym_reduce_undoes_sym_expand(s):
+    pair_vars = AB if s.vars == ("e1", "e2") else UV
+    f = canonical(sym_expand(s, pair_vars))
+    assert canonical(sym_reduce(f)) == s
+    assert f == sym_expand_by_subst(s, pair_vars)
+
+
+def frac_cancel(num: FracLau, den):
+    """RatFunc._cancel on the Fraction oracle: try each factor in the order
+    of its sorted exponents and keep those that do not divide."""
+    out = []
+    for f in sorted(den, key=lambda g: sorted(g.terms)):
+        try:
+            num = num.exact_div(FracLau(f.vars, f.terms))
+        except NotDivisible:
+            out.append(f)
+    return num, out
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.data())
+def test_ratfunc_cancellation_matches_the_oracles(data):
+    sympy = pytest.importorskip("sympy")
+    A, B, X, vs = _xab()
+    pool = [1 - A * X, 1 - B * X, 1 - A * B * X ** 2 * Fraction(1, 3), 1 + 2 * X, 1 - X]
+    f = Lau(vs, data.draw(lau_terms(vs)))
+    num = f * math.prod(data.draw(st.lists(st.sampled_from(pool), max_size=3)), start=Lau.const(vs, 1))
+    den = data.draw(st.lists(st.sampled_from(pool), max_size=3))
+    r = RatFunc(num, den)
+    canonical(r.num)
+    want_num, want_den = frac_cancel(FracLau(vs, num.terms), den) if not num.is_zero() else (FracLau(vs), [])
+    same_lau(r.num, want_num)
+    assert r.den == want_den
+    # no factor left divides the numerator, and the value is unchanged
+    for g in r.den:
+        with pytest.raises(NotDivisible):
+            r.num.exact_div(g)
+    lhs = to_sympy(num) / sympy.Mul(*(to_sympy(g) for g in den))
+    rhs = to_sympy(r.num) / sympy.Mul(*(to_sympy(g) for g in r.den))
+    assert sympy.cancel(lhs - rhs) == 0

@@ -337,8 +337,7 @@ def test_ideal_cert_random_members(seed):
     U = rand_inert(rng, 2)
     V = rand_inert(rng, 2)
     # force Z[1/p] coefficients
-    U = HeckeElem("inert_F", U.poly.map_coeff(lambda c: Fraction(c.numerator, 3 ** 0)))
-    V = HeckeElem("inert_F", V.poly.map_coeff(lambda c: Fraction(c.numerator)))
+    U, V = (HeckeElem("inert_F", Lau(W.poly.vars, {e: c.numerator for e, c in W.poly.terms.items()})) for W in (U, V))
     P = U * (p - 1) + Q * V
     cert = ideal_cert(P, "p-1", Q, p)
     assert cert.verified

@@ -225,6 +225,16 @@ def lattice_residues_oracle(rows, target, p):
     return free, Fraction(1, p ** (sum(levels) + len(free))), classes()
 
 
+def residue_classes_by_sums(rows, p):
+    """lattice_residues' classes as they were: each residue vector summed
+    anew from every reduced free vector, in product order."""
+    x0, basis = lattice_solve_affine(rows, p)
+    red = [padicgrp._mod_p(col, w, p) for col, w, e in basis if e == 0]
+    start = padicgrp._mod_p(*x0, p)
+    for coefs in product(range(p), repeat=len(red)):
+        yield coefs, [(s + sum(c * b[i] for c, b in zip(coefs, red))) % p for i, s in enumerate(start)]
+
+
 def int_rows(rows, target):
     """The condition rows (nums, t, den) of Fraction rows and their target."""
     return [condition_row(r, x) for r, x in zip(rows, target)]
@@ -349,6 +359,23 @@ def test_kck_membership_matches_full_basis_search(F3):
             assert got == kck_membership_oracle(g, cell)
             found += got is not None
     assert found == 100  # one cell per matrix
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_residue_classes_step_like_the_sums(p):
+    # the odometer yields what summing every free vector for each class did,
+    # in the same order, on the conditions of every Cartan candidate
+    ctx, rng = QuadCtx.make(p), random.Random(p)
+    frees = set()
+    for _ in range(25):
+        g = criterion_3_matrix(ctx, rng)
+        for label in gen_cartan_candidates(g):
+            rows = padicgrp.identity_rows() + conj_condition_rows(cartan_cell(*label, ctx).inv(), g)
+            res = lattice_residues(rows, p)
+            if res is not None:
+                frees.add(len(res[0]))
+                assert list(res[2]) == list(residue_classes_by_sums(rows, p))
+    assert {2, 3, 4} <= frees  # carries across two and more digits
 
 
 # -- P t_a n_b K labels -------------------------------------------------------
@@ -927,7 +954,8 @@ def test_integer_lattice_layer_matches_the_fraction_oracles(case):
     free, weight, classes = lattice_residues(irows, p)
     assert [[Fraction(c, w) for c in col] for col, w in free] == wfree
     assert weight == wweight
-    assert list(classes) == list(wclasses)
+    got = list(classes)
+    assert got == list(wclasses) == list(residue_classes_by_sums(irows, p))
 
 
 def test_lattice_examples_reach_every_outcome():

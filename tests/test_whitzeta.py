@@ -407,6 +407,52 @@ def test_y_integral_takes_its_shells_from_gauss_shell(p):
                 assert same_ratfunc(got, y_integral_oracle(vbeta, list(vcs), omegas, vs, p)), (vbeta, vcs)
 
 
+def seq_tail_by_full_product(aj, J, D, vs):
+    """_seq_tail as it was: the whole product D * prefix, its terms of
+    X-degree J + deg D + guard and above dropped after the fact."""
+    guard, degD, X = 2, D.degree_in("X"), Lau.var(vs, "X")
+    prefix = Lau(vs)
+    for j in range(J, J + degD + guard):
+        prefix = prefix + aj(j) * X ** j
+    num, xi = {}, vs.index("X")
+    for e, c in (D * prefix).terms.items():
+        if e[xi] < J + degD:
+            num[e] = c
+        elif e[xi] < J + degD + guard:
+            raise AssertionError("sequence does not satisfy its recurrence")
+    return Lau(vs, num)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_seq_tail_matches_the_full_product(p, monkeypatch):
+    real, seen = whitzeta._seq_tail, Counter()
+
+    def both(aj, J, D, vs):
+        got = real(aj, J, D, vs)
+        assert got == seq_tail_by_full_product(aj, J, D, vs)
+        seen[vs] += 1
+        return got
+
+    monkeypatch.setattr(whitzeta, "_seq_tail", both)
+    inert = [(vc,) for vc in range(-2, 3)]
+    split = [(vc1, vc2) for vc1 in (-1, 0, 1) for vc2 in (-1, 0, 1)]
+    for vs, cases in ((VS_INERT, inert), (VS_SPLIT, split)):
+        for vcs in cases:
+            for vbeta in (-3, 0, INF):
+                whitzeta._y_integral(vbeta, list(vcs), Lau.const(vs, 1), vs, p)
+    assert seen == {VS_INERT: 15, VS_SPLIT: 27}
+
+
+def test_seq_tail_checks_the_recurrence():
+    # j X^j does not satisfy the recurrence of 1 - X: its X^(J+1) term survives
+    vs = ("X",)
+    X = Lau.var(vs, "X")
+    for tail in (whitzeta._seq_tail, seq_tail_by_full_product):
+        assert tail(lambda j: Lau.const(vs, 1), 2, 1 - X, vs) == X ** 2
+        with pytest.raises(AssertionError, match="recurrence"):
+            tail(lambda j: Lau.const(vs, j), 2, 1 - X, vs)
+
+
 def test_epsilon_extraction(F3):
     p = 3
     for b in (1, 2, 3):
