@@ -5,8 +5,8 @@ Exit codes: 0 success; 2 input error, including a malformed number (a zero
 denominator), a singular matrix, a --prime or --ell that is not an odd
 prime, or a JSON document of the wrong shape (a --elem, --phi, --inputs or
 --form document whose fields are not the objects and lists they must be);
-3 precision overflow, including a Schwartz function with more than
-5 cells, whose stabilizer enumeration is capped; 4 verification failure
+3 precision overflow, a zeta line level above its cap (--precision-cap,
+default 12); 4 verification failure
 (an AssertionError, the root of every verification error), including an
 exact division, inverse Satake transform, symmetric reduction or coset
 decomposition that fails inside the engine.  Without --satake the Satake

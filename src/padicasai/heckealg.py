@@ -98,26 +98,26 @@ class HeckeElem:
             if other.group != self.group:
                 raise ValueError("mixed Hecke group tags")
             return other
-        return HeckeElem(self.group, Lau.const(self.poly.vars, other))
+        return _hecke(self.group, Lau.const(self.poly.vars, other))
 
     def __add__(self, other):
-        return HeckeElem(self.group, self.poly + self._chk(other).poly)
+        return _hecke(self.group, self.poly + self._chk(other).poly)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return HeckeElem(self.group, self.poly - self._chk(other).poly)
+        return _hecke(self.group, self.poly - self._chk(other).poly)
 
     def __rsub__(self, other):
         return self._chk(other) - self
 
     def __neg__(self):
-        return HeckeElem(self.group, -self.poly)
+        return _hecke(self.group, -self.poly)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return HeckeElem(self.group, self.poly * other)
-        return HeckeElem(self.group, self.poly * self._chk(other).poly)
+            return _hecke(self.group, self.poly * other)
+        return _hecke(self.group, self.poly * self._chk(other).poly)
 
     __rmul__ = __mul__
 
@@ -156,6 +156,15 @@ class HeckeElem:
             e = tuple(int(t.get(v, 0)) for v in vs)
             terms[e] = terms.get(e, Fraction(0)) + Fraction(t["coef"])
         return cls(d["group"], Lau(vs, terms))
+
+
+def _hecke(group: str, poly: Lau) -> HeckeElem:
+    """A HeckeElem built unchecked: the constructor of sums, differences
+    and products of checked operands, which keep every T exponent >= 0 and
+    every gstar_split term balanced."""
+    out = object.__new__(HeckeElem)
+    out.group, out.poly = group, poly
+    return out
 
 
 # ---------------------------------------------------------------------------

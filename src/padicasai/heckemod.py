@@ -21,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
+from math import gcd
 from typing import Sequence
 
-from .exactnum import Lau, PrecisionOverflow, QuadCtx, QuadElem, RatFunc, in_z_inv_p
+from .exactnum import Lau, QuadCtx, QuadElem, RatFunc, in_z_inv_p
 from .heckealg import (
     HeckeElem,
     HeckeIdealCert,
@@ -39,7 +40,6 @@ from .heckealg import (
 from .padicgrp import (
     Mat2,
     SubgroupConditions,
-    condition_row,
     conj_condition_rows,
     coset_reps,
     identity_rows,
@@ -130,26 +130,51 @@ def generator_vector(ctx: QuadCtx, case: str = "inert") -> TestVector:
 # integrality against the stabilizer-volume lattices
 
 
-MAX_PERMUTED_CELLS = 5
-
-
-def _cell_permutations(phi: SchwartzFn):
-    """Bijections of the cell set preserving coefficients (identity first).
-
-    Raises PrecisionOverflow above MAX_PERMUTED_CELLS cells, where the
-    enumeration (one Smith form per bijection) is not attempted.
+def _cell_bijections(phi: SchwartzFn):
+    """(M, ints, gens, perms): the sorted cells' centres as integer pairs
+    p^m c mod M = p^(N + m), p^m the largest centre denominator; the indices
+    of at most two generating cells; and, as index lists, the
+    coefficient-preserving cell permutations a linear gamma can induce,
+    identity first.  The centres are generated (Nakayama; Atiyah-Macdonald,
+    Prop. 2.8) by c1 of least valuation and, with u = c1 / p^v(c1), c2 of
+    least v(det(u, c)) among det(u, c) != 0.  Each centre is a c1 + b c2,
+    a, b in Z_p, so the generators' images force all others; a choice is
+    kept when those are distinct cells with equal coefficients.
     """
-    cells = sorted(phi.cells)
-    if len(cells) > MAX_PERMUTED_CELLS:
-        raise PrecisionOverflow(
-            f"{len(cells)} cells: stabilizer enumeration is capped at {MAX_PERMUTED_CELLS} cells"
-        )
-    # permutations of the sorted cells yield the identity first
-    return [
-        dict(zip(cells, perm))
-        for perm in permutations(cells)
-        if all(phi.cells[a] == phi.cells[b] for a, b in zip(cells, perm))
-    ]
+    p, cells = phi.p, sorted(phi.cells)
+    P = max(x.denominator for c in cells for x in c)  # p^m
+    M = P * p ** phi.level
+    ints = [(x.numerator * (P // x.denominator), y.numerator * (P // y.denominator)) for x, y in cells]
+    n = len(ints)
+    vals = [gcd(x, y, M) for x, y in ints]  # p^v(c), or M for c = 0
+    k1 = vals.index(min(vals))
+    gens, coords = [], [(0, 0)] * n
+    if vals[k1] < M:
+        pv = vals[k1]
+        u = (ints[k1][0] // pv, ints[k1][1] // pv)
+        i = 0 if u[0] % p else 1  # a unit coordinate of u
+        dets = [(u[0] * y - u[1] * x) % M for x, y in ints]
+        k2 = min(range(n), key=lambda k: gcd(dets[k], M))
+        pv2 = gcd(dets[k2], M)  # p^v(det(u, c2)), or M when c2 is missing
+        gens = [k1, k2] if pv2 < M else [k1]
+        d2_inv = pow(dets[k2] // pv2, -1, M) if pv2 < M else 0
+        u_inv = pow(u[i], -1, M)
+        coords = []
+        for c, d in zip(ints, dets):
+            # b = det(u, c) / det(u, c2), then a from a c1 = c - b c2 at coordinate i
+            b = d // pv2 * d2_inv % M
+            coords.append(((c[i] - b * ints[k2][i]) % M // pv * u_inv % M, b))
+    index = {c: k for k, c in enumerate(ints)}
+    coef = [phi.cells[c] for c in cells]
+    choices = [[g] + [k for k in range(n) if k != g and coef[k] == coef[g]] for g in gens]
+    perms = []
+    for images in product(*choices):
+        # a missing generator has image 0 (and b = 0 when c2 is missing)
+        (x1, y1), (x2, y2) = [ints[k] for k in images] + [(0, 0)] * (2 - len(images))
+        perm = [index.get(((a * x1 + b * x2) % M, (a * y1 + b * y2) % M)) for a, b in coords]
+        if None not in perm and len(set(perm)) == n and all(coef[k] == coef[j] for k, j in enumerate(perm) if k != j):
+            perms.append(perm)
+    return M, ints, gens, perms
 
 
 def stabilizer_conditions(phi: SchwartzFn, gs: Sequence[Mat2], level: str, ctx: QuadCtx) -> SubgroupConditions:
@@ -160,7 +185,9 @@ def stabilizer_conditions(phi: SchwartzFn, gs: Sequence[Mat2], level: str, ctx: 
     case conjugates the same rational gamma by both components.  A G*
     vector needs no condition of its own: for rational gamma in GL2(Z_p),
     det(g^-1 gamma g) = det gamma is a unit, so K* and K cut out the same
-    stabilizer.
+    stabilizer.  One branch per permutation of _cell_bijections, with the
+    rows of the generating cells only: the other centres are Z_p-combinations
+    of them and gamma preserves p^N Z_p^2, so their rows follow.
     """
     p = ctx.p
     if not phi.cells:
@@ -169,16 +196,14 @@ def stabilizer_conditions(phi: SchwartzFn, gs: Sequence[Mat2], level: str, ctx: 
     for g in gs:
         # gamma -> g^-1 gamma g; rows that vanish identically carry no condition
         rows_core += [r for r in conj_condition_rows(g.inv(), g) if any(r[0])]
-    pn = Fraction(p) ** phi.level
+    M, ints, gens, perms = _cell_bijections(phi)
     branches = []
-    for sigma in _cell_permutations(phi):
+    for perm in perms:
         rows = list(rows_core)
-        for c, cprime in sigma.items():
-            # c * gamma = c' mod p^N: two affine rows
-            for j in range(2):
-                row = [0] * 4
-                row[j], row[2 + j] = c
-                rows.append(condition_row([x / pn for x in row], cprime[j] / pn))
+        for k in gens:
+            # c * gamma = sigma(c) mod p^N, read on the integer centres mod M: two affine rows
+            (x, y), (s, t) = ints[k], ints[perm[k]]
+            rows += [([x, 0, y, 0], s, M), ([0, x, 0, y], t, M)]
         branches.append(rows)
     det_mode = "one_mod_p" if level == "K[p]" else "unit"
     return SubgroupConditions(p, branches, det_mode)

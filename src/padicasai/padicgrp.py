@@ -602,7 +602,7 @@ def _of_residues(ctx: QuadCtx, L: int, quadratic: bool) -> list[QuadElem]:
 @dataclass
 class SubgroupConditions:
     """H = {gamma in GL2(Z_p): gamma = x0 + lattice, det in D} for one or
-    more affine branches (cell permutations give several branches).
+    more disjoint affine branches (a stabilizer has one per cell bijection).
 
     branches: one list of condition rows (Row: nums, t, den) per affine
     branch; the rows always include the four identity rows so the condition

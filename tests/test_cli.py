@@ -1,15 +1,34 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+from padicasai.cli import main
+
 CMD = [sys.executable, "-m", "padicasai.cli"]
 
 
-def run(*args):
+def run_module(*args):
     return subprocess.run(CMD + list(args), capture_output=True, text=True)
+
+
+def run(*args):
+    """cli.main in-process, as a CompletedProcess; an exception it lets
+    escape fails the test, as a traceback would."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:  # argparse rejects its own arguments
+            code = exc.code
+    return subprocess.CompletedProcess(list(args), code, out.getvalue(), err.getvalue())
+
+
+ONE = [[{"a": "1", "b": "0"}, {"a": "0", "b": "0"}], [{"a": "0", "b": "0"}, {"a": "1", "b": "0"}]]
 
 
 def test_zeta_unramified_normalized():
@@ -81,9 +100,10 @@ def test_vector_serialization_roundtrip(tmp_path):
 
 
 def test_input_error_exit_code():
-    r = run("--prime", "4", "euler-poly", "--kind", "asai_inert")
+    # the one case through the python -m padicasai.cli entry point
+    r = run_module("--prime", "4", "euler-poly", "--kind", "asai_inert")
     assert r.returncode == 2
-    r2 = run("--prime", "3", "hilbert-check", "--form", "missing.json", "--ell", "5")
+    r2 = run_module("--prime", "3", "hilbert-check", "--form", "missing.json", "--ell", "5")
     assert r2.returncode == 2
 
 
@@ -223,16 +243,19 @@ def test_negative_level_phi_runs():
     assert "Traceback" not in r.stderr
 
 
-def test_certify_above_cell_cap_exits_3(tmp_path):
-    # ch(Z_p^2) written on its nine level-1 cells: above the 5-cell cap
-    cells = [{"c": [str(x), str(y)], "coef": "1"} for x in range(3) for y in range(3)]
-    one = [[{"a": "1", "b": "0"}, {"a": "0", "b": "0"}], [{"a": "0", "b": "0"}, {"a": "1", "b": "0"}]]
-    vec = {"case": "inert", "level": "K", "terms": [{"phi": {"level": 1, "cells": cells}, "g": one, "coef": "1"}]}
-    path = tmp_path / "vec.json"
-    path.write_text(json.dumps(vec))
-    r = run("--prime", "3", "certify", "--vector", str(path), "--part", "1")
-    assert r.returncode == 3
-    assert "Traceback" not in r.stderr
+def test_certify_nine_cells_prints_the_one_cell_output(tmp_path):
+    # ch(Z_p^2) written on its nine level-1 cells is the generator's one
+    # level-0 cell: the same function, certified with the same bytes
+    nine = [{"c": [str(x), str(y)], "coef": "1"} for x in range(3) for y in range(3)]
+    outs = []
+    for phi in ({"level": 1, "cells": nine}, {"level": 0, "cells": [{"c": ["0", "0"], "coef": "1"}]}):
+        path = tmp_path / f"vec{len(outs)}.json"
+        path.write_text(json.dumps({"case": "inert", "level": "K", "terms": [{"phi": phi, "g": ONE, "coef": "1"}]}))
+        r = run("--prime", "3", "certify", "--vector", str(path), "--part", "1")
+        assert r.returncode == 0, r.stderr
+        assert "Traceback" not in r.stderr
+        outs.append(r.stdout)
+    assert outs[0] == outs[1]
 
 
 ENGINE_FAULTS = ["NotDivisible", "NotInImage", "NotSymmetric", "DecompositionError"]
@@ -243,7 +266,6 @@ def test_engine_fault_exits_4(name, monkeypatch, capsys):
     # raised past parsing, inside the local-factor engine: a verification failure
     import padicasai
     from padicasai import heckemod
-    from padicasai.cli import main
 
     def broken(*args, **kwargs):
         raise getattr(padicasai, name)("injected engine fault")
@@ -257,7 +279,6 @@ def test_engine_fault_exits_4(name, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-ONE = [[{"a": "1", "b": "0"}, {"a": "0", "b": "0"}], [{"a": "0", "b": "0"}, {"a": "1", "b": "0"}]]
 # (case, level, g, the field stderr must name): each g has the wrong shape
 # for its case, or the case or level is unknown
 MALFORMED_VECTORS = {

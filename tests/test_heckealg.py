@@ -78,6 +78,19 @@ def rand_inert(rng, deg=3):
 # -- satake --------------------------------------------------------------------
 
 
+def test_hecke_arithmetic_builds_unchecked_but_entry_points_check():
+    # sums and products of checked operands skip the checks; powers and the
+    # public constructor keep them
+    T = HeckeElem.gen("inert_F", "T")
+    with pytest.raises(ValueError, match="negative exponent"):
+        T ** -1
+    with pytest.raises(ValueError, match="not determinant balanced"):
+        HeckeElem.gen("gstar_split", "T1")
+    b = HeckeElem.monomial("gstar_split", (2, 0, 0, 1))
+    h = (b * b - 3 + b) * Fraction(1, 2)
+    assert h == HeckeElem("gstar_split", h.poly)
+
+
 def test_satake_generators():
     p = 3
     T = HeckeElem.gen("inert_F", "T")

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from padicasai.exactnum import INF, Lau, QuadCtx, QuadElem, val_p
 from padicasai.heckealg import (
@@ -32,7 +34,11 @@ from padicasai.heckemod import (
 )
 from padicasai.padicgrp import (
     Mat2,
+    SubgroupConditions,
+    condition_row,
+    conj_condition_rows,
     coset_reps,
+    identity_rows,
     pgk_label,
     subgroup_volume,
 )
@@ -60,14 +66,114 @@ def test_integrality_unramified_Kp(F3):
     assert not ok
 
 
-def test_cell_permutations_keep_coefficients_identity_first():
+def test_cell_bijections_keep_coefficients_identity_first():
     # two of three cells share a coefficient: only the identity and the swap
     # of those two preserve coefficients
     phi = SchwartzFn(3, 1, {(0, 1): 2, (1, 0): 2, (1, 1): 5})
-    sigmas = heckemod._cell_permutations(phi)
+    sigmas = cell_bijections(phi)
     assert len(sigmas) == 2
     assert sigmas[0] == {c: c for c in phi.cells}
     assert all(phi.cells[s[c]] == phi.cells[c] for s in sigmas for c in phi.cells)
+
+
+def cell_bijections(phi):
+    """The permutations of heckemod._cell_bijections as maps of the cells."""
+    cells = sorted(phi.cells)
+    return [{cells[k]: cells[j] for k, j in enumerate(perm)} for perm in heckemod._cell_bijections(phi)[3]]
+
+
+def cell_permutations_oracle(phi):
+    """Every bijection of the cells preserving coefficients, identity first."""
+    cells = sorted(phi.cells)
+    return [
+        dict(zip(cells, perm))
+        for perm in permutations(cells)
+        if all(phi.cells[a] == phi.cells[b] for a, b in zip(cells, perm))
+    ]
+
+
+def stabilizer_branches_oracle(phi, gs, level, ctx):
+    """(sigma, one-branch conditions) per bijection of cell_permutations_oracle,
+    each branch with the rows of every cell."""
+    rows_core = identity_rows()
+    for g in gs:
+        rows_core += [r for r in conj_condition_rows(g.inv(), g) if any(r[0])]
+    pn = Fraction(ctx.p) ** phi.level
+    det_mode = "one_mod_p" if level == "K[p]" else "unit"
+    out = []
+    for sigma in cell_permutations_oracle(phi):
+        rows = list(rows_core)
+        for c, cprime in sigma.items():
+            for j in range(2):
+                row = [0] * 4
+                row[j], row[2 + j] = c
+                rows.append(condition_row([x / pn for x in row], cprime[j] / pn))
+        out.append((sigma, SubgroupConditions(ctx.p, [rows], det_mode)))
+    return out
+
+
+CTXS = {p: QuadCtx.make(p) for p in (3, 5)}
+
+
+def stabilizer_gs(ctx, case, k):
+    p = ctx.p
+    if case == "inert":
+        pool = [
+            (Mat2.identity(ctx),),
+            (Mat2.t(1, 0, ctx),),
+            (Mat2.upper(QuadElem(0, Fraction(1, p), ctx), ctx),),
+            (Mat2.lower(QuadElem(0, 1, ctx), ctx) * Mat2.t(1, 0, ctx),),
+        ]
+    else:
+        pool = [
+            (Mat2.identity(ctx), Mat2.identity(ctx)),
+            (Mat2.t(1, 0, ctx), Mat2.t(1, 0, ctx)),
+            (Mat2.identity(ctx), Mat2.upper(Fraction(1, p), ctx)),
+            (Mat2.t(1, 1, ctx), Mat2.lower(Fraction(1, p), ctx)),
+        ]
+    return pool[k % len(pool)]
+
+
+@st.composite
+def stabilizer_cases(draw):
+    """phi with at most 5 cells at levels 0 to 2, centres in p^-1 Z, equal or
+    unequal coefficients; an inert g or a split pair; level K or K[p]."""
+    p = draw(st.sampled_from([3, 5]))
+    N = draw(st.integers(0, 2))
+    centre = st.integers(0, p ** (N + 1) - 1).map(lambda k: Fraction(k, p))
+    coef = st.just(1) if draw(st.booleans()) else st.sampled_from([1, 2, -1])
+    if draw(st.booleans()):
+        cells = draw(st.dictionaries(st.tuples(centre, centre), coef, min_size=1, max_size=5))
+    else:
+        # gamma = -1 lies in every g U g^-1: where the coefficients of c and
+        # -c agree it gives a nonempty branch besides the identity
+        cells = {}
+        for x, y in draw(st.lists(st.tuples(centre, centre), min_size=1, max_size=2)):
+            cells[(x, y)], cells[(-x, -y)] = draw(coef), draw(coef)
+    phi = SchwartzFn(p, N, cells)
+    assume(phi.cells)
+    case = draw(st.sampled_from(["inert", "split"]))
+    gs = stabilizer_gs(CTXS[p], case, draw(st.integers(0, 3)))
+    return phi, gs, draw(st.sampled_from(["K", "K[p]"])), CTXS[p]
+
+
+# the swap of (1, 0) and (0, 1) is a bijection of these cells that keeps the
+# generators' coefficients but not those of (1, 2) and (2, 1)
+SWAP_BREAKS_COEFFICIENTS = SchwartzFn(3, 1, {(1, 0): 1, (0, 1): 1, (1, 1): 2, (1, 2): 3, (2, 1): 4})
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(stabilizer_cases())
+@example((SWAP_BREAKS_COEFFICIENTS, (Mat2.identity(CTXS[3]),), "K", CTXS[3]))
+def test_stabilizer_matches_the_permutation_oracle(case):
+    # equal volumes, and every bijection some gamma induces is enumerated
+    phi, gs, level, ctx = case
+    cond = heckemod.stabilizer_conditions(phi, gs, level, ctx)
+    sigmas = cell_bijections(phi)
+    oracle = stabilizer_branches_oracle(phi, gs, level, ctx)
+    vols = [(sigma, subgroup_volume(c)) for sigma, c in oracle]
+    assert subgroup_volume(cond) == sum(v for _, v in vols)
+    assert all(sigma in sigmas for sigma, v in vols if v)
 
 
 def test_integrality_scaled(F3):
@@ -426,17 +532,30 @@ def test_delta1_computes_each_traced_period_once(case, monkeypatch):
     assert all(v for v in rep.values() if isinstance(v, bool))
 
 
-def test_integrality_refuses_more_cells_than_the_cap(F3):
-    # the refined function is the same function, so a truncated enumeration
-    # would show as a different stabilizer volume; above the cap it raises
-    from padicasai.exactnum import PrecisionOverflow
-
+def test_integrality_of_nine_cells_equals_one_cell(F3):
+    # ch(Z_p^2) written on its nine level-1 cells, and ch(p^-1 Z_p^2) refined
+    # to nine level-0 cells: both lattices are GL2(Z_p)-stable, so at g = 1
+    # they get the generator's volume; each stabilizer has |GL2(F_3)| branches
+    one = Mat2.identity(F3)
     phi = SchwartzFn.char_zp2(3)
     fine = phi.refine(1)
-    assert fine == phi and len(fine.cells) == 9
-    assert integrality_check(phi, Mat2.identity(F3), "K", F3) == (1, True)
-    with pytest.raises(PrecisionOverflow):
-        integrality_check(fine, Mat2.identity(F3), "K", F3)
+    coarse = SchwartzFn(3, -1, {(0, 0): 1})
+    assert fine == phi and len(fine.cells) == len(coarse.cells) == 9
+    for level in ("K", "K[p]"):
+        want = integrality_check(phi, one, level, F3)
+        assert want == ((1, True) if level == "K" else (2, False))
+        for nine in (fine, coarse):
+            assert integrality_check(nine, one, level, F3) == want
+            assert len(heckemod.stabilizer_conditions(nine, [one], level, F3).branches) == 48
+
+
+def test_six_cells_stabilize_a_borel(F3):
+    # three of the four lines of F_3^2, less the origin: the stabilizer in
+    # GL2(F_3) fixes the fourth line, a Borel subgroup of order 12
+    phi = SchwartzFn(3, 1, {c: 1 for c in [(1, 0), (2, 0), (0, 1), (0, 2), (1, 1), (2, 2)]})
+    cond = heckemod.stabilizer_conditions(phi, [Mat2.identity(F3)], "K", F3)
+    assert len(cond.branches) == 12
+    assert subgroup_volume(cond) == Fraction(1, 4)
 
 
 # -- the memoized mirabolic step ----------------------------------------------------------
