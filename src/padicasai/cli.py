@@ -5,8 +5,8 @@ Exit codes: 0 success; 2 input error, including a malformed number (a zero
 denominator), a singular matrix, a --prime or --ell that is not an odd
 prime, or a JSON document of the wrong shape (a --elem, --phi, --inputs or
 --form document whose fields are not the objects and lists they must be);
-3 precision overflow, a zeta line level above its cap (--precision-cap,
-default 12); 4 verification failure
+3 precision overflow, a zeta line level max(1, Cartan spread of g) above
+12; 4 verification failure
 (an AssertionError, the root of every verification error), including an
 exact division, inverse Satake transform, symmetric reduction or coset
 decomposition that fails inside the engine.  Without --satake the Satake
@@ -162,9 +162,9 @@ def cmd_zeta(args) -> None:
         raise ValueError(f"--g takes {need} ';'-joined matrix spec(s) in the {case} case, got {len(specs)}")
     gs = tuple(_parse_matrix(ctx, s) for s in specs)
     if case == "split":
-        res = zeta_rs_split(phi, gs, ctx, level_cap=args.precision_cap)
+        res = zeta_rs_split(phi, gs, ctx)
     else:
-        res = zeta_asai(phi, gs[0], ctx, level_cap=args.precision_cap)
+        res = zeta_asai(phi, gs[0], ctx)
     if not args.normalize:
         _emit(args, res.to_json(), f"zeta integral ({case})")
         return
@@ -275,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="padicasai", description=__doc__)
     ap.add_argument("--prime", type=int, default=3)
     ap.add_argument("--nonresidue", type=int, default=None)
-    ap.add_argument("--precision-cap", type=int, default=12)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", type=str, default=None)
     ap.add_argument(
@@ -347,8 +346,6 @@ def main(argv=None) -> int:
     try:
         if not is_odd_prime(args.prime):
             raise ValueError(f"the prime {args.prime} is not an odd prime")
-        if args.precision_cap < 2:
-            raise ValueError("precision cap must be at least 2")
         if args.satake and (args.command != "zeta" or not args.normalize):
             raise ValueError("--satake specializes the normalized period: it needs zeta --normalize")
         COMMANDS[args.command](args)

@@ -49,7 +49,7 @@ class NotInImage(AssertionError):
 
 
 class PrecisionOverflow(RuntimeError):
-    """A computation would need a refinement level above the configured cap."""
+    """A computation would need a refinement level above its fixed cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -594,10 +594,6 @@ class Lau:
             "terms": {",".join(map(str, e)): fr_to_str(c, self._den) for e, c in sorted(self._nums.items())},
         }
 
-    @classmethod
-    def from_json(cls, d: Mapping) -> "Lau":
-        return cls(tuple(d["vars"]), {tuple(int(x) for x in k.split(",")): Fraction(v) for k, v in d["terms"].items()})
-
 
 def _lau(variables: tuple, n: dict, d: int = 1) -> Lau:
     """n over d, already canonical: the constructor of internal results."""
@@ -820,50 +816,6 @@ class RatFunc:
             raise NotDivisible(f"denominator {self.den} does not cancel")
         return self.num
 
-    def series_coeff(self, name: str, upto: int) -> list[Lau]:
-        """Power-series coefficients in `name` (requires factors with
-        constant term 1 in name and no negative powers of name)."""
-        i = self.num.vars.index(name)
-        rest = self.num.vars
-        coeffs = []
-        # invert each factor as a truncated geometric series
-        def trunc_mul(a: list[Lau], b: list[Lau]) -> list[Lau]:
-            out = [Lau(rest) for _ in range(upto + 1)]
-            for d1, c1 in enumerate(a):
-                if c1.is_zero():
-                    continue
-                for d2, c2 in enumerate(b):
-                    if d1 + d2 > upto:
-                        break
-                    out[d1 + d2] = out[d1 + d2] + c1 * c2
-            return out
-
-        def poly_coeffs(f: Lau) -> list[Lau]:
-            out: list[dict] = [{} for _ in range(upto + 1)]
-            for e, c in f._nums.items():
-                d = e[i]
-                if d < 0:
-                    raise ValueError("negative power in series expansion")
-                if d <= upto:
-                    out[d][e[:i] + (0,) + e[i + 1:]] = c
-            return [_canon(rest, t, f._den) for t in out]
-
-        cur = poly_coeffs(self.num)
-        for f in self.den:
-            fc = poly_coeffs(f)
-            if fc[0] != Lau.const(rest, 1):
-                raise ValueError("factor constant term in series variable is not 1")
-            inv = [Lau(rest) for _ in range(upto + 1)]
-            inv[0] = Lau.const(rest, 1)
-            for d in range(1, upto + 1):
-                acc = Lau(rest)
-                for k in range(1, d + 1):
-                    if not fc[k].is_zero():
-                        acc = acc + fc[k] * inv[d - k]
-                inv[d] = -acc
-            cur = trunc_mul(cur, inv)
-        return cur
-
     def __repr__(self):
         if not self.den:
             return repr(self.num)
@@ -871,10 +823,6 @@ class RatFunc:
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": [f.to_json() for f in self.den]}
-
-    @classmethod
-    def from_json(cls, d: Mapping) -> "RatFunc":
-        return cls(Lau.from_json(d["num"]), [Lau.from_json(f) for f in d["den"]])
 
 
 def lau_eval_x1(h: Lau, name: str) -> Lau:

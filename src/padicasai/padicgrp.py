@@ -383,15 +383,6 @@ def lattice_measure(rows: list[Row], p: int, accept) -> Fraction:
     return sum(bool(accept(x)) for _, x in classes) * weight
 
 
-def condition_row(coefs, target=0) -> Row:
-    """The condition row of rational coefs and target, over their least
-    common denominator."""
-    xs = [Fraction(x) for x in (*coefs, target)]
-    den = lcm(*(x.denominator for x in xs))
-    nums = [x.numerator * (den // x.denominator) for x in xs]
-    return nums[:-1], nums[-1], den
-
-
 def identity_rows() -> list[Row]:
     """The four unit rows: with them a condition matrix on a 2x2 unknown has
     full column rank and confines the unknown to M2(Z_p)."""

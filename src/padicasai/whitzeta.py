@@ -82,6 +82,9 @@ VS_INERT = ("A", "B", "X")
 VS_SPLIT = ("u1", "v1", "u2", "v2", "X")
 # the Satake pair (x_i, y_i) of each group component, per variable tuple
 _PAIRS = {VS_INERT: (("A", "B"),), VS_SPLIT: (("u1", "v1"), ("u2", "v2"))}
+# the largest line level L = max(1, Cartan spread of g) of a zeta integral:
+# _shell_weights reads p^L + p^(L-1) lines, and raises PrecisionOverflow above it
+LINE_LEVEL_CAP = 12
 
 
 # ---------------------------------------------------------------------------
@@ -102,14 +105,7 @@ class SchwartzFn:
         self.cells: dict[tuple[Fraction, Fraction], Fraction] = {}
         items = list(cells.items()) if cells else []
         if level < 0:
-            # c + p^N Z_p^2 with N < 0 is the union of p^(-2N) cells of level 0
-            pn, step = Fraction(p) ** level, p ** -level
-            items = [
-                ((Fraction(c1) + pn * y1, Fraction(c2) + pn * y2), coef)
-                for (c1, c2), coef in items
-                for y1 in range(step)
-                for y2 in range(step)
-            ]
+            items = _subcells(items, p, level, 0)
         for c, coef in items:
             coef = Fraction(coef)
             if not coef:
@@ -152,28 +148,14 @@ class SchwartzFn:
             raise ValueError("can only refine to a finer level")
         if level == self.level:
             return self
-        p = self.p
-        step = p ** (level - self.level)
-        out = SchwartzFn(p, level)
-        pn = Fraction(p) ** self.level
-        for (c1, c2), coef in self.cells.items():
-            for y1 in range(step):
-                for y2 in range(step):
-                    key = out._canon((c1 + pn * y1, c2 + pn * y2))
-                    out.cells[key] = coef
-        return out
+        return SchwartzFn(self.p, level, dict(_subcells(self.cells.items(), self.p, self.level, level)))
 
     def __add__(self, other: "SchwartzFn") -> "SchwartzFn":
         if other.p != self.p:
             raise ValueError("mixed primes")
         L = max(self.level, other.level)
-        a, b = self.refine(L), other.refine(L)
-        out = SchwartzFn(self.p, L)
-        for (c, coef) in list(a.cells.items()) + list(b.cells.items()):
-            out.cells[c] = out.cells.get(c, Fraction(0)) + coef
-            if not out.cells[c]:
-                del out.cells[c]
-        return out
+        a, b = self.refine(L).cells, other.refine(L).cells
+        return SchwartzFn(self.p, L, {c: a.get(c, 0) + b.get(c, 0) for c in [*a, *b]})
 
     def scale(self, s) -> "SchwartzFn":
         return SchwartzFn(self.p, self.level, {c: coef * Fraction(s) for c, coef in self.cells.items()})
@@ -213,6 +195,18 @@ class SchwartzFn:
         )
 
 
+def _subcells(items, p: int, level: int, finer: int) -> list:
+    """(cell, coef) for each cell c' + p^finer Z_p^2, finer >= level, of
+    each c + p^level Z_p^2 in items, which is their disjoint union."""
+    pn, step = Fraction(p) ** level, p ** (finer - level)
+    return [
+        ((Fraction(c1) + pn * y1, Fraction(c2) + pn * y2), coef)
+        for (c1, c2), coef in items
+        for y1 in range(step)
+        for y2 in range(step)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Gauss shells and the root-of-unity oracle
 
@@ -229,90 +223,6 @@ def gauss_shell(j: int, vbeta, p: int) -> Fraction:
     return Fraction(0)
 
 
-class Cyclotomic:
-    """Elements of Z[zeta_(p^k)], reduced mod the cyclotomic polynomial.
-
-    Only used as the brute-force oracle for gauss_shell.
-    """
-
-    def __init__(self, p: int, k: int, coeffs: Mapping[int, Fraction] | None = None):
-        self.p, self.k = p, k
-        self.n = p ** k
-        self.coeffs: dict[int, Fraction] = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                self._add(e % self.n, Fraction(c))
-
-    def _add(self, e: int, c: Fraction):
-        if not c:
-            return
-        self.coeffs[e] = self.coeffs.get(e, Fraction(0)) + c
-        if not self.coeffs[e]:
-            del self.coeffs[e]
-
-    def reduce(self) -> "Cyclotomic":
-        """Canonical form modulo Phi_(p^k): exponents with e mod p^(k-1)
-        fixed and top p-layer eliminated via the vanishing sum."""
-        p, k, n = self.p, self.k, self.n
-        out = Cyclotomic(p, k)
-        step = p ** (k - 1)
-        for e, c in self.coeffs.items():
-            # zeta^e with e = a + (p-1)*step .. use zeta^(a + (p-1) step) = -sum_(i<p-1) zeta^(a + i step)
-            a = e % step
-            layer = e // step
-            if layer < p - 1:
-                out._add(e, c)
-            else:
-                for i in range(p - 1):
-                    out._add(a + i * step, -c)
-        return out
-
-    def rational_value(self) -> Fraction:
-        return _rational_from_galois(self.reduce())
-
-    def _galois_apply(self, t: int) -> "Cyclotomic":
-        out = Cyclotomic(self.p, self.k)
-        for e, c in self.coeffs.items():
-            out._add(e * t % self.n, c)
-        return out
-
-    def __eq__(self, other):
-        a = self.reduce().coeffs
-        b = other.reduce().coeffs
-        return a == b
-
-
-def _rational_from_galois(red: Cyclotomic) -> Fraction:
-    """Value of a Galois-stable cyclotomic integer (error if not stable).
-
-    A stable element equals its trace divided by phi(p^k)."""
-    p, k, n = red.p, red.k, red.n
-    for t in range(2, n):
-        if t % p == 0:
-            continue
-        if not (red._galois_apply(t) == red):
-            raise ValueError("not a rational value")
-    phi = n - n // p
-    tr = Fraction(0)
-    for e, c in red.coeffs.items():
-        tr += c * _trace_zeta(p, k, e)
-    return tr / phi
-
-
-def _trace_zeta(p: int, k: int, e: int) -> int:
-    """Trace from Q(zeta_(p^k)) to Q of zeta^e: phi(p^k) at e = 0,
-    -p^(k-1) when zeta^e has order exactly p, and 0 otherwise."""
-    n = p ** k
-    e %= n
-    if e == 0:
-        return n - n // p
-    v = 0
-    while e % p == 0:
-        e //= p
-        v += 1
-    return -(p ** (k - 1)) if k - v == 1 else 0
-
-
 def gauss_shell_oracle(j: int, beta: Fraction, p: int) -> Fraction:
     """Brute-force root-of-unity sum for int_(v(y)=j) psi(beta y) dx(y).
 
@@ -324,16 +234,40 @@ def gauss_shell_oracle(j: int, beta: Fraction, p: int) -> Fraction:
         return Fraction(1)
     k = -(j + int(vb))  # conductor depth of u -> psi(beta p^j u)
     n = p ** k
-    units = [u for u in range(1, n) if u % p != 0]
-    acc = Cyclotomic(p, k)
-    for u in units:
+    counts: dict[int, int] = {}
+    for u in range(1, n):
+        if u % p == 0:
+            continue
         # psi(x) = exp(2 pi i x mod Z); x = beta p^j u has denominator p^k
         x = beta * Fraction(p) ** j * u
         if n % x.denominator:
             raise AssertionError("phase denominator exceeds the expected depth")
-        amod = x.numerator * (n // x.denominator) % n
-        acc._add(amod, Fraction(1))
-    return acc.rational_value() / len(units)
+        e = x.numerator * (n // x.denominator) % n
+        counts[e] = counts.get(e, 0) + 1
+    return Fraction(_cyclotomic_rational(counts, p, k), n - n // p)
+
+
+def _cyclotomic_rational(counts: Mapping[int, int], p: int, k: int) -> int:
+    """sum c_e zeta^e, zeta a primitive p^k-th root of unity and 0 <= e < p^k,
+    as an integer; ValueError if it is not rational.
+
+    Phi_(p^k)(zeta) = 0 rewrites each exponent of the top layer,
+    zeta^(a + (p-1) s) = -sum_(i < p-1) zeta^(a + i s) with s = p^(k-1), onto
+    the power basis 1, zeta, .., zeta^(phi(p^k) - 1) of Q(zeta), where the
+    sum is rational exactly when only zeta^0 is left.
+    """
+    s = p ** (k - 1)
+    red: dict[int, int] = {}
+    for e, c in counts.items():
+        layer, a = divmod(e, s)
+        if layer < p - 1:
+            red[e] = red.get(e, 0) + c
+            continue
+        for i in range(p - 1):
+            red[a + i * s] = red.get(a + i * s, 0) - c
+    if any(c for e, c in red.items() if e):
+        raise ValueError("not a rational value")
+    return red.get(0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +384,6 @@ class ZetaResult:
         """Z as one reduced RatFunc, built anew on each access."""
         vs = self.num.vars
         return RatFunc(self.num, [*_root_factors(vs, self.p), 1 - _omega_x2(vs, self.p)])
-
-    def series(self, upto: int) -> list[Lau]:
-        return self.ratfunc.series_coeff("X", upto)
 
     def normalized(self) -> Lau:
         """The normalized period lim_(s->0) Z / L in symmetric coordinates:
@@ -629,7 +560,7 @@ def _line_reps(t, k: int, lam: int, L: int, p: int) -> tuple[list[tuple[int, int
     return [(1, x) if t[0] % p else (x, 1) for x in xs], p ** (2 * (lam - k)) // lines
 
 
-def _shell_weights(phi: SchwartzFn, gs: Sequence[Mat2], ctx: QuadCtx, level_cap: int) -> dict[tuple, Fraction]:
+def _shell_weights(phi: SchwartzFn, gs: Sequence[Mat2], ctx: QuadCtx) -> dict[tuple, Fraction]:
     """The accumulated weight of each (row data, shell kind) in
     Z(phi, gs . W_sph, s); shell kinds are ("pow", m) for a fixed shell and
     ("geom", N) for the origin tail's shells m >= N.  A row's data is that of
@@ -639,8 +570,8 @@ def _shell_weights(phi: SchwartzFn, gs: Sequence[Mat2], ctx: QuadCtx, level_cap:
     against _y_data_by_iwasawa."""
     p = ctx.p
     L = max(_required_cell_level(gs), 1)
-    if L > level_cap:  # L alone sets the work, p^L + p^(L-1) lines; depth only scales counts
-        raise PrecisionOverflow(f"line level {L} above cap {level_cap}")
+    if L > LINE_LEVEL_CAP:  # L alone sets the work, p^L + p^(L-1) lines; depth only scales counts
+        raise PrecisionOverflow(f"line level {L} above cap {LINE_LEVEL_CAP}")
     pref = Fraction(p * p, p * p - 1)  # (1 - p^-2)^-1
     data_of_line: dict[tuple[int, int], tuple] = {}
     certified: set[tuple] = set()
@@ -679,13 +610,13 @@ def _shell_weights(phi: SchwartzFn, gs: Sequence[Mat2], ctx: QuadCtx, level_cap:
     return weights
 
 
-def _zeta_engine(phi: SchwartzFn, gs: Sequence[Mat2], ctx: QuadCtx, level_cap: int = 12) -> ZetaResult:
+def _zeta_engine(phi: SchwartzFn, gs: Sequence[Mat2], ctx: QuadCtx) -> ZetaResult:
     p = ctx.p
     vs = VS_SPLIT if len(gs) == 2 else VS_INERT
     omx2 = _omega_x2(vs, p)
     # numerators over R: shell m adds y omx2^m, the origin tail y omx2^N / (1 - omx2)
     parts = {"pow": Lau(vs), "geom": Lau(vs)}
-    for (data, (kind, m)), wt in _shell_weights(phi, gs, ctx, level_cap).items():
+    for (data, (kind, m)), wt in _shell_weights(phi, gs, ctx).items():
         parts[kind] = parts[kind] + _y_value_from_data(data, vs, p) * (omx2 ** m * wt)
     num = parts["pow"] * (1 - omx2) + parts["geom"]
     if len(gs) == 2:
@@ -693,20 +624,20 @@ def _zeta_engine(phi: SchwartzFn, gs: Sequence[Mat2], ctx: QuadCtx, level_cap: i
     return ZetaResult(num, "inert", "zeta_asai", p)
 
 
-def zeta_asai(phi: SchwartzFn, g: Mat2, ctx: QuadCtx, level_cap: int = 12) -> ZetaResult:
+def zeta_asai(phi: SchwartzFn, g: Mat2, ctx: QuadCtx) -> ZetaResult:
     """The local Asai zeta integral Z(phi, g . W_sph, s), exactly: a rational
     function of X with coefficients Laurent in A, B.  Its normalized period
     is .normalized(), a polynomial in the symmetric coordinates (e1, e2);
     .normalized().eval(point) specializes it."""
-    return _zeta_engine(phi, [g], ctx, level_cap)
+    return _zeta_engine(phi, [g], ctx)
 
 
-def zeta_rs_split(phi: SchwartzFn, gpair: Sequence[Mat2], ctx: QuadCtx, level_cap: int = 12) -> ZetaResult:
+def zeta_rs_split(phi: SchwartzFn, gpair: Sequence[Mat2], ctx: QuadCtx) -> ZetaResult:
     """The split (Rankin-Selberg) analogue with W = W1 (x) W2."""
     g1, g2 = gpair
     if not (g1.is_rational() and g2.is_rational()):
         raise ValueError("split-case matrices live over Q_p")
-    return _zeta_engine(phi, [g1, g2], ctx, level_cap)
+    return _zeta_engine(phi, [g1, g2], ctx)
 
 
 # ---------------------------------------------------------------------------

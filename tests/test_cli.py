@@ -119,12 +119,9 @@ def test_zeta_g_spec_count_is_an_input_error(case, g):
 
 
 def test_precision_overflow_exit_code(tmp_path):
-    # g = n(1/27) has Cartan spread 6: its lines mod p^6 lie above a tiny cap
+    # g = n(1/2187) has Cartan spread 14: its lines mod p^14 lie above the cap 12
     phi = {"level": 2, "cells": [{"c": ["0", "1"], "coef": "1"}]}
-    r = run(
-        "--prime", "3", "--precision-cap", "2",
-        "zeta", "--phi", json.dumps(phi), "--g", "n:1/27",
-    )
+    r = run("--prime", "3", "zeta", "--phi", json.dumps(phi), "--g", "n:1/2187")
     assert r.returncode == 3
 
 

@@ -35,7 +35,6 @@ from padicasai.heckemod import (
 from padicasai.padicgrp import (
     Mat2,
     SubgroupConditions,
-    condition_row,
     conj_condition_rows,
     coset_reps,
     identity_rows,
@@ -43,7 +42,7 @@ from padicasai.padicgrp import (
     subgroup_volume,
 )
 from padicasai.whitzeta import SchwartzFn
-from test_padicgrp import lattice_solve_affine_oracle, plocal_smith_oracle
+from test_padicgrp import condition_row, lattice_solve_affine_oracle, plocal_smith_oracle
 
 
 @pytest.fixture

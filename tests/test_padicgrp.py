@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -13,7 +14,6 @@ from padicasai.padicgrp import (
     Mat2,
     SubgroupConditions,
     cartan_cell,
-    condition_row,
     coset_reps,
     gen_cartan_label,
     iwasawa_F,
@@ -233,6 +233,15 @@ def residue_classes_by_sums(rows, p):
     start = padicgrp._mod_p(*x0, p)
     for coefs in product(range(p), repeat=len(red)):
         yield coefs, [(s + sum(c * b[i] for c, b in zip(coefs, red))) % p for i, s in enumerate(start)]
+
+
+def condition_row(coefs, target=0):
+    """The condition row (nums, t, den) of rational coefs and target, over
+    their least common denominator."""
+    xs = [Fraction(x) for x in (*coefs, target)]
+    den = lcm(*(x.denominator for x in xs))
+    nums = [x.numerator * (den // x.denominator) for x in xs]
+    return nums[:-1], nums[-1], den
 
 
 def int_rows(rows, target):
