@@ -83,6 +83,12 @@ def _vint(n: int, p: int) -> int:
     return v
 
 
+def _vquad(x: int, y: int, p: int):
+    """v_p(x + y*sqrt(r)) = min(v_p(x), v_p(y)) for ints, r a unit; INF for 0."""
+    g = math.gcd(x, y)
+    return _vint(g, p) if g else INF
+
+
 def in_z_inv_p(x: Fraction, p: int) -> bool:
     """True when x lies in Z[1/p], i.e. its denominator is a power of p."""
     d = Fraction(x).denominator
@@ -184,6 +190,18 @@ class QuadElem:
             # over the least common denominator the form is already canonical
             self.x, self.y, self.d = a.numerator * (d // da), b.numerator * (d // db), d
         self.ctx = ctx
+
+    @classmethod
+    def from_ints(cls, x: int, y: int, d: int, ctx) -> "QuadElem":
+        """(x + y*sqrt(r)) / d in canonical form, for ints and a nonzero d."""
+        if d < 0:
+            x, y, d = -x, -y, -d
+        elif not d:
+            raise ZeroDivisionError("zero denominator")
+        g = math.gcd(x, y, d)
+        q = object.__new__(cls)
+        q.x, q.y, q.d, q.ctx = x // g, y // g, d // g, ctx
+        return q
 
     @property
     def a(self) -> Fraction:

@@ -5,6 +5,14 @@ P(Q_p) t_a n_b G(O_F) (with witnesses), the generalized Cartan labels
 G(Z_p) \\ G(F) / G(O_F) (decided by an exact lattice computation, no
 precision cap), and the single cosets of K t(lam, 0) K.
 
+A Mat2 is one canonical integer block: entry i (row-major) is
+(x_i + y_i sqrt(r)) / D, eight ints over one denominator D > 0 with
+gcd(D, x_0, .., y_3) = 1, so equality and hashing compare tuples.
+Products, inverses, the predicates and every decomposition read these
+ints, and each result takes one gcd (_mat).  QuadElem entries (.e) are
+built only at the edges: printing, JSON, the witnesses u, f1, f2 of
+iwasawa_F.  Other modules read the block through Mat2.int_block().
+
 Iwasawa and the mirabolic labels clear the bottom row (c, d) of g by one
 pivot rule (_bottom_pivot: the entry y of least valuation, d on a tie) and
 read their witnesses off the entries of g in closed form (u = x/y,
@@ -41,7 +49,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .exactnum import QuadCtx, QuadElem, _vint, val_p
+from .exactnum import INF, QuadCtx, QuadElem, _vint, _vquad
 
 
 class DecompositionError(AssertionError):
@@ -52,113 +60,228 @@ class DecompositionError(AssertionError):
 # matrices
 
 
-class Mat2:
-    """2x2 matrix with QuadElem entries over a fixed quadratic context."""
+def _coords(v, ctx: QuadCtx) -> tuple[int, int, int]:
+    """(x, y, d) with v = (x + y sqrt(r)) / d in lowest terms, d > 0, for a
+    QuadElem over ctx, a Fraction or an int."""
+    if isinstance(v, QuadElem):
+        if v.ctx is not ctx and v.ctx != ctx:
+            raise ValueError("mixed quadratic contexts")
+        return v.x, v.y, v.d
+    if type(v) is int:
+        return v, 0, 1
+    v = Fraction(v)
+    return v.numerator, 0, v.denominator
 
-    __slots__ = ("e", "ctx")
+
+class Mat2:
+    """2x2 matrix over a fixed quadratic context, as one integer block.
+
+    _xy holds the eight ints (x_0, y_0, .., x_3, y_3) and _d the denominator
+    of the entries (x_i + y_i sqrt(r)) / _d, row-major, in the canonical
+    form _d > 0, gcd(_d, *_xy) == 1.  Other modules read the block through
+    int_block(), or the entries through .e, a tuple of QuadElem built on
+    each access; no Mat2 changes once built.
+    """
+
+    __slots__ = ("_xy", "_d", "ctx")
 
     def __init__(self, entries: Sequence, ctx: QuadCtx):
-        self.ctx = ctx
-        self.e = tuple(x if isinstance(x, QuadElem) else QuadElem(x, 0, ctx) for x in entries)
-        if len(self.e) != 4:
+        """From QuadElem, Fraction or int entries, row-major."""
+        cs = [_coords(v, ctx) for v in entries]
+        if len(cs) != 4:
             raise ValueError("need 4 entries")
+        (x0, y0, d0), (x1, y1, d1), (x2, y2, d2), (x3, y3, d3) = cs
+        # over the least common denominator the form is already canonical
+        d = lcm(d0, d1, d2, d3)
+        k0, k1, k2, k3 = d // d0, d // d1, d // d2, d // d3
+        self._xy = (x0 * k0, y0 * k0, x1 * k1, y1 * k1, x2 * k2, y2 * k2, x3 * k3, y3 * k3)
+        self._d = d
+        self.ctx = ctx
 
     # constructors ----------------------------------------------------------
 
     @classmethod
+    def from_ints(cls, xy: Sequence[int], d: int, ctx: QuadCtx) -> "Mat2":
+        """The matrix of entries (xy[2i] + xy[2i+1] sqrt(r)) / d, in canonical
+        form, for eight ints and a nonzero d."""
+        if len(xy) != 8:
+            raise ValueError("need 8 ints")
+        if d < 0:
+            xy, d = [-n for n in xy], -d
+        elif not d:
+            raise ZeroDivisionError("zero denominator")
+        return _mat(tuple(xy), d, ctx)
+
+    @classmethod
     def identity(cls, ctx: QuadCtx) -> "Mat2":
-        return cls([1, 0, 0, 1], ctx)
+        return _mat((1, 0, 0, 0, 0, 0, 1, 0), 1, ctx)
 
     @classmethod
     def diag(cls, a, b, ctx: QuadCtx) -> "Mat2":
-        return cls([a, 0, 0, b], ctx)
+        (ax, ay, ad), (bx, by, bd) = _coords(a, ctx), _coords(b, ctx)
+        return _mat((ax * bd, ay * bd, 0, 0, 0, 0, bx * ad, by * ad), ad * bd, ctx)
 
     @classmethod
     def t(cls, a: int, b: int, ctx: QuadCtx) -> "Mat2":
         """diag(p^a, p^b)."""
-        p = Fraction(ctx.p)
-        return cls.diag(p ** a, p ** b, ctx)
+        return _p_power_block(a, None, b, ctx)
 
     @classmethod
     def upper(cls, u, ctx: QuadCtx) -> "Mat2":
-        return cls([1, u, 0, 1], ctx)
+        x, y, d = _coords(u, ctx)
+        return _mat((d, 0, x, y, 0, 0, d, 0), d, ctx)
 
     @classmethod
     def lower(cls, u, ctx: QuadCtx) -> "Mat2":
-        return cls([1, 0, u, 1], ctx)
+        x, y, d = _coords(u, ctx)
+        return _mat((d, 0, 0, 0, x, y, d, 0), d, ctx)
 
     @classmethod
     def n_b(cls, b: int, ctx: QuadCtx) -> "Mat2":
         """The basis unipotent [[1, sqrt(r) p^-b], [0, 1]]."""
-        return cls.upper(QuadElem(0, Fraction(1, ctx.p ** b) if b >= 0 else Fraction(ctx.p) ** (-b), ctx), ctx)
+        return _p_power_block(0, -b, 0, ctx)
 
     # ring / group ops ------------------------------------------------------
 
     def __mul__(self, other: "Mat2") -> "Mat2":
-        a, b, c, d = self.e
-        x, y, z, w = other.e
-        return Mat2([a * x + b * z, a * y + b * w, c * x + d * z, c * y + d * w], self.ctx)
+        if other.ctx is not self.ctx and other.ctx != self.ctx:
+            raise ValueError("mixed quadratic contexts")
+        r = self.ctx.r
+        a0, a1, b0, b1, c0, c1, d0, d1 = self._xy
+        e0, e1, f0, f1, g0, g1, h0, h1 = other._xy
+        return _mat(
+            (
+                a0 * e0 + b0 * g0 + r * (a1 * e1 + b1 * g1), a0 * e1 + a1 * e0 + b0 * g1 + b1 * g0,
+                a0 * f0 + b0 * h0 + r * (a1 * f1 + b1 * h1), a0 * f1 + a1 * f0 + b0 * h1 + b1 * h0,
+                c0 * e0 + d0 * g0 + r * (c1 * e1 + d1 * g1), c0 * e1 + c1 * e0 + d0 * g1 + d1 * g0,
+                c0 * f0 + d0 * h0 + r * (c1 * f1 + d1 * h1), c0 * f1 + c1 * f0 + d0 * h1 + d1 * h0,
+            ),
+            self._d * other._d,
+            self.ctx,
+        )
 
     def __eq__(self, other):
-        return isinstance(other, Mat2) and self.e == other.e and self.ctx == other.ctx
+        return isinstance(other, Mat2) and self._xy == other._xy and self._d == other._d and self.ctx == other.ctx
 
     def __hash__(self):
-        return hash((self.ctx.p, self.ctx.r) + tuple((x.x, x.y, x.d) for x in self.e))
+        return hash((self.ctx.p, self.ctx.r, self._d) + self._xy)
+
+    def _det2(self) -> tuple[int, int]:
+        """(X, Y) with det = (X + Y sqrt(r)) / _d^2."""
+        a0, a1, b0, b1, c0, c1, d0, d1 = self._xy
+        return a0 * d0 - b0 * c0 + self.ctx.r * (a1 * d1 - b1 * c1), a0 * d1 + a1 * d0 - b0 * c1 - b1 * c0
 
     def det(self) -> QuadElem:
-        a, b, c, d = self.e
-        return a * d - b * c
+        return QuadElem.from_ints(*self._det2(), self._d ** 2, self.ctx)
 
     def inv(self) -> "Mat2":
-        dt = self.det()
-        if dt == self.ctx.zero():
+        X, Y = self._det2()
+        if not (X or Y):
             raise ZeroDivisionError("singular matrix")
-        a, b, c, d = self.e
-        di = dt.inv()
-        return Mat2([d * di, -b * di, -c * di, a * di], self.ctx)
+        a0, a1, b0, b1, c0, c1, d0, d1 = self._xy
+        D, r = self._d, self.ctx.r
+        # adj / det entry by entry, ((u + v sqrt r) / D) / ((X + Y sqrt r) / D^2): one denominator n
+        xy = []
+        for u, v in ((d0, d1), (-b0, -b1), (-c0, -c1), (a0, a1)):
+            x, y, n = _quot(D * u, D * v, X, Y, r)
+            xy += (x, y)
+        return _mat(tuple(xy), n, self.ctx)
 
     def scale(self, s) -> "Mat2":
-        return Mat2([x * s for x in self.e], self.ctx)
+        sx, sy, sd = _coords(s, self.ctx)
+        r, xy = self.ctx.r, self._xy
+        out = []
+        for i in range(0, 8, 2):
+            x, y = xy[i], xy[i + 1]
+            out += (x * sx + r * y * sy, x * sy + y * sx)
+        return _mat(tuple(out), self._d * sd, self.ctx)
 
     # predicates ------------------------------------------------------------
 
     def min_val(self):
-        return min(x.val() for x in self.e)
+        """The least entry valuation; p divides _d or misses some x_i, y_i."""
+        p = self.ctx.p
+        if self._d % p:
+            g = gcd(*self._xy)
+            return _vint(g, p) if g else INF
+        return -_vint(self._d, p)
 
     def det_val(self):
-        return val_p(self.det(), self.ctx.p)
+        return _vquad(*self._det2(), self.ctx.p) - 2 * _vint(self._d, self.ctx.p)
 
     def is_integral(self) -> bool:
-        return all(x.is_integral() for x in self.e)
+        return self._d % self.ctx.p != 0
 
     def in_KF(self) -> bool:
         """Membership in GL2(O_F)."""
-        return self.is_integral() and self.det().is_unit()
+        p = self.ctx.p
+        if self._d % p == 0:
+            return False
+        X, Y = self._det2()
+        return X % p != 0 or Y % p != 0
 
     def in_K_base(self) -> bool:
         """Membership in GL2(Z_p)."""
-        return (
-            all(x.is_rational() and x.is_integral() for x in self.e)
-            and self.det().is_unit()
-        )
+        return self.is_rational() and self.in_KF()
 
     def is_rational(self) -> bool:
-        return all(x.is_rational() for x in self.e)
+        return not any(self._xy[1::2])
 
     def cartan_spread(self) -> int:
         """Difference of the two elementary-divisor exponents."""
         mv = self.min_val()
         return abs(self.det_val() - 2 * mv)
 
+    # the block and the entries ---------------------------------------------
+
+    def int_block(self) -> tuple[tuple[int, ...], int]:
+        """The integer form (xy, D): entry i is (xy[2i] + xy[2i+1] sqrt(r)) / D."""
+        return self._xy, self._d
+
+    @property
+    def e(self) -> tuple[QuadElem, ...]:
+        """The four entries as QuadElem, row-major, built on each access."""
+        xy, d, ctx = self._xy, self._d, self.ctx
+        return tuple(QuadElem.from_ints(xy[i], xy[i + 1], d, ctx) for i in range(0, 8, 2))
+
     def __repr__(self):
-        return f"[[{self.e[0]!r}, {self.e[1]!r}], [{self.e[2]!r}, {self.e[3]!r}]]"
+        e = self.e
+        return f"[[{e[0]!r}, {e[1]!r}], [{e[2]!r}, {e[3]!r}]]"
 
     def to_json(self) -> list:
-        return [[self.e[0].to_json(), self.e[1].to_json()], [self.e[2].to_json(), self.e[3].to_json()]]
+        e = self.e
+        return [[e[0].to_json(), e[1].to_json()], [e[2].to_json(), e[3].to_json()]]
 
     @classmethod
     def from_json(cls, d, ctx: QuadCtx) -> "Mat2":
         return cls([QuadElem.from_json(x, ctx) for row in d for x in row], ctx)
+
+
+def _mat(xy: tuple[int, ...], d: int, ctx: QuadCtx) -> Mat2:
+    """The Mat2 of the eight ints xy over d > 0, in lowest terms: the one
+    constructor of internal results."""
+    g = gcd(d, *xy)
+    if g != 1:
+        xy, d = tuple(n // g for n in xy), d // g
+    m = object.__new__(Mat2)
+    m._xy, m._d, m.ctx = xy, d, ctx
+    return m
+
+
+def _p_power_block(e0: int, e1: int | None, e3: int, ctx: QuadCtx) -> Mat2:
+    """[[p^e0, sqrt(r) p^e1], [0, p^e3]]; e1 = None leaves the corner 0."""
+    p = ctx.p
+    k = max(0, -min(e0, e3, e0 if e1 is None else e1))
+    corner = 0 if e1 is None else p ** (e1 + k)
+    return _mat((p ** (e0 + k), 0, 0, corner, 0, 0, p ** (e3 + k), 0), p ** k, ctx)
+
+
+def _quot(a: int, b: int, c: int, d: int, r: int) -> tuple[int, int, int]:
+    """(x, y, n) with (a + b sqrt(r)) / (c + d sqrt(r)) = (x + y sqrt(r)) / n,
+    n > 0, for ints and c + d sqrt(r) != 0: times the conjugate over the norm."""
+    n = c * c - r * d * d
+    x, y = a * c - r * b * d, b * c - a * d
+    return (x, y, n) if n > 0 else (-x, -y, -n)
 
 
 # ---------------------------------------------------------------------------
@@ -176,31 +299,43 @@ class IwasawaParts:
         return Mat2.upper(self.u, ctx) * Mat2.diag(self.f1, self.f2, ctx) * self.kappa
 
 
-def _bottom_pivot(g: Mat2):
-    """(x, y, det) for g = [[a, b], [c, d]]: (x, y) = (b, d) when
-    v(c) >= v(d), else (a, c), so y is the bottom-row entry of least
-    valuation and x the entry above it.  A singular g raises ZeroDivisionError.
+def _bottom_pivot(g: Mat2) -> tuple[int, tuple[int, int]]:
+    """(j, det) for g = [[a, b], [c, d]]: j = 3 (y = d, x = b) when
+    v(c) >= v(d), else j = 2 (y = c, x = a), so entry j is the bottom-row
+    entry y of least valuation and entry j - 2 the entry x above it;
+    det = (X, Y) with det g = (X + Y sqrt(r)) / D^2 on g's block D.  A
+    singular g raises ZeroDivisionError.
     """
-    a, b, c, d = g.e
-    det = g.det()
-    if det == 0:
+    X, Y = g._det2()
+    if not (X or Y):
         raise ZeroDivisionError("singular matrix")
-    return (b, d, det) if c.val() >= d.val() else (a, c, det)
+    e, p = g._xy, g.ctx.p
+    # c and d share the denominator D, so their numerators compare
+    return (3 if _vquad(e[4], e[5], p) >= _vquad(e[6], e[7], p) else 2), (X, Y)
 
 
 def iwasawa_F(g: Mat2) -> IwasawaParts:
     """g = n(u) diag(f1, f2) kappa with kappa in GL2(O_F).
 
-    In closed form from (x, y, det) = _bottom_pivot(g): u = x/y, f1 = det/y,
-    f2 = y, and kappa = [[1, 0], [c/d, 1]] when y = d, [[0, -1], [1, d/c]]
-    when y = c; kappa is integral because v(y) is least in the bottom row.
+    In closed form from the pivot j of _bottom_pivot(g), y = entry j and
+    x = entry j - 2: u = x/y, f1 = det/y, f2 = y, and
+    kappa = [[1, 0], [c/d, 1]] when y = d, [[0, -1], [1, d/c]] when y = c;
+    kappa is integral because v(y) is least in the bottom row.
     """
-    ctx = g.ctx
-    x, y, det = _bottom_pivot(g)
-    c, d = g.e[2], g.e[3]
-    yi = y.inv()
-    kappa = Mat2([1, 0, c * yi, 1], ctx) if y is d else Mat2([0, -1, 1, d * yi], ctx)
-    parts = IwasawaParts(x * yi, det * yi, y, kappa)
+    ctx, r = g.ctx, g.ctx.r
+    j, (X, Y) = _bottom_pivot(g)
+    e, D = g._xy, g._d
+    y = e[2 * j], e[2 * j + 1]
+    # the other bottom entry over y: c/d when y = d, d/c when y = c
+    wx, wy, wn = _quot(e[10 - 2 * j], e[11 - 2 * j], *y, r)
+    if j == 3:
+        kappa = _mat((wn, 0, 0, 0, wx, wy, wn, 0), wn, ctx)
+    else:
+        kappa = _mat((0, 0, -wn, 0, wn, 0, wx, wy), wn, ctx)
+    u = QuadElem.from_ints(*_quot(e[2 * j - 4], e[2 * j - 3], *y, r), ctx)
+    # det / y = ((X + Y sqrt r) / D^2) / ((y0 + y1 sqrt r) / D)
+    fx, fy, fn = _quot(X, Y, *y, r)
+    parts = IwasawaParts(u, QuadElem.from_ints(fx, fy, D * fn, ctx), QuadElem.from_ints(*y, D, ctx), kappa)
     if parts.reassemble(ctx) != g:
         raise AssertionError("Iwasawa witnesses do not reassemble g")
     if not kappa.in_KF():
@@ -393,21 +528,20 @@ def conj_condition_rows(left: Mat2, right: Mat2) -> list[Row]:
     """Rows expressing the components of left * X * right for rational X.
 
     X is a rational 2x2 unknown (4 coordinates, row-major).  Entry (i, j) of
-    left * E_rs * right is left_ir * right_sj; each entry contributes two
+    left * E_st * right is left_is * right_tj; each entry contributes two
     rows (its 1 and sqrt(r) components), in row-major entry order, with
-    target 0 and one denominator, the lcm of the d d' of its products.
+    target 0 over the product of the two blocks' denominators.
     """
-    L, R = left.e, right.e
+    L, R = left._xy, right._xy
     r = left.ctx.r
+    den = left._d * right._d
     rows = []
     for i in range(2):
         for j in range(2):
-            # the products (x + y sqrt r)/d on integer coordinates
-            pairs = [(u, v) for u in L[2 * i:2 * i + 2] for v in (R[j], R[2 + j])]
-            den = lcm(*(u.d * v.d for u, v in pairs))
-            cs = [den // (u.d * v.d) for u, v in pairs]
-            rows.append(([(u.x * v.x + r * u.y * v.y) * c for (u, v), c in zip(pairs, cs)], 0, den))
-            rows.append(([(u.x * v.y + u.y * v.x) * c for (u, v), c in zip(pairs, cs)], 0, den))
+            # (x + y sqrt r) of left_is and right_tj, coordinate k = 2s + t of X
+            pairs = [(L[4 * i + 2 * s], L[4 * i + 2 * s + 1], R[4 * t + 2 * j], R[4 * t + 2 * j + 1]) for s in range(2) for t in range(2)]
+            rows.append(([ux * vx + r * uy * vy for ux, uy, vx, vy in pairs], 0, den))
+            rows.append(([ux * vy + uy * vx for ux, uy, vx, vy in pairs], 0, den))
     return rows
 
 
@@ -431,7 +565,8 @@ def kck_membership(g: Mat2, cell: Mat2):
     if coefs is None:
         return None
     den = lcm(*(w for _, w in free))
-    x = Mat2([Fraction(sum(c * col[i] * (den // w) for c, (col, w) in zip(coefs, free)), den) for i in range(4)], ctx)
+    nums = [sum(c * col[i] * (den // w) for c, (col, w) in zip(coefs, free)) for i in range(4)]
+    x = _mat((nums[0], 0, nums[1], 0, nums[2], 0, nums[3], 0), den, ctx)
     kappa = cell_inv * x * g
     k = x.inv()
     if not (x.in_K_base() and kappa.in_KF()):
@@ -462,37 +597,35 @@ class CosetWitness:
 
 def pgk_canonical(a: int, b: int, ctx: QuadCtx) -> Mat2:
     """t_a * n_b = [[p^a, p^(a-b) sqrt r], [0, p^a]]."""
-    p = Fraction(ctx.p)
-    return Mat2(
-        [QuadElem(p ** a, 0, ctx), QuadElem(0, p ** (a - b), ctx), ctx.zero(), QuadElem(p ** a, 0, ctx)],
-        ctx,
-    )
+    return _p_power_block(a, a - b, a, ctx)
 
 
 def pgk_label(g: Mat2) -> CosetWitness:
     """Unique (a, b) with g in P(Q_p) t_a n_b G(O_F), plus witnesses.
 
-    With (x, y, det) = _bottom_pivot(g), the column operation that clears
-    the bottom row to (0, p^a), a = v(y), leaves the top row (A, B) with
-    A = +-det/y and B = p^a x/y.  b and the mirabolic witness q are read
-    off B and v(A) = v(det) - a; the right witness is (q t_a n_b)^-1 g.
+    With the pivot y and the entry x above it (_bottom_pivot), the column
+    operation that clears the bottom row to (0, p^a), a = v(y), leaves the
+    top row (A, B) with A = +-det/y and B = p^a x/y.  b and the mirabolic
+    witness q are read off u = x/y and v(A) = v(det) - a; the right witness
+    is (q t_a n_b)^-1 g.
     """
     ctx = g.ctx
     p = ctx.p
-    x, y, det = _bottom_pivot(g)
-    a = y.val()
-    pa = Fraction(p) ** a
-    B = x / y * pa
-    vA = det.val() - a
-    # v(B_b), B = (x + y sqrt r) / d
-    b = max(0, vA - val_p(B.y, p) + val_p(B.d, p)) if B.y else 0
-    # q in P(Q_p) with (A, B; 0, p^a) in q * (t_a n_b) * GL2(O_F)
+    j, (X, Y) = _bottom_pivot(g)
+    e = g._xy
+    vD = _vint(g._d, p)
+    a = _vquad(e[2 * j], e[2 * j + 1], p) - vD
+    vA = _vquad(X, Y, p) - 2 * vD - a
+    # u = x/y = (ux + uy sqrt r) / n; v(B_b) = a + v(uy) - v(n)
+    ux, uy, n = _quot(e[2 * j - 4], e[2 * j - 3], e[2 * j], e[2 * j + 1], ctx.r)
+    b = max(0, vA - a - _vint(uy, p) + _vint(n, p)) if uy else 0
+    # q = [[q1, u_a], [0, 1]] in P(Q_p) with (A, B; 0, p^a) in q * (t_a n_b) * GL2(O_F):
+    # q1 = u_b p^b when b > 0, else p^(vA - a); q1 = n1 / d1
     if b > 0:
-        q1 = B.b * Fraction(p) ** (b - a)
+        n1, d1 = uy * p ** b, n
     else:
-        q1 = Fraction(p) ** (vA - a)
-    q2 = B.a / pa
-    q = Mat2([QuadElem(q1, 0, ctx), QuadElem(q2, 0, ctx), ctx.zero(), ctx.one()], ctx)
+        n1, d1 = (p ** (vA - a), 1) if vA >= a else (1, p ** (a - vA))
+    q = _mat((n1 * n, 0, ux * d1, 0, 0, 0, d1 * n, 0), d1 * n, ctx)
     qM = q * pgk_canonical(a, b, ctx)
     right = qM.inv() * g
     if not right.in_KF():
@@ -508,16 +641,7 @@ def pgk_label(g: Mat2) -> CosetWitness:
 
 def cartan_cell(nu2: int, nu1: int, nu: int, ctx: QuadCtx) -> Mat2:
     """t(1, nu)^-1 n_alpha^t t(nu2, nu1)^-1 = [[p^-nu2, sqrt(r) p^-nu1], [0, p^-nu-nu1]]."""
-    p = Fraction(ctx.p)
-    return Mat2(
-        [
-            QuadElem(p ** (-nu2), 0, ctx),
-            QuadElem(0, p ** (-nu1), ctx),
-            ctx.zero(),
-            QuadElem(p ** (-nu - nu1), 0, ctx),
-        ],
-        ctx,
-    )
+    return _p_power_block(-nu2, -nu1, -nu - nu1, ctx)
 
 
 def gen_cartan_candidates(g: Mat2) -> list[tuple[int, int, int]]:
@@ -539,7 +663,7 @@ def gen_cartan_label(g: Mat2, all_matches: bool = False):
     Candidates are pinned by two exact invariants (minimal entry valuation
     and v_p(det)); each is decided by the lattice membership test.
     """
-    if g.det() == g.ctx.zero():
+    if not any(g._det2()):
         raise ZeroDivisionError("singular matrix")
     matches = []
     for nu2, nu1, nu in gen_cartan_candidates(g):
@@ -569,21 +693,22 @@ def coset_reps(lam: int, ctx: QuadCtx, quadratic: bool) -> list[Mat2]:
         raise ValueError("lam must be >= 0")
     if lam == 0:
         return [Mat2.identity(ctx)]
-    p = Fraction(ctx.p)
-    out = [Mat2([p ** lam, b, 0, 1], ctx) for b in _of_residues(ctx, lam, quadratic)]
+    p = ctx.p
+    out = [_mat((p ** lam, 0, x, y, 0, 0, 1, 0), 1, ctx) for x, y in _of_residues(p, lam, quadratic)]
     for i in range(1, lam):
-        for b in _of_residues(ctx, i, quadratic):
-            if b.val() == 0:
-                out.append(Mat2([p ** i, b, 0, p ** (lam - i)], ctx))
-    out.append(Mat2([1, 0, 0, p ** lam], ctx))
+        for x, y in _of_residues(p, i, quadratic):
+            if x % p or y % p:  # b a unit
+                out.append(_mat((p ** i, 0, x, y, 0, 0, p ** (lam - i), 0), 1, ctx))
+    out.append(_mat((1, 0, 0, 0, 0, 0, p ** lam, 0), 1, ctx))
     return out
 
 
-def _of_residues(ctx: QuadCtx, L: int, quadratic: bool) -> list[QuadElem]:
-    q = ctx.p ** L
+def _of_residues(p: int, L: int, quadratic: bool) -> list[tuple[int, int]]:
+    """The residues x + y sqrt(r) of O mod p^L as (x, y), y = 0 for O = Z_p."""
+    q = p ** L
     if quadratic:
-        return [QuadElem(a, b, ctx) for a in range(q) for b in range(q)]
-    return [QuadElem(a, 0, ctx) for a in range(q)]
+        return [(x, y) for x in range(q) for y in range(q)]
+    return [(x, 0) for x in range(q)]
 
 
 # ---------------------------------------------------------------------------

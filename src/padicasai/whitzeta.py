@@ -67,6 +67,8 @@ from .exactnum import (
     QuadElem,
     RatFunc,
     UV,
+    _vint,
+    _vquad,
     complete_homog,
     fr_mod,
     fr_to_str,
@@ -158,7 +160,13 @@ class SchwartzFn:
         return SchwartzFn(self.p, L, {c: a.get(c, 0) + b.get(c, 0) for c in [*a, *b]})
 
     def scale(self, s) -> "SchwartzFn":
-        return SchwartzFn(self.p, self.level, {c: coef * Fraction(s) for c, coef in self.cells.items()})
+        """s * phi: the centres are canonical and distinct already, so only
+        the coefficients change (s = 0 leaves no cell)."""
+        s = Fraction(s)
+        out = SchwartzFn(self.p, self.level)
+        if s:
+            out.cells = {c: coef * s for c, coef in self.cells.items()}
+        return out
 
     def value_at(self, x1, x2) -> Fraction:
         """phi(x1, x2): the coefficient of the one cell holding the point,
@@ -411,11 +419,14 @@ def inverse_l_factor(case: str, p: int) -> Lau:
 def _complete_row(v1: Fraction, v2: Fraction, ctx: QuadCtx) -> Mat2:
     """k in SL2(Z_p) with bottom row (v1, v2), for a primitive row."""
     p = ctx.p
+    n1, d1, n2, d2 = v1.numerator, v1.denominator, v2.numerator, v2.denominator
     if val_p(v2, p) == 0:
-        return Mat2([QuadElem(1 / v2, 0, ctx), ctx.zero(), ctx.elem(v1), ctx.elem(v2)], ctx)
+        # [[1/v2, 0], [v1, v2]] over n2 d1 d2
+        return Mat2.from_ints((d1 * d2 * d2, 0, 0, 0, n1 * n2 * d2, 0, n2 * n2 * d1, 0), n2 * d1 * d2, ctx)
     if val_p(v1, p) != 0:
         raise ValueError("row is not primitive")
-    return Mat2([ctx.zero(), QuadElem(-1 / v1, 0, ctx), ctx.elem(v1), ctx.elem(v2)], ctx)
+    # [[0, -1/v1], [v1, v2]] over n1 d1 d2
+    return Mat2.from_ints((0, 0, -d1 * d1 * d2, 0, n1 * n1 * d2, 0, n2 * n1 * d1, 0), n1 * d1 * d2, ctx)
 
 
 def _required_cell_level(gs: Sequence[Mat2]) -> int:
@@ -440,8 +451,8 @@ def _y_data_for_row(v1, v2, gs: Sequence[Mat2], ctx: QuadCtx) -> tuple:
     phase valuation is that of the sqrt(r)-part of u in the inert case,
     (x_b y_a - x_a y_b) / N(y) with v(N(y)) = 2w, and v(u_1 - u_2) in the
     split case; neither changes when x is scaled by a unit, so x is read off
-    g0 unscaled.  All of it is integer arithmetic on the coordinates
-    (x + y sqrt(r)) / d of the entries, with the row scaled to integers
+    g0 unscaled.  All of it is integer arithmetic on g0's block (entries
+    (x + y sqrt(r)) / D, Mat2.int_block), with the row scaled to integers
     (n1, n2) / m.  _zeta_engine certifies each distinct result once against
     _y_data_by_iwasawa.
     """
@@ -457,39 +468,31 @@ def _y_data_for_row(v1, v2, gs: Sequence[Mat2], ctx: QuadCtx) -> tuple:
         raise ValueError("row is not primitive")
     vcs, ws, xys = [], [], []
     for g0 in gs:
-        A, B, C, D = g0.e
-        c = (n1 * A.x * C.d + n2 * C.x * A.d, n1 * A.y * C.d + n2 * C.y * A.d, m * A.d * C.d)
-        d = (n1 * B.x * D.d + n2 * D.x * B.d, n1 * B.y * D.d + n2 * D.y * B.d, m * B.d * D.d)
+        e, D = g0.int_block()
+        # entry i of g0 is (e[2i] + e[2i+1] sqrt r) / D
+        c = (n1 * e[0] + n2 * e[4], n1 * e[1] + n2 * e[5], m * D)
+        d = (n1 * e[2] + n2 * e[6], n1 * e[3] + n2 * e[7], m * D)
         vc, vd = _val_pair(c, p), _val_pair(d, p)
-        if vc >= vd:
-            x, y, w = g0.e[top + 1], d, vd
-        else:
-            x, y, w = g0.e[top], c, vc
-        vcs.append(_det_val(g0) - 2 * w)
+        i, y, w = (top + 1, d, vd) if vc >= vd else (top, c, vc)
+        vcs.append(g0.det_val() - 2 * w)
         ws.append(w)
-        xys.append((x, y))
+        xys.append(((e[2 * i], e[2 * i + 1], D), y))
     if len(xys) == 1:
-        # v(x_b y_a - x_a y_b) with x = (x.x + x.y sqrt r) / x.d, y likewise
+        # v(x_b y_a - x_a y_b) with x = (x[0] + x[1] sqrt r) / x[2], y likewise
         (x, y), = xys
-        vbeta = val_p(x.y * y[0] - x.x * y[1], p) - val_p(x.d * y[2], p) - 2 * ws[0]
+        vbeta = val_p(x[1] * y[0] - x[0] * y[1], p) - _vint(x[2] * y[2], p) - 2 * ws[0]
     else:
         # v(x1_a / y1_a - x2_a / y2_a) over one denominator
         (x1, y1), (x2, y2) = xys
-        num = x1.x * y1[2] * x2.d * y2[0] - x2.x * y2[2] * x1.d * y1[0]
-        vbeta = val_p(num, p) - val_p(x1.d * y1[0] * x2.d * y2[0], p)
+        num = x1[0] * y1[2] * x2[2] * y2[0] - x2[0] * y2[2] * x1[2] * y1[0]
+        vbeta = val_p(num, p) - _vint(x1[2] * y1[0] * x2[2] * y2[0], p)
     # clamped: every vbeta >= -J = min(vcs), INF too, gives the same value
     return (min(vbeta, *vcs), tuple(vcs), tuple(ws))
 
 
-@lru_cache(maxsize=16)
-def _det_val(g: Mat2) -> int:
-    """v(det g), computed once per matrix rather than once per row."""
-    return int(g.det_val())
-
-
 def _val_pair(z: tuple[int, int, int], p: int) -> int:
     """Valuation of (z[0] + z[1] sqrt(r)) / z[2], an element of the unramified F."""
-    return min(val_p(z[0], p), val_p(z[1], p)) - val_p(z[2], p)
+    return _vquad(z[0], z[1], p) - _vint(z[2], p)
 
 
 def _y_data_by_iwasawa(v1, v2, gs: Sequence[Mat2], ctx: QuadCtx) -> tuple:

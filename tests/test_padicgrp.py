@@ -996,3 +996,237 @@ def test_zero_target_residues_build_no_fraction_but_the_weight(monkeypatch):
     free, weight, classes = lattice_residues(rows, 5)
     list(classes)
     assert len(built) == 1 and weight == Fraction(*built[0])
+
+
+# -- the integer block against the QuadElem-entry matrix --------------------------
+
+
+class QuadMat2:
+    """Mat2 as it was before the integer block: four QuadElem entries, so
+    every product, determinant and inverse runs entry by entry in QuadElem
+    arithmetic.  The differential oracle of Mat2."""
+
+    __slots__ = ("e", "ctx")
+
+    def __init__(self, entries, ctx):
+        self.ctx = ctx
+        self.e = tuple(x if isinstance(x, QuadElem) else QuadElem(x, 0, ctx) for x in entries)
+        if len(self.e) != 4:
+            raise ValueError("need 4 entries")
+
+    @classmethod
+    def diag(cls, a, b, ctx):
+        return cls([a, 0, 0, b], ctx)
+
+    @classmethod
+    def upper(cls, u, ctx):
+        return cls([1, u, 0, 1], ctx)
+
+    def __mul__(self, other):
+        a, b, c, d = self.e
+        x, y, z, w = other.e
+        return QuadMat2([a * x + b * z, a * y + b * w, c * x + d * z, c * y + d * w], self.ctx)
+
+    def __eq__(self, other):
+        return isinstance(other, QuadMat2) and self.e == other.e and self.ctx == other.ctx
+
+    def det(self):
+        a, b, c, d = self.e
+        return a * d - b * c
+
+    def inv(self):
+        dt = self.det()
+        if dt == self.ctx.zero():
+            raise ZeroDivisionError("singular matrix")
+        a, b, c, d = self.e
+        di = dt.inv()
+        return QuadMat2([d * di, -b * di, -c * di, a * di], self.ctx)
+
+    def scale(self, s):
+        return QuadMat2([x * s for x in self.e], self.ctx)
+
+    def min_val(self):
+        return min(x.val() for x in self.e)
+
+    def det_val(self):
+        return val_p(self.det(), self.ctx.p)
+
+    def is_integral(self):
+        return all(x.is_integral() for x in self.e)
+
+    def in_KF(self):
+        return self.is_integral() and self.det().is_unit()
+
+    def in_K_base(self):
+        return all(x.is_rational() and x.is_integral() for x in self.e) and self.det().is_unit()
+
+    def is_rational(self):
+        return all(x.is_rational() for x in self.e)
+
+    def cartan_spread(self):
+        return abs(self.det_val() - 2 * self.min_val())
+
+
+PREDICATES = ("min_val", "det_val", "is_integral", "in_KF", "in_K_base", "is_rational", "cartan_spread")
+
+
+def quad_p_power_block(e0, e1, e3, ctx):
+    """[[p^e0, sqrt(r) p^e1], [0, p^e3]] entry by entry."""
+    p = Fraction(ctx.p)
+    return QuadMat2([QuadElem(p ** e0, 0, ctx), QuadElem(0, p ** e1, ctx), ctx.zero(), QuadElem(p ** e3, 0, ctx)], ctx)
+
+
+def quad_bottom_pivot(g):
+    a, b, c, d = g.e
+    det = g.det()
+    if det == 0:
+        raise ZeroDivisionError("singular matrix")
+    return (b, d, det) if c.val() >= d.val() else (a, c, det)
+
+
+def quad_iwasawa_F(g):
+    """iwasawa_F on QuadElem entries: (u, f1, f2, kappa)."""
+    ctx = g.ctx
+    x, y, det = quad_bottom_pivot(g)
+    c, d = g.e[2], g.e[3]
+    yi = y.inv()
+    kappa = QuadMat2([1, 0, c * yi, 1], ctx) if y is d else QuadMat2([0, -1, 1, d * yi], ctx)
+    u, f1, f2 = x * yi, det * yi, y
+    assert QuadMat2.upper(u, ctx) * QuadMat2.diag(f1, f2, ctx) * kappa == g and kappa.in_KF()
+    return u, f1, f2, kappa
+
+
+def quad_pgk_label(g):
+    """pgk_label on QuadElem entries: ((a, b), left, right)."""
+    ctx = g.ctx
+    p = ctx.p
+    x, y, det = quad_bottom_pivot(g)
+    a = y.val()
+    pa = Fraction(p) ** a
+    B = x / y * pa
+    vA = det.val() - a
+    b = max(0, vA - val_p(B.y, p) + val_p(B.d, p)) if B.y else 0
+    q1 = B.b * Fraction(p) ** (b - a) if b > 0 else Fraction(p) ** (vA - a)
+    q = QuadMat2([QuadElem(q1, 0, ctx), QuadElem(B.a / pa, 0, ctx), ctx.zero(), ctx.one()], ctx)
+    qM = q * quad_p_power_block(a, a - b, a, ctx)
+    right = qM.inv() * g
+    assert right.in_KF() and qM * right == g
+    return (a, b), q, right
+
+
+def quad_conj_condition_rows(left, right):
+    L, R = left.e, right.e
+    r = left.ctx.r
+    rows = []
+    for i in range(2):
+        for j in range(2):
+            pairs = [(u, v) for u in L[2 * i:2 * i + 2] for v in (R[j], R[2 + j])]
+            den = lcm(*(u.d * v.d for u, v in pairs))
+            cs = [den // (u.d * v.d) for u, v in pairs]
+            rows.append(([(u.x * v.x + r * u.y * v.y) * c for (u, v), c in zip(pairs, cs)], 0, den))
+            rows.append(([(u.x * v.y + u.y * v.x) * c for (u, v), c in zip(pairs, cs)], 0, den))
+    return rows
+
+
+def quad_gen_cartan_label(g):
+    """gen_cartan_label(g, all_matches=True) on QuadElem entries: the list of
+    (label, k, kappa)."""
+    ctx = g.ctx
+    p = ctx.p
+    matches = []
+    for nu2, nu1, nu in gen_cartan_candidates(g):
+        cell = quad_p_power_block(-nu2, -nu1, -nu - nu1, ctx)
+        if g.det_val() != cell.det_val():
+            continue
+        cell_inv = cell.inv()
+        free, _, classes = lattice_residues(padicgrp.identity_rows() + quad_conj_condition_rows(cell_inv, g), p)
+        coefs = next((c for c, v in classes if (v[0] * v[3] - v[1] * v[2]) % p), None)
+        if coefs is None:
+            continue
+        den = lcm(*(w for _, w in free))
+        x = QuadMat2([Fraction(sum(c * col[i] * (den // w) for c, (col, w) in zip(coefs, free)), den) for i in range(4)], ctx)
+        kappa = cell_inv * x * g
+        k = x.inv()
+        assert x.in_K_base() and kappa.in_KF() and k * cell * kappa == g
+        matches.append(((nu2, nu1, nu), k, kappa))
+    return matches
+
+
+def same(m, q):
+    """The integer-block Mat2 m and the QuadMat2 q hold the same matrix."""
+    return isinstance(m, Mat2) and m.e == q.e and m.ctx == q.ctx
+
+
+CTXS_357 = [QuadCtx.make(3), QuadCtx.make(5), QuadCtx.make(7)]
+
+
+@st.composite
+def block_pair(draw):
+    """Two matrices at p = 3, 5 or 7 with entries (a + b sqrt r) / p^k,
+    |a|, |b| <= 2 p^2 and -2 <= k <= 3, an entry zero one time in five, as
+    (Mat2, QuadMat2) each, and a scalar (a QuadElem, a Fraction or an int)."""
+    ctx = draw(st.sampled_from(CTXS_357))
+    p = ctx.p
+    coef = st.integers(-2 * p * p, 2 * p * p)
+
+    def entry():
+        if draw(st.integers(0, 4)) == 0:
+            return ctx.zero()
+        pk = Fraction(p) ** -draw(st.integers(-2, 3))
+        return QuadElem(draw(coef) * pk, draw(coef) * pk, ctx)
+
+    mats = []
+    for _ in range(2):
+        es = [entry() for _ in range(4)]
+        mats.append((Mat2(es, ctx), QuadMat2(es, ctx)))
+    kind = draw(st.integers(0, 2))
+    s = entry() if kind == 0 else Fraction(draw(coef), p ** draw(st.integers(0, 2))) if kind == 1 else draw(coef)
+    return mats, s
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(block_pair())
+def test_block_arithmetic_matches_quadelem_entries(case):
+    ((g, gq), (h, hq)), s = case
+    assert same(g * h, gq * hq)
+    assert g.det() == gq.det()
+    assert same(g.scale(s), gq.scale(s))
+    for name in PREDICATES:
+        # by repr, so that the zero matrix's spread (inf - inf, nan) compares too
+        assert repr(getattr(g, name)()) == repr(getattr(gq, name)()), name
+    if gq.det() == 0:
+        with pytest.raises(ZeroDivisionError):
+            g.inv()
+        return
+    assert same(g.inv(), gq.inv())
+    assert Mat2(g.e, g.ctx) == g and hash(Mat2(g.e, g.ctx)) == hash(g)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(block_pair())
+def test_block_decompositions_match_quadelem_entries(case):
+    ((g, gq), _), _ = case
+    assume(gq.det() != 0)
+    j, (X, Y) = padicgrp._bottom_pivot(g)
+    x, y, det = quad_bottom_pivot(gq)
+    assert (g.e[j - 2], g.e[j]) == (x, y)
+    assert QuadElem.from_ints(X, Y, g.int_block()[1] ** 2, g.ctx) == det
+    parts, (u, f1, f2, kappa) = iwasawa_F(g), quad_iwasawa_F(gq)
+    assert (parts.u, parts.f1, parts.f2) == (u, f1, f2)
+    assert same(parts.kappa, kappa)
+    w, (label, left, right) = pgk_label(g), quad_pgk_label(gq)
+    assert w.label == label and same(w.left, left) and same(w.right, right)
+    got, want = gen_cartan_label(g, all_matches=True), quad_gen_cartan_label(gq)
+    assert [m.label for m in got] == [lab for lab, _, _ in want]
+    assert all(same(m.left, k) and same(m.right, kappa) for m, (_, k, kappa) in zip(got, want))
+
+
+def test_iwasawa_kappa_follows_the_pivot():
+    # y = c, as v(c) < v(d): kappa = [[0, -1], [1, d/c]]
+    g = _m3(2, 1, 1, 3)
+    assert padicgrp._bottom_pivot(g)[0] == 2
+    assert iwasawa_F(g).kappa == Mat2([0, -1, 1, 3], F3_CTX)
+    # y = d with c = 0: kappa = [[1, 0], [c/d, 1]] is the identity
+    g = _m3(1, 1, 0, 3)
+    assert padicgrp._bottom_pivot(g)[0] == 3
+    assert iwasawa_F(g).kappa == Mat2.identity(F3_CTX)

@@ -123,6 +123,18 @@ def test_schwartz_add_refines():
     assert c.value_at(1, 0) == 1
 
 
+@pytest.mark.parametrize("s", [0, 1, Fraction(-2, 3), Fraction(1, 3)])
+def test_schwartz_scale_matches_the_constructor(s):
+    # scale multiplies the coefficients of the canonical cells in place of
+    # rebuilding them; s = 0 leaves the zero function with no cells
+    phi = SchwartzFn(3, 2, {(Fraction(1, 3), Fraction(4)): Fraction(5), (Fraction(0), Fraction(10)): Fraction(-1, 2)})
+    got = phi.scale(s)
+    want = SchwartzFn(phi.p, phi.level, {c: coef * s for c, coef in phi.cells.items()})
+    assert (got.p, got.level, got.cells) == (want.p, want.level, want.cells)
+    assert list(got.cells) == list(want.cells)
+    assert bool(got.cells) == bool(s)
+
+
 def test_phi_p2_values(F3):
     phi = SchwartzFn.phi_p2(3)
     nu = 3 * 4 * 4 if False else 3 * (3 - 1) ** 2 * (3 + 1)
@@ -723,7 +735,7 @@ def test_y_value_memo_second_run_is_all_hits():
     assert second == first == h
 
 
-def shell_weights_by_rows(phi, gs, ctx, level_cap):
+def shell_weights_by_rows(phi, gs, ctx):
     """_shell_weights as it was: every row mod p^lam of every cell visited
     once, keyed by the row mod p^L."""
     p = ctx.p
@@ -754,8 +766,6 @@ def shell_weights_by_rows(phi, gs, ctx, level_cap):
         if m == INF or m >= N:
             # the cell around the origin: geometric sum over the shells m >= N
             lam = max(lam_req, 1)
-            if lam > level_cap:
-                raise PrecisionOverflow(f"cell level {lam} above cap {level_cap}")
             wt = pref * coef * Fraction(1, p ** (2 * lam))
             for w1 in range(p ** lam):
                 for w2 in range(p ** lam):
@@ -765,8 +775,6 @@ def shell_weights_by_rows(phi, gs, ctx, level_cap):
         else:
             m = int(m)
             lam = max(N - m, lam_req)
-            if lam > level_cap:
-                raise PrecisionOverflow(f"cell level {lam} above cap {level_cap}")
             pm = Fraction(p) ** m
             t1, t2 = c1 / pm, c2 / pm
             step = p ** (lam - (N - m))
@@ -787,7 +795,7 @@ def zeta_by_ratfunc(phi, gs, ctx):
     omx2 = whitzeta._omega_x2(vs, p)
     ys = {}
     acc = RatFunc(Lau(vs))
-    for (data, shell), wt in sorted(shell_weights_by_rows(phi, gs, ctx, 12).items(), key=repr):
+    for (data, shell), wt in sorted(shell_weights_by_rows(phi, gs, ctx).items(), key=repr):
         if data not in ys:
             vbeta, vcs, ws = data
             omegas = Lau.monomial(vs, [w for w in ws for _ in "xy"] + [0], Fraction(p) ** ((1 - len(ws)) * sum(ws)))
@@ -870,7 +878,7 @@ def test_line_weights_match_row_weights(p):
         h = HeckeElem.monomial("split_pair", (0, 0, 2, 0), 2)
         cases += [(phi, gs) for phi, gs, _ in hecke_apply(h, generator_vector(ctx, "split")).terms]
     for phi, gs in cases:
-        oracle = shell_weights_by_rows(phi, gs, ctx, 12)
+        oracle = shell_weights_by_rows(phi, gs, ctx)
         merged = {}
         for (data, shell), wt in oracle.items():
             key = (clamped(data), shell)
