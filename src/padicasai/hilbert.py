@@ -350,10 +350,10 @@ def period_ideal_check(
             vb = ell_adic_valuation(linv, ell)
             expo = min(va, vb)
             rep["v(p-1)"], rep["v(L_inverse)"], rep["ideal_exponent"] = _v_str(va), _v_str(vb), _v_str(expo)
-            exponents_total += 0 if expo == INF else expo
+            exponents_total += expo  # expo <= v(p - 1), finite
         reports.append(rep)
     vval = ell_adic_valuation(value, ell)
-    ok = vval == INF or vval >= exponents_total
+    ok = vval >= exponents_total
     return {
         "ell": ell,
         "value": value.to_json(),

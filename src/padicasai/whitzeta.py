@@ -20,16 +20,16 @@ the shells around v = 0 sum to a geometric series in omega(p) X^2.
 The inner integral depends on the row only through three valuations of
 that decomposition: v(f1 / f2), v(f2) and the valuation of the psi-phase
 of u.  _y_data_for_row computes them in closed form from the coordinates
-of (v1, v2) g0 and of one row of g0, without building k or any matrix
+of (n1, n2) g0 and of one row of g0, without building k or any matrix
 product.  The phase valuation is clamped at -J, J = max(-v(f1/f2)): from
 v(beta) = -J up, every shell from J on has Gauss weight 1.  Clamped, the
 data depends only on the line through the row mod p^L, L = max(1, Cartan
 spread of g0): a unit u scales the phase by u^-2 and keeps the torus
-valuations.  So the engine reads one row per projective line mod p^L, with
-the rows of each cell on it counted in closed form (_line_reps).  Per
-engine call, each distinct data tuple is certified once against a verified
-iwasawa_F on the first line that yields it (_y_data_by_iwasawa); a
-disagreement raises AssertionError.
+valuations.  So the engine reads one integer row (n1, n2) per projective
+line mod p^L, with the rows of each cell on it counted in closed form
+(_line_reps).  Per engine call, each distinct data tuple is certified once
+against a verified iwasawa_F on the first line that yields it
+(_y_data_by_iwasawa); a disagreement raises AssertionError.
 
 A group element is a tuple of components: one matrix over F at an inert
 prime, two matrices over Q_p (the Rankin-Selberg pair) at a split one.
@@ -60,7 +60,6 @@ from typing import Mapping, Sequence
 
 from .exactnum import (
     AB,
-    INF,
     Lau,
     PrecisionOverflow,
     QuadCtx,
@@ -123,7 +122,7 @@ class SchwartzFn:
     def _canon_coord(self, x) -> Fraction:
         x = Fraction(x)
         p, N = self.p, self.level
-        w = max(0, -int(val_p(x, p))) if x else 0
+        w = max(0, -val_p(x, p)) if x else 0
         # x p^w is p-integral; its residue mod p^(N + w) fixes x mod p^N
         return Fraction(fr_mod(x * p ** w, p, N + w), p ** w)
 
@@ -224,7 +223,7 @@ def gauss_shell(j: int, vbeta, p: int) -> Fraction:
 
     1 when j + vbeta >= 0; -1/(p-1) when j + vbeta = -1; 0 otherwise.
     """
-    if vbeta == INF or j + vbeta >= 0:
+    if j + vbeta >= 0:
         return Fraction(1)
     if j + vbeta == -1:
         return Fraction(-1, p - 1)
@@ -238,9 +237,9 @@ def gauss_shell_oracle(j: int, beta: Fraction, p: int) -> Fraction:
     the character is constant on the classes; exact cyclotomic arithmetic.
     """
     vb = val_p(beta, p)
-    if vb == INF or j + vb >= 0:
+    if j + vb >= 0:
         return Fraction(1)
-    k = -(j + int(vb))  # conductor depth of u -> psi(beta p^j u)
+    k = -(j + vb)  # conductor depth of u -> psi(beta p^j u)
     n = p ** k
     counts: dict[int, int] = {}
     for u in range(1, n):
@@ -296,8 +295,8 @@ class WhitValue:
 def wsph_value(g: Mat2, ctx: QuadCtx) -> WhitValue:
     """Spherical Whittaker data of g over F (symbolic in the parameters)."""
     parts = iwasawa_F(g)
-    n = int(parts.f1.val() - parts.f2.val())
-    w = int(parts.f2.val())
+    n = parts.f1.val() - parts.f2.val()
+    w = parts.f2.val()
     p = ctx.p
     ev = ("e1", "e2")
     if n < 0:
@@ -416,17 +415,16 @@ def inverse_l_factor(case: str, p: int) -> Lau:
     return sym_expand(euler_poly("rs_split", p).satake_in_x(p), UV)
 
 
-def _complete_row(v1: Fraction, v2: Fraction, ctx: QuadCtx) -> Mat2:
-    """k in SL2(Z_p) with bottom row (v1, v2), for a primitive row."""
+def _complete_row(n1: int, n2: int, ctx: QuadCtx) -> Mat2:
+    """k in SL2(Z_p) with bottom row (n1, n2), for a primitive integer row."""
     p = ctx.p
-    n1, d1, n2, d2 = v1.numerator, v1.denominator, v2.numerator, v2.denominator
-    if val_p(v2, p) == 0:
-        # [[1/v2, 0], [v1, v2]] over n2 d1 d2
-        return Mat2.from_ints((d1 * d2 * d2, 0, 0, 0, n1 * n2 * d2, 0, n2 * n2 * d1, 0), n2 * d1 * d2, ctx)
-    if val_p(v1, p) != 0:
+    if n2 % p:
+        # [[1/n2, 0], [n1, n2]] over n2
+        return Mat2.from_ints((1, 0, 0, 0, n1 * n2, 0, n2 * n2, 0), n2, ctx)
+    if not n1 % p:
         raise ValueError("row is not primitive")
-    # [[0, -1/v1], [v1, v2]] over n1 d1 d2
-    return Mat2.from_ints((0, 0, -d1 * d1 * d2, 0, n1 * n1 * d2, 0, n2 * n1 * d1, 0), n1 * d1 * d2, ctx)
+    # [[0, -1/n1], [n1, n2]] over n1
+    return Mat2.from_ints((0, 0, -1, 0, n1 * n1, 0, n2 * n1, 0), n1, ctx)
 
 
 def _required_cell_level(gs: Sequence[Mat2]) -> int:
@@ -436,75 +434,69 @@ def _required_cell_level(gs: Sequence[Mat2]) -> int:
     return w
 
 
-def _y_data_for_row(v1, v2, gs: Sequence[Mat2], ctx: QuadCtx) -> tuple:
-    """The value-determining data of the inner integral at a primitive row:
-    (phase valuation clamped at min(torus valuations) = -J, INF included,
-    torus valuations, omega exponents); constant on lines mod p^L.
+def _y_data_for_row(n1: int, n2: int, gs: Sequence[Mat2], ctx: QuadCtx) -> tuple:
+    """The value-determining data of the inner integral at a primitive
+    integer row: (phase valuation clamped at min(torus valuations) = -J,
+    infinity included, torus valuations, omega exponents); constant on lines
+    mod p^L.
 
     Closed form of the three valuations that the Iwasawa decomposition
-    k g0 = n(u) diag(f1, f2) kappa supplies, k = _complete_row(v1, v2).
-    Let (a, b) be the top row of k g0: row 1 of g0 over v2 when v(v2) = 0,
-    row 2 of g0 over -v1 otherwise, a unit multiple either way.  Let
-    (c, d) = (v1, v2) g0 be its bottom row.  _bottom_pivot takes (x, y) = (b, d)
-    when v(c) >= v(d) and (x, y) = (a, c) otherwise; then u = x / y, f2 = y
-    and f1 = det(g0) / y, so w = v(y) and v(f1 / f2) = v(det g0) - 2w.  The
-    phase valuation is that of the sqrt(r)-part of u in the inert case,
-    (x_b y_a - x_a y_b) / N(y) with v(N(y)) = 2w, and v(u_1 - u_2) in the
-    split case; neither changes when x is scaled by a unit, so x is read off
-    g0 unscaled.  All of it is integer arithmetic on g0's block (entries
-    (x + y sqrt(r)) / D, Mat2.int_block), with the row scaled to integers
-    (n1, n2) / m.  _zeta_engine certifies each distinct result once against
-    _y_data_by_iwasawa.
+    k g0 = n(u) diag(f1, f2) kappa supplies, k = _complete_row(n1, n2).
+    Let (a, b) be the top row of k g0: row 1 of g0 over n2 when p does not
+    divide n2, row 2 of g0 over -n1 otherwise, a unit multiple either way.
+    Let (c, d) = (n1, n2) g0 be its bottom row.  _bottom_pivot takes
+    (x, y) = (b, d) when v(c) >= v(d) and (x, y) = (a, c) otherwise; then
+    u = x / y, f2 = y and f1 = det(g0) / y, so w = v(y) and
+    v(f1 / f2) = v(det g0) - 2w.  The phase valuation is that of the
+    sqrt(r)-part of u in the inert case, (x_b y_a - x_a y_b) / N(y) with
+    v(N(y)) = 2 v(y), and v(u_1 - u_2) in the split case; neither changes
+    when x is scaled by a unit, so x is read off g0 unscaled.  All of it is
+    integer arithmetic on g0's block (entries (x + y sqrt(r)) / D,
+    Mat2.int_block): c, d and x share D, so v(c) and v(d) compare on the
+    numerators and D cancels in u.  _zeta_engine certifies each distinct
+    result once against _y_data_by_iwasawa.
     """
     p = ctx.p
-    m = v1.denominator * v2.denominator
-    n1, n2 = v1.numerator * v2.denominator, v2.numerator * v1.denominator
-    vm = val_p(m, p)
-    if val_p(n2, p) == vm:
+    if n2 % p:
         top = 0
-    elif val_p(n1, p) == vm:
+    elif n1 % p:
         top = 2
     else:
         raise ValueError("row is not primitive")
     vcs, ws, xys = [], [], []
     for g0 in gs:
         e, D = g0.int_block()
-        # entry i of g0 is (e[2i] + e[2i+1] sqrt r) / D
-        c = (n1 * e[0] + n2 * e[4], n1 * e[1] + n2 * e[5], m * D)
-        d = (n1 * e[2] + n2 * e[6], n1 * e[3] + n2 * e[7], m * D)
-        vc, vd = _val_pair(c, p), _val_pair(d, p)
-        i, y, w = (top + 1, d, vd) if vc >= vd else (top, c, vc)
+        # entry i of g0 is (e[2i] + e[2i+1] sqrt r) / D, and so are c and d
+        c = (n1 * e[0] + n2 * e[4], n1 * e[1] + n2 * e[5])
+        d = (n1 * e[2] + n2 * e[6], n1 * e[3] + n2 * e[7])
+        vc, vd = _vquad(*c, p), _vquad(*d, p)
+        i, y, vy = (top + 1, d, vd) if vc >= vd else (top, c, vc)
+        w = vy - _vint(D, p)
         vcs.append(g0.det_val() - 2 * w)
         ws.append(w)
-        xys.append(((e[2 * i], e[2 * i + 1], D), y))
+        xys.append(((e[2 * i], e[2 * i + 1]), y, vy))
     if len(xys) == 1:
-        # v(x_b y_a - x_a y_b) with x = (x[0] + x[1] sqrt r) / x[2], y likewise
-        (x, y), = xys
-        vbeta = val_p(x[1] * y[0] - x[0] * y[1], p) - _vint(x[2] * y[2], p) - 2 * ws[0]
+        # v(x_b y_a - x_a y_b) - 2 v(y) on the numerators, D cancelling in u
+        (x, y, vy), = xys
+        vbeta = val_p(x[1] * y[0] - x[0] * y[1], p) - 2 * vy
     else:
-        # v(x1_a / y1_a - x2_a / y2_a) over one denominator
-        (x1, y1), (x2, y2) = xys
-        num = x1[0] * y1[2] * x2[2] * y2[0] - x2[0] * y2[2] * x1[2] * y1[0]
-        vbeta = val_p(num, p) - _vint(x1[2] * y1[0] * x2[2] * y2[0], p)
-    # clamped: every vbeta >= -J = min(vcs), INF too, gives the same value
+        # v(x1 / y1 - x2 / y2) on the numerators' rational parts
+        (x1, y1, vy1), (x2, y2, vy2) = xys
+        vbeta = val_p(x1[0] * y2[0] - x2[0] * y1[0], p) - vy1 - vy2
+    # clamped: every vbeta >= -J = min(vcs), infinity too, gives the same value
     return (min(vbeta, *vcs), tuple(vcs), tuple(ws))
 
 
-def _val_pair(z: tuple[int, int, int], p: int) -> int:
-    """Valuation of (z[0] + z[1] sqrt(r)) / z[2], an element of the unramified F."""
-    return _vquad(z[0], z[1], p) - _vint(z[2], p)
-
-
-def _y_data_by_iwasawa(v1, v2, gs: Sequence[Mat2], ctx: QuadCtx) -> tuple:
+def _y_data_by_iwasawa(n1: int, n2: int, gs: Sequence[Mat2], ctx: QuadCtx) -> tuple:
     """_y_data_for_row read off a verified iwasawa_F of k g0 per component:
     the certificate for the closed form."""
-    k = _complete_row(v1, v2, ctx)
+    k = _complete_row(n1, n2, ctx)
     us, vcs, ws = [], [], []
     for g0 in gs:
         parts = iwasawa_F(k * g0)
         us.append(parts.u)
-        vcs.append(int(parts.f1.val() - parts.f2.val()))
-        ws.append(int(parts.f2.val()))
+        vcs.append(parts.f1.val() - parts.f2.val())
+        ws.append(parts.f2.val())
     if len(us) == 1:
         vbeta = val_p(us[0].b, ctx.p)  # phase beta = 2 r u_b, and 2r is a unit
     elif all(u.is_rational() for u in us):
@@ -581,14 +573,14 @@ def _shell_weights(phi: SchwartzFn, gs: Sequence[Mat2], ctx: QuadCtx) -> dict[tu
     weights: dict[tuple, Fraction] = {}
     N = phi.level
     for (c1, c2), coef in sorted(phi.cells.items()):
-        m = min(val_p(c1, p), val_p(c2, p))
-        if m == INF or m >= N:
-            # the cell around the origin: geometric sum over the shells m >= N
+        if not (c1 or c2):
+            # the cell around the origin (the one canonical centre of valuation
+            # >= N): geometric sum over the shells m >= N
             shell, k, lam, t = ("geom", N), 0, L, None
         else:
             # the primitive rows t + p^k Z_p^2 of the shell m; omega(p)^m
             # X^(2m) p^(2m) merged with the volume p^(-2m)
-            m = int(m)
+            m = min(val_p(c1, p), val_p(c2, p))
             shell, k = ("pow", m), N - m
             lam = max(k, L)
             pm = Fraction(p) ** m
@@ -598,12 +590,11 @@ def _shell_weights(phi: SchwartzFn, gs: Sequence[Mat2], ctx: QuadCtx) -> dict[tu
         for line in reps:
             data = data_of_line.get(line)
             if data is None:
-                v1, v2 = map(Fraction, line)
-                data = data_of_line[line] = _y_data_for_row(v1, v2, gs, ctx)
+                data = data_of_line[line] = _y_data_for_row(*line, gs, ctx)
                 if data not in certified:
-                    if _y_data_by_iwasawa(v1, v2, gs, ctx) != data:
+                    if _y_data_by_iwasawa(*line, gs, ctx) != data:
                         raise AssertionError(
-                            f"row ({v1}, {v2}): closed-form data {data} disagrees with iwasawa_F"
+                            f"row {line}: closed-form data {data} disagrees with iwasawa_F"
                         )
                     certified.add(data)
             counts[data] = counts.get(data, 0) + per_line
@@ -759,11 +750,7 @@ def godement_section(phi: SchwartzFn, ctx: QuadCtx) -> dict:
         for (c1, c2), coef in phi.cells.items()
         if c1.denominator == 1 and c2.denominator == 1
     }
-    cell_vals = []
-    for (c1, c2) in phi.cells:
-        v = min(val_p(c1, p), val_p(c2, p))
-        cell_vals.append(N if v == INF else min(int(v), N))
-    m_min = min(cell_vals, default=0)
+    m_min = min((min(val_p(c1, p), val_p(c2, p), N) for c1, c2 in phi.cells), default=0)
     # finite shells m in [m_min, N]: (m, unit classes mod p^ell, their volume, (omega X^2)^m)
     shells = []
     for m in range(m_min, N + 1):

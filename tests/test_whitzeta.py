@@ -662,7 +662,7 @@ ROW_SWEEP = [(3, 3), (5, 2)]
 def test_row_data_closed_form_matches_iwasawa(p, lam):
     ctx = QuadCtx.make(p)
     rows = [
-        (Fraction(a), Fraction(b))
+        (a, b)
         for a in range(p ** lam)
         for b in range(p ** lam)
         if a % p or b % p
@@ -670,16 +670,47 @@ def test_row_data_closed_form_matches_iwasawa(p, lam):
     cases = [[g] for g in inert_g0s(ctx).values()]
     cases += list(split_g0s(ctx).values())
     for gs in cases:
-        for v1, v2 in rows:
-            fast = whitzeta._y_data_for_row(v1, v2, gs, ctx)
-            assert fast == whitzeta._y_data_by_iwasawa(v1, v2, gs, ctx), (gs, v1, v2)
+        for n1, n2 in rows:
+            fast = whitzeta._y_data_for_row(n1, n2, gs, ctx)
+            assert fast == whitzeta._y_data_by_iwasawa(n1, n2, gs, ctx), (gs, n1, n2)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_rows_divisible_by_p_are_refused(p):
+    ctx = QuadCtx.make(p)
+    gs = [Mat2.identity(ctx)]
+    for n1, n2 in [(p, 0), (0, p), (p, p * p)]:
+        with pytest.raises(ValueError, match="row is not primitive"):
+            whitzeta._complete_row(n1, n2, ctx)
+        with pytest.raises(ValueError, match="row is not primitive"):
+            whitzeta._y_data_for_row(n1, n2, gs, ctx)
+        with pytest.raises(ValueError, match="row is not primitive"):
+            whitzeta._y_data_by_iwasawa(n1, n2, gs, ctx)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_complete_row_is_in_sl2_zp_with_that_bottom_row(p):
+    ctx = QuadCtx.make(p)
+    one = QuadElem.from_ints(1, 0, 1, ctx)
+    branches = Counter()
+    for n1 in range(p * p):
+        for n2 in range(p * p):
+            if n1 % p == 0 and n2 % p == 0:
+                continue
+            k = whitzeta._complete_row(n1, n2, ctx)
+            assert k.in_K_base() and k.det() == one, (n1, n2)
+            e, D = k.int_block()
+            assert (e[4], e[5], e[6], e[7]) == (n1 * D, 0, n2 * D, 0), (n1, n2)
+            branches[n2 % p == 0] += 1
+    # (1/n2, 0) over a unit n2, (0, -1/n1) over n2 in pZ
+    assert branches == {False: (p - 1) * p ** 3, True: (p - 1) * p ** 2}
 
 
 def test_wrong_row_data_fails_verification(monkeypatch, capsys):
     closed_form = whitzeta._y_data_for_row
 
-    def off_by_one(v1, v2, gs, ctx):
-        vbeta, vcs, ws = closed_form(v1, v2, gs, ctx)
+    def off_by_one(n1, n2, gs, ctx):
+        vbeta, vcs, ws = closed_form(n1, n2, gs, ctx)
         return (vbeta, vcs, tuple(w + 1 for w in ws))
 
     monkeypatch.setattr(whitzeta, "_y_data_for_row", off_by_one)
@@ -745,15 +776,15 @@ def shell_weights_by_rows(phi, gs, ctx):
     certified: set[tuple] = set()
     weights: dict[tuple, Fraction] = {}
 
-    def add_weight(v1, v2, shell, wt: Fraction):
-        lamkey = max(lam_req, 1)
-        rkey = (fr_mod(v1, p, lamkey), fr_mod(v2, p, lamkey))
+    def add_weight(n1, n2, shell, wt: Fraction):
+        pkey = p ** max(lam_req, 1)
+        rkey = (n1 % pkey, n2 % pkey)
         if rkey not in data_of_row:
-            data = whitzeta._y_data_for_row(v1, v2, gs, ctx)
+            data = whitzeta._y_data_for_row(n1, n2, gs, ctx)
             if data not in certified:
-                if whitzeta._y_data_by_iwasawa(v1, v2, gs, ctx) != data:
+                if whitzeta._y_data_by_iwasawa(n1, n2, gs, ctx) != data:
                     raise AssertionError(
-                        f"row ({v1}, {v2}): closed-form data {data} disagrees with iwasawa_F"
+                        f"row ({n1}, {n2}): closed-form data {data} disagrees with iwasawa_F"
                     )
                 certified.add(data)
             data_of_row[rkey] = data
@@ -771,14 +802,15 @@ def shell_weights_by_rows(phi, gs, ctx):
                 for w2 in range(p ** lam):
                     if w1 % p == 0 and w2 % p == 0:
                         continue
-                    add_weight(Fraction(w1), Fraction(w2), ("geom", N), wt)
+                    add_weight(w1, w2, ("geom", N), wt)
         else:
             m = int(m)
             lam = max(N - m, lam_req)
             pm = Fraction(p) ** m
-            t1, t2 = c1 / pm, c2 / pm
+            # the cell's rows mod p^lam as integers: t = c / p^m mod p^lam
+            t1, t2 = fr_mod(c1 / pm, p, lam), fr_mod(c2 / pm, p, lam)
             step = p ** (lam - (N - m))
-            pnm = Fraction(p) ** (N - m)
+            pnm = p ** (N - m)
             wt = pref * coef * Fraction(1, p ** (2 * lam))
             for y1 in range(step):
                 for y2 in range(step):
@@ -922,8 +954,8 @@ def test_clamped_row_data_is_constant_on_lines(p, a, b, u, z1, z2):
     ctx, cases = row_sweep_cases(p)
     for gs, L in cases:
         pL = p ** L
-        row = whitzeta._y_data_for_row(Fraction(a), Fraction(b), gs, ctx)
-        moved = whitzeta._y_data_for_row(Fraction(u * a + pL * z1), Fraction(u * b + pL * z2), gs, ctx)
+        row = whitzeta._y_data_for_row(a, b, gs, ctx)
+        moved = whitzeta._y_data_for_row(u * a + pL * z1, u * b + pL * z2, gs, ctx)
         assert moved == row, (gs, a, b, u)
 
 
