@@ -2,8 +2,9 @@
 
 Every structural claim is returned with group elements that multiply back
 to the input: the Iwasawa decomposition over F, the mirabolic coset labels
-P(Q_p) t_a n_b K, and the generalized Cartan labels, decided by an exact
-lattice computation (no precision cap, no search heuristics).
+P(Q_p) t_a n_b K, and the generalized Cartan labels: three invariants pin
+the label; one lattice test gives its witnesses (no precision cap, no
+search heuristics).
 """
 
 from fractions import Fraction
@@ -27,8 +28,8 @@ print("\nlabel of t_3 n_2:", w.label)
 mixed = Mat2([2, ctx.sqrt_r(), 0, 1], ctx) * h
 print("after a mirabolic translation:", pgk_label(mixed).label)
 
-# generalized Cartan cells: two exact invariants pin the candidates and a
-# lattice membership test with unit-determinant witness decides each one
+# generalized Cartan cells: three invariants pin the label; one lattice test
+# gives its witnesses, a unit-determinant point of an exact lattice
 c = cartan_cell(0, 2, 1, ctx)
 k = Mat2([1, 1, 1, 2], ctx)
 kappa = Mat2([ctx.elem(1), ctx.sqrt_r(), ctx.zero(), ctx.one()], ctx)

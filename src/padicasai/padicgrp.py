@@ -2,8 +2,9 @@
 
 Provides exact Iwasawa decomposition, the mirabolic coset labels
 P(Q_p) t_a n_b G(O_F) (with witnesses), the generalized Cartan labels
-G(Z_p) \\ G(F) / G(O_F) (decided by an exact lattice computation, no
-precision cap), and the single cosets of K t(lam, 0) K.
+G(Z_p) \\ G(F) / G(O_F) (three invariants pin the label; one lattice test
+gives its witnesses, no precision cap), and the single cosets of
+K t(lam, 0) K.
 
 A Mat2 is one canonical integer block: entry i (row-major) is
 (x_i + y_i sqrt(r)) / D, eight ints over one denominator D > 0 with
@@ -657,26 +658,40 @@ def gen_cartan_candidates(g: Mat2) -> list[tuple[int, int, int]]:
     return out
 
 
+def _twist_val(g: Mat2):
+    """min_val(g^-1 sigma(g)), sigma the conjugation of F/Q_p entrywise: the
+    block of g with every y_i negated."""
+    xy = g._xy
+    conj = _mat(tuple(-n if i % 2 else n for i, n in enumerate(xy)), g._d, g.ctx)
+    return (g.inv() * conj).min_val()
+
+
 def gen_cartan_label(g: Mat2, all_matches: bool = False):
     """Unique (nu2 <= nu1, nu >= 0) with g in G(Z_p) cell G(O_F), witnesses.
 
-    Candidates are pinned by two exact invariants (minimal entry valuation
-    and v_p(det)); each is decided by the lattice membership test.
+    Three invariants pin the label; one lattice test gives its witnesses.
+    For g = k c kappa, k in GL2(Z_p), kappa in GL2(O_F), sigma fixes k, so
+    g^-1 sigma(g) = kappa^-1 (c^-1 sigma(c)) sigma(kappa) and its minimal
+    entry valuation is an invariant; for c = cartan_cell(nu2, nu1, nu) it is
+    that of c^-1 sigma(c) = [[1, -2 sqrt(r) p^(nu2-nu1)], [0, 1]], nu2 - nu1
+    (2 and r are units).  With s = -min_val(g) = nu + nu1 and
+    v(det g) = -(nu2 + nu1 + nu), the label is read off and every other
+    cell is excluded.  The min(0, .) keeps nu1 >= nu2, so any label
+    returned is canonical and kck_membership's verified witnesses prove it.
+    all_matches returns the match as a list, [] when there is none.
     """
     if not any(g._det2()):
         raise ZeroDivisionError("singular matrix")
-    matches = []
-    for nu2, nu1, nu in gen_cartan_candidates(g):
-        cell = cartan_cell(nu2, nu1, nu, g.ctx)
-        wit = kck_membership(g, cell)
-        if wit is not None:
-            matches.append(CosetWitness((nu2, nu1, nu), wit[0], wit[1], "cartan"))
+    s = -g.min_val()
+    nu2 = -g.det_val() - s
+    nu1 = nu2 - min(0, _twist_val(g))
+    nu = s - nu1
+    wit = kck_membership(g, cartan_cell(nu2, nu1, nu, g.ctx)) if nu >= 0 else None
+    matches = [] if wit is None else [CosetWitness((nu2, nu1, nu), wit[0], wit[1], "cartan")]
     if all_matches:
         return matches
     if not matches:
         raise DecompositionError("no generalized Cartan cell found (engine bug)")
-    if len(matches) > 1:
-        raise DecompositionError(f"duplicate Cartan cells: {[m.label for m in matches]}")
     return matches[0]
 
 

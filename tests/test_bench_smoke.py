@@ -87,15 +87,18 @@ def test_traced_coset_labels_job_counts_its_seams(workloads, spans):
 
 
 def test_traced_coset_labels_pass_counts_every_smith_form(workloads, spans):
-    # a seed-0 coset_labels pass makes 708 Smith forms; the count is the
-    # per-layer metric of the Smith engine, which an engine inlined into
-    # lattice_solve_affine or renamed would drop without failing anything else
+    # a seed-0 coset_labels pass makes 240 Smith forms, one per job: three
+    # invariants pin each Cartan label and one kck_membership gives its
+    # witnesses.  The count is the per-layer metric of the Smith engine, which
+    # an engine inlined into lattice_solve_affine or renamed would drop
+    # without failing anything else, and a search back over every candidate
+    # cell would raise
     tracer = spans.Tracer()
     for i, job in enumerate(workloads.build("coset_labels", 0)):
         with tracer.active(i):
             out, ok, _ = job.run()
         assert ok and out
-    assert tracer.layer_metrics()["padicgrp.plocal_smith.calls"][0] == 708
+    assert tracer.layer_metrics()["padicgrp.plocal_smith.calls"][0] == 240
 
 
 @pytest.mark.parametrize("name,lines", [("zeta_primes", 1064), ("hecke_freeness", 812)])

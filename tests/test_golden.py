@@ -74,6 +74,8 @@ CASES = {
         "--inputs", "{inputs}/inputs_split13.json",
     ],
     "verify_suite": ["--prime", "3", "verify-suite", "--only", "1,2,4,7,9,10"],
+    "verify_suite_cartan_p3": ["--prime", "3", "verify-suite", "--only", "3"],
+    "verify_suite_cartan_p5": ["--prime", "5", "verify-suite", "--only", "3"],
 }
 
 

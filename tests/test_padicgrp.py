@@ -10,6 +10,7 @@ from padicasai import padicgrp
 from padicasai.exactnum import QuadCtx, QuadElem, fr_mod, val_p
 from padicasai.padicgrp import (
     CosetWitness,
+    DecompositionError,
     IwasawaParts,
     Mat2,
     SubgroupConditions,
@@ -466,6 +467,62 @@ def test_cartan_cover_unique(F3, seed):
     assert m.left * cartan_cell(nu2, nu1, nu, F3) * m.right == g
 
 
+def gen_cartan_label_by_search(g):
+    """gen_cartan_label(g, all_matches=True) as it was: kck_membership on
+    every candidate that the minimal entry valuation and v_p(det) leave."""
+    matches = []
+    for label in gen_cartan_candidates(g):
+        wit = kck_membership(g, cartan_cell(*label, g.ctx))
+        if wit is not None:
+            matches.append(CosetWitness(label, wit[0], wit[1], "cartan"))
+    return matches
+
+
+CARTAN_SWEEP = [(nu2, nu1, nu) for nu2 in range(-2, 2) for nu1 in range(nu2, 3) for nu in range(3)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_cartan_sweep_matches_the_search(p):
+    # every cell with nu2 in [-2, 1], nu1 in [nu2, 2], nu in [0, 2], translated
+    # by k in GL2(Z_p) and kappa in GL2(O_F): the twist valuation is nu2 - nu1
+    # on the cell and on its translate, and both routes find the one cell
+    ctx, rng = QuadCtx.make(p), random.Random(p)
+    for label in CARTAN_SWEEP:
+        nu2, nu1, nu = label
+        cell = cartan_cell(*label, ctx)
+        g = rand_kbase(ctx, rng) * cell * rand_kf(ctx, rng)
+        assert padicgrp._twist_val(cell) == padicgrp._twist_val(g) == nu2 - nu1
+        matches = gen_cartan_label(g, all_matches=True)
+        assert [m.label for m in matches] == [label]
+        assert matches == gen_cartan_label_by_search(g)
+
+
+def test_gen_cartan_label_makes_one_lattice_test(F3, monkeypatch):
+    calls = []
+    kck = padicgrp.kck_membership
+    monkeypatch.setattr(padicgrp, "kck_membership", lambda g, cell: calls.append(cell) or kck(g, cell))
+    rng = random.Random(0)
+    for n in range(1, 51):
+        gen_cartan_label(criterion_3_matrix(F3, rng))
+        assert len(calls) == n
+
+
+@pytest.mark.parametrize("label", [(0, 0, 0), (-1, -1, 2), (1, 1, 1)])
+def test_gen_cartan_label_stays_canonical_under_a_wrong_twist(F3, monkeypatch, label):
+    # on a cell with nu1 = nu2, a twist valuation read as 1 would give the
+    # label (nu2, nu2 - 1, nu + 1), whose cell GL2(O_F) folds onto the true
+    # one, so kck_membership would witness a label outside the domain;
+    # min(0, .) holds nu1 >= nu2.  One read far too low leaves nu < 0, no
+    # cell: [] or a loud failure, never a wrong label
+    g = rand_kbase(F3, random.Random(1)) * cartan_cell(*label, F3)
+    monkeypatch.setattr(padicgrp, "_twist_val", lambda g: 1)
+    assert gen_cartan_label(g).label == label
+    monkeypatch.setattr(padicgrp, "_twist_val", lambda g: -10)
+    assert gen_cartan_label(g, all_matches=True) == []
+    with pytest.raises(DecompositionError, match="no generalized Cartan cell"):
+        gen_cartan_label(g)
+
+
 def test_cartan_det_invariant(F3):
     # v_p(det) of the cell is -(nu2 + nu1 + nu)
     for nu2, nu1, nu in [(0, 0, 0), (-1, 2, 1), (1, 1, 3)]:
@@ -690,6 +747,25 @@ def test_gen_cartan_label_is_bi_invariant(g, k, kappa):
 @given(gl2_F(F3_CTX), mirabolic(F3_CTX), k_field(F3_CTX))
 def test_pgk_label_is_bi_invariant(g, q, kappa):
     assert pgk_label(q * g * kappa).label == pgk_label(g).label
+
+
+def _at_p(strategy):
+    """strategy(ctx) drawn at p = 3, 5 and 7."""
+    return st.sampled_from((3, 5, 7)).flatmap(lambda p: strategy(QuadCtx.make(p)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_at_p(gl2_F))
+def test_gen_cartan_label_matches_the_search(g):
+    # the same match list, labels and witnesses, as kck_membership on every candidate
+    assert gen_cartan_label(g, all_matches=True) == gen_cartan_label_by_search(g)
+
+
+@PROPERTY
+@given(_at_p(lambda ctx: st.tuples(gl2_F(ctx), k_base(ctx), k_field(ctx))))
+def test_twist_val_is_bi_invariant(gkk):
+    g, k, kappa = gkk
+    assert padicgrp._twist_val(k * g * kappa) == padicgrp._twist_val(g) <= 0
 
 
 # -- closed-form witnesses against the column operations ------------------------
