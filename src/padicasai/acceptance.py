@@ -12,7 +12,7 @@ import random
 import time
 from fractions import Fraction
 
-from .exactnum import Lau, QuadCtx, QuadElem
+from .exactnum import AB, Lau, QuadCtx, QuadElem, sym_expand
 from .heckealg import HeckeElem, euler_poly, iota_embed
 from .heckemod import (
     certify_ideal,
@@ -40,7 +40,6 @@ from .whitzeta import (
     epsilon_report,
     gauss_shell,
     gauss_shell_oracle,
-    inverse_l_factor,
     lambda_form,
     psi_secondary,
     zeta_asai,
@@ -65,7 +64,7 @@ def criterion_1_unramified_calibration(seed: int = 0) -> dict:
     for p in (3, 5):
         ctx = QuadCtx.make(p)
         res = zeta_asai(SchwartzFn.char_zp2(p), Mat2.identity(ctx), ctx)
-        inv_l = inverse_l_factor("inert", p)
+        inv_l = sym_expand(euler_poly("asai_inert", p).satake_in_x(p), AB)
         prod = res.ratfunc * inv_l
         good = prod.is_laurent() and prod.as_laurent() == Lau.const(VS_INERT, 1)
         details[p] = bool(good)

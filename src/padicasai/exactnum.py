@@ -28,6 +28,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from operator import add, sub
 from types import MappingProxyType
@@ -114,6 +115,11 @@ def fr_to_str(x, d: int = 1) -> str:
     x, d = x.numerator, x.denominator * d
     g = math.gcd(x, d)
     return str(x // g) if d == g else f"{x // g}/{d // g}"
+
+
+def quad_json(x: int, y: int, d: int, r: int) -> dict:
+    """The JSON form of the field element (x + y sqrt(r)) / d, d > 0."""
+    return {"a": fr_to_str(x, d), "b": fr_to_str(y, d), "r": r}
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +306,7 @@ class QuadElem:
         return f"({fr_to_str(self.a)}+{fr_to_str(self.b)}*sqrt{self.ctx.r})"
 
     def to_json(self) -> dict:
-        return {"a": fr_to_str(self.a), "b": fr_to_str(self.b), "r": self.ctx.r}
+        return quad_json(self.x, self.y, self.d, self.ctx.r)
 
     @classmethod
     def from_json(cls, d: Mapping, ctx: QuadCtx) -> "QuadElem":
@@ -714,18 +720,11 @@ def sym_expand(sym: Lau, pair_vars: Sequence[str]) -> Lau:
     return _sum_of_products(tuple(pair_vars) + tuple(extra), rows, sym._den)
 
 
-_homog_cache: dict = {}
-
-
-def complete_homog(n: int, x: str, y: str, variables) -> Lau:
+@lru_cache(maxsize=None)
+def complete_homog(n: int, x: str, y: str, variables: tuple) -> Lau:
     """Complete homogeneous symmetric sum of degree n in two variables,
     (x^(n+1) - y^(n+1)) / (x - y); zero for n < 0.  Cached; treat the
     result as immutable."""
-    variables = tuple(variables)
-    key = (n, x, y, variables)
-    hit = _homog_cache.get(key)
-    if hit is not None:
-        return hit
     terms = {}
     if n >= 0:
         ix, iy = variables.index(x), variables.index(y)
@@ -733,8 +732,7 @@ def complete_homog(n: int, x: str, y: str, variables) -> Lau:
             e = [0] * len(variables)
             e[ix], e[iy] = i, n - i
             terms[tuple(e)] = 1
-    out = _homog_cache[key] = _lau(variables, terms)
-    return out
+    return _lau(variables, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ parameters, written in e1_i = u_i + v_i and e2_i = u_i v_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .exactnum import (
@@ -270,30 +271,39 @@ def hecke_homog(n: int, group: str, p: int) -> HeckeElem:
 
 @dataclass
 class EulerPoly:
-    """Polynomial in X with Hecke-operator coefficients; constant term 1."""
+    """Polynomial in X with Hecke-operator coefficients; constant term 1.
+
+    Each derived value (at_one, involute_at_one, satake_in_x) is built at
+    most once per instance and kept on it, so coeffs must not change."""
 
     group: str
     coeffs: list  # HeckeElem, degree 0 first
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.coeffs[0] != HeckeElem.one(self.group):
             raise ValueError("an Euler polynomial has constant term 1")
 
+    def _once(self, key, build):
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
+
     def at_one(self) -> HeckeElem:
-        out = HeckeElem.zero(self.group)
-        for c in self.coeffs:
-            out = out + c
-        return out
+        return self._once("at_one", lambda: sum(self.coeffs, HeckeElem.zero(self.group)))
 
     def involute(self) -> "EulerPoly":
         return EulerPoly(self.group, [involution(c) for c in self.coeffs])
 
     def involute_at_one(self) -> HeckeElem:
-        return self.involute().at_one()
+        return self._once("involute_at_one", lambda: self.involute().at_one())
 
     def satake_in_x(self, p: int) -> Lau:
         """Theta applied coefficientwise, as a polynomial in X over the
         symmetric coordinates."""
+        return self._once(("satake_in_x", p), lambda: self._satake_in_x(p))
+
+    def _satake_in_x(self, p: int) -> Lau:
         first = satake(self.coeffs[0], p)
         xvars = first.vars + ("X",)
         out = Lau(xvars)
@@ -336,8 +346,10 @@ def gstar_gen(name: str, group: str, p: int) -> HeckeElem:
     raise ValueError(f"unknown G* generator {name!r} for {group!r}")
 
 
+@lru_cache(maxsize=None)
 def euler_poly(kind: str, p: int) -> EulerPoly:
-    """The local Euler factor polynomials.
+    """The local Euler factor polynomials, built once per (kind, p) and
+    shared: treat the result as immutable.
 
     asai_inert      (1 - (1/p) T X + S X^2)(1 - S X^2) in H(GL2(F));
     standard_F      1 - (1/p) T X + S X^2;

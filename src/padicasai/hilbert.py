@@ -17,11 +17,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exactnum import INF, Lau, QuadCtx, QuadElem, fr_to_str, is_odd_prime, is_qr, val_p
+from .exactnum import INF, QuadCtx, QuadElem, fr_to_str, is_odd_prime, is_qr, val_p
 from .heckealg import euler_poly
 from .heckemod import TestVector, normalized_period, trace_level, vector_is_integral
 
@@ -259,13 +258,7 @@ def rep_side_asai_inverse(data: EigenformData, p: int, x: Fraction) -> CoefElem:
     kind = "asai_inert" if sat.kind == "inert" else "rs_split"
     point = dict(sat.values)
     point["X"] = CoefElem(x, 0, data.field)
-    return _euler_in_x(kind, p).eval(point)
-
-
-@lru_cache(maxsize=16)
-def _euler_in_x(kind: str, p: int) -> Lau:
-    """euler_poly(kind, p).satake_in_x(p), memoized; treat it as immutable."""
-    return euler_poly(kind, p).satake_in_x(p)
+    return euler_poly(kind, p).satake_in_x(p).eval(point)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .exactnum import INF, QuadCtx, QuadElem, _vint, _vquad
+from .exactnum import INF, QuadCtx, QuadElem, _vint, _vquad, quad_json
 
 
 class DecompositionError(AssertionError):
@@ -250,8 +250,9 @@ class Mat2:
         return f"[[{e[0]!r}, {e[1]!r}], [{e[2]!r}, {e[3]!r}]]"
 
     def to_json(self) -> list:
-        e = self.e
-        return [[e[0].to_json(), e[1].to_json()], [e[2].to_json(), e[3].to_json()]]
+        xy, d, r = self._xy, self._d, self.ctx.r
+        e = [quad_json(xy[i], xy[i + 1], d, r) for i in range(0, 8, 2)]
+        return [e[:2], e[2:]]
 
     @classmethod
     def from_json(cls, d, ctx: QuadCtx) -> "Mat2":

@@ -65,14 +65,12 @@ from .exactnum import (
     QuadCtx,
     QuadElem,
     RatFunc,
-    UV,
     _vint,
     _vquad,
     complete_homog,
     fr_mod,
     fr_to_str,
     lau_eval_x1,
-    sym_expand,
     sym_reduce,
     val_p,
 )
@@ -403,16 +401,6 @@ class ZetaResult:
 
     def to_json(self) -> dict:
         return {"case": self.case, "provenance": self.provenance, "ratfunc": self.ratfunc.to_json()}
-
-
-@lru_cache(maxsize=16)
-def inverse_l_factor(case: str, p: int) -> Lau:
-    """L(s)^-1 as a polynomial in X over the pair variables: the Asai factor
-    in (A, B, X) for "inert", the Rankin-Selberg factor in (u1, .., v2, X)
-    for "split".  Memoized on (case, p); treat the result as immutable."""
-    if case == "inert":
-        return sym_expand(euler_poly("asai_inert", p).satake_in_x(p), AB)
-    return sym_expand(euler_poly("rs_split", p).satake_in_x(p), UV)
 
 
 def _complete_row(n1: int, n2: int, ctx: QuadCtx) -> Mat2:

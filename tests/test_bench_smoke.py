@@ -118,14 +118,11 @@ def test_traced_pass_reads_each_line_once(workloads, spans, name, lines):
 def _fresh_traced_pass(workloads, spans, name):
     """The per-layer metrics of a traced seed-0 pass of workload name, with
     every memo emptied first, as in a fresh process."""
-    from padicasai import exactnum
-
     for modname, mod in list(sys.modules.items()):
         if modname.startswith("padicasai."):
             for obj in vars(mod).values():
                 if hasattr(obj, "cache_clear"):
                     obj.cache_clear()
-    exactnum._homog_cache.clear()
     tracer = spans.Tracer()
     for i, job in enumerate(workloads.build(name, 0)):
         with tracer.active(i):
@@ -135,16 +132,18 @@ def _fresh_traced_pass(workloads, spans, name):
 
 
 def test_traced_chain_certify_pass_counts_symmetric_reductions(workloads, spans):
-    # a seed-0 chain_certify pass makes 99 symmetric reductions and 2,479
+    # a seed-0 chain_certify pass makes 99 symmetric reductions and 1,948
     # Lau products; the closed forms of sym_reduce and sym_expand build no
     # Lau product, where the leading-term rewrite made 4,740 in all, exact
     # division runs on integer numerators without Lau products (646 of the
-    # 3,138 that the Fraction-coefficient division made) and _seq_tail's
-    # truncated product is no Lau product (13 more), and a renamed or
+    # 3,138 that the Fraction-coefficient division made), _seq_tail's
+    # truncated product is no Lau product (13 more), and euler_poly builds
+    # each Euler polynomial and its involuted value once per (kind, p), where
+    # rebuilding them for every certificate made 531 more; a renamed or
     # inlined sym_reduce would drop the first count
     metrics = _fresh_traced_pass(workloads, spans, "chain_certify")
     assert metrics["exactnum.sym_reduce.calls"][0] == 99
-    assert metrics["exactnum.lau_mul.calls"][0] == 2479
+    assert metrics["exactnum.lau_mul.calls"][0] == 1948
 
 
 def test_traced_passes_count_closed_form_witness_products(workloads, spans):

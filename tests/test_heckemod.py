@@ -665,6 +665,38 @@ def test_mirabolic_memo_second_certificate_labels_nothing(F3, monkeypatch):
     assert second.to_json() == first.to_json()
 
 
+def test_second_certificate_round_builds_no_euler_polynomial(F3, monkeypatch):
+    # euler_poly shares one EulerPoly per (kind, p), and each keeps its
+    # involuted value at X = 1: a repeated round of certificates and delta1
+    # builds neither again
+    from padicasai.gstar import gstar_factor
+
+    rng = random.Random(7)
+    jobs = [
+        (random_integral_vector(F3, rng, "K[p]", origin_vanishing=True), 2),
+        (random_integral_vector(F3, rng, "K[p]", origin_vanishing=False), 3),
+        (random_integral_vector(F3, rng, "K[p]", origin_vanishing=False, case="split"), 3),
+    ]
+    star = random_integral_vector(F3, rng, "K[p]", origin_vanishing=True, star=True)
+    involuted = []
+    involute = EulerPoly.involute
+    monkeypatch.setattr(EulerPoly, "involute", lambda self: involuted.append(self) or involute(self))
+
+    def one_round():
+        for vec, part in jobs:
+            assert certify_ideal(vec, part).verified()
+        assert gstar_factor(star).cert.verified
+        assert delta1(F3, "inert")["integral"]
+
+    euler_poly.cache_clear()
+    one_round()
+    misses, built = euler_poly.cache_info().misses, len(involuted)
+    assert misses and built
+    one_round()
+    assert euler_poly.cache_info().misses == misses
+    assert len(involuted) == built
+
+
 # -- stabilizer volumes against reference enumerations ------------------------
 
 

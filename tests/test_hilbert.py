@@ -18,8 +18,8 @@ from padicasai.hilbert import (
     rep_side_asai_inverse,
     satake_from_eigen,
     tate_identity_check,
-    _euler_in_x,
 )
+from padicasai.heckealg import EulerPoly, euler_poly
 from padicasai.padicgrp import Mat2
 from padicasai.whitzeta import SchwartzFn
 
@@ -333,12 +333,17 @@ def test_asai_shift_identity_quad(form_quad, p):
     assert asai_shift_identity_check(form_quad, p)
 
 
-def test_rep_side_builds_each_euler_polynomial_once(form):
-    # criterion 9 evaluates L^-1 six times per prime; Theta(P)(X) is built once
-    _euler_in_x.cache_clear()
+def test_rep_side_builds_each_euler_polynomial_once(form, monkeypatch):
+    # criterion 9 evaluates L^-1 six times per prime; euler_poly builds P once
+    # per (kind, p) and the shared polynomial builds Theta(P)(X) once
+    built = []
+    build = EulerPoly._satake_in_x
+    monkeypatch.setattr(EulerPoly, "_satake_in_x", lambda self, p: built.append(p) or build(self, p))
+    euler_poly.cache_clear()
     for p in (3, 7, 3, 7):
         assert asai_shift_identity_check(form, p)
-    assert _euler_in_x.cache_info().misses == 2
+    assert euler_poly.cache_info().misses == 2
+    assert built == [3, 7]
 
 
 def test_artin_value_at_ideal_point(form):

@@ -3,8 +3,13 @@
 No module of the package but exactnum, and no demo, may write a Lau's
 coefficients: assign or delete .terms (or an entry of it), or touch the
 private integer form _nums / _den.  A Lau is shared by memos and caches
-(inverse_l_factor, _root_factors, _y_value_from_data, complete_homog), so
+(euler_poly, _root_factors, _y_value_from_data, complete_homog), so
 one written in place would change every later result that reads it.
+
+For the same reason no module but heckealg, and no demo or test, may write
+an EulerPoly's coefficient list: euler_poly shares one instance per
+(kind, p), which keeps the values derived from coeffs.  Assigning .coeffs,
+an item or slice of it, or calling a list-mutating method on it is a write.
 
 Likewise no module but padicgrp, and no demo or test, may read or write a
 Mat2's integer block _xy / _d: other modules read it through
@@ -18,6 +23,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PRIVATE = {"_nums", "_den"}
 MAT2_PRIVATE = {"_xy", "_d"}
+LIST_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse", "__setitem__", "__delitem__"}
 
 
 def private_uses(source: str, names: set[str]) -> list[tuple[int, str]]:
@@ -25,19 +31,26 @@ def private_uses(source: str, names: set[str]) -> list[tuple[int, str]]:
     return [(node.lineno, node.attr) for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute) and node.attr in names]
 
 
+def attribute_writes(source: str, attr: str, mutators: set[str] = frozenset()) -> list[tuple[int, str]]:
+    """(line, attr) of each assignment or deletion of .attr or .attr[...],
+    and of each call .attr.m(...) with m in mutators."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+            node, stored = node.value, True
+        else:
+            stored = isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in mutators:
+            node, stored = node.func.value, True
+        if stored and isinstance(node, ast.Attribute) and node.attr == attr:
+            found.append((node.lineno, attr))
+    return found
+
+
 def lau_writes(source: str) -> list[tuple[int, str]]:
     """(line, what) of each assignment to .terms or .terms[...] and each use
     of a private integer field of a Lau."""
-    found = private_uses(source, PRIVATE)
-    for node in ast.walk(ast.parse(source)):
-        targets = {ast.Assign: "targets", ast.AugAssign: "target", ast.AnnAssign: "target", ast.Delete: "targets"}
-        if type(node) in targets:
-            written = getattr(node, targets[type(node)])
-            for t in written if isinstance(written, list) else [written]:
-                t = t.value if isinstance(t, ast.Subscript) else t
-                if isinstance(t, ast.Attribute) and t.attr == "terms":
-                    found.append((node.lineno, "terms"))
-    return sorted(found)
+    return sorted(private_uses(source, PRIVATE) + attribute_writes(source, "terms"))
 
 
 def test_scan_finds_every_kind_of_write():
@@ -52,6 +65,30 @@ def test_only_exactnum_writes_lau_coefficients():
         for path in files
         if path.name != "exactnum.py"
         for line, what in lau_writes(path.read_text())
+    }
+    assert found == {}
+
+
+def test_scan_finds_every_kind_of_coeffs_write():
+    source = (
+        "P.coeffs = []\nP.coeffs[0] = c\ndel P.coeffs[1:]\nP.coeffs += [c]\nP.coeffs.append(c)\n"
+        "P.coeffs.sort()\na, P.coeffs = 1, []\nx = P.coeffs[0]\nn = len(P.coeffs)\ny = P.coeffs.index(c)\n"
+    )
+    found = sorted(attribute_writes(source, "coeffs", LIST_MUTATORS))
+    assert found == [(line, "coeffs") for line in range(1, 8)]
+
+
+def test_only_heckealg_writes_euler_coefficients():
+    files = [
+        path
+        for folder in (ROOT / "src" / "padicasai", ROOT / "demos", ROOT / "tests")
+        for path in sorted(folder.glob("*.py"))
+        if path.name != "heckealg.py"
+    ]
+    found = {
+        f"{path.relative_to(ROOT)}:{line}": what
+        for path in files
+        for line, what in attribute_writes(path.read_text(), "coeffs", LIST_MUTATORS)
     }
     assert found == {}
 

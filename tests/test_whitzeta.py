@@ -15,13 +15,15 @@ from padicasai.exactnum import (
     QuadCtx,
     QuadElem,
     RatFunc,
+    UV,
     complete_homog,
     fr_mod,
     lau_eval_x1,
+    sym_expand,
     sym_reduce,
     val_p,
 )
-from padicasai.heckealg import HeckeElem
+from padicasai.heckealg import HeckeElem, euler_poly
 from padicasai.heckemod import delta1, generator_vector, hecke_apply, local_factor, period_value
 from padicasai.padicgrp import Mat2
 from padicasai import whitzeta
@@ -842,8 +844,11 @@ def zeta_by_ratfunc(phi, gs, ctx):
 
 
 def normalized_by_ratfunc(rf, case, p):
-    """lim_(s->0) rf / L(s) by multiplying with L(s)^-1, as it was taken."""
-    return sym_reduce(lau_eval_x1((rf * whitzeta.inverse_l_factor(case, p)).as_laurent(), "X"))
+    """lim_(s->0) rf / L(s) by multiplying with L(s)^-1, as it was taken:
+    L(s)^-1 is Theta(P_As) in (A, B, X) or Theta(P_rs) in (u1, .., v2, X)."""
+    kind, pairs = ("asai_inert", AB) if case == "inert" else ("rs_split", UV)
+    inv_l = sym_expand(euler_poly(kind, p).satake_in_x(p), pairs)
+    return sym_reduce(lau_eval_x1((rf * inv_l).as_laurent(), "X"))
 
 
 def test_zeta_numerator_matches_ratfunc_sum():
