@@ -2,11 +2,11 @@
 
 Machine-readable JSON goes to stdout, short human summaries to stderr.
 Exit codes: 0 success; 2 input error, including a malformed number (a zero
-denominator), a singular matrix, a --prime or --ell that is not an odd
-prime, or a JSON document of the wrong shape (a --elem, --phi, --inputs or
---form document whose fields are not the objects and lists they must be);
-3 precision overflow, a zeta line level max(1, Cartan spread of g) above
-12; 4 verification failure
+denominator or a JSON float), a singular matrix, a --prime or --ell that is
+not an odd prime, or a JSON document of the wrong shape (a --elem, --phi,
+--inputs or --form document whose fields are not the objects and lists they
+must be); 3 precision overflow, a zeta line level max(1, Cartan spread of
+g) above 12; 4 verification failure
 (an AssertionError, the root of every verification error), including an
 exact division, inverse Satake transform, symmetric reduction or coset
 decomposition that fails inside the engine.  Without --satake the Satake
@@ -65,6 +65,15 @@ def _input_parser(fn):
     return parse
 
 
+def _no_float(text: str):
+    """Read a JSON float, NaN or Infinity as an input error, not a rounded value."""
+    raise ValueError(f"JSON number {text} is not exact: write it as an integer or a string")
+
+
+# the parser of every user JSON document
+_json = functools.partial(json.loads, parse_float=_no_float, parse_constant=_no_float)
+
+
 @_input_parser
 def _parse_matrix(ctx: QuadCtx, spec: str) -> Mat2:
     if spec == "identity":
@@ -76,7 +85,7 @@ def _parse_matrix(ctx: QuadCtx, spec: str) -> Mat2:
         return Mat2.n_b(int(spec[4:]), ctx)
     if spec.startswith("n:"):
         return Mat2.upper(Fraction(spec[2:]), ctx)
-    g = Mat2.from_json(json.loads(spec), ctx)
+    g = Mat2.from_json(_json(spec), ctx)
     if g.det() == ctx.zero():
         raise ValueError("singular matrix")
     return g
@@ -89,9 +98,9 @@ def _parse_phi(p: int, spec: str) -> SchwartzFn:
     if spec == "builtin:phi_p2":
         return SchwartzFn.phi_p2(p)
     if spec.startswith("{"):
-        return SchwartzFn.from_json(json.loads(spec), p)
+        return SchwartzFn.from_json(_json(spec), p)
     with open(spec) as f:
-        return SchwartzFn.from_json(json.load(f), p)
+        return SchwartzFn.from_json(_json(f.read()), p)
 
 
 @_input_parser
@@ -114,7 +123,7 @@ def _satake_point(spec: str, case: str) -> dict[str, Fraction]:
 def _load_vector(args) -> TestVector:
     ctx = _ctx(args)
     with open(args.vector) as f:
-        doc = json.load(f)
+        doc = _json(f.read())
     case, level, star = doc["case"], doc["level"], bool(doc.get("star", False))
     TestVector(ctx, case, level, [], star)  # an unknown case or level fails before any term
     terms = []
@@ -131,7 +140,7 @@ def _load_vector(args) -> TestVector:
 
 @_input_parser
 def _parse_elem(spec: str) -> HeckeElem:
-    return HeckeElem.from_json(json.loads(spec))
+    return HeckeElem.from_json(_json(spec))
 
 
 def cmd_satake(args) -> None:
@@ -217,7 +226,7 @@ def cmd_gstar_factor(args) -> None:
 @_input_parser
 def _load_local_inputs(path: str) -> list[dict]:
     with open(path) as f:
-        docs = json.load(f)
+        docs = _json(f.read())
     inputs = []
     for d in docs:
         p = int(d["p"])
@@ -236,7 +245,7 @@ def _load_form(spec: str) -> EigenformData:
     if spec.startswith("builtin:"):
         return load_fixture(spec.split(":", 1)[1])
     with open(spec) as f:
-        return ingest(json.load(f))
+        return ingest(_json(f.read()))
 
 
 def cmd_hilbert_check(args) -> None:

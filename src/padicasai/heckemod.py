@@ -562,14 +562,13 @@ def delta1(ctx: QuadCtx, case: str) -> dict:
     vinv_1, ok_1 = integrality_check(phi, g1, "K[p]", ctx, case)
     report["integral"] = ok_n and ok_1
     if case == "inert":
-        # Godement section: supported on K_0(p^2) with value nu_p / (p(p-1))
+        # Godement section: supported on K_0(p^2) with value nu_p / (p(p-1)),
+        # that is on the one line (0, 1) mod p^2
         sec = godement_section(phi, ctx)
         expect = Fraction(nu, p * (p - 1))
-        inside, outside = (RatFunc.from_lau(Lau.const(VS_INERT, c)) for c in (expect, 0))
         report["godement_constant"] = str(expect)
-        report["godement_support_ok"] = all(
-            val == (inside if r1 % p ** 2 == 0 and r2 % p != 0 else outside)
-            for (r1, r2), val in sec["values"].items()
+        report["godement_support_ok"] = sec["level"] == 2 and all(
+            val == (expect if line == (0, 1) else 0) for line, val in sec["values"].items()
         )
         # volume identities
         vol = _vol_k011(ctx)

@@ -256,6 +256,8 @@ class Mat2:
 
     @classmethod
     def from_json(cls, d, ctx: QuadCtx) -> "Mat2":
+        if not (isinstance(d, list) and len(d) == 2 and all(isinstance(r, list) and len(r) == 2 for r in d)):
+            raise ValueError("a matrix is two rows of two entries")
         return cls([QuadElem.from_json(x, ctx) for row in d for x in row], ctx)
 
 

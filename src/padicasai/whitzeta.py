@@ -31,6 +31,9 @@ line mod p^L, with the rows of each cell on it counted in closed form
 against a verified iwasawa_F on the first line that yields it
 (_y_data_by_iwasawa); a disagreement raises AssertionError.
 
+The Godement section reads the engine's cells-to-lines walk (_cell_shells,
+_line_reps), keyed by the lines mod p^L, L = max(1, N - min(0, least shell)).
+
 A group element is a tuple of components: one matrix over F at an inert
 prime, two matrices over Q_p (the Rankin-Selberg pair) at a split one.
 Component i carries its Satake pair (x_i, y_i), (A, B) or (u_i, v_i), and
@@ -193,11 +196,9 @@ class SchwartzFn:
 
     @classmethod
     def from_json(cls, d: Mapping, p: int) -> "SchwartzFn":
-        return cls(
-            p,
-            int(d["level"]),
-            {(Fraction(c["c"][0]), Fraction(c["c"][1])): Fraction(c["coef"]) for c in d["cells"]},
-        )
+        if not all(isinstance(c["c"], list) and len(c["c"]) == 2 for c in d["cells"]):
+            raise ValueError("a cell centre is a pair [c1, c2]")
+        return cls(p, int(d["level"]), {tuple(map(Fraction, c["c"])): Fraction(c["coef"]) for c in d["cells"]})
 
 
 def _subcells(items, p: int, level: int, finer: int) -> list:
@@ -543,14 +544,32 @@ def _line_reps(t, k: int, lam: int, L: int, p: int) -> tuple[list[tuple[int, int
     return [(1, x) if t[0] % p else (x, 1) for x in xs], p ** (2 * (lam - k)) // lines
 
 
+def _cell_shells(phi: SchwartzFn):
+    """(shell, k, t, coef) per cell c + p^N Z_p^2 of phi, N = phi.level, in
+    sorted order.  A cell off the origin, m = min(v(c1), v(c2)) < N, is p^m
+    times the primitive rows t + p^k Z_p^2 on the shell ("pow", m), with
+    k = N - m and t = c / p^m mod p^k.  The cell around the origin (the one
+    canonical centre of valuation >= N) fills every shell m >= N:
+    ("geom", N), k = 0, t = None, read by _line_reps as every line."""
+    p, N = phi.p, phi.level
+    for (c1, c2), coef in sorted(phi.cells.items()):
+        if not (c1 or c2):
+            yield ("geom", N), 0, None, coef
+            continue
+        m = min(val_p(c1, p), val_p(c2, p))
+        pm = Fraction(p) ** m
+        yield ("pow", m), N - m, (fr_mod(c1 / pm, p, N - m), fr_mod(c2 / pm, p, N - m)), coef
+
+
 def _shell_weights(phi: SchwartzFn, gs: Sequence[Mat2], ctx: QuadCtx) -> dict[tuple, Fraction]:
-    """The accumulated weight of each (row data, shell kind) in
-    Z(phi, gs . W_sph, s); shell kinds are ("pow", m) for a fixed shell and
-    ("geom", N) for the origin tail's shells m >= N.  A row's data is that of
-    its line mod p^L, so a cell adds, per line it meets (_line_reps), the row
-    count times the row weight (1 - p^-2)^-1 coef / p^(2 lam).  Each line's
-    data is computed once per call, and each distinct data is certified once
-    against _y_data_by_iwasawa."""
+    """The accumulated weight of each (row data, shell) in
+    Z(phi, gs . W_sph, s), shells as _cell_shells gives them.  A row's data
+    is that of its line mod p^L, so a cell adds, per line it meets
+    (_line_reps), the row count times the row weight
+    (1 - p^-2)^-1 coef / p^(2 lam), lam = max(k, L): on the shell m the
+    volume p^(-2m) cancels the p^(2m) of omega(p)^m X^(2m) p^(2m).  Each
+    line's data is computed once per call, and each distinct data is
+    certified once against _y_data_by_iwasawa."""
     p = ctx.p
     L = max(_required_cell_level(gs), 1)
     if L > LINE_LEVEL_CAP:  # L alone sets the work, p^L + p^(L-1) lines; depth only scales counts
@@ -559,20 +578,8 @@ def _shell_weights(phi: SchwartzFn, gs: Sequence[Mat2], ctx: QuadCtx) -> dict[tu
     data_of_line: dict[tuple[int, int], tuple] = {}
     certified: set[tuple] = set()
     weights: dict[tuple, Fraction] = {}
-    N = phi.level
-    for (c1, c2), coef in sorted(phi.cells.items()):
-        if not (c1 or c2):
-            # the cell around the origin (the one canonical centre of valuation
-            # >= N): geometric sum over the shells m >= N
-            shell, k, lam, t = ("geom", N), 0, L, None
-        else:
-            # the primitive rows t + p^k Z_p^2 of the shell m; omega(p)^m
-            # X^(2m) p^(2m) merged with the volume p^(-2m)
-            m = min(val_p(c1, p), val_p(c2, p))
-            shell, k = ("pow", m), N - m
-            lam = max(k, L)
-            pm = Fraction(p) ** m
-            t = (fr_mod(c1 / pm, p, k), fr_mod(c2 / pm, p, k))
+    for shell, k, t, coef in _cell_shells(phi):
+        lam = max(k, L)
         reps, per_line = _line_reps(t, k, lam, L, p)
         counts: dict[tuple, int] = {}
         for line in reps:
@@ -718,63 +725,26 @@ def lambda_form(a: int, b: int, ctx: QuadCtx) -> Lau:
 
 
 def godement_section(phi: SchwartzFn, ctx: QuadCtx) -> dict:
-    """The function k -> int omega(x) phi((0,x)k) |x|^(2s) dx(x) on K,
-    described on bottom-row classes mod p^(level).
-
-    Returns {"level": L, "values": {row: RatFunc}} with rows primitive mod
-    p^L; the delta_1 verification checks the support and constancy claims.
-    On a shell m >= 0 the points p^m u (r1, r2) are integral, and the
-    canonical centre of an integral cell is an integer pair in [0, p^N)^2,
-    so phi there is one lookup of the point's residue mod p^N.
+    """The function k -> int omega(x) phi((0,x) k) |x|^(2s) dx(x) on K, as
+    {"level": L, "values": {line: RatFunc}} over the lines mod p^L through
+    the bottom row r of k, keyed by the reps of _line_reps.  The level
+    L = max(1, N - m), m = min(0, least shell of phi), resolves every cell
+    (k <= L).  A cell on the shell m holds x r, v(x) = m, for one unit class
+    x p^-m mod p^k if r mod p^k is on the line of t, else for none: the
+    share of the line's (p-1) p^(L-1) rows mod p^L that _line_reps counts in
+    the cell at lam = L.  The shell adds coef (omega X^2)^m times that share,
+    the origin cell phi(0) (omega X^2)^N / (1 - omega X^2) on every line.
     """
     p = ctx.p
-    N = phi.level
-    L = max(N, 1)
-    vs = VS_INERT
-    om_x2 = _omega_x2(vs, p)
-    pN = p ** N
-    int_cells = {
-        (c1.numerator, c2.numerator): coef
-        for (c1, c2), coef in phi.cells.items()
-        if c1.denominator == 1 and c2.denominator == 1
-    }
-    m_min = min((min(val_p(c1, p), val_p(c2, p), N) for c1, c2 in phi.cells), default=0)
-    # finite shells m in [m_min, N]: (m, unit classes mod p^ell, their volume, (omega X^2)^m)
-    shells = []
-    for m in range(m_min, N + 1):
-        units = [u for u in range(1, p ** max(N - m, 1)) if u % p != 0]
-        shells.append((m, units, Fraction(1, len(units)), om_x2 ** m))
-    # constant value phi(0) beyond the last shell
-    phi0 = phi.value_at(0, 0)
-    tail = RatFunc(om_x2 ** (N + 1) * phi0, [1 - om_x2])
-
-    def section_at(r1, r2):
-        acc = Lau(vs)
-        for m, units, volc, om_m in shells:
-            if m >= 0:
-                s1, s2 = p ** m * r1, p ** m * r2
-                tot = sum(int_cells.get((s1 * u % pN, s2 * u % pN), 0) for u in units)
-            else:
-                pm = Fraction(p) ** m
-                tot = sum(phi.value_at(pm * u * r1, pm * u * r2) for u in units)
-            if tot:
-                acc = acc + om_m * (tot * volc)
-        return tail + RatFunc.from_lau(acc) if phi0 else RatFunc.from_lau(acc)
-
-    # a shell m >= 0 sums phi over every unit multiple of the row mod p^L, so
-    # without shells m < 0 the value depends only on the line through the row
-    pL = p ** L
-    inv = [pow(u, -1, pL) if u % p else 0 for u in range(pL)]
-    values, by_key = {}, {}
-    for r1 in range(pL):
-        for r2 in range(pL):
-            if r1 % p == 0 and r2 % p == 0:
-                continue
-            if m_min < 0:
-                key = (r1, r2)
-            else:
-                key = (1, r2 * inv[r1] % pL) if r1 % p else (r1 * inv[r2] % pL, 1)
-            if key not in by_key:
-                by_key[key] = section_at(*key)
-            values[(r1, r2)] = by_key[key]
-    return {"level": L, "values": values}
+    cells = list(_cell_shells(phi))
+    L = max(1, phi.level, *(k for _, k, _, _ in cells))
+    omx2 = _omega_x2(VS_INERT, p)
+    den, rows = 1 - omx2, (p - 1) * p ** (L - 1)
+    # numerators over den: a shell m adds omx2^m, the origin tail omx2^N / den
+    nums = dict.fromkeys(_line_reps(None, 0, L, L, p)[0], Lau(VS_INERT))
+    for (kind, m), k, t, coef in cells:
+        reps, per_line = _line_reps(t, k, L, L, p)
+        term = omx2 ** m * (coef * per_line / rows) * (den if kind == "pow" else 1)
+        for line in reps:
+            nums[line] = nums[line] + term
+    return {"level": L, "values": {line: RatFunc(num, [den]) for line, num in nums.items()}}

@@ -207,6 +207,28 @@ MALFORMED = {
     "form lambda zero denominator": ["hilbert-check", "--ell", "5", "--form", form_with_lambda(["1/0"])],
     "form lambda not a list": ["hilbert-check", "--ell", "5", "--form", form_with_lambda("2")],
     "form primes not an object": ["hilbert-check", "--ell", "5", "--form", dict(FORM, primes=[])],
+    # a JSON float is not an exact number: 0.1 was read as
+    # 3602879701896397/36028797018963968, a level or T exponent of 1.7 cut
+    # to 1, and a level of 1e400 escaped as an OverflowError
+    "phi coef float": ["zeta", "--phi", json.dumps({"level": 1, "cells": [{"c": ["0", "1"], "coef": 0.1}]})],
+    "phi level float": ["zeta", "--phi", json.dumps({"level": 1.7, "cells": [{"c": ["0", "1"], "coef": "1"}]})],
+    "phi level 1e400": ["zeta", "--phi", '{"level": 1e400, "cells": [{"c": ["0", "1"], "coef": "1"}]}'],
+    "phi level Infinity": ["zeta", "--phi", '{"level": Infinity, "cells": []}'],
+    "elem T float": ["satake", "--elem", json.dumps({"group": "inert_F", "terms": [{"T": 1.5, "coef": "1"}]})],
+    "vector coef float": [
+        "local-factor", "--vector",
+        {"case": "inert", "level": "K", "terms": [
+            {"phi": {"level": 0, "cells": [{"c": ["0", "0"], "coef": "1"}]}, "g": ONE, "coef": 0.5}
+        ]},
+    ],
+    # a cell centre is a pair and a matrix two rows of two: ["1", "0", "5"]
+    # lost its third entry, and [[a, b, c], [d]] was read as [[a, b], [c, d]]
+    "phi centre of three": [
+        "zeta", "--phi", json.dumps({"level": 1, "cells": [{"c": ["1", "0", "5"], "coef": "1"}]}),
+    ],
+    "matrix rows of three and one": [
+        "zeta", "--phi", "builtin:unramified", "--g", json.dumps([ONE[0] + ONE[1][:1], ONE[1][1:]]),
+    ],
 }
 
 
@@ -221,6 +243,7 @@ def test_malformed_input_exits_2(name, tmp_path):
         args.append(arg)
     r = run("--prime", "3", *args)
     assert r.returncode == 2
+    assert r.stderr.startswith("input error: ")
     assert "Traceback" not in r.stderr
 
 

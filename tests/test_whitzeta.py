@@ -1038,40 +1038,35 @@ def value_by_scan(phi, x1, x2):
     return tot
 
 
-def godement_by_scan(phi, ctx):
-    """godement_section as it was, with every phi value from the scan."""
+def godement_by_scan(phi, ctx, r1, r2):
+    """godement_section as it was, at the primitive row (r1, r2), with every
+    phi value from the scan: shells m from the least one to N, each summed
+    over the units mod p^max(N - m, 1), and the constant phi(0) beyond."""
     p = ctx.p
-    L = max(phi.level, 1)
     vs = VS_INERT
     X = Lau.var(vs, "X")
     om = Lau.var(vs, "A") * Lau.var(vs, "B")
-    values = {}
     phi0 = value_by_scan(phi, 0, 0)
     cell_vals = []
     for (c1, c2) in phi.cells:
         v = min(val_p(c1, p), val_p(c2, p))
         cell_vals.append(phi.level if v == INF else min(int(v), phi.level))
     m_min = min(cell_vals, default=0)
-    for r1 in range(p ** L):
-        for r2 in range(p ** L):
-            if r1 % p == 0 and r2 % p == 0:
-                continue
-            acc = RatFunc(Lau(vs))
-            for m in range(m_min, phi.level + 1):
-                ell = max(phi.level - m, 1)
-                tot = Fraction(0)
-                classes = [u for u in range(1, p ** ell) if u % p != 0]
-                volc = Fraction(1, len(classes))
-                pm = Fraction(p) ** m
-                for u in classes:
-                    tot += value_by_scan(phi, pm * u * r1, pm * u * r2)
-                if tot:
-                    acc = acc + RatFunc.from_lau((om * X ** 2) ** m * (tot * volc))
-            if phi0:
-                mstart = phi.level + 1
-                acc = acc + RatFunc((om * X ** 2) ** mstart * phi0, [1 - om * X ** 2])
-            values[(r1, r2)] = acc
-    return {"level": L, "values": values}
+    acc = RatFunc(Lau(vs))
+    for m in range(m_min, phi.level + 1):
+        ell = max(phi.level - m, 1)
+        tot = Fraction(0)
+        classes = [u for u in range(1, p ** ell) if u % p != 0]
+        volc = Fraction(1, len(classes))
+        pm = Fraction(p) ** m
+        for u in classes:
+            tot += value_by_scan(phi, pm * u * r1, pm * u * r2)
+        if tot:
+            acc = acc + RatFunc.from_lau((om * X ** 2) ** m * (tot * volc))
+    if phi0:
+        mstart = phi.level + 1
+        acc = acc + RatFunc((om * X ** 2) ** mstart * phi0, [1 - om * X ** 2])
+    return acc
 
 
 GODEMENT_PHIS = {
@@ -1102,8 +1097,28 @@ def test_godement_section_matches_scan(name, p):
     points += [(c1 + p ** phi.level * 7, c2 - p ** phi.level) for c1, c2 in phi.cells]
     for x1, x2 in points:
         assert phi.value_at(x1, x2) == value_by_scan(phi, x1, x2), (x1, x2)
-    fast, slow = godement_section(phi, ctx), godement_by_scan(phi, ctx)
-    assert fast["level"] == slow["level"]
-    assert fast["values"].keys() == slow["values"].keys()
-    for row, val in slow["values"].items():
-        assert fast["values"][row] == val, row
+    # every primitive row mod p^L takes the value of its line
+    fast = godement_section(phi, ctx)
+    pL = p ** fast["level"]
+    assert len(fast["values"]) == pL + pL // p
+    for r1 in range(pL):
+        for r2 in range(pL):
+            if r1 % p == 0 and r2 % p == 0:
+                continue
+            line = (1, r2 * pow(r1, -1, pL) % pL) if r1 % p else (r1 * pow(r2, -1, pL) % pL, 1)
+            assert fast["values"][line] == godement_by_scan(phi, ctx, r1, r2), (r1, r2)
+
+
+def test_godement_section_resolves_a_non_integral_centre():
+    # the cell (1/3, 2) + 3 Z_3^2 of 3 ch((1/3, 2) + 3 Z_3^2) + ch(Z_3^2)
+    # lies on the shell -1, so the section is constant on lines mod 3^2, not
+    # mod 3^level: the rows (1, 0) and (1, 6), equal mod 3, take different
+    # values
+    p = 3
+    ctx = QuadCtx.make(p)
+    phi = GODEMENT_PHIS["non-integral centre"](p)
+    a, b = godement_by_scan(phi, ctx, 1, 0), godement_by_scan(phi, ctx, 1, 6)
+    assert a != b
+    sec = godement_section(phi, ctx)
+    assert sec["level"] == 2
+    assert (sec["values"][1, 0], sec["values"][1, 6]) == (a, b)
