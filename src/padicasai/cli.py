@@ -5,8 +5,9 @@ Exit codes: 0 success; 2 input error, including a malformed number (a zero
 denominator or a JSON float), a singular matrix, a --prime or --ell that is
 not an odd prime, or a JSON document of the wrong shape (a --elem, --phi,
 --inputs or --form document whose fields are not the objects and lists they
-must be); 3 precision overflow, a zeta line level max(1, Cartan spread of
-g) above 12; 4 verification failure
+must be); 3 precision overflow, a zeta integral reading more than
+3^12 + 3^11 = 708,588 lines mod p^L, L = max(1, Cartan spread of g), or a
+Schwartz function refined into more cells than that; 4 verification failure
 (an AssertionError, the root of every verification error), including an
 exact division, inverse Satake transform, symmetric reduction or coset
 decomposition that fails inside the engine.  Without --satake the Satake
@@ -119,6 +120,16 @@ def _satake_point(spec: str, case: str) -> dict[str, Fraction]:
     return point
 
 
+def _term_gs(doc, case: str, ctx: QuadCtx) -> tuple:
+    """A term's g as its tuple of components: one matrix at an inert prime,
+    a pair at a split one."""
+    try:
+        return tuple(Mat2.from_json(m, ctx) for m in (doc if case == "split" else [doc]))
+    except (ValueError, TypeError) as exc:
+        shape = "a pair of matrices" if case == "split" else "one matrix"
+        raise ValueError(f"term field 'g' of a {case} vector must be {shape}: {exc}") from None
+
+
 @_input_parser
 def _load_vector(args) -> TestVector:
     ctx = _ctx(args)
@@ -129,12 +140,7 @@ def _load_vector(args) -> TestVector:
     terms = []
     for t in doc["terms"]:
         phi = SchwartzFn.from_json(t["phi"], args.prime)
-        try:
-            gs = [Mat2.from_json(m, ctx) for m in (t["g"] if case == "split" else [t["g"]])]
-        except (ValueError, TypeError) as exc:
-            shape = "a pair of matrices" if case == "split" else "one matrix"
-            raise ValueError(f"term field 'g' of a {case} vector must be {shape}: {exc}") from None
-        terms.append((phi, tuple(gs) if case == "split" else gs[0], Fraction(t["coef"])))
+        terms.append((phi, _term_gs(t["g"], case, ctx), Fraction(t["coef"])))
     return TestVector(ctx, case, level, terms, star)
 
 
@@ -170,10 +176,7 @@ def cmd_zeta(args) -> None:
     if len(specs) != need:
         raise ValueError(f"--g takes {need} ';'-joined matrix spec(s) in the {case} case, got {len(specs)}")
     gs = tuple(_parse_matrix(ctx, s) for s in specs)
-    if case == "split":
-        res = zeta_rs_split(phi, gs, ctx)
-    else:
-        res = zeta_asai(phi, gs[0], ctx)
+    res = zeta_rs_split(phi, gs, ctx) if case == "split" else zeta_asai(phi, *gs, ctx)
     if not args.normalize:
         _emit(args, res.to_json(), f"zeta integral ({case})")
         return
@@ -224,19 +227,18 @@ def cmd_gstar_factor(args) -> None:
 
 
 @_input_parser
-def _load_local_inputs(path: str) -> list[dict]:
+def _load_local_inputs(path: str, data: EigenformData) -> list[dict]:
+    """The local inputs, each g read by the form's splitting type at its prime."""
     with open(path) as f:
         docs = _json(f.read())
     inputs = []
     for d in docs:
         p = int(d["p"])
+        if p not in data.primes:
+            raise ValueError(f"no eigenvalue data at {p}")
         ctx = QuadCtx.make(p)
         phi = SchwartzFn.from_json(d["phi"], p)
-        if isinstance(d["g"][0][0], dict):
-            g = Mat2.from_json(d["g"], ctx)
-        else:
-            g = tuple(Mat2.from_json(m, ctx) for m in d["g"])
-        inputs.append({"p": p, "phi": phi, "g": g, "level": d["level"]})
+        inputs.append({"p": p, "phi": phi, "g": _term_gs(d["g"], data.primes[p].kind, ctx), "level": d["level"]})
     return inputs
 
 
@@ -250,7 +252,7 @@ def _load_form(spec: str) -> EigenformData:
 
 def cmd_hilbert_check(args) -> None:
     data = _load_form(args.form)
-    inputs = _load_local_inputs(args.inputs) if args.inputs else []
+    inputs = _load_local_inputs(args.inputs, data) if args.inputs else []
     s0 = [int(x) for x in args.s0.split(",")] if args.s0 else []
     rep = period_ideal_check(
         data, inputs, s0, args.ell, assume_class_coprime=args.assume_coprime

@@ -54,9 +54,9 @@ from .whitzeta import (
     VS_INERT,
     VS_SPLIT,
     ZetaResult,
-    eps_operator,
+    chain_operators,
     godement_section,
-    lambda_form,
+    lambda_of_cells,
     zeta_asai,
     zeta_rs_split,
 )
@@ -70,7 +70,8 @@ from .whitzeta import (
 class TestVector:
     """Formal combination sum coef * (phi (x) ch(g U)) at a stated level.
 
-    case: "inert" (g over F) or "split" (g a pair over Q_p);
+    A term is (phi, gs, coef), gs the tuple of g's components: (g,) over F
+    when case is "inert", the pair (g1, g2) over Q_p when it is "split".
     level: "K" or "K[p]"; star: True for the determinant-fibered subgroup.
     """
 
@@ -79,7 +80,7 @@ class TestVector:
     ctx: QuadCtx
     case: str
     level: str
-    terms: list  # (SchwartzFn, Mat2 | (Mat2, Mat2), Fraction)
+    terms: list  # (SchwartzFn, (Mat2,) | (Mat2, Mat2), Fraction)
     star: bool = False
 
     def __post_init__(self):
@@ -89,11 +90,9 @@ class TestVector:
             raise ValueError(f"vector level must be 'K' or 'K[p]', not {self.level!r}")
         zero = self.ctx.zero()
         n = 2 if self.case == "split" else 1
-        for phi, g, c in self.terms:
-            gs = tuple(g) if n == 2 and isinstance(g, (tuple, list)) else (g,)
-            if len(gs) != n or not all(isinstance(gi, Mat2) for gi in gs):
-                shape = "a pair of Mat2" if n == 2 else "one Mat2"
-                raise ValueError(f"term field 'g' of a {self.case} vector must be {shape}")
+        for phi, gs, c in self.terms:
+            if not (isinstance(gs, tuple) and len(gs) == n and all(isinstance(g, Mat2) for g in gs)):
+                raise ValueError(f"term field 'g' of a {self.case} vector must be a tuple of {n} Mat2")
             dets = [gi.det() for gi in gs]
             if zero in dets:
                 raise ValueError("group elements must be invertible")
@@ -109,21 +108,15 @@ class TestVector:
 
     def to_json(self) -> dict:
         terms = []
-        for phi, g, c in self.terms:
-            gj = [m.to_json() for m in g] if self.case == "split" else g.to_json()
+        for phi, gs, c in self.terms:
+            gj = [g.to_json() for g in gs] if self.case == "split" else gs[0].to_json()
             terms.append({"phi": phi.to_json(), "g": gj, "coef": str(c)})
         return {"case": self.case, "level": self.level, "star": self.star, "terms": terms}
 
 
-def _components(g, case: str) -> tuple:
-    """The group components of a term's g: (g,) when inert, the pair when split."""
-    return tuple(g) if case == "split" else (g,)
-
-
 def generator_vector(ctx: QuadCtx, case: str = "inert") -> TestVector:
-    one = Mat2.identity(ctx)
-    g = (one, one) if case == "split" else one
-    return TestVector(ctx, case, "K", [(SchwartzFn.char_zp2(ctx.p), g, Fraction(1))])
+    gs = (Mat2.identity(ctx),) * (2 if case == "split" else 1)
+    return TestVector(ctx, case, "K", [(SchwartzFn.char_zp2(ctx.p), gs, Fraction(1))])
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +202,14 @@ def stabilizer_conditions(phi: SchwartzFn, gs: Sequence[Mat2], level: str, ctx: 
     return SubgroupConditions(p, branches, det_mode)
 
 
-def integrality_check(phi: SchwartzFn, g, level: str, ctx: QuadCtx, case: str = "inert"):
-    """(volume_inverse, is_integral) for one pair (phi, g) at the stated level.
+def integrality_check(phi: SchwartzFn, gs: Sequence[Mat2], level: str, ctx: QuadCtx):
+    """(volume_inverse, is_integral) for one term (phi, gs), gs as in TestVector.
 
     volume_inverse = vol(Stab(phi) cap g U g^-1)^(-1); the pair is integral
     when every cell value of phi lies in volume_inverse * Z[1/p].  The same
     for G* vectors (see stabilizer_conditions).
     """
-    cond = stabilizer_conditions(phi, _components(g, case), level, ctx)
+    cond = stabilizer_conditions(phi, gs, level, ctx)
     vol = subgroup_volume(cond)
     if vol == 0:
         raise AssertionError("stabilizer volume vanished (engine bug)")
@@ -226,11 +219,7 @@ def integrality_check(phi: SchwartzFn, g, level: str, ctx: QuadCtx, case: str = 
 
 
 def vector_is_integral(vec: TestVector) -> bool:
-    for phi, g, c in vec.terms:
-        vinv, ok = integrality_check(phi.scale(c), g, vec.level, vec.ctx, vec.case)
-        if not ok:
-            return False
-    return True
+    return all(integrality_check(phi.scale(c), gs, vec.level, vec.ctx)[1] for phi, gs, c in vec.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +261,14 @@ def hecke_apply(h: HeckeElem, vec: TestVector) -> TestVector:
     tcosets = _t_inverse_cosets(ctx, vec.case == "inert")
     out_terms = []
     for e, coef in h.poly.terms.items():
-        for phi, g, c in vec.terms:
+        for phi, gs, c in vec.terms:
             per_comp = []
-            for gi, a, b in zip(_components(g, vec.case), e[0::2], e[1::2]):
+            for gi, a, b in zip(gs, e[0::2], e[1::2]):
                 cur = [gi]
                 for _ in range(a):
                     cur = [x * hj for x in cur for hj in tcosets]
                 per_comp.append([x * Mat2.t(-b, -b, ctx) for x in cur])
-            for gs in product(*per_comp):
-                out_terms.append((phi, gs if vec.case == "split" else gs[0], c * coef))
+            out_terms += [(phi, hs, c * coef) for hs in product(*per_comp)]
     return TestVector(ctx, vec.case, "K", out_terms, vec.star)
 
 
@@ -293,10 +281,10 @@ def period_value(vec: TestVector) -> ZetaResult:
     so their numerators add."""
     if vec.level != "K":
         raise ValueError("the period pairs with level-K vectors")
-    zeta = zeta_rs_split if vec.case == "split" else zeta_asai
     num = Lau(VS_SPLIT if vec.case == "split" else VS_INERT)
-    for phi, g, c in vec.terms:
-        num = num + zeta(phi, g, vec.ctx).num * c
+    for phi, gs, c in vec.terms:
+        res = zeta_rs_split(phi, gs, vec.ctx) if vec.case == "split" else zeta_asai(phi, *gs, vec.ctx)
+        num = num + res.num * c
     return ZetaResult(num, vec.case, "period_value", vec.ctx.p)
 
 
@@ -428,11 +416,10 @@ def _act_on_mirabolic(h: HeckeElem, ctx: QuadCtx) -> dict:
 
 
 def lambda_of_chain(chain: XiPhiChain, ctx: QuadCtx) -> Lau:
-    """Lambda(Phi_c(Xi_c(delta))) as a symmetric-coordinate polynomial."""
-    out = Lau(("e1", "e2"))
-    for (a, b), c in chain.collapsed.items():
-        out = out + lambda_form(a, b, ctx) * c
-    return out
+    """Lambda(Phi_c(Xi_c(delta))) as a symmetric-coordinate polynomial:
+    Theta(A P_As(1) + B (1 - S)) on the collapsed cells, with the (A, B)
+    of chain_operators, one Satake transform per chain."""
+    return lambda_of_cells(chain.collapsed, ctx)
 
 
 def chain_identity_rhs(p_delta: HeckeElem, p: int) -> Lau:
@@ -464,19 +451,6 @@ class CertReport:
         else:
             out["certificate"] = self.cert.to_json()
         return out
-
-
-def _chain_operator_data(collapsed: dict, ctx: QuadCtx):
-    """The operators A = sum w S^a (sum eps h_n) and B = sum w S^a over the
-    collapsed chain coefficients {(a, b): w}."""
-    group = "inert_F"
-    A = HeckeElem.zero(group)
-    B = HeckeElem.zero(group)
-    for (a, b), w in collapsed.items():
-        Sa = HeckeElem.gen(group, "S", a) if a else HeckeElem.one(group)
-        B = B + Sa * w
-        A = A + Sa * eps_operator(b, ctx) * w
-    return A, B
 
 
 def certify_ideal(vec: TestVector, part: int) -> CertReport:
@@ -519,7 +493,7 @@ def certify_ideal(vec: TestVector, part: int) -> CertReport:
         Q = euler_poly("rs_split", p).involute_at_one()
         return CertReport(3, P, ideal_cert(P, "p-1", Q, p), True, "division")
     Q = euler_poly("standard_F", p).involute_at_one()
-    A, B = _chain_operator_data(xi_phi_chain(traced, P).collapsed, ctx)
+    A, B = chain_operators(xi_phi_chain(traced, P).collapsed, ctx)
     # P = A' P_F'(1) + B'; B' is divisible by p-1 via the trace property
     try:
         cert = HeckeIdealCert(P, "p-1", Q, divide_exact_int(involution(B), p - 1, p), involution(A), p)
@@ -548,7 +522,7 @@ def delta1(ctx: QuadCtx, case: str) -> dict:
     report: dict = {"p": p, "case": case, "nu_p": nu}
     one = Mat2.identity(ctx)
     if case == "inert":
-        g1, gn = one, Mat2.upper(QuadElem(0, Fraction(1, p), ctx), ctx)
+        g1, gn = (one,), (Mat2.upper(QuadElem(0, Fraction(1, p), ctx), ctx),)
         vs, kind, check = VS_INERT, "asai_inert", "local_factor_is_involuted_asai_at_one"
     else:
         g1, gn = (one, one), (one, Mat2.upper(Fraction(1, p), ctx))
@@ -558,18 +532,15 @@ def delta1(ctx: QuadCtx, case: str) -> dict:
     # A(s) = Z(phi, W - n W, s) = 1 identically
     period = period_value(traced)
     report["A_s_equals_one"] = period.ratfunc == RatFunc.from_lau(Lau.const(vs, 1))
-    vinv_n, ok_n = integrality_check(phi, gn, "K[p]", ctx, case)
-    vinv_1, ok_1 = integrality_check(phi, g1, "K[p]", ctx, case)
-    report["integral"] = ok_n and ok_1
+    vinv_n, ok_n = integrality_check(phi, gn, "K[p]", ctx)
+    report["integral"] = ok_n and integrality_check(phi, g1, "K[p]", ctx)[1]
     if case == "inert":
         # Godement section: supported on K_0(p^2) with value nu_p / (p(p-1)),
         # that is on the one line (0, 1) mod p^2
         sec = godement_section(phi, ctx)
         expect = Fraction(nu, p * (p - 1))
         report["godement_constant"] = str(expect)
-        report["godement_support_ok"] = sec["level"] == 2 and all(
-            val == (expect if line == (0, 1) else 0) for line, val in sec["values"].items()
-        )
+        report["godement_support_ok"] = sec["level"] == 2 and sec["values"] == {(0, 1): expect}
         # volume identities
         vol = _vol_k011(ctx)
         report["vol_K011_p2"] = str(vol)
@@ -618,24 +589,24 @@ def random_integral_vector(
             c2 = Fraction(1 + rng.randrange(p ** lvl - 1))
         cells[(c1, c2)] = Fraction(rng.randint(1, 3))
     phi = SchwartzFn(p, lvl, cells)
+    one = Mat2.identity(ctx)
     if case == "inert":
         pool = [
-            Mat2.identity(ctx),
-            Mat2.t(1, 0, ctx),
-            Mat2.t(1, 1, ctx),
-            Mat2.upper(QuadElem(0, Fraction(1, p), ctx), ctx),
-            Mat2.lower(QuadElem(0, 1, ctx), ctx) * Mat2.t(1, 0, ctx),
+            (one,),
+            (Mat2.t(1, 0, ctx),),
+            (Mat2.t(1, 1, ctx),),
+            (Mat2.upper(QuadElem(0, Fraction(1, p), ctx), ctx),),
+            (Mat2.lower(QuadElem(0, 1, ctx), ctx) * Mat2.t(1, 0, ctx),),
         ]
-        g = pool[rng.randrange(len(pool))]
-        if star and not g.det().is_rational():
-            g = Mat2.identity(ctx)
     else:
         pool = [
-            (Mat2.identity(ctx), Mat2.identity(ctx)),
+            (one, one),
             (Mat2.t(1, 0, ctx), Mat2.t(1, 0, ctx)),
-            (Mat2.identity(ctx), Mat2.upper(Fraction(1, p), ctx)),
+            (one, Mat2.upper(Fraction(1, p), ctx)),
             (Mat2.t(1, 1, ctx), Mat2.t(1, 1, ctx)),
         ]
-        g = pool[rng.randrange(len(pool))]
-    vinv, _ = integrality_check(phi, g, level, ctx, case)
-    return TestVector(ctx, case, level, [(phi.scale(vinv), g, Fraction(rng.randint(1, 2)))], star)
+    gs = pool[rng.randrange(len(pool))]
+    if star and not gs[0].det().is_rational():  # only inert elements can miss
+        gs = (one,)
+    vinv, _ = integrality_check(phi, gs, level, ctx)
+    return TestVector(ctx, case, level, [(phi.scale(vinv), gs, Fraction(rng.randint(1, 2)))], star)

@@ -275,11 +275,11 @@ def period_ideal_check(
     """Evaluate the product of normalized local periods on the given data
     and decide membership in the stated product ideal.
 
-    local_inputs entries: {"p": prime, "phi": SchwartzFn, "g": Mat2 or pair,
-    "level": "K" | "K[p]"}; primes not listed contribute the unramified
-    value 1.  S0 must consist of primes = 1 mod l carrying determinant
-    level data.  The class-number coprimality is an assertion of the
-    caller (assume_class_coprime), not something this package computes.
+    local_inputs entries: {"p": prime, "phi": SchwartzFn, "g": (g,) inert
+    or (g1, g2) split, "level": "K" | "K[p]"}; primes not listed contribute
+    the unramified value 1.  S0 must consist of primes = 1 mod l carrying
+    determinant level data.  The class-number coprimality is an assertion of
+    the caller (assume_class_coprime), not something this package computes.
     """
     if not is_odd_prime(ell):
         raise ValueError(f"l = {ell} is not an odd prime (l = 2 lies in the excluded set S)")

@@ -84,9 +84,9 @@ VS_INERT = ("A", "B", "X")
 VS_SPLIT = ("u1", "v1", "u2", "v2", "X")
 # the Satake pair (x_i, y_i) of each group component, per variable tuple
 _PAIRS = {VS_INERT: (("A", "B"),), VS_SPLIT: (("u1", "v1"), ("u2", "v2"))}
-# the largest line level L = max(1, Cartan spread of g) of a zeta integral:
-# _shell_weights reads p^L + p^(L-1) lines, and raises PrecisionOverflow above it
-LINE_LEVEL_CAP = 12
+# the most lines mod p^L (p^L + p^(L-1)) a zeta integral reads, and the most
+# cells a refinement builds, L <= 12 at p = 3; PrecisionOverflow above it
+LINE_CAP = 3 ** 12 + 3 ** 11
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +205,8 @@ def _subcells(items, p: int, level: int, finer: int) -> list:
     """(cell, coef) for each cell c' + p^finer Z_p^2, finer >= level, of
     each c + p^level Z_p^2 in items, which is their disjoint union."""
     pn, step = Fraction(p) ** level, p ** (finer - level)
+    if len(items) * step * step > LINE_CAP:
+        raise PrecisionOverflow(f"refining to level {finer} builds more than {LINE_CAP} cells")
     return [
         ((Fraction(c1) + pn * y1, Fraction(c2) + pn * y2), coef)
         for (c1, c2), coef in items
@@ -572,8 +574,8 @@ def _shell_weights(phi: SchwartzFn, gs: Sequence[Mat2], ctx: QuadCtx) -> dict[tu
     certified once against _y_data_by_iwasawa."""
     p = ctx.p
     L = max(_required_cell_level(gs), 1)
-    if L > LINE_LEVEL_CAP:  # L alone sets the work, p^L + p^(L-1) lines; depth only scales counts
-        raise PrecisionOverflow(f"line level {L} above cap {LINE_LEVEL_CAP}")
+    if p ** L + p ** (L - 1) > LINE_CAP:  # the lines alone set the work; depth only scales counts
+        raise PrecisionOverflow(f"{p ** L + p ** (L - 1)} lines mod {p}^{L} above cap {LINE_CAP}")
     pref = Fraction(p * p, p * p - 1)  # (1 - p^-2)^-1
     data_of_line: dict[tuple[int, int], tuple] = {}
     certified: set[tuple] = set()
@@ -702,22 +704,32 @@ def eps_operator(b: int, ctx: QuadCtx) -> HeckeElem:
     return out
 
 
-def lambda_form(a: int, b: int, ctx: QuadCtx) -> Lau:
-    """The explicit linear form on ch(t_a n_b K): in symmetric coordinates,
-
-    Theta( S^a (sum_(n<b) eps_n(b) h_n(S, T)) P_As(1) + S^a (1 - S) )
-
-    with the extracted eps-coefficients; equals the normalized secondary
-    integral by construction of both routes.
-    """
-    p = ctx.p
+def chain_operators(cells: Mapping[tuple[int, int], Fraction], ctx: QuadCtx) -> tuple[HeckeElem, HeckeElem]:
+    """The operators A = sum w S^a eps_operator(b) and B = sum w S^a over
+    the cells {(a, b): w} of ch(t_a n_b K): the one builder of both, read by
+    the linear form (lambda_of_cells) and by the chain certificate of
+    heckemod.certify_ideal, P = A' P_F'(1) + B'."""
     group = "inert_F"
-    S = HeckeElem.gen(group, "S")
-    pas1 = euler_poly("asai_inert", p).at_one()
-    one = HeckeElem.one(group)
-    Sa = HeckeElem.gen(group, "S", a) if a != 0 else one
-    op = Sa * eps_operator(b, ctx) * pas1 + Sa * (one - S)
-    return satake(op, p)
+    A = B = HeckeElem.zero(group)
+    for (a, b), w in cells.items():
+        Sa = HeckeElem.gen(group, "S", a) * w
+        A, B = A + Sa * eps_operator(b, ctx), B + Sa
+    return A, B
+
+
+def lambda_of_cells(cells: Mapping[tuple[int, int], Fraction], ctx: QuadCtx) -> Lau:
+    """The explicit linear form on sum w ch(t_a n_b K) over the cells
+    {(a, b): w}: Theta(A P_As(1) + B (1 - S)) in symmetric coordinates,
+    with (A, B) = chain_operators(cells)."""
+    A, B = chain_operators(cells, ctx)
+    return satake(A * euler_poly("asai_inert", ctx.p).at_one() + B * (1 - HeckeElem.gen("inert_F", "S")), ctx.p)
+
+
+def lambda_form(a: int, b: int, ctx: QuadCtx) -> Lau:
+    """The explicit linear form on ch(t_a n_b K), lambda_of_cells on the one
+    cell: Theta(S^a eps_operator(b) P_As(1) + S^a (1 - S)); it equals the
+    normalized secondary integral by construction of both routes."""
+    return lambda_of_cells({(a, b): 1}, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -726,8 +738,8 @@ def lambda_form(a: int, b: int, ctx: QuadCtx) -> Lau:
 
 def godement_section(phi: SchwartzFn, ctx: QuadCtx) -> dict:
     """The function k -> int omega(x) phi((0,x) k) |x|^(2s) dx(x) on K, as
-    {"level": L, "values": {line: RatFunc}} over the lines mod p^L through
-    the bottom row r of k, keyed by the reps of _line_reps.  The level
+    {"level": L, "values": {line: RatFunc}} on the lines mod p^L through the
+    bottom row r of k where it is not 0, keyed by the reps of _line_reps.
     L = max(1, N - m), m = min(0, least shell of phi), resolves every cell
     (k <= L).  A cell on the shell m holds x r, v(x) = m, for one unit class
     x p^-m mod p^k if r mod p^k is on the line of t, else for none: the
@@ -741,10 +753,10 @@ def godement_section(phi: SchwartzFn, ctx: QuadCtx) -> dict:
     omx2 = _omega_x2(VS_INERT, p)
     den, rows = 1 - omx2, (p - 1) * p ** (L - 1)
     # numerators over den: a shell m adds omx2^m, the origin tail omx2^N / den
-    nums = dict.fromkeys(_line_reps(None, 0, L, L, p)[0], Lau(VS_INERT))
+    nums: dict[tuple[int, int], Lau] = {}
     for (kind, m), k, t, coef in cells:
         reps, per_line = _line_reps(t, k, L, L, p)
         term = omx2 ** m * (coef * per_line / rows) * (den if kind == "pow" else 1)
         for line in reps:
-            nums[line] = nums[line] + term
-    return {"level": L, "values": {line: RatFunc(num, [den]) for line, num in nums.items()}}
+            nums[line] = nums.get(line, 0) + term
+    return {"level": L, "values": {line: RatFunc(num, [den]) for line, num in nums.items() if not num.is_zero()}}

@@ -132,18 +132,20 @@ def _fresh_traced_pass(workloads, spans, name):
 
 
 def test_traced_chain_certify_pass_counts_symmetric_reductions(workloads, spans):
-    # a seed-0 chain_certify pass makes 99 symmetric reductions and 1,948
+    # a seed-0 chain_certify pass makes 99 symmetric reductions and 1,884
     # Lau products; the closed forms of sym_reduce and sym_expand build no
     # Lau product, where the leading-term rewrite made 4,740 in all, exact
     # division runs on integer numerators without Lau products (646 of the
     # 3,138 that the Fraction-coefficient division made), _seq_tail's
     # truncated product is no Lau product (13 more), and euler_poly builds
     # each Euler polynomial and its involuted value once per (kind, p), where
-    # rebuilding them for every certificate made 531 more; a renamed or
-    # inlined sym_reduce would drop the first count
+    # rebuilding them for every certificate made 531 more, and
+    # whitzeta.chain_operators scales each chain cell's S^a once, where the
+    # part-3 certificate's own builder scaled S^a and S^a eps_b (64 more); a
+    # renamed or inlined sym_reduce would drop the first count
     metrics = _fresh_traced_pass(workloads, spans, "chain_certify")
     assert metrics["exactnum.sym_reduce.calls"][0] == 99
-    assert metrics["exactnum.lau_mul.calls"][0] == 1948
+    assert metrics["exactnum.lau_mul.calls"][0] == 1884
 
 
 def test_traced_passes_count_closed_form_witness_products(workloads, spans):

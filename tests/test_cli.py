@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -89,7 +90,7 @@ def test_vector_serialization_roundtrip(tmp_path):
         ctx,
         "inert",
         "K[p]",
-        [(SchwartzFn.phi_p2(3), Mat2.n_b(1, ctx), Fraction(-2, 3))],
+        [(SchwartzFn.phi_p2(3), (Mat2.n_b(1, ctx),), Fraction(-2, 3))],
         star=False,
     )
     path = tmp_path / "vec.json"
@@ -123,6 +124,26 @@ def test_precision_overflow_exit_code(tmp_path):
     phi = {"level": 2, "cells": [{"c": ["0", "1"], "coef": "1"}]}
     r = run("--prime", "3", "zeta", "--phi", json.dumps(phi), "--g", "n:1/2187")
     assert r.returncode == 3
+
+
+LEVEL_MINUS_40 = json.dumps({"level": -40, "cells": [{"c": ["0", "0"], "coef": "1"}]})
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # 7^8 + 7^7 = 6,588,344 lines mod 7^8, above the cap 3^12 + 3^11
+        ["--prime", "7", "zeta", "--phi", "builtin:unramified", "--g", "t:8,0"],
+        # level -40 refines one cell into 3^80 level-0 cells
+        ["--prime", "3", "zeta", "--phi", LEVEL_MINUS_40],
+    ],
+)
+def test_work_cap_exits_3_at_once(args):
+    t0 = time.perf_counter()
+    r = run(*args)
+    assert r.returncode == 3, r.stderr
+    assert r.stderr.startswith("precision overflow: ")
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_verify_suite_subset_deterministic():
@@ -307,6 +328,29 @@ MALFORMED_VECTORS = {
     "case Split": ("Split", "K", ONE, "case"),
     "level k": ("inert", "k", ONE, "level"),
 }
+
+
+# (form, --inputs, the text stderr must hold): each g is read by the
+# splitting type of its prime in the form (11 splits in synthetic_w2 and is
+# inert in synthetic_w2_quad), and a prime the form lacks has no type
+MALFORMED_INPUTS = {
+    "matrix pair at an inert prime": ("builtin:synthetic_w2_quad", SPLIT11, "'g'"),
+    "one matrix at a split prime": ("builtin:synthetic_w2", str(INPUTS / "inputs_inert11.json"), "'g'"),
+    "prime absent from the form": ("builtin:synthetic_w2", [dict(d, p=5) for d in SPLIT11], "at 5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
+def test_malformed_hilbert_inputs_name_the_field(name, tmp_path):
+    form, inputs, field = MALFORMED_INPUTS[name]
+    if not isinstance(inputs, str):
+        path = tmp_path / "inputs.json"
+        path.write_text(json.dumps(inputs))
+        inputs = str(path)
+    r = run("--prime", "3", "hilbert-check", "--form", form, "--ell", "5", "--inputs", inputs)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("input error: ") and field in r.stderr
 
 
 @pytest.mark.parametrize("command", [["local-factor"], ["certify", "--part", "1"]])

@@ -31,7 +31,7 @@ def F3():
 def test_ip_embed_generator(F3):
     phi = SchwartzFn.char_zp2(3)
     one = Mat2.identity(F3)
-    star = TestVector(F3, "inert", "K", [(phi, one, Fraction(1))], star=True)
+    star = TestVector(F3, "inert", "K", [(phi, (one,), Fraction(1))], star=True)
     big = ip_embed(star)
     assert not big.star and big.terms == star.terms
 

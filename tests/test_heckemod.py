@@ -41,7 +41,7 @@ from padicasai.padicgrp import (
     pgk_label,
     subgroup_volume,
 )
-from padicasai.whitzeta import SchwartzFn
+from padicasai.whitzeta import SchwartzFn, lambda_form
 from test_padicgrp import condition_row, lattice_solve_affine_oracle, plocal_smith_oracle
 
 
@@ -54,13 +54,13 @@ def F3():
 
 
 def test_integrality_unramified_K(F3):
-    vinv, ok = integrality_check(SchwartzFn.char_zp2(3), Mat2.identity(F3), "K", F3)
+    vinv, ok = integrality_check(SchwartzFn.char_zp2(3), (Mat2.identity(F3),), "K", F3)
     assert vinv == 1 and ok
 
 
 def test_integrality_unramified_Kp(F3):
     # vol(G(Z_p) cap det-level)^-1 = p - 1 and ch(Z_p^2) is not integral there
-    vinv, ok = integrality_check(SchwartzFn.char_zp2(3), Mat2.identity(F3), "K[p]", F3)
+    vinv, ok = integrality_check(SchwartzFn.char_zp2(3), (Mat2.identity(F3),), "K[p]", F3)
     assert vinv == 3 - 1
     assert not ok
 
@@ -177,7 +177,7 @@ def test_stabilizer_matches_the_permutation_oracle(case):
 
 def test_integrality_scaled(F3):
     phi = SchwartzFn.char_zp2(3).scale(2)
-    vinv, ok = integrality_check(phi, Mat2.identity(F3), "K[p]", F3)
+    vinv, ok = integrality_check(phi, (Mat2.identity(F3),), "K[p]", F3)
     assert ok
 
 
@@ -186,7 +186,7 @@ def test_integrality_scaled(F3):
 
 def test_trace_relabels(F3):
     phi = SchwartzFn.char_zp2(3)
-    vec = TestVector(F3, "inert", "K[p]", [(phi, Mat2.identity(F3), Fraction(1))])
+    vec = TestVector(F3, "inert", "K[p]", [(phi, (Mat2.identity(F3),), Fraction(1))])
     traced = trace_level(vec)
     assert traced.level == "K"
     assert traced.terms == vec.terms
@@ -220,7 +220,7 @@ def test_local_factor_generator(F3):
 def test_local_factor_central_translate(F3):
     # ch(Z_p^2) (x) ch(t(1,1) K) is S^-1 . generator
     phi = SchwartzFn.char_zp2(3)
-    vec = TestVector(F3, "inert", "K", [(phi, Mat2.t(1, 1, F3), Fraction(1))])
+    vec = TestVector(F3, "inert", "K", [(phi, (Mat2.t(1, 1, F3),), Fraction(1))])
     assert local_factor(vec) == HeckeElem.gen("inert_F", "S", -1)
 
 
@@ -258,6 +258,16 @@ def test_contract_checks_raise_value_error(F3):
         hecke_apply(HeckeElem.gen("inert_F", "T"), generator_vector(F3, "split"))
 
 
+def test_test_vector_takes_g_as_its_tuple_of_components(F3):
+    # (g,) at an inert prime and (g1, g2) at a split one; a bare Mat2, a
+    # list or a tuple of the wrong length is rejected
+    phi, one = SchwartzFn.char_zp2(3), Mat2.identity(F3)
+    for case, gs in [("inert", one), ("inert", [one]), ("inert", (one, one)), ("split", one), ("split", (one,))]:
+        with pytest.raises(ValueError, match="term field 'g'"):
+            TestVector(F3, case, "K", [(phi, gs, Fraction(1))])
+    assert TestVector(F3, "inert", "K", [(phi, (one,), Fraction(1))]).to_json()["terms"][0]["g"] == one.to_json()
+
+
 def test_local_factor_checks_its_satake_round_trip(F3, monkeypatch):
     # inv_satake returning a wrong preimage must be caught exactly
     real = heckemod.inv_satake
@@ -276,14 +286,15 @@ def test_hecke_apply_sum(F3):
 
 def hecke_apply_two_branch(h, vec):
     """hecke_apply as it was with one branch per case: the inert power of T,
-    then each split component's power in turn."""
+    then each split component's power in turn; terms carry tuples of
+    components, unpacked to one matrix in the inert branch."""
     ctx = vec.ctx
     split = vec.case == "split"
     tcosets = heckemod._t_inverse_cosets(ctx, not split)
     out_terms = []
     for e, coef in h.poly.terms.items():
-        for phi, g, c in vec.terms:
-            gsets = [(g, Fraction(1))]
+        for phi, gs, c in vec.terms:
+            gsets = [(gs if split else gs[0], Fraction(1))]
             if not split:
                 a, b = e
                 gsets = apply_gen_power_two_branch(gsets, tcosets, a, 0, split)
@@ -297,7 +308,7 @@ def hecke_apply_two_branch(h, vec):
                     for gg, w in gsets
                 ]
             for gg, w in gsets:
-                out_terms.append((phi, gg, c * coef * w))
+                out_terms.append((phi, gg if split else (gg,), c * coef * w))
     return TestVector(ctx, vec.case, "K", out_terms, vec.star)
 
 
@@ -389,6 +400,28 @@ def test_chain_identity(F3, seed):
     assert lambda_of_chain(chain, F3) == chain_identity_rhs(chain.p_delta, 3)
 
 
+def lambda_of_chain_per_cell(chain, ctx):
+    """lambda_of_chain as it was: sum w lambda_form(a, b) over the collapsed
+    cells {(a, b): w}, one Satake transform per cell."""
+    out = Lau(("e1", "e2"))
+    for (a, b), w in chain.collapsed.items():
+        out = out + lambda_form(a, b, ctx) * w
+    return out
+
+
+def test_lambda_of_chain_matches_the_per_cell_sum(F3):
+    # the ten vectors of acceptance criterion 8 at seed 0
+    rng = random.Random(8)
+    for i in range(10):
+        if i % 2 == 0:
+            h = HeckeElem.monomial("inert_F", (rng.randint(0, 2), rng.randint(-1, 1)), Fraction(rng.randint(1, 3)))
+            vec = hecke_apply(h, generator_vector(F3))
+        else:
+            vec = trace_level(random_integral_vector(F3, rng, "K[p]", origin_vanishing=False))
+        chain = xi_phi_chain(vec)
+        assert lambda_of_chain(chain, F3) == lambda_of_chain_per_cell(chain, F3), i
+
+
 def test_trace_divisibility_property(F3):
     # for delta in the determinant-level lattice, the Xi-image of Tr(delta)
     # has all central-cell (b = 0) coefficients in (p-1) Z[1/p]
@@ -462,7 +495,7 @@ def test_certified_vectors_are_integral(F3):
 def test_certify_rejects_nonintegral(F3):
     # the plain unramified vector is not integral at determinant level
     phi = SchwartzFn.char_zp2(3)
-    vec = TestVector(F3, "inert", "K[p]", [(phi, Mat2.identity(F3), Fraction(1))])
+    vec = TestVector(F3, "inert", "K[p]", [(phi, (Mat2.identity(F3),), Fraction(1))])
     with pytest.raises(ValueError):
         certify_ideal(vec, 3)
 
@@ -541,10 +574,10 @@ def test_integrality_of_nine_cells_equals_one_cell(F3):
     coarse = SchwartzFn(3, -1, {(0, 0): 1})
     assert fine == phi and len(fine.cells) == len(coarse.cells) == 9
     for level in ("K", "K[p]"):
-        want = integrality_check(phi, one, level, F3)
+        want = integrality_check(phi, (one,), level, F3)
         assert want == ((1, True) if level == "K" else (2, False))
         for nine in (fine, coarse):
-            assert integrality_check(nine, one, level, F3) == want
+            assert integrality_check(nine, (one,), level, F3) == want
             assert len(heckemod.stabilizer_conditions(nine, [one], level, F3).branches) == 48
 
 
@@ -643,7 +676,7 @@ def test_mirabolic_memo_second_certificate_labels_nothing(F3, monkeypatch):
     # P of this vector has T-degree 1, so its chain takes one T-step
     phi = SchwartzFn(3, 2, {(Fraction(3), Fraction(1)): Fraction(432)})
     g = Mat2.upper(QuadElem(0, Fraction(1, 3), F3), F3)
-    vec = TestVector(F3, "inert", "K[p]", [(phi, g, Fraction(1))])
+    vec = TestVector(F3, "inert", "K[p]", [(phi, (g,), Fraction(1))])
     calls = []
 
     def counting(g):
@@ -805,8 +838,7 @@ def test_subgroup_volume_matches_enumeration_oracle(p):
                 for _ in range(10):
                     vanish = rng.random() < 0.5
                     vec = random_integral_vector(ctx, rng, level, vanish, case=case, star=star)
-                    (phi, g, _), = vec.terms
-                    gs = list(g) if case == "split" else [g]
+                    (phi, gs, _), = vec.terms
                     cond = heckemod.stabilizer_conditions(phi, gs, level, ctx)
                     modes.add((cond.det_mode, len(cond.branches) > 1))
                     assert subgroup_volume(cond) == subgroup_volume_oracle(cond), (level, case, star)

@@ -364,7 +364,7 @@ def test_period_check_all_unramified(form):
 def test_period_check_unramified_inputs_value_one(form):
     ctx = QuadCtx.make(3)
     inputs = [
-        {"p": 3, "phi": SchwartzFn.char_zp2(3), "g": Mat2.identity(ctx), "level": "K"}
+        {"p": 3, "phi": SchwartzFn.char_zp2(3), "g": (Mat2.identity(ctx),), "level": "K"}
     ]
     rep = period_ideal_check(form, inputs, [], ell=5)
     assert rep["value"] == "1" and rep["member"]
@@ -407,8 +407,8 @@ def test_period_check_s0_inert_prime(form_quad):
 
     n = Mat2.upper(QuadElem(0, Fr(1, p), ctx), ctx)
     inputs = [
-        {"p": p, "phi": phi, "g": one, "level": "K[p]"},
-        {"p": p, "phi": phi.scale(-1), "g": n, "level": "K[p]"},
+        {"p": p, "phi": phi, "g": (one,), "level": "K[p]"},
+        {"p": p, "phi": phi.scale(-1), "g": (n,), "level": "K[p]"},
     ]
     rep = period_ideal_check(form_quad, inputs, [p], ell=ell)
     assert rep["member"]

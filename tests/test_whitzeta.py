@@ -23,7 +23,7 @@ from padicasai.exactnum import (
     sym_reduce,
     val_p,
 )
-from padicasai.heckealg import HeckeElem, euler_poly
+from padicasai.heckealg import HeckeElem, euler_poly, satake
 from padicasai.heckemod import delta1, generator_vector, hecke_apply, local_factor, period_value
 from padicasai.padicgrp import Mat2
 from padicasai import whitzeta
@@ -554,6 +554,26 @@ def test_lambda_form_matches_normalized_psi(p):
             assert lambda_form(a, b, ctx) == psi_secondary(a, b, ctx).normalized()
 
 
+def lambda_form_one_cell(a, b, ctx):
+    """lambda_form as it was, one cell at a time:
+    Theta(S^a eps_b P_As(1) + S^a (1 - S))."""
+    p = ctx.p
+    group = "inert_F"
+    S = HeckeElem.gen(group, "S")
+    one = HeckeElem.one(group)
+    Sa = HeckeElem.gen(group, "S", a) if a != 0 else one
+    op = Sa * whitzeta.eps_operator(b, ctx) * euler_poly("asai_inert", p).at_one() + Sa * (one - S)
+    return satake(op, p)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_lambda_form_matches_the_one_cell_oracle(p):
+    ctx = QuadCtx.make(p)
+    for a in range(-2, 3):
+        for b in range(0, 4):
+            assert lambda_form(a, b, ctx) == lambda_form_one_cell(a, b, ctx), (a, b)
+
+
 def test_lambda_form_values(F3):
     e = ("e1", "e2")
     one = Lau.const(e, 1)
@@ -615,13 +635,16 @@ def test_godement_section_support_and_value(p):
     sec = godement_section(phi, ctx)
     nu = p * (p - 1) ** 2 * (p + 1)
     expect = Fraction(nu, p * (p - 1))
-    vs = VS_INERT
-    for (r1, r2), val in sec["values"].items():
-        in_k0p2 = r1 % p ** 2 == 0 and r2 % p != 0
-        if in_k0p2:
-            assert val == RatFunc.from_lau(Lau.const(vs, expect))
-        else:
-            assert val == RatFunc.from_lau(Lau(vs))
+    # K_0(p^2) is the one line (0, 1) mod p^2, and the section is kept sparse
+    assert sec["level"] == 2
+    assert sec["values"] == {(0, 1): RatFunc.from_lau(Lau.const(VS_INERT, expect))}
+
+
+def test_godement_section_keeps_only_its_support():
+    # one cell on the shell -8 meets one line mod 3^9 of 3^9 + 3^8
+    ctx = QuadCtx.make(3)
+    sec = godement_section(SchwartzFn.cell(3, 1, Fraction(1, 3 ** 8), 0), ctx)
+    assert sec["level"] == 9 and list(sec["values"]) == [(1, 0)]
 
 
 # -- differential oracles: the closed-form row data and the Godement lookup ------
@@ -1010,6 +1033,25 @@ def test_level_cap_bounds_the_lines_not_the_cell_depth(p):
         zeta_asai(SchwartzFn.char_zp2(p), Mat2.t(0, 13, ctx), ctx)
 
 
+@pytest.mark.parametrize("p, allowed", [(3, 12), (5, 8), (7, 6)])
+def test_line_cap_counts_the_lines(p, allowed):
+    # the cap bounds p^L + p^(L-1), the lines read: L <= 12 at p = 3, as the
+    # level cap 12 did, but L <= 8 at p = 5 and L <= 6 at p = 7
+    assert p ** allowed + p ** (allowed - 1) <= whitzeta.LINE_CAP < p ** (allowed + 1) + p ** allowed
+    ctx = QuadCtx.make(p)
+    with pytest.raises(PrecisionOverflow, match="lines"):
+        zeta_asai(SchwartzFn.char_zp2(p), Mat2.t(0, allowed + 1, ctx), ctx)
+
+
+def test_refinement_cap_raises_before_building_cells():
+    # level -7 at p = 3 refines one cell into 3^14 = 4,782,969 level-0 cells
+    with pytest.raises(PrecisionOverflow, match="cells"):
+        SchwartzFn(3, -7, {(0, 0): 1})
+    with pytest.raises(PrecisionOverflow, match="cells"):
+        SchwartzFn.char_zp2(3).refine(7)
+    assert len(SchwartzFn(3, -2, {(0, 0): 1}).cells) == 3 ** 4
+
+
 @pytest.mark.parametrize("case", ["inert", "split"])
 def test_local_factor_builds_no_ratfunc(case, monkeypatch):
     # T^2 at an inert prime, 1 (x) T^2 at a split one
@@ -1038,35 +1080,48 @@ def value_by_scan(phi, x1, x2):
     return tot
 
 
-def godement_by_scan(phi, ctx, r1, r2):
-    """godement_section as it was, at the primitive row (r1, r2), with every
-    phi value from the scan: shells m from the least one to N, each summed
-    over the units mod p^max(N - m, 1), and the constant phi(0) beyond."""
-    p = ctx.p
+def godement_by_scan(phi, ctx):
+    """godement_section as it was, as a function of the primitive row
+    (r1, r2), with every phi value from the scan: shells m from the least
+    one to N, each summed over the units mod p^max(N - m, 1), and the
+    constant phi(0) beyond.
+
+    A shell's unit sum depends on the row only through its line mod
+    p^ell, ell = max(N - m, 1), since u -> u v permutes the units: each
+    (shell, line) sum is scanned once at the line's rep, and each tuple of
+    shell sums is turned into a value once."""
+    p, N = ctx.p, phi.level
     vs = VS_INERT
-    X = Lau.var(vs, "X")
-    om = Lau.var(vs, "A") * Lau.var(vs, "B")
+    omx2 = Lau.var(vs, "A") * Lau.var(vs, "B") * Lau.var(vs, "X") ** 2
     phi0 = value_by_scan(phi, 0, 0)
     cell_vals = []
     for (c1, c2) in phi.cells:
         v = min(val_p(c1, p), val_p(c2, p))
-        cell_vals.append(phi.level if v == INF else min(int(v), phi.level))
-    m_min = min(cell_vals, default=0)
-    acc = RatFunc(Lau(vs))
-    for m in range(m_min, phi.level + 1):
-        ell = max(phi.level - m, 1)
-        tot = Fraction(0)
-        classes = [u for u in range(1, p ** ell) if u % p != 0]
-        volc = Fraction(1, len(classes))
-        pm = Fraction(p) ** m
-        for u in classes:
-            tot += value_by_scan(phi, pm * u * r1, pm * u * r2)
-        if tot:
-            acc = acc + RatFunc.from_lau((om * X ** 2) ** m * (tot * volc))
-    if phi0:
-        mstart = phi.level + 1
-        acc = acc + RatFunc((om * X ** 2) ** mstart * phi0, [1 - om * X ** 2])
-    return acc
+        cell_vals.append(N if v == INF else min(int(v), N))
+    shells = range(min(cell_vals, default=0), N + 1)
+    sums, values = {}, {}
+
+    def shell_sum(m, line):
+        if (m, line) not in sums:
+            classes = [u for u in range(1, p ** max(N - m, 1)) if u % p != 0]
+            pm = Fraction(p) ** m
+            tot = sum((value_by_scan(phi, pm * u * line[0], pm * u * line[1]) for u in classes), Fraction(0))
+            sums[m, line] = tot / len(classes)
+        return sums[m, line]
+
+    def value(r1, r2):
+        tots = tuple(shell_sum(m, line_of(r1, r2, p, max(N - m, 1))) for m in shells)
+        if tots not in values:
+            acc = RatFunc(Lau(vs))
+            for m, tot in zip(shells, tots):
+                if tot:
+                    acc = acc + RatFunc.from_lau(omx2 ** m * tot)
+            if phi0:
+                acc = acc + RatFunc(omx2 ** (N + 1) * phi0, [1 - omx2])
+            values[tots] = acc
+        return values[tots]
+
+    return value
 
 
 GODEMENT_PHIS = {
@@ -1097,16 +1152,18 @@ def test_godement_section_matches_scan(name, p):
     points += [(c1 + p ** phi.level * 7, c2 - p ** phi.level) for c1, c2 in phi.cells]
     for x1, x2 in points:
         assert phi.value_at(x1, x2) == value_by_scan(phi, x1, x2), (x1, x2)
-    # every primitive row mod p^L takes the value of its line
+    # every primitive row mod p^L takes the value of its line, 0 on a line
+    # the sparse section leaves out
     fast = godement_section(phi, ctx)
-    pL = p ** fast["level"]
-    assert len(fast["values"]) == pL + pL // p
-    for r1 in range(pL):
-        for r2 in range(pL):
+    L, zero = fast["level"], RatFunc(Lau(VS_INERT))
+    assert zero not in fast["values"].values()
+    scan = godement_by_scan(phi, ctx)
+    for r1 in range(p ** L):
+        for r2 in range(p ** L):
             if r1 % p == 0 and r2 % p == 0:
                 continue
-            line = (1, r2 * pow(r1, -1, pL) % pL) if r1 % p else (r1 * pow(r2, -1, pL) % pL, 1)
-            assert fast["values"][line] == godement_by_scan(phi, ctx, r1, r2), (r1, r2)
+            want = scan(r1, r2)
+            assert fast["values"].get(line_of(r1, r2, p, L), zero) == want, (r1, r2)
 
 
 def test_godement_section_resolves_a_non_integral_centre():
@@ -1117,7 +1174,8 @@ def test_godement_section_resolves_a_non_integral_centre():
     p = 3
     ctx = QuadCtx.make(p)
     phi = GODEMENT_PHIS["non-integral centre"](p)
-    a, b = godement_by_scan(phi, ctx, 1, 0), godement_by_scan(phi, ctx, 1, 6)
+    scan = godement_by_scan(phi, ctx)
+    a, b = scan(1, 0), scan(1, 6)
     assert a != b
     sec = godement_section(phi, ctx)
     assert sec["level"] == 2
