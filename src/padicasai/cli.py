@@ -137,11 +137,9 @@ def _load_vector(args) -> TestVector:
         doc = _json(f.read())
     case, level, star = doc["case"], doc["level"], bool(doc.get("star", False))
     TestVector(ctx, case, level, [], star)  # an unknown case or level fails before any term
-    terms = []
-    for t in doc["terms"]:
-        phi = SchwartzFn.from_json(t["phi"], args.prime)
-        terms.append((phi, _term_gs(t["g"], case, ctx), Fraction(t["coef"])))
-    return TestVector(ctx, case, level, terms, star)
+    summands = [(SchwartzFn.from_json(t["phi"], args.prime), _term_gs(t["g"], case, ctx), Fraction(t["coef"]))
+                for t in doc["terms"]]
+    return TestVector(ctx, case, level, summands, star)
 
 
 @_input_parser

@@ -36,7 +36,7 @@ def ip_embed(vec: TestVector) -> TestVector:
     phi (x) ch(g K), i.e. the star flag is dropped at the same level."""
     if not vec.star:
         raise ValueError("ip_embed expects a G* vector")
-    return TestVector(vec.ctx, vec.case, vec.level, list(vec.terms), star=False)
+    return TestVector(vec.ctx, vec.case, vec.level, list(vec.summands), star=False)
 
 
 @dataclass

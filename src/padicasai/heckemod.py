@@ -70,8 +70,8 @@ from .whitzeta import (
 class TestVector:
     """Formal combination sum coef * (phi (x) ch(g U)) at a stated level.
 
-    A term is (phi, gs, coef), gs the tuple of g's components: (g,) over F
-    when case is "inert", the pair (g1, g2) over Q_p when it is "split".
+    A summand is (phi, gs, coef), gs the tuple of g's components: (g,) over
+    F when case is "inert", the pair (g1, g2) over Q_p when it is "split".
     level: "K" or "K[p]"; star: True for the determinant-fibered subgroup.
     """
 
@@ -80,7 +80,7 @@ class TestVector:
     ctx: QuadCtx
     case: str
     level: str
-    terms: list  # (SchwartzFn, (Mat2,) | (Mat2, Mat2), Fraction)
+    summands: list  # (SchwartzFn, (Mat2,) | (Mat2, Mat2), Fraction)
     star: bool = False
 
     def __post_init__(self):
@@ -90,7 +90,7 @@ class TestVector:
             raise ValueError(f"vector level must be 'K' or 'K[p]', not {self.level!r}")
         zero = self.ctx.zero()
         n = 2 if self.case == "split" else 1
-        for phi, gs, c in self.terms:
+        for phi, gs, c in self.summands:
             if not (isinstance(gs, tuple) and len(gs) == n and all(isinstance(g, Mat2) for g in gs)):
                 raise ValueError(f"term field 'g' of a {self.case} vector must be a tuple of {n} Mat2")
             dets = [gi.det() for gi in gs]
@@ -104,13 +104,16 @@ class TestVector:
     def __add__(self, other: "TestVector") -> "TestVector":
         if (self.case, self.level, self.star) != (other.case, other.level, other.star):
             raise ValueError("test vectors of different case, level or star do not add")
-        return TestVector(self.ctx, self.case, self.level, self.terms + other.terms, self.star)
+        return TestVector(self.ctx, self.case, self.level, self.summands + other.summands, self.star)
+
+    @property
+    def terms(self) -> list:
+        """The summands (phi, g, coef), g as in the JSON form: one Mat2 inert, the pair split."""
+        return [(phi, gs[0] if self.case == "inert" else gs, c) for phi, gs, c in self.summands]
 
     def to_json(self) -> dict:
-        terms = []
-        for phi, gs, c in self.terms:
-            gj = [g.to_json() for g in gs] if self.case == "split" else gs[0].to_json()
-            terms.append({"phi": phi.to_json(), "g": gj, "coef": str(c)})
+        terms = [{"phi": phi.to_json(), "g": g.to_json() if self.case == "inert" else [m.to_json() for m in g],
+                  "coef": str(c)} for phi, g, c in self.terms]
         return {"case": self.case, "level": self.level, "star": self.star, "terms": terms}
 
 
@@ -203,7 +206,7 @@ def stabilizer_conditions(phi: SchwartzFn, gs: Sequence[Mat2], level: str, ctx: 
 
 
 def integrality_check(phi: SchwartzFn, gs: Sequence[Mat2], level: str, ctx: QuadCtx):
-    """(volume_inverse, is_integral) for one term (phi, gs), gs as in TestVector.
+    """(volume_inverse, is_integral) for one summand (phi, gs), gs as in TestVector.
 
     volume_inverse = vol(Stab(phi) cap g U g^-1)^(-1); the pair is integral
     when every cell value of phi lies in volume_inverse * Z[1/p].  The same
@@ -219,7 +222,7 @@ def integrality_check(phi: SchwartzFn, gs: Sequence[Mat2], level: str, ctx: Quad
 
 
 def vector_is_integral(vec: TestVector) -> bool:
-    return all(integrality_check(phi.scale(c), gs, vec.level, vec.ctx)[1] for phi, gs, c in vec.terms)
+    return all(integrality_check(phi.scale(c), gs, vec.level, vec.ctx)[1] for phi, gs, c in vec.summands)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +238,7 @@ def trace_level(vec: TestVector) -> TestVector:
     """
     if vec.level != "K[p]":
         raise ValueError("trace starts from determinant level")
-    return TestVector(vec.ctx, vec.case, "K", list(vec.terms), vec.star)
+    return TestVector(vec.ctx, vec.case, "K", list(vec.summands), vec.star)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +264,7 @@ def hecke_apply(h: HeckeElem, vec: TestVector) -> TestVector:
     tcosets = _t_inverse_cosets(ctx, vec.case == "inert")
     out_terms = []
     for e, coef in h.poly.terms.items():
-        for phi, gs, c in vec.terms:
+        for phi, gs, c in vec.summands:
             per_comp = []
             for gi, a, b in zip(gs, e[0::2], e[1::2]):
                 cur = [gi]
@@ -282,7 +285,7 @@ def period_value(vec: TestVector) -> ZetaResult:
     if vec.level != "K":
         raise ValueError("the period pairs with level-K vectors")
     num = Lau(VS_SPLIT if vec.case == "split" else VS_INERT)
-    for phi, gs, c in vec.terms:
+    for phi, gs, c in vec.summands:
         res = zeta_rs_split(phi, gs, vec.ctx) if vec.case == "split" else zeta_asai(phi, *gs, vec.ctx)
         num = num + res.num * c
     return ZetaResult(num, vec.case, "period_value", vec.ctx.p)
@@ -467,8 +470,7 @@ def certify_ideal(vec: TestVector, part: int) -> CertReport:
     the split case come from the division algorithm.  Every certificate is
     re-verified by exact expansion.
     """
-    ctx = vec.ctx
-    p = ctx.p
+    p = vec.ctx.p
     if part not in (1, 2, 3):
         raise ValueError("part must be 1, 2 or 3")
     if not vector_is_integral(vec):
@@ -482,7 +484,7 @@ def certify_ideal(vec: TestVector, part: int) -> CertReport:
         raise ValueError("parts 2 and 3 concern determinant-level vectors")
     if vec.case == "split" and part != 3:
         raise ValueError("the split engine certifies the <p-1, P'(1)> ideal")
-    if part == 2 and not all(phi.vanishes_at_origin() for phi, _, _ in vec.terms):
+    if part == 2 and not all(phi.vanishes_at_origin() for phi, _, _ in vec.summands):
         raise ValueError("part 2 needs origin-vanishing Schwartz data")
     traced = trace_level(vec)
     P = local_factor(traced)
@@ -493,7 +495,7 @@ def certify_ideal(vec: TestVector, part: int) -> CertReport:
         Q = euler_poly("rs_split", p).involute_at_one()
         return CertReport(3, P, ideal_cert(P, "p-1", Q, p), True, "division")
     Q = euler_poly("standard_F", p).involute_at_one()
-    A, B = chain_operators(xi_phi_chain(traced, P).collapsed, ctx)
+    A, B = chain_operators(xi_phi_chain(traced, P).collapsed, vec.ctx)
     # P = A' P_F'(1) + B'; B' is divisible by p-1 via the trace property
     try:
         cert = HeckeIdealCert(P, "p-1", Q, divide_exact_int(involution(B), p - 1, p), involution(A), p)

@@ -313,7 +313,7 @@ def period_ideal_check(
             vec = TestVector(ctx, sat.kind, level, [(it["phi"], it["g"], Fraction(1)) for it in items])
             if not vector_is_integral(vec):
                 raise ValueError(f"input at {p} fails the integrality precondition")
-            phi0_nonzero = any(phi.value_at(0, 0) != 0 for phi, _, _ in vec.terms)
+            phi0_nonzero = any(phi.value_at(0, 0) != 0 for phi, _, _ in vec.summands)
             if p in S0 and level != "K[p]":
                 raise ValueError(f"{p} in S0 needs determinant-level data")
             # the period pairs with the traced (full-level) vector

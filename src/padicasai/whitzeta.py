@@ -84,9 +84,9 @@ VS_INERT = ("A", "B", "X")
 VS_SPLIT = ("u1", "v1", "u2", "v2", "X")
 # the Satake pair (x_i, y_i) of each group component, per variable tuple
 _PAIRS = {VS_INERT: (("A", "B"),), VS_SPLIT: (("u1", "v1"), ("u2", "v2"))}
-# the most lines mod p^L (p^L + p^(L-1)) a zeta integral reads, and the most
-# cells a refinement builds, L <= 12 at p = 3; PrecisionOverflow above it
-LINE_CAP = 3 ** 12 + 3 ** 11
+# the work cap: it bounds both the lines mod p^L (p^L + p^(L-1)) a zeta
+# integral reads and the cells a refinement builds; L <= 12 at p = 3
+WORK_CAP = 3 ** 12 + 3 ** 11
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +98,7 @@ class SchwartzFn:
 
     Cells are kept at a single common level N >= 0 with canonical centers
     (a negative level is refined to level 0 on construction); adding refines
-    to the finer level, so equality of functions is dict equality.
+    to the finer level, and equality compares at the coarser one.
     """
 
     def __init__(self, p: int, level: int, cells: Mapping[tuple, Fraction] | None = None):
@@ -179,8 +179,10 @@ class SchwartzFn:
     def __eq__(self, other):
         if not isinstance(other, SchwartzFn):
             return NotImplemented
-        L = max(self.level, other.level)
-        return self.refine(L).cells == other.refine(L).cells
+        # equal when each cell of lo holds its p^(2k) subcells of hi, all with its coefficient
+        lo, hi = sorted((self, other), key=lambda f: f.level)
+        return len(hi.cells) == len(lo.cells) * self.p ** (2 * (hi.level - lo.level)) and all(
+            lo.cells.get(lo._canon(c)) == coef for c, coef in hi.cells.items())
 
     def __repr__(self):
         return f"SchwartzFn(p={self.p}, level={self.level}, cells={len(self.cells)})"
@@ -205,8 +207,8 @@ def _subcells(items, p: int, level: int, finer: int) -> list:
     """(cell, coef) for each cell c' + p^finer Z_p^2, finer >= level, of
     each c + p^level Z_p^2 in items, which is their disjoint union."""
     pn, step = Fraction(p) ** level, p ** (finer - level)
-    if len(items) * step * step > LINE_CAP:
-        raise PrecisionOverflow(f"refining to level {finer} builds more than {LINE_CAP} cells")
+    if len(items) * step * step > WORK_CAP:
+        raise PrecisionOverflow(f"refining to level {finer} builds more than {WORK_CAP} cells")
     return [
         ((Fraction(c1) + pn * y1, Fraction(c2) + pn * y2), coef)
         for (c1, c2), coef in items
@@ -298,13 +300,11 @@ def wsph_value(g: Mat2, ctx: QuadCtx) -> WhitValue:
     parts = iwasawa_F(g)
     n = parts.f1.val() - parts.f2.val()
     w = parts.f2.val()
-    p = ctx.p
     ev = ("e1", "e2")
     if n < 0:
         sym = Lau(ev)
     else:
-        sym = sym_reduce(complete_homog(n, "A", "B", AB)) * Fraction(1, p ** n)
-        sym = sym * Lau.monomial(ev, (0, w))
+        sym = sym_reduce(complete_homog(n, "A", "B", AB)) * Fraction(1, ctx.p ** n) * Lau.monomial(ev, (0, w))
     return WhitValue(parts.u, n, w, sym)
 
 
@@ -574,8 +574,8 @@ def _shell_weights(phi: SchwartzFn, gs: Sequence[Mat2], ctx: QuadCtx) -> dict[tu
     certified once against _y_data_by_iwasawa."""
     p = ctx.p
     L = max(_required_cell_level(gs), 1)
-    if p ** L + p ** (L - 1) > LINE_CAP:  # the lines alone set the work; depth only scales counts
-        raise PrecisionOverflow(f"{p ** L + p ** (L - 1)} lines mod {p}^{L} above cap {LINE_CAP}")
+    if p ** L + p ** (L - 1) > WORK_CAP:  # the lines alone set the work; depth only scales counts
+        raise PrecisionOverflow(f"{p ** L + p ** (L - 1)} lines mod {p}^{L} above cap {WORK_CAP}")
     pref = Fraction(p * p, p * p - 1)  # (1 - p^-2)^-1
     data_of_line: dict[tuple[int, int], tuple] = {}
     certified: set[tuple] = set()

@@ -160,3 +160,23 @@ def test_traced_passes_count_closed_form_witness_products(workloads, spans):
     assert metrics["padicgrp.iwasawa_F.calls"][0] == 457
     metrics = _fresh_traced_pass(workloads, spans, "coset_labels")
     assert metrics["exactnum.quad_mul.calls"][0] == 0
+
+
+def test_traced_closed_loop_profiles_every_vector(workloads, spans, monkeypatch):
+    # bench/run.py --trace 1 profiles the cosets of every vector passed to
+    # local_factor through TestVector.terms; hecke_freeness's T^a jobs pass
+    # multi-term inert and split vectors, so a terms shape the profile cannot
+    # read fails here rather than in a per-layer bench run
+    monkeypatch.syspath_prepend(str(BENCH))
+    try:
+        run = _load("bench_run", BENCH / "run.py")
+        observed: list = []
+        tracer = spans.Tracer({"heckemod.local_factor": lambda a, out: observed.append(a[0])})
+        jobs = workloads.build("hecke_freeness", 0)
+        pool = [next(job for job in jobs if job.kind == kind) for kind in ("inert_T", "split_T1")]
+        records, _, _, overhead = run.closed_loop(pool, 0, 1, tracer, observed)
+    finally:
+        sys.modules.pop("bench_run", None)
+    assert all(ok for *_, ok, _ in records)
+    metrics = run.per_layer(tracer, records, overhead)
+    assert metrics["heckemod.terms_per_vector.max"][0] > 1

@@ -265,7 +265,11 @@ def test_test_vector_takes_g_as_its_tuple_of_components(F3):
     for case, gs in [("inert", one), ("inert", [one]), ("inert", (one, one)), ("split", one), ("split", (one,))]:
         with pytest.raises(ValueError, match="term field 'g'"):
             TestVector(F3, case, "K", [(phi, gs, Fraction(1))])
-    assert TestVector(F3, "inert", "K", [(phi, (one,), Fraction(1))]).to_json()["terms"][0]["g"] == one.to_json()
+    inert = TestVector(F3, "inert", "K", [(phi, (one,), Fraction(1))])
+    split = TestVector(F3, "split", "K", [(phi, (one, one), Fraction(1))])
+    # the terms view and the JSON form give an inert g as one matrix
+    assert inert.terms == [(phi, one, Fraction(1))] and split.terms == [(phi, (one, one), Fraction(1))]
+    assert inert.to_json()["terms"][0]["g"] == one.to_json()
 
 
 def test_local_factor_checks_its_satake_round_trip(F3, monkeypatch):
@@ -293,7 +297,7 @@ def hecke_apply_two_branch(h, vec):
     tcosets = heckemod._t_inverse_cosets(ctx, not split)
     out_terms = []
     for e, coef in h.poly.terms.items():
-        for phi, gs, c in vec.terms:
+        for phi, gs, c in vec.summands:
             gsets = [(gs if split else gs[0], Fraction(1))]
             if not split:
                 a, b = e
@@ -838,7 +842,7 @@ def test_subgroup_volume_matches_enumeration_oracle(p):
                 for _ in range(10):
                     vanish = rng.random() < 0.5
                     vec = random_integral_vector(ctx, rng, level, vanish, case=case, star=star)
-                    (phi, gs, _), = vec.terms
+                    (phi, gs, _), = vec.summands
                     cond = heckemod.stabilizer_conditions(phi, gs, level, ctx)
                     modes.add((cond.det_mode, len(cond.branches) > 1))
                     assert subgroup_volume(cond) == subgroup_volume_oracle(cond), (level, case, star)

@@ -1034,10 +1034,10 @@ def test_level_cap_bounds_the_lines_not_the_cell_depth(p):
 
 
 @pytest.mark.parametrize("p, allowed", [(3, 12), (5, 8), (7, 6)])
-def test_line_cap_counts_the_lines(p, allowed):
+def test_work_cap_counts_the_lines(p, allowed):
     # the cap bounds p^L + p^(L-1), the lines read: L <= 12 at p = 3, as the
     # level cap 12 did, but L <= 8 at p = 5 and L <= 6 at p = 7
-    assert p ** allowed + p ** (allowed - 1) <= whitzeta.LINE_CAP < p ** (allowed + 1) + p ** allowed
+    assert p ** allowed + p ** (allowed - 1) <= whitzeta.WORK_CAP < p ** (allowed + 1) + p ** allowed
     ctx = QuadCtx.make(p)
     with pytest.raises(PrecisionOverflow, match="lines"):
         zeta_asai(SchwartzFn.char_zp2(p), Mat2.t(0, allowed + 1, ctx), ctx)
@@ -1050,6 +1050,22 @@ def test_refinement_cap_raises_before_building_cells():
     with pytest.raises(PrecisionOverflow, match="cells"):
         SchwartzFn.char_zp2(3).refine(7)
     assert len(SchwartzFn(3, -2, {(0, 0): 1}).cells) == 3 ** 4
+
+
+def test_equality_compares_at_the_coarser_level():
+    # no comparison refines a cell, so a level gap far past the work cap
+    # compares as a small one does
+    p = 3
+    one = SchwartzFn.char_zp2(p)
+    nine = SchwartzFn(p, 1, {(a, b): 1 for a in range(p) for b in range(p)})
+    assert one == nine and nine == one and one == one.refine(2)
+    assert one != SchwartzFn.cell(p, 40, 0, 0) and SchwartzFn.cell(p, 40, 0, 0) != one
+    # the same cell count, but one coefficient off or one cell moved outside
+    bumped = dict(nine.cells)
+    bumped[(Fraction(0), Fraction(0))] = Fraction(2)
+    moved = {c: v for c, v in nine.cells.items() if c != (Fraction(0), Fraction(0))}
+    moved[(Fraction(1, 3), Fraction(0))] = Fraction(1)
+    assert one != SchwartzFn(p, 1, bumped) and one != SchwartzFn(p, 1, moved)
 
 
 @pytest.mark.parametrize("case", ["inert", "split"])
