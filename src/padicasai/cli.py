@@ -5,15 +5,15 @@ Exit codes: 0 success; 2 input error, including a malformed number (a zero
 denominator or a JSON float), a singular matrix, a --prime or --ell that is
 not an odd prime, or a JSON document of the wrong shape (a --elem, --phi,
 --inputs or --form document whose fields are not the objects and lists they
-must be); 3 precision overflow, a zeta integral reading more than
-3^12 + 3^11 = 708,588 lines mod p^L, L = max(1, Cartan spread of g), or a
-Schwartz function refined into more cells than that; 4 verification failure
-(an AssertionError, the root of every verification error), including an
-exact division, inverse Satake transform, symmetric reduction or coset
-decomposition that fails inside the engine.  Without --satake the Satake
-parameters stay symbolic; --satake specializes the normalized period, so
-it is an input error anywhere but zeta --normalize, and so is a zero
-product of a Satake pair (a non-invertible central character).
+must be, or a --elem term keyed by other than its group's variables and
+coef); 3 precision overflow, a zeta integral reading more than 3^12 + 3^11
+= 708,588 lines mod p^L, L = max(1, Cartan spread of g); 4 verification
+failure (an AssertionError, the root of every verification error),
+including an exact division, inverse Satake transform, symmetric reduction
+or coset decomposition that fails inside the engine.  Without --satake
+the Satake parameters stay symbolic; --satake specializes the normalized
+period, so it is an input error anywhere but zeta --normalize, and so is a
+zero product of a Satake pair (a non-invertible central character).
 verify-suite --only takes criterion numbers 1 to 10 and runs them in
 order.  Identical configuration and seed produce byte identical output.
 """

@@ -50,7 +50,7 @@ class NotInImage(AssertionError):
 
 
 class PrecisionOverflow(RuntimeError):
-    """A computation would need a refinement level above its fixed cap."""
+    """A computation would read lines or build cells above the work cap, whitzeta.WORK_CAP."""
 
 
 # ---------------------------------------------------------------------------

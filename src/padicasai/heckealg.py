@@ -152,8 +152,13 @@ class HeckeElem:
     @classmethod
     def from_json(cls, d: Mapping) -> "HeckeElem":
         vs = _vars_for(d["group"])
+        if not isinstance(d["terms"], list):
+            raise ValueError("a Hecke element's terms are a list")
         terms: dict[tuple, Fraction] = {}
         for t in d["terms"]:
+            unknown = sorted(set(t) - {*vs, "coef"})
+            if unknown:
+                raise ValueError(f"unknown key {unknown[0]!r} in a term of {d['group']}")
             e = tuple(int(t.get(v, 0)) for v in vs)
             terms[e] = terms.get(e, Fraction(0)) + Fraction(t["coef"])
         return cls(d["group"], Lau(vs, terms))

@@ -128,18 +128,19 @@ def generator_vector(ctx: QuadCtx, case: str = "inert") -> TestVector:
 
 def _cell_bijections(phi: SchwartzFn):
     """(M, ints, gens, perms): the sorted cells' centres as integer pairs
-    p^m c mod M = p^(N + m), p^m the largest centre denominator; the indices
-    of at most two generating cells; and, as index lists, the
-    coefficient-preserving cell permutations a linear gamma can induce,
-    identity first.  The centres are generated (Nakayama; Atiyah-Macdonald,
-    Prop. 2.8) by c1 of least valuation and, with u = c1 / p^v(c1), c2 of
-    least v(det(u, c)) among det(u, c) != 0.  Each centre is a c1 + b c2,
-    a, b in Z_p, so the generators' images force all others; a choice is
-    kept when those are distinct cells with equal coefficients.
+    P c mod M = P p^N, P = p^max(m, -N), p^m the largest centre denominator,
+    so M is an int at a negative level too; the indices of at most two
+    generating cells; and, as index lists, the coefficient-preserving cell
+    permutations a linear gamma can induce, identity first.  The centres
+    are generated (Nakayama; Atiyah-Macdonald, Prop. 2.8) by c1 of least
+    valuation and, with u = c1 / p^v(c1), c2 of least v(det(u, c)) among
+    det(u, c) != 0.  Each centre is a c1 + b c2, a, b in Z_p, so the
+    generators' images force all others; a choice is kept when those are
+    distinct cells with equal coefficients.
     """
     p, cells = phi.p, sorted(phi.cells)
-    P = max(x.denominator for c in cells for x in c)  # p^m
-    M = P * p ** phi.level
+    P = max(p ** max(-phi.level, 0), *(x.denominator for c in cells for x in c))  # p^max(m, -N)
+    M = int(P * Fraction(p) ** phi.level)
     ints = [(x.numerator * (P // x.denominator), y.numerator * (P // y.denominator)) for x, y in cells]
     n = len(ints)
     vals = [gcd(x, y, M) for x, y in ints]  # p^v(c), or M for c = 0

@@ -85,7 +85,7 @@ VS_SPLIT = ("u1", "v1", "u2", "v2", "X")
 # the Satake pair (x_i, y_i) of each group component, per variable tuple
 _PAIRS = {VS_INERT: (("A", "B"),), VS_SPLIT: (("u1", "v1"), ("u2", "v2"))}
 # the work cap: it bounds both the lines mod p^L (p^L + p^(L-1)) a zeta
-# integral reads and the cells a refinement builds; L <= 12 at p = 3
+# integral reads and the cells a sum subdivides into; L <= 12 at p = 3
 WORK_CAP = 3 ** 12 + 3 ** 11
 
 
@@ -96,36 +96,44 @@ WORK_CAP = 3 ** 12 + 3 ** 11
 class SchwartzFn:
     """Finite signed combination of product cells c + p^N Z_p^2 in Q_p^2.
 
-    Cells are kept at a single common level N >= 0 with canonical centers
-    (a negative level is refined to level 0 on construction); adding refines
-    to the finer level, and equality compares at the coarser one.
+    A function has one writing: its cells at the coarsest common level N,
+    any integer, on which it is constant, with canonical centres c mod p^N.
+    The constructor merges each full family of p^2 subcells sharing one
+    coefficient into its parent for as long as every cell lies in such a
+    family, so equal functions have equal (p, level, cells); the zero
+    function has no cells and level 0.  Adding subdivides both summands to
+    the finer level first.
     """
 
     def __init__(self, p: int, level: int, cells: Mapping[tuple, Fraction] | None = None):
         self.p = p
-        self.level = max(level, 0)
+        self.level = level
         self.cells: dict[tuple[Fraction, Fraction], Fraction] = {}
-        items = list(cells.items()) if cells else []
-        if level < 0:
-            items = _subcells(items, p, level, 0)
-        for c, coef in items:
-            coef = Fraction(coef)
-            if not coef:
-                continue
+        for c, coef in (cells or {}).items():
             key = self._canon(c)
-            self.cells[key] = self.cells.get(key, Fraction(0)) + coef
-            if not self.cells[key]:
-                del self.cells[key]
+            self.cells[key] = self.cells.get(key, Fraction(0)) + Fraction(coef)
+        self.cells = {c: coef for c, coef in self.cells.items() if coef}
+        if not self.cells:
+            self.level = 0
+        # a cell count that p^2 does not divide cannot be whole families
+        while self.cells and len(self.cells) % (p * p) == 0:
+            parents: dict[tuple, set] = {}
+            for (c1, c2), coef in self.cells.items():
+                key = (self._canon_coord(c1, self.level - 1), self._canon_coord(c2, self.level - 1))
+                parents.setdefault(key, set()).add(coef)
+            if len(parents) * p * p != len(self.cells) or any(len(s) > 1 for s in parents.values()):
+                break
+            self.level, self.cells = self.level - 1, {c: s.pop() for c, s in parents.items()}
 
     def _canon(self, c) -> tuple[Fraction, Fraction]:
-        return (self._canon_coord(c[0]), self._canon_coord(c[1]))
+        return (self._canon_coord(c[0], self.level), self._canon_coord(c[1], self.level))
 
-    def _canon_coord(self, x) -> Fraction:
+    def _canon_coord(self, x, N: int) -> Fraction:
         x = Fraction(x)
-        p, N = self.p, self.level
+        p = self.p
         w = max(0, -val_p(x, p)) if x else 0
-        # x p^w is p-integral; its residue mod p^(N + w) fixes x mod p^N
-        return Fraction(fr_mod(x * p ** w, p, N + w), p ** w)
+        # x p^w is p-integral; its residue mod p^max(N + w, 0) fixes x mod p^N
+        return Fraction(fr_mod(x * p ** w, p, max(N + w, 0)), p ** w)
 
     # constructors ------------------------------------------------------------
 
@@ -145,27 +153,20 @@ class SchwartzFn:
 
     # structure -----------------------------------------------------------------
 
-    def refine(self, level: int) -> "SchwartzFn":
-        if level < self.level:
-            raise ValueError("can only refine to a finer level")
-        if level == self.level:
-            return self
-        return SchwartzFn(self.p, level, dict(_subcells(self.cells.items(), self.p, self.level, level)))
-
     def __add__(self, other: "SchwartzFn") -> "SchwartzFn":
         if other.p != self.p:
             raise ValueError("mixed primes")
         L = max(self.level, other.level)
-        a, b = self.refine(L).cells, other.refine(L).cells
+        a, b = (dict(_subcells(f.cells.items(), f.p, f.level, L)) for f in (self, other))
         return SchwartzFn(self.p, L, {c: a.get(c, 0) + b.get(c, 0) for c in [*a, *b]})
 
     def scale(self, s) -> "SchwartzFn":
-        """s * phi: the centres are canonical and distinct already, so only
-        the coefficients change (s = 0 leaves no cell)."""
+        """s * phi: only the coefficients change, and a coarsest writing stays
+        one (s = 0 leaves the zero function)."""
         s = Fraction(s)
-        out = SchwartzFn(self.p, self.level)
+        out = SchwartzFn(self.p, 0)
         if s:
-            out.cells = {c: coef * s for c, coef in self.cells.items()}
+            out.level, out.cells = self.level, {c: coef * s for c, coef in self.cells.items()}
         return out
 
     def value_at(self, x1, x2) -> Fraction:
@@ -179,10 +180,7 @@ class SchwartzFn:
     def __eq__(self, other):
         if not isinstance(other, SchwartzFn):
             return NotImplemented
-        # equal when each cell of lo holds its p^(2k) subcells of hi, all with its coefficient
-        lo, hi = sorted((self, other), key=lambda f: f.level)
-        return len(hi.cells) == len(lo.cells) * self.p ** (2 * (hi.level - lo.level)) and all(
-            lo.cells.get(lo._canon(c)) == coef for c, coef in hi.cells.items())
+        return (self.p, self.level, self.cells) == (other.p, other.level, other.cells)
 
     def __repr__(self):
         return f"SchwartzFn(p={self.p}, level={self.level}, cells={len(self.cells)})"

@@ -125,21 +125,16 @@ def test_precision_overflow_exit_code(tmp_path):
     assert r.returncode == 3
 
 
-LEVEL_MINUS_40 = json.dumps({"level": -40, "cells": [{"c": ["0", "0"], "coef": "1"}]})
-
-
 @pytest.mark.parametrize(
     "args",
     [
         # 7^8 + 7^7 = 6,588,344 lines mod 7^8, above the cap 3^12 + 3^11
         ["--prime", "7", "zeta", "--phi", "builtin:unramified", "--g", "t:8,0"],
-        # level -40 refines one cell into 3^80 level-0 cells
-        ["--prime", "3", "zeta", "--phi", LEVEL_MINUS_40],
     ],
 )
 def test_work_cap_exits_3_at_once(args, monkeypatch):
-    # the cap raises before any line is read or any refined cell is built:
-    # the input's own cell is the only one canonicalized
+    # the cap raises before any line is read: the input's own cell is the
+    # only one canonicalized
     from padicasai import whitzeta
 
     calls = {"lines": 0, "cells": 0}
@@ -157,6 +152,18 @@ def test_work_cap_exits_3_at_once(args, monkeypatch):
     assert r.returncode == 3, r.stderr
     assert r.stderr.startswith("precision overflow: ")
     assert calls["lines"] == 0 and calls["cells"] <= 1
+
+
+def test_level_minus_40_is_one_cell():
+    # ch(3^-40 Z_3^2) is kept as one cell at level -40, not 3^80 level-0
+    # cells: its zeta integral is (omega(p) X^2)^-40 times the unramified one
+    phi = json.dumps({"level": -40, "cells": [{"c": ["0", "0"], "coef": "1"}]})
+    r = run("--prime", "3", "zeta", "--phi", phi)
+    base = run("--prime", "3", "zeta", "--phi", "builtin:unramified")
+    assert r.returncode == base.returncode == 0, r.stderr
+    got, want = json.loads(r.stdout)["ratfunc"], json.loads(base.stdout)["ratfunc"]
+    assert got["den"] == want["den"]
+    assert (want["num"]["terms"], got["num"]["terms"]) == ({"0,0,0": "1"}, {"-40,-40,-80": "1"})
 
 
 def test_verify_suite_subset_deterministic():
@@ -216,6 +223,9 @@ MALFORMED = {
     # JSON documents of the wrong shape; a dict or list below is written to
     # a file and passed by its path
     "elem terms not a list": ["satake", "--elem", json.dumps({"group": "inert_F", "terms": "x"})],
+    "elem terms an object": ["satake", "--elem", json.dumps({"group": "inert_F", "terms": {}})],
+    # a key outside the group's variables and coef was dropped: T1 read as T1^0
+    "elem unknown key": ["satake", "--elem", json.dumps({"group": "inert_F", "terms": [{"T1": 2, "coef": "1"}]})],
     "elem not an object": ["satake", "--elem", "[1]"],
     "elem zero denominator": ["satake", "--elem", json.dumps({"group": "inert_F", "terms": [{"T": 1, "coef": "1/0"}]})],
     "phi cell not an object": ["zeta", "--phi", json.dumps({"level": 1, "cells": [5]})],

@@ -372,6 +372,23 @@ def test_json_roundtrip():
     assert HeckeElem.from_json(h.to_json()) == h
 
 
+@pytest.mark.parametrize(
+    "group, terms, match",
+    [
+        ("inert_F", [{"T1": 2, "coef": "1"}], "unknown key 'T1'"),
+        ("inert_F", [{"T": 1, "X": 1, "coef": "1"}], "unknown key 'X'"),
+        ("split_pair", [{"T1": 1, "T": 1, "coef": "1"}], "unknown key 'T'"),
+        ("inert_F", {}, "terms are a list"),
+        ("inert_F", {"T": 1, "coef": "1"}, "terms are a list"),
+    ],
+)
+def test_from_json_rejects_unknown_keys_and_terms_not_a_list(group, terms, match):
+    # a key outside the group's variables and coef was dropped, and
+    # "terms": {} read as the zero element
+    with pytest.raises(ValueError, match=match):
+        HeckeElem.from_json({"group": group, "terms": terms})
+
+
 @pytest.mark.parametrize("p", [2, 9, 15, 1, 0, -3])
 def test_entry_points_refuse_p_not_an_odd_prime(p):
     # euler_poly("asai_inert", 9) once returned 1 - S^2 - T/9 + T S/9

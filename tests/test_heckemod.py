@@ -43,6 +43,7 @@ from padicasai.padicgrp import (
 )
 from padicasai.whitzeta import SchwartzFn, lambda_form
 from test_padicgrp import condition_row, lattice_solve_affine_oracle, plocal_smith_oracle
+from test_whitzeta import raw_writing
 
 
 @pytest.fixture
@@ -569,20 +570,24 @@ def test_delta1_computes_each_traced_period_once(case, monkeypatch):
 
 
 def test_integrality_of_nine_cells_equals_one_cell(F3):
-    # ch(Z_p^2) written on its nine level-1 cells, and ch(p^-1 Z_p^2) refined
-    # to nine level-0 cells: both lattices are GL2(Z_p)-stable, so at g = 1
-    # they get the generator's volume; each stabilizer has |GL2(F_3)| branches
+    # ch(Z_p^2) written on its nine level-1 (or 81 level-2) cells is built
+    # as its one level-0 cell, and ch(p^-1 Z_p^2) stays one level -1 cell:
+    # one branch each.  The raw nine-cell writing still takes |GL2(F_3)| =
+    # 48 branches, two generators each, to the same volume: both lattices
+    # are GL2(Z_p)-stable, so at g = 1 they get the generator's volume
     one = Mat2.identity(F3)
     phi = SchwartzFn.char_zp2(3)
-    fine = phi.refine(1)
-    coarse = SchwartzFn(3, -1, {(0, 0): 1})
-    assert fine == phi and len(fine.cells) == len(coarse.cells) == 9
+    nine = SchwartzFn(3, 1, {(a, b): 1 for a in range(3) for b in range(3)})
+    eighty_one = SchwartzFn(3, 2, {(a, b): 1 for a in range(9) for b in range(9)})
+    wide = SchwartzFn(3, -1, {(0, 0): 1})
+    raw = raw_writing(phi, 1)
+    assert nine == eighty_one == phi and (wide.level, len(wide.cells), len(raw.cells)) == (-1, 1, 9)
     for level in ("K", "K[p]"):
         want = integrality_check(phi, (one,), level, F3)
         assert want == ((1, True) if level == "K" else (2, False))
-        for nine in (fine, coarse):
-            assert integrality_check(nine, (one,), level, F3) == want
-            assert len(heckemod.stabilizer_conditions(nine, [one], level, F3).branches) == 48
+        for f, branches in ((nine, 1), (eighty_one, 1), (wide, 1), (raw, 48)):
+            assert integrality_check(f, (one,), level, F3) == want
+            assert len(heckemod.stabilizer_conditions(f, [one], level, F3).branches) == branches
 
 
 def test_six_cells_stabilize_a_borel(F3):

@@ -15,6 +15,11 @@ Likewise no module but padicgrp, and no demo or test, may read or write a
 Mat2's integer block _xy / _d: other modules read it through
 Mat2.int_block() and build one through Mat2.from_ints, which keep the
 block canonical, so equality and hashing stay tuple comparisons.
+
+And no module but whitzeta, and no demo, may write a SchwartzFn's .cells or
+.level: the constructor writes a function at its coarsest level, so
+equality is a comparison of (p, level, cells).  In the tests the one write
+is raw_writing in test_whitzeta, the differential oracle of that writing.
 """
 
 import ast
@@ -24,6 +29,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PRIVATE = {"_nums", "_den"}
 MAT2_PRIVATE = {"_xy", "_d"}
 LIST_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse", "__setitem__", "__delitem__"}
+DICT_MUTATORS = {"update", "pop", "popitem", "setdefault", "clear", "__setitem__", "__delitem__"}
 
 
 def private_uses(source: str, names: set[str]) -> list[tuple[int, str]]:
@@ -111,3 +117,40 @@ def test_only_padicgrp_uses_the_mat2_block():
         for line, what in private_uses(path.read_text(), MAT2_PRIVATE)
     }
     assert found == {}
+
+
+def schwartz_writes(source: str) -> list[tuple[int, str]]:
+    """(line, attr) of each write of .cells or .level, an entry of them, or
+    a dict-mutating call on them."""
+    return sorted(attribute_writes(source, "cells", DICT_MUTATORS) + attribute_writes(source, "level", DICT_MUTATORS))
+
+
+def test_scan_finds_every_kind_of_schwartz_write():
+    source = (
+        "phi.cells = {}\nphi.cells[c] = 1\ndel phi.cells[c]\nphi.level, phi.cells = 1, {}\n"
+        "phi.cells.update(d)\nphi.level += 1\nx = phi.cells.get(c)\nn = phi.level\n"
+    )
+    assert schwartz_writes(source) == [(1, "cells"), (2, "cells"), (3, "cells"), (4, "cells"), (4, "level"), (5, "cells"), (6, "level")]
+
+
+def test_only_whitzeta_writes_schwartz_cells():
+    files = [
+        path
+        for folder in (ROOT / "src" / "padicasai", ROOT / "demos", ROOT / "tests")
+        for path in sorted(folder.glob("*.py"))
+        if path.name != "whitzeta.py"
+    ]
+    found = [
+        (str(path.relative_to(ROOT)), line, what)
+        for path in files
+        for line, what in schwartz_writes(path.read_text())
+    ]
+    oracle = "tests/test_whitzeta.py"
+    (helper,) = [
+        node
+        for node in ast.walk(ast.parse((ROOT / oracle).read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "raw_writing"
+    ]
+    lines = {line for path, line, _ in found if path == oracle and helper.lineno <= line <= helper.end_lineno}
+    # one statement of the helper writes both, and nothing else writes either
+    assert found == [(oracle, line, what) for line in lines for what in ("cells", "level")]

@@ -5,7 +5,7 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from padicasai.exactnum import (
     AB,
@@ -24,7 +24,7 @@ from padicasai.exactnum import (
     val_p,
 )
 from padicasai.heckealg import HeckeElem, euler_poly, satake
-from padicasai.heckemod import delta1, generator_vector, hecke_apply, local_factor, period_value
+from padicasai.heckemod import delta1, generator_vector, hecke_apply, integrality_check, local_factor, period_value
 from padicasai.padicgrp import Mat2
 from padicasai import whitzeta
 from padicasai.cli import main
@@ -71,22 +71,22 @@ def translate_matrix(phi, gamma):
     wi = max(0, -min(0, int(min(x.val() for x in gi.e if x != gi.ctx.zero()))))
     # p^(level+w) Z^2 is inside p^level Z^2 gamma^-1, so the image tiles
     # at level level + w; enumerating z mod p^(w+wi) hits every image cell
-    out = SchwartzFn(p, phi.level + w)
+    level = phi.level + w
     pn = Fraction(p) ** phi.level
     step = p ** (w + wi)
     a, b, c, d = (x.a for x in gi.e)
+    # one cell keeps its level, so its _canon gives the image cells' centres
+    probe = SchwartzFn.cell(p, level, 0, 0)
+    cells = {}
     for (c1, c2), coef in phi.cells.items():
         for y1 in range(step):
             for y2 in range(step):
                 x1 = c1 + pn * y1
                 x2 = c2 + pn * y2
-                key = out._canon((x1 * a + x2 * c, x1 * b + x2 * d))
-                prev = out.cells.get(key)
-                if prev is None:
-                    out.cells[key] = coef
-                elif prev != coef:
+                key = probe._canon((x1 * a + x2 * c, x1 * b + x2 * d))
+                if cells.setdefault(key, coef) != coef:
                     raise AssertionError("cell image collision with distinct values")
-    return out
+    return SchwartzFn(p, level, cells)
 
 
 def asai_L_inverse(vs=VS_INERT):
@@ -151,7 +151,7 @@ def test_schwartz_translate_identity_and_inverse(F3):
     g = Mat2([1, Fraction(1, 3), 0, 1], F3)
     moved = translate_matrix(phi, g)
     back = translate_matrix(moved, g.inv())
-    assert back == phi.refine(back.level)
+    assert back == phi
     # spot value check: phi'(v) = phi(v g)
     assert moved.value_at(0, 1) == phi.value_at(0 * 1, Fraction(1, 3) * 0 + 1)
 
@@ -287,11 +287,12 @@ def test_zeta_asai_central_translation(F3):
     assert lhs == rhs * fac
 
 
-def test_negative_level_is_refined_to_level_zero(F3):
-    # dilating by p^-1 gave level -1, whose p ** N is a float: TypeError
+def test_negative_level_is_kept_as_one_cell(F3):
+    # dilating by p^-1 gives level -1, kept as written: every p ** e whose
+    # exponent comes from a level stays an int power, so no float arises
     p = 3
     wide = dilate(SchwartzFn.char_zp2(p), Fraction(1, p))
-    assert wide.level == 0 and len(wide.cells) == p * p
+    assert wide.level == -1 and wide.cells == {(Fraction(0), Fraction(0)): Fraction(1)}
     assert wide == SchwartzFn(p, -1, {(0, 0): 1})
     for a in range(-9, 10):
         for b in (0, 1, 3, 5):
@@ -1043,29 +1044,118 @@ def test_work_cap_counts_the_lines(p, allowed):
         zeta_asai(SchwartzFn.char_zp2(p), Mat2.t(0, allowed + 1, ctx), ctx)
 
 
-def test_refinement_cap_raises_before_building_cells():
-    # level -7 at p = 3 refines one cell into 3^14 = 4,782,969 level-0 cells
+def test_refinement_cap_raises_before_building_cells(monkeypatch):
+    # a negative level is one cell; only a sum subdivides, and across a level
+    # gap of 7 at p = 3 one cell would become 3^14 = 4,782,969 cells
+    wide, unit = SchwartzFn(3, -7, {(0, 0): 1}), SchwartzFn.cell(3, 0, 1, 0)
+    assert (wide.level, len(wide.cells)) == (-7, 1)
+    built = []
+    monkeypatch.setattr(whitzeta.SchwartzFn, "_canon", lambda self, c: built.append(c))
     with pytest.raises(PrecisionOverflow, match="cells"):
-        SchwartzFn(3, -7, {(0, 0): 1})
-    with pytest.raises(PrecisionOverflow, match="cells"):
-        SchwartzFn.char_zp2(3).refine(7)
-    assert len(SchwartzFn(3, -2, {(0, 0): 1}).cells) == 3 ** 4
+        wide + unit
+    assert not built
 
 
 def test_equality_compares_at_the_coarser_level():
-    # no comparison refines a cell, so a level gap far past the work cap
-    # compares as a small one does
+    # every function is written at its coarsest level, so nine cells that
+    # make up one are built as that one: equality is identity of writings,
+    # and a level gap far past the work cap compares as a small one does
     p = 3
     one = SchwartzFn.char_zp2(p)
-    nine = SchwartzFn(p, 1, {(a, b): 1 for a in range(p) for b in range(p)})
-    assert one == nine and nine == one and one == one.refine(2)
+    cells = {(Fraction(a), Fraction(b)): Fraction(1) for a in range(p) for b in range(p)}
+    nine = SchwartzFn(p, 1, cells)
+    assert (nine.p, nine.level, nine.cells) == (one.p, one.level, one.cells)
+    assert one == nine and nine == one
     assert one != SchwartzFn.cell(p, 40, 0, 0) and SchwartzFn.cell(p, 40, 0, 0) != one
     # the same cell count, but one coefficient off or one cell moved outside
-    bumped = dict(nine.cells)
+    bumped = dict(cells)
     bumped[(Fraction(0), Fraction(0))] = Fraction(2)
-    moved = {c: v for c, v in nine.cells.items() if c != (Fraction(0), Fraction(0))}
+    moved = {c: v for c, v in cells.items() if c != (Fraction(0), Fraction(0))}
     moved[(Fraction(1, 3), Fraction(0))] = Fraction(1)
-    assert one != SchwartzFn(p, 1, bumped) and one != SchwartzFn(p, 1, moved)
+    for other in (SchwartzFn(p, 1, bumped), SchwartzFn(p, 1, moved)):
+        assert (other.level, len(other.cells)) == (1, 9) and one != other
+
+
+def raw_writing(phi, level):
+    """phi on its subcells at a level at or above its own, written past the
+    constructor, which would merge them back into phi's one writing: the
+    writing a sum or a negative level used to get.  The one write of a
+    SchwartzFn's cells or level outside whitzeta, kept as a differential
+    oracle (test_lau_encapsulation allows it by name)."""
+    cells = {}
+    for c, coef in whitzeta._subcells(phi.cells.items(), phi.p, phi.level, level):
+        (key,) = SchwartzFn.cell(phi.p, level, *c).cells
+        cells[key] = coef
+    raw = SchwartzFn(phi.p, 0)
+    raw.level, raw.cells = level, cells
+    return raw
+
+
+def section_by_row(phi, ctx):
+    """godement_section's level and the section as a function of the
+    primitive bottom row."""
+    sec = godement_section(phi, ctx)
+    return sec["level"], lambda r1, r2: sec["values"].get(line_of(r1, r2, ctx.p, sec["level"]))
+
+
+# a raw writing's stabilizer takes about |GL2(Z/p^k)| branches: up to 81
+# cells are compared on every reading, up to 25 on integrality_check too
+RAW_CELLS, RAW_INTEGRALITY_CELLS = 81, 25
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    p=st.sampled_from([3, 5, 7]),
+    level=st.integers(-2, 2),
+    cells=st.lists(
+        st.tuples(st.integers(-50, 50), st.integers(0, 3), st.integers(-50, 50), st.sampled_from([1, 1, 2, -3, Fraction(1, 2)])),
+        min_size=1,
+        max_size=2,
+    ),
+    depth=st.integers(0, 2),
+    pick=st.integers(0, 2),
+)
+def test_one_writing_matches_the_raw_writings(p, level, cells, depth, pick):
+    # the one writing against the old ones: phi refined by 0 to 2 levels,
+    # and a negative level refined to level 0
+    ctx = QuadCtx.make(p)
+    phi = SchwartzFn(p, level, {(Fraction(a, p ** e), Fraction(b)): coef for a, e, b, coef in cells})
+    assume(phi.cells)
+    assert not any(isinstance(x, float) for c, coef in phi.cells.items() for x in (*c, coef, phi.level))
+    assert SchwartzFn.from_json(phi.to_json(), p) == phi
+    levels = {phi.level + d for d in range(depth + 1)} | ({0} if phi.level < 0 else set())
+    raws = [raw_writing(phi, L) for L in sorted(levels) if len(phi.cells) * p ** (2 * (L - phi.level)) <= RAW_CELLS]
+    g = [Mat2.identity(ctx), Mat2.t(1, 0, ctx), Mat2.n_b(1, ctx)][pick]
+    pair = [Mat2.identity(ctx), [Mat2.identity(ctx), Mat2.upper(Fraction(1, p), ctx)][pick % 2]]
+    want = (zeta_asai(phi, g, ctx).to_json(), zeta_rs_split(phi, pair, ctx).to_json())
+    checks = {u: integrality_check(phi, (g,), u, ctx) for u in ("K", "K[p]")}
+    sec_level, section = section_by_row(phi, ctx)
+    points = [(Fraction(a, p ** e) + p ** 3 * coef, Fraction(b) - p) for a, e, b, coef in cells] + [(0, 0), (1, 0)]
+    for raw in raws:
+        assert SchwartzFn(p, raw.level, raw.cells) == phi and (raw == phi) == (raw.level == phi.level)
+        assert (zeta_asai(raw, g, ctx).to_json(), zeta_rs_split(raw, pair, ctx).to_json()) == want
+        if len(raw.cells) <= RAW_INTEGRALITY_CELLS:
+            assert {u: integrality_check(raw, (g,), u, ctx) for u in checks} == checks
+        assert all(raw.value_at(*x) == phi.value_at(*x) for x in points)
+        raw_level, raw_section = section_by_row(raw, ctx)
+        top = max(sec_level, raw_level)
+        rows = [(1, x) for x in range(p ** top)] + [(p * y, 1) for y in range(p ** (top - 1))]
+        assert all(raw_section(*r) == section(*r) for r in rows)
+
+
+def test_one_writing_keeps_negative_levels_exact():
+    # ch(p^-k Z_p^2) is one cell at level -k: its zeta integrals are
+    # (omega(p) X^2)^-k times the unramified ones, for k up to 40
+    for p in (3, 5):
+        ctx = QuadCtx.make(p)
+        one = Mat2.identity(ctx)
+        inert, split = zeta_asai(SchwartzFn.char_zp2(p), one, ctx), zeta_rs_split(SchwartzFn.char_zp2(p), [one, one], ctx)
+        for k in (1, 2, 5, 40):
+            wide = SchwartzFn(p, -k, {(0, 0): 1})
+            assert (wide.level, list(wide.cells)) == (-k, [(Fraction(0), Fraction(0))])
+            for base, res in ((inert, zeta_asai(wide, one, ctx)), (split, zeta_rs_split(wide, [one, one], ctx))):
+                omx2 = whitzeta._omega_x2(base.num.vars, p)
+                assert res.ratfunc * omx2 ** k == base.ratfunc
 
 
 @pytest.mark.parametrize("case", ["inert", "split"])
