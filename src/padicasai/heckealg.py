@@ -151,6 +151,8 @@ class HeckeElem:
 
     @classmethod
     def from_json(cls, d: Mapping) -> "HeckeElem":
+        if d["group"] not in GROUPS:
+            raise ValueError(f"unknown group tag {d['group']!r}")
         vs = _vars_for(d["group"])
         if not isinstance(d["terms"], list):
             raise ValueError("a Hecke element's terms are a list")

@@ -25,7 +25,7 @@ from itertools import product
 from math import gcd
 from typing import Sequence
 
-from .exactnum import Lau, QuadCtx, QuadElem, RatFunc, in_z_inv_p
+from .exactnum import Lau, QuadCtx, QuadElem, RatFunc, in_z_inv_p, val_p
 from .heckealg import (
     HeckeElem,
     HeckeIdealCert,
@@ -40,6 +40,7 @@ from .heckealg import (
 from .padicgrp import (
     Mat2,
     SubgroupConditions,
+    _twist_val,
     conj_condition_rows,
     coset_reps,
     identity_rows,
@@ -280,16 +281,76 @@ def hecke_apply(h: HeckeElem, vec: TestVector) -> TestVector:
 # the local factor
 
 
+def _radial_profile(phi: SchwartzFn):
+    """(N, ((m, coef), ...)) when phi is GL2(Z_p)-invariant, else None.
+    GL2(Z_p)'s orbits on Q_p^2 are {0} and the shells p^m (Z_p^2 - p Z_p^2).
+    At phi's level N the origin cell (m = N here) holds every shell m >= N,
+    and the shell m < N is the (p^2 - 1) p^(2(N - m - 1)) cells with centres
+    of valuation m: phi is invariant when each shell it meets has all of
+    them, with one coefficient.  The profile then determines phi."""
+    p, N = phi.p, phi.level
+    shells: dict[int, list] = {}
+    for (c1, c2), coef in phi.cells.items():
+        shells.setdefault(min(val_p(c1, p), val_p(c2, p), N), []).append(coef)
+    if any(len(set(cs)) > 1 or (m < N and len(cs) != (p * p - 1) * p ** (2 * (N - m - 1)))
+           for m, cs in shells.items()):
+        return None
+    return N, tuple(sorted((m, cs[0]) for m, cs in shells.items()))
+
+
+def _double_coset_key(gs: Sequence[Mat2]) -> tuple:
+    """Invariants of gs -> k gs kappa that fix the double coset GL2(Z_p) gs U.
+
+    Inert: min_val, det_val and _twist_val of g read off its generalized
+    Cartan label (gen_cartan_label's docstring).  Split: min_val and
+    det_val of g1 and g2, and min_val(g1^-1 g2).  The column lattices
+    g_i Z_p^2 are vertices of the Bruhat-Tits tree (Serre, Trees, II 1.1)
+    at distance det_val(g_i) - 2 min_val(g_i) from Z_p^2, the vertex that
+    GL2(Z_p) fixes, and det_val(g2) - det_val(g1) - 2 min_val(g1^-1 g2)
+    from each other: these fix the tripod of the three vertices.  GL2(Z_p)
+    is transitive on the pairs of rays from Z_p^2 with a given branch
+    length (on the ends P^1(Q_p), and the stabilizer x -> (a x + b) / d of
+    the end infinity moves an end x to any with the same v(x) < 0, or any
+    x in Z_p), so on the vertex pairs of one tripod; det_val fixes each
+    lattice in its class."""
+    if len(gs) == 1:
+        g, = gs
+        return g.min_val(), g.det_val(), _twist_val(g)
+    g1, g2 = gs
+    return g1.min_val(), g1.det_val(), g2.min_val(), g2.det_val(), (g1.inv() * g2).min_val()
+
+
 def period_value(vec: TestVector) -> ZetaResult:
     """The zeta pairing of a level-K vector: its terms share one denominator,
-    so their numerators add."""
+    so their numerators add.
+
+    For k in Stab(phi) cap GL2(Z_p) and kappa in U, substituting h -> h k
+    in Z(phi, g . W_sph) = int phi((0, 1) h) W_sph(h g) ... dh gives
+    Z(phi, k g . W_sph), and W_sph is spherical, so Z(phi, k g kappa . W_sph)
+    = Z(phi, g . W_sph).  A radial phi is fixed by all of GL2(Z_p), so its
+    terms run one engine call per class (_radial_profile(phi),
+    _double_coset_key(gs)), and a class's second member is evaluated too,
+    and must agree; any other phi runs one call per term.
+    """
     if vec.level != "K":
         raise ValueError("the period pairs with level-K vectors")
+    ctx = vec.ctx
+    classes: dict = {}
+    profiles: dict[int, tuple | None] = {}  # by id: hecke_apply's terms share phi
+    for i, (phi, gs, c) in enumerate(vec.summands):
+        if id(phi) not in profiles:
+            profiles[id(phi)] = _radial_profile(phi)
+        key = i if profiles[id(phi)] is None else (profiles[id(phi)], _double_coset_key(gs))
+        members, total = classes.get(key, ([], 0))
+        classes[key] = ((members + [(phi, gs)])[:2], total + c)
     num = Lau(VS_SPLIT if vec.case == "split" else VS_INERT)
-    for phi, gs, c in vec.summands:
-        res = zeta_rs_split(phi, gs, vec.ctx) if vec.case == "split" else zeta_asai(phi, *gs, vec.ctx)
-        num = num + res.num * c
-    return ZetaResult(num, vec.case, "period_value", vec.ctx.p)
+    for members, total in classes.values():
+        zs = [(zeta_rs_split(phi, gs, ctx) if vec.case == "split" else zeta_asai(phi, *gs, ctx)).num
+              for phi, gs in members]
+        if zs[-1] != zs[0]:
+            raise AssertionError("two terms of one double-coset class have different zeta integrals")
+        num = num + zs[0] * total
+    return ZetaResult(num, vec.case, "period_value", ctx.p)
 
 
 def normalized_period(vec: TestVector) -> Lau:

@@ -503,11 +503,13 @@ def _y_value_from_data(data: tuple, vs, p: int) -> Lau:
 
     Memoized process-wide on (data, vs, p), at most 256 entries: the value
     depends on nothing else, and the same classes recur within a zeta call,
-    across the terms of a Hecke-translated vector and across vectors.  Each
-    miss runs _seq_tail and its recurrence check.  Sharing the cached Lau is
-    safe because no Lau changes once built: its integer numerators and
-    denominator are set by its constructor, and .terms and .int_terms() are
-    read-only views (complete_homog shares its values the same way).
+    in the second member of a period class and across vectors (a cold
+    seed-0 bench pass: 85 hits, 40 misses on hecke_freeness, 27 and 21 on
+    zeta_primes).  Each miss runs _seq_tail and its recurrence check.
+    Sharing the cached Lau is safe because no Lau changes once built: its
+    integer numerators and denominator are set by its constructor, and
+    .terms and .int_terms() are read-only views (complete_homog shares its
+    values the same way).
     """
     vbeta, vcs, ws = data
     pairs = _PAIRS[vs]

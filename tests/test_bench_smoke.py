@@ -101,12 +101,15 @@ def test_traced_coset_labels_pass_counts_every_smith_form(workloads, spans):
     assert tracer.layer_metrics()["padicgrp.plocal_smith.calls"][0] == 240
 
 
-@pytest.mark.parametrize("name,lines", [("zeta_primes", 1064), ("hecke_freeness", 812)])
+@pytest.mark.parametrize("name,lines", [("zeta_primes", 168), ("hecke_freeness", 332)])
 def test_traced_pass_reads_each_line_once(workloads, spans, name, lines):
-    # the zeta engine reads one row per projective line mod p^L: a seed-0
-    # pass makes 1,064 (zeta_primes) and 812 (hecke_freeness) row-data
-    # calls, where a row-by-row engine made 5,030 and 2,200; the count is
-    # the per-layer row metric, so a bypassed or renamed seam changes it too
+    # the zeta engine reads one row per projective line mod p^L, and the
+    # period runs it once per double-coset class of a radial phi's terms
+    # (and once more for a class's second member): a seed-0 pass makes 168
+    # (zeta_primes) and 332 (hecke_freeness) row-data calls, where one
+    # engine call per term made 1,064 and 812 and a row-by-row engine 5,030
+    # and 2,200; the count is the per-layer row metric, so a bypassed or
+    # renamed seam changes it too
     tracer = spans.Tracer()
     for i, job in enumerate(workloads.build(name, 0)):
         with tracer.active(i):
@@ -153,11 +156,13 @@ def test_traced_passes_count_closed_form_witness_products(workloads, spans):
     # in closed form: a seed-0 pass makes no QuadElem product on
     # hecke_freeness or coset_labels, where the matrices of QuadElem entries
     # made 19,041 and 34,440 and the column-operation matrices before them
-    # 27,142 and 43,080; the 457 Iwasawa certifications of hecke_freeness
-    # are pinned so that their count cannot move silently
+    # 27,142 and 43,080; the 181 Iwasawa certifications of hecke_freeness
+    # (457 with one zeta engine call per term, before the period grouped
+    # its terms by double coset) are pinned so that their count cannot move
+    # silently
     metrics = _fresh_traced_pass(workloads, spans, "hecke_freeness")
     assert metrics["exactnum.quad_mul.calls"][0] == 0
-    assert metrics["padicgrp.iwasawa_F.calls"][0] == 457
+    assert metrics["padicgrp.iwasawa_F.calls"][0] == 181
     metrics = _fresh_traced_pass(workloads, spans, "coset_labels")
     assert metrics["exactnum.quad_mul.calls"][0] == 0
 

@@ -227,6 +227,8 @@ MALFORMED = {
     # a key outside the group's variables and coef was dropped: T1 read as T1^0
     "elem unknown key": ["satake", "--elem", json.dumps({"group": "inert_F", "terms": [{"T1": 2, "coef": "1"}]})],
     "elem not an object": ["satake", "--elem", "[1]"],
+    # an unknown group read as a split one and was refused for its term key T
+    "elem unknown group": ["satake", "--elem", json.dumps({"group": "bogus", "terms": [{"T": 1, "coef": "1"}]})],
     "elem zero denominator": ["satake", "--elem", json.dumps({"group": "inert_F", "terms": [{"T": 1, "coef": "1/0"}]})],
     "phi cell not an object": ["zeta", "--phi", json.dumps({"level": 1, "cells": [5]})],
     "inputs not a list": ["hilbert-check", "--form", "builtin:synthetic_w2", "--ell", "5", "--inputs", {"p": 11}],

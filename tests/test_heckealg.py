@@ -389,6 +389,14 @@ def test_from_json_rejects_unknown_keys_and_terms_not_a_list(group, terms, match
         HeckeElem.from_json({"group": group, "terms": terms})
 
 
+@pytest.mark.parametrize("terms", [[{"T": 1, "coef": "1"}], [{"T1": 1, "coef": "1"}], "x"])
+def test_from_json_names_an_unknown_group_first(terms):
+    # the variables were picked before the group was checked, so "bogus"
+    # read as a split group and was refused for its term key T
+    with pytest.raises(ValueError, match="unknown group tag 'bogus'"):
+        HeckeElem.from_json({"group": "bogus", "terms": terms})
+
+
 @pytest.mark.parametrize("p", [2, 9, 15, 1, 0, -3])
 def test_entry_points_refuse_p_not_an_odd_prime(p):
     # euler_poly("asai_inert", 9) once returned 1 - S^2 - T/9 + T S/9

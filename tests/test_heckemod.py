@@ -1,6 +1,11 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -26,6 +31,7 @@ from padicasai.heckemod import (
     lambda_of_chain,
     local_factor,
     mirabolic_volume,
+    period_value,
     phi_c_weight,
     random_integral_vector,
     trace_level,
@@ -41,7 +47,7 @@ from padicasai.padicgrp import (
     pgk_label,
     subgroup_volume,
 )
-from padicasai.whitzeta import SchwartzFn, lambda_form
+from padicasai.whitzeta import VS_INERT, VS_SPLIT, SchwartzFn, lambda_form, zeta_asai, zeta_rs_split
 from test_padicgrp import condition_row, lattice_solve_affine_oracle, plocal_smith_oracle
 from test_whitzeta import raw_writing
 
@@ -244,6 +250,146 @@ def test_freeness_witness_split(F3, seed):
     h = HeckeElem.monomial("split_pair", e, Fraction(rng.randint(1, 4)))
     vec = hecke_apply(h, generator_vector(F3, case="split"))
     assert local_factor(vec) == h
+
+
+@pytest.mark.parametrize("group, exps", [("split_pair", (2, 0, 2, 0)), ("inert_F", (3, 0))])
+def test_freeness_witness_paper_scale(group, exps):
+    # 1,296 split and 17,576 inert terms at p = 5, one zeta engine call per
+    # double-coset class: one engine call per term took 1 to 2 s and 15 to
+    # 23 s on a 2-core machine
+    ctx = QuadCtx.make(5)
+    h = HeckeElem.monomial(group, exps)
+    assert local_factor(hecke_apply(h, generator_vector(ctx, "split" if group == "split_pair" else "inert"))) == h
+
+
+# -- the period's double-coset classes ---------------------------------------------
+
+
+def per_term_numerator(vec):
+    """period_value's numerator with one zeta engine call per term: the oracle
+    for its double-coset classes."""
+    num = Lau(VS_SPLIT if vec.case == "split" else VS_INERT)
+    for phi, gs, c in vec.summands:
+        res = zeta_rs_split(phi, gs, vec.ctx) if vec.case == "split" else zeta_asai(phi, *gs, vec.ctx)
+        num = num + res.num * c
+    return num
+
+
+def radial_and_not(p):
+    """Four radial functions of distinct profiles, the last two at level 1,
+    then two functions that are not radial."""
+    one = SchwartzFn.char_zp2(p)
+    shell0 = SchwartzFn(p, 1, {(a, b): 1 for a in range(p) for b in range(p) if a or b})
+    radial = [one, SchwartzFn.cell(p, -1, 0, 0, 3), shell0, one + SchwartzFn.cell(p, 1, 0, 0, -2)]
+    return radial + [SchwartzFn.cell(p, 1, 1, 0), SchwartzFn.phi_p2(p)]
+
+
+def g_pool(ctx, case):
+    one, t = Mat2.identity(ctx), Mat2.t(1, 0, ctx)
+    if case == "inert":
+        return [(one,), (t,), (Mat2.upper(QuadElem(0, Fraction(1, ctx.p), ctx), ctx),)]
+    return [(one, one), (t, one), (one, Mat2.upper(Fraction(1, ctx.p), ctx))]
+
+
+def test_radial_profiles_read_the_shells():
+    p = 3
+    profiles = [heckemod._radial_profile(phi) for phi in radial_and_not(p)]
+    assert profiles[:4] == [(0, ((0, 1),)), (-1, ((-1, 3),)), (1, ((0, 1),)), (1, ((0, 1), (1, -1)))]
+    assert profiles[4:] == [None, None]
+    # a shell with one cell missing, or one coefficient off, is not radial
+    shell0 = radial_and_not(p)[2]
+    assert heckemod._radial_profile(shell0 + SchwartzFn.cell(p, 1, 1, 2, -1)) is None
+    assert heckemod._radial_profile(shell0 + SchwartzFn.cell(p, 1, 1, 2)) is None
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.data())
+def test_grouped_period_matches_the_per_term_sum(data):
+    # radial and non-radial phi, several radial profiles in one vector, the
+    # translates of one or two Hecke monomials, inert and split
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    case = data.draw(st.sampled_from(["inert", "split"]))
+    ctx = QuadCtx.make(p)
+    coef = st.integers(-2, 3).filter(bool).map(Fraction)
+    summands = data.draw(st.lists(
+        st.tuples(st.sampled_from(radial_and_not(p)), st.sampled_from(g_pool(ctx, case)), coef),
+        min_size=1, max_size=3,
+    ))
+    group, n = ("split_pair", 2) if case == "split" else ("inert_F", 1)
+    tmax = 2 if (p, case) == (3, "inert") else 1  # 100 terms per summand and monomial, at most 64 otherwise
+    exps = st.tuples(*[st.integers(0, tmax), st.integers(-1, 1)] * n)
+    h = sum((HeckeElem.monomial(group, e) for e in data.draw(st.lists(exps, min_size=1, max_size=2))),
+            HeckeElem.zero(group))
+    start = TestVector(ctx, case, "K", summands)
+    vec = hecke_apply(h, start) + start
+    got = period_value(vec).num
+    assert isinstance(got, Lau) and got == per_term_numerator(vec)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_profiles_keep_their_classes_apart(p):
+    # every radial function at the same translates: a class keyed without
+    # the profile would add their coefficients to one function's zeta
+    ctx = QuadCtx.make(p)
+    start = TestVector(ctx, "inert", "K", [(phi, (Mat2.identity(ctx),), Fraction(1)) for phi in radial_and_not(p)[:4]])
+    vec = hecke_apply(HeckeElem.gen("inert_F", "T"), start)
+    assert period_value(vec).num == per_term_numerator(vec)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("case", ["inert", "split"])
+def test_non_radial_phi_needs_one_call_per_term(p, case):
+    # cell(p, 1, 1, 0) is fixed by a Borel subgroup of GL2(Z_p), not all of
+    # it: T-translates in one double-coset class give it different zetas
+    ctx = QuadCtx.make(p)
+    phi = SchwartzFn.cell(p, 1, 1, 0)
+    assert heckemod._radial_profile(phi) is None
+    h = HeckeElem.monomial("split_pair", (1, 0, 1, 0)) if case == "split" else HeckeElem.gen("inert_F", "T")
+    vec = hecke_apply(h, TestVector(ctx, case, "K", [(phi, g_pool(ctx, case)[0], Fraction(1))]))
+    zetas = {}
+    for _, gs, _ in vec.summands:
+        z = zeta_rs_split(phi, gs, ctx) if case == "split" else zeta_asai(phi, *gs, ctx)
+        zetas.setdefault(heckemod._double_coset_key(gs), set()).add(z.num)
+    assert any(len(z) > 1 for z in zetas.values())
+    assert period_value(vec).num == per_term_numerator(vec)
+
+
+COLLAPSED_CLASSES = """
+import sys
+from fractions import Fraction
+from padicasai import cli, heckemod
+from padicasai.exactnum import QuadCtx
+from padicasai.padicgrp import Mat2
+from padicasai.whitzeta import SchwartzFn
+
+heckemod._double_coset_key = lambda gs: ()  # two distinct classes made one
+ctx = QuadCtx.make(3)
+vec = heckemod.TestVector(ctx, "inert", "K", [(SchwartzFn.char_zp2(3), (g,), Fraction(1))
+                                             for g in (Mat2.identity(ctx), Mat2.t(1, 0, ctx))])
+print("optimize", sys.flags.optimize)
+try:
+    heckemod.period_value(vec)
+except AssertionError as exc:
+    print("raised", exc)
+sys.exit(cli.main(["--prime", "3", "local-factor", "--vector", sys.argv[1]]))
+"""
+
+
+def test_second_member_check_raises_under_python_O(F3, tmp_path):
+    # ch(Z_3^2) at 1 and at t(1, 0) is two classes; a key that made them one
+    # adds both coefficients to one zeta, and the second member's zeta tells
+    phi, one, t = SchwartzFn.char_zp2(3), Mat2.identity(F3), Mat2.t(1, 0, F3)
+    vec = TestVector(F3, "inert", "K", [(phi, (one,), Fraction(1)), (phi, (t,), Fraction(1))])
+    assert period_value(vec).num == per_term_numerator(vec)
+    path = tmp_path / "vec.json"
+    path.write_text(json.dumps(vec.to_json()))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    r = subprocess.run([sys.executable, "-O", "-c", COLLAPSED_CLASSES, str(path)],
+                       capture_output=True, text=True, env=env, timeout=60)
+    assert r.returncode == 4, r.stderr
+    assert r.stdout.splitlines()[:2] == ["optimize 1", "raised two terms of one double-coset class have different zeta integrals"]
+    assert r.stderr == "verification failure: two terms of one double-coset class have different zeta integrals\n"
 
 
 def test_contract_checks_raise_value_error(F3):

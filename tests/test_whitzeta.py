@@ -66,26 +66,29 @@ def translate_matrix(phi, gamma):
     p = phi.p
     if not gamma.is_rational():
         raise ValueError("Schwartz translation needs a rational matrix")
-    gi = gamma.inv()
     w = max(0, -min(0, int(min(x.val() for x in gamma.e if x != gamma.ctx.zero()))))
-    wi = max(0, -min(0, int(min(x.val() for x in gi.e if x != gi.ctx.zero()))))
-    # p^(level+w) Z^2 is inside p^level Z^2 gamma^-1, so the image tiles
-    # at level level + w; enumerating z mod p^(w+wi) hits every image cell
+    # p^(level+w) Z^2 is inside p^level Z^2 gamma^-1, so the image of a cell
+    # c + p^level Z^2 is c gamma^-1 plus the cosets of p^(level+w) Z^2 in
+    # p^level Z^2 gamma^-1, cells at level + w
     level = phi.level + w
     pn = Fraction(p) ** phi.level
-    step = p ** (w + wi)
-    a, b, c, d = (x.a for x in gi.e)
+    a, b, c, d = (x.a for x in gamma.inv().e)
+    # a triangular basis (u, v), (0, t) of Z_p^2 gamma^-1, the pivot row the
+    # one whose first entry has the least valuation; the cosets of p^w Z_p^2
+    # in it, each once, are s (u, v) + r (0, t), 0 <= s < p^(w - v(u)),
+    # 0 <= r < p^(w - v(t)): a difference in p^w Z_p^2 has s = 0, then r = 0
+    (u, v), (x, y) = ((a, b), (c, d)) if val_p(a, p) <= val_p(c, p) else ((c, d), (a, b))
+    t = y - x / u * v
+    shifts = [(s * u, s * v + r * t) for s in range(p ** (w - val_p(u, p))) for r in range(p ** (w - val_p(t, p)))]
     # one cell keeps its level, so its _canon gives the image cells' centres
     probe = SchwartzFn.cell(p, level, 0, 0)
     cells = {}
     for (c1, c2), coef in phi.cells.items():
-        for y1 in range(step):
-            for y2 in range(step):
-                x1 = c1 + pn * y1
-                x2 = c2 + pn * y2
-                key = probe._canon((x1 * a + x2 * c, x1 * b + x2 * d))
-                if cells.setdefault(key, coef) != coef:
-                    raise AssertionError("cell image collision with distinct values")
+        x1, x2 = c1 * a + c2 * c, c1 * b + c2 * d
+        for s1, s2 in shifts:
+            key = probe._canon((x1 + pn * s1, x2 + pn * s2))
+            if cells.setdefault(key, coef) != coef:
+                raise AssertionError("cell image collision with distinct values")
     return SchwartzFn(p, level, cells)
 
 
