@@ -7,7 +7,8 @@ not an odd prime, or a JSON document of the wrong shape (a --elem, --phi,
 --inputs or --form document whose fields are not the objects and lists they
 must be, or a --elem term keyed by other than its group's variables and
 coef); 3 precision overflow, a zeta integral reading more than 3^12 + 3^11
-= 708,588 lines mod p^L, L = max(1, Cartan spread of g); 4 verification
+= 708,588 lines mod p^L, L = max(1, Cartan spread of g), or an output
+integer past the interpreter's digit limit; 4 verification
 failure (an AssertionError, the root of every verification error),
 including an exact division, inverse Satake transform, symmetric reduction
 or coset decomposition that fails inside the engine.  Without --satake

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -50,7 +51,8 @@ class NotInImage(AssertionError):
 
 
 class PrecisionOverflow(RuntimeError):
-    """A computation would read lines or build cells above the work cap, whitzeta.WORK_CAP."""
+    """A computation would read lines or build cells above the work cap,
+    whitzeta.WORK_CAP, or print an integer past the interpreter's digit limit."""
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +113,19 @@ def is_odd_prime(n: int) -> bool:
 
 
 def fr_to_str(x, d: int = 1) -> str:
-    """x / d in lowest terms as "n" or "n/d", for x an int or Fraction and d > 0."""
+    """x / d in lowest terms as "n" or "n/d", for x an int or Fraction and
+    d > 0; a PrecisionOverflow past the interpreter's digit limit."""
     x, d = x.numerator, x.denominator * d
     g = math.gcd(x, d)
-    return str(x // g) if d == g else f"{x // g}/{d // g}"
+    try:
+        return str(x // g) if d == g else f"{x // g}/{d // g}"
+    except ValueError:
+        raise _too_long() from None
+
+
+def _too_long() -> PrecisionOverflow:
+    limit = sys.get_int_max_str_digits()
+    return PrecisionOverflow(f"an output integer has more than {limit} digits, the interpreter's limit")
 
 
 def quad_json(x: int, y: int, d: int, r: int) -> dict:
@@ -853,4 +864,71 @@ def lau_eval_x1(h: Lau, name: str) -> Lau:
 
 
 def json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    """obj exactly as json.dumps(obj, indent=2, sort_keys=True) prints it,
+    without that call's pure-Python encoder (the C encoder serves only
+    indent=None).  Keys are sorted before they are converted, so int keys
+    come out in numeric order; strings and keys are escaped to ASCII by the
+    C function json.dumps uses.  obj holds only str, int, bool, None, dict
+    (str or int keys), list and tuple: anything else is a TypeError.  An int
+    past the interpreter's digit limit (sys.get_int_max_str_digits()) is a
+    PrecisionOverflow."""
+    out: list[str] = []
+    put = out.append
+
+    def emit(v, nl: str) -> None:  # nl: a newline and the indent of v's own line
+        t = type(v)
+        if t is dict:
+            if not v:
+                put("{}")
+                return
+            inner = nl + "  "
+            sep, between = "{" + inner, "," + inner
+            for k in sorted(v):
+                head = sep + _json_key(k) + ": "
+                x = v[k]
+                if type(x) is str:
+                    put(head + _json_str(x))
+                elif type(x) is int:
+                    put(head + int.__repr__(x))
+                else:
+                    put(head)
+                    emit(x, inner)
+                sep = between
+            put(nl + "}")
+        elif t is list or t is tuple:
+            if not v:
+                put("[]")
+                return
+            inner = nl + "  "
+            sep, between = "[" + inner, "," + inner
+            for x in v:
+                put(sep)
+                emit(x, inner)
+                sep = between
+            put(nl + "]")
+        elif t is str:
+            put(_json_str(v))
+        elif t is int:
+            put(int.__repr__(v))
+        elif v is None or t is bool:
+            put(_JSON_ATOMS[v])
+        else:
+            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+    try:
+        emit(obj, "\n")
+    except ValueError:  # raised here only by int.__repr__ past the digit limit
+        raise _too_long() from None
+    return "".join(out)
+
+
+_json_str = json.encoder.encode_basestring_ascii
+_JSON_ATOMS = {None: "null", True: "true", False: "false"}
+
+
+def _json_key(k) -> str:
+    if type(k) is str:
+        return _json_str(k)
+    if type(k) is int:
+        return f'"{int.__repr__(k)}"'
+    raise TypeError(f"keys must be str or int, not {type(k).__name__}")

@@ -423,6 +423,15 @@ def _required_cell_level(gs: Sequence[Mat2]) -> int:
     return w
 
 
+def _max_line_level(p: int) -> int:
+    """The largest L whose p^L + p^(L-1) lines stay within WORK_CAP (12, 8
+    and 6 at p = 3, 5, 7), so a level is capped without building p^L."""
+    L = 0
+    while p ** (L + 1) + p ** L <= WORK_CAP:
+        L += 1
+    return L
+
+
 def _y_data_for_row(n1: int, n2: int, gs: Sequence[Mat2], ctx: QuadCtx) -> tuple:
     """The value-determining data of the inner integral at a primitive
     integer row: (phase valuation clamped at min(torus valuations) = -J,
@@ -574,8 +583,9 @@ def _shell_weights(phi: SchwartzFn, gs: Sequence[Mat2], ctx: QuadCtx) -> dict[tu
     certified once against _y_data_by_iwasawa."""
     p = ctx.p
     L = max(_required_cell_level(gs), 1)
-    if p ** L + p ** (L - 1) > WORK_CAP:  # the lines alone set the work; depth only scales counts
-        raise PrecisionOverflow(f"{p ** L + p ** (L - 1)} lines mod {p}^{L} above cap {WORK_CAP}")
+    top = _max_line_level(p)
+    if L > top:  # the lines alone set the work; depth only scales counts
+        raise PrecisionOverflow(f"level {L} above {top}: p^L + p^(L-1) lines mod {p}^L exceed cap {WORK_CAP}")
     pref = Fraction(p * p, p * p - 1)  # (1 - p^-2)^-1
     data_of_line: dict[tuple[int, int], tuple] = {}
     certified: set[tuple] = set()

@@ -130,6 +130,9 @@ def test_precision_overflow_exit_code(tmp_path):
     [
         # 7^8 + 7^7 = 6,588,344 lines mod 7^8, above the cap 3^12 + 3^11
         ["--prime", "7", "zeta", "--phi", "builtin:unramified", "--g", "t:8,0"],
+        # the level 10000 is compared with 12, not p^L with the cap: printing
+        # 3^10000 + 3^9999 would pass the interpreter's digit limit (exit 2)
+        ["--prime", "3", "zeta", "--phi", "builtin:unramified", "--g", "t:10000,0"],
     ],
 )
 def test_work_cap_exits_3_at_once(args, monkeypatch):
@@ -152,6 +155,19 @@ def test_work_cap_exits_3_at_once(args, monkeypatch):
     assert r.returncode == 3, r.stderr
     assert r.stderr.startswith("precision overflow: ")
     assert calls["lines"] == 0 and calls["cells"] <= 1
+
+
+def test_output_past_the_digit_limit_exits_3(tmp_path):
+    # a valid vector whose local factor holds a 9,541-digit coefficient: too
+    # long to print is a precision overflow, not an input error
+    doc = json.loads((INPUTS / "vec_K.json").read_text())
+    doc["terms"][0]["phi"]["level"] = 10000
+    path = tmp_path / "vec.json"
+    path.write_text(json.dumps(doc))
+    r = run("--prime", "3", "local-factor", "--vector", str(path))
+    assert r.returncode == 3, r.stderr
+    assert r.stderr.startswith("precision overflow: ") and "digit" in r.stderr
+    assert r.stdout == ""
 
 
 def test_level_minus_40_is_one_cell():

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from padicasai.exactnum import (
     Lau,
     NotDivisible,
     NotSymmetric,
+    PrecisionOverflow,
     QuadCtx,
     QuadElem,
     RatFunc,
@@ -21,6 +23,7 @@ from padicasai.exactnum import (
     fr_to_str,
     in_z_inv_p,
     is_odd_prime,
+    json_dumps,
     lau_eval_x1,
     smallest_nonresidue,
     sym_expand,
@@ -925,3 +928,63 @@ def test_ratfunc_cancellation_matches_the_oracles(data):
     lhs = to_sympy(num) / sympy.Mul(*(to_sympy(g) for g in den))
     rhs = to_sympy(r.num) / sympy.Mul(*(to_sympy(g) for g in r.den))
     assert sympy.cancel(lhs - rhs) == 0
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer, against json.dumps(indent=2, sort_keys=True) as the oracle
+
+
+def oracle_dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+# quotes, backslashes, control characters, non-ASCII and astral (surrogate
+# pair) characters, besides arbitrary text
+_json_strs = st.text(st.sampled_from('ab"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600')) | st.text()
+_json_ints = st.integers() | st.integers(-(10 ** 400), 10 ** 400)
+_json_trees = st.recursive(
+    st.none() | st.booleans() | _json_ints | _json_strs,
+    lambda kids: (
+        st.lists(kids, max_size=4)
+        | st.lists(kids, max_size=4).map(tuple)
+        | st.dictionaries(_json_strs, kids, max_size=4)
+        # int keys sort as numbers: 9 before 10, -10 before -9
+        | st.dictionaries(st.integers(-12, 12) | _json_ints, kids, max_size=4)
+    ),
+    max_leaves=25,
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_json_trees)
+def test_json_dumps_matches_json_dumps(tree):
+    assert json_dumps(tree) == oracle_dumps(tree)
+
+
+def test_json_dumps_edge_cases():
+    tree = {
+        "\u00e9\"\\\x01": [(), {}, [], (1, [-(10 ** 300)])],
+        "empty": {},
+        "ints": {9: "9", 10: "10", -10: None, 10 ** 200: True, 0: False},
+        "tuple": ("\U0001f600", 0, -1),
+    }
+    assert json_dumps(tree) == oracle_dumps(tree)
+    assert '"9": "9",\n    "10": "10"' in json_dumps(tree)
+    for atom in (None, True, False, 0, "", [], {}, ()):
+        assert json_dumps(atom) == oracle_dumps(atom)
+
+
+@pytest.mark.parametrize("bad", [0.5, Fraction(1, 2), {1}, {0.5: 1}, [1, {"a": 0.5}], {True: 1}])
+def test_json_dumps_refuses_what_it_does_not_print(bad):
+    with pytest.raises(TypeError):
+        json_dumps(bad)
+
+
+def test_integers_past_the_digit_limit_are_a_precision_overflow():
+    big = 10 ** 5000
+    with pytest.raises(PrecisionOverflow, match="digits"):
+        json_dumps({"n": [big]})
+    with pytest.raises(PrecisionOverflow, match="digits"):
+        json_dumps({big: 1})
+    with pytest.raises(PrecisionOverflow, match="digits"):
+        fr_to_str(Fraction(1, big))

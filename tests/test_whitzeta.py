@@ -1042,6 +1042,7 @@ def test_work_cap_counts_the_lines(p, allowed):
     # the cap bounds p^L + p^(L-1), the lines read: L <= 12 at p = 3, as the
     # level cap 12 did, but L <= 8 at p = 5 and L <= 6 at p = 7
     assert p ** allowed + p ** (allowed - 1) <= whitzeta.WORK_CAP < p ** (allowed + 1) + p ** allowed
+    assert whitzeta._max_line_level(p) == allowed
     ctx = QuadCtx.make(p)
     with pytest.raises(PrecisionOverflow, match="lines"):
         zeta_asai(SchwartzFn.char_zp2(p), Mat2.t(0, allowed + 1, ctx), ctx)
