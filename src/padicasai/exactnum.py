@@ -78,11 +78,24 @@ def val_p(x, p: int):
 
 
 def _vint(n: int, p: int) -> int:
-    """v_p of a nonzero integer."""
+    """v_p of a nonzero integer, in O(log v) divisions: one by p per unit up
+    to v = 8, then by p, p^2, p^4, .. while they divide and back down the
+    same powers, so a valuation of 10^5 costs about 34 divisions, not 10^5."""
     v = 0
     while n % p == 0:
         n //= p
         v += 1
+        if v == 8:
+            pows = [p]
+            while n % pows[-1] == 0:
+                n //= pows[-1]
+                v += 1 << (len(pows) - 1)
+                pows.append(pows[-1] * pows[-1])
+            for k in range(len(pows) - 2, -1, -1):
+                if n % pows[k] == 0:
+                    n //= pows[k]
+                    v += 1 << k
+            break
     return v
 
 

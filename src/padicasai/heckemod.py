@@ -40,6 +40,7 @@ from .heckealg import (
 from .padicgrp import (
     Mat2,
     SubgroupConditions,
+    _inv_mul_val,
     _twist_val,
     conj_condition_rows,
     coset_reps,
@@ -89,17 +90,15 @@ class TestVector:
             raise ValueError(f"vector case must be 'inert' or 'split', not {self.case!r}")
         if self.level not in ("K", "K[p]"):
             raise ValueError(f"vector level must be 'K' or 'K[p]', not {self.level!r}")
-        zero = self.ctx.zero()
         n = 2 if self.case == "split" else 1
         for phi, gs, c in self.summands:
             if not (isinstance(gs, tuple) and len(gs) == n and all(isinstance(g, Mat2) for g in gs)):
                 raise ValueError(f"term field 'g' of a {self.case} vector must be a tuple of {n} Mat2")
-            dets = [gi.det() for gi in gs]
-            if zero in dets:
+            if not all(any(gi._det2()) for gi in gs):
                 raise ValueError("group elements must be invertible")
-            if self.star and self.case == "split" and dets[0] != dets[1]:
+            if self.star and self.case == "split" and gs[0].det() != gs[1].det():
                 raise ValueError("G* pair needs equal determinants")
-            if self.star and self.case == "inert" and not dets[0].is_rational():
+            if self.star and self.case == "inert" and not gs[0].det().is_rational():
                 raise ValueError("G* element needs rational determinant")
 
     def __add__(self, other: "TestVector") -> "TestVector":
@@ -247,17 +246,24 @@ def trace_level(vec: TestVector) -> TestVector:
 # Hecke action on level-K vectors
 
 
-def _t_inverse_cosets(ctx: QuadCtx, fieldq: bool) -> list[Mat2]:
-    """Single cosets h_j K with K t(1,0)^-1 K = union h_j K."""
-    reps = coset_reps(1, ctx, fieldq)
+@lru_cache(maxsize=16)
+def _t_inverse_cosets(ctx: QuadCtx, fieldq: bool) -> tuple[Mat2, ...]:
+    """Single cosets h_j K with K t(1,0)^-1 K = union h_j K.
+
+    Memoized process-wide on (ctx, fieldq), at most 16 entries: every
+    hecke_apply on one (ctx, case) steps T through the same p^2 + 1 (inert)
+    or p + 1 (split) cosets.  A tuple of Mat2 is immutable, so sharing it is
+    safe.
+    """
     pinv = Fraction(1, ctx.p)
-    return [r.scale(pinv) for r in reps]
+    return tuple(r.scale(pinv) for r in coset_reps(1, ctx, fieldq))
 
 
 def hecke_apply(h: HeckeElem, vec: TestVector) -> TestVector:
     """h . (phi (x) ch(gK)) via xi . ch(gK) = sum_j ch(g h_j K),
     K t^-1 K = union h_j K; the monomial T1^a1 S1^b1 (T2^a2 S2^b2) acts on
-    each component by its own (T, S) exponents."""
+    each component by its own (T, S) exponents.  S = p^-1 is central, so a
+    component is scaled by S^b once, before its T-steps."""
     if vec.level != "K":
         raise ValueError("the spherical algebra acts at full level")
     if h.group != ("split_pair" if vec.case == "split" else "inert_F"):
@@ -269,10 +275,10 @@ def hecke_apply(h: HeckeElem, vec: TestVector) -> TestVector:
         for phi, gs, c in vec.summands:
             per_comp = []
             for gi, a, b in zip(gs, e[0::2], e[1::2]):
-                cur = [gi]
+                cur = [gi.scale(Fraction(ctx.p) ** -b) if b else gi]
                 for _ in range(a):
                     cur = [x * hj for x in cur for hj in tcosets]
-                per_comp.append([x * Mat2.t(-b, -b, ctx) for x in cur])
+                per_comp.append(cur)
             out_terms += [(phi, hs, c * coef) for hs in product(*per_comp)]
     return TestVector(ctx, vec.case, "K", out_terms, vec.star)
 
@@ -317,7 +323,7 @@ def _double_coset_key(gs: Sequence[Mat2]) -> tuple:
         g, = gs
         return g.min_val(), g.det_val(), _twist_val(g)
     g1, g2 = gs
-    return g1.min_val(), g1.det_val(), g2.min_val(), g2.det_val(), (g1.inv() * g2).min_val()
+    return g1.min_val(), g1.det_val(), g2.min_val(), g2.det_val(), _inv_mul_val(g1, *g2.int_block())
 
 
 def period_value(vec: TestVector) -> ZetaResult:
@@ -336,10 +342,14 @@ def period_value(vec: TestVector) -> ZetaResult:
         raise ValueError("the period pairs with level-K vectors")
     ctx = vec.ctx
     classes: dict = {}
-    profiles: dict[int, tuple | None] = {}  # by id: hecke_apply's terms share phi
+    # by id, as hecke_apply's terms share phi: the index of phi's radial
+    # profile among the distinct ones, so no term's key hashes its Fractions
+    profiles: dict[int, int | None] = {}
+    indices: dict[tuple, int] = {}
     for i, (phi, gs, c) in enumerate(vec.summands):
         if id(phi) not in profiles:
-            profiles[id(phi)] = _radial_profile(phi)
+            prof = _radial_profile(phi)
+            profiles[id(phi)] = None if prof is None else indices.setdefault(prof, len(indices))
         key = i if profiles[id(phi)] is None else (profiles[id(phi)], _double_coset_key(gs))
         members, total = classes.get(key, ([], 0))
         classes[key] = ((members + [(phi, gs)])[:2], total + c)

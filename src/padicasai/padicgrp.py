@@ -300,6 +300,7 @@ class IwasawaParts:
     kappa: Mat2
 
     def reassemble(self, ctx: QuadCtx) -> Mat2:
+        """n(u) diag(f1, f2) kappa, built from the witnesses."""
         return Mat2.upper(self.u, ctx) * Mat2.diag(self.f1, self.f2, ctx) * self.kappa
 
 
@@ -324,7 +325,9 @@ def iwasawa_F(g: Mat2) -> IwasawaParts:
     In closed form from the pivot j of _bottom_pivot(g), y = entry j and
     x = entry j - 2: u = x/y, f1 = det/y, f2 = y, and
     kappa = [[1, 0], [c/d, 1]] when y = d, [[0, -1], [1, d/c]] when y = c;
-    kappa is integral because v(y) is least in the bottom row.
+    kappa is integral because v(y) is least in the bottom row.  Every mode
+    checks n(u) diag(f1, f2) kappa = g, on n(u) and diag(f1, f2) built from
+    the quotient ints the witnesses are read off, and kappa in GL2(O_F).
     """
     ctx, r = g.ctx, g.ctx.r
     j, (X, Y) = _bottom_pivot(g)
@@ -336,15 +339,17 @@ def iwasawa_F(g: Mat2) -> IwasawaParts:
         kappa = _mat((wn, 0, 0, 0, wx, wy, wn, 0), wn, ctx)
     else:
         kappa = _mat((0, 0, -wn, 0, wn, 0, wx, wy), wn, ctx)
-    u = QuadElem.from_ints(*_quot(e[2 * j - 4], e[2 * j - 3], *y, r), ctx)
+    ux, uy, un = _quot(e[2 * j - 4], e[2 * j - 3], *y, r)
     # det / y = ((X + Y sqrt r) / D^2) / ((y0 + y1 sqrt r) / D)
     fx, fy, fn = _quot(X, Y, *y, r)
-    parts = IwasawaParts(u, QuadElem.from_ints(fx, fy, D * fn, ctx), QuadElem.from_ints(*y, D, ctx), kappa)
-    if parts.reassemble(ctx) != g:
+    nu = _mat((un, 0, ux, uy, 0, 0, un, 0), un, ctx)
+    diag = _mat((fx, fy, 0, 0, 0, 0, y[0] * fn, y[1] * fn), D * fn, ctx)
+    if nu * diag * kappa != g:
         raise AssertionError("Iwasawa witnesses do not reassemble g")
     if not kappa.in_KF():
         raise AssertionError("Iwasawa kappa is not in GL2(O_F)")
-    return parts
+    f1, f2 = QuadElem.from_ints(fx, fy, D * fn, ctx), QuadElem.from_ints(*y, D, ctx)
+    return IwasawaParts(QuadElem.from_ints(ux, uy, un, ctx), f1, f2, kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -661,12 +666,32 @@ def gen_cartan_candidates(g: Mat2) -> list[tuple[int, int, int]]:
     return out
 
 
+def _inv_mul_val(g: Mat2, xy: Sequence[int], d: int):
+    """min_val(g^-1 h) for h the matrix of the eight ints xy over d > 0,
+    building neither g^-1 nor h: with g = B / D, g^-1 h = (D / d) adj(B) xy
+    / det(B), so it is v(adj(B) xy) on the integer block, plus v(D) - v(d),
+    minus v(det B).  A singular g raises ZeroDivisionError."""
+    X, Y = g._det2()
+    if not (X or Y):
+        raise ZeroDivisionError("singular matrix")
+    p, r = g.ctx.p, g.ctx.r
+    a0, a1, b0, b1, c0, c1, d0, d1 = g._xy
+    e0, e1, f0, f1, s0, s1, t0, t1 = xy
+    # adj(B) = [[d, -b], [-c, a]] times [[e, f], [s, t]], entry by entry
+    n = gcd(
+        d0 * e0 - b0 * s0 + r * (d1 * e1 - b1 * s1), d0 * e1 + d1 * e0 - b0 * s1 - b1 * s0,
+        d0 * f0 - b0 * t0 + r * (d1 * f1 - b1 * t1), d0 * f1 + d1 * f0 - b0 * t1 - b1 * t0,
+        a0 * s0 - c0 * e0 + r * (a1 * s1 - c1 * e1), a0 * s1 + a1 * s0 - c0 * e1 - c1 * e0,
+        a0 * t0 - c0 * f0 + r * (a1 * t1 - c1 * f1), a0 * t1 + a1 * t0 - c0 * f1 - c1 * f0,
+    )
+    return (_vint(n, p) if n else INF) + _vint(g._d, p) - _vint(d, p) - _vquad(X, Y, p)
+
+
 def _twist_val(g: Mat2):
     """min_val(g^-1 sigma(g)), sigma the conjugation of F/Q_p entrywise: the
     block of g with every y_i negated."""
-    xy = g._xy
-    conj = _mat(tuple(-n if i % 2 else n for i, n in enumerate(xy)), g._d, g.ctx)
-    return (g.inv() * conj).min_val()
+    a0, a1, b0, b1, c0, c1, d0, d1 = g._xy
+    return _inv_mul_val(g, (a0, -a1, b0, -b1, c0, -c1, d0, -d1), g._d)
 
 
 def gen_cartan_label(g: Mat2, all_matches: bool = False):

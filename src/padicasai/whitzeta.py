@@ -21,11 +21,12 @@ The inner integral depends on the row only through three valuations of
 that decomposition: v(f1 / f2), v(f2) and the valuation of the psi-phase
 of u.  _y_data_for_row computes them in closed form from the coordinates
 of (n1, n2) g0 and of one row of g0, without building k or any matrix
-product.  The phase valuation is clamped at -J, J = max(-v(f1/f2)): from
-v(beta) = -J up, every shell from J on has Gauss weight 1.  Clamped, the
-data depends only on the line through the row mod p^L, L = max(1, Cartan
-spread of g0): a unit u scales the phase by u^-2 and keeps the torus
-valuations.  So the engine reads one integer row (n1, n2) per projective
+product; g0's block, v(D) and v(det g0) are read once per engine call
+(_row_components).  The phase valuation is clamped at -J,
+J = max(-v(f1/f2)): from v(beta) = -J up, every shell from J on has Gauss
+weight 1.  Clamped, the data depends only on the line through the row mod
+p^L, L = max(1, Cartan spread of g0): a unit u scales the phase by u^-2
+and keeps the torus valuations.  So the engine reads one integer row (n1, n2) per projective
 line mod p^L, with the rows of each cell on it counted in closed form
 (_line_reps).  Per engine call, each distinct data tuple is certified once
 against a verified iwasawa_F on the first line that yields it
@@ -389,7 +390,7 @@ class ZetaResult:
     def ratfunc(self) -> RatFunc:
         """Z as one reduced RatFunc, built anew on each access."""
         vs = self.num.vars
-        return RatFunc(self.num, [*_root_factors(vs, self.p), 1 - _omega_x2(vs, self.p)])
+        return RatFunc(self.num, [*_root_factors(vs, self.p), _one_minus_omega_x2(vs, self.p)])
 
     def normalized(self) -> Lau:
         """The normalized period lim_(s->0) Z / L in symmetric coordinates:
@@ -397,7 +398,7 @@ class ZetaResult:
         split prime (else NotDivisible)."""
         h = self.num
         if self.case == "split":
-            h = h.exact_div(1 - _omega_x2(h.vars, self.p))
+            h = h.exact_div(_one_minus_omega_x2(h.vars, self.p))
         return sym_reduce(lau_eval_x1(h, "X"))
 
     def to_json(self) -> dict:
@@ -423,20 +424,32 @@ def _required_cell_level(gs: Sequence[Mat2]) -> int:
     return w
 
 
+@lru_cache(maxsize=16)
 def _max_line_level(p: int) -> int:
     """The largest L whose p^L + p^(L-1) lines stay within WORK_CAP (12, 8
-    and 6 at p = 3, 5, 7), so a level is capped without building p^L."""
+    and 6 at p = 3, 5, 7), so a level is capped without building p^L.
+    Memoized on p, at most 16 entries."""
     L = 0
     while p ** (L + 1) + p ** L <= WORK_CAP:
         L += 1
     return L
 
 
-def _y_data_for_row(n1: int, n2: int, gs: Sequence[Mat2], ctx: QuadCtx) -> tuple:
+def _row_components(gs: Sequence[Mat2]) -> tuple:
+    """What _y_data_for_row reads of each component g0 of gs, once per engine
+    call: (block, v(D), v(det g0)), the block (e, D) of Mat2.int_block()."""
+    out = []
+    for g0 in gs:
+        e, D = g0.int_block()
+        out.append((e, _vint(D, g0.ctx.p), g0.det_val()))
+    return tuple(out)
+
+
+def _y_data_for_row(n1: int, n2: int, comps: tuple, p: int) -> tuple:
     """The value-determining data of the inner integral at a primitive
     integer row: (phase valuation clamped at min(torus valuations) = -J,
     infinity included, torus valuations, omega exponents); constant on lines
-    mod p^L.
+    mod p^L.  comps is _row_components(gs) for the group element gs.
 
     Closed form of the three valuations that the Iwasawa decomposition
     k g0 = n(u) diag(f1, f2) kappa supplies, k = _complete_row(n1, n2).
@@ -454,7 +467,6 @@ def _y_data_for_row(n1: int, n2: int, gs: Sequence[Mat2], ctx: QuadCtx) -> tuple
     numerators and D cancels in u.  _zeta_engine certifies each distinct
     result once against _y_data_by_iwasawa.
     """
-    p = ctx.p
     if n2 % p:
         top = 0
     elif n1 % p:
@@ -462,15 +474,14 @@ def _y_data_for_row(n1: int, n2: int, gs: Sequence[Mat2], ctx: QuadCtx) -> tuple
     else:
         raise ValueError("row is not primitive")
     vcs, ws, xys = [], [], []
-    for g0 in gs:
-        e, D = g0.int_block()
+    for e, vD, vdet in comps:
         # entry i of g0 is (e[2i] + e[2i+1] sqrt r) / D, and so are c and d
         c = (n1 * e[0] + n2 * e[4], n1 * e[1] + n2 * e[5])
         d = (n1 * e[2] + n2 * e[6], n1 * e[3] + n2 * e[7])
         vc, vd = _vquad(*c, p), _vquad(*d, p)
         i, y, vy = (top + 1, d, vd) if vc >= vd else (top, c, vc)
-        w = vy - _vint(D, p)
-        vcs.append(g0.det_val() - 2 * w)
+        w = vy - vD
+        vcs.append(vdet - 2 * w)
         ws.append(w)
         xys.append(((e[2 * i], e[2 * i + 1]), y, vy))
     if len(xys) == 1:
@@ -531,11 +542,20 @@ def _evec(vs, d: Mapping[str, int]):
     return tuple(d.get(v, 0) for v in vs)
 
 
+@lru_cache(maxsize=16)
 def _omega_x2(vs, p: int) -> Lau:
-    """omega(p) X^2: the product of every Satake pair, X^2, over p^(2e)."""
+    """omega(p) X^2: the product of every Satake pair, X^2, over p^(2e).
+    Memoized, like _root_factors; treat the result as immutable."""
     pairs = _PAIRS[vs]
     exps = {z: 1 for pair in pairs for z in pair} | {"X": 2}
     return Lau.monomial(vs, _evec(vs, exps), Fraction(1, p ** (2 * len(pairs) - 2)))
+
+
+@lru_cache(maxsize=16)
+def _one_minus_omega_x2(vs, p: int) -> Lau:
+    """1 - omega(p) X^2, the zeta denominator's last factor.  Memoized, like
+    _root_factors; treat the result as immutable."""
+    return 1 - _omega_x2(vs, p)
 
 
 def _line_reps(t, k: int, lam: int, L: int, p: int) -> tuple[list[tuple[int, int]], int]:
@@ -587,6 +607,7 @@ def _shell_weights(phi: SchwartzFn, gs: Sequence[Mat2], ctx: QuadCtx) -> dict[tu
     if L > top:  # the lines alone set the work; depth only scales counts
         raise PrecisionOverflow(f"level {L} above {top}: p^L + p^(L-1) lines mod {p}^L exceed cap {WORK_CAP}")
     pref = Fraction(p * p, p * p - 1)  # (1 - p^-2)^-1
+    comps = _row_components(gs)
     data_of_line: dict[tuple[int, int], tuple] = {}
     certified: set[tuple] = set()
     weights: dict[tuple, Fraction] = {}
@@ -597,7 +618,7 @@ def _shell_weights(phi: SchwartzFn, gs: Sequence[Mat2], ctx: QuadCtx) -> dict[tu
         for line in reps:
             data = data_of_line.get(line)
             if data is None:
-                data = data_of_line[line] = _y_data_for_row(*line, gs, ctx)
+                data = data_of_line[line] = _y_data_for_row(*line, comps, p)
                 if data not in certified:
                     if _y_data_by_iwasawa(*line, gs, ctx) != data:
                         raise AssertionError(
@@ -618,8 +639,10 @@ def _zeta_engine(phi: SchwartzFn, gs: Sequence[Mat2], ctx: QuadCtx) -> ZetaResul
     # numerators over R: shell m adds y omx2^m, the origin tail y omx2^N / (1 - omx2)
     parts = {"pow": Lau(vs), "geom": Lau(vs)}
     for (data, (kind, m)), wt in _shell_weights(phi, gs, ctx).items():
-        parts[kind] = parts[kind] + _y_value_from_data(data, vs, p) * (omx2 ** m * wt)
-    num = parts["pow"] * (1 - omx2) + parts["geom"]
+        parts[kind] = parts[kind] + _y_value_from_data(data, vs, p) * (omx2 ** m * wt if m else wt)
+    num = parts["geom"]
+    if not parts["pow"].is_zero():
+        num = num + parts["pow"] * _one_minus_omega_x2(vs, p)
     if len(gs) == 2:
         return ZetaResult(num, "split", "zeta_rs_split", p)
     return ZetaResult(num, "inert", "zeta_asai", p)
@@ -654,7 +677,7 @@ def psi_secondary(a: int, b: int, ctx: QuadCtx) -> ZetaResult:
     """
     if b < 0:
         raise ValueError("b must be >= 0")
-    num = _y_value_from_data((-b, (0,), (a,)), VS_INERT, ctx.p) * (1 - _omega_x2(VS_INERT, ctx.p))
+    num = _y_value_from_data((-b, (0,), (a,)), VS_INERT, ctx.p) * _one_minus_omega_x2(VS_INERT, ctx.p)
     return ZetaResult(num, "inert", f"psi_secondary(a={a}, b={b})", ctx.p)
 
 
@@ -760,8 +783,8 @@ def godement_section(phi: SchwartzFn, ctx: QuadCtx) -> dict:
     p = ctx.p
     cells = list(_cell_shells(phi))
     L = max(1, phi.level, *(k for _, k, _, _ in cells))
-    omx2 = _omega_x2(VS_INERT, p)
-    den, rows = 1 - omx2, (p - 1) * p ** (L - 1)
+    omx2, den = _omega_x2(VS_INERT, p), _one_minus_omega_x2(VS_INERT, p)
+    rows = (p - 1) * p ** (L - 1)
     # numerators over den: a shell m adds omx2^m, the origin tail omx2^N / den
     nums: dict[tuple[int, int], Lau] = {}
     for (kind, m), k, t, coef in cells:

@@ -118,6 +118,27 @@ def test_traced_pass_reads_each_line_once(workloads, spans, name, lines):
     assert tracer.layer_metrics()["whitzeta.row_classes.calls"][0] == lines
 
 
+def test_hecke_freeness_pass_builds_each_coset_table_once(workloads, monkeypatch):
+    # hecke_apply reads the single cosets of K t^-1 K from a memo per (ctx,
+    # case): a seed-0 pass at p = 3 runs coset_reps once over O_F (inert) and
+    # once over Z_p (split), where every one of its 28 jobs ran it
+    from padicasai import heckemod
+
+    heckemod._t_inverse_cosets.cache_clear()
+    calls = []
+    coset_reps = heckemod.coset_reps
+
+    def counted(lam, ctx, quadratic):
+        calls.append((lam, ctx.p, quadratic))
+        return coset_reps(lam, ctx, quadratic)
+
+    monkeypatch.setattr(heckemod, "coset_reps", counted)
+    for job in workloads.build("hecke_freeness", 0):
+        out, ok, _ = job.run()
+        assert ok and out
+    assert sorted(calls) == [(1, 3, False), (1, 3, True)]
+
+
 def _fresh_traced_pass(workloads, spans, name):
     """The per-layer metrics of a traced seed-0 pass of workload name, with
     every memo emptied first, as in a fresh process."""
@@ -135,7 +156,7 @@ def _fresh_traced_pass(workloads, spans, name):
 
 
 def test_traced_chain_certify_pass_counts_symmetric_reductions(workloads, spans):
-    # a seed-0 chain_certify pass makes 99 symmetric reductions and 1,884
+    # a seed-0 chain_certify pass makes 99 symmetric reductions and 1,779
     # Lau products; the closed forms of sym_reduce and sym_expand build no
     # Lau product, where the leading-term rewrite made 4,740 in all, exact
     # division runs on integer numerators without Lau products (646 of the
@@ -144,11 +165,14 @@ def test_traced_chain_certify_pass_counts_symmetric_reductions(workloads, spans)
     # each Euler polynomial and its involuted value once per (kind, p), where
     # rebuilding them for every certificate made 531 more, and
     # whitzeta.chain_operators scales each chain cell's S^a once, where the
-    # part-3 certificate's own builder scaled S^a and S^a eps_b (64 more); a
+    # part-3 certificate's own builder scaled S^a and S^a eps_b (64 more), and
+    # the zeta engine scales a shell-0 value by its weight alone and skips an
+    # empty shell part, where scaling (omega X^2)^0 by the weight and
+    # multiplying the empty part by 1 - omega X^2 made 105 more (1,884); a
     # renamed or inlined sym_reduce would drop the first count
     metrics = _fresh_traced_pass(workloads, spans, "chain_certify")
     assert metrics["exactnum.sym_reduce.calls"][0] == 99
-    assert metrics["exactnum.lau_mul.calls"][0] == 1884
+    assert metrics["exactnum.lau_mul.calls"][0] == 1779
 
 
 def test_traced_passes_count_closed_form_witness_products(workloads, spans):

@@ -133,6 +133,8 @@ def test_precision_overflow_exit_code(tmp_path):
         # the level 10000 is compared with 12, not p^L with the cap: printing
         # 3^10000 + 3^9999 would pass the interpreter's digit limit (exit 2)
         ["--prime", "3", "zeta", "--phi", "builtin:unramified", "--g", "t:10000,0"],
+        # v(det) = 100000 is read in O(log v) divisions, not one per unit
+        ["--prime", "3", "zeta", "--phi", "builtin:unramified", "--g", "t:100000,0"],
     ],
 )
 def test_work_cap_exits_3_at_once(args, monkeypatch):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from padicasai.exactnum import (
     AB,
@@ -18,6 +18,7 @@ from padicasai.exactnum import (
     RatFunc,
     UV,
     _evar_pairs,
+    _vint,
     complete_homog,
     fr_mod,
     fr_to_str,
@@ -988,3 +989,25 @@ def test_integers_past_the_digit_limit_are_a_precision_overflow():
         json_dumps({big: 1})
     with pytest.raises(PrecisionOverflow, match="digits"):
         fr_to_str(Fraction(1, big))
+
+
+def vint_by_single_divisions(n, p):
+    """_vint as it was: one division by p per unit of valuation."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(p=st.sampled_from([3, 5, 7]), v=st.integers(0, 10 ** 4), unit=st.integers(-10 ** 40, 10 ** 40))
+@example(p=3, v=10 ** 4, unit=1)
+@example(p=7, v=10 ** 4, unit=-2)
+def test_vint_matches_single_divisions(p, v, unit):
+    # small valuations keep the division by p; from v = 8 on the powers p^(2^k)
+    unit = unit * p + 1 if unit % p == 0 else unit
+    n = unit * p ** v
+    assert _vint(n, p) == vint_by_single_divisions(n, p) == v
+    for w in range(20):  # every step of the switch to the powers
+        assert _vint(unit * p ** w, p) == w

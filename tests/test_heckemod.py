@@ -510,6 +510,27 @@ def test_hecke_apply_matches_two_branch_oracle(p):
         assert hecke_apply(h, vec).to_json() == hecke_apply_two_branch(h, vec).to_json(), (h, vec.case)
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([3, 5, 7]),
+    split=st.booleans(),
+    monomials=st.lists(st.lists(st.tuples(st.integers(0, 2), st.integers(-2, 2)), min_size=2, max_size=2),
+                       min_size=1, max_size=2),
+    seed=st.integers(0, 10 ** 6),
+)
+def test_hecke_apply_matches_the_old_product_order(p, split, monomials, seed):
+    # hecke_apply scales each component by S^b once, before its T-steps; the
+    # oracle multiplies every output term by t(-b, -b) after them.  S is
+    # central, so both give the same matrices in the same order
+    ctx, rng = QuadCtx.make(p), random.Random(seed)
+    group, n = ("split_pair", 2) if split else ("inert_F", 1)
+    h = HeckeElem.zero(group)
+    for pairs in monomials:
+        h = h + HeckeElem.monomial(group, [x for a, b in pairs[:n] for x in (a, b)], Fraction(rng.randint(1, 3)))
+    vec = trace_level(random_integral_vector(ctx, rng, "K[p]", False, case="split" if split else "inert"))
+    assert hecke_apply(h, vec).summands == hecke_apply_two_branch(h, vec).summands
+
+
 # -- mirabolic chain -------------------------------------------------------------------
 
 

@@ -1,13 +1,17 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from padicasai import padicgrp
-from padicasai.exactnum import QuadCtx, QuadElem, fr_mod, val_p
+from padicasai.exactnum import INF, QuadCtx, QuadElem, fr_mod, val_p
 from padicasai.padicgrp import (
     CosetWitness,
     DecompositionError,
@@ -766,6 +770,92 @@ def test_gen_cartan_label_matches_the_search(g):
 def test_twist_val_is_bi_invariant(gkk):
     g, k, kappa = gkk
     assert padicgrp._twist_val(k * g * kappa) == padicgrp._twist_val(g) <= 0
+
+
+def sigma(g):
+    """g with the conjugation of F/Q_p applied to every entry."""
+    return Mat2([e.conj() for e in g.e], g.ctx)
+
+
+def rational_part(g):
+    """The matrix of the rational parts of g's entries (maybe singular)."""
+    return Mat2([e.a for e in g.e], g.ctx)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_at_p(lambda ctx: st.tuples(gl2_F(ctx), k_field(ctx))))
+def test_twist_val_matches_the_inverse_product(gk):
+    # _twist_val reads adj(B) sigma(B) on g's integer block; the oracle
+    # builds g^-1 and the product, as _twist_val did.  For q kappa, q
+    # rational, the block's entries cancel down to those of
+    # kappa^-1 sigma(kappa)
+    g, kappa = gk
+    q = rational_part(g)
+    for h in [g] + ([q * kappa] if q.det_val() != INF else []):
+        assert padicgrp._twist_val(h) == (h.inv() * sigma(h)).min_val()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_at_p(lambda ctx: st.tuples(gl2_F(ctx), gl2_F(ctx))), st.booleans())
+def test_inv_mul_val_matches_the_inverse_product(pair, rational):
+    # the split double-coset key's min_val(g1^-1 g2), over Q_p as the split
+    # case has it and over F; for g2 = g1 m the block adj(B1) B2 cancels
+    # down to det(B1) m
+    g1, m = map(rational_part, pair) if rational else pair
+    assume(g1.det_val() != INF)
+    for g2 in (m, g1 * m):
+        assert padicgrp._inv_mul_val(g1, *g2.int_block()) == (g1.inv() * g2).min_val()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_at_p(gl2_F))
+def test_iwasawa_check_matches_reassembly_from_the_parts(g):
+    # iwasawa_F checks n(u) diag(f1, f2) kappa = g on matrices built from its
+    # quotient ints; IwasawaParts.reassemble builds them from the witnesses
+    # it returns
+    parts = iwasawa_F(g)
+    assert parts.reassemble(g.ctx) == g and parts.kappa.in_KF()
+
+
+CORRUPTED_IWASAWA = """
+import sys
+from padicasai import cli, padicgrp
+from padicasai.exactnum import QuadCtx
+from padicasai.padicgrp import Mat2
+
+g = Mat2([1, 0, 1, 3], QuadCtx.make(3))  # v(c) < v(d): the pivot is c
+pivot, quot = padicgrp._bottom_pivot, padicgrp._quot
+corruptions = {
+    # every quotient off by one: u, f1 and kappa no longer reassemble g
+    "_quot": lambda *a: (lambda x, y, n: (x + n, y, n))(*quot(*a)),
+    # the other bottom entry as the pivot: g reassembles, kappa = [[1, 0], [1/3, 1]]
+    "_bottom_pivot": lambda h: (5 - pivot(h)[0], pivot(h)[1]),
+}
+print("optimize", sys.flags.optimize)
+for name, fake in corruptions.items():
+    setattr(padicgrp, name, fake)
+    try:
+        padicgrp.iwasawa_F(g)
+    except AssertionError as exc:
+        print("raised", exc)
+    setattr(padicgrp, name, {"_quot": quot, "_bottom_pivot": pivot}[name])
+padicgrp._quot = corruptions["_quot"]
+sys.exit(cli.main(["--prime", "3", "zeta", "--phi", "builtin:unramified", "--g", "t:1,0"]))
+"""
+
+
+def test_corrupted_iwasawa_witness_raises_under_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    r = subprocess.run([sys.executable, "-O", "-c", CORRUPTED_IWASAWA],
+                       capture_output=True, text=True, env=env, timeout=60)
+    assert r.stdout.splitlines() == [
+        "optimize 1",
+        "raised Iwasawa witnesses do not reassemble g",
+        "raised Iwasawa kappa is not in GL2(O_F)",
+    ]
+    assert r.returncode == 4, r.stderr
+    assert r.stderr == "verification failure: Iwasawa witnesses do not reassemble g\n"
 
 
 # -- closed-form witnesses against the column operations ------------------------

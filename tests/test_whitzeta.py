@@ -699,8 +699,9 @@ def test_row_data_closed_form_matches_iwasawa(p, lam):
     cases = [[g] for g in inert_g0s(ctx).values()]
     cases += list(split_g0s(ctx).values())
     for gs in cases:
+        comps = whitzeta._row_components(gs)
         for n1, n2 in rows:
-            fast = whitzeta._y_data_for_row(n1, n2, gs, ctx)
+            fast = whitzeta._y_data_for_row(n1, n2, comps, p)
             assert fast == whitzeta._y_data_by_iwasawa(n1, n2, gs, ctx), (gs, n1, n2)
 
 
@@ -712,7 +713,7 @@ def test_rows_divisible_by_p_are_refused(p):
         with pytest.raises(ValueError, match="row is not primitive"):
             whitzeta._complete_row(n1, n2, ctx)
         with pytest.raises(ValueError, match="row is not primitive"):
-            whitzeta._y_data_for_row(n1, n2, gs, ctx)
+            whitzeta._y_data_for_row(n1, n2, whitzeta._row_components(gs), p)
         with pytest.raises(ValueError, match="row is not primitive"):
             whitzeta._y_data_by_iwasawa(n1, n2, gs, ctx)
 
@@ -738,8 +739,8 @@ def test_complete_row_is_in_sl2_zp_with_that_bottom_row(p):
 def test_wrong_row_data_fails_verification(monkeypatch, capsys):
     closed_form = whitzeta._y_data_for_row
 
-    def off_by_one(n1, n2, gs, ctx):
-        vbeta, vcs, ws = closed_form(n1, n2, gs, ctx)
+    def off_by_one(n1, n2, comps, p):
+        vbeta, vcs, ws = closed_form(n1, n2, comps, p)
         return (vbeta, vcs, tuple(w + 1 for w in ws))
 
     monkeypatch.setattr(whitzeta, "_y_data_for_row", off_by_one)
@@ -750,6 +751,29 @@ def test_wrong_row_data_fails_verification(monkeypatch, capsys):
     assert main(["--prime", "3", "zeta", "--phi", "builtin:unramified", "--g", "identity"]) == 4
     err = capsys.readouterr().err
     assert "verification failure" in err and "Traceback" not in err
+
+
+def test_zeta_reads_each_component_once_per_call_not_per_line(monkeypatch):
+    # t(6, 0) at p = 3 has Cartan spread 6: 3^6 + 3^5 = 972 lines mod 3^6.
+    # _row_components reads v(det g0) once per engine call, where
+    # _y_data_for_row read it on every line (972 det_val calls more)
+    ctx = QuadCtx.make(3)
+    calls = Counter()
+    det_val, rows = Mat2.det_val, whitzeta._y_data_for_row
+
+    def counted_det_val(self):
+        calls["det_val"] += 1
+        return det_val(self)
+
+    def counted_rows(*args):
+        calls["lines"] += 1
+        return rows(*args)
+
+    monkeypatch.setattr(Mat2, "det_val", counted_det_val)
+    monkeypatch.setattr(whitzeta, "_y_data_for_row", counted_rows)
+    zeta_asai(SchwartzFn.char_zp2(3), Mat2.t(6, 0, ctx), ctx)
+    assert calls["lines"] == 972
+    assert 1 <= calls["det_val"] <= 2
 
 
 def split_t2_freeness(ctx):
@@ -809,7 +833,7 @@ def shell_weights_by_rows(phi, gs, ctx):
         pkey = p ** max(lam_req, 1)
         rkey = (n1 % pkey, n2 % pkey)
         if rkey not in data_of_row:
-            data = whitzeta._y_data_for_row(n1, n2, gs, ctx)
+            data = whitzeta._y_data_for_row(n1, n2, whitzeta._row_components(gs), p)
             if data not in certified:
                 if whitzeta._y_data_by_iwasawa(n1, n2, gs, ctx) != data:
                     raise AssertionError(
@@ -986,8 +1010,9 @@ def test_clamped_row_data_is_constant_on_lines(p, a, b, u, z1, z2):
     ctx, cases = row_sweep_cases(p)
     for gs, L in cases:
         pL = p ** L
-        row = whitzeta._y_data_for_row(a, b, gs, ctx)
-        moved = whitzeta._y_data_for_row(u * a + pL * z1, u * b + pL * z2, gs, ctx)
+        comps = whitzeta._row_components(gs)
+        row = whitzeta._y_data_for_row(a, b, comps, p)
+        moved = whitzeta._y_data_for_row(u * a + pL * z1, u * b + pL * z2, comps, p)
         assert moved == row, (gs, a, b, u)
 
 
