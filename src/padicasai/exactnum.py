@@ -106,11 +106,9 @@ def _vquad(x: int, y: int, p: int):
 
 
 def in_z_inv_p(x: Fraction, p: int) -> bool:
-    """True when x lies in Z[1/p], i.e. its denominator is a power of p."""
+    """True when x lies in Z[1/p]: its denominator is p^v, v by _vint."""
     d = Fraction(x).denominator
-    while d % p == 0:
-        d //= p
-    return d == 1
+    return d == p ** _vint(d, p)
 
 
 def fr_mod(x: Fraction, p: int, k: int) -> int:
@@ -490,23 +488,20 @@ class Lau:
         return _canon(self.vars, {e: c for e, c in t.items() if c}, self._den * o._den)
 
     def __pow__(self, n: int):
-        if n < 0:
-            if not self.is_monomial():
-                raise NotDivisible("negative power of a non-monomial")
+        """self ** n; a monomial's power in closed form, (c/d)^n in lowest terms
+        as gcd(c, d) = 1; other bases square while bits remain (x ** 3: 2 products)."""
+        if self.is_monomial():
             ((e, c),) = self._nums.items()
-            # (c/d)^n = d^-n / c^-n, in lowest terms as gcd(c, d) = 1
-            num, den = self._den ** -n, c ** -n
+            num, den = (c ** n, self._den ** n) if n >= 0 else (self._den ** -n, c ** -n)
             if den < 0:
                 num, den = -num, -den
             return _lau(self.vars, {tuple(n * k for k in e): num}, den)
-        out = Lau.const(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        if n < 0:
+            raise NotDivisible("negative power of a non-monomial")
+        if n <= 1:
+            return self if n else Lau.const(self.vars, 1)
+        half = self ** (n >> 1)
+        return half * half * self if n & 1 else half * half
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

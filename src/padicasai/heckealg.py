@@ -21,6 +21,7 @@ parameters, written in e1_i = u_i + v_i and e2_i = u_i v_i.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -30,6 +31,7 @@ from .exactnum import (
     Lau,
     NotDivisible,
     NotInImage,
+    _too_long,
     fr_to_str,
     is_odd_prime,
 )
@@ -185,9 +187,19 @@ def _check_prime(p: int) -> None:
 
 
 def _p_scaled(f: Lau, vs, weight, p: int) -> Lau:
-    """f over the variables vs, its term at e times p^weight(e)."""
+    """f over the variables vs, its term at e times p^weight(e).
+
+    Before any p-power is built: the term of largest |weight| = w keeps
+    p^m in lowest terms, m = w - max(bit lengths of its numerator and the
+    denominator), as p^v_p(x) < 2^bit_length(x).  As 3^21 > 10^10, p^m has
+    more digits than the limit L once m >= 21 ceil(L / 10): exit 3."""
     nums, den = f.int_terms()
     k = max([0, *(-weight(e) for e in nums)])
+    cap = 21 * -(-sys.get_int_max_str_digits() // 10)
+    if cap and max([k, *map(weight, nums)]) >= cap:
+        top = max(nums, key=lambda e: abs(weight(e)))
+        if abs(weight(top)) - max(den.bit_length(), abs(nums[top]).bit_length()) >= cap:
+            raise _too_long()
     return Lau.from_ints(vs, {e: c * p ** (weight(e) + k) for e, c in nums.items()}, den * p ** k)
 
 

@@ -458,19 +458,20 @@ def _mirabolic_successors(a: int, b: int, ctx: QuadCtx) -> tuple:
 
 def _act_on_mirabolic(h: HeckeElem, ctx: QuadCtx) -> dict:
     """Right-convolution action of h on ch(P K_F), coefficients on the basis
-    ch(P t_a n_b K_F) computed pointwise through the coset labels."""
+    ch(P t_a n_b K_F) computed pointwise through the coset labels, on int
+    counts (ch(P K_F) is 0/1, a T-step sums successors) until h's denominator."""
     tmax = h.poly.degree_in("T")
     # each T application spreads the support by at most one cell index
     window_b = range(0, tmax + 2)
     window_a = range(-(tmax + 2), tmax + 3)
 
     # start from ch(P K): function (a, b) -> value
-    values = {0: {(a, b): Fraction(1 if (a, b) == (0, 0) else 0) for a in window_a for b in window_b}}
+    values = {0: {(a, b): int((a, b) == (0, 0)) for a in window_a for b in window_b}}
 
     def tstep(prev, k):
         out = {}
         for (a, b) in prev:
-            out[(a, b)] = sum((prev.get(lab, 0) for lab in _mirabolic_successors(a, b, ctx)), Fraction(0))
+            out[(a, b)] = sum(prev.get(lab, 0) for lab in _mirabolic_successors(a, b, ctx))
         for (a, b), v in out.items():
             if v and (abs(a) > k or b > k):
                 raise AssertionError("mirabolic support escaped its window")
@@ -478,16 +479,17 @@ def _act_on_mirabolic(h: HeckeElem, ctx: QuadCtx) -> dict:
 
     for k in range(1, tmax + 1):
         values[k] = tstep(values[k - 1], k)
+    nums, den = h.poly.int_terms()
     out: dict = {}
-    for (texp, sexp), coef in h.poly.terms.items():
+    for (texp, sexp), coef in nums.items():
         base = values[texp]
         for (a, b), v in base.items():
             if not v:
                 continue
             # the central shift is exact: (S^k F)(a) = F(a + k)
             key = (a - sexp, b)
-            out[key] = out.get(key, Fraction(0)) + coef * v
-    return {k: v for k, v in out.items() if v}
+            out[key] = out.get(key, 0) + coef * v
+    return {k: Fraction(v, den) for k, v in out.items() if v}
 
 
 def lambda_of_chain(chain: XiPhiChain, ctx: QuadCtx) -> Lau:

@@ -337,7 +337,7 @@ def _seq_tail(aj, J: int, D: Lau, vs) -> Lau:
 
 
 @lru_cache(maxsize=16)
-def _root_factors(vs, p: int) -> tuple[Lau, ...]:
+def _root_factors(vs: tuple, p: int) -> tuple[Lau, ...]:
     """The factors 1 - root X of R, one per Shintani root prod z_i / p^e
     over z_i in {x_i, y_i}.  Memoized; treat the result as immutable."""
     pairs = _PAIRS[vs]
@@ -516,7 +516,7 @@ def _y_data_by_iwasawa(n1: int, n2: int, gs: Sequence[Mat2], ctx: QuadCtx) -> tu
 
 
 @lru_cache(maxsize=256)
-def _y_value_from_data(data: tuple, vs, p: int) -> Lau:
+def _y_value_from_data(data: tuple, vs: tuple, p: int) -> Lau:
     """The inner integral of one row-data class, data = (vbeta, vcs, ws) as
     returned by _y_data_for_row, over the variables vs at p: its numerator
     over R, as _y_integral returns it.
@@ -543,7 +543,7 @@ def _evec(vs, d: Mapping[str, int]):
 
 
 @lru_cache(maxsize=16)
-def _omega_x2(vs, p: int) -> Lau:
+def _omega_x2(vs: tuple, p: int) -> Lau:
     """omega(p) X^2: the product of every Satake pair, X^2, over p^(2e).
     Memoized, like _root_factors; treat the result as immutable."""
     pairs = _PAIRS[vs]
@@ -552,7 +552,7 @@ def _omega_x2(vs, p: int) -> Lau:
 
 
 @lru_cache(maxsize=16)
-def _one_minus_omega_x2(vs, p: int) -> Lau:
+def _one_minus_omega_x2(vs: tuple, p: int) -> Lau:
     """1 - omega(p) X^2, the zeta denominator's last factor.  Memoized, like
     _root_factors; treat the result as immutable."""
     return 1 - _omega_x2(vs, p)
@@ -682,10 +682,10 @@ def psi_secondary(a: int, b: int, ctx: QuadCtx) -> ZetaResult:
 
 
 def psi_epsilon_extract(b: int, ctx: QuadCtx) -> dict[int, Fraction]:
-    """Effective coefficients eps_n(b) with
-    Psi(n_b W, s) = sum_(n<b) eps_n(b) s_n X^n + Psi(W, s); exact."""
-    diff = psi_secondary(0, b, ctx).ratfunc - psi_secondary(0, 0, ctx).ratfunc
-    lau = diff.as_laurent()
+    """Effective coefficients eps_n(b) with Psi(n_b W, s) = sum_(n<b) eps_n(b)
+    s_n X^n + Psi(W, s), exact; both over R (1 - omega(p) X^2), one reduction."""
+    num = psi_secondary(0, b, ctx).num - psi_secondary(0, 0, ctx).num
+    lau = ZetaResult(num, "inert", f"Psi(n_b W) - Psi(W), b={b}", ctx.p).ratfunc.as_laurent()
     out = {}
     for n in range(b):
         coef = lau.coeff_of("X", n)
@@ -741,12 +741,15 @@ def chain_operators(cells: Mapping[tuple[int, int], Fraction], ctx: QuadCtx) -> 
     """The operators A = sum w S^a eps_operator(b) and B = sum w S^a over
     the cells {(a, b): w} of ch(t_a n_b K): the one builder of both, read by
     the linear form (lambda_of_cells) and by the chain certificate of
-    heckemod.certify_ideal, P = A' P_F'(1) + B'."""
+    heckemod.certify_ideal, P = A' P_F'(1) + B'.  eps_operator runs once per
+    distinct b, not in a process-wide memo: a certify run builds each chain
+    once, so a memo would serve only runs repeated in one process."""
     group = "inert_F"
     A = B = HeckeElem.zero(group)
+    eps = {b: eps_operator(b, ctx) for b in dict.fromkeys(b for _, b in cells)}
     for (a, b), w in cells.items():
         Sa = HeckeElem.gen(group, "S", a) * w
-        A, B = A + Sa * eps_operator(b, ctx), B + Sa
+        A, B = A + Sa * eps[b], B + Sa
     return A, B
 
 

@@ -139,14 +139,18 @@ def test_hecke_freeness_pass_builds_each_coset_table_once(workloads, monkeypatch
     assert sorted(calls) == [(1, 3, False), (1, 3, True)]
 
 
-def _fresh_traced_pass(workloads, spans, name):
-    """The per-layer metrics of a traced seed-0 pass of workload name, with
-    every memo emptied first, as in a fresh process."""
+def _clear_memos():
     for modname, mod in list(sys.modules.items()):
         if modname.startswith("padicasai."):
             for obj in vars(mod).values():
                 if hasattr(obj, "cache_clear"):
                     obj.cache_clear()
+
+
+def _fresh_traced_pass(workloads, spans, name):
+    """The per-layer metrics of a traced seed-0 pass of workload name, with
+    every memo emptied first, as in a fresh process."""
+    _clear_memos()
     tracer = spans.Tracer()
     for i, job in enumerate(workloads.build(name, 0)):
         with tracer.active(i):
@@ -155,8 +159,37 @@ def _fresh_traced_pass(workloads, spans, name):
     return tracer.layer_metrics()
 
 
+def test_chain_certify_pass_extracts_each_epsilon_once_per_chain(workloads, monkeypatch):
+    # whitzeta.chain_operators runs eps_operator once per distinct b among a
+    # chain's cells, and so psi_epsilon_extract once per distinct b > 0: a
+    # seed-0 pass makes 6, one per part3_inert_g1 chain, where one call per
+    # cell made 14; no memo spans the chains, so every certificate extracts
+    # its own
+    from padicasai import heckemod, whitzeta
+
+    _clear_memos()
+    extracts, expected = [], []
+    extract, chain_operators = whitzeta.psi_epsilon_extract, heckemod.chain_operators
+
+    def counted_extract(b, ctx):
+        extracts.append(b)
+        return extract(b, ctx)
+
+    def counted_chain(cells, ctx):
+        expected.extend(sorted({b for _, b in cells if b > 0}))
+        return chain_operators(cells, ctx)
+
+    monkeypatch.setattr(whitzeta, "psi_epsilon_extract", counted_extract)
+    monkeypatch.setattr(heckemod, "chain_operators", counted_chain)
+    for job in workloads.build("chain_certify", 0):
+        out, ok, _ = job.run()
+        assert ok and out
+    assert extracts == expected
+    assert len(extracts) == 6
+
+
 def test_traced_chain_certify_pass_counts_symmetric_reductions(workloads, spans):
-    # a seed-0 chain_certify pass makes 99 symmetric reductions and 1,779
+    # a seed-0 chain_certify pass makes 99 symmetric reductions and 1,521
     # Lau products; the closed forms of sym_reduce and sym_expand build no
     # Lau product, where the leading-term rewrite made 4,740 in all, exact
     # division runs on integer numerators without Lau products (646 of the
@@ -168,11 +201,16 @@ def test_traced_chain_certify_pass_counts_symmetric_reductions(workloads, spans)
     # part-3 certificate's own builder scaled S^a and S^a eps_b (64 more), and
     # the zeta engine scales a shell-0 value by its weight alone and skips an
     # empty shell part, where scaling (omega X^2)^0 by the weight and
-    # multiplying the empty part by 1 - omega X^2 made 105 more (1,884); a
-    # renamed or inlined sym_reduce would drop the first count
+    # multiplying the empty part by 1 - omega X^2 made 105 more (1,884), and
+    # a monomial's power is built in closed form and other powers square no
+    # more than their bits need, where 1 * x * x .. made 220 more, and the
+    # part-3 chain extracts each epsilon once per distinct b over one
+    # shared denominator, where one extraction per cell over three reduced
+    # RatFuncs made 38 more (1,779); a renamed or inlined sym_reduce would
+    # drop the first count
     metrics = _fresh_traced_pass(workloads, spans, "chain_certify")
     assert metrics["exactnum.sym_reduce.calls"][0] == 99
-    assert metrics["exactnum.lau_mul.calls"][0] == 1779
+    assert metrics["exactnum.lau_mul.calls"][0] == 1521
 
 
 def test_traced_passes_count_closed_form_witness_products(workloads, spans):

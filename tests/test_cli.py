@@ -172,6 +172,54 @@ def test_output_past_the_digit_limit_exits_3(tmp_path):
     assert r.stdout == ""
 
 
+def satake_elem(group, coef="1", **exps):
+    return ["satake", "--elem", json.dumps({"group": group, "terms": [dict(exps, coef=coef)]})]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        satake_elem("inert_F", T=10 ** 8),
+        satake_elem("inert_F", T=10 ** 8, S=10 ** 8),
+        satake_elem("split_pair", S1=10 ** 8),
+        satake_elem("split_pair", T1=10 ** 8, S1=10 ** 8, T2=10 ** 8, S2=10 ** 8),
+        satake_elem("split_pair", T2=10 ** 8, S2=-(10 ** 8)),
+    ],
+)
+def test_satake_exponent_past_the_digit_limit_exits_3_at_once(args, monkeypatch):
+    # p^(10^8) has 47,712,126 digits at p = 3: the exponent is compared with
+    # the digit limit before any p-power or transform is built
+    from padicasai import heckealg
+
+    built = []
+    from_ints = heckealg.Lau.from_ints
+    monkeypatch.setattr(heckealg.Lau, "from_ints", lambda *a: built.append(a) or from_ints(*a))
+    r = run("--prime", "3", *args)
+    assert r.returncode == 3, r.stderr
+    assert r.stderr.startswith("precision overflow: ") and "Traceback" not in r.stderr
+    assert r.stdout == "" and built == []
+
+
+@pytest.mark.parametrize(
+    "args,term",
+    [
+        # 3^9000 has 4,295 digits, inside the default limit of 4,300
+        (satake_elem("inert_F", T=9000), ("9000,0", 3 ** 9000)),
+        # an S exponent scales no inert coefficient: e2^(10^8) prints
+        (satake_elem("inert_F", S=10 ** 8), ("0,100000000", 1)),
+        (satake_elem("split_pair", S1=-9000), ("0,-9000,0,0", 3 ** 9000)),
+        # past 9,030 = 21 ceil(4300 / 10), but the coefficient cancels 3^40
+        (satake_elem("inert_F", coef=f"1/{3 ** 40}", T=9040), ("9040,0", 3 ** 9000)),
+        (satake_elem("split_pair", coef=str(3 ** 40), S1=9040), ("0,9040,0,0", f"1/{3 ** 9000}")),
+    ],
+)
+def test_satake_exponent_inside_the_digit_limit_prints(args, term):
+    r = run("--prime", "3", *args)
+    assert r.returncode == 0, r.stderr
+    key, coef = term
+    assert json.loads(r.stdout)["satake"]["terms"] == {key: str(coef)}
+
+
 def test_level_minus_40_is_one_cell():
     # ch(3^-40 Z_3^2) is kept as one cell at level -40, not 3^80 level-0
     # cells: its zeta integral is (omega(p) X^2)^-40 times the unramified one

@@ -31,6 +31,7 @@ from padicasai.exactnum import (
     sym_reduce,
     val_p,
 )
+from padicasai import whitzeta
 
 
 @pytest.fixture
@@ -1011,3 +1012,79 @@ def test_vint_matches_single_divisions(p, v, unit):
     assert _vint(n, p) == vint_by_single_divisions(n, p) == v
     for w in range(20):  # every step of the switch to the powers
         assert _vint(unit * p ** w, p) == w
+
+
+def in_z_inv_p_by_single_divisions(x, p):
+    """in_z_inv_p as it was: one division of the denominator by p per unit."""
+    d = Fraction(x).denominator
+    while d % p == 0:
+        d //= p
+    return d == 1
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    p=st.sampled_from([3, 5, 7]), v=st.integers(0, 10 ** 4),
+    cofactor=st.sampled_from([1, 1, 2, 4, 11, 2 * 13 ** 5]), num=st.integers(-10 ** 20, 10 ** 20).filter(bool),
+)
+@example(p=3, v=10 ** 4, cofactor=1, num=1)
+@example(p=7, v=10 ** 4, cofactor=2, num=-5)
+def test_in_z_inv_p_matches_single_divisions(p, v, cofactor, num):
+    x = Fraction(num, cofactor * p ** v)
+    want = in_z_inv_p_by_single_divisions(x, p)
+    assert in_z_inv_p(x, p) == want == (Fraction(num, cofactor).denominator == 1)
+
+
+def test_in_z_inv_p_reads_a_large_valuation():
+    # 50,000 divisions by 3 in the old loop; a few dozen in _vint's descent
+    assert in_z_inv_p(Fraction(1, 3 ** 50000), 3)
+    assert not in_z_inv_p(Fraction(1, 2 * 3 ** 50000), 3)
+    assert in_z_inv_p(Fraction(2 * 3 ** 50000, 7 ** 3), 7)
+
+
+def pow_by_repeated_products(f: Lau, n: int) -> Lau:
+    """f ** n for n >= 0 as 1 * f * .. * f, one Lau product per factor."""
+    out = Lau.const(f.vars, 1)
+    for _ in range(n):
+        out = out * f
+    return out
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.sampled_from(LAU_VARS).flatmap(lambda vs: st.tuples(st.just(vs), lau_terms(vs, max_terms=3))),
+    st.integers(0, 6),
+)
+@example(case=(("X",), {}), n=0)
+@example(case=(("X",), {}), n=3)
+@example(case=(("A", "B", "X"), {(1, -2, 1): Fraction(-2, 3)}), n=5)
+def test_lau_pow_matches_repeated_products(case, n):
+    f = Lau(*case)
+    got = f ** n
+    canonical(got)
+    assert got.vars == f.vars and got == pow_by_repeated_products(f, n)
+
+
+def test_powers_build_no_product_they_do_not_need(monkeypatch):
+    # a monomial's power is closed form; other bases start from the base and
+    # do not square after the last bit
+    omx2 = whitzeta._omega_x2(whitzeta.VS_INERT, 3)
+    binom = 1 + Lau.var(("X",), "X")
+    want = {m: pow_by_repeated_products(omx2, m) for m in range(1, 5)}
+    want_binom = {n: pow_by_repeated_products(binom, n) for n in range(7)}
+    calls = []
+    mul = Lau.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Lau, "__mul__", counted)
+    for m in range(1, 5):
+        calls.clear()
+        assert omx2 ** m == want[m]
+        assert not calls, m
+    for n, products in enumerate((0, 0, 1, 2, 2, 3, 3)):
+        calls.clear()
+        assert binom ** n == want_binom[n]
+        assert len(calls) == products, n

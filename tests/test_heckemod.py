@@ -770,8 +770,9 @@ def test_six_cells_stabilize_a_borel(F3):
 
 
 def act_on_mirabolic_by_labels(h, ctx):
-    """_act_on_mirabolic as it was before its rows were memoized: one
-    pgk_label per (cell, coset) at every T-step."""
+    """_act_on_mirabolic as it was before its rows were memoized and its
+    counts became integers: one pgk_label per (cell, coset) at every
+    T-step, and every count a Fraction sum."""
     tcos = coset_reps(1, ctx, True)
     tmax = max((e[0] for e in h.poly.terms), default=0)
     window_b = range(0, tmax + 2)
@@ -836,7 +837,10 @@ def test_mirabolic_step_matches_labels_oracle(monkeypatch):
         ctx = QuadCtx.make(p)
         h = inert_elem(terms)
         expect = act_on_mirabolic_by_labels(h, ctx)
-        assert _act_on_mirabolic(h, ctx) == expect, (p, terms)
+        got = _act_on_mirabolic(h, ctx)
+        # integer T-steps return the Fraction oracle's values in its key order
+        assert got == expect and list(got) == list(expect), (p, terms)
+        assert all(type(v) is Fraction for v in got.values())
         assert xi_phi_chain(generator_vector(ctx), h).xi_coeffs == expect
     # T-degree 3 at p = 3 fills its (2 * 3 + 5)(3 + 2) = 55-cell window
     assert sum(1 for _, _, ctx in served_rows if ctx.p == 3) >= 55

@@ -535,13 +535,31 @@ def test_seq_tail_checks_the_recurrence():
             tail(lambda j: Lau.const(vs, j), 2, 1 - X, vs)
 
 
-def test_epsilon_extraction(F3):
-    p = 3
-    for b in (1, 2, 3):
-        eps = psi_epsilon_extract(b, F3)
-        expect = {n: Fraction(-1) for n in range(b - 1)}
-        expect[b - 1] = Fraction(-p, p - 1)
-        assert eps == expect
+def psi_epsilon_extract_by_three_ratfuncs(b, ctx):
+    """psi_epsilon_extract as it was: Psi(n_b W) and Psi(W) each reduced as
+    a RatFunc, then their difference reduced a third time."""
+    diff = psi_secondary(0, b, ctx).ratfunc - psi_secondary(0, 0, ctx).ratfunc
+    lau = diff.as_laurent()
+    out = {}
+    for n in range(b):
+        coef = lau.coeff_of("X", n)
+        if coef.is_zero():
+            continue
+        sn = complete_homog(n, "A", "B", ("A", "B"))
+        out[n] = coef.exact_div(sn).constant_value()
+    if lau.degree_in("X") >= b:
+        raise AssertionError("Psi(n_b W) - Psi(W) has a term of X-degree >= b")
+    return out
+
+
+def test_epsilon_extraction():
+    for p in (3, 5, 7):
+        ctx = QuadCtx.make(p)
+        for b in range(1, 5):
+            eps = psi_epsilon_extract(b, ctx)
+            expect = {n: Fraction(-1) for n in range(b - 1)}
+            expect[b - 1] = Fraction(-p, p - 1)
+            assert eps == expect == psi_epsilon_extract_by_three_ratfuncs(b, ctx), (p, b)
 
 
 def test_epsilon_report_flags_index(F3):
@@ -568,6 +586,41 @@ def lambda_form_one_cell(a, b, ctx):
     Sa = HeckeElem.gen(group, "S", a) if a != 0 else one
     op = Sa * whitzeta.eps_operator(b, ctx) * euler_poly("asai_inert", p).at_one() + Sa * (one - S)
     return satake(op, p)
+
+
+def chain_operators_per_cell(cells, ctx):
+    """chain_operators as it was: one eps_operator call per cell."""
+    group = "inert_F"
+    A = B = HeckeElem.zero(group)
+    for (a, b), w in cells.items():
+        Sa = HeckeElem.gen(group, "S", a) * w
+        A, B = A + Sa * whitzeta.eps_operator(b, ctx), B + Sa
+    return A, B
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_chain_operators_match_the_per_cell_oracle(p, monkeypatch):
+    ctx = QuadCtx.make(p)
+    cell_sets = [
+        {},
+        {(0, 0): 1},
+        {(0, 1): Fraction(2, 3), (-1, 1): -1, (2, 1): 5, (0, 0): Fraction(1, 2)},
+        {(a, b): Fraction(a + 2 * b + 1, b + 1) for a in range(-2, 3) for b in range(4)},
+    ]
+    calls = []
+    eps_operator = whitzeta.eps_operator
+
+    def counted(b, c):
+        calls.append(b)
+        return eps_operator(b, c)
+
+    for cells in cell_sets:
+        want = chain_operators_per_cell(cells, ctx)
+        monkeypatch.setattr(whitzeta, "eps_operator", counted)
+        calls.clear()
+        assert whitzeta.chain_operators(cells, ctx) == want
+        monkeypatch.undo()
+        assert sorted(calls) == sorted({b for _, b in cells})
 
 
 @pytest.mark.parametrize("p", [3, 5])
