@@ -113,7 +113,9 @@ def in_z_inv_p(x: Fraction, p: int) -> bool:
 
 def fr_mod(x: Fraction, p: int, k: int) -> int:
     """The residue in [0, p^k) of a p-integral Fraction; a denominator
-    divisible by p has no inverse mod p^k and raises ValueError."""
+    divisible by p has no inverse mod p^k and raises ValueError, and a p^k
+    past the digit limit is refused before it is built."""
+    _check_power(p, k)
     m = p ** k
     return x.numerator * pow(x.denominator, -1, m) % m
 
@@ -132,6 +134,15 @@ def fr_to_str(x, d: int = 1) -> str:
         return str(x // g) if d == g else f"{x // g}/{d // g}"
     except ValueError:
         raise _too_long() from None
+
+
+def _check_power(b: int, n: int) -> None:
+    """A PrecisionOverflow before b ** n is built when it has more digits
+    than the interpreter's limit L: |b^n| >= 2^((bits(b) - 1) |n|) and
+    2^(4 L) > 10^L."""
+    limit = sys.get_int_max_str_digits()
+    if limit and (abs(b).bit_length() - 1) * abs(n) > 4 * limit:
+        raise PrecisionOverflow(f"a power to the exponent {n} has more than {limit} digits, the interpreter's limit")
 
 
 def _too_long() -> PrecisionOverflow:
@@ -489,9 +500,11 @@ class Lau:
 
     def __pow__(self, n: int):
         """self ** n; a monomial's power in closed form, (c/d)^n in lowest terms
-        as gcd(c, d) = 1; other bases square while bits remain (x ** 3: 2 products)."""
+        as gcd(c, d) = 1, refused before it is built past the digit limit;
+        other bases square while bits remain (x ** 3: 2 products)."""
         if self.is_monomial():
             ((e, c),) = self._nums.items()
+            _check_power(max(abs(c), self._den), n)
             num, den = (c ** n, self._den ** n) if n >= 0 else (self._den ** -n, c ** -n)
             if den < 0:
                 num, den = -num, -den

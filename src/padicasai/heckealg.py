@@ -459,9 +459,11 @@ def iota_solve(h: HeckeElem) -> HeckeElem:
 # ideal membership certificates
 
 
-@dataclass
+@dataclass(frozen=True)
 class HeckeIdealCert:
-    """P = gen1 * U + Q * V, verified by exact re-expansion."""
+    """P = gen1 * U + Q * V, checked by exact re-expansion when it is built:
+    a failure raises NotMember carrying the remainder, so every certificate
+    that exists is verified."""
 
     target: HeckeElem
     gen1_kind: str  # "p-1" or "(p-1)(1-S)"
@@ -469,7 +471,12 @@ class HeckeIdealCert:
     U: HeckeElem
     V: HeckeElem
     p: int
-    verified: bool = False
+    verified = True  # a class constant, not a field
+
+    def __post_init__(self):
+        expanded = self.gen1() * self.U + self.Q * self.V
+        if self.target != expanded:
+            raise NotMember("the cofactors do not re-expand to the target", self.target - expanded)
 
     def gen1(self) -> HeckeElem:
         group = self.target.group
@@ -478,11 +485,6 @@ class HeckeIdealCert:
         one = HeckeElem.one(group)
         S = HeckeElem.gen(group, "S")
         return (one - S) * (self.p - 1)
-
-    def verify(self) -> bool:
-        ok = self.target == self.gen1() * self.U + self.Q * self.V
-        self.verified = bool(ok)
-        return self.verified
 
     def to_json(self) -> dict:
         return {
@@ -590,10 +592,7 @@ def ideal_cert(P: HeckeElem, gen1_kind: str, Q: HeckeElem, p: int) -> HeckeIdeal
         except NotDivisible:
             raise NotMember("target not divisible by (1 - S)", P)
         inner = ideal_cert(P1, "p-1", Q1, p)
-        cert = HeckeIdealCert(P, gen1_kind, Q, inner.U, inner.V, p)
-        if not cert.verify():
-            raise AssertionError("certificate re-expansion failed")
-        return cert
+        return HeckeIdealCert(P, gen1_kind, Q, inner.U, inner.V, p)
 
     if gen1_kind != "p-1":
         raise ValueError(f"unknown ideal kind {gen1_kind!r}")
@@ -628,11 +627,7 @@ def ideal_cert(P: HeckeElem, gen1_kind: str, Q: HeckeElem, p: int) -> HeckeIdeal
             raise NotMember("nonzero remainder mod p-1", None if rem is None else HeckeElem(group, _lift(rem, m)))
         # a quotient of balanced by balanced is balanced, as gstar_split needs
         V = HeckeElem(group, _lift(res[0], m))
-    U = divide_exact_int(P - Q * V, m, p)
-    cert = HeckeIdealCert(P, gen1_kind, Q, U, V, p)
-    if not cert.verify():
-        raise NotMember("lifted cofactors failed re-expansion", cert.target - Q * V)
-    return cert
+    return HeckeIdealCert(P, gen1_kind, Q, divide_exact_int(P - Q * V, m, p), V, p)
 
 
 def divide_exact_int(W: HeckeElem, m: int, p: int) -> HeckeElem:

@@ -30,7 +30,6 @@ from .heckealg import (
     HeckeElem,
     HeckeIdealCert,
     NotMember,
-    divide_exact_int,
     euler_poly,
     ideal_cert,
     inv_satake,
@@ -128,10 +127,12 @@ def generator_vector(ctx: QuadCtx, case: str = "inert") -> TestVector:
 
 def _cell_bijections(phi: SchwartzFn):
     """(M, ints, gens, perms): the sorted cells' centres as integer pairs
-    P c mod M = P p^N, P = p^max(m, -N), p^m the largest centre denominator,
-    so M is an int at a negative level too; the indices of at most two
-    generating cells; and, as index lists, the coefficient-preserving cell
-    permutations a linear gamma can induce, identity first.  The centres
+    P c mod M = P p^N, P = p^m the largest centre denominator, so M is an
+    int at a negative level too (there a nonzero centre has m > -N); the
+    indices of at most two generating cells; and, as index lists, the
+    coefficient-preserving cell permutations a linear gamma can induce,
+    identity first.  The origin cell alone, at any level, has no generator
+    and only the identity, and no p-power is built for it.  The centres
     are generated (Nakayama; Atiyah-Macdonald, Prop. 2.8) by c1 of least
     valuation and, with u = c1 / p^v(c1), c2 of least v(det(u, c)) among
     det(u, c) != 0.  Each centre is a c1 + b c2, a, b in Z_p, so the
@@ -139,7 +140,9 @@ def _cell_bijections(phi: SchwartzFn):
     distinct cells with equal coefficients.
     """
     p, cells = phi.p, sorted(phi.cells)
-    P = max(p ** max(-phi.level, 0), *(x.denominator for c in cells for x in c))  # p^max(m, -N)
+    if cells == [(0, 0)]:
+        return 1, [(0, 0)], [], [[0]]
+    P = max(x.denominator for c in cells for x in c)
     M = int(P * Fraction(p) ** phi.level)
     ints = [(x.numerator * (P // x.denominator), y.numerator * (P // y.denominator)) for x, y in cells]
     n = len(ints)
@@ -519,7 +522,8 @@ class CertReport:
     route: str
 
     def verified(self) -> bool:
-        return self.integral if self.part == 1 else bool(self.cert and self.cert.verified)
+        """Part 1's integrality; a certificate is checked when it is built."""
+        return self.integral
 
     def to_json(self) -> dict:
         out = {"part": self.part, "target": self.p_target.to_json(), "route": self.route}
@@ -540,9 +544,10 @@ def certify_ideal(vec: TestVector, part: int) -> CertReport:
             <p-1, P_F'(1)>.
 
     Inert part 3 certificates are built constructively from the mirabolic
-    chain data, with the division algorithm as the fallback; part 2 and
-    the split case come from the division algorithm.  Every certificate is
-    re-verified by exact expansion.
+    chain data alone: when p - 1 does not divide B', or the cofactors do
+    not re-expand, NotMember names that step.  Part 2 and the split case
+    come from the division algorithm.  Every certificate is checked by
+    exact re-expansion when it is built.
     """
     p = vec.ctx.p
     if part not in (1, 2, 3):
@@ -571,13 +576,12 @@ def certify_ideal(vec: TestVector, part: int) -> CertReport:
     Q = euler_poly("standard_F", p).involute_at_one()
     A, B = chain_operators(xi_phi_chain(traced, P).collapsed, vec.ctx)
     # P = A' P_F'(1) + B'; B' is divisible by p-1 via the trace property
-    try:
-        cert = HeckeIdealCert(P, "p-1", Q, divide_exact_int(involution(B), p - 1, p), involution(A), p)
-        if cert.verify():
-            return CertReport(3, P, cert, True, "chain")
-    except NotMember:
-        pass
-    return CertReport(3, P, ideal_cert(P, "p-1", Q, p), True, "division")
+    B1 = involution(B)
+    nums, den = B1.poly.int_terms()
+    U = HeckeElem("inert_F", Lau.from_ints(B1.poly.vars, nums, den * (p - 1)))
+    if not U.is_integral(p):
+        raise NotMember("mirabolic chain: p - 1 does not divide B'", B1)
+    return CertReport(3, P, HeckeIdealCert(P, "p-1", Q, U, involution(A), p), True, "chain")
 
 
 # ---------------------------------------------------------------------------

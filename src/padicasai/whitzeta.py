@@ -131,8 +131,10 @@ class SchwartzFn:
 
     def _canon_coord(self, x, N: int) -> Fraction:
         x = Fraction(x)
+        if not x:  # the origin is canonical at every level: no p^N is built
+            return x
         p = self.p
-        w = max(0, -val_p(x, p)) if x else 0
+        w = max(0, -val_p(x, p))
         # x p^w is p-integral; its residue mod p^max(N + w, 0) fixes x mod p^N
         return Fraction(fr_mod(x * p ** w, p, max(N + w, 0)), p ** w)
 

@@ -71,7 +71,7 @@ def test_gstar_factor_delta1():
 
 
 def test_hilbert_check_builtin():
-    r = run("--prime", "3", "hilbert-check", "--form", "builtin:synthetic_w2", "--ell", "5")
+    r = run("hilbert-check", "--form", "builtin:synthetic_w2", "--ell", "5")
     assert r.returncode == 0
     assert json.loads(r.stdout)["member"] is True
 
@@ -103,7 +103,7 @@ def test_input_error_exit_code():
     # the one case through the python -m padicasai.cli entry point
     r = run_module("--prime", "4", "euler-poly", "--kind", "asai_inert")
     assert r.returncode == 2
-    r2 = run_module("--prime", "3", "hilbert-check", "--form", "missing.json", "--ell", "5")
+    r2 = run_module("hilbert-check", "--form", "missing.json", "--ell", "5")
     assert r2.returncode == 2
 
 
@@ -232,10 +232,61 @@ def test_level_minus_40_is_one_cell():
     assert (want["num"]["terms"], got["num"]["terms"]) == ({"0,0,0": "1"}, {"-40,-40,-80": "1"})
 
 
+def level_vector(tmp_path, case: str, level: int, centre=("0", "0")) -> str:
+    """ch(c + 3^level Z_3^2) (x) ch(K) as a vector file."""
+    phi = {"level": level, "cells": [{"c": list(centre), "coef": "1"}]}
+    doc = {"case": case, "level": "K", "terms": [{"phi": phi, "g": ONE if case == "inert" else [ONE, ONE], "coef": "1"}]}
+    path = tmp_path / f"{case}_{level}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def run_bounded(*args):
+    """The CLI in a process of 1 GB address space and 20 s: a p-power that a
+    level forces fails the test, where in-process it would hang the suite."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run(CMD + list(args), capture_output=True, text=True, timeout=20, preexec_fn=limit)
+
+
+@pytest.mark.parametrize("level", [3, -3, 10 ** 30, -(10 ** 30)])
+def test_the_origin_cell_builds_no_p_power_at_any_level(level, tmp_path):
+    # ch(3^N Z_3^2) (x) ch(K) has the factor S^-N (inert) and S1^-N S2^-N
+    # (split): the origin centre is canonical with no p^N, and its
+    # stabilizer is GL2(Z_p) with no p^-N either
+    inert = level_vector(tmp_path, "inert", level)
+    r = run_bounded("--prime", "3", "local-factor", "--vector", inert)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["local_factor"]["terms"] == [{"S": -level, "T": 0, "coef": "1"}]
+    r = run_bounded("--prime", "3", "certify", "--part", "1", "--vector", inert)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["target"]["terms"] == [{"S": -level, "T": 0, "coef": "1"}]
+    # the split zeta integral holds (omega(p) X^2)^N, whose coefficient p^(-2N)
+    # is refused before it is built once it passes the digit limit
+    r = run_bounded("--prime", "3", "local-factor", "--vector", level_vector(tmp_path, "split", level))
+    if abs(level) == 3:
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["local_factor"]["terms"] == [
+            {"S1": -level, "S2": -level, "T1": 0, "T2": 0, "coef": "1"}
+        ]
+    else:
+        assert r.returncode == 3 and r.stderr.startswith("precision overflow: ") and "digits" in r.stderr
+
+
+def test_a_centre_off_the_origin_at_a_huge_level_exits_3(tmp_path):
+    # the centre 6 is canonical mod 3^N: p^N is refused before it is built
+    r = run_bounded("--prime", "3", "local-factor", "--vector", level_vector(tmp_path, "inert", 10 ** 30, ("6", "0")))
+    assert r.returncode == 3 and r.stdout == ""
+    assert r.stderr.startswith("precision overflow: ") and "Traceback" not in r.stderr
+
+
 def test_verify_suite_subset_deterministic():
     # identical configuration and seed: byte-identical stdout
-    r1 = run("--prime", "3", "--seed", "1", "verify-suite", "--only", "1,4,7,10")
-    r2 = run("--prime", "3", "--seed", "1", "verify-suite", "--only", "1,4,7,10")
+    r1 = run("--seed", "1", "verify-suite", "--only", "1,4,7,10")
+    r2 = run("--seed", "1", "verify-suite", "--only", "1,4,7,10")
     assert r1.returncode == 0
     assert json.loads(r1.stdout)["all_ok"] is True
     assert r1.stdout == r2.stdout
@@ -279,7 +330,7 @@ MALFORMED = {
     ],
     "singular matrix inert": ["zeta", "--phi", "builtin:unramified", "--g", SINGULAR],
     "singular matrix split": ["zeta", "--phi", "builtin:unramified", "--case", "split", "--g", "identity;" + SINGULAR],
-    # --prime and --ell must be odd primes; a later --prime overrides the 3
+    # --prime and --ell must be odd primes
     "ell zero": ["hilbert-check", "--form", "builtin:synthetic_w2", "--ell", "0"],
     "ell four": ["hilbert-check", "--form", "builtin:synthetic_w2", "--ell", "4"],
     "ell negative": ["hilbert-check", "--form", "builtin:synthetic_w2", "--ell", "-5"],
@@ -353,16 +404,55 @@ def test_malformed_input_exits_2(name, tmp_path):
             path.write_text(json.dumps(arg))
             arg = str(path)
         args.append(arg)
-    r = run("--prime", "3", *args)
+    r = run(*args)
     assert r.returncode == 2
-    assert r.stderr.startswith("input error: ")
+    assert r.stderr.startswith("input error: ") and "does not read" not in r.stderr
     assert "Traceback" not in r.stderr
+
+
+HILBERT = ["hilbert-check", "--form", "builtin:synthetic_w2", "--ell", "5"]
+ZETA = ["zeta", "--phi", "builtin:unramified"]
+SATAKE = ["satake", "--elem", json.dumps({"group": "inert_F", "terms": [{"T": 1, "coef": "1"}]})]
+
+
+@pytest.mark.parametrize(
+    "option,args",
+    [
+        # verify-suite reads --seed only; hilbert-check builds each prime's context itself
+        (["--prime", "5"], ["verify-suite", "--only", "3"]),
+        (["--prime", "3"], HILBERT),
+        (["--nonresidue", "2"], HILBERT),
+        (["--seed", "1"], HILBERT),
+        (["--nonresidue", "2"], SATAKE),
+        (["--nonresidue", "2"], ["euler-poly", "--kind", "asai_inert"]),
+        (["--seed", "1"], ZETA),
+        (["--seed", "0"], ["certify", "--vector", str(INPUTS / "vec_K.json"), "--part", "1"]),
+    ],
+)
+def test_a_global_option_the_subcommand_does_not_read_exits_2(option, args):
+    r = run(*option, *args)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == f"input error: {args[0]} does not read {option[0]}\n"
+
+
+@pytest.mark.parametrize(
+    "option,args",
+    [
+        (["--nonresidue", "2", "--prime", "3"], ZETA),
+        (["--prime", "5"], SATAKE),
+        (["--seed", "1"], ["verify-suite", "--only", "1"]),
+        ([], HILBERT),
+    ],
+)
+def test_a_global_option_the_subcommand_reads_runs(option, args):
+    r = run(*option, *args)
+    assert r.returncode == 0, r.stderr
 
 
 def test_well_formed_form_file_runs(tmp_path):
     path = tmp_path / "form.json"
     path.write_text(json.dumps(FORM))
-    r = run("--prime", "3", "hilbert-check", "--form", str(path), "--ell", "5")
+    r = run("hilbert-check", "--form", str(path), "--ell", "5")
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout)["member"] is True
 
@@ -438,7 +528,7 @@ def test_malformed_hilbert_inputs_name_the_field(name, tmp_path):
         path = tmp_path / "inputs.json"
         path.write_text(json.dumps(inputs))
         inputs = str(path)
-    r = run("--prime", "3", "hilbert-check", "--form", form, "--ell", "5", "--inputs", inputs)
+    r = run("hilbert-check", "--form", form, "--ell", "5", "--inputs", inputs)
     assert r.returncode == 2, r.stderr
     assert "Traceback" not in r.stderr
     assert r.stderr.startswith("input error: ") and field in r.stderr

@@ -73,9 +73,8 @@ CASES = {
         "hilbert-check", "--form", "builtin:synthetic_w2_quad", "--ell", "11",
         "--inputs", "{inputs}/inputs_split13.json",
     ],
-    "verify_suite": ["--prime", "3", "verify-suite", "--only", "1,2,4,7,9,10"],
-    "verify_suite_cartan_p3": ["--prime", "3", "verify-suite", "--only", "3"],
-    "verify_suite_cartan_p5": ["--prime", "5", "verify-suite", "--only", "3"],
+    "verify_suite": ["verify-suite", "--only", "1,2,4,7,9,10"],
+    "verify_suite_cartan_p3": ["verify-suite", "--only", "3"],
 }
 
 
@@ -98,9 +97,13 @@ def test_cli_golden(name):
     assert stdout == (GOLDEN / "cli" / f"{name}.txt").read_text()
 
 
-@pytest.mark.parametrize("name", ["zeta_inert_p5", "delta1_inert_p5", "delta1_split_p3", "certify_part3"])
+@pytest.mark.parametrize(
+    "name", ["zeta_inert_p5", "delta1_inert_p5", "delta1_split_p3", "certify_part2", "certify_part3", "gstar_split"]
+)
 def test_cli_golden_under_optimize(name):
-    # python -O strips bare asserts; every check must survive it unchanged
+    # python -O strips bare asserts; every check must survive it unchanged, and
+    # each certificate route (the division through (p-1)(1-S), the chain, G*)
+    # builds its certificate under it
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     r = subprocess.run(

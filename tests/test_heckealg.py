@@ -1,6 +1,11 @@
+import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -283,16 +288,56 @@ def test_monomial_det_val():
 # -- ideal certificates -----------------------------------------------------------
 
 
+def ideal_gen1(kind: str, group: str, p: int) -> HeckeElem:
+    """The first generator of the ideal, p - 1 or (p - 1)(1 - S), built without a certificate."""
+    one = HeckeElem.one(group)
+    return one * (p - 1) if kind == "p-1" else (one - HeckeElem.gen(group, "S")) * (p - 1)
+
+
+def test_a_certificate_whose_identity_fails_is_never_built():
+    # P = T is no (p - 1) U + Q V for (U, V) = (0, 1): the constructor raises
+    # with the remainder T - Q, and a built certificate cannot be changed
+    p = 3
+    Q = euler_poly("asai_inert", p).involute_at_one()
+    T, zero, one = HeckeElem.gen("inert_F", "T"), HeckeElem.zero("inert_F"), HeckeElem.one("inert_F")
+    with pytest.raises(NotMember, match="re-expand") as exc:
+        HeckeIdealCert(T, "p-1", Q, zero, one, p)
+    assert exc.value.remainder == T - Q
+    cert = HeckeIdealCert(Q, "p-1", Q, zero, one, p)
+    assert cert.verified is True and cert.to_json()["verified"] is True
+    assert not hasattr(cert, "verify")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cert.U = one
+    for kind, group in (("p-1", "split_pair"), ("(p-1)(1-S)", "inert_F"), ("(p-1)(1-S)", "gstar_inert")):
+        one = HeckeElem.one(group)
+        assert HeckeIdealCert(one, kind, one, HeckeElem.zero(group), one, p).gen1() == ideal_gen1(kind, group, p)
+
+
+def test_a_certificate_whose_identity_fails_raises_under_optimize():
+    # the check is no bare assert: python -O raises the same NotMember
+    code = (
+        "from padicasai.heckealg import HeckeElem, HeckeIdealCert, NotMember, euler_poly\n"
+        "Q = euler_poly('asai_inert', 3).involute_at_one()\n"
+        "T, one = HeckeElem.gen('inert_F', 'T'), HeckeElem.one('inert_F')\n"
+        "try:\n"
+        "    HeckeIdealCert(T, 'p-1', Q, HeckeElem.zero('inert_F'), one, 3)\n"
+        "except NotMember as exc:\n"
+        "    print(exc.remainder == T - Q)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (r.returncode, r.stdout) == (0, "True\n"), r.stderr
+
+
 def test_ideal_cert_trivial_cases():
     p = 3
     Q = euler_poly("asai_inert", p).involute_at_one()
     cert = ideal_cert(Q, "p-1", Q, p)
-    assert cert.verified
     assert cert.target == cert.gen1() * cert.U + cert.Q * cert.V
     S3 = HeckeElem.gen("inert_F", "S", -3)
     P = S3 * (p - 1)
-    cert2 = ideal_cert(P, "p-1", Q, p)
-    assert cert2.verified
+    assert ideal_cert(P, "p-1", Q, p).target == P
 
 
 def test_ideal_cert_constructed_example():
@@ -303,7 +348,6 @@ def test_ideal_cert_constructed_example():
     Q = euler_poly("asai_inert", p).involute_at_one()
     P = T * (p - 1) + Q * S
     cert = ideal_cert(P, "p-1", Q, p)
-    assert cert.verified
     assert P == cert.gen1() * cert.U + Q * cert.V
 
 
@@ -315,7 +359,6 @@ def test_ideal_cert_two_generator_kind():
     one = HeckeElem.one("inert_F")
     P = (one - S) * T * (p - 1) + Q * (S ** -1 * T)
     cert = ideal_cert(P, "(p-1)(1-S)", Q, p)
-    assert cert.verified
     assert P == cert.gen1() * cert.U + Q * cert.V
 
 
@@ -353,7 +396,6 @@ def test_ideal_cert_random_members(seed):
     U, V = (HeckeElem("inert_F", Lau(W.poly.vars, {e: c.numerator for e, c in W.poly.terms.items()})) for W in (U, V))
     P = U * (p - 1) + Q * V
     cert = ideal_cert(P, "p-1", Q, p)
-    assert cert.verified
     assert P == cert.gen1() * cert.U + Q * cert.V
 
 
@@ -363,7 +405,6 @@ def test_ideal_cert_gstar_split():
     Ss = gstar_gen("Sstar", "gstar_split", p)
     P = Ss * (p - 1) + Q * gstar_gen("Tstar", "gstar_split", p)
     cert = ideal_cert(P, "p-1", Q, p)
-    assert cert.verified
     assert cert.U.group == "gstar_split" and cert.V.group == "gstar_split"
 
 
@@ -577,10 +618,7 @@ def ideal_cert_oracle(P: HeckeElem, gen1_kind: str, Q: HeckeElem, p: int) -> Hec
         except NotDivisible:
             raise NotMember("target not divisible by (1 - S)", P)
         inner = ideal_cert_oracle(P1, "p-1", Q1, p)
-        cert = HeckeIdealCert(P, gen1_kind, Q, inner.U, inner.V, p)
-        if not cert.verify():
-            raise AssertionError("certificate re-expansion failed")
-        return cert
+        return HeckeIdealCert(P, gen1_kind, Q, inner.U, inner.V, p)
 
     if gen1_kind != "p-1":
         raise ValueError(f"unknown ideal kind {gen1_kind!r}")
@@ -591,11 +629,7 @@ def ideal_cert_oracle(P: HeckeElem, gen1_kind: str, Q: HeckeElem, p: int) -> Hec
         if Pm:
             raise NotMember("Q vanishes mod p-1 but P does not", P)
         V = HeckeElem.zero(group)
-        U = divide_exact_int(P - Q * V, m, p)
-        cert = HeckeIdealCert(P, gen1_kind, Q, U, V, p)
-        if not cert.verify():
-            raise AssertionError("certificate re-expansion failed")
-        return cert
+        return HeckeIdealCert(P, gen1_kind, Q, divide_exact_int(P - Q * V, m, p), V, p)
     j, Q1m = _extract_one_minus_s(Qm, group, m)
     cur = Pm
     for _ in range(j):
@@ -621,11 +655,7 @@ def ideal_cert_oracle(P: HeckeElem, gen1_kind: str, Q: HeckeElem, p: int) -> Hec
     V = _lift_mod_poly(quotient, group, m)
     if group == "gstar_split":
         V = _project_balanced(V, group)
-    U = divide_exact_int(P - Q * V, m, p)
-    cert = HeckeIdealCert(P, gen1_kind, Q, U, V, p)
-    if not cert.verify():
-        raise NotMember("lifted cofactors failed re-expansion", cert.target - Q * V)
-    return cert
+    return HeckeIdealCert(P, gen1_kind, Q, divide_exact_int(P - Q * V, m, p), V, p)
 
 
 def rand_laurent(rng, vs, n_terms, coef):
@@ -770,8 +800,7 @@ def test_ideal_cert_matches_dict_oracle(group, kind, euler, p):
     outcomes = []
     for _ in range(8):
         U, V = rand_member_part(rng, group, p), rand_member_part(rng, group, p)
-        cert = HeckeIdealCert(Q, kind, Q, U, V, p)
-        member = cert.gen1() * U + Q * V
+        member = ideal_gen1(kind, group, p) * U + Q * V
         got = cert_outcome(ideal_cert, member, kind, Q, p)
         assert got[0] == "cert"
         assert got == cert_outcome(ideal_cert_oracle, member, kind, Q, p)

@@ -640,22 +640,50 @@ def test_certify_part3_random(F3, seed):
     assert rep.verified()
 
 
-def test_certify_part3_inert_falls_back_to_division(F3, monkeypatch):
-    # the chain route's integer division failing sends inert part 3 to the
-    # division algorithm: same target, a verified certificate that re-expands
+def test_certify_part3_inert_refuses_a_failed_chain(F3, monkeypatch):
+    # inert part 3 has the chain as its one route: a chain whose B' p - 1 does
+    # not divide, or whose cofactors do not re-expand, raises NotMember naming
+    # that step, and certify exits 4 with it; no other algorithm is tried
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    from padicasai.cli import main
+
     vec = random_integral_vector(F3, random.Random(200), "K[p]", origin_vanishing=False)
-    chain = certify_ideal(vec, 3)
-    assert chain.route == "chain"
+    assert certify_ideal(vec, 3).route == "chain"
+    operators = heckemod.chain_operators
+    for shift, step in ((1, "p - 1 does not divide B'"), (2, "do not re-expand")):
+        def shifted(cells, ctx):
+            A, B = operators(cells, ctx)
+            return A, B + shift
 
-    def refuse(W, m, p):
-        raise NotMember("refused", W)
+        monkeypatch.setattr(heckemod, "chain_operators", shifted)
+        with pytest.raises(NotMember, match=step) as exc:
+            certify_ideal(vec, 3)
+        # the remainder: B' + 1 itself, or the constant that U gained times p - 1
+        A, B = operators(heckemod.xi_phi_chain(heckemod.trace_level(vec)).collapsed, F3)
+        assert exc.value.remainder == (heckemod.involution(B) + 1 if shift == 1 else HeckeElem.one("inert_F") * -2)
+        vector = str(Path(__file__).parent / "golden" / "inputs" / "vec_Kp.json")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["--prime", "3", "certify", "--vector", vector, "--part", "3"])
+        assert (code, out.getvalue()) == (4, "")
+        assert err.getvalue().startswith("verification failure: ") and step in err.getvalue()
 
-    monkeypatch.setattr(heckemod, "divide_exact_int", refuse)
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from([3, 5, 7]), st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=4))
+def test_certify_part3_inert_takes_the_chain(p, seeds):
+    # the chain certifies every integral determinant-level vector it meets:
+    # a sum of 1 to 4 random lattice elements at p = 3, 5, 7
+    ctx = QuadCtx.make(p)
+    vecs = [random_integral_vector(ctx, random.Random(s), "K[p]", origin_vanishing=False) for s in seeds]
+    vec = vecs[0]
+    for other in vecs[1:]:
+        vec = vec + other
     rep = certify_ideal(vec, 3)
-    assert rep.route == "division"
-    assert rep.verified()
+    assert rep.route == "chain"
     assert rep.cert.target == rep.cert.gen1() * rep.cert.U + rep.cert.Q * rep.cert.V
-    assert rep.p_target == chain.p_target
 
 
 def test_certified_vectors_are_integral(F3):
