@@ -21,6 +21,7 @@ from .heckemod import (
     generator_vector,
     hecke_apply,
     lambda_of_chain,
+    mirabolic_volume,
     phi_c_weight,
     random_integral_vector,
     trace_level,
@@ -179,7 +180,7 @@ def criterion_3_decomposition_covers(seed: int = 0) -> dict:
 @_timed
 def criterion_4_phi_c_weights(seed: int = 0) -> dict:
     """The mirabolic collapse weights are exactly 1 (b = 0) and
-    (p-1) p^(b-1) (b > 0), computed from the stabilizer volumes."""
+    (p-1) p^(b-1) (b > 0), and equal the inverse stabilizer volumes."""
     ok = True
     details = {}
     for p in (3, 5):
@@ -190,7 +191,7 @@ def criterion_4_phi_c_weights(seed: int = 0) -> dict:
                 wexp = Fraction(1) if b == 0 else Fraction((p - 1) * p ** (b - 1))
                 w = phi_c_weight(a, b, ctx)
                 got[f"a={a},b={b}"] = str(w)
-                ok = ok and w == wexp
+                ok = ok and w == wexp == 1 / mirabolic_volume(pgk_canonical(a, b, ctx))
         details[p] = got
     return {"name": "mirabolic collapse weights", "ok": ok, "values": details}
 

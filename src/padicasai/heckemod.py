@@ -45,8 +45,6 @@ from .padicgrp import (
     coset_reps,
     identity_rows,
     lattice_measure,
-    pgk_canonical,
-    pgk_label,
     plocal_smith,  # not called here: bench/spans.py REQUIRED_SITES traces this import site
     subgroup_volume,
 )
@@ -409,16 +407,14 @@ def mirabolic_volume(g: Mat2) -> Fraction:
     return vol / (1 - Fraction(1, p))
 
 
-@lru_cache(maxsize=256)
 def phi_c_weight(a: int, b: int, ctx: QuadCtx) -> Fraction:
     """The weight of the mirabolic collapse on ch(t_a n_b K): the inverse
-    volume of P(Q_p) cap (t_a n_b) K_F (t_a n_b)^-1.
-
-    Memoized process-wide on (a, b, ctx), at most 256 entries: each miss
-    runs one mirabolic_volume Smith form, and the chain asks for the same
-    few b in every vector.  A Fraction is immutable, so sharing it is safe.
+    volume of P(Q_p) cap (t_a n_b) K_F (t_a n_b)^-1, 1 at b = 0 and
+    (p-1) p^(b-1) at b >= 1.  t_a is central, and [[1 + x, beta], [0, 1]]
+    is in n_b K_F n_b^-1 iff beta in Z_p and x in p^b Z_p with 1 + x a unit
+    (criterion 4 compares this with mirabolic_volume).
     """
-    return Fraction(1) / mirabolic_volume(pgk_canonical(a, b, ctx))
+    return Fraction(1) if b == 0 else Fraction((ctx.p - 1) * ctx.p ** (b - 1))
 
 
 @dataclass
@@ -443,26 +439,22 @@ def xi_phi_chain(vec: TestVector, p_delta: HeckeElem | None = None) -> XiPhiChai
     return XiPhiChain(p_delta, coeffs, collapsed)
 
 
-@lru_cache(maxsize=256)
-def _mirabolic_successors(a: int, b: int, ctx: QuadCtx) -> tuple:
-    """The labels of t_a n_b g_i over the single cosets g_i of K t K, in
-    coset_reps order: the row of one mirabolic cell in the T-step.
-
-    Memoized process-wide on (a, b, ctx), at most 256 entries; a window
-    holds (2 tmax + 5)(tmax + 2) cells per p, 21 at T-degree 1 and 55 at
-    T-degree 3.  Each miss runs pgk_label, with all three of its witness
-    checks, once per coset.  Only tuples of integer label pairs are cached,
-    and they are immutable, so sharing them is safe.
-    """
-    x0 = pgk_canonical(a, b, ctx)
-    tcos = coset_reps(1, ctx, True)
-    return tuple(pgk_label(x0 * gi).label for gi in tcos)
-
-
 def _act_on_mirabolic(h: HeckeElem, ctx: QuadCtx) -> dict:
     """Right-convolution action of h on ch(P K_F), coefficients on the basis
-    ch(P t_a n_b K_F) computed pointwise through the coset labels, on int
-    counts (ch(P K_F) is 0/1, a T-step sums successors) until h's denominator."""
+    ch(P t_a n_b K_F), on int counts (ch(P K_F) is 0/1) until h's denominator.
+
+    A T-step sums, at each cell (a, b), the values at the labels of
+    t_a n_b g over the p^2 + 1 single cosets g of K t K (coset_reps).  The
+    bottom row of an upper triangular [[A, B], [0, D]] is already cleared,
+    so padicgrp's label rule reads a = v(D) and b = max(0, v(A/D) - v(u)),
+    u the sqrt(r)-coordinate of B/D (b = 0 at u = 0).  With
+    t_a n_b = [[p^a, p^(a-b) sqrt r], [0, p^a]]:
+      - g = [[p, x + y sqrt r], [0, 1]], x, y in 0..p-1: D = p^a, A/D = p,
+        u = y + p^-b.  At b >= 1 the label is (a, b + 1), p^2 times; at
+        b = 0 it is (a, 0) when y = p - 1 (p times), else (a, 1).
+      - g = diag(1, p): D = p^(a+1), A/D = 1/p, u = p^-b: (a + 1, max(0, b - 1)).
+    """
+    p = ctx.p
     tmax = h.poly.degree_in("T")
     # each T application spreads the support by at most one cell index
     window_b = range(0, tmax + 2)
@@ -474,7 +466,10 @@ def _act_on_mirabolic(h: HeckeElem, ctx: QuadCtx) -> dict:
     def tstep(prev, k):
         out = {}
         for (a, b) in prev:
-            out[(a, b)] = sum(prev.get(lab, 0) for lab in _mirabolic_successors(a, b, ctx))
+            if b:
+                out[(a, b)] = p * p * prev.get((a, b + 1), 0) + prev.get((a + 1, b - 1), 0)
+            else:
+                out[(a, b)] = p * prev[(a, 0)] + (p * p - p) * prev.get((a, 1), 0) + prev.get((a + 1, 0), 0)
         for (a, b), v in out.items():
             if v and (abs(a) > k or b > k):
                 raise AssertionError("mirabolic support escaped its window")

@@ -580,8 +580,6 @@ def kck_membership(g: Mat2, cell: Mat2):
     k = x.inv()
     if not (x.in_K_base() and kappa.in_KF()):
         raise AssertionError("KcK witnesses are not in K")
-    if k * cell * kappa != g:
-        raise AssertionError("KcK witnesses do not reassemble g")
     return k, kappa
 
 
@@ -639,8 +637,6 @@ def pgk_label(g: Mat2) -> CosetWitness:
     right = qM.inv() * g
     if not right.in_KF():
         raise AssertionError("pgk_label: the right witness is not in GL2(O_F)")
-    if qM * right != g:
-        raise AssertionError("pgk_label witnesses do not reassemble g")
     return CosetWitness((a, b), q, right, "pgk")
 
 

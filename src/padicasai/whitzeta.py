@@ -206,10 +206,14 @@ class SchwartzFn:
 
 def _subcells(items, p: int, level: int, finer: int) -> list:
     """(cell, coef) for each cell c' + p^finer Z_p^2, finer >= level, of
-    each c + p^level Z_p^2 in items, which is their disjoint union."""
-    pn, step = Fraction(p) ** level, p ** (finer - level)
-    if len(items) * step * step > WORK_CAP:
+    each c + p^level Z_p^2 in items, which is their disjoint union.  The
+    cell count meets WORK_CAP before any power is built: its exponent is cut
+    at n = bits(WORK_CAP), as p^n >= 2^n > WORK_CAP already."""
+    if not items or finer == level:
+        return list(items)
+    if len(items) * p ** min(2 * (finer - level), WORK_CAP.bit_length()) > WORK_CAP:
         raise PrecisionOverflow(f"refining to level {finer} builds more than {WORK_CAP} cells")
+    pn, step = Fraction(p) ** level, p ** (finer - level)
     return [
         ((Fraction(c1) + pn * y1, Fraction(c2) + pn * y2), coef)
         for (c1, c2), coef in items

@@ -53,6 +53,8 @@ CASES = {
     "certify_part1": ["--prime", "3", "certify", "--vector", "{inputs}/vec_K.json", "--part", "1"],
     "certify_part2": ["--prime", "3", "certify", "--vector", "{inputs}/vec_Kp_vanishing.json", "--part", "2"],
     "certify_part3": ["--prime", "3", "certify", "--vector", "{inputs}/vec_Kp.json", "--part", "3"],
+    # a T-degree-1 target: the chain takes a T-step at the largest prime the goldens use
+    "certify_part3_p31": ["--prime", "31", "certify", "--vector", "{inputs}/vec_Kp_p31.json", "--part", "3"],
     "hilbert_w2": ["hilbert-check", "--form", "builtin:synthetic_w2", "--ell", "5"],
     "hilbert_w2_quad": ["hilbert-check", "--form", "builtin:synthetic_w2_quad", "--ell", "5"],
     "hilbert_w2_s0_11": [
@@ -98,7 +100,11 @@ def test_cli_golden(name):
 
 
 @pytest.mark.parametrize(
-    "name", ["zeta_inert_p5", "delta1_inert_p5", "delta1_split_p3", "certify_part2", "certify_part3", "gstar_split"]
+    "name",
+    [
+        "zeta_inert_p5", "delta1_inert_p5", "delta1_split_p3", "certify_part2", "certify_part3",
+        "certify_part3_p31", "gstar_split",
+    ],
 )
 def test_cli_golden_under_optimize(name):
     # python -O strips bare asserts; every check must survive it unchanged, and

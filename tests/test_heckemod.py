@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -44,6 +45,7 @@ from padicasai.padicgrp import (
     conj_condition_rows,
     coset_reps,
     identity_rows,
+    pgk_canonical,
     pgk_label,
     subgroup_volume,
 )
@@ -543,6 +545,14 @@ def test_phi_c_weights(F3):
         assert phi_c_weight(-1, b, F3) == (p - 1) * p ** (b - 1)
 
 
+@pytest.mark.parametrize("p, r", [(3, 2), (5, 3), (7, 5), (7, 6), (31, 3), (31, 29)])
+def test_phi_c_weights_are_the_inverse_stabilizer_volumes(p, r):
+    ctx = QuadCtx.make(p, r)
+    for a in (-3, 0, 3):
+        for b in range(6):
+            assert phi_c_weight(a, b, ctx) == 1 / mirabolic_volume(pgk_canonical(a, b, ctx)), (a, b)
+
+
 def test_mirabolic_volume_full(F3):
     assert mirabolic_volume(Mat2.identity(F3)) == 1
 
@@ -794,7 +804,39 @@ def test_six_cells_stabilize_a_borel(F3):
     assert subgroup_volume(cond) == Fraction(1, 4)
 
 
-# -- the memoized mirabolic step ----------------------------------------------------------
+# -- the closed-form mirabolic step -------------------------------------------------------
+
+
+def mirabolic_successors_by_labels(a, b, ctx):
+    """The labels of t_a n_b g over the single cosets g of K t K, one
+    pgk_label each: the row of one mirabolic cell in the T-step."""
+    x0 = pgk_canonical(a, b, ctx)
+    return [pgk_label(x0 * gi).label for gi in coset_reps(1, ctx, True)]
+
+
+def mirabolic_successors_closed_form(a, b, p):
+    """The successor multiset of cell (a, b) that _act_on_mirabolic's T-step reads."""
+    if b:
+        return Counter({(a, b + 1): p * p, (a + 1, b - 1): 1})
+    return Counter({(a, 0): p, (a, 1): p * p - p, (a + 1, 0): 1})
+
+
+def nonresidues(p):
+    return [r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31]),
+    st.booleans(),
+    st.integers(-4, 4),
+    st.integers(0, 5),
+)
+def test_mirabolic_successors_match_the_labels(p, last, a, b):
+    # both the smallest and the largest nonresidue as sqrt(r)
+    ctx = QuadCtx.make(p, nonresidues(p)[-1 if last else 0])
+    got = Counter(mirabolic_successors_by_labels(a, b, ctx))
+    assert got == mirabolic_successors_closed_form(a, b, p)
 
 
 def act_on_mirabolic_by_labels(h, ctx):
@@ -847,20 +889,7 @@ MIRABOLIC_CASES = [
 ]
 
 
-def test_mirabolic_step_matches_labels_oracle(monkeypatch):
-    rows, weights = heckemod._mirabolic_successors, heckemod.phi_c_weight
-    served_rows, served_weights = set(), set()
-
-    def recording_rows(a, b, ctx):
-        served_rows.add((a, b, ctx))
-        return rows(a, b, ctx)
-
-    def recording_weights(a, b, ctx):
-        served_weights.add((a, b, ctx))
-        return weights(a, b, ctx)
-
-    monkeypatch.setattr(heckemod, "_mirabolic_successors", recording_rows)
-    monkeypatch.setattr(heckemod, "phi_c_weight", recording_weights)
+def test_mirabolic_step_matches_labels_oracle():
     for p, terms in MIRABOLIC_CASES:
         ctx = QuadCtx.make(p)
         h = inert_elem(terms)
@@ -870,40 +899,32 @@ def test_mirabolic_step_matches_labels_oracle(monkeypatch):
         assert got == expect and list(got) == list(expect), (p, terms)
         assert all(type(v) is Fraction for v in got.values())
         assert xi_phi_chain(generator_vector(ctx), h).xi_coeffs == expect
-    # T-degree 3 at p = 3 fills its (2 * 3 + 5)(3 + 2) = 55-cell window
-    assert sum(1 for _, _, ctx in served_rows if ctx.p == 3) >= 55
-    assert {ctx.p for _, _, ctx in served_rows} == {3, 5}
-    for key in served_rows:
-        assert rows(*key) == rows.__wrapped__(*key), key
-    assert {ctx.p for _, _, ctx in served_weights} == {3, 5}
-    for key in served_weights:
-        assert weights(*key) == weights.__wrapped__(*key), key
 
 
-def test_mirabolic_memo_second_certificate_labels_nothing(F3, monkeypatch):
-    # P of this vector has T-degree 1, so its chain takes one T-step
+def test_part3_certificate_labels_no_coset(F3, monkeypatch):
+    # the chain's T-step is closed form: a part-3 certificate whose P has
+    # T-degree 1 takes one T-step and calls pgk_label under no name
     phi = SchwartzFn(3, 2, {(Fraction(3), Fraction(1)): Fraction(432)})
     g = Mat2.upper(QuadElem(0, Fraction(1, 3), F3), F3)
     vec = TestVector(F3, "inert", "K[p]", [(phi, (g,), Fraction(1))])
-    calls = []
 
-    def counting(g):
-        calls.append(g)
-        return pgk_label(g)
+    def refuse(g):
+        raise AssertionError("pgk_label called")
 
-    monkeypatch.setattr(heckemod, "pgk_label", counting)
-    heckemod._mirabolic_successors.cache_clear()
-    first = certify_ideal(vec, 3)
-    assert first.route == "chain" and max(e[0] for e in first.p_target.poly.terms) == 1
-    assert calls
-    before = heckemod._mirabolic_successors.cache_info()
-    weights_before = heckemod.phi_c_weight.cache_info()
-    calls.clear()
-    second = certify_ideal(vec, 3)
-    assert calls == []
-    assert heckemod._mirabolic_successors.cache_info().misses == before.misses
-    assert heckemod.phi_c_weight.cache_info().misses == weights_before.misses
-    assert second.to_json() == first.to_json()
+    for mod in [m for name, m in sys.modules.items() if name.startswith("padicasai")]:
+        if getattr(mod, "pgk_label", None) is pgk_label:
+            monkeypatch.setattr(mod, "pgk_label", refuse)
+    rep = certify_ideal(vec, 3)
+    assert rep.route == "chain" and max(e[0] for e in rep.p_target.poly.terms) == 1
+
+
+@pytest.mark.parametrize("p", [11, 13, 31])
+def test_certify_part3_inert_takes_the_chain_at_larger_primes(p):
+    # a seed-0 lattice vector whose P has T-degree 1, so the chain takes a T-step
+    vec = random_integral_vector(QuadCtx.make(p), random.Random(0), "K[p]", origin_vanishing=False)
+    rep = certify_ideal(vec, 3)
+    assert rep.route == "chain" and max(e[0] for e in rep.p_target.poly.terms) == 1
+    assert rep.cert.target == rep.cert.gen1() * rep.cert.U + rep.cert.Q * rep.cert.V
 
 
 def test_second_certificate_round_builds_no_euler_polynomial(F3, monkeypatch):

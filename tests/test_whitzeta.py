@@ -1,8 +1,12 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -1136,6 +1140,54 @@ def test_refinement_cap_raises_before_building_cells(monkeypatch):
     with pytest.raises(PrecisionOverflow, match="cells"):
         wide + unit
     assert not built
+
+
+def test_a_sum_across_a_huge_level_gap_raises_at_once():
+    # the cell count meets the cap before p^level or p^gap is built: across a
+    # gap of 10^30 levels either power alone would not finish; the zero
+    # function has no cells to refine, so adding it to any level is at once
+    code = (
+        "import time\n"
+        "from padicasai.exactnum import PrecisionOverflow\n"
+        "from padicasai.whitzeta import SchwartzFn\n"
+        "t = time.perf_counter()\n"
+        "big = SchwartzFn(3, 10**30, {(0, 0): 1})\n"
+        "assert SchwartzFn(3, 0) + big == big == big + SchwartzFn(3, 0)\n"
+        "try:\n"
+        "    SchwartzFn(3, -10**30, {(0, 0): 1}) + SchwartzFn.char_zp2(3)\n"
+        "except PrecisionOverflow:\n"
+        "    print(time.perf_counter() - t)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=20)
+    assert r.returncode == 0, r.stderr
+    assert float(r.stdout) < 1
+
+
+def subcells_direct(items, p, level, finer):
+    """whitzeta._subcells as it was: both powers first, then the cap."""
+    pn, step = Fraction(p) ** level, p ** (finer - level)
+    return [
+        ((Fraction(c1) + pn * y1, Fraction(c2) + pn * y2), coef)
+        for (c1, c2), coef in items
+        for y1 in range(step)
+        for y2 in range(step)
+    ]
+
+
+@pytest.mark.parametrize("level", [-2, 0, 1])
+@pytest.mark.parametrize("gap", [0, 1, 2])
+def test_sums_at_small_level_gaps_are_unchanged(level, gap):
+    p = 3
+    phi = SchwartzFn(p, level, {(Fraction(1), Fraction(0)): Fraction(2), (Fraction(0), Fraction(2)): Fraction(-1, 3)})
+    finer = SchwartzFn(p, level + gap, {(Fraction(1), Fraction(1)): Fraction(5)})
+    items = phi.cells.items()
+    assert whitzeta._subcells(items, p, level, level + gap) == subcells_direct(items, p, level, level + gap)
+    a = dict(subcells_direct(items, p, level, level + gap))
+    b = dict(subcells_direct(finer.cells.items(), p, finer.level, finer.level))
+    want = SchwartzFn(p, level + gap, {c: a.get(c, 0) + b.get(c, 0) for c in [*a, *b]})
+    assert phi + finer == want and finer + phi == want
 
 
 def test_equality_compares_at_the_coarser_level():
