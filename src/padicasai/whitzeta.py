@@ -42,7 +42,9 @@ with n components and e = n - 1 the inner integral is one Shintani series:
 roots prod z_i / p^e over z_i in {x_i, y_i}, coefficients
 a_j = p^(-e j - sum vc_i) prod h_(j + vc_i)(x_i, y_i), omega prefactor
 prod (x_i y_i)^(w_i) p^(-e w_i), and omega(p) X^2 = prod (x_i y_i) X^2 / p^(2e).
-Only the phase valuation of a row is read per case.
+Only the phase valuation of a row is read per case.  The series is summed in
+closed form: h_m(x, y) = (x^(m+1) - y^(m+1)) / (x - y) makes it one sum over
+the 2^n roots, divided exactly by prod (x_i - y_i) once (_y_integral).
 
 A value is carried as its numerator, Laurent in X = p^(-s) and the Satake
 parameters, over a fixed denominator: R = prod (1 - root X) over the roots
@@ -60,6 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import add
 from typing import Mapping, Sequence
 
 from .exactnum import (
@@ -314,31 +317,6 @@ def wsph_value(g: Mat2, ctx: QuadCtx) -> WhitValue:
 
 
 # ---------------------------------------------------------------------------
-# tails of Whittaker series
-
-
-def _seq_tail(aj, J: int, D: Lau, vs) -> Lau:
-    """The numerator of sum_(j >= J) aj(j) X^j over D.
-
-    D = prod (1 - root X) is the characteristic polynomial of the sequence;
-    the numerator is reconstructed from the initial terms, and the next
-    guard = 2 coefficients are checked to vanish.  Terms of X-degree
-    J + deg D + guard and above would come from truncating the prefix, so
-    they are never built.
-    """
-    guard = 2
-    top = J + D.degree_in("X")
-    X = Lau.var(vs, "X")
-    prefix = Lau(vs)
-    for j in range(J, top + guard):
-        prefix = prefix + aj(j) * X ** j
-    num = D.mul_below(prefix, "X", top + guard)
-    if not num.is_zero() and num.degree_in("X") >= top:
-        raise AssertionError("sequence does not satisfy its recurrence")
-    return num
-
-
-# ---------------------------------------------------------------------------
 # the inner (delta-)integral of the zeta machine
 
 
@@ -352,6 +330,22 @@ def _root_factors(vs: tuple, p: int) -> tuple[Lau, ...]:
     return tuple(1 - Lau.monomial(vs, _evec(vs, dict.fromkeys(zs, 1)), scale) * X for zs in product(*pairs))
 
 
+@lru_cache(maxsize=16)
+def _shintani_roots(vs: tuple, p: int) -> tuple[tuple, Lau, Lau]:
+    """Per Shintani root rho, in the order of _root_factors: (the positions
+    in vs of its z_i, its sign prod (+1 at x_i, -1 at y_i), its cofactor
+    prod p^e (1 - rho' X) over the other roots); then p^(e n) R over the n
+    roots, and Delta = prod (x_i - y_i), all three with integer coefficients.
+    Memoized; treat the result as immutable."""
+    pairs = _PAIRS[vs]
+    factors = [f * p ** (len(pairs) - 1) for f in _root_factors(vs, p)]
+    roots = tuple(
+        (tuple(map(vs.index, zs)), (-1) ** sum(z == y for (_, y), z in zip(pairs, zs)), math.prod(factors[:i] + factors[i + 1:]))
+        for i, zs in enumerate(product(*pairs))
+    )
+    return roots, math.prod(factors), math.prod(Lau.var(vs, x) - Lau.var(vs, y) for x, y in pairs)
+
+
 def _y_integral(vbeta, vcs: list[int], omegas, vs, p: int) -> Lau:
     """int W-values(diag(delta,1)-part) |delta|^(s-1) dx(delta), as its
     numerator over R = prod _root_factors(vs, p).
@@ -359,24 +353,40 @@ def _y_integral(vbeta, vcs: list[int], omegas, vs, p: int) -> Lau:
     vcs lists v(f1/f2) per component; omegas is the Laurent prefactor
     (the omega(f2) contributions); vbeta the valuation of the psi-phase,
     which gauss_shell turns into the weight of each shell v(delta) = j.
+
+    The shell j >= J0 = max(-vc_i) carries a_j = p^(-e j - sum vc_i)
+    prod h_(j + vc_i)(x_i, y_i), and h_m(x, y) = (x^(m+1) - y^(m+1)) / (x - y)
+    makes it a root sum: a_j = sum c_rho rho^j / Delta over the roots rho,
+    c_rho = sign prod z_i^(vc_i + 1) p^(-sum vc_i).  So the tail from
+    J = max(J0, -vbeta) on, where every shell has weight 1, is
+    sum c_rho (rho X)^J cofactor_rho / Delta over R, and the one finite shell
+    J - 1 >= J0, of weight w = -1/(p-1), adds w c_rho (rho X)^(J-1) R / Delta.
+    The sum is built on the integer numerators of _shintani_roots and divided
+    by Delta exactly, once: a remainder raises NotDivisible.
     """
-    pairs = _PAIRS[vs]
-    e = len(pairs) - 1
+    e, xi, J0 = len(vcs) - 1, vs.index("X"), max(-v for v in vcs)
+    J = max(J0, -vbeta)
+    roots, R, delta = _shintani_roots(vs, p)
+    w = gauss_shell(J - 1, vbeta, p) if J > J0 else Fraction(0)
+    num: dict[tuple, int] = {}
 
-    def aj(j):
-        hs = [complete_homog(j + vc, x, y, vs) for (x, y), vc in zip(pairs, vcs)]
-        return math.prod(hs[1:], start=hs[0]) * Fraction(p) ** (-e * j - sum(vcs))
+    def put(idx, c, j, poly):  # c prod z_i^(j + vc_i + 1) X^j poly
+        shift = [0] * len(vs)
+        for i, vc in zip(idx, vcs):
+            shift[i] = j + vc + 1
+        shift[xi] = j
+        for ek, ck in poly.int_terms()[0].items():
+            k = tuple(map(add, ek, shift))
+            num[k] = num.get(k, 0) + c * ck
 
-    X = Lau.var(vs, "X")
-    # shells below the first full one (gauss_shell = 1) are finite terms
-    J = max(-v for v in vcs)
-    finite = Lau(vs)
-    while (w := gauss_shell(J, vbeta, p)) != 1:
+    for idx, sign, cof in roots:
+        put(idx, sign * w.denominator, J, cof)
         if w:
-            finite = finite + aj(J) * X ** J * w
-        J += 1
-    R = math.prod(_root_factors(vs, p))
-    return (_seq_tail(aj, J, R, vs) + finite * R) * omegas
+            put(idx, sign * w.numerator, J - 1, R)
+    # c_rho rho^J's p-power, over the p^(e (n - 1)) that the cofactors (and,
+    # one shell lower, p^(e n) R) carry
+    scale = Fraction(p) ** (-e * J - sum(vcs) - e * (len(roots) - 1)) / w.denominator
+    return Lau.from_ints(vs, num).exact_div(delta) * (omegas * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -531,11 +541,10 @@ def _y_value_from_data(data: tuple, vs: tuple, p: int) -> Lau:
     depends on nothing else, and the same classes recur within a zeta call,
     in the second member of a period class and across vectors (a cold
     seed-0 bench pass: 85 hits, 40 misses on hecke_freeness, 27 and 21 on
-    zeta_primes).  Each miss runs _seq_tail and its recurrence check.
-    Sharing the cached Lau is safe because no Lau changes once built: its
-    integer numerators and denominator are set by its constructor, and
-    .terms and .int_terms() are read-only views (complete_homog shares its
-    values the same way).
+    zeta_primes).  Each miss sums the roots in closed form and divides by
+    Delta once (_y_integral).  Sharing the cached Lau is safe because no Lau
+    changes once built: its integer numerators and denominator are set by
+    its constructor, and .terms and .int_terms() are read-only views.
     """
     vbeta, vcs, ws = data
     pairs = _PAIRS[vs]

@@ -189,7 +189,7 @@ def test_chain_certify_pass_extracts_each_epsilon_once_per_chain(workloads, monk
 
 
 def test_traced_chain_certify_pass_counts_symmetric_reductions(workloads, spans):
-    # a seed-0 chain_certify pass makes 99 symmetric reductions and 1,521
+    # a seed-0 chain_certify pass makes 99 symmetric reductions and 1,326
     # Lau products; the closed forms of sym_reduce and sym_expand build no
     # Lau product, where the leading-term rewrite made 4,740 in all, exact
     # division runs on integer numerators without Lau products (646 of the
@@ -206,11 +206,13 @@ def test_traced_chain_certify_pass_counts_symmetric_reductions(workloads, spans)
     # more than their bits need, where 1 * x * x .. made 220 more, and the
     # part-3 chain extracts each epsilon once per distinct b over one
     # shared denominator, where one extraction per cell over three reduced
-    # RatFuncs made 38 more (1,779); a renamed or inlined sym_reduce would
-    # drop the first count
+    # RatFuncs made 38 more (1,779), and the inner integral is one root sum
+    # on integer numerators with one exact division, where summing its
+    # Shintani series term by term made 195 more (1,521); a renamed or
+    # inlined sym_reduce would drop the first count
     metrics = _fresh_traced_pass(workloads, spans, "chain_certify")
     assert metrics["exactnum.sym_reduce.calls"][0] == 99
-    assert metrics["exactnum.lau_mul.calls"][0] == 1521
+    assert metrics["exactnum.lau_mul.calls"][0] == 1326
 
 
 def test_traced_passes_count_closed_form_witness_products(workloads, spans):

@@ -6,6 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from padicasai.cli import main
 
@@ -545,3 +546,50 @@ def test_malformed_vector_file_exits_2(name, command, tmp_path):
     assert r.returncode == 2, r.stderr
     assert "Traceback" not in r.stderr
     assert "input error" in r.stderr and field in r.stderr
+
+
+def leaf_paths(node, path=()):
+    """The key path of every leaf (string, number, bool or null) of a JSON
+    document, depth first."""
+    if isinstance(node, (dict, list)):
+        for k, v in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from leaf_paths(v, path + (k,))
+    else:
+        yield path
+
+
+FUZZ_DOCS = {name: json.loads((INPUTS / name).read_text()) for name in ("vec_K.json", "vec_Kp.json")}
+FUZZ_LEAVES = [(name, path) for name, doc in sorted(FUZZ_DOCS.items()) for path in leaf_paths(doc)]
+DELETE = object()
+FUZZ_VALUES = st.one_of(
+    st.sampled_from(["0", "-1", "2", "9", "1/3", "-1/9", "1/0", "", "x", "1e5", "0.5", "10" * 12, "1/" + "3" * 20]),
+    st.sampled_from(["K", "K[p]", "inert", "split", [], {}, ["1", "0"], None, True, DELETE]),
+    st.integers(-10 ** 6, 10 ** 6) | st.integers(),
+    st.floats(),
+    st.text(max_size=4),
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    leaf=st.sampled_from(FUZZ_LEAVES),
+    value=FUZZ_VALUES,
+    command=st.sampled_from([["local-factor"], ["certify", "--part", "1"]]),
+)
+def test_a_single_leaf_mutation_exits_with_a_documented_code(leaf, value, command, tmp_path_factory):
+    # one leaf of a golden vector file replaced (or deleted): the run ends in
+    # a result, an input error, a precision cap or a verification failure
+    name, path = leaf
+    doc = json.loads(json.dumps(FUZZ_DOCS[name]))
+    node = doc
+    for k in path[:-1]:
+        node = node[k]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    vec = tmp_path_factory.mktemp("fuzz") / "vec.json"
+    vec.write_text(json.dumps(doc))
+    r = run("--prime", "3", command[0], "--vector", str(vec), *command[1:])
+    assert r.returncode in (0, 2, 3, 4), (path, value, r.stderr)
+    assert "Traceback" not in r.stderr

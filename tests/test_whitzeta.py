@@ -15,6 +15,7 @@ from padicasai.exactnum import (
     AB,
     INF,
     Lau,
+    NotDivisible,
     PrecisionOverflow,
     QuadCtx,
     QuadElem,
@@ -413,6 +414,25 @@ def test_psi_identity_with_L_quotient(F3):
     assert lhs.as_laurent() == 1 - A * B * X ** 2
 
 
+def seq_tail(aj, J, D, vs):
+    """The numerator of sum_(j >= J) aj(j) X^j over D, reconstructed from
+    the initial terms, as the zeta engine summed its Shintani series before
+    the closed form: D = prod (1 - root X) is the characteristic polynomial
+    of the sequence, and the next guard = 2 coefficients are checked to
+    vanish.  Terms of X-degree J + deg D + guard and above would come from
+    truncating the prefix, so they are never built."""
+    guard = 2
+    top = J + D.degree_in("X")
+    X = Lau.var(vs, "X")
+    prefix = Lau(vs)
+    for j in range(J, top + guard):
+        prefix = prefix + aj(j) * X ** j
+    num = D.mul_below(prefix, "X", top + guard)
+    if not num.is_zero() and num.degree_in("X") >= top:
+        raise AssertionError("sequence does not satisfy its recurrence")
+    return num
+
+
 def psi_secondary_oracle(a, b, p):
     """Reference: Psi(t_a n_b W_sph) summed from its own Gauss-shell series."""
     vs = VS_INERT
@@ -427,7 +447,7 @@ def psi_secondary_oracle(a, b, p):
     if 0 <= jneg < J:
         finite = finite + aj(jneg) * X ** jneg * Fraction(-1, p - 1)
     den = [1 - Lau.var(vs, "A") * X, 1 - Lau.var(vs, "B") * X]
-    tail = RatFunc(whitzeta._seq_tail(aj, J, den[0] * den[1], vs), den)
+    tail = RatFunc(seq_tail(aj, J, den[0] * den[1], vs), den)
     omega_a = Lau.monomial(vs, (a, a, 0))
     return (tail + RatFunc.from_lau(finite)) * omega_a
 
@@ -446,8 +466,10 @@ def test_psi_secondary_matches_reference_series(p):
             assert got.provenance == f"psi_secondary(a={a}, b={b})"
 
 
-def y_integral_oracle(vbeta, vcs, omegas, vs, p):
-    """Reference inner integral with the Gauss-shell rule written inline."""
+def shintani_series(vcs, vs, p):
+    """(aj, roots) of the inner integral's Shintani series, written out: the
+    shell weights a_j = p^(-e j - sum vc_i) prod h_(j + vc_i)(x_i, y_i) and
+    the roots prod z_i / p^e, each a Lau."""
     if len(vcs) == 1:
         vc = vcs[0]
         roots = [Lau.var(vs, "A"), Lau.var(vs, "B")]
@@ -466,6 +488,13 @@ def y_integral_oracle(vbeta, vcs, omegas, vs, p):
                 * Fraction(p) ** (-j - vc1 - vc2)
             )
 
+    return aj, roots
+
+
+def y_integral_oracle(vbeta, vcs, omegas, vs, p):
+    """Reference inner integral: the Shintani series summed term by term
+    (seq_tail), with the Gauss-shell rule written inline."""
+    aj, roots = shintani_series(vcs, vs, p)
     X = Lau.var(vs, "X")
     j0 = max(-v for v in vcs)
     finite = Lau(vs)
@@ -477,8 +506,12 @@ def y_integral_oracle(vbeta, vcs, omegas, vs, p):
         if jneg >= j0:
             finite = finite + aj(jneg) * X ** jneg * Fraction(-1, p - 1)
     den = [1 - r * X for r in roots]
-    tail = RatFunc(whitzeta._seq_tail(aj, J, math.prod(den), vs), den)
+    tail = RatFunc(seq_tail(aj, J, math.prod(den), vs), den)
     return (tail + RatFunc.from_lau(finite)) * omegas
+
+
+def y_integral_ratfunc(vbeta, vcs, omegas, vs, p):
+    return RatFunc(whitzeta._y_integral(vbeta, list(vcs), omegas, vs, p), whitzeta._root_factors(vs, p))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -489,12 +522,82 @@ def test_y_integral_takes_its_shells_from_gauss_shell(p):
     for vs, cases in ((VS_INERT, inert), (VS_SPLIT, split)):
         for vcs, omegas in cases:
             for vbeta in vbetas:
-                got = RatFunc(whitzeta._y_integral(vbeta, list(vcs), omegas, vs, p), whitzeta._root_factors(vs, p))
+                got = y_integral_ratfunc(vbeta, vcs, omegas, vs, p)
                 assert same_ratfunc(got, y_integral_oracle(vbeta, list(vcs), omegas, vs, p)), (vbeta, vcs)
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    split=st.booleans(),
+    p=st.sampled_from([3, 5, 7, 11]),
+    vcs=st.lists(st.integers(-2, 4), min_size=2, max_size=2),
+    vbeta=st.one_of(st.integers(-6, 4), st.just(INF)),
+    exps=st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+    k=st.integers(-3, 3),
+)
+def test_y_integral_closed_form_matches_the_seq_tail_route(split, p, vcs, vbeta, exps, k):
+    # the root sum over Delta equals the series summed term by term, for any
+    # monomial prefactor omegas
+    vs, vcs = (VS_SPLIT, vcs) if split else (VS_INERT, vcs[:1])
+    omegas = Lau.monomial(vs, exps[: len(vs) - 1] + [0], Fraction(p) ** k)
+    assert same_ratfunc(y_integral_ratfunc(vbeta, vcs, omegas, vs, p), y_integral_oracle(vbeta, vcs, omegas, vs, p))
+
+
+def corrupt_first_root(monkeypatch, part):
+    """Replace whitzeta._shintani_roots by a copy whose first root has its
+    sign flipped or its cofactor doubled, with every inner-integral memo
+    emptied so that the engine reads it."""
+    real = whitzeta._shintani_roots
+
+    def corrupted(vs, p):
+        ((idx, sign, cof), *rest), R, delta = real(vs, p)
+        first = (idx, -sign, cof) if part == "sign" else (idx, sign, cof * 2)
+        return (first, *rest), R, delta
+
+    whitzeta._y_value_from_data.cache_clear()
+    monkeypatch.setattr(whitzeta, "_shintani_roots", corrupted)
+
+
+LOUD_ZETA = ["--prime", "3", "zeta", "--case", "split", "--phi", "builtin:unramified", "--g", "identity;t:1,0"]
+
+
+@pytest.mark.parametrize("part", ["sign", "cofactor"])
+def test_a_corrupted_root_fails_the_division_loudly(part, monkeypatch, capsys):
+    corrupt_first_root(monkeypatch, part)
+    for vs, vcs in ((VS_INERT, [0]), (VS_INERT, [2]), (VS_SPLIT, [0, 1]), (VS_SPLIT, [-1, 2])):
+        for vbeta in (-4, 0, INF):
+            with pytest.raises(NotDivisible):
+                whitzeta._y_integral(vbeta, vcs, Lau.const(vs, 1), vs, 3)
+    code = main(LOUD_ZETA)
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("verification failure: ")
+    assert "Traceback" not in err
+    whitzeta._y_value_from_data.cache_clear()
+
+
+def test_a_corrupted_root_exits_4_under_optimize():
+    # the division is no bare assert: python -O fails the same zeta run
+    code = (
+        "import sys\n"
+        "from padicasai import whitzeta\n"
+        "from padicasai.cli import main\n"
+        "real = whitzeta._shintani_roots\n"
+        "def corrupted(vs, p):\n"
+        "    ((idx, sign, cof), *rest), R, delta = real(vs, p)\n"
+        "    return ((idx, -sign, cof), *rest), R, delta\n"
+        "whitzeta._shintani_roots = corrupted\n"
+        f"sys.exit(main({LOUD_ZETA!r}))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert r.returncode == 4, r.stderr
+    assert r.stderr.startswith("verification failure: ") and "Traceback" not in r.stderr
+
+
 def seq_tail_by_full_product(aj, J, D, vs):
-    """_seq_tail as it was: the whole product D * prefix, its terms of
+    """seq_tail as it was: the whole product D * prefix, its terms of
     X-degree J + deg D + guard and above dropped after the fact."""
     guard, degD, X = 2, D.degree_in("X"), Lau.var(vs, "X")
     prefix = Lau(vs)
@@ -510,22 +613,19 @@ def seq_tail_by_full_product(aj, J, D, vs):
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_seq_tail_matches_the_full_product(p, monkeypatch):
-    real, seen = whitzeta._seq_tail, Counter()
-
-    def both(aj, J, D, vs):
-        got = real(aj, J, D, vs)
-        assert got == seq_tail_by_full_product(aj, J, D, vs)
-        seen[vs] += 1
-        return got
-
-    monkeypatch.setattr(whitzeta, "_seq_tail", both)
+def test_seq_tail_matches_the_full_product(p):
+    seen = Counter()
     inert = [(vc,) for vc in range(-2, 3)]
     split = [(vc1, vc2) for vc1 in (-1, 0, 1) for vc2 in (-1, 0, 1)]
     for vs, cases in ((VS_INERT, inert), (VS_SPLIT, split)):
+        X = Lau.var(vs, "X")
         for vcs in cases:
-            for vbeta in (-3, 0, INF):
-                whitzeta._y_integral(vbeta, list(vcs), Lau.const(vs, 1), vs, p)
+            aj, roots = shintani_series(vcs, vs, p)
+            D = math.prod(1 - r * X for r in roots)
+            j0 = max(-v for v in vcs)
+            for J in (max(j0, 3), max(j0, 0), j0):  # the tail starts of vbeta = -3, 0, INF
+                assert seq_tail(aj, J, D, vs) == seq_tail_by_full_product(aj, J, D, vs), (vcs, J)
+                seen[vs] += 1
     assert seen == {VS_INERT: 15, VS_SPLIT: 27}
 
 
@@ -533,7 +633,7 @@ def test_seq_tail_checks_the_recurrence():
     # j X^j does not satisfy the recurrence of 1 - X: its X^(J+1) term survives
     vs = ("X",)
     X = Lau.var(vs, "X")
-    for tail in (whitzeta._seq_tail, seq_tail_by_full_product):
+    for tail in (seq_tail, seq_tail_by_full_product):
         assert tail(lambda j: Lau.const(vs, 1), 2, 1 - X, vs) == X ** 2
         with pytest.raises(AssertionError, match="recurrence"):
             tail(lambda j: Lau.const(vs, j), 2, 1 - X, vs)
