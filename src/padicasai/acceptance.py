@@ -20,7 +20,6 @@ from .heckemod import (
     delta1,
     generator_vector,
     hecke_apply,
-    lambda_of_chain,
     mirabolic_volume,
     phi_c_weight,
     random_integral_vector,
@@ -42,6 +41,7 @@ from .whitzeta import (
     gauss_shell,
     gauss_shell_oracle,
     lambda_form,
+    lambda_of_cells,
     psi_secondary,
     zeta_asai,
 )
@@ -288,7 +288,7 @@ def criterion_8_chain_identity(seed: int = 0) -> dict:
         else:
             vec = trace_level(random_integral_vector(ctx, rng, "K[p]", origin_vanishing=False))
         chain = xi_phi_chain(vec)
-        if lambda_of_chain(chain, ctx) != chain_identity_rhs(chain.p_delta, p):
+        if lambda_of_cells(chain.collapsed, ctx) != chain_identity_rhs(chain.p_delta, p):
             ok = False
     return {"name": "chain identity through the mirabolic space", "ok": ok, "samples": samples}
 

@@ -29,7 +29,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from operator import add, sub
 from types import MappingProxyType
@@ -483,21 +482,6 @@ class Lau:
 
     __rmul__ = __mul__
 
-    def mul_below(self, other: "Lau", name: str, k: int) -> "Lau":
-        """The terms of self * other of degree < k in the variable name; the
-        pairs of terms of higher degree are never multiplied."""
-        o, i = self._chk(other), self.vars.index(name)
-        rows = sorted(o._nums.items(), key=lambda ec: ec[0][i])
-        t: dict[tuple, int] = {}
-        for e1, c1 in self._nums.items():
-            top = k - e1[i]
-            for e2, c2 in rows:
-                if e2[i] >= top:
-                    break
-                e = tuple(map(add, e1, e2))
-                t[e] = t.get(e, 0) + c1 * c2
-        return _canon(self.vars, {e: c for e, c in t.items() if c}, self._den * o._den)
-
     def __pow__(self, n: int):
         """self ** n; a monomial's power in closed form, (c/d)^n in lowest terms
         as gcd(c, d) = 1, refused before it is built past the digit limit;
@@ -752,11 +736,11 @@ def sym_expand(sym: Lau, pair_vars: Sequence[str]) -> Lau:
     return _sum_of_products(tuple(pair_vars) + tuple(extra), rows, sym._den)
 
 
-@lru_cache(maxsize=None)
 def complete_homog(n: int, x: str, y: str, variables: tuple) -> Lau:
     """Complete homogeneous symmetric sum of degree n in two variables,
-    (x^(n+1) - y^(n+1)) / (x - y); zero for n < 0.  Cached; treat the
-    result as immutable."""
+    (x^(n+1) - y^(n+1)) / (x - y); zero for n < 0.  Not memoized: the inner
+    zeta integrals sum their roots in closed form, so only wsph_value and
+    psi_epsilon_extract read it, a few small sums per call."""
     terms = {}
     if n >= 0:
         ix, iy = variables.index(x), variables.index(y)

@@ -55,7 +55,6 @@ from .whitzeta import (
     ZetaResult,
     chain_operators,
     godement_section,
-    lambda_of_cells,
     zeta_asai,
     zeta_rs_split,
 )
@@ -364,11 +363,6 @@ def period_value(vec: TestVector) -> ZetaResult:
     return ZetaResult(num, vec.case, "period_value", ctx.p)
 
 
-def normalized_period(vec: TestVector) -> Lau:
-    """Z(delta) = lim_(s->0) (zeta pairing) / L(s), in symmetric coordinates."""
-    return period_value(vec).normalized()
-
-
 def local_factor(vec: TestVector) -> HeckeElem:
     """The unique spherical operator with P . generator = delta."""
     return factor_of_period(period_value(vec))
@@ -488,13 +482,6 @@ def _act_on_mirabolic(h: HeckeElem, ctx: QuadCtx) -> dict:
             key = (a - sexp, b)
             out[key] = out.get(key, 0) + coef * v
     return {k: Fraction(v, den) for k, v in out.items() if v}
-
-
-def lambda_of_chain(chain: XiPhiChain, ctx: QuadCtx) -> Lau:
-    """Lambda(Phi_c(Xi_c(delta))) as a symmetric-coordinate polynomial:
-    Theta(A P_As(1) + B (1 - S)) on the collapsed cells, with the (A, B)
-    of chain_operators, one Satake transform per chain."""
-    return lambda_of_cells(chain.collapsed, ctx)
 
 
 def chain_identity_rhs(p_delta: HeckeElem, p: int) -> Lau:

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 from .exactnum import INF, QuadCtx, QuadElem, fr_to_str, is_odd_prime, is_qr, val_p
 from .heckealg import euler_poly
-from .heckemod import TestVector, normalized_period, trace_level, vector_is_integral
+from .heckemod import TestVector, period_value, trace_level, vector_is_integral
 
 
 class SchemaError(ValueError):
@@ -317,7 +317,7 @@ def period_ideal_check(
             if p in S0 and level != "K[p]":
                 raise ValueError(f"{p} in S0 needs determinant-level data")
             # the period pairs with the traced (full-level) vector
-            sym = normalized_period(trace_level(vec) if level == "K[p]" else vec)
+            sym = period_value(trace_level(vec) if level == "K[p]" else vec).normalized()
             # a constant period evaluates to a Fraction: coerce into the field
             zval = CoefElem(0, 0, F) + sym.eval(sat.values)
         tate = False

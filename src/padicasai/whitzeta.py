@@ -50,14 +50,17 @@ A value is carried as its numerator, Laurent in X = p^(-s) and the Satake
 parameters, over a fixed denominator: R = prod (1 - root X) over the roots
 for an inner integral, R (1 - omega(p) X^2) for a zeta integral, which is
 L(s)^-1 at an inert prime and L(s)^-1 (1 - omega(p) X^2) at a split one.
-The measure normalization (vol(Z_p^x) = 1, vol(GL2(Z_p)) = 1) is pinned by
-the unramified identity Z(ch(Z_p^2), W_sph, s) = L(As Pi, s), which the
-test suite checks symbolically.
+The pieces of that denominator, the roots' cofactors and Delta come from
+one memoized table per (vs, p), _shintani.  The measure normalization
+(vol(Z_p^x) = 1, vol(GL2(Z_p)) = 1) is pinned by the unramified identity
+Z(ch(Z_p^2), W_sph, s) = L(As Pi, s), which the test suite checks
+symbolically.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -72,6 +75,7 @@ from .exactnum import (
     QuadCtx,
     QuadElem,
     RatFunc,
+    _check_power,
     _vint,
     _vquad,
     complete_homog,
@@ -88,8 +92,8 @@ VS_INERT = ("A", "B", "X")
 VS_SPLIT = ("u1", "v1", "u2", "v2", "X")
 # the Satake pair (x_i, y_i) of each group component, per variable tuple
 _PAIRS = {VS_INERT: (("A", "B"),), VS_SPLIT: (("u1", "v1"), ("u2", "v2"))}
-# the work cap: it bounds both the lines mod p^L (p^L + p^(L-1)) a zeta
-# integral reads and the cells a sum subdivides into; L <= 12 at p = 3
+# the work cap (_over_cap): it bounds both the lines mod p^L (p^L + p^(L-1))
+# a zeta integral reads and the cells a sum subdivides into; L <= 12 at p = 3
 WORK_CAP = 3 ** 12 + 3 ** 11
 
 
@@ -207,15 +211,22 @@ class SchwartzFn:
         return cls(p, int(d["level"]), {tuple(map(Fraction, c["c"])): Fraction(c["coef"]) for c in d["cells"]})
 
 
+def _over_cap(n: int, p: int, k: int) -> bool:
+    """n p^k > WORK_CAP for n >= 1, k cut at b = bits(WORK_CAP) first, as
+    p^b >= 2^b > WORK_CAP already: no large power is built."""
+    return n * p ** min(k, WORK_CAP.bit_length()) > WORK_CAP
+
+
 def _subcells(items, p: int, level: int, finer: int) -> list:
     """(cell, coef) for each cell c' + p^finer Z_p^2, finer >= level, of
     each c + p^level Z_p^2 in items, which is their disjoint union.  The
-    cell count meets WORK_CAP before any power is built: its exponent is cut
-    at n = bits(WORK_CAP), as p^n >= 2^n > WORK_CAP already."""
+    cell count meets WORK_CAP, and p^level the digit limit, before any power
+    is built."""
     if not items or finer == level:
         return list(items)
-    if len(items) * p ** min(2 * (finer - level), WORK_CAP.bit_length()) > WORK_CAP:
+    if _over_cap(len(items), p, 2 * (finer - level)):
         raise PrecisionOverflow(f"refining to level {finer} builds more than {WORK_CAP} cells")
+    _check_power(p, level)
     pn, step = Fraction(p) ** level, p ** (finer - level)
     return [
         ((Fraction(c1) + pn * y1, Fraction(c2) + pn * y2), coef)
@@ -320,35 +331,34 @@ def wsph_value(g: Mat2, ctx: QuadCtx) -> WhitValue:
 # the inner (delta-)integral of the zeta machine
 
 
-@lru_cache(maxsize=16)
-def _root_factors(vs: tuple, p: int) -> tuple[Lau, ...]:
-    """The factors 1 - root X of R, one per Shintani root prod z_i / p^e
-    over z_i in {x_i, y_i}.  Memoized; treat the result as immutable."""
-    pairs = _PAIRS[vs]
-    X = Lau.var(vs, "X")
-    scale = Fraction(1, p ** (len(pairs) - 1))
-    return tuple(1 - Lau.monomial(vs, _evec(vs, dict.fromkeys(zs, 1)), scale) * X for zs in product(*pairs))
+_Shintani = namedtuple("_Shintani", "factors roots R delta omx2 one_minus_omx2")
 
 
 @lru_cache(maxsize=16)
-def _shintani_roots(vs: tuple, p: int) -> tuple[tuple, Lau, Lau]:
-    """Per Shintani root rho, in the order of _root_factors: (the positions
-    in vs of its z_i, its sign prod (+1 at x_i, -1 at y_i), its cofactor
-    prod p^e (1 - rho' X) over the other roots); then p^(e n) R over the n
-    roots, and Delta = prod (x_i - y_i), all three with integer coefficients.
-    Memoized; treat the result as immutable."""
+def _shintani(vs: tuple, p: int) -> _Shintani:
+    """The zeta engine's constants at (vs, p), over the Shintani roots
+    rho = prod z_i / p^e, z_i in {x_i, y_i}, in the order of product(*pairs):
+    the factors 1 - rho X of R; per root, (the positions in vs of its z_i,
+    its sign prod (+1 at x_i, -1 at y_i), its cofactor prod p^e (1 - rho' X)
+    over the other roots); p^(e n) R over the n roots; Delta = prod (x_i - y_i);
+    omega(p) X^2 and 1 - omega(p) X^2.  Memoized; treat it as immutable."""
     pairs = _PAIRS[vs]
-    factors = [f * p ** (len(pairs) - 1) for f in _root_factors(vs, p)]
+    e = len(pairs) - 1
+    factors = tuple(1 - Lau.monomial(vs, _evec(vs, dict.fromkeys((*zs, "X"), 1)), Fraction(1, p ** e)) for zs in product(*pairs))
+    ints = [f * p ** e for f in factors]
     roots = tuple(
-        (tuple(map(vs.index, zs)), (-1) ** sum(z == y for (_, y), z in zip(pairs, zs)), math.prod(factors[:i] + factors[i + 1:]))
+        (tuple(map(vs.index, zs)), (-1) ** sum(z == y for (_, y), z in zip(pairs, zs)), math.prod(ints[:i] + ints[i + 1:]))
         for i, zs in enumerate(product(*pairs))
     )
-    return roots, math.prod(factors), math.prod(Lau.var(vs, x) - Lau.var(vs, y) for x, y in pairs)
+    exps = {z: 1 for pair in pairs for z in pair} | {"X": 2}
+    omx2 = Lau.monomial(vs, _evec(vs, exps), Fraction(1, p ** (2 * e)))
+    delta = math.prod(Lau.var(vs, x) - Lau.var(vs, y) for x, y in pairs)
+    return _Shintani(factors, roots, math.prod(ints), delta, omx2, 1 - omx2)
 
 
 def _y_integral(vbeta, vcs: list[int], omegas, vs, p: int) -> Lau:
     """int W-values(diag(delta,1)-part) |delta|^(s-1) dx(delta), as its
-    numerator over R = prod _root_factors(vs, p).
+    numerator over R = prod _shintani(vs, p).factors.
 
     vcs lists v(f1/f2) per component; omegas is the Laurent prefactor
     (the omega(f2) contributions); vbeta the valuation of the psi-phase,
@@ -361,12 +371,12 @@ def _y_integral(vbeta, vcs: list[int], omegas, vs, p: int) -> Lau:
     J = max(J0, -vbeta) on, where every shell has weight 1, is
     sum c_rho (rho X)^J cofactor_rho / Delta over R, and the one finite shell
     J - 1 >= J0, of weight w = -1/(p-1), adds w c_rho (rho X)^(J-1) R / Delta.
-    The sum is built on the integer numerators of _shintani_roots and divided
-    by Delta exactly, once: a remainder raises NotDivisible.
+    The sum is built on the integer numerators of _shintani(vs, p) and
+    divided by Delta exactly, once: a remainder raises NotDivisible.
     """
     e, xi, J0 = len(vcs) - 1, vs.index("X"), max(-v for v in vcs)
     J = max(J0, -vbeta)
-    roots, R, delta = _shintani_roots(vs, p)
+    table = _shintani(vs, p)
     w = gauss_shell(J - 1, vbeta, p) if J > J0 else Fraction(0)
     num: dict[tuple, int] = {}
 
@@ -379,14 +389,14 @@ def _y_integral(vbeta, vcs: list[int], omegas, vs, p: int) -> Lau:
             k = tuple(map(add, ek, shift))
             num[k] = num.get(k, 0) + c * ck
 
-    for idx, sign, cof in roots:
+    for idx, sign, cof in table.roots:
         put(idx, sign * w.denominator, J, cof)
         if w:
-            put(idx, sign * w.numerator, J - 1, R)
+            put(idx, sign * w.numerator, J - 1, table.R)
     # c_rho rho^J's p-power, over the p^(e (n - 1)) that the cofactors (and,
     # one shell lower, p^(e n) R) carry
-    scale = Fraction(p) ** (-e * J - sum(vcs) - e * (len(roots) - 1)) / w.denominator
-    return Lau.from_ints(vs, num).exact_div(delta) * (omegas * scale)
+    scale = Fraction(p) ** (-e * J - sum(vcs) - e * (len(table.roots) - 1)) / w.denominator
+    return Lau.from_ints(vs, num).exact_div(table.delta) * (omegas * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +405,7 @@ def _y_integral(vbeta, vcs: list[int], omegas, vs, p: int) -> Lau:
 
 @dataclass
 class ZetaResult:
-    """Z = num / (R (1 - omega(p) X^2)), R = prod _root_factors(vs, p)."""
+    """Z = num / (R (1 - omega(p) X^2)), both read from _shintani(num.vars, p)."""
 
     num: Lau
     case: str
@@ -405,8 +415,8 @@ class ZetaResult:
     @property
     def ratfunc(self) -> RatFunc:
         """Z as one reduced RatFunc, built anew on each access."""
-        vs = self.num.vars
-        return RatFunc(self.num, [*_root_factors(vs, self.p), _one_minus_omega_x2(vs, self.p)])
+        table = _shintani(self.num.vars, self.p)
+        return RatFunc(self.num, [*table.factors, table.one_minus_omx2])
 
     def normalized(self) -> Lau:
         """The normalized period lim_(s->0) Z / L in symmetric coordinates:
@@ -414,7 +424,7 @@ class ZetaResult:
         split prime (else NotDivisible)."""
         h = self.num
         if self.case == "split":
-            h = h.exact_div(_one_minus_omega_x2(h.vars, self.p))
+            h = h.exact_div(_shintani(h.vars, self.p).one_minus_omx2)
         return sym_reduce(lau_eval_x1(h, "X"))
 
     def to_json(self) -> dict:
@@ -438,17 +448,6 @@ def _required_cell_level(gs: Sequence[Mat2]) -> int:
     for g in gs:
         w = max(w, g.cartan_spread())
     return w
-
-
-@lru_cache(maxsize=16)
-def _max_line_level(p: int) -> int:
-    """The largest L whose p^L + p^(L-1) lines stay within WORK_CAP (12, 8
-    and 6 at p = 3, 5, 7), so a level is capped without building p^L.
-    Memoized on p, at most 16 entries."""
-    L = 0
-    while p ** (L + 1) + p ** L <= WORK_CAP:
-        L += 1
-    return L
 
 
 def _row_components(gs: Sequence[Mat2]) -> tuple:
@@ -557,22 +556,6 @@ def _evec(vs, d: Mapping[str, int]):
     return tuple(d.get(v, 0) for v in vs)
 
 
-@lru_cache(maxsize=16)
-def _omega_x2(vs: tuple, p: int) -> Lau:
-    """omega(p) X^2: the product of every Satake pair, X^2, over p^(2e).
-    Memoized, like _root_factors; treat the result as immutable."""
-    pairs = _PAIRS[vs]
-    exps = {z: 1 for pair in pairs for z in pair} | {"X": 2}
-    return Lau.monomial(vs, _evec(vs, exps), Fraction(1, p ** (2 * len(pairs) - 2)))
-
-
-@lru_cache(maxsize=16)
-def _one_minus_omega_x2(vs: tuple, p: int) -> Lau:
-    """1 - omega(p) X^2, the zeta denominator's last factor.  Memoized, like
-    _root_factors; treat the result as immutable."""
-    return 1 - _omega_x2(vs, p)
-
-
 def _line_reps(t, k: int, lam: int, L: int, p: int) -> tuple[list[tuple[int, int]], int]:
     """The lines mod p^L, as reps (1, x) or (p x', 1) in [0, p^L)^2, met by
     the primitive rows of t + p^k Z_p^2 mod p^lam (lam >= max(k, L)), and
@@ -618,9 +601,8 @@ def _shell_weights(phi: SchwartzFn, gs: Sequence[Mat2], ctx: QuadCtx) -> dict[tu
     certified once against _y_data_by_iwasawa."""
     p = ctx.p
     L = max(_required_cell_level(gs), 1)
-    top = _max_line_level(p)
-    if L > top:  # the lines alone set the work; depth only scales counts
-        raise PrecisionOverflow(f"level {L} above {top}: p^L + p^(L-1) lines mod {p}^L exceed cap {WORK_CAP}")
+    if _over_cap(p + 1, p, L - 1):  # the lines alone set the work; depth only scales counts
+        raise PrecisionOverflow(f"level {L}: p^L + p^(L-1) lines mod {p}^L exceed cap {WORK_CAP}")
     pref = Fraction(p * p, p * p - 1)  # (1 - p^-2)^-1
     comps = _row_components(gs)
     data_of_line: dict[tuple[int, int], tuple] = {}
@@ -650,14 +632,14 @@ def _shell_weights(phi: SchwartzFn, gs: Sequence[Mat2], ctx: QuadCtx) -> dict[tu
 def _zeta_engine(phi: SchwartzFn, gs: Sequence[Mat2], ctx: QuadCtx) -> ZetaResult:
     p = ctx.p
     vs = VS_SPLIT if len(gs) == 2 else VS_INERT
-    omx2 = _omega_x2(vs, p)
+    *_, omx2, den = _shintani(vs, p)
     # numerators over R: shell m adds y omx2^m, the origin tail y omx2^N / (1 - omx2)
     parts = {"pow": Lau(vs), "geom": Lau(vs)}
     for (data, (kind, m)), wt in _shell_weights(phi, gs, ctx).items():
         parts[kind] = parts[kind] + _y_value_from_data(data, vs, p) * (omx2 ** m * wt if m else wt)
     num = parts["geom"]
     if not parts["pow"].is_zero():
-        num = num + parts["pow"] * _one_minus_omega_x2(vs, p)
+        num = num + parts["pow"] * den
     if len(gs) == 2:
         return ZetaResult(num, "split", "zeta_rs_split", p)
     return ZetaResult(num, "inert", "zeta_asai", p)
@@ -692,7 +674,7 @@ def psi_secondary(a: int, b: int, ctx: QuadCtx) -> ZetaResult:
     """
     if b < 0:
         raise ValueError("b must be >= 0")
-    num = _y_value_from_data((-b, (0,), (a,)), VS_INERT, ctx.p) * _one_minus_omega_x2(VS_INERT, ctx.p)
+    num = _y_value_from_data((-b, (0,), (a,)), VS_INERT, ctx.p) * _shintani(VS_INERT, ctx.p).one_minus_omx2
     return ZetaResult(num, "inert", f"psi_secondary(a={a}, b={b})", ctx.p)
 
 
@@ -801,7 +783,7 @@ def godement_section(phi: SchwartzFn, ctx: QuadCtx) -> dict:
     p = ctx.p
     cells = list(_cell_shells(phi))
     L = max(1, phi.level, *(k for _, k, _, _ in cells))
-    omx2, den = _omega_x2(VS_INERT, p), _one_minus_omega_x2(VS_INERT, p)
+    *_, omx2, den = _shintani(VS_INERT, p)
     rows = (p - 1) * p ** (L - 1)
     # numerators over den: a shell m adds omx2^m, the origin tail omx2^N / den
     nums: dict[tuple[int, int], Lau] = {}

@@ -189,7 +189,7 @@ def test_chain_certify_pass_extracts_each_epsilon_once_per_chain(workloads, monk
 
 
 def test_traced_chain_certify_pass_counts_symmetric_reductions(workloads, spans):
-    # a seed-0 chain_certify pass makes 99 symmetric reductions and 1,326
+    # a seed-0 chain_certify pass makes 99 symmetric reductions and 1,320
     # Lau products; the closed forms of sym_reduce and sym_expand build no
     # Lau product, where the leading-term rewrite made 4,740 in all, exact
     # division runs on integer numerators without Lau products (646 of the
@@ -208,11 +208,14 @@ def test_traced_chain_certify_pass_counts_symmetric_reductions(workloads, spans)
     # shared denominator, where one extraction per cell over three reduced
     # RatFuncs made 38 more (1,779), and the inner integral is one root sum
     # on integer numerators with one exact division, where summing its
-    # Shintani series term by term made 195 more (1,521); a renamed or
-    # inlined sym_reduce would drop the first count
+    # Shintani series term by term made 195 more (1,521), and each factor
+    # 1 - rho X of the zeta engine's one table per (splitting type, p) is
+    # built from one monomial, where a monomial times X made 6 more (1,326)
+    # over the inert and split tables at p = 3; a renamed or inlined
+    # sym_reduce would drop the first count
     metrics = _fresh_traced_pass(workloads, spans, "chain_certify")
     assert metrics["exactnum.sym_reduce.calls"][0] == 99
-    assert metrics["exactnum.lau_mul.calls"][0] == 1326
+    assert metrics["exactnum.lau_mul.calls"][0] == 1320
 
 
 def test_traced_passes_count_closed_form_witness_products(workloads, spans):

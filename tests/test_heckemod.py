@@ -29,7 +29,6 @@ from padicasai.heckemod import (
     generator_vector,
     hecke_apply,
     integrality_check,
-    lambda_of_chain,
     local_factor,
     mirabolic_volume,
     period_value,
@@ -49,7 +48,7 @@ from padicasai.padicgrp import (
     pgk_label,
     subgroup_volume,
 )
-from padicasai.whitzeta import VS_INERT, VS_SPLIT, SchwartzFn, lambda_form, zeta_asai, zeta_rs_split
+from padicasai.whitzeta import VS_INERT, VS_SPLIT, SchwartzFn, lambda_form, lambda_of_cells, zeta_asai, zeta_rs_split
 from test_padicgrp import condition_row, lattice_solve_affine_oracle, plocal_smith_oracle
 from test_whitzeta import raw_writing
 
@@ -579,12 +578,12 @@ def test_chain_identity(F3, seed):
     ) + HeckeElem.one("inert_F") * rng.randint(0, 2)
     vec = hecke_apply(h, generator_vector(F3))
     chain = xi_phi_chain(vec)
-    assert lambda_of_chain(chain, F3) == chain_identity_rhs(chain.p_delta, 3)
+    assert lambda_of_cells(chain.collapsed, F3) == chain_identity_rhs(chain.p_delta, 3)
 
 
 def lambda_of_chain_per_cell(chain, ctx):
-    """lambda_of_chain as it was: sum w lambda_form(a, b) over the collapsed
-    cells {(a, b): w}, one Satake transform per cell."""
+    """The chain's linear form one cell at a time: sum w lambda_form(a, b)
+    over the collapsed cells {(a, b): w}, one Satake transform per cell."""
     out = Lau(("e1", "e2"))
     for (a, b), w in chain.collapsed.items():
         out = out + lambda_form(a, b, ctx) * w
@@ -601,7 +600,7 @@ def test_lambda_of_chain_matches_the_per_cell_sum(F3):
         else:
             vec = trace_level(random_integral_vector(F3, rng, "K[p]", origin_vanishing=False))
         chain = xi_phi_chain(vec)
-        assert lambda_of_chain(chain, F3) == lambda_of_chain_per_cell(chain, F3), i
+        assert lambda_of_cells(chain.collapsed, F3) == lambda_of_chain_per_cell(chain, F3), i
 
 
 def test_trace_divisibility_property(F3):

@@ -2,10 +2,9 @@
 
 No module of the package but exactnum, and no demo, may write a Lau's
 coefficients: assign or delete .terms (or an entry of it), or touch the
-private integer form _nums / _den.  A Lau is shared by memos and caches
-(euler_poly, _root_factors, _shintani_roots, _y_value_from_data,
-complete_homog), so one written in place would change every later result
-that reads it.
+private integer form _nums / _den.  A Lau is shared by the memos
+(euler_poly, _shintani, _y_value_from_data), so one written in place would
+change every later result that reads it.
 
 For the same reason no module but heckealg, and no demo or test, may write
 an EulerPoly's coefficient list: euler_poly shares one instance per

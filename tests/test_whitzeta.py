@@ -48,6 +48,7 @@ from padicasai.whitzeta import (
     zeta_asai,
     zeta_rs_split,
 )
+from test_exactnum import terms_below
 
 
 @pytest.fixture
@@ -414,20 +415,19 @@ def test_psi_identity_with_L_quotient(F3):
     assert lhs.as_laurent() == 1 - A * B * X ** 2
 
 
-def seq_tail(aj, J, D, vs):
+def seq_tail(aj, J, D, vs, guard=2):
     """The numerator of sum_(j >= J) aj(j) X^j over D, reconstructed from
     the initial terms, as the zeta engine summed its Shintani series before
     the closed form: D = prod (1 - root X) is the characteristic polynomial
-    of the sequence, and the next guard = 2 coefficients are checked to
-    vanish.  Terms of X-degree J + deg D + guard and above would come from
-    truncating the prefix, so they are never built."""
-    guard = 2
+    of the sequence, and the next guard coefficients are checked to vanish.
+    Terms of X-degree J + deg D + guard and above come from truncating the
+    prefix, so they are dropped."""
     top = J + D.degree_in("X")
     X = Lau.var(vs, "X")
     prefix = Lau(vs)
     for j in range(J, top + guard):
         prefix = prefix + aj(j) * X ** j
-    num = D.mul_below(prefix, "X", top + guard)
+    num = terms_below(D * prefix, "X", top + guard)
     if not num.is_zero() and num.degree_in("X") >= top:
         raise AssertionError("sequence does not satisfy its recurrence")
     return num
@@ -511,7 +511,7 @@ def y_integral_oracle(vbeta, vcs, omegas, vs, p):
 
 
 def y_integral_ratfunc(vbeta, vcs, omegas, vs, p):
-    return RatFunc(whitzeta._y_integral(vbeta, list(vcs), omegas, vs, p), whitzeta._root_factors(vs, p))
+    return RatFunc(whitzeta._y_integral(vbeta, list(vcs), omegas, vs, p), whitzeta._shintani(vs, p).factors)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -544,18 +544,19 @@ def test_y_integral_closed_form_matches_the_seq_tail_route(split, p, vcs, vbeta,
 
 
 def corrupt_first_root(monkeypatch, part):
-    """Replace whitzeta._shintani_roots by a copy whose first root has its
-    sign flipped or its cofactor doubled, with every inner-integral memo
-    emptied so that the engine reads it."""
-    real = whitzeta._shintani_roots
+    """Replace whitzeta._shintani by a copy whose first root has its sign
+    flipped or its cofactor doubled, with every inner-integral memo emptied
+    so that the engine reads it."""
+    real = whitzeta._shintani
 
     def corrupted(vs, p):
-        ((idx, sign, cof), *rest), R, delta = real(vs, p)
+        table = real(vs, p)
+        (idx, sign, cof), *rest = table.roots
         first = (idx, -sign, cof) if part == "sign" else (idx, sign, cof * 2)
-        return (first, *rest), R, delta
+        return table._replace(roots=(first, *rest))
 
     whitzeta._y_value_from_data.cache_clear()
-    monkeypatch.setattr(whitzeta, "_shintani_roots", corrupted)
+    monkeypatch.setattr(whitzeta, "_shintani", corrupted)
 
 
 LOUD_ZETA = ["--prime", "3", "zeta", "--case", "split", "--phi", "builtin:unramified", "--g", "identity;t:1,0"]
@@ -582,11 +583,12 @@ def test_a_corrupted_root_exits_4_under_optimize():
         "import sys\n"
         "from padicasai import whitzeta\n"
         "from padicasai.cli import main\n"
-        "real = whitzeta._shintani_roots\n"
+        "real = whitzeta._shintani\n"
         "def corrupted(vs, p):\n"
-        "    ((idx, sign, cof), *rest), R, delta = real(vs, p)\n"
-        "    return ((idx, -sign, cof), *rest), R, delta\n"
-        "whitzeta._shintani_roots = corrupted\n"
+        "    table = real(vs, p)\n"
+        "    (idx, sign, cof), *rest = table.roots\n"
+        "    return table._replace(roots=((idx, -sign, cof), *rest))\n"
+        "whitzeta._shintani = corrupted\n"
         f"sys.exit(main({LOUD_ZETA!r}))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -594,22 +596,6 @@ def test_a_corrupted_root_exits_4_under_optimize():
     r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert r.returncode == 4, r.stderr
     assert r.stderr.startswith("verification failure: ") and "Traceback" not in r.stderr
-
-
-def seq_tail_by_full_product(aj, J, D, vs):
-    """seq_tail as it was: the whole product D * prefix, its terms of
-    X-degree J + deg D + guard and above dropped after the fact."""
-    guard, degD, X = 2, D.degree_in("X"), Lau.var(vs, "X")
-    prefix = Lau(vs)
-    for j in range(J, J + degD + guard):
-        prefix = prefix + aj(j) * X ** j
-    num, xi = {}, vs.index("X")
-    for e, c in (D * prefix).terms.items():
-        if e[xi] < J + degD:
-            num[e] = c
-        elif e[xi] < J + degD + guard:
-            raise AssertionError("sequence does not satisfy its recurrence")
-    return Lau(vs, num)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -624,7 +610,9 @@ def test_seq_tail_matches_the_full_product(p):
             D = math.prod(1 - r * X for r in roots)
             j0 = max(-v for v in vcs)
             for J in (max(j0, 3), max(j0, 0), j0):  # the tail starts of vbeta = -3, 0, INF
-                assert seq_tail(aj, J, D, vs) == seq_tail_by_full_product(aj, J, D, vs), (vcs, J)
+                # the full product with a longer prefix: one more vanishing
+                # coefficient and the same numerator
+                assert seq_tail(aj, J, D, vs) == seq_tail(aj, J, D, vs, guard=3), (vcs, J)
                 seen[vs] += 1
     assert seen == {VS_INERT: 15, VS_SPLIT: 27}
 
@@ -633,10 +621,9 @@ def test_seq_tail_checks_the_recurrence():
     # j X^j does not satisfy the recurrence of 1 - X: its X^(J+1) term survives
     vs = ("X",)
     X = Lau.var(vs, "X")
-    for tail in (seq_tail, seq_tail_by_full_product):
-        assert tail(lambda j: Lau.const(vs, 1), 2, 1 - X, vs) == X ** 2
-        with pytest.raises(AssertionError, match="recurrence"):
-            tail(lambda j: Lau.const(vs, j), 2, 1 - X, vs)
+    assert seq_tail(lambda j: Lau.const(vs, 1), 2, 1 - X, vs) == X ** 2
+    with pytest.raises(AssertionError, match="recurrence"):
+        seq_tail(lambda j: Lau.const(vs, j), 2, 1 - X, vs)
 
 
 def psi_epsilon_extract_by_three_ratfuncs(b, ctx):
@@ -781,9 +768,9 @@ def test_zeta_rs_split_oracle_series(F3):
             direct[2 * m + n] = direct[2 * m + n] + term
     X = Lau.var(vs, "X")
     series = sum((c * X ** k for k, c in enumerate(direct)), Lau(vs))
-    den = math.prod(whitzeta._root_factors(vs, p)) * (1 - whitzeta._omega_x2(vs, p))
-    below = Lau.const(vs, 1).mul_below(res.num, "X", 5)
-    assert den.mul_below(series, "X", 5) == below
+    table = whitzeta._shintani(vs, p)
+    den = math.prod(table.factors) * table.one_minus_omx2
+    assert terms_below(den * series, "X", 5) == terms_below(res.num, "X", 5)
 
 
 # -- the Godement section --------------------------------------------------------------
@@ -1034,7 +1021,7 @@ def zeta_by_ratfunc(phi, gs, ctx):
     weight of the per-row oracle, each inner integral from y_integral_oracle."""
     p = ctx.p
     vs = VS_SPLIT if len(gs) == 2 else VS_INERT
-    omx2 = whitzeta._omega_x2(vs, p)
+    omx2 = whitzeta._shintani(vs, p).omx2
     ys = {}
     acc = RatFunc(Lau(vs))
     for (data, shell), wt in sorted(shell_weights_by_rows(phi, gs, ctx).items(), key=repr):
@@ -1094,7 +1081,7 @@ def clamped(data):
 
 def num_from_weights(weights, vs, p):
     """_zeta_engine's numerator of a weight dict."""
-    omx2 = whitzeta._omega_x2(vs, p)
+    omx2 = whitzeta._shintani(vs, p).omx2
     parts = {"pow": Lau(vs), "geom": Lau(vs)}
     for (data, (kind, m)), wt in weights.items():
         parts[kind] = parts[kind] + whitzeta._y_value_from_data(data, vs, p) * (omx2 ** m * wt)
@@ -1224,7 +1211,10 @@ def test_work_cap_counts_the_lines(p, allowed):
     # the cap bounds p^L + p^(L-1), the lines read: L <= 12 at p = 3, as the
     # level cap 12 did, but L <= 8 at p = 5 and L <= 6 at p = 7
     assert p ** allowed + p ** (allowed - 1) <= whitzeta.WORK_CAP < p ** (allowed + 1) + p ** allowed
-    assert whitzeta._max_line_level(p) == allowed
+    # the one cap helper admits the lines at L = allowed, refuses them one
+    # level up, and cuts a huge exponent before building its power
+    assert not whitzeta._over_cap(p + 1, p, allowed - 1) and whitzeta._over_cap(p + 1, p, allowed)
+    assert whitzeta._over_cap(1, p, 10 ** 30)
     ctx = QuadCtx.make(p)
     with pytest.raises(PrecisionOverflow, match="lines"):
         zeta_asai(SchwartzFn.char_zp2(p), Mat2.t(0, allowed + 1, ctx), ctx)
@@ -1255,6 +1245,26 @@ def test_a_sum_across_a_huge_level_gap_raises_at_once():
         "assert SchwartzFn(3, 0) + big == big == big + SchwartzFn(3, 0)\n"
         "try:\n"
         "    SchwartzFn(3, -10**30, {(0, 0): 1}) + SchwartzFn.char_zp2(3)\n"
+        "except PrecisionOverflow:\n"
+        "    print(time.perf_counter() - t)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=20)
+    assert r.returncode == 0, r.stderr
+    assert float(r.stdout) < 1
+
+
+def test_a_sum_at_a_huge_common_level_raises_at_once():
+    # one level apart at 10^30: the 9 subcells pass the cap, and p^level
+    # meets the digit limit before it is built
+    code = (
+        "import time\n"
+        "from padicasai.exactnum import PrecisionOverflow\n"
+        "from padicasai.whitzeta import SchwartzFn\n"
+        "t = time.perf_counter()\n"
+        "try:\n"
+        "    SchwartzFn(3, 10**30, {(0, 0): 1}) + SchwartzFn(3, 10**30 + 1, {(0, 0): 1})\n"
         "except PrecisionOverflow:\n"
         "    print(time.perf_counter() - t)\n"
     )
@@ -1388,7 +1398,7 @@ def test_one_writing_keeps_negative_levels_exact():
             wide = SchwartzFn(p, -k, {(0, 0): 1})
             assert (wide.level, list(wide.cells)) == (-k, [(Fraction(0), Fraction(0))])
             for base, res in ((inert, zeta_asai(wide, one, ctx)), (split, zeta_rs_split(wide, [one, one], ctx))):
-                omx2 = whitzeta._omega_x2(base.num.vars, p)
+                omx2 = whitzeta._shintani(base.num.vars, p).omx2
                 assert res.ratfunc * omx2 ** k == base.ratfunc
 
 
