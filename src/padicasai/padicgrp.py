@@ -39,8 +39,14 @@ integrality, levels and residues mod p off those ints; a Fraction is built
 only where a result leaves the layer: a Cartan witness, a weight or a
 volume.
 
-Matrices are immutable; every decomposition returns witnesses and is
-re-verified by exact multiplication before being returned.
+Matrices are immutable, and every decomposition returns witnesses checked
+in every mode before it returns.  iwasawa_F checks n(u) diag(f1, f2) kappa
+= g on all four entries by cross-multiplying its quotient ints against g's
+numerators, and kappa in GL2(O_F).  pgk_label builds its right witness as
+(q t_a n_b)^-1 g, so the product is g by construction, and checks that
+witness in GL2(O_F).  kck_membership (the Cartan witnesses) builds
+kappa = cell^-1 x g and k = x^-1 likewise and checks x in GL2(Z_p) and
+kappa in GL2(O_F).
 """
 
 from __future__ import annotations
@@ -324,28 +330,37 @@ def iwasawa_F(g: Mat2) -> IwasawaParts:
 
     In closed form from the pivot j of _bottom_pivot(g), y = entry j and
     x = entry j - 2: u = x/y, f1 = det/y, f2 = y, and
-    kappa = [[1, 0], [c/d, 1]] when y = d, [[0, -1], [1, d/c]] when y = c;
-    kappa is integral because v(y) is least in the bottom row.  Every mode
-    checks n(u) diag(f1, f2) kappa = g, on n(u) and diag(f1, f2) built from
-    the quotient ints the witnesses are read off, and kappa in GL2(O_F).
+    kappa = [[1, 0], [w, 1]], w = c/d, when y = d, [[0, -1], [1, w]],
+    w = d/c, when y = c; kappa is integral because v(y) is least in the
+    bottom row.  Every mode checks n(u) diag(f1, f2) kappa = g on all four
+    entries, cross-multiplying the quotient ints the witnesses are read off
+    against g's numerators (no matrix is built for it), and kappa in
+    GL2(O_F).
     """
     ctx, r = g.ctx, g.ctx.r
     j, (X, Y) = _bottom_pivot(g)
     e, D = g._xy, g._d
     y = e[2 * j], e[2 * j + 1]
-    # the other bottom entry over y: c/d when y = d, d/c when y = c
+    # the other bottom entry over y: w = c/d when y = d, d/c when y = c
     wx, wy, wn = _quot(e[10 - 2 * j], e[11 - 2 * j], *y, r)
+    ux, uy, un = _quot(e[2 * j - 4], e[2 * j - 3], *y, r)
+    # det / y = ((X + Y sqrt r) / D^2) / ((y0 + y1 sqrt r) / D)
+    fx, fy, fn = _quot(X, Y, *y, r)
+    # n(u) diag(f1, f2) kappa = [[f1 + u f2 w, u f2], [f2 w, f2]] (j = 3),
+    # [[u f2, u f2 w - f1], [f2, f2 w]] (j = 2); over D, u f2 = uf / un,
+    # f2 w = fw / wn, u f2 w = ufw / (un wn) and f1 = (fx + fy sqrt r) / fn
+    uf = ux * y[0] + r * uy * y[1], ux * y[1] + uy * y[0]
+    fw = y[0] * wx + r * y[1] * wy, y[0] * wy + y[1] * wx
+    ufw = uf[0] * wx + r * uf[1] * wy, uf[0] * wy + uf[1] * wx
+    s, n = (1 if j == 3 else -1) * un * wn, fn * un * wn
+    f1_entry = s * fx + fn * ufw[0], s * fy + fn * ufw[1]
+    for (nx, ny), k, i in ((y, 1, j), (uf, un, j - 2), (fw, wn, 5 - j), (f1_entry, n, 3 - j)):
+        if nx != k * e[2 * i] or ny != k * e[2 * i + 1]:
+            raise AssertionError("Iwasawa witnesses do not reassemble g")
     if j == 3:
         kappa = _mat((wn, 0, 0, 0, wx, wy, wn, 0), wn, ctx)
     else:
         kappa = _mat((0, 0, -wn, 0, wn, 0, wx, wy), wn, ctx)
-    ux, uy, un = _quot(e[2 * j - 4], e[2 * j - 3], *y, r)
-    # det / y = ((X + Y sqrt r) / D^2) / ((y0 + y1 sqrt r) / D)
-    fx, fy, fn = _quot(X, Y, *y, r)
-    nu = _mat((un, 0, ux, uy, 0, 0, un, 0), un, ctx)
-    diag = _mat((fx, fy, 0, 0, 0, 0, y[0] * fn, y[1] * fn), D * fn, ctx)
-    if nu * diag * kappa != g:
-        raise AssertionError("Iwasawa witnesses do not reassemble g")
     if not kappa.in_KF():
         raise AssertionError("Iwasawa kappa is not in GL2(O_F)")
     f1, f2 = QuadElem.from_ints(fx, fy, D * fn, ctx), QuadElem.from_ints(*y, D, ctx)

@@ -86,7 +86,7 @@ from .exactnum import (
     val_p,
 )
 from .heckealg import HeckeElem, euler_poly, hecke_homog, satake
-from .padicgrp import Mat2, iwasawa_F
+from .padicgrp import DecompositionError, Mat2, iwasawa_F
 
 VS_INERT = ("A", "B", "X")
 VS_SPLIT = ("u1", "v1", "u2", "v2", "X")
@@ -438,7 +438,7 @@ def _complete_row(n1: int, n2: int, ctx: QuadCtx) -> Mat2:
         # [[1/n2, 0], [n1, n2]] over n2
         return Mat2.from_ints((1, 0, 0, 0, n1 * n2, 0, n2 * n2, 0), n2, ctx)
     if not n1 % p:
-        raise ValueError("row is not primitive")
+        raise DecompositionError("row is not primitive")
     # [[0, -1/n1], [n1, n2]] over n1
     return Mat2.from_ints((0, 0, -1, 0, n1 * n1, 0, n2 * n1, 0), n1, ctx)
 
@@ -487,7 +487,7 @@ def _y_data_for_row(n1: int, n2: int, comps: tuple, p: int) -> tuple:
     elif n1 % p:
         top = 2
     else:
-        raise ValueError("row is not primitive")
+        raise DecompositionError("row is not primitive")
     vcs, ws, xys = [], [], []
     for e, vD, vdet in comps:
         # entry i of g0 is (e[2i] + e[2i+1] sqrt r) / D, and so are c and d
@@ -513,18 +513,24 @@ def _y_data_for_row(n1: int, n2: int, comps: tuple, p: int) -> tuple:
 
 def _y_data_by_iwasawa(n1: int, n2: int, gs: Sequence[Mat2], ctx: QuadCtx) -> tuple:
     """_y_data_for_row read off a verified iwasawa_F of k g0 per component:
-    the certificate for the closed form."""
+    the certificate for the closed form.  The phase valuation is read off
+    the witnesses' integer coordinates u = (x + y sqrt r) / d: v(y) - v(d)
+    inert (the phase is 2 r u_b, and 2r is a unit), and
+    v(u1.x u2.d - u2.x u1.d) - v(u1.d) - v(u2.d) = v(u_1 - u_2) split."""
+    p = ctx.p
     k = _complete_row(n1, n2, ctx)
     us, vcs, ws = [], [], []
     for g0 in gs:
         parts = iwasawa_F(k * g0)
+        w = parts.f2.val()
         us.append(parts.u)
-        vcs.append(parts.f1.val() - parts.f2.val())
-        ws.append(parts.f2.val())
+        vcs.append(parts.f1.val() - w)
+        ws.append(w)
     if len(us) == 1:
-        vbeta = val_p(us[0].b, ctx.p)  # phase beta = 2 r u_b, and 2r is a unit
-    elif all(u.is_rational() for u in us):
-        vbeta = val_p(us[0].a - us[1].a, ctx.p)
+        vbeta = val_p(us[0].y, p) - _vint(us[0].d, p)
+    elif not (us[0].y or us[1].y):
+        u1, u2 = us
+        vbeta = val_p(u1.x * u2.d - u2.x * u1.d, p) - _vint(u1.d, p) - _vint(u2.d, p)
     else:
         raise AssertionError("split-case Iwasawa phase left the base field")
     return (min(vbeta, *vcs), tuple(vcs), tuple(ws))
@@ -596,20 +602,26 @@ def _shell_weights(phi: SchwartzFn, gs: Sequence[Mat2], ctx: QuadCtx) -> dict[tu
     is that of its line mod p^L, so a cell adds, per line it meets
     (_line_reps), the row count times the row weight
     (1 - p^-2)^-1 coef / p^(2 lam), lam = max(k, L): on the shell m the
-    volume p^(-2m) cancels the p^(2m) of omega(p)^m X^(2m) p^(2m).  Each
-    line's data is computed once per call, and each distinct data is
-    certified once against _y_data_by_iwasawa."""
+    volume p^(-2m) cancels the p^(2m) of omega(p)^m X^(2m) p^(2m).  The
+    counts times the coefficients' numerators over their common denominator
+    accumulate as ints, and each (data, shell) takes one Fraction; lam is
+    one per shell, as k = N - m.  Each line's data is computed once per
+    call, and each distinct data is certified once against
+    _y_data_by_iwasawa."""
     p = ctx.p
     L = max(_required_cell_level(gs), 1)
     if _over_cap(p + 1, p, L - 1):  # the lines alone set the work; depth only scales counts
         raise PrecisionOverflow(f"level {L}: p^L + p^(L-1) lines mod {p}^L exceed cap {WORK_CAP}")
-    pref = Fraction(p * p, p * p - 1)  # (1 - p^-2)^-1
+    cden = math.lcm(*(coef.denominator for coef in phi.cells.values()))
     comps = _row_components(gs)
     data_of_line: dict[tuple[int, int], tuple] = {}
     certified: set[tuple] = set()
-    weights: dict[tuple, Fraction] = {}
+    nums: dict[tuple, int] = {}
+    dens: dict[tuple, int] = {}
     for shell, k, t, coef in _cell_shells(phi):
         lam = max(k, L)
+        # (1 - p^-2)^-1 / p^(2 lam), lam >= L >= 1
+        dens[shell] = cden * (p * p - 1) * p ** (2 * lam - 2)
         reps, per_line = _line_reps(t, k, lam, L, p)
         counts: dict[tuple, int] = {}
         for line in reps:
@@ -622,11 +634,11 @@ def _shell_weights(phi: SchwartzFn, gs: Sequence[Mat2], ctx: QuadCtx) -> dict[tu
                             f"row {line}: closed-form data {data} disagrees with iwasawa_F"
                         )
                     certified.add(data)
-            counts[data] = counts.get(data, 0) + per_line
-        wt = pref * coef / p ** (2 * lam)
+            counts[data] = counts.get(data, 0) + 1
+        c = coef.numerator * (cden // coef.denominator) * per_line
         for data, n in counts.items():
-            weights[data, shell] = weights.get((data, shell), 0) + wt * n
-    return weights
+            nums[data, shell] = nums.get((data, shell), 0) + c * n
+    return {key: Fraction(n, dens[key[1]]) for key, n in nums.items()}
 
 
 def _zeta_engine(phi: SchwartzFn, gs: Sequence[Mat2], ctx: QuadCtx) -> ZetaResult:
@@ -634,12 +646,15 @@ def _zeta_engine(phi: SchwartzFn, gs: Sequence[Mat2], ctx: QuadCtx) -> ZetaResul
     vs = VS_SPLIT if len(gs) == 2 else VS_INERT
     *_, omx2, den = _shintani(vs, p)
     # numerators over R: shell m adds y omx2^m, the origin tail y omx2^N / (1 - omx2)
-    parts = {"pow": Lau(vs), "geom": Lau(vs)}
+    parts: dict[str, Lau] = {}
     for (data, (kind, m)), wt in _shell_weights(phi, gs, ctx).items():
-        parts[kind] = parts[kind] + _y_value_from_data(data, vs, p) * (omx2 ** m * wt if m else wt)
-    num = parts["geom"]
-    if not parts["pow"].is_zero():
-        num = num + parts["pow"] * den
+        y = _y_value_from_data(data, vs, p) * (omx2 ** m * wt if m else wt)
+        parts[kind] = parts[kind] + y if kind in parts else y
+    num = parts.get("geom")
+    if "pow" in parts and not parts["pow"].is_zero():
+        num = parts["pow"] * den if num is None else num + parts["pow"] * den
+    if num is None:  # phi = 0, or its shells off the origin cancel
+        num = Lau(vs)
     if len(gs) == 2:
         return ZetaResult(num, "split", "zeta_rs_split", p)
     return ZetaResult(num, "inert", "zeta_asai", p)

@@ -223,13 +223,16 @@ def test_traced_passes_count_closed_form_witness_products(workloads, spans):
     # in closed form: a seed-0 pass makes no QuadElem product on
     # hecke_freeness or coset_labels, where the matrices of QuadElem entries
     # made 19,041 and 34,440 and the column-operation matrices before them
-    # 27,142 and 43,080; the 181 Iwasawa certifications of hecke_freeness
-    # (457 with one zeta engine call per term, before the period grouped
-    # its terms by double coset) are pinned so that their count cannot move
-    # silently
+    # 27,142 and 43,080; the Iwasawa certifications, one per distinct row
+    # data per engine call, are pinned so that no certificate count can drop
+    # silently: 181 on hecke_freeness (457 with one zeta engine call per
+    # term, before the period grouped its terms by double coset), 54 on
+    # zeta_primes and 138 on chain_certify
     metrics = _fresh_traced_pass(workloads, spans, "hecke_freeness")
     assert metrics["exactnum.quad_mul.calls"][0] == 0
     assert metrics["padicgrp.iwasawa_F.calls"][0] == 181
+    assert _fresh_traced_pass(workloads, spans, "zeta_primes")["padicgrp.iwasawa_F.calls"][0] == 54
+    assert _fresh_traced_pass(workloads, spans, "chain_certify")["padicgrp.iwasawa_F.calls"][0] == 138
     metrics = _fresh_traced_pass(workloads, spans, "coset_labels")
     assert metrics["exactnum.quad_mul.calls"][0] == 0
 

@@ -726,13 +726,14 @@ def mirabolic(draw, ctx):
 
 
 @st.composite
-def gl2_F(draw, ctx):
-    """An invertible matrix with entries (a + b sqrt r) p^v, |a|, |b| <= 8, |v| <= 2."""
+def gl2_F(draw, ctx, rational=False):
+    """An invertible matrix with entries (a + b sqrt r) p^v, |a|, |b| <= 8,
+    |v| <= 2, b = 0 when rational."""
     p = ctx.p
     es = []
     for _ in range(4):
         v = Fraction(p) ** draw(st.integers(-2, 2))
-        es.append(QuadElem(draw(st.integers(-8, 8)) * v, draw(st.integers(-8, 8)) * v, ctx))
+        es.append(QuadElem(draw(st.integers(-8, 8)) * v, 0 if rational else draw(st.integers(-8, 8)) * v, ctx))
     m = Mat2(es, ctx)
     assume(m.det() != ctx.zero())
     return m
@@ -807,14 +808,71 @@ def test_inv_mul_val_matches_the_inverse_product(pair, rational):
         assert padicgrp._inv_mul_val(g1, *g2.int_block()) == (g1.inv() * g2).min_val()
 
 
+@st.composite
+def gl2_pivot(draw, ctx, rational=False):
+    """A gl2_F matrix whose _bottom_pivot is drawn: 2 or 3."""
+    g, j = draw(gl2_F(ctx, rational)), draw(st.sampled_from((2, 3)))
+    if padicgrp._bottom_pivot(g)[0] != j:
+        g = g * Mat2([0, 1, 1, 0], ctx)  # swaps c and d
+    assume(padicgrp._bottom_pivot(g)[0] == j)
+    return g
+
+
+CTXS_TO_13 = [QuadCtx.make(p) for p in (3, 5, 7, 11, 13)]
+
+
+def parts_of_quotients(g, quots):
+    """The IwasawaParts that iwasawa_F reads off its three quotients
+    (w, u, det/y), built with no check."""
+    ctx, (j, _) = g.ctx, padicgrp._bottom_pivot(g)
+    e, D = g.int_block()
+    (wx, wy, wn), (ux, uy, un), (fx, fy, fn) = quots
+    kappa = (wn, 0, 0, 0, wx, wy, wn, 0) if j == 3 else (0, 0, -wn, 0, wn, 0, wx, wy)
+    return IwasawaParts(
+        QuadElem.from_ints(ux, uy, un, ctx),
+        QuadElem.from_ints(fx, fy, D * fn, ctx),
+        QuadElem.from_ints(e[2 * j], e[2 * j + 1], D, ctx),
+        Mat2.from_ints(kappa, wn, ctx),
+    )
+
+
+def recording_quot(quots, call=None, shift=(0, 0)):
+    """padicgrp._quot appending each result to quots, the result of the
+    call-th call shifted by shift in (x, y)."""
+    real = padicgrp._quot
+
+    def quot(*args):
+        x, y, n = real(*args)
+        if len(quots) == call:
+            x, y = x + shift[0], y + shift[1]
+        quots.append((x, y, n))
+        return x, y, n
+
+    return quot
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(_at_p(gl2_F))
-def test_iwasawa_check_matches_reassembly_from_the_parts(g):
-    # iwasawa_F checks n(u) diag(f1, f2) kappa = g on matrices built from its
-    # quotient ints; IwasawaParts.reassemble builds them from the witnesses
-    # it returns
-    parts = iwasawa_F(g)
+@given(
+    st.sampled_from(CTXS_TO_13).flatmap(lambda ctx: st.booleans().flatmap(lambda rat: gl2_pivot(ctx, rat))),
+    st.integers(0, 2),
+    st.sampled_from(((1, 0), (0, 1))),
+)
+def test_iwasawa_check_matches_reassembly_from_the_parts(g, call, shift):
+    # iwasawa_F cross-multiplies its quotient ints against g's numerators;
+    # IwasawaParts.reassemble is the product n(u) diag(f1, f2) kappa that
+    # check replaced.  Both accept the true witnesses, and both reject them
+    # when one witness numerator (of w, u or det/y) is off by one
+    parts, true_quots, quots = iwasawa_F(g), [], []
     assert parts.reassemble(g.ctx) == g and parts.kappa.in_KF()
+    recording, off_by_one = recording_quot(true_quots), recording_quot(quots, call, shift)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(padicgrp, "_quot", recording)
+        assert iwasawa_F(g) == parts
+        mp.setattr(padicgrp, "_quot", off_by_one)
+        with pytest.raises(AssertionError, match="do not reassemble"):
+            iwasawa_F(g)
+    assert parts_of_quotients(g, true_quots) == parts
+    assert parts_of_quotients(g, quots).reassemble(g.ctx) != g
 
 
 CORRUPTED_IWASAWA = """
@@ -824,23 +882,33 @@ from padicasai.exactnum import QuadCtx
 from padicasai.padicgrp import Mat2
 
 g = Mat2([1, 0, 1, 3], QuadCtx.make(3))  # v(c) < v(d): the pivot is c
-pivot, quot = padicgrp._bottom_pivot, padicgrp._quot
-corruptions = {
+pivot, quot, calls = padicgrp._bottom_pivot, padicgrp._quot, []
+
+def u_off_by_one(*a):
+    # a certificate's second quotient is its witness u
+    x, y, n = quot(*a)
+    calls.append(n)
+    return (x + 1, y, n) if len(calls) == 2 else (x, y, n)
+
+corruptions = [
     # every quotient off by one: u, f1 and kappa no longer reassemble g
-    "_quot": lambda *a: (lambda x, y, n: (x + n, y, n))(*quot(*a)),
+    ("_quot", lambda *a: (lambda x, y, n: (x + n, y, n))(*quot(*a))),
+    # one witness numerator off by one
+    ("_quot", u_off_by_one),
     # the other bottom entry as the pivot: g reassembles, kappa = [[1, 0], [1/3, 1]]
-    "_bottom_pivot": lambda h: (5 - pivot(h)[0], pivot(h)[1]),
-}
+    ("_bottom_pivot", lambda h: (5 - pivot(h)[0], pivot(h)[1])),
+]
 print("optimize", sys.flags.optimize)
-for name, fake in corruptions.items():
+for name, fake in corruptions:
     setattr(padicgrp, name, fake)
     try:
         padicgrp.iwasawa_F(g)
     except AssertionError as exc:
         print("raised", exc)
     setattr(padicgrp, name, {"_quot": quot, "_bottom_pivot": pivot}[name])
-padicgrp._quot = corruptions["_quot"]
-sys.exit(cli.main(["--prime", "3", "zeta", "--phi", "builtin:unramified", "--g", "t:1,0"]))
+calls.clear()
+padicgrp._quot = u_off_by_one
+sys.exit(cli.main(["--prime", "5", "zeta", "--phi", "builtin:unramified", "--g", "t:1,0"]))
 """
 
 
@@ -851,6 +919,7 @@ def test_corrupted_iwasawa_witness_raises_under_python_O():
                        capture_output=True, text=True, env=env, timeout=60)
     assert r.stdout.splitlines() == [
         "optimize 1",
+        "raised Iwasawa witnesses do not reassemble g",
         "raised Iwasawa witnesses do not reassemble g",
         "raised Iwasawa kappa is not in GL2(O_F)",
     ]

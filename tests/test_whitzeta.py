@@ -9,7 +9,7 @@ from functools import cache
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from padicasai.exactnum import (
     AB,
@@ -30,7 +30,7 @@ from padicasai.exactnum import (
 )
 from padicasai.heckealg import HeckeElem, euler_poly, satake
 from padicasai.heckemod import delta1, generator_vector, hecke_apply, integrality_check, local_factor, period_value
-from padicasai.padicgrp import Mat2
+from padicasai.padicgrp import DecompositionError, Mat2, iwasawa_F
 from padicasai import whitzeta
 from padicasai.cli import main
 from padicasai.whitzeta import (
@@ -49,6 +49,7 @@ from padicasai.whitzeta import (
     zeta_rs_split,
 )
 from test_exactnum import terms_below
+from test_padicgrp import CTXS_TO_13, gl2_pivot
 
 
 @pytest.fixture
@@ -849,16 +850,57 @@ def test_row_data_closed_form_matches_iwasawa(p, lam):
             assert fast == whitzeta._y_data_by_iwasawa(n1, n2, gs, ctx), (gs, n1, n2)
 
 
+def y_data_by_iwasawa_fractions(n1, n2, gs, ctx):
+    """_y_data_by_iwasawa as it was: the phase valuation off the Fractions
+    u_b (inert) and u_1,a - u_2,a (split)."""
+    k = whitzeta._complete_row(n1, n2, ctx)
+    parts = [iwasawa_F(k * g0) for g0 in gs]
+    us, vcs = [pt.u for pt in parts], tuple(pt.f1.val() - pt.f2.val() for pt in parts)
+    if len(us) == 1:
+        vbeta = val_p(us[0].b, ctx.p)
+    else:
+        assert all(u.is_rational() for u in us)
+        vbeta = val_p(us[0].a - us[1].a, ctx.p)
+    return (min(vbeta, *vcs), vcs, tuple(pt.f2.val() for pt in parts))
+
+
+@st.composite
+def row_and_components(draw):
+    """(n1, n2, gs, ctx) at p <= 13: a primitive row and one component over F
+    (inert) or two over Q_p (split), each g0 = k^-1 h with k the row's
+    _complete_row, so that k g0 = h has a drawn pivot, 2 or 3."""
+    ctx = draw(st.sampled_from(CTXS_TO_13))
+    p, split = ctx.p, draw(st.booleans())
+    n1, n2 = draw(st.tuples(st.integers(0, p * p - 1), st.integers(0, p * p - 1)).filter(lambda r: r[0] % p or r[1] % p))
+    k_inv = whitzeta._complete_row(n1, n2, ctx).inv()
+    return n1, n2, [k_inv * draw(gl2_pivot(ctx, split)) for _ in range(1 + split)], ctx
+
+
+_F5 = QuadCtx.make(5)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(row_and_components())
+# u = 0 and u_1 = u_2: the phase valuation is infinite
+@example((0, 1, [Mat2.identity(_F5)], _F5))
+@example((1, 0, [Mat2.t(1, 0, _F5), Mat2.t(1, 0, _F5)], _F5))
+def test_phase_valuation_on_witness_ints_matches_the_fractions(case):
+    n1, n2, gs, ctx = case
+    assert whitzeta._y_data_by_iwasawa(n1, n2, gs, ctx) == y_data_by_iwasawa_fractions(n1, n2, gs, ctx)
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_rows_divisible_by_p_are_refused(p):
+    # the rows come only from _line_reps: a non-primitive one is an engine
+    # fault (exit 4), not bad input (exit 2)
     ctx = QuadCtx.make(p)
     gs = [Mat2.identity(ctx)]
     for n1, n2 in [(p, 0), (0, p), (p, p * p)]:
-        with pytest.raises(ValueError, match="row is not primitive"):
+        with pytest.raises(DecompositionError, match="row is not primitive"):
             whitzeta._complete_row(n1, n2, ctx)
-        with pytest.raises(ValueError, match="row is not primitive"):
+        with pytest.raises(DecompositionError, match="row is not primitive"):
             whitzeta._y_data_for_row(n1, n2, whitzeta._row_components(gs), p)
-        with pytest.raises(ValueError, match="row is not primitive"):
+        with pytest.raises(DecompositionError, match="row is not primitive"):
             whitzeta._y_data_by_iwasawa(n1, n2, gs, ctx)
 
 
@@ -1118,6 +1160,58 @@ def test_line_weights_match_row_weights(p):
         assert whitzeta._shell_weights(phi, gs, ctx) == merged, (gs, phi)
         vs = VS_SPLIT if len(gs) == 2 else VS_INERT
         assert whitzeta._zeta_engine(phi, gs, ctx).num == num_from_weights(oracle, vs, p), (gs, phi)
+
+
+def shell_weights_by_fraction_chain(phi, gs, ctx):
+    """_shell_weights as it was, certificates left out: per cell the row
+    weight pref * coef / p^(2 lam) as a Fraction, times each data's row
+    count, summed as Fractions per (data, shell)."""
+    p = ctx.p
+    L = max(whitzeta._required_cell_level(gs), 1)
+    pref = Fraction(p * p, p * p - 1)  # (1 - p^-2)^-1
+    comps = whitzeta._row_components(gs)
+    weights = {}
+    for shell, k, t, coef in whitzeta._cell_shells(phi):
+        lam = max(k, L)
+        reps, per_line = whitzeta._line_reps(t, k, lam, L, p)
+        counts = Counter(whitzeta._y_data_for_row(*line, comps, p) for line in reps)
+        wt = pref * coef / p ** (2 * lam)
+        for data, n in counts.items():
+            weights[data, shell] = weights.get((data, shell), 0) + wt * (n * per_line)
+    return weights
+
+
+COEFS = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 5, 7, 9)))
+
+
+@st.composite
+def multi_cell_phis(draw, p):
+    """A phi of level >= 2 with two or more cells: radial, a combination of
+    the balls p^m Z_p^2, m <= level, or not, two to four cells at that level
+    with centres in p^-1 Z_p^2."""
+    level = draw(st.sampled_from((2, 3) if p == 3 else (2,)))
+    if draw(st.booleans()):
+        parts = [SchwartzFn.cell(p, m, 0, 0, draw(COEFS)) for m in range(level + 1)]
+    else:
+        centre = st.builds(Fraction, st.integers(0, p ** (level + 1) - 1), st.sampled_from((1, p)))
+        parts = [SchwartzFn.cell(p, level, draw(centre), draw(centre), draw(COEFS)) for _ in range(draw(st.integers(2, 4)))]
+    phi = parts[0]
+    for part in parts[1:]:
+        phi = phi + part
+    assume(phi.level >= 2 and len(phi.cells) >= 2)
+    return phi
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from((3, 5)).flatmap(lambda p: st.tuples(
+    multi_cell_phis(p), st.sampled_from([[g] for g in inert_g0s(QuadCtx.make(p)).values()] + list(split_g0s(QuadCtx.make(p)).values()))
+)))
+def test_shell_weights_match_the_fraction_chain(case):
+    # one Fraction per (data, shell) over integer counts against the per-cell
+    # product pref * coef / p^(2 lam) summed as Fractions
+    phi, gs = case
+    ctx = gs[0].ctx
+    assert whitzeta._shell_weights(phi, gs, ctx) == shell_weights_by_fraction_chain(phi, gs, ctx)
 
 
 @pytest.mark.parametrize(
