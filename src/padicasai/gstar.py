@@ -24,7 +24,6 @@ from .heckealg import (
     HeckeIdealCert,
     euler_poly,
     ideal_cert,
-    iota_embed,
     iota_solve,
     monomial_det_val,
 )
@@ -72,8 +71,6 @@ def gstar_factor(vec: TestVector) -> GStarFactorReport:
     kind = "asai_star_inert" if vec.case == "inert" else "asai_star_split"
     Q = euler_poly(kind, p).involute_at_one()
     cert = ideal_cert(P_star, "p-1", Q, p)
-    if iota_embed(P_star) != P:
-        raise AssertionError("iota(P*) does not reproduce the local factor")
     return GStarFactorReport(P_star, P, cert)
 
 

@@ -38,12 +38,12 @@ from .heckealg import (
 )
 from .padicgrp import (
     Mat2,
-    SubgroupConditions,
+    Row,
     _inv_mul_val,
     _twist_val,
     conj_condition_rows,
+    constrains,
     coset_reps,
-    identity_rows,
     lattice_measure,
     plocal_smith,  # not called here: bench/spans.py REQUIRED_SITES traces this import site
     subgroup_volume,
@@ -174,25 +174,24 @@ def _cell_bijections(phi: SchwartzFn):
     return M, ints, gens, perms
 
 
-def stabilizer_conditions(phi: SchwartzFn, gs: Sequence[Mat2], level: str, ctx: QuadCtx) -> SubgroupConditions:
-    """Conditions cutting out Stab(phi) intersect g U g^-1 inside GL2(Z_p).
+def stabilizer_conditions(phi: SchwartzFn, gs: Sequence[Mat2], ctx: QuadCtx) -> list[list[Row]]:
+    """subgroup_volume's branches cutting out Stab(phi) cap g U g^-1 in GL2(Z_p).
 
-    U is the maximal compact (or its determinant-level subgroup) of the
-    inert or split group; gamma ranges over the base G(Q_p) so the split
-    case conjugates the same rational gamma by both components.  A G*
-    vector needs no condition of its own: for rational gamma in GL2(Z_p),
-    det(g^-1 gamma g) = det gamma is a unit, so K* and K cut out the same
-    stabilizer.  One branch per permutation of _cell_bijections, with the
-    rows of the generating cells only: the other centres are Z_p-combinations
-    of them and gamma preserves p^N Z_p^2, so their rows follow.
+    U is the maximal compact of the inert or split group (its determinant
+    level is subgroup_volume's det_mode); gamma ranges over the base G(Q_p)
+    so the split case conjugates the same rational gamma by both
+    components.  A G* vector needs no condition of its own: for rational
+    gamma in GL2(Z_p), det(g^-1 gamma g) = det gamma is a unit, so K* and K
+    cut out the same stabilizer.  One branch per permutation of
+    _cell_bijections, with the rows of the generating cells only: the other
+    centres are Z_p-combinations of them and gamma preserves p^N Z_p^2, so
+    their rows follow.  Every row constrains (a generator is nonzero mod M).
     """
     p = ctx.p
     if not phi.cells:
         raise ValueError("zero Schwartz function")
-    rows_core = identity_rows()
-    for g in gs:
-        # gamma -> g^-1 gamma g; rows that vanish identically carry no condition
-        rows_core += [r for r in conj_condition_rows(g.inv(), g) if any(r[0])]
+    # gamma -> g^-1 gamma g, on the rows gamma in M2(Z_p) does not already satisfy
+    rows_core = [r for g in gs for r in conj_condition_rows(g.inv(), g) if constrains(r, p)]
     M, ints, gens, perms = _cell_bijections(phi)
     branches = []
     for perm in perms:
@@ -202,8 +201,7 @@ def stabilizer_conditions(phi: SchwartzFn, gs: Sequence[Mat2], level: str, ctx: 
             (x, y), (s, t) = ints[k], ints[perm[k]]
             rows += [([x, 0, y, 0], s, M), ([0, x, 0, y], t, M)]
         branches.append(rows)
-    det_mode = "one_mod_p" if level == "K[p]" else "unit"
-    return SubgroupConditions(p, branches, det_mode)
+    return branches
 
 
 def integrality_check(phi: SchwartzFn, gs: Sequence[Mat2], level: str, ctx: QuadCtx):
@@ -213,8 +211,8 @@ def integrality_check(phi: SchwartzFn, gs: Sequence[Mat2], level: str, ctx: Quad
     when every cell value of phi lies in volume_inverse * Z[1/p].  The same
     for G* vectors (see stabilizer_conditions).
     """
-    cond = stabilizer_conditions(phi, gs, level, ctx)
-    vol = subgroup_volume(cond)
+    det_mode = "one_mod_p" if level == "K[p]" else "unit"
+    vol = subgroup_volume(ctx.p, stabilizer_conditions(phi, gs, ctx), det_mode)
     if vol == 0:
         raise AssertionError("stabilizer volume vanished (engine bug)")
     vinv = Fraction(1) / vol
@@ -396,7 +394,7 @@ def mirabolic_volume(g: Mat2) -> Fraction:
     p = g.ctx.p
     rows = [([1, 0], 0, 1), ([0, 1], 0, 1)]
     # the E_11 and E_12 columns: x and beta
-    rows += [(nums[:2], t, den) for nums, t, den in conj_condition_rows(g.inv(), g) if any(nums[:2])]
+    rows += [r for nums, t, den in conj_condition_rows(g.inv(), g) if constrains(r := (nums[:2], t, den), p)]
     vol = lattice_measure(rows, p, lambda x: (1 + x[0]) % p != 0)
     return vol / (1 - Fraction(1, p))
 
@@ -618,12 +616,8 @@ def delta1(ctx: QuadCtx, case: str) -> dict:
 def _vol_k011(ctx: QuadCtx) -> Fraction:
     """vol K^1_(0,1)(p^2) = vol{g in K: g = [[1,*],[0,1]] mod p^2}."""
     p = ctx.p
-    rows = identity_rows()
-    for idx, t in [(0, 1), (2, 0), (3, 1)]:
-        r = [0] * 4
-        r[idx] = 1
-        rows.append((r, t, p ** 2))
-    return subgroup_volume(SubgroupConditions(p, [rows], "unit"))
+    rows = [([int(i == idx) for i in range(4)], t, p ** 2) for idx, t in [(0, 1), (2, 0), (3, 1)]]
+    return subgroup_volume(p, [rows], "unit")
 
 
 # ---------------------------------------------------------------------------

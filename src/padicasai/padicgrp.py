@@ -26,7 +26,11 @@ turns conditions into an affine Z_p-lattice; and one residue search,
 lattice_residues, reads that lattice mod p.  lattice_measure counts its
 residue classes, which gives every stabilizer volume (subgroup_volume
 here, the mirabolic volumes of the Hecke-module layer), and kck_membership
-takes its first class of unit determinant as the Cartan witness.
+takes its first class of unit determinant as the Cartan witness.  Every
+question stacks the identity rows (full column rank, a lattice in Z_p^n;
+a breach is DecompositionError, exit 4).  A volume keeps beside them only
+the rows that constrain; kck_membership reads its witness off the basis
+of every row.
 
 The lattice layer runs on ints.  Every condition has one row format, Row
 = (nums, t, den): integer coefficients and target over one positive
@@ -60,7 +64,7 @@ from .exactnum import INF, QuadCtx, QuadElem, _vint, _vquad, quad_json
 
 
 class DecompositionError(AssertionError):
-    """A coset decomposition the theory guarantees could not be found."""
+    """A decomposition or lattice the theory guarantees could not be found."""
 
 
 # ---------------------------------------------------------------------------
@@ -460,12 +464,12 @@ def lattice_solve_affine(rows: list[Row], p: int):
     and basis vector i = (V column i, w[i], exps[i]) is that column over w[i]
     times p^-exps[i].  basis spans the homogeneous solution lattice
     L = {x : rows@x is p-integral}.  The condition matrix must have full
-    column rank (callers stack identity rows, so this always holds).
+    column rank (callers stack identity rows; else DecompositionError).
     """
     n = len(rows[0][0])
     t, tden, exps, V, w = plocal_smith(rows, p)
     if len(exps) < n:
-        raise ValueError("condition matrix not of full column rank")
+        raise DecompositionError("condition matrix not of full column rank")
     # row i >= n of D is zero: it asks t[i]/tden[i] in Z_p
     if any(t[i] and _vint(t[i], p) < _vint(tden[i], p) for i in range(n, len(rows))):
         return None
@@ -477,10 +481,10 @@ def lattice_solve_affine(rows: list[Row], p: int):
 
 
 def _mod_p(nums: list[int], den: int, p: int) -> list[int]:
-    """The vector nums/den mod p; ValueError when it is not p-integral."""
+    """The vector nums/den mod p; DecompositionError when it is not p-integral."""
     pv = p ** _vint(den, p)
     if any(x % pv for x in nums):
-        raise ValueError("lattice not contained in Z_p^n")
+        raise DecompositionError("lattice not contained in Z_p^n")
     inv = pow(den // pv, -1, p)
     return [x // pv * inv % p for x in nums]
 
@@ -496,7 +500,7 @@ def lattice_residues(rows: list[Row], p: int):
     order: every residue class of x0 + L once.  Each class has additive
     Haar measure (vol Z_p^n = 1) weight: a level-a vector contributes p^-a
     to vol L, so weight = p^-(sum a) / p^(#level 0).  A coset outside Z_p^n
-    raises ValueError.
+    raises DecompositionError.
 
     Everything up to weight runs on the ints of lattice_solve_affine.  V is
     Z_(p)-invertible, so each of its columns has a unit entry: the level of
@@ -508,7 +512,7 @@ def lattice_residues(rows: list[Row], p: int):
     x0, basis = sol
     levels = [-e for _, _, e in basis]
     if min(levels) < 0:
-        raise ValueError("lattice not contained in Z_p^n")
+        raise DecompositionError("lattice not contained in Z_p^n")
     free = [(col, w) for col, w, e in basis if e == 0]
     red = [_mod_p(col, w, p) for col, w in free]
     start = _mod_p(*x0, p)
@@ -546,6 +550,15 @@ def identity_rows() -> list[Row]:
     """The four unit rows: with them a condition matrix on a 2x2 unknown has
     full column rank and confines the unknown to M2(Z_p)."""
     return [([int(i == j) for j in range(4)], 0, 1) for i in range(4)]
+
+
+def constrains(row: Row, p: int) -> bool:
+    """Whether the row can fail on an integral unknown: some coefficient or
+    the target over den is not p-integral.  Beside identity rows no other
+    row cuts anything."""
+    nums, t, den = row
+    pv = p ** _vint(den, p)
+    return t % pv != 0 or any(x % pv for x in nums)
 
 
 def conj_condition_rows(left: Mat2, right: Mat2) -> list[Row]:
@@ -769,34 +782,20 @@ def _of_residues(p: int, L: int, quadratic: bool) -> list[tuple[int, int]]:
 # exact volumes of congruence-type subgroups of GL2(Z_p)
 
 
-@dataclass
-class SubgroupConditions:
-    """H = {gamma in GL2(Z_p): gamma = x0 + lattice, det in D} for one or
-    more disjoint affine branches (a stabilizer has one per cell bijection).
-
-    branches: one list of condition rows (Row: nums, t, den) per affine
-    branch; the rows always include the four identity rows so the condition
-    matrix has full column rank.  det_mode: "unit" or "one_mod_p".
-    """
-
-    p: int
-    branches: list[list[Row]]
-    det_mode: str = "unit"
-
-
-def subgroup_volume(cond: SubgroupConditions) -> Fraction:
-    """Haar volume (vol GL2(Z_p) = 1) of the condition set.
+def subgroup_volume(p: int, branches: list[list[Row]], det_mode: str) -> Fraction:
+    """Haar volume (vol GL2(Z_p) = 1) of the gamma in GL2(Z_p) that meet the
+    rows of one of the disjoint branches, stacked under the identity rows,
+    with det gamma a unit (det_mode "unit") or 1 mod p ("one_mod_p").
 
     Exact at every odd p: the lattice measure of each branch, with the
     determinant condition read mod p, over vol GL2(Z_p) = |GL2(F_p)| / p^4
     in the additive measure of M2(Z_p); no large enumeration.
     """
-    p = cond.p
-    unit = cond.det_mode == "unit"
+    unit = det_mode == "unit"
 
     def accept(x):
         det = (x[0] * x[3] - x[1] * x[2]) % p
         return det != 0 if unit else det == 1
 
-    total = sum((lattice_measure(rows, p, accept) for rows in cond.branches), Fraction(0))
+    total = sum((lattice_measure(identity_rows() + rows, p, accept) for rows in branches), Fraction(0))
     return total * p ** 4 / ((p ** 2 - 1) * (p ** 2 - p))

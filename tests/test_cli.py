@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -500,6 +501,39 @@ def test_engine_fault_exits_4(name, monkeypatch, capsys):
     assert code == 4
     assert "verification failure: injected engine fault" in err
     assert "Traceback" not in err
+
+
+# plocal_smith reports one pivot fewer: the stacked identity rows give every
+# condition matrix full column rank, so the lattice layer's rank check is an
+# engine fault, not an input error
+ONE_PIVOT_FEWER = """
+from padicasai import padicgrp
+smith = padicgrp.plocal_smith
+def one_pivot_fewer(rows, p):
+    t, tden, exps, V, w = smith(rows, p)
+    return t, tden, exps[:-1], V, w
+padicgrp.plocal_smith = one_pivot_fewer
+"""
+
+
+def test_a_lattice_invariant_fault_exits_4_in_every_mode(monkeypatch):
+    vec = str(Path(__file__).parent / "golden" / "inputs" / "vec_K.json")
+    argv = ["--prime", "3", "certify", "--vector", vec, "--part", "1"]
+    from padicasai import padicgrp
+
+    monkeypatch.setattr(padicgrp, "plocal_smith", padicgrp.plocal_smith)  # restored after the run
+    exec(ONE_PIVOT_FEWER, {})
+    r = run(*argv)
+    monkeypatch.undo()
+    assert r.returncode == 4, r.stderr
+    assert r.stderr == "verification failure: condition matrix not of full column rank\n"
+    # python -O keeps the check: it is no bare assert
+    code = ONE_PIVOT_FEWER + f"import sys\nfrom padicasai.cli import main\nsys.exit(main({argv!r}))\n"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert r.returncode == 4, r.stderr
+    assert r.stderr == "verification failure: condition matrix not of full column rank\n"
 
 
 # (case, level, g, the field stderr must name): each g has the wrong shape

@@ -103,17 +103,17 @@ def test_cli_golden(name):
     "name",
     [
         "zeta_inert_p5", "zeta_split", "zeta_normalize_phi_p2", "zeta_split_satake_normalize",
-        "delta1_inert_p5", "delta1_split_p3", "local_factor", "certify_part1", "certify_part2", "certify_part3",
-        "certify_part3_p31", "gstar_split",
+        "delta1_inert_p3", "delta1_inert_p5", "delta1_split_p3", "local_factor", "certify_part1", "certify_part2",
+        "certify_part3", "certify_part3_p31", "gstar_inert", "gstar_split",
     ],
 )
 def test_cli_golden_under_optimize(name):
     # python -O strips bare asserts; every check must survive it unchanged, and
-    # each certificate route (the division through (p-1)(1-S), the chain, G*)
-    # builds its certificate under it, as does the inner integral's division
-    # by prod (x_i - y_i), inert and split, with a finite shell at nonzero
-    # phase valuation (phi_p2), and the period's double-coset classes with
-    # their second-member check (local_factor, certify part 1)
+    # each certificate route (the division through (p-1)(1-S), the chain, G*
+    # inert and split) builds its certificate under it, as does the inner
+    # integral's division by prod (x_i - y_i), inert and split, with a finite
+    # shell at nonzero phase valuation (phi_p2), and the period's double-coset
+    # classes with their second-member check (local_factor, certify part 1)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     r = subprocess.run(

@@ -19,7 +19,7 @@ from padicasai.heckealg import (
     euler_poly,
     iota_solve,
 )
-from padicasai import heckemod
+from padicasai import heckemod, padicgrp
 from padicasai.heckemod import (
     TestVector,
     _act_on_mirabolic,
@@ -40,8 +40,8 @@ from padicasai.heckemod import (
 )
 from padicasai.padicgrp import (
     Mat2,
-    SubgroupConditions,
     conj_condition_rows,
+    constrains,
     coset_reps,
     identity_rows,
     pgk_canonical,
@@ -99,14 +99,17 @@ def cell_permutations_oracle(phi):
     ]
 
 
-def stabilizer_branches_oracle(phi, gs, level, ctx):
-    """(sigma, one-branch conditions) per bijection of cell_permutations_oracle,
-    each branch with the rows of every cell."""
-    rows_core = identity_rows()
+DET_MODE = {"K": "unit", "K[p]": "one_mod_p"}
+
+
+def stabilizer_branches_oracle(phi, gs, ctx):
+    """(sigma, branch) per bijection of cell_permutations_oracle, each branch
+    with every conjugation row that is not identically zero and the rows of
+    every cell, rows that do not constrain included."""
+    rows_core = []
     for g in gs:
         rows_core += [r for r in conj_condition_rows(g.inv(), g) if any(r[0])]
     pn = Fraction(ctx.p) ** phi.level
-    det_mode = "one_mod_p" if level == "K[p]" else "unit"
     out = []
     for sigma in cell_permutations_oracle(phi):
         rows = list(rows_core)
@@ -115,11 +118,11 @@ def stabilizer_branches_oracle(phi, gs, level, ctx):
                 row = [0] * 4
                 row[j], row[2 + j] = c
                 rows.append(condition_row([x / pn for x in row], cprime[j] / pn))
-        out.append((sigma, SubgroupConditions(ctx.p, [rows], det_mode)))
+        out.append((sigma, rows))
     return out
 
 
-CTXS = {p: QuadCtx.make(p) for p in (3, 5)}
+CTXS = {p: QuadCtx.make(p) for p in (3, 5, 7)}
 
 
 def stabilizer_gs(ctx, case, k):
@@ -145,7 +148,7 @@ def stabilizer_gs(ctx, case, k):
 def stabilizer_cases(draw):
     """phi with at most 5 cells at levels 0 to 2, centres in p^-1 Z, equal or
     unequal coefficients; an inert g or a split pair; level K or K[p]."""
-    p = draw(st.sampled_from([3, 5]))
+    p = draw(st.sampled_from([3, 5, 7]))
     N = draw(st.integers(0, 2))
     centre = st.integers(0, p ** (N + 1) - 1).map(lambda k: Fraction(k, p))
     coef = st.just(1) if draw(st.booleans()) else st.sampled_from([1, 2, -1])
@@ -173,14 +176,35 @@ SWAP_BREAKS_COEFFICIENTS = SchwartzFn(3, 1, {(1, 0): 1, (0, 1): 1, (1, 1): 2, (1
 @given(stabilizer_cases())
 @example((SWAP_BREAKS_COEFFICIENTS, (Mat2.identity(CTXS[3]),), "K", CTXS[3]))
 def test_stabilizer_matches_the_permutation_oracle(case):
-    # equal volumes, and every bijection some gamma induces is enumerated
+    # equal volumes, every bijection some gamma induces is enumerated, and no
+    # stacked row holds on all of M2(Z_p)
     phi, gs, level, ctx = case
-    cond = heckemod.stabilizer_conditions(phi, gs, level, ctx)
+    p, mode = ctx.p, DET_MODE[level]
+    branches = heckemod.stabilizer_conditions(phi, gs, ctx)
+    assert all(constrains(r, p) for rows in branches for r in rows)
     sigmas = cell_bijections(phi)
-    oracle = stabilizer_branches_oracle(phi, gs, level, ctx)
-    vols = [(sigma, subgroup_volume(c)) for sigma, c in oracle]
-    assert subgroup_volume(cond) == sum(v for _, v in vols)
+    vols = [(sigma, subgroup_volume(p, [rows], mode)) for sigma, rows in stabilizer_branches_oracle(phi, gs, ctx)]
+    assert subgroup_volume(p, branches, mode) == sum(v for _, v in vols)
     assert all(sigma in sigmas for sigma, v in vols if v)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_a_volume_stacks_only_the_conjugation_rows_that_constrain(p, monkeypatch):
+    # g = 1 and t(1, 1) are in K, so gamma in M2(Z_p) satisfies every one of
+    # their conjugation rows; t(1, 0) leaves the one row gamma_12 / p
+    ctx = QuadCtx.make(p)
+    one = Mat2.identity(ctx)
+    elems = [one, Mat2.t(1, 1, ctx), Mat2.t(1, 0, ctx)]
+    kept = [[r for r in conj_condition_rows(g.inv(), g) if constrains(r, p)] for g in elems]
+    assert kept == [[], [], [([0, 1, 0, 0], 0, p)]]
+    # so a volume at g = 1 stacks exactly the four identity rows
+    stacked = []
+    measure = padicgrp.lattice_measure
+    monkeypatch.setattr(padicgrp, "lattice_measure", lambda rows, *a: stacked.append(rows) or measure(rows, *a))
+    for gs in ((one,), (one, one)):
+        stacked.clear()
+        assert integrality_check(SchwartzFn.char_zp2(p), gs, "K", ctx) == (1, True)
+        assert stacked == [identity_rows()]
 
 
 def test_integrality_scaled(F3):
@@ -791,16 +815,16 @@ def test_integrality_of_nine_cells_equals_one_cell(F3):
         assert want == ((1, True) if level == "K" else (2, False))
         for f, branches in ((nine, 1), (eighty_one, 1), (wide, 1), (raw, 48)):
             assert integrality_check(f, (one,), level, F3) == want
-            assert len(heckemod.stabilizer_conditions(f, [one], level, F3).branches) == branches
+            assert len(heckemod.stabilizer_conditions(f, [one], F3)) == branches
 
 
 def test_six_cells_stabilize_a_borel(F3):
     # three of the four lines of F_3^2, less the origin: the stabilizer in
     # GL2(F_3) fixes the fourth line, a Borel subgroup of order 12
     phi = SchwartzFn(3, 1, {c: 1 for c in [(1, 0), (2, 0), (0, 1), (0, 2), (1, 1), (2, 2)]})
-    cond = heckemod.stabilizer_conditions(phi, [Mat2.identity(F3)], "K", F3)
-    assert len(cond.branches) == 12
-    assert subgroup_volume(cond) == Fraction(1, 4)
+    branches = heckemod.stabilizer_conditions(phi, [Mat2.identity(F3)], F3)
+    assert len(branches) == 12
+    assert subgroup_volume(3, branches, "unit") == Fraction(1, 4)
 
 
 # -- the closed-form mirabolic step -------------------------------------------------------
@@ -967,16 +991,17 @@ def _fr_mod_p_oracle(x, p):
     return x.numerator * pow(x.denominator, -1, p) % p
 
 
-def subgroup_volume_oracle(cond):
-    """Reference volume: per branch, the level-1 image counted in Fractions
-    and the fiber sizes read off the elementary divisors, on the Fraction
-    lattice solver of the padicgrp tests."""
+def subgroup_volume_oracle(p, branches, det_mode):
+    """Reference volume: per branch, stacked under the identity rows, the
+    level-1 image counted in Fractions and the fiber sizes read off the
+    elementary divisors, on the Fraction lattice solver of the padicgrp
+    tests."""
     from itertools import product as iproduct
 
-    p = cond.p
     total = Fraction(0)
     gl2_fp = (p ** 2 - 1) * (p ** 2 - p)
-    for branch in cond.branches:
+    for branch in branches:
+        branch = identity_rows() + branch
         rows = [[Fraction(x, den) for x in nums] for nums, _, den in branch]
         sol = lattice_solve_affine_oracle(rows, [Fraction(t, den) for _, t, den in branch], p)
         if sol is None:
@@ -1000,28 +1025,30 @@ def subgroup_volume_oracle(cond):
                         vec[i] += c * b[i]
             det1 = vec[0] * vec[3] - vec[1] * vec[2]
             dmodp = _fr_mod_p_oracle(det1, p)
-            if cond.det_mode == "unit" and dmodp != 0:
+            if det_mode == "unit" and dmodp != 0:
                 count1 += 1
-            elif cond.det_mode == "one_mod_p" and dmodp == 1 % p:
+            elif det_mode == "one_mod_p" and dmodp == 1 % p:
                 count1 += 1
         total += Fraction(count1 * fib, gl2_fp * p ** (4 * (M - 1)))
     return total
 
 
-def mirabolic_volume_oracle(g):
+def mirabolic_volume_oracle(g, pruned=False):
     """Reference mirabolic volume: its own Smith basis (by the Fraction
-    elimination of the padicgrp tests) and mod-p count."""
+    elimination of the padicgrp tests) and mod-p count, on every conjugation
+    row that is not identically zero or, pruned, on those that constrain."""
     from itertools import product as iproduct
 
     ctx = g.ctx
     p = ctx.p
     gi = g.inv()
-    rows = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     prods = [gi * Mat2([1, 0, 0, 0], ctx) * g, gi * Mat2([0, 1, 0, 0], ctx) * g]
+    conj = []
     for eidx in range(4):
-        rows.append([prods[0].e[eidx].a, prods[1].e[eidx].a])
-        rows.append([prods[0].e[eidx].b, prods[1].e[eidx].b])
-    rows = [r for r in rows if any(r)]
+        conj.append([prods[0].e[eidx].a, prods[1].e[eidx].a])
+        conj.append([prods[0].e[eidx].b, prods[1].e[eidx].b])
+    keep = (lambda r: any(x.denominator % p == 0 for x in r)) if pruned else any
+    rows = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]] + [r for r in conj if keep(r)]
     _, exps, V = plocal_smith_oracle(rows, p)
     if len(exps) < 2:
         raise ValueError("degenerate mirabolic lattice")
@@ -1051,12 +1078,14 @@ def test_mirabolic_volume_matches_enumeration_oracle(p):
         Mat2.upper(QuadElem(1, Fraction(1, p ** 2), ctx), ctx) * Mat2.t(0, 2, ctx),
     ]
     for g in cells:
-        assert mirabolic_volume(g) == mirabolic_volume_oracle(g), g
+        assert mirabolic_volume(g) == mirabolic_volume_oracle(g) == mirabolic_volume_oracle(g, pruned=True), g
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_subgroup_volume_matches_enumeration_oracle(p):
-    # stabilizer conditions of sampled vectors: every level, case and star
+    # stabilizer conditions of sampled vectors, every level, case and star:
+    # the pruned branches against the oracle on them and on the stacking of
+    # every nonzero conjugation row and every cell
     ctx = QuadCtx.make(p)
     rng = random.Random(600 + p)
     modes = set()
@@ -1067,7 +1096,10 @@ def test_subgroup_volume_matches_enumeration_oracle(p):
                     vanish = rng.random() < 0.5
                     vec = random_integral_vector(ctx, rng, level, vanish, case=case, star=star)
                     (phi, gs, _), = vec.summands
-                    cond = heckemod.stabilizer_conditions(phi, gs, level, ctx)
-                    modes.add((cond.det_mode, len(cond.branches) > 1))
-                    assert subgroup_volume(cond) == subgroup_volume_oracle(cond), (level, case, star)
+                    mode = DET_MODE[level]
+                    branches = heckemod.stabilizer_conditions(phi, gs, ctx)
+                    full = [rows for _, rows in stabilizer_branches_oracle(phi, gs, ctx)]
+                    modes.add((mode, len(branches) > 1))
+                    want = subgroup_volume_oracle(p, full, mode)
+                    assert subgroup_volume(p, branches, mode) == subgroup_volume_oracle(p, branches, mode) == want, (level, case, star)
     assert {m for m, _ in modes} == {"unit", "one_mod_p"}

@@ -17,12 +17,12 @@ from padicasai.padicgrp import (
     DecompositionError,
     IwasawaParts,
     Mat2,
-    SubgroupConditions,
     cartan_cell,
     coset_reps,
     gen_cartan_label,
     iwasawa_F,
     conj_condition_rows,
+    constrains,
     gen_cartan_candidates,
     kck_membership,
     lattice_measure,
@@ -622,41 +622,51 @@ def test_lattice_measure_of_simple_cosets(p):
     # x / p = 1 / p^2 mod Z_p contradicts x in Z_p: the empty set
     target = zero + [Fraction(1, p ** 2)]
     assert measure(id_rows() + [r], target, p, lambda x: True) == 0
-    # a coset outside Z_p^4 has no measure here: x0 = (1/p, 0, 0, 0) ...
-    with pytest.raises(ValueError, match=r"lattice not contained in Z_p\^n"):
+    # a coset outside Z_p^4 has no measure here, an engine fault: x0 = (1/p, 0, 0, 0) ...
+    with pytest.raises(DecompositionError, match=r"lattice not contained in Z_p\^n"):
         measure(id_rows(), [Fraction(1, p)] + zero[1:], p, lambda x: True)
     # ... or a basis vector of level -1: L = p^-1 Z_p x Z_p^3
-    with pytest.raises(ValueError, match=r"lattice not contained in Z_p\^n"):
+    with pytest.raises(DecompositionError, match=r"lattice not contained in Z_p\^n"):
         measure([[p * x for x in r] for r in id_rows()[:1]] + id_rows()[1:], zero, p, lambda x: True)
 
 
 def test_volume_full_K(F3):
-    cond = SubgroupConditions(3, [int_rows(id_rows(), [0] * 4)], "unit")
-    assert subgroup_volume(cond) == 1
+    # no row beside the identity rows: all of GL2(Z_p)
+    assert subgroup_volume(3, [[]], "unit") == 1
 
 
 def test_volume_det_level(F3):
     # {g in K : det g = 1 mod p} has index p - 1
-    cond = SubgroupConditions(3, [int_rows(id_rows(), [0] * 4)], "one_mod_p")
-    assert subgroup_volume(cond) == Fraction(1, 2)
+    assert subgroup_volume(3, [[]], "one_mod_p") == Fraction(1, 2)
+
+
+def test_constrains_keeps_the_rows_an_integral_unknown_can_fail():
+    p = 3
+    assert not constrains(([0, 0, 0, 0], 0, 1), p)
+    # p-integral coefficients and target over a p'-denominator or a cancelled p
+    assert not constrains(([2, 0, 4, 0], 1, 5), p)
+    assert not constrains(([3, 6, 0, 0], 9, 3), p)
+    assert constrains(([1, 0, 0, 0], 0, 3), p)
+    assert constrains(([3, 0, 0, 0], 1, 3), p)
+    assert constrains(([3, 0, 0, 9], 0, 9), p)
+    # the rows it drops leave every volume as it was
+    for rows in ([([3, 6, 0, 0], 9, 3)], [([2, 0, 4, 0], 1, 5), ([0, 1, 0, 0], 0, 3)]):
+        assert subgroup_volume(p, [rows], "unit") == subgroup_volume(p, [[r for r in rows if constrains(r, p)]], "unit")
 
 
 def test_volume_against_enumeration_oracle(F3):
     # brute force over GL2(Z/9): gamma12 = 0 mod 3 (conjugation by diag(p,1)),
     # bottom row fixed mod 3 (a one-cell stabilizer), det = 1 mod 3
     p = 3
-    rows = id_rows()
     r = [Fraction(0)] * 4
     r[1] = Fraction(1, p)
-    rows.append(r)
     # c gamma = c mod p for c = (0, 1): rows for gamma21, gamma22 - 1
     r21 = [Fraction(0)] * 4
     r21[2] = Fraction(1, p)
     r22 = [Fraction(0)] * 4
     r22[3] = Fraction(1, p)
-    target = [Fraction(0)] * 5 + [Fraction(0), Fraction(1, p)]
-    cond = SubgroupConditions(p, [int_rows(rows + [r21, r22], target)], "one_mod_p")
-    got = subgroup_volume(cond)
+    target = [Fraction(0), Fraction(0), Fraction(1, p)]
+    got = subgroup_volume(p, [int_rows([r, r21, r22], target)], "one_mod_p")
     q = p ** 2
     count = 0
     total = 0
@@ -676,23 +686,17 @@ def test_volume_against_enumeration_oracle(F3):
 @pytest.mark.parametrize("p,c", [(3, 2), (5, 2), (7, 2)])
 def test_volume_K0_and_K011(p, c):
     # vol K_0(p^2) = 1/(p(p+1)); vol K^1_{0,1}(p^2) = 1/(p^2 nu_p)
-    ctx = QuadCtx.make(p)
-    rows = id_rows()
     r = [Fraction(0)] * 4
     r[2] = Fraction(1, p ** 2)
-    cond = SubgroupConditions(p, [int_rows(rows + [r], [0] * 5)], "unit")
-    assert subgroup_volume(cond) == Fraction(1, p * (p + 1))
-    rows2 = id_rows()
-    extra = []
-    t = [Fraction(0)] * 5
+    assert subgroup_volume(p, [int_rows([r], [0])], "unit") == Fraction(1, p * (p + 1))
+    extra, targets = [], []
     for idx, target in [(0, 1), (2, 0), (3, 1)]:
         rr = [Fraction(0)] * 4
         rr[idx] = Fraction(1, p ** 2)
         extra.append(rr)
-    targets = [Fraction(0)] * 4 + [Fraction(1, p ** 2), Fraction(0), Fraction(1, p ** 2)]
-    cond2 = SubgroupConditions(p, [int_rows(rows2 + extra, targets)], "unit")
+        targets.append(Fraction(target, p ** 2))
     nu_p = p * (p - 1) ** 2 * (p + 1)
-    assert subgroup_volume(cond2) == Fraction(1, p ** 2 * nu_p)
+    assert subgroup_volume(p, [int_rows(extra, targets)], "unit") == Fraction(1, p ** 2 * nu_p)
 
 
 # -- properties ------------------------------------------------------------------
@@ -1179,7 +1183,7 @@ def test_integer_lattice_layer_matches_the_fraction_oracles(case):
     try:
         want = lattice_solve_affine_oracle(rows, target, p)
     except ValueError:
-        with pytest.raises(ValueError, match="not of full column rank"):
+        with pytest.raises(DecompositionError, match="not of full column rank"):
             lattice_solve_affine(irows, p)
         return
     assert solve_view(rows, target, p) == want
@@ -1192,7 +1196,7 @@ def test_integer_lattice_layer_matches_the_fraction_oracles(case):
     try:
         wfree, wweight, wclasses = lattice_residues_oracle(rows, target, p)
     except ValueError:
-        with pytest.raises(ValueError, match=r"lattice not contained in Z_p\^n"):
+        with pytest.raises(DecompositionError, match=r"lattice not contained in Z_p\^n"):
             lattice_residues(irows, p)
         return
     free, weight, classes = lattice_residues(irows, p)
@@ -1203,12 +1207,13 @@ def test_integer_lattice_layer_matches_the_fraction_oracles(case):
 
 
 def test_lattice_examples_reach_every_outcome():
-    # None, the two ValueErrors of lattice_residues, and the rank error
+    # None, the two containment faults of lattice_residues, and the rank
+    # fault: each a DecompositionError, since identity rows exclude them
     outcomes = []
     for rows, target, p in LATTICE_EXAMPLES:
         try:
             outcomes.append(lattice_residues(int_rows(rows, target), p))
-        except ValueError as e:
+        except DecompositionError as e:
             outcomes.append(str(e))
     assert outcomes == [None, "lattice not contained in Z_p^n", "lattice not contained in Z_p^n", "condition matrix not of full column rank"]
 
