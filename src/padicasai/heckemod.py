@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd
+from math import gcd, prod
 from typing import Sequence
 
-from .exactnum import Lau, QuadCtx, QuadElem, RatFunc, in_z_inv_p, val_p
+from .exactnum import Lau, QuadCtx, QuadElem, in_z_inv_p, val_p
 from .heckealg import (
     HeckeElem,
     HeckeIdealCert,
@@ -39,8 +39,8 @@ from .heckealg import (
 from .padicgrp import (
     Mat2,
     Row,
+    _cartan_invariants,
     _inv_mul_val,
-    _twist_val,
     conj_condition_rows,
     constrains,
     coset_reps,
@@ -53,6 +53,7 @@ from .whitzeta import (
     VS_INERT,
     VS_SPLIT,
     ZetaResult,
+    _shintani,
     chain_operators,
     godement_section,
     zeta_asai,
@@ -305,8 +306,9 @@ def _radial_profile(phi: SchwartzFn):
 def _double_coset_key(gs: Sequence[Mat2]) -> tuple:
     """Invariants of gs -> k gs kappa that fix the double coset GL2(Z_p) gs U.
 
-    Inert: min_val, det_val and _twist_val of g read off its generalized
-    Cartan label (gen_cartan_label's docstring).  Split: min_val and
+    Inert: the three invariants that pin g's generalized Cartan label
+    (gen_cartan_label's docstring), read in one pass (_cartan_invariants).
+    Split: min_val and
     det_val of g1 and g2, and min_val(g1^-1 g2).  The column lattices
     g_i Z_p^2 are vertices of the Bruhat-Tits tree (Serre, Trees, II 1.1)
     at distance det_val(g_i) - 2 min_val(g_i) from Z_p^2, the vertex that
@@ -318,8 +320,7 @@ def _double_coset_key(gs: Sequence[Mat2]) -> tuple:
     x in Z_p), so on the vertex pairs of one tripod; det_val fixes each
     lattice in its class."""
     if len(gs) == 1:
-        g, = gs
-        return g.min_val(), g.det_val(), _twist_val(g)
+        return _cartan_invariants(*gs)
     g1, g2 = gs
     return g1.min_val(), g1.det_val(), g2.min_val(), g2.det_val(), _inv_mul_val(g1, *g2.int_block())
 
@@ -589,9 +590,11 @@ def delta1(ctx: QuadCtx, case: str) -> dict:
         vs, kind, check = VS_SPLIT, "rs_split", "local_factor_is_involuted_rs_at_one"
     vec = TestVector(ctx, case, "K[p]", [(phi, g1, Fraction(1)), (phi, gn, Fraction(-1))], star=True)
     traced = trace_level(vec)
-    # A(s) = Z(phi, W - n W, s) = 1 identically
+    # A(s) = Z(phi, W - n W, s) = 1 identically: the numerator over
+    # R (1 - omega(p) X^2) is that denominator
     period = period_value(traced)
-    report["A_s_equals_one"] = period.ratfunc == RatFunc.from_lau(Lau.const(vs, 1))
+    table = _shintani(vs, p)
+    report["A_s_equals_one"] = period.num == prod(table.factors) * table.one_minus_omx2
     vinv_n, ok_n = integrality_check(phi, gn, "K[p]", ctx)
     report["integral"] = ok_n and integrality_check(phi, g1, "K[p]", ctx)[1]
     if case == "inert":

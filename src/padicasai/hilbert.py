@@ -301,6 +301,8 @@ def period_ideal_check(
             raise ValueError(f"{p} lies in the excluded set S")
         sat = satake_from_eigen(data, p)
         items = by_p.get(p, [])
+        if p in S0 and not items:
+            raise ValueError(f"{p} in S0 needs determinant-level data")
         phi0_nonzero = False
         zval = CoefElem(1, 0, F)
         if items:

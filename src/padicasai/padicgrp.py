@@ -12,7 +12,10 @@ gcd(D, x_0, .., y_3) = 1, so equality and hashing compare tuples.
 Products, inverses, the predicates and every decomposition read these
 ints, and each result takes one gcd (_mat).  QuadElem entries (.e) are
 built only at the edges: printing, JSON, the witnesses u, f1, f2 of
-iwasawa_F.  Other modules read the block through Mat2.int_block().
+iwasawa_F.  Other modules read the block through Mat2.int_block().  The
+three generalized Cartan invariants come in one pass that reads det once
+(_cartan_invariants), for the labels and the Hecke module's double-coset
+key.
 
 Iwasawa and the mirabolic labels clear the bottom row (c, d) of g by one
 pivot rule (_bottom_pivot: the entry y of least valuation, d on a tie) and
@@ -44,9 +47,13 @@ only where a result leaves the layer: a Cartan witness, a weight or a
 volume.
 
 Matrices are immutable, and every decomposition returns witnesses checked
-in every mode before it returns.  iwasawa_F checks n(u) diag(f1, f2) kappa
-= g on all four entries by cross-multiplying its quotient ints against g's
-numerators, and kappa in GL2(O_F).  pgk_label builds its right witness as
+in every mode before it returns.  The Iwasawa check has one
+implementation, _iwasawa_ints, on an integer block (e, D) with no matrix
+or field element built: it checks n(u) diag(f1, f2) kappa = g on all four
+entries by cross-multiplying its quotient ints against e, and kappa in
+GL2(O_F), which is w p-integral as det kappa = 1.  The zeta engine's row
+certificate calls it on ints (whitzeta._y_data_by_iwasawa); iwasawa_F
+wraps it for a Mat2 and builds the IwasawaParts.  pgk_label builds its right witness as
 (q t_a n_b)^-1 g, so the product is g by construction, and checks that
 witness in GL2(O_F).  kck_membership (the Cartan witnesses) builds
 kappa = cell^-1 x g and k = x^-1 likewise and checks x in GL2(Z_p) and
@@ -179,8 +186,7 @@ class Mat2:
 
     def _det2(self) -> tuple[int, int]:
         """(X, Y) with det = (X + Y sqrt(r)) / _d^2."""
-        a0, a1, b0, b1, c0, c1, d0, d1 = self._xy
-        return a0 * d0 - b0 * c0 + self.ctx.r * (a1 * d1 - b1 * c1), a0 * d1 + a1 * d0 - b0 * c1 - b1 * c0
+        return _block_det(self._xy, self.ctx.r)
 
     def det(self) -> QuadElem:
         return QuadElem.from_ints(*self._det2(), self._d ** 2, self.ctx)
@@ -238,11 +244,6 @@ class Mat2:
     def is_rational(self) -> bool:
         return not any(self._xy[1::2])
 
-    def cartan_spread(self) -> int:
-        """Difference of the two elementary-divisor exponents."""
-        mv = self.min_val()
-        return abs(self.det_val() - 2 * mv)
-
     # the block and the entries ---------------------------------------------
 
     def int_block(self) -> tuple[tuple[int, ...], int]:
@@ -269,6 +270,12 @@ class Mat2:
         if not (isinstance(d, list) and len(d) == 2 and all(isinstance(r, list) and len(r) == 2 for r in d)):
             raise ValueError("a matrix is two rows of two entries")
         return cls([QuadElem.from_json(x, ctx) for row in d for x in row], ctx)
+
+
+def _block_det(e: Sequence[int], r: int) -> tuple[int, int]:
+    """(X, Y) with det = (X + Y sqrt(r)) / D^2 for the block e over D."""
+    a0, a1, b0, b1, c0, c1, d0, d1 = e
+    return a0 * d0 - b0 * c0 + r * (a1 * d1 - b1 * c1), a0 * d1 + a1 * d0 - b0 * c1 - b1 * c0
 
 
 def _mat(xy: tuple[int, ...], d: int, ctx: QuadCtx) -> Mat2:
@@ -314,61 +321,79 @@ class IwasawaParts:
         return Mat2.upper(self.u, ctx) * Mat2.diag(self.f1, self.f2, ctx) * self.kappa
 
 
-def _bottom_pivot(g: Mat2) -> tuple[int, tuple[int, int]]:
-    """(j, det) for g = [[a, b], [c, d]]: j = 3 (y = d, x = b) when
-    v(c) >= v(d), else j = 2 (y = c, x = a), so entry j is the bottom-row
-    entry y of least valuation and entry j - 2 the entry x above it;
-    det = (X, Y) with det g = (X + Y sqrt(r)) / D^2 on g's block D.  A
-    singular g raises ZeroDivisionError.
+def _bottom_pivot(e: Sequence[int], ctx: QuadCtx) -> tuple[int, tuple[int, int]]:
+    """(j, det) for the block e of g = [[a, b], [c, d]] over any common
+    denominator D: j = 3 (y = d, x = b) when v(c) >= v(d), else j = 2
+    (y = c, x = a), so entry j is the bottom-row entry y of least valuation
+    and entry j - 2 the entry x above it; det = (X, Y) with
+    det g = (X + Y sqrt(r)) / D^2.  A singular g raises ZeroDivisionError.
     """
-    X, Y = g._det2()
+    X, Y = _block_det(e, ctx.r)
     if not (X or Y):
         raise ZeroDivisionError("singular matrix")
-    e, p = g._xy, g.ctx.p
     # c and d share the denominator D, so their numerators compare
+    p = ctx.p
     return (3 if _vquad(e[4], e[5], p) >= _vquad(e[6], e[7], p) else 2), (X, Y)
 
 
-def iwasawa_F(g: Mat2) -> IwasawaParts:
-    """g = n(u) diag(f1, f2) kappa with kappa in GL2(O_F).
+def _iwasawa_ints(e: Sequence[int], ctx: QuadCtx) -> tuple:
+    """The witnesses of g = n(u) diag(f1, f2) kappa, checked, for g the block
+    of eight ints e over a common denominator D != 0 (any D: no check reads
+    it, and neither its sign nor a factor shared with e matters).
 
-    In closed form from the pivot j of _bottom_pivot(g), y = entry j and
-    x = entry j - 2: u = x/y, f1 = det/y, f2 = y, and
+    Returns (j, y, u, f, w): the pivot j of _bottom_pivot, y = (y0, y1) its
+    numerator, and the quotients u = (ux, uy, un), f = (fx, fy, fn) and
+    w = (wx, wy, wn), each (x + y sqrt(r)) / n with n > 0, so that
+    u = x / y, f1 = det / y = (fx + fy sqrt(r)) / (D fn), f2 = y / D, and
     kappa = [[1, 0], [w, 1]], w = c/d, when y = d, [[0, -1], [1, w]],
-    w = d/c, when y = c; kappa is integral because v(y) is least in the
-    bottom row.  Every mode checks n(u) diag(f1, f2) kappa = g on all four
-    entries, cross-multiplying the quotient ints the witnesses are read off
-    against g's numerators (no matrix is built for it), and kappa in
-    GL2(O_F).
+    w = d/c, when y = c.  Every mode checks n(u) diag(f1, f2) kappa = g on
+    all four entries, cross-multiplying the quotient ints against e (no
+    matrix is built for it), and kappa in GL2(O_F): det kappa = 1, so that
+    is w p-integral, which holds because v(y) is least in the bottom row.
     """
-    ctx, r = g.ctx, g.ctx.r
-    j, (X, Y) = _bottom_pivot(g)
-    e, D = g._xy, g._d
-    y = e[2 * j], e[2 * j + 1]
+    r = ctx.r
+    j, (X, Y) = _bottom_pivot(e, ctx)
+    i = 2 * j
+    y = y0, y1 = e[i], e[i + 1]
     # the other bottom entry over y: w = c/d when y = d, d/c when y = c
-    wx, wy, wn = _quot(e[10 - 2 * j], e[11 - 2 * j], *y, r)
-    ux, uy, un = _quot(e[2 * j - 4], e[2 * j - 3], *y, r)
+    wx, wy, wn = _quot(e[10 - i], e[11 - i], y0, y1, r)
+    ux, uy, un = _quot(e[i - 4], e[i - 3], y0, y1, r)
     # det / y = ((X + Y sqrt r) / D^2) / ((y0 + y1 sqrt r) / D)
-    fx, fy, fn = _quot(X, Y, *y, r)
+    fx, fy, fn = _quot(X, Y, y0, y1, r)
     # n(u) diag(f1, f2) kappa = [[f1 + u f2 w, u f2], [f2 w, f2]] (j = 3),
     # [[u f2, u f2 w - f1], [f2, f2 w]] (j = 2); over D, u f2 = uf / un,
-    # f2 w = fw / wn, u f2 w = ufw / (un wn) and f1 = (fx + fy sqrt r) / fn
-    uf = ux * y[0] + r * uy * y[1], ux * y[1] + uy * y[0]
-    fw = y[0] * wx + r * y[1] * wy, y[0] * wy + y[1] * wx
-    ufw = uf[0] * wx + r * uf[1] * wy, uf[0] * wy + uf[1] * wx
-    s, n = (1 if j == 3 else -1) * un * wn, fn * un * wn
-    f1_entry = s * fx + fn * ufw[0], s * fy + fn * ufw[1]
-    for (nx, ny), k, i in ((y, 1, j), (uf, un, j - 2), (fw, wn, 5 - j), (f1_entry, n, 3 - j)):
-        if nx != k * e[2 * i] or ny != k * e[2 * i + 1]:
-            raise AssertionError("Iwasawa witnesses do not reassemble g")
+    # f2 w = fw / wn, u f2 w = ufw / (un wn) and f1 = (fx + fy sqrt r) / fn;
+    # entry j is y itself
+    uf0, uf1 = ux * y0 + r * uy * y1, ux * y1 + uy * y0
+    s, n = (un * wn if j == 3 else -un * wn), fn * un * wn
+    f1x = s * fx + fn * (uf0 * wx + r * uf1 * wy)
+    f1y = s * fy + fn * (uf0 * wy + uf1 * wx)
+    k = 6 - i  # entry 3 - j
+    if (
+        uf0 != un * e[i - 4] or uf1 != un * e[i - 3]
+        or y0 * wx + r * y1 * wy != wn * e[10 - i] or y0 * wy + y1 * wx != wn * e[11 - i]
+        or f1x != n * e[k] or f1y != n * e[k + 1]
+    ):
+        raise AssertionError("Iwasawa witnesses do not reassemble g")
+    # w = (wx + wy sqrt r) / wn is p-integral when p misses its reduced
+    # denominator; wn = 0 is y = 0, no w at all (only a wrong pivot gives it)
+    if not wn or not wn // gcd(wn, wx, wy) % ctx.p:
+        raise AssertionError("Iwasawa kappa is not in GL2(O_F)")
+    return j, y, (ux, uy, un), (fx, fy, fn), (wx, wy, wn)
+
+
+def iwasawa_F(g: Mat2) -> IwasawaParts:
+    """g = n(u) diag(f1, f2) kappa with kappa in GL2(O_F): the witnesses
+    that _iwasawa_ints reads off g's integer block and checks, as
+    IwasawaParts."""
+    ctx, D = g.ctx, g._d
+    j, y, u, (fx, fy, fn), (wx, wy, wn) = _iwasawa_ints(g._xy, ctx)
     if j == 3:
         kappa = _mat((wn, 0, 0, 0, wx, wy, wn, 0), wn, ctx)
     else:
         kappa = _mat((0, 0, -wn, 0, wn, 0, wx, wy), wn, ctx)
-    if not kappa.in_KF():
-        raise AssertionError("Iwasawa kappa is not in GL2(O_F)")
     f1, f2 = QuadElem.from_ints(fx, fy, D * fn, ctx), QuadElem.from_ints(*y, D, ctx)
-    return IwasawaParts(QuadElem.from_ints(ux, uy, un, ctx), f1, f2, kappa)
+    return IwasawaParts(QuadElem.from_ints(*u, ctx), f1, f2, kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -646,8 +671,8 @@ def pgk_label(g: Mat2) -> CosetWitness:
     """
     ctx = g.ctx
     p = ctx.p
-    j, (X, Y) = _bottom_pivot(g)
     e = g._xy
+    j, (X, Y) = _bottom_pivot(e, ctx)
     vD = _vint(g._d, p)
     a = _vquad(e[2 * j], e[2 * j + 1], p) - vD
     vA = _vquad(X, Y, p) - 2 * vD - a
@@ -690,14 +715,10 @@ def gen_cartan_candidates(g: Mat2) -> list[tuple[int, int, int]]:
     return out
 
 
-def _inv_mul_val(g: Mat2, xy: Sequence[int], d: int):
-    """min_val(g^-1 h) for h the matrix of the eight ints xy over d > 0,
-    building neither g^-1 nor h: with g = B / D, g^-1 h = (D / d) adj(B) xy
-    / det(B), so it is v(adj(B) xy) on the integer block, plus v(D) - v(d),
-    minus v(det B).  A singular g raises ZeroDivisionError."""
-    X, Y = g._det2()
-    if not (X or Y):
-        raise ZeroDivisionError("singular matrix")
+def _adj_mul_val(g: Mat2, xy: Sequence[int]):
+    """v(adj(B) xy) for g = B / D on its integer block and the eight ints
+    xy of a block h: the least valuation of the eight numerators of that
+    product, INF when it is 0."""
     p, r = g.ctx.p, g.ctx.r
     a0, a1, b0, b1, c0, c1, d0, d1 = g._xy
     e0, e1, f0, f1, s0, s1, t0, t1 = xy
@@ -708,14 +729,36 @@ def _inv_mul_val(g: Mat2, xy: Sequence[int], d: int):
         a0 * s0 - c0 * e0 + r * (a1 * s1 - c1 * e1), a0 * s1 + a1 * s0 - c0 * e1 - c1 * e0,
         a0 * t0 - c0 * f0 + r * (a1 * t1 - c1 * f1), a0 * t1 + a1 * t0 - c0 * f1 - c1 * f0,
     )
-    return (_vint(n, p) if n else INF) + _vint(g._d, p) - _vint(d, p) - _vquad(X, Y, p)
+    return _vint(n, p) if n else INF
 
 
-def _twist_val(g: Mat2):
-    """min_val(g^-1 sigma(g)), sigma the conjugation of F/Q_p entrywise: the
-    block of g with every y_i negated."""
+def _inv_mul_val(g: Mat2, xy: Sequence[int], d: int):
+    """min_val(g^-1 h) for h the matrix of the eight ints xy over d > 0,
+    building neither g^-1 nor h: with g = B / D, g^-1 h = (D / d) adj(B) xy
+    / det(B), so it is v(adj(B) xy) on the integer block, plus v(D) - v(d),
+    minus v(det B).  A singular g raises ZeroDivisionError."""
+    X, Y = g._det2()
+    if not (X or Y):
+        raise ZeroDivisionError("singular matrix")
+    p = g.ctx.p
+    return _adj_mul_val(g, xy) + _vint(g._d, p) - _vint(d, p) - _vquad(X, Y, p)
+
+
+def _cartan_invariants(g: Mat2) -> tuple:
+    """(min_val(g), v(det g), min_val(g^-1 sigma(g))), sigma the conjugation
+    of F/Q_p entrywise: the invariants that pin g's generalized Cartan label
+    (gen_cartan_label), reading det g and its valuation once.  sigma(g) is
+    g's block with every y_i negated over the same D, so the twist is
+    v(adj(B) sigma(B)) - v(det B) (_inv_mul_val).  A singular g raises
+    ZeroDivisionError."""
+    X, Y = g._det2()
+    if not (X or Y):
+        raise ZeroDivisionError("singular matrix")
+    p = g.ctx.p
     a0, a1, b0, b1, c0, c1, d0, d1 = g._xy
-    return _inv_mul_val(g, (a0, -a1, b0, -b1, c0, -c1, d0, -d1), g._d)
+    vdet = _vquad(X, Y, p)
+    twist = _adj_mul_val(g, (a0, -a1, b0, -b1, c0, -c1, d0, -d1)) - vdet
+    return g.min_val(), vdet - 2 * _vint(g._d, p), twist
 
 
 def gen_cartan_label(g: Mat2, all_matches: bool = False):
@@ -732,12 +775,10 @@ def gen_cartan_label(g: Mat2, all_matches: bool = False):
     returned is canonical and kck_membership's verified witnesses prove it.
     all_matches returns the match as a list, [] when there is none.
     """
-    if not any(g._det2()):
-        raise ZeroDivisionError("singular matrix")
-    s = -g.min_val()
-    nu2 = -g.det_val() - s
-    nu1 = nu2 - min(0, _twist_val(g))
-    nu = s - nu1
+    mv, vdet, twist = _cartan_invariants(g)
+    nu2 = mv - vdet
+    nu1 = nu2 - min(0, twist)
+    nu = -mv - nu1
     wit = kck_membership(g, cartan_cell(nu2, nu1, nu, g.ctx)) if nu >= 0 else None
     matches = [] if wit is None else [CosetWitness((nu2, nu1, nu), wit[0], wit[1], "cartan")]
     if all_matches:

@@ -21,16 +21,19 @@ The inner integral depends on the row only through three valuations of
 that decomposition: v(f1 / f2), v(f2) and the valuation of the psi-phase
 of u.  _y_data_for_row computes them in closed form from the coordinates
 of (n1, n2) g0 and of one row of g0, without building k or any matrix
-product; g0's block, v(D) and v(det g0) are read once per engine call
-(_row_components).  The phase valuation is clamped at -J,
+product; g0's block, v(D) and v(det g0), and the level L below, are read
+once per engine call, each det once (_row_components).  The phase valuation is clamped at -J,
 J = max(-v(f1/f2)): from v(beta) = -J up, every shell from J on has Gauss
 weight 1.  Clamped, the data depends only on the line through the row mod
 p^L, L = max(1, Cartan spread of g0): a unit u scales the phase by u^-2
 and keeps the torus valuations.  So the engine reads one integer row (n1, n2) per projective
 line mod p^L, with the rows of each cell on it counted in closed form
-(_line_reps).  Per engine call, each distinct data tuple is certified once
-against a verified iwasawa_F on the first line that yields it
-(_y_data_by_iwasawa); a disagreement raises AssertionError.
+(_line_reps).  Per engine call, each distinct data tuple is certified once,
+on the first line that yields it (_y_data_by_iwasawa): k g0 is written as
+one integer block, padicgrp._iwasawa_ints reads the Iwasawa witnesses off
+it and checks them (the four-entry reassembly and kappa in GL2(O_F)), and
+the data are read off the witness ints, with no Mat2, QuadElem or
+IwasawaParts built; a disagreement raises AssertionError.
 
 The Godement section reads the engine's cells-to-lines walk (_cell_shells,
 _line_reps), keyed by the lines mod p^L, L = max(1, N - min(0, least shell)).
@@ -86,7 +89,7 @@ from .exactnum import (
     val_p,
 )
 from .heckealg import HeckeElem, euler_poly, hecke_homog, satake
-from .padicgrp import DecompositionError, Mat2, iwasawa_F
+from .padicgrp import DecompositionError, Mat2, _iwasawa_ints, iwasawa_F
 
 VS_INERT = ("A", "B", "X")
 VS_SPLIT = ("u1", "v1", "u2", "v2", "X")
@@ -431,43 +434,30 @@ class ZetaResult:
         return {"case": self.case, "provenance": self.provenance, "ratfunc": self.ratfunc.to_json()}
 
 
-def _complete_row(n1: int, n2: int, ctx: QuadCtx) -> Mat2:
-    """k in SL2(Z_p) with bottom row (n1, n2), for a primitive integer row."""
-    p = ctx.p
-    if n2 % p:
-        # [[1/n2, 0], [n1, n2]] over n2
-        return Mat2.from_ints((1, 0, 0, 0, n1 * n2, 0, n2 * n2, 0), n2, ctx)
-    if not n1 % p:
-        raise DecompositionError("row is not primitive")
-    # [[0, -1/n1], [n1, n2]] over n1
-    return Mat2.from_ints((0, 0, -1, 0, n1 * n1, 0, n2 * n1, 0), n1, ctx)
-
-
-def _required_cell_level(gs: Sequence[Mat2]) -> int:
-    w = 1
-    for g in gs:
-        w = max(w, g.cartan_spread())
-    return w
-
-
-def _row_components(gs: Sequence[Mat2]) -> tuple:
-    """What _y_data_for_row reads of each component g0 of gs, once per engine
-    call: (block, v(D), v(det g0)), the block (e, D) of Mat2.int_block()."""
-    out = []
+def _row_components(gs: Sequence[Mat2]) -> tuple[int, tuple]:
+    """What the engine reads of the group element gs, once per call, reading
+    each component's determinant once: (L, comps), L = max(1, Cartan spread
+    of each g0) the level of the lines, and comps the (block, v(D),
+    v(det g0)) per component g0 that _y_data_for_row reads, the block
+    (e, D) of Mat2.int_block()."""
+    L, comps = 1, []
     for g0 in gs:
         e, D = g0.int_block()
-        out.append((e, _vint(D, g0.ctx.p), g0.det_val()))
-    return tuple(out)
+        vdet = g0.det_val()
+        L = max(L, abs(vdet - 2 * g0.min_val()))
+        comps.append((e, _vint(D, g0.ctx.p), vdet))
+    return L, tuple(comps)
 
 
 def _y_data_for_row(n1: int, n2: int, comps: tuple, p: int) -> tuple:
     """The value-determining data of the inner integral at a primitive
     integer row: (phase valuation clamped at min(torus valuations) = -J,
     infinity included, torus valuations, omega exponents); constant on lines
-    mod p^L.  comps is _row_components(gs) for the group element gs.
+    mod p^L.  comps is _row_components(gs)[1] for the group element gs.
 
     Closed form of the three valuations that the Iwasawa decomposition
-    k g0 = n(u) diag(f1, f2) kappa supplies, k = _complete_row(n1, n2).
+    k g0 = n(u) diag(f1, f2) kappa supplies, k in SL2(Z_p) with bottom row
+    (n1, n2) as _y_data_by_iwasawa writes it.
     Let (a, b) be the top row of k g0: row 1 of g0 over n2 when p does not
     divide n2, row 2 of g0 over -n1 otherwise, a unit multiple either way.
     Let (c, d) = (n1, n2) g0 be its bottom row.  _bottom_pivot takes
@@ -512,25 +502,43 @@ def _y_data_for_row(n1: int, n2: int, comps: tuple, p: int) -> tuple:
 
 
 def _y_data_by_iwasawa(n1: int, n2: int, gs: Sequence[Mat2], ctx: QuadCtx) -> tuple:
-    """_y_data_for_row read off a verified iwasawa_F of k g0 per component:
-    the certificate for the closed form.  The phase valuation is read off
-    the witnesses' integer coordinates u = (x + y sqrt r) / d: v(y) - v(d)
-    inert (the phase is 2 r u_b, and 2r is a unit), and
-    v(u1.x u2.d - u2.x u1.d) - v(u1.d) - v(u2.d) = v(u_1 - u_2) split."""
+    """_y_data_for_row read off the checked Iwasawa witnesses of k g0 per
+    component (padicgrp._iwasawa_ints): the certificate for the closed form.
+
+    k is the element of SL2(Z_p) with bottom row (n1, n2), [[1/n2, 0],
+    [n1, n2]] when p does not divide n2, else [[0, -1/n1], [n1, n2]], and
+    k g0 is written as one integer block, no matrix built: over D n2 its
+    top row is row 1 of g0's block, over -D n1 row 2, and its bottom row is
+    n2 resp. -n1 times n1 row 1 + n2 row 2.  n2 resp. n1 is a unit, so
+    v(D n) = v(D).  Off the witness ints y, f1 = (fx + fy sqrt r) / (D n fn)
+    and u = (ux + uy sqrt r) / un: w = v(f2) = v(y) - v(D), v(f1 / f2) =
+    v(fx + fy sqrt r) - v(fn) - v(y), and the phase valuation is
+    v(uy) - v(un) inert (the phase is 2 r u_b, and 2r is a unit) and
+    v(u1x u2n - u2x u1n) - v(u1n) - v(u2n) = v(u_1 - u_2) split."""
     p = ctx.p
-    k = _complete_row(n1, n2, ctx)
+    if n2 % p:
+        top, s = 0, n2
+    elif n1 % p:
+        top, s = 4, -n1
+    else:
+        raise DecompositionError("row is not primitive")
+    m1, m2 = s * n1, s * n2
     us, vcs, ws = [], [], []
     for g0 in gs:
-        parts = iwasawa_F(k * g0)
-        w = parts.f2.val()
-        us.append(parts.u)
-        vcs.append(parts.f1.val() - w)
-        ws.append(w)
+        e, D = g0.int_block()
+        a0, a1, b0, b1, c0, c1, d0, d1 = e
+        block = (*e[top:top + 4], m1 * a0 + m2 * c0, m1 * a1 + m2 * c1, m1 * b0 + m2 * d0, m1 * b1 + m2 * d1)
+        _, y, u, (fx, fy, fn), _ = _iwasawa_ints(block, ctx)
+        vy = _vquad(*y, p)
+        us.append(u)
+        vcs.append(_vquad(fx, fy, p) - _vint(fn, p) - vy)
+        ws.append(vy - _vint(D, p))
     if len(us) == 1:
-        vbeta = val_p(us[0].y, p) - _vint(us[0].d, p)
-    elif not (us[0].y or us[1].y):
-        u1, u2 = us
-        vbeta = val_p(u1.x * u2.d - u2.x * u1.d, p) - _vint(u1.d, p) - _vint(u2.d, p)
+        (_, uy, un), = us
+        vbeta = val_p(uy, p) - _vint(un, p)
+    elif not (us[0][1] or us[1][1]):
+        (u1x, _, u1n), (u2x, _, u2n) = us
+        vbeta = val_p(u1x * u2n - u2x * u1n, p) - _vint(u1n, p) - _vint(u2n, p)
     else:
         raise AssertionError("split-case Iwasawa phase left the base field")
     return (min(vbeta, *vcs), tuple(vcs), tuple(ws))
@@ -609,11 +617,10 @@ def _shell_weights(phi: SchwartzFn, gs: Sequence[Mat2], ctx: QuadCtx) -> dict[tu
     call, and each distinct data is certified once against
     _y_data_by_iwasawa."""
     p = ctx.p
-    L = max(_required_cell_level(gs), 1)
+    L, comps = _row_components(gs)
     if _over_cap(p + 1, p, L - 1):  # the lines alone set the work; depth only scales counts
         raise PrecisionOverflow(f"level {L}: p^L + p^(L-1) lines mod {p}^L exceed cap {WORK_CAP}")
     cden = math.lcm(*(coef.denominator for coef in phi.cells.values()))
-    comps = _row_components(gs)
     data_of_line: dict[tuple[int, int], tuple] = {}
     certified: set[tuple] = set()
     nums: dict[tuple, int] = {}

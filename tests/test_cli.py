@@ -412,6 +412,17 @@ def test_malformed_input_exits_2(name, tmp_path):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("form", ["synthetic_w2", "synthetic_w2_quad"])
+def test_hilbert_s0_prime_without_inputs_exits_2(form):
+    # an S0 prime (11 = 1 mod 5, split in synthetic_w2, inert in
+    # synthetic_w2_quad) carries determinant-level data; with no --inputs
+    # at it the level was never checked and the run ended in exit 4
+    r = run("hilbert-check", "--form", f"builtin:{form}", "--ell", "5", "--s0", "11")
+    assert r.returncode == 2, r.stderr
+    assert r.stderr == "input error: 11 in S0 needs determinant-level data\n"
+    assert r.stdout == ""
+
+
 HILBERT = ["hilbert-check", "--form", "builtin:synthetic_w2", "--ell", "5"]
 ZETA = ["zeta", "--phi", "builtin:unramified"]
 SATAKE = ["satake", "--elem", json.dumps({"group": "inert_F", "terms": [{"T": 1, "coef": "1"}]})]

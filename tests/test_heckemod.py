@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from padicasai.exactnum import INF, Lau, QuadCtx, QuadElem, val_p
+from padicasai.exactnum import INF, Lau, QuadCtx, QuadElem, RatFunc, val_p
 from padicasai.heckealg import (
     EulerPoly,
     HeckeElem,
@@ -48,8 +48,17 @@ from padicasai.padicgrp import (
     pgk_label,
     subgroup_volume,
 )
-from padicasai.whitzeta import VS_INERT, VS_SPLIT, SchwartzFn, lambda_form, lambda_of_cells, zeta_asai, zeta_rs_split
-from test_padicgrp import condition_row, lattice_solve_affine_oracle, plocal_smith_oracle
+from padicasai.whitzeta import (
+    VS_INERT,
+    VS_SPLIT,
+    SchwartzFn,
+    ZetaResult,
+    lambda_form,
+    lambda_of_cells,
+    zeta_asai,
+    zeta_rs_split,
+)
+from test_padicgrp import CTXS_TO_13, condition_row, gl2_F, lattice_solve_affine_oracle, plocal_smith_oracle, sigma
 from test_whitzeta import raw_writing
 
 
@@ -776,6 +785,38 @@ def test_delta1_split(F3):
     # the traced factor descends through iota to the G* algebra
     star = iota_solve(rep["p_trace"])
     assert star.group == "gstar_split"
+
+
+@pytest.mark.parametrize("case", ["inert", "split"])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_a_s_equals_one_matches_the_ratfunc(p, case, monkeypatch):
+    # delta1 reads A(s) = 1 as num == R (1 - omega(p) X^2) on the period's
+    # numerator; the oracle reduces the RatFunc Z and compares it with 1.
+    # A corrupted period, twice the true one, fails both
+    real, periods = heckemod.period_value, []
+
+    def recorded(vec, scale=1):
+        period = real(vec)
+        periods.append(period)
+        return ZetaResult(period.num * scale, period.case, period.provenance, period.p)
+
+    monkeypatch.setattr(heckemod, "period_value", recorded)
+    ctx = QuadCtx.make(p)
+    one = RatFunc.from_lau(Lau.const(VS_SPLIT if case == "split" else VS_INERT, 1))
+    assert delta1(ctx, case)["A_s_equals_one"] is True
+    assert periods[-1].ratfunc == one
+    monkeypatch.setattr(heckemod, "period_value", lambda vec: recorded(vec, 2))
+    assert delta1(ctx, case)["A_s_equals_one"] is False
+    assert ZetaResult(periods[-1].num * 2, case, "", p).ratfunc != one
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(CTXS_TO_13).flatmap(gl2_F))
+def test_one_pass_inert_key_matches_the_predicates(g):
+    # the inert double-coset key reads det g and its valuation once
+    # (padicgrp._cartan_invariants); the oracle reads the predicates and
+    # builds g^-1 sigma(g)
+    assert heckemod._double_coset_key((g,)) == (g.min_val(), g.det_val(), (g.inv() * sigma(g)).min_val())
 
 
 @pytest.mark.parametrize("case", ["inert", "split"])

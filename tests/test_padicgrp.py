@@ -495,7 +495,7 @@ def test_cartan_sweep_matches_the_search(p):
         nu2, nu1, nu = label
         cell = cartan_cell(*label, ctx)
         g = rand_kbase(ctx, rng) * cell * rand_kf(ctx, rng)
-        assert padicgrp._twist_val(cell) == padicgrp._twist_val(g) == nu2 - nu1
+        assert twist_val(cell) == twist_val(g) == nu2 - nu1
         matches = gen_cartan_label(g, all_matches=True)
         assert [m.label for m in matches] == [label]
         assert matches == gen_cartan_label_by_search(g)
@@ -519,9 +519,10 @@ def test_gen_cartan_label_stays_canonical_under_a_wrong_twist(F3, monkeypatch, l
     # min(0, .) holds nu1 >= nu2.  One read far too low leaves nu < 0, no
     # cell: [] or a loud failure, never a wrong label
     g = rand_kbase(F3, random.Random(1)) * cartan_cell(*label, F3)
-    monkeypatch.setattr(padicgrp, "_twist_val", lambda g: 1)
+    invariants = padicgrp._cartan_invariants
+    monkeypatch.setattr(padicgrp, "_cartan_invariants", lambda g: (*invariants(g)[:2], 1))
     assert gen_cartan_label(g).label == label
-    monkeypatch.setattr(padicgrp, "_twist_val", lambda g: -10)
+    monkeypatch.setattr(padicgrp, "_cartan_invariants", lambda g: (*invariants(g)[:2], -10))
     assert gen_cartan_label(g, all_matches=True) == []
     with pytest.raises(DecompositionError, match="no generalized Cartan cell"):
         gen_cartan_label(g)
@@ -774,12 +775,17 @@ def test_gen_cartan_label_matches_the_search(g):
 @given(_at_p(lambda ctx: st.tuples(gl2_F(ctx), k_base(ctx), k_field(ctx))))
 def test_twist_val_is_bi_invariant(gkk):
     g, k, kappa = gkk
-    assert padicgrp._twist_val(k * g * kappa) == padicgrp._twist_val(g) <= 0
+    assert twist_val(k * g * kappa) == twist_val(g) <= 0
 
 
 def sigma(g):
     """g with the conjugation of F/Q_p applied to every entry."""
     return Mat2([e.conj() for e in g.e], g.ctx)
+
+
+def twist_val(g):
+    """min_val(g^-1 sigma(g)) as the Cartan invariants read it."""
+    return padicgrp._cartan_invariants(g)[2]
 
 
 def rational_part(g):
@@ -790,14 +796,14 @@ def rational_part(g):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_at_p(lambda ctx: st.tuples(gl2_F(ctx), k_field(ctx))))
 def test_twist_val_matches_the_inverse_product(gk):
-    # _twist_val reads adj(B) sigma(B) on g's integer block; the oracle
-    # builds g^-1 and the product, as _twist_val did.  For q kappa, q
+    # _cartan_invariants reads the twist off adj(B) sigma(B) on g's integer
+    # block; the oracle builds g^-1 and the product, as the twist once did.  For q kappa, q
     # rational, the block's entries cancel down to those of
     # kappa^-1 sigma(kappa)
     g, kappa = gk
     q = rational_part(g)
     for h in [g] + ([q * kappa] if q.det_val() != INF else []):
-        assert padicgrp._twist_val(h) == (h.inv() * sigma(h)).min_val()
+        assert twist_val(h) == (h.inv() * sigma(h)).min_val()
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -812,13 +818,18 @@ def test_inv_mul_val_matches_the_inverse_product(pair, rational):
         assert padicgrp._inv_mul_val(g1, *g2.int_block()) == (g1.inv() * g2).min_val()
 
 
+def pivot_of(g):
+    """padicgrp._bottom_pivot on g's integer block."""
+    return padicgrp._bottom_pivot(g.int_block()[0], g.ctx)
+
+
 @st.composite
 def gl2_pivot(draw, ctx, rational=False):
     """A gl2_F matrix whose _bottom_pivot is drawn: 2 or 3."""
     g, j = draw(gl2_F(ctx, rational)), draw(st.sampled_from((2, 3)))
-    if padicgrp._bottom_pivot(g)[0] != j:
+    if pivot_of(g)[0] != j:
         g = g * Mat2([0, 1, 1, 0], ctx)  # swaps c and d
-    assume(padicgrp._bottom_pivot(g)[0] == j)
+    assume(pivot_of(g)[0] == j)
     return g
 
 
@@ -828,7 +839,7 @@ CTXS_TO_13 = [QuadCtx.make(p) for p in (3, 5, 7, 11, 13)]
 def parts_of_quotients(g, quots):
     """The IwasawaParts that iwasawa_F reads off its three quotients
     (w, u, det/y), built with no check."""
-    ctx, (j, _) = g.ctx, padicgrp._bottom_pivot(g)
+    ctx, (j, _) = g.ctx, pivot_of(g)
     e, D = g.int_block()
     (wx, wy, wn), (ux, uy, un), (fx, fy, fn) = quots
     kappa = (wn, 0, 0, 0, wx, wy, wn, 0) if j == 3 else (0, 0, -wn, 0, wn, 0, wx, wy)
@@ -900,7 +911,7 @@ corruptions = [
     # one witness numerator off by one
     ("_quot", u_off_by_one),
     # the other bottom entry as the pivot: g reassembles, kappa = [[1, 0], [1/3, 1]]
-    ("_bottom_pivot", lambda h: (5 - pivot(h)[0], pivot(h)[1])),
+    ("_bottom_pivot", lambda *h: (5 - pivot(*h)[0], pivot(*h)[1])),
 ]
 print("optimize", sys.flags.optimize)
 for name, fake in corruptions:
@@ -1303,11 +1314,8 @@ class QuadMat2:
     def is_rational(self):
         return all(x.is_rational() for x in self.e)
 
-    def cartan_spread(self):
-        return abs(self.det_val() - 2 * self.min_val())
 
-
-PREDICATES = ("min_val", "det_val", "is_integral", "in_KF", "in_K_base", "is_rational", "cartan_spread")
+PREDICATES = ("min_val", "det_val", "is_integral", "in_KF", "in_K_base", "is_rational")
 
 
 def quad_p_power_block(e0, e1, e3, ctx):
@@ -1447,7 +1455,7 @@ def test_block_arithmetic_matches_quadelem_entries(case):
 def test_block_decompositions_match_quadelem_entries(case):
     ((g, gq), _), _ = case
     assume(gq.det() != 0)
-    j, (X, Y) = padicgrp._bottom_pivot(g)
+    j, (X, Y) = pivot_of(g)
     x, y, det = quad_bottom_pivot(gq)
     assert (g.e[j - 2], g.e[j]) == (x, y)
     assert QuadElem.from_ints(X, Y, g.int_block()[1] ** 2, g.ctx) == det
@@ -1464,9 +1472,9 @@ def test_block_decompositions_match_quadelem_entries(case):
 def test_iwasawa_kappa_follows_the_pivot():
     # y = c, as v(c) < v(d): kappa = [[0, -1], [1, d/c]]
     g = _m3(2, 1, 1, 3)
-    assert padicgrp._bottom_pivot(g)[0] == 2
+    assert pivot_of(g)[0] == 2
     assert iwasawa_F(g).kappa == Mat2([0, -1, 1, 3], F3_CTX)
     # y = d with c = 0: kappa = [[1, 0], [c/d, 1]] is the identity
     g = _m3(1, 1, 0, 3)
-    assert padicgrp._bottom_pivot(g)[0] == 3
+    assert pivot_of(g)[0] == 3
     assert iwasawa_F(g).kappa == Mat2.identity(F3_CTX)

@@ -31,7 +31,7 @@ from padicasai.exactnum import (
 from padicasai.heckealg import HeckeElem, euler_poly, satake
 from padicasai.heckemod import delta1, generator_vector, hecke_apply, integrality_check, local_factor, period_value
 from padicasai.padicgrp import DecompositionError, Mat2, iwasawa_F
-from padicasai import whitzeta
+from padicasai import padicgrp, whitzeta
 from padicasai.cli import main
 from padicasai.whitzeta import (
     SchwartzFn,
@@ -377,14 +377,15 @@ def test_zeta_level_independence(F3, monkeypatch):
     phi = SchwartzFn.phi_p2(3)
     g = Mat2.upper(QuadElem(0, Fraction(1, 3), F3), F3)
     a = zeta_asai(phi, g, F3).ratfunc
-    required = whitzeta._required_cell_level
+    required = whitzeta._row_components
     bumped = []
 
     def one_level_finer(gs):
-        bumped.append(required(gs) + 1)
-        return bumped[-1]
+        L, comps = required(gs)
+        bumped.append(L + 1)
+        return bumped[-1], comps
 
-    monkeypatch.setattr(whitzeta, "_required_cell_level", one_level_finer)
+    monkeypatch.setattr(whitzeta, "_row_components", one_level_finer)
     b = zeta_asai(phi, g, F3).ratfunc
     assert bumped and a == b
 
@@ -827,6 +828,20 @@ def split_g0s(ctx):
     }
 
 
+def complete_row(n1, n2, ctx):
+    """k in SL2(Z_p) with bottom row (n1, n2), for a primitive integer row, as
+    a Mat2: the matrix whose product with g0 the zeta certificate writes as
+    one integer block (whitzeta._y_data_by_iwasawa)."""
+    p = ctx.p
+    if n2 % p:
+        # [[1/n2, 0], [n1, n2]] over n2
+        return Mat2.from_ints((1, 0, 0, 0, n1 * n2, 0, n2 * n2, 0), n2, ctx)
+    if not n1 % p:
+        raise DecompositionError("row is not primitive")
+    # [[0, -1/n1], [n1, n2]] over n1
+    return Mat2.from_ints((0, 0, -1, 0, n1 * n1, 0, n2 * n1, 0), n1, ctx)
+
+
 # every primitive row mod p^lam for lam <= 3 at p = 3 and lam <= 2 at p = 5:
 # the representatives in [0, p^lam)^2 of the largest lam contain the others
 ROW_SWEEP = [(3, 3), (5, 2)]
@@ -844,7 +859,7 @@ def test_row_data_closed_form_matches_iwasawa(p, lam):
     cases = [[g] for g in inert_g0s(ctx).values()]
     cases += list(split_g0s(ctx).values())
     for gs in cases:
-        comps = whitzeta._row_components(gs)
+        _, comps = whitzeta._row_components(gs)
         for n1, n2 in rows:
             fast = whitzeta._y_data_for_row(n1, n2, comps, p)
             assert fast == whitzeta._y_data_by_iwasawa(n1, n2, gs, ctx), (gs, n1, n2)
@@ -853,7 +868,7 @@ def test_row_data_closed_form_matches_iwasawa(p, lam):
 def y_data_by_iwasawa_fractions(n1, n2, gs, ctx):
     """_y_data_by_iwasawa as it was: the phase valuation off the Fractions
     u_b (inert) and u_1,a - u_2,a (split)."""
-    k = whitzeta._complete_row(n1, n2, ctx)
+    k = complete_row(n1, n2, ctx)
     parts = [iwasawa_F(k * g0) for g0 in gs]
     us, vcs = [pt.u for pt in parts], tuple(pt.f1.val() - pt.f2.val() for pt in parts)
     if len(us) == 1:
@@ -868,11 +883,12 @@ def y_data_by_iwasawa_fractions(n1, n2, gs, ctx):
 def row_and_components(draw):
     """(n1, n2, gs, ctx) at p <= 13: a primitive row and one component over F
     (inert) or two over Q_p (split), each g0 = k^-1 h with k the row's
-    _complete_row, so that k g0 = h has a drawn pivot, 2 or 3."""
+    complete_row, so that k g0 = h has a drawn pivot, 2 or 3."""
     ctx = draw(st.sampled_from(CTXS_TO_13))
     p, split = ctx.p, draw(st.booleans())
-    n1, n2 = draw(st.tuples(st.integers(0, p * p - 1), st.integers(0, p * p - 1)).filter(lambda r: r[0] % p or r[1] % p))
-    k_inv = whitzeta._complete_row(n1, n2, ctx).inv()
+    coord = st.integers(-p * p, p * p - 1)
+    n1, n2 = draw(st.tuples(coord, coord).filter(lambda r: r[0] % p or r[1] % p))
+    k_inv = complete_row(n1, n2, ctx).inv()
     return n1, n2, [k_inv * draw(gl2_pivot(ctx, split)) for _ in range(1 + split)], ctx
 
 
@@ -884,9 +900,29 @@ _F5 = QuadCtx.make(5)
 # u = 0 and u_1 = u_2: the phase valuation is infinite
 @example((0, 1, [Mat2.identity(_F5)], _F5))
 @example((1, 0, [Mat2.t(1, 0, _F5), Mat2.t(1, 0, _F5)], _F5))
+# negative rows, on both branches of the row's k: n2 a unit, n2 in pZ
+@example((-3, -7, [Mat2.t(1, 0, _F5)], _F5))
+@example((-2, -5, [Mat2.t(0, 1, _F5), Mat2.upper(Fraction(1, 5), _F5)], _F5))
 def test_phase_valuation_on_witness_ints_matches_the_fractions(case):
+    # the certificate writes k g0 as one integer block over D n2 (n2 a
+    # unit) or -D n1 and reads its data off the witness ints, building no
+    # Mat2, QuadElem or IwasawaParts; the oracle reads them off
+    # iwasawa_F(complete_row(n1, n2) g0)'s Fractions
     n1, n2, gs, ctx = case
-    assert whitzeta._y_data_by_iwasawa(n1, n2, gs, ctx) == y_data_by_iwasawa_fractions(n1, n2, gs, ctx)
+    blocks, core = [], whitzeta._iwasawa_ints
+
+    def refuse(*args):
+        raise AssertionError("an object built on the certificate path")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(whitzeta, "_iwasawa_ints", lambda block, c: blocks.append(block) or core(block, c))
+        for owner, name in ((padicgrp, "_mat"), (Mat2, "__init__"), (QuadElem, "__init__"), (padicgrp.IwasawaParts, "__init__")):
+            mp.setattr(owner, name, refuse)
+        mp.setattr(QuadElem, "from_ints", classmethod(refuse))
+        got = whitzeta._y_data_by_iwasawa(n1, n2, gs, ctx)
+    assert got == y_data_by_iwasawa_fractions(n1, n2, gs, ctx)
+    k, den = complete_row(n1, n2, ctx), (n2 if n2 % ctx.p else -n1)
+    assert [Mat2.from_ints(b, g0.int_block()[1] * den, ctx) for b, g0 in zip(blocks, gs)] == [k * g0 for g0 in gs]
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -897,9 +933,9 @@ def test_rows_divisible_by_p_are_refused(p):
     gs = [Mat2.identity(ctx)]
     for n1, n2 in [(p, 0), (0, p), (p, p * p)]:
         with pytest.raises(DecompositionError, match="row is not primitive"):
-            whitzeta._complete_row(n1, n2, ctx)
+            complete_row(n1, n2, ctx)
         with pytest.raises(DecompositionError, match="row is not primitive"):
-            whitzeta._y_data_for_row(n1, n2, whitzeta._row_components(gs), p)
+            whitzeta._y_data_for_row(n1, n2, whitzeta._row_components(gs)[1], p)
         with pytest.raises(DecompositionError, match="row is not primitive"):
             whitzeta._y_data_by_iwasawa(n1, n2, gs, ctx)
 
@@ -913,7 +949,7 @@ def test_complete_row_is_in_sl2_zp_with_that_bottom_row(p):
         for n2 in range(p * p):
             if n1 % p == 0 and n2 % p == 0:
                 continue
-            k = whitzeta._complete_row(n1, n2, ctx)
+            k = complete_row(n1, n2, ctx)
             assert k.in_K_base() and k.det() == one, (n1, n2)
             e, D = k.int_block()
             assert (e[4], e[5], e[6], e[7]) == (n1 * D, 0, n2 * D, 0), (n1, n2)
@@ -939,10 +975,58 @@ def test_wrong_row_data_fails_verification(monkeypatch, capsys):
     assert "verification failure" in err and "Traceback" not in err
 
 
+CORRUPTED_CORE = """
+import sys
+from padicasai import cli, padicgrp
+
+pivot, quot, calls = padicgrp._bottom_pivot, padicgrp._quot, []
+
+
+def u_off_by_one(*a):
+    # the core's second quotient is its witness u
+    x, y, n = quot(*a)
+    calls.append(n)
+    return (x + 1, y, n) if len(calls) == 2 else (x, y, n)
+
+
+# the other bottom entry as the pivot: k g0 reassembles, but on the first
+# certified row of n(5) at p = 5, (1, 0), w = c/d = 1/5
+FAKES = {"numerator": ("_quot", u_off_by_one), "w": ("_bottom_pivot", lambda *a: (5 - pivot(*a)[0], pivot(*a)[1]))}
+ZETA = ["--prime", "5", "zeta", "--phi", "builtin:unramified", "--g", "n:5"]
+if __name__ == "__main__":
+    setattr(padicgrp, *FAKES[sys.argv[1]])
+    print("optimize", sys.flags.optimize)
+    sys.exit(cli.main(ZETA))
+"""
+
+
+@pytest.mark.parametrize("corruption,message", [
+    ("numerator", "Iwasawa witnesses do not reassemble g"),
+    ("w", "Iwasawa kappa is not in GL2(O_F)"),
+])
+def test_corrupted_certificate_core_exits_4(corruption, message, capsys):
+    # the zeta certificate runs padicgrp._iwasawa_ints on k g0's block: one
+    # witness numerator off by one, or a non-integral w, is exit 4 in
+    # process and under python -O, with no traceback
+    ns = {"__name__": "corrupted_core"}
+    exec(CORRUPTED_CORE, ns)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(padicgrp, *ns["FAKES"][corruption])
+        assert main(ns["ZETA"]) == 4
+    out = capsys.readouterr()
+    assert out.err == f"verification failure: {message}\n" and out.out == ""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    r = subprocess.run([sys.executable, "-O", "-c", CORRUPTED_CORE, corruption],
+                       capture_output=True, text=True, env=env, timeout=60)
+    assert (r.returncode, r.stdout, r.stderr) == (4, "optimize 1\n", f"verification failure: {message}\n")
+
+
 def test_zeta_reads_each_component_once_per_call_not_per_line(monkeypatch):
     # t(6, 0) at p = 3 has Cartan spread 6: 3^6 + 3^5 = 972 lines mod 3^6.
-    # _row_components reads v(det g0) once per engine call, where
-    # _y_data_for_row read it on every line (972 det_val calls more)
+    # _row_components reads v(det g0) once per engine call, for the level
+    # and the rows both, where _y_data_for_row read it on every line (972
+    # det_val calls more) and the level read it once more
     ctx = QuadCtx.make(3)
     calls = Counter()
     det_val, rows = Mat2.det_val, whitzeta._y_data_for_row
@@ -959,7 +1043,7 @@ def test_zeta_reads_each_component_once_per_call_not_per_line(monkeypatch):
     monkeypatch.setattr(whitzeta, "_y_data_for_row", counted_rows)
     zeta_asai(SchwartzFn.char_zp2(3), Mat2.t(6, 0, ctx), ctx)
     assert calls["lines"] == 972
-    assert 1 <= calls["det_val"] <= 2
+    assert calls["det_val"] == 1
 
 
 def split_t2_freeness(ctx):
@@ -1007,19 +1091,20 @@ def test_y_value_memo_second_run_is_all_hits():
 
 def shell_weights_by_rows(phi, gs, ctx):
     """_shell_weights as it was: every row mod p^lam of every cell visited
-    once, keyed by the row mod p^L."""
+    once, keyed by the row mod p^L; a cell's rows share one weight, which
+    multiplies each data's row count."""
     p = ctx.p
-    lam_req = whitzeta._required_cell_level(gs)
+    lam_req, comps = whitzeta._row_components(gs)
     pref = Fraction(p * p, p * p - 1)  # (1 - p^-2)^-1
     data_of_row: dict[tuple, tuple] = {}
     certified: set[tuple] = set()
     weights: dict[tuple, Fraction] = {}
 
-    def add_weight(n1, n2, shell, wt: Fraction):
+    def row_data(n1, n2):
         pkey = p ** max(lam_req, 1)
         rkey = (n1 % pkey, n2 % pkey)
         if rkey not in data_of_row:
-            data = whitzeta._y_data_for_row(n1, n2, whitzeta._row_components(gs), p)
+            data = whitzeta._y_data_for_row(n1, n2, comps, p)
             if data not in certified:
                 if whitzeta._y_data_by_iwasawa(n1, n2, gs, ctx) != data:
                     raise AssertionError(
@@ -1027,8 +1112,11 @@ def shell_weights_by_rows(phi, gs, ctx):
                     )
                 certified.add(data)
             data_of_row[rkey] = data
-        key = (data_of_row[rkey], shell)
-        weights[key] = weights.get(key, Fraction(0)) + wt
+        return data_of_row[rkey]
+
+    def add_weights(rows, shell, wt: Fraction):
+        for data, n in Counter(row_data(n1, n2) for n1, n2 in rows).items():
+            weights[data, shell] = weights.get((data, shell), Fraction(0)) + wt * n
 
     N = phi.level
     for (c1, c2), coef in sorted(phi.cells.items()):
@@ -1037,11 +1125,8 @@ def shell_weights_by_rows(phi, gs, ctx):
             # the cell around the origin: geometric sum over the shells m >= N
             lam = max(lam_req, 1)
             wt = pref * coef * Fraction(1, p ** (2 * lam))
-            for w1 in range(p ** lam):
-                for w2 in range(p ** lam):
-                    if w1 % p == 0 and w2 % p == 0:
-                        continue
-                    add_weight(w1, w2, ("geom", N), wt)
+            rows = ((w1, w2) for w1 in range(p ** lam) for w2 in range(p ** lam) if w1 % p or w2 % p)
+            add_weights(rows, ("geom", N), wt)
         else:
             m = int(m)
             lam = max(N - m, lam_req)
@@ -1051,10 +1136,9 @@ def shell_weights_by_rows(phi, gs, ctx):
             step = p ** (lam - (N - m))
             pnm = p ** (N - m)
             wt = pref * coef * Fraction(1, p ** (2 * lam))
-            for y1 in range(step):
-                for y2 in range(step):
-                    # omega(p)^m X^(2m) p^(2m) merged with the volume p^(-2m)
-                    add_weight(t1 + pnm * y1, t2 + pnm * y2, ("pow", m), wt)
+            # omega(p)^m X^(2m) p^(2m) merged with the volume p^(-2m)
+            rows = ((t1 + pnm * y1, t2 + pnm * y2) for y1 in range(step) for y2 in range(step))
+            add_weights(rows, ("pow", m), wt)
     return weights
 
 
@@ -1167,9 +1251,8 @@ def shell_weights_by_fraction_chain(phi, gs, ctx):
     weight pref * coef / p^(2 lam) as a Fraction, times each data's row
     count, summed as Fractions per (data, shell)."""
     p = ctx.p
-    L = max(whitzeta._required_cell_level(gs), 1)
+    L, comps = whitzeta._row_components(gs)
     pref = Fraction(p * p, p * p - 1)  # (1 - p^-2)^-1
-    comps = whitzeta._row_components(gs)
     weights = {}
     for shell, k, t, coef in whitzeta._cell_shells(phi):
         lam = max(k, L)
@@ -1233,7 +1316,7 @@ def row_sweep_cases(p):
     """(gs, L) for every inert and split g0 of the row sweep."""
     ctx = QuadCtx.make(p)
     gss = [[g] for g in inert_g0s(ctx).values()] + list(split_g0s(ctx).values())
-    return ctx, [(gs, max(whitzeta._required_cell_level(gs), 1)) for gs in gss]
+    return ctx, [(gs, whitzeta._row_components(gs)[0]) for gs in gss]
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -1248,7 +1331,7 @@ def test_clamped_row_data_is_constant_on_lines(p, a, b, u, z1, z2):
     ctx, cases = row_sweep_cases(p)
     for gs, L in cases:
         pL = p ** L
-        comps = whitzeta._row_components(gs)
+        _, comps = whitzeta._row_components(gs)
         row = whitzeta._y_data_for_row(a, b, comps, p)
         moved = whitzeta._y_data_for_row(u * a + pL * z1, u * b + pL * z2, comps, p)
         assert moved == row, (gs, a, b, u)
