@@ -37,14 +37,15 @@ from .heckealg import (
     satake,
 )
 from .padicgrp import (
+    DecompositionError,
     Mat2,
     Row,
     _cartan_invariants,
     _inv_mul_val,
-    conj_condition_rows,
+    congruence_measure,
+    conjugation_rows,
     constrains,
     coset_reps,
-    lattice_measure,
     plocal_smith,  # not called here: bench/spans.py REQUIRED_SITES traces this import site
     subgroup_volume,
 )
@@ -187,12 +188,15 @@ def stabilizer_conditions(phi: SchwartzFn, gs: Sequence[Mat2], ctx: QuadCtx) -> 
     _cell_bijections, with the rows of the generating cells only: the other
     centres are Z_p-combinations of them and gamma preserves p^N Z_p^2, so
     their rows follow.  Every row constrains (a generator is nonzero mod M).
+    The conjugation rows come off each g's integer block
+    (padicgrp.conjugation_rows: adj(B) times the conjugate of det B, over
+    its norm), so no inverse is built.
     """
     p = ctx.p
     if not phi.cells:
         raise ValueError("zero Schwartz function")
     # gamma -> g^-1 gamma g, on the rows gamma in M2(Z_p) does not already satisfy
-    rows_core = [r for g in gs for r in conj_condition_rows(g.inv(), g) if constrains(r, p)]
+    rows_core = [r for g in gs for r in conjugation_rows(g) if constrains(r, p)]
     M, ints, gens, perms = _cell_bijections(phi)
     branches = []
     for perm in perms:
@@ -208,7 +212,9 @@ def stabilizer_conditions(phi: SchwartzFn, gs: Sequence[Mat2], ctx: QuadCtx) -> 
 def integrality_check(phi: SchwartzFn, gs: Sequence[Mat2], level: str, ctx: QuadCtx):
     """(volume_inverse, is_integral) for one summand (phi, gs), gs as in TestVector.
 
-    volume_inverse = vol(Stab(phi) cap g U g^-1)^(-1); the pair is integral
+    volume_inverse = vol(Stab(phi) cap g U g^-1)^(-1), the index of that
+    subgroup: one congruence count per branch (subgroup_volume), which
+    checks that the volume is 1 / an integer index.  The pair is integral
     when every cell value of phi lies in volume_inverse * Z[1/p].  The same
     for G* vectors (see stabilizer_conditions).
     """
@@ -388,16 +394,19 @@ def factor_of_period(period: ZetaResult) -> HeckeElem:
 def mirabolic_volume(g: Mat2) -> Fraction:
     """vol of P(Q_p) cap g GL2(O_F) g^-1, normalized with vol(P(Z_p)) = 1.
 
-    Elements [[1 + x, beta], [0, 1]]: the lattice measure of the integral
-    (x, beta) with g^-1 [[x, beta], [0, 0]] g in M2(O_F) and 1 + x a unit,
-    over the measure 1 - 1/p of P(Z_p) in these coordinates.
+    Elements [[1 + x, beta], [0, 1]]: the congruence measure of the
+    (x, beta) in Z_p^2 with g^-1 [[x, beta], [0, 0]] g in M2(O_F) and 1 + x
+    a unit, over the measure 1 - 1/p of P(Z_p) in these coordinates.  The
+    group is open in P(Z_p), so the volume is 1 / index, an integer index;
+    any other value is DecompositionError.
     """
     p = g.ctx.p
-    rows = [([1, 0], 0, 1), ([0, 1], 0, 1)]
     # the E_11 and E_12 columns: x and beta
-    rows += [r for nums, t, den in conj_condition_rows(g.inv(), g) if constrains(r := (nums[:2], t, den), p)]
-    vol = lattice_measure(rows, p, lambda x: (1 + x[0]) % p != 0)
-    return vol / (1 - Fraction(1, p))
+    rows = [r for nums, t, den in conjugation_rows(g) if constrains(r := (nums[:2], t, den), p)]
+    vol = congruence_measure(rows, 2, p, lambda x: (1 + x[0]) % p != 0) * p / (p - 1)
+    if vol.numerator != 1:
+        raise DecompositionError(f"the mirabolic volume {vol} is not the inverse of an index")
+    return vol
 
 
 def phi_c_weight(a: int, b: int, ctx: QuadCtx) -> Fraction:

@@ -22,26 +22,29 @@ pivot rule (_bottom_pivot: the entry y of least valuation, d on a tie) and
 read their witnesses off the entries of g in closed form (u = x/y,
 f1 = det/y, f2 = y; a = v(y), B = p^a x/y); no column operation is built.
 
-Every lattice question takes one path.  conj_condition_rows writes
-"left X right is integral" as linear conditions on X; the one solver,
-lattice_solve_affine (the only caller of the p-local Smith engine),
-turns conditions into an affine Z_p-lattice; and one residue search,
-lattice_residues, reads that lattice mod p.  lattice_measure counts its
-residue classes, which gives every stabilizer volume (subgroup_volume
-here, the mirabolic volumes of the Hecke-module layer), and kck_membership
-takes its first class of unit determinant as the Cartan witness.  Every
-question stacks the identity rows (full column rank, a lattice in Z_p^n;
-a breach is DecompositionError, exit 4).  A volume keeps beside them only
-the rows that constrain; kck_membership reads its witness off the basis
-of every row.
+A lattice question has two readers.  conj_condition_rows writes "left X
+right is integral" on two integer blocks as linear conditions on X; every
+condition has one row format, Row = (nums, t, den), integer coefficients
+and target over one positive denominator, read as nums.x = t mod p^v(den).
+A volume takes one integer count: congruence_measure puts the rows on one
+modulus p^E, eliminates mod p^E with pivots of least valuation and counts
+the accepted residue classes mod p, on the implicit domain Z_p^n (no row
+is stacked for it).  It gives every stabilizer volume (subgroup_volume
+here, the mirabolic volumes of the Hecke-module layer), whose rows
+conjugation_rows writes off g's integer block with no inverse built; a
+volume that is not 1 / an integer index is DecompositionError (exit 4).
+kck_membership alone needs an exact lattice: its Cartan witness is the
+first class of unit determinant of the Smith basis, so it stacks the
+identity rows (full column rank, a lattice in Z_p^n; a breach is
+DecompositionError) on every row, solves them with lattice_solve_affine
+(the only caller of the p-local Smith engine) and reads the lattice mod p
+with lattice_residues.
 
-The lattice layer runs on ints.  Every condition has one row format, Row
-= (nums, t, den): integer coefficients and target over one positive
-denominator.  The Smith engine takes these rows and returns ints (t over
-its row scales, V as integer columns over w); it eliminates fraction-free,
-and scaling a row by a p-adic unit, or every row by one power of p, moves
-no pivot and no ratio to a pivot, so its rational result is exactly that
-of Fraction elimination.  The solver and the residue search read
+The exact lattice runs on ints.  The Smith engine returns ints (t over its
+row scales, V as integer columns over w); it eliminates fraction-free, and
+scaling a row by a p-adic unit, or every row by one power of p, moves no
+pivot and no ratio to a pivot, so its rational result is exactly that of
+Fraction elimination.  The solver and the residue search read
 integrality, levels and residues mod p off those ints; a Fraction is built
 only where a result leaves the layer: a Cartan witness, a weight or a
 volume.
@@ -558,17 +561,60 @@ def lattice_residues(rows: list[Row], p: int):
     return free, Fraction(1, p ** (sum(levels) + len(free))), classes()
 
 
-def lattice_measure(rows: list[Row], p: int, accept) -> Fraction:
-    """Additive Haar measure (vol Z_p^n = 1) of {x in x0 + L : accept(x mod p)},
-    with x0 + L = {x : rows@x - target is p-integral}: the residue classes
-    of lattice_residues (lists of ints, handed to accept) that accept takes,
-    each of the same measure.
+def congruence_measure(rows: list[Row], n: int, p: int, accept) -> Fraction:
+    """Additive Haar measure (vol Z_p^n = 1) of the x in Z_p^n that meet
+    every row, a row (nums, t, den) as nums.x = t mod p^v(den), with
+    accept(x mod p) (a list of ints).
+
+    No identity row is needed: the domain Z_p^n is implicit.  Every row goes
+    on one modulus p^E, E the largest v(den), and the block is eliminated
+    mod p^E with a pivot of least valuation over the whole remaining block,
+    so the pivot divides its row and its column: row operations clear its
+    column, and the column operations that clear its row are a change of
+    variables x = V y, V in GL_n(Z_p), kept mod p only (accept reads x mod
+    p).  Then a pivot of valuation v fixes its y coordinate mod p^(E-v) (no
+    solution when p^v misses its target), a row beyond the rank asks its
+    target to vanish mod p^E, and a column without a pivot is free.  The
+    measure is the count of accepted residue classes V y mod p, each of
+    measure p^-(sum of E - v) / p^(#free), as one Fraction.
     """
-    res = lattice_residues(rows, p)
-    if res is None:
+    vs = [_vint(den, p) for _, _, den in rows]
+    q = p ** max(vs, default=0)
+    active = []
+    for (nums, t, _), v in zip(rows, vs):
+        c = q // p ** v
+        active.append([x * c % q for x in nums] + [t * c % q])
+    V = {j: [int(i == j) for i in range(n)] for j in range(n)}  # column j of V mod p
+    fixed, den = [], 1
+    while active and V:
+        # p^v(row), a row's least valuation mod p^E: the pivoted columns are 0 in every active row
+        vals = [gcd(q, *r[:n]) for r in active]
+        pv = min(vals)
+        if pv == q:  # the block vanishes mod p^E
+            break
+        row = active.pop(vals.index(pv))
+        pp = pv * p
+        j = next(j for j in V if row[j] % pp)
+        u_inv = pow(row[j] // pv, -1, q)
+        for other in active:
+            if other[j]:
+                f = other[j] // pv * u_inv % q
+                other[:] = [(x - f * y) % q for x, y in zip(other, row)]
+        col = V.pop(j)
+        for k, vk in V.items():
+            if row[k]:
+                c = row[k] // pv * u_inv % p
+                V[k] = [(x - c * y) % p for x, y in zip(vk, col)]
+        if row[n] % pv:
+            return Fraction(0)
+        fixed.append((row[n] // pv * u_inv % p, col))
+        den *= q // pv
+    if any(row[n] for row in active):
         return Fraction(0)
-    _, weight, classes = res
-    return sum(bool(accept(x)) for _, x in classes) * weight
+    xs = [[sum(y * c[i] for y, c in fixed) % p for i in range(n)]]
+    for c in V.values():
+        xs = [[(a + y * b) % p for a, b in zip(x, c)] for x in xs for y in range(p)]
+    return Fraction(sum(1 for x in xs if accept(x)), den * p ** len(V))
 
 
 def identity_rows() -> list[Row]:
@@ -579,32 +625,54 @@ def identity_rows() -> list[Row]:
 
 def constrains(row: Row, p: int) -> bool:
     """Whether the row can fail on an integral unknown: some coefficient or
-    the target over den is not p-integral.  Beside identity rows no other
-    row cuts anything."""
+    the target over den is not p-integral.  On Z_p^n no other row cuts
+    anything."""
     nums, t, den = row
     pv = p ** _vint(den, p)
     return t % pv != 0 or any(x % pv for x in nums)
 
 
-def conj_condition_rows(left: Mat2, right: Mat2) -> list[Row]:
-    """Rows expressing the components of left * X * right for rational X.
+def conj_condition_rows(left: Sequence[int], right: Sequence[int], den: int, r: int) -> list[Row]:
+    """Rows expressing the components of left * X * right / den for rational X.
 
-    X is a rational 2x2 unknown (4 coordinates, row-major).  Entry (i, j) of
-    left * E_st * right is left_is * right_tj; each entry contributes two
-    rows (its 1 and sqrt(r) components), in row-major entry order, with
-    target 0 over the product of the two blocks' denominators.
+    left and right are blocks of eight ints (x_0, y_0, .., x_3, y_3), entry
+    i = x_i + y_i sqrt(r), row-major, and den > 0.  X is a rational 2x2
+    unknown (4 coordinates, row-major).  Entry (i, j) of left * E_st * right
+    is left_is * right_tj; each entry contributes two rows (its 1 and
+    sqrt(r) components), in row-major entry order, with target 0 over den.
     """
-    L, R = left._xy, right._xy
-    r = left.ctx.r
-    den = left._d * right._d
     rows = []
-    for i in range(2):
-        for j in range(2):
-            # (x + y sqrt r) of left_is and right_tj, coordinate k = 2s + t of X
-            pairs = [(L[4 * i + 2 * s], L[4 * i + 2 * s + 1], R[4 * t + 2 * j], R[4 * t + 2 * j + 1]) for s in range(2) for t in range(2)]
-            rows.append(([ux * vx + r * uy * vy for ux, uy, vx, vy in pairs], 0, den))
-            rows.append(([ux * vy + uy * vx for ux, uy, vx, vy in pairs], 0, den))
+    for i in (0, 4):
+        # left_i0 = a0 + a1 sqrt r, left_i1 = b0 + b1 sqrt r
+        a0, a1, b0, b1 = left[i:i + 4]
+        for j in (0, 2):
+            # right_0j = c0 + c1 sqrt r, right_1j = d0 + d1 sqrt r; coordinate k = 2s + t of X
+            c0, c1, d0, d1 = right[j], right[j + 1], right[j + 4], right[j + 5]
+            rows.append(([a0 * c0 + r * a1 * c1, a0 * d0 + r * a1 * d1, b0 * c0 + r * b1 * c1, b0 * d0 + r * b1 * d1], 0, den))
+            rows.append(([a0 * c1 + a1 * c0, a0 * d1 + a1 * d0, b0 * c1 + b1 * c0, b0 * d1 + b1 * d0], 0, den))
     return rows
+
+
+def conjugation_rows(g: Mat2) -> list[Row]:
+    """conj_condition_rows of g^-1 X g, read off g's integer block: with
+    g = B / D and det B = s + t sqrt(r) of norm N = s^2 - r t^2,
+    g^-1 = D adj(B) (s - t sqrt(r)) / N, so g^-1 X g is
+    adj(B) (s - t sqrt(r)) X B / N and D cancels.  Neither g^-1 nor a
+    quotient is built.  The rows are not reduced: a row is the same
+    congruence mod p^v(N) either way.  A singular g raises
+    ZeroDivisionError."""
+    s, t = g._det2()
+    r = g.ctx.r
+    n = s * s - r * t * t
+    if not n:
+        raise ZeroDivisionError("singular matrix")
+    if n < 0:
+        s, t, n = -s, -t, -n
+    a0, a1, b0, b1, c0, c1, d0, d1 = g._xy
+    left = []
+    for x, y in ((d0, d1), (-b0, -b1), (-c0, -c1), (a0, a1)):
+        left += (x * s - r * y * t, y * s - x * t)
+    return conj_condition_rows(left, g._xy, n, r)
 
 
 def kck_membership(g: Mat2, cell: Mat2):
@@ -622,7 +690,8 @@ def kck_membership(g: Mat2, cell: Mat2):
     if g.det_val() != cell.det_val():
         return None
     cell_inv = cell.inv()
-    free, _, classes = lattice_residues(identity_rows() + conj_condition_rows(cell_inv, g), p)
+    rows = conj_condition_rows(cell_inv._xy, g._xy, cell_inv._d * g._d, ctx.r)
+    free, _, classes = lattice_residues(identity_rows() + rows, p)
     coefs = next((c for c, v in classes if (v[0] * v[3] - v[1] * v[2]) % p), None)
     if coefs is None:
         return None
@@ -825,12 +894,15 @@ def _of_residues(p: int, L: int, quadratic: bool) -> list[tuple[int, int]]:
 
 def subgroup_volume(p: int, branches: list[list[Row]], det_mode: str) -> Fraction:
     """Haar volume (vol GL2(Z_p) = 1) of the gamma in GL2(Z_p) that meet the
-    rows of one of the disjoint branches, stacked under the identity rows,
-    with det gamma a unit (det_mode "unit") or 1 mod p ("one_mod_p").
+    rows of one of the disjoint branches, rows on the four coordinates of
+    gamma in M2(Z_p), with det gamma a unit (det_mode "unit") or 1 mod p
+    ("one_mod_p").
 
-    Exact at every odd p: the lattice measure of each branch, with the
+    Exact at every odd p: the congruence measure of each branch, with the
     determinant condition read mod p, over vol GL2(Z_p) = |GL2(F_p)| / p^4
-    in the additive measure of M2(Z_p); no large enumeration.
+    in the additive measure of M2(Z_p); no large enumeration.  The branches
+    cut out an open subgroup or one of its cosets, so a nonzero volume is
+    1 / index, an integer index; any other value is DecompositionError.
     """
     unit = det_mode == "unit"
 
@@ -838,5 +910,8 @@ def subgroup_volume(p: int, branches: list[list[Row]], det_mode: str) -> Fractio
         det = (x[0] * x[3] - x[1] * x[2]) % p
         return det != 0 if unit else det == 1
 
-    total = sum((lattice_measure(identity_rows() + rows, p, accept) for rows in branches), Fraction(0))
-    return total * p ** 4 / ((p ** 2 - 1) * (p ** 2 - p))
+    total = sum((congruence_measure(rows, 4, p, accept) for rows in branches), Fraction(0))
+    vol = total * p ** 4 / ((p ** 2 - 1) * (p ** 2 - p))
+    if vol and vol.numerator != 1:
+        raise DecompositionError(f"the volume {vol} of a subgroup is not the inverse of an index")
+    return vol

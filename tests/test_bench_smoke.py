@@ -101,6 +101,22 @@ def test_traced_coset_labels_pass_counts_every_smith_form(workloads, spans):
     assert tracer.layer_metrics()["padicgrp.plocal_smith.calls"][0] == 240
 
 
+@pytest.mark.parametrize("name,volumes", [("chain_certify", 99), ("zeta_primes", 18)])
+def test_traced_pass_counts_volumes_with_no_smith_form(workloads, spans, name, volumes):
+    # a stabilizer volume is one congruence count mod p^E: a seed-0 pass
+    # makes its 99 (chain_certify) and 18 (zeta_primes) subgroup_volume calls
+    # and no Smith form, where the identity-stacked lattice made 117 and 18;
+    # the engine's one caller left, kck_membership, makes coset_labels' 240
+    tracer = spans.Tracer()
+    for i, job in enumerate(workloads.build(name, 0)):
+        with tracer.active(i):
+            out, ok, _ = job.run()
+        assert ok and out
+    metrics = tracer.layer_metrics()
+    assert metrics["padicgrp.plocal_smith.calls"][0] == 0
+    assert metrics["padicgrp.subgroup_volume.calls"][0] == volumes
+
+
 @pytest.mark.parametrize("name,lines", [("zeta_primes", 168), ("hecke_freeness", 332)])
 def test_traced_pass_reads_each_line_once(workloads, spans, name, lines):
     # the zeta engine reads one row per projective line mod p^L, and the

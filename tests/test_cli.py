@@ -516,7 +516,8 @@ def test_engine_fault_exits_4(name, monkeypatch, capsys):
 
 # plocal_smith reports one pivot fewer: the stacked identity rows give every
 # condition matrix full column rank, so the lattice layer's rank check is an
-# engine fault, not an input error
+# engine fault, not an input error.  kck_membership is the Smith engine's one
+# caller, reached by the Cartan labels of verify-suite's criterion 3
 ONE_PIVOT_FEWER = """
 from padicasai import padicgrp
 smith = padicgrp.plocal_smith
@@ -526,25 +527,52 @@ def one_pivot_fewer(rows, p):
 padicgrp.plocal_smith = one_pivot_fewer
 """
 
+# the congruence count drops its first accepted residue class: the volume of
+# a subgroup is then not 1 / an integer index, which the volume checks
+COUNT_ONE_CLASS_SHORT = """
+from padicasai import padicgrp
+count = padicgrp.congruence_measure
+def one_class_short(rows, n, p, accept):
+    dropped = []
+    def accept_all_but_the_first(x):
+        if accept(x) and not dropped:
+            dropped.append(x)
+            return False
+        return accept(x)
+    return count(rows, n, p, accept_all_but_the_first)
+padicgrp.congruence_measure = one_class_short
+"""
 
-def test_a_lattice_invariant_fault_exits_4_in_every_mode(monkeypatch):
-    vec = str(Path(__file__).parent / "golden" / "inputs" / "vec_K.json")
-    argv = ["--prime", "3", "certify", "--vector", vec, "--part", "1"]
+
+def exits_4_in_every_mode(monkeypatch, fault, name, argv, stderr):
+    # in process, then under python -O, which keeps the check: it is no bare assert
     from padicasai import padicgrp
 
-    monkeypatch.setattr(padicgrp, "plocal_smith", padicgrp.plocal_smith)  # restored after the run
-    exec(ONE_PIVOT_FEWER, {})
+    monkeypatch.setattr(padicgrp, name, getattr(padicgrp, name))  # restored after the run
+    exec(fault, {})
     r = run(*argv)
     monkeypatch.undo()
     assert r.returncode == 4, r.stderr
-    assert r.stderr == "verification failure: condition matrix not of full column rank\n"
-    # python -O keeps the check: it is no bare assert
-    code = ONE_PIVOT_FEWER + f"import sys\nfrom padicasai.cli import main\nsys.exit(main({argv!r}))\n"
+    assert r.stderr == stderr
+    code = fault + f"import sys\nfrom padicasai.cli import main\nsys.exit(main({argv!r}))\n"
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert r.returncode == 4, r.stderr
-    assert r.stderr == "verification failure: condition matrix not of full column rank\n"
+    assert r.stderr == stderr
+
+
+def test_a_lattice_invariant_fault_exits_4_in_every_mode(monkeypatch):
+    argv = ["verify-suite", "--only", "3"]
+    stderr = "verification failure: condition matrix not of full column rank\n"
+    exits_4_in_every_mode(monkeypatch, ONE_PIVOT_FEWER, "plocal_smith", argv, stderr)
+
+
+def test_a_volume_count_fault_exits_4_in_every_mode(monkeypatch):
+    vec = str(Path(__file__).parent / "golden" / "inputs" / "vec_K.json")
+    argv = ["--prime", "3", "certify", "--vector", vec, "--part", "1"]
+    stderr = "verification failure: the volume 5/48 of a subgroup is not the inverse of an index\n"
+    exits_4_in_every_mode(monkeypatch, COUNT_ONE_CLASS_SHORT, "congruence_measure", argv, stderr)
 
 
 # (case, level, g, the field stderr must name): each g has the wrong shape

@@ -39,8 +39,9 @@ from padicasai.heckemod import (
     xi_phi_chain,
 )
 from padicasai.padicgrp import (
+    DecompositionError,
     Mat2,
-    conj_condition_rows,
+    conjugation_rows,
     constrains,
     coset_reps,
     identity_rows,
@@ -58,7 +59,16 @@ from padicasai.whitzeta import (
     zeta_asai,
     zeta_rs_split,
 )
-from test_padicgrp import CTXS_TO_13, condition_row, gl2_F, lattice_solve_affine_oracle, plocal_smith_oracle, sigma
+from test_padicgrp import (
+    CTXS_TO_13,
+    condition_row,
+    conj_rows,
+    gl2_F,
+    lattice_measure_oracle,
+    lattice_solve_affine_oracle,
+    plocal_smith_oracle,
+    sigma,
+)
 from test_whitzeta import raw_writing
 
 
@@ -117,7 +127,7 @@ def stabilizer_branches_oracle(phi, gs, ctx):
     every cell, rows that do not constrain included."""
     rows_core = []
     for g in gs:
-        rows_core += [r for r in conj_condition_rows(g.inv(), g) if any(r[0])]
+        rows_core += [r for r in conj_rows(g.inv(), g) if any(r[0])]
     pn = Fraction(ctx.p) ** phi.level
     out = []
     for sigma in cell_permutations_oracle(phi):
@@ -204,16 +214,34 @@ def test_a_volume_stacks_only_the_conjugation_rows_that_constrain(p, monkeypatch
     ctx = QuadCtx.make(p)
     one = Mat2.identity(ctx)
     elems = [one, Mat2.t(1, 1, ctx), Mat2.t(1, 0, ctx)]
-    kept = [[r for r in conj_condition_rows(g.inv(), g) if constrains(r, p)] for g in elems]
-    assert kept == [[], [], [([0, 1, 0, 0], 0, p)]]
-    # so a volume at g = 1 stacks exactly the four identity rows
-    stacked = []
-    measure = padicgrp.lattice_measure
-    monkeypatch.setattr(padicgrp, "lattice_measure", lambda rows, *a: stacked.append(rows) or measure(rows, *a))
+    kept = [[r for r in conjugation_rows(g) if constrains(r, p)] for g in elems]
+    assert [[[Fraction(x, den) for x in nums] + [Fraction(t, den)] for nums, t, den in rows] for rows in kept] == [
+        [],
+        [],
+        [[0, Fraction(1, p), 0, 0, 0]],
+    ]
+    # so a volume at g = 1 counts on no row at all: Z_p^4 is implicit
+    counted = []
+    count = padicgrp.congruence_measure
+    monkeypatch.setattr(padicgrp, "congruence_measure", lambda rows, *a: counted.append(rows) or count(rows, *a))
     for gs in ((one,), (one, one)):
-        stacked.clear()
+        counted.clear()
         assert integrality_check(SchwartzFn.char_zp2(p), gs, "K", ctx) == (1, True)
-        assert stacked == [identity_rows()]
+        assert counted == [[]]
+
+
+def test_a_volume_that_is_no_inverse_index_is_an_engine_fault(F3, monkeypatch):
+    # a subgroup's volume is 1 / its index; a count that breaks this is a
+    # DecompositionError (exit 4), raised by no bare assert
+    def wrong(rows, n, p, accept):
+        return Fraction(2, 5)
+
+    monkeypatch.setattr(padicgrp, "congruence_measure", wrong)
+    monkeypatch.setattr(heckemod, "congruence_measure", wrong)
+    with pytest.raises(DecompositionError, match="the volume 27/40 of a subgroup is not the inverse of an index"):
+        subgroup_volume(3, [[]], "unit")
+    with pytest.raises(DecompositionError, match="the mirabolic volume 3/5 is not the inverse of an index"):
+        mirabolic_volume(pgk_canonical(0, 1, F3))
 
 
 def test_integrality_scaled(F3):
@@ -1144,3 +1172,82 @@ def test_subgroup_volume_matches_enumeration_oracle(p):
                     want = subgroup_volume_oracle(p, full, mode)
                     assert subgroup_volume(p, branches, mode) == subgroup_volume_oracle(p, branches, mode) == want, (level, case, star)
     assert {m for m, _ in modes} == {"unit", "one_mod_p"}
+
+
+def identity_stacked_volume(p, branches, det_mode):
+    """subgroup_volume as it was: each branch under the four identity rows,
+    through the exact Smith lattice (lattice_measure_oracle)."""
+    unit = det_mode == "unit"
+
+    def accept(x):
+        det = (x[0] * x[3] - x[1] * x[2]) % p
+        return det != 0 if unit else det == 1
+
+    total = sum((lattice_measure_oracle(identity_rows() + rows, p, accept) for rows in branches), Fraction(0))
+    return total * p ** 4 / ((p ** 2 - 1) * (p ** 2 - p))
+
+
+def inverse_route_branches(phi, gs, ctx):
+    """stabilizer_conditions as it was: the conjugation rows of g^-1 X g
+    through Mat2.inv, then each branch's cell rows."""
+    p = ctx.p
+    core = [r for g in gs for r in conj_rows(g.inv(), g) if constrains(r, p)]
+    n = sum(constrains(r, p) for g in gs for r in conjugation_rows(g))
+    return [core + rows[n:] for rows in heckemod.stabilizer_conditions(phi, gs, ctx)]
+
+
+def inverse_route_mirabolic_volume(g):
+    """mirabolic_volume as it was: two unit rows and the constraining E_11,
+    E_12 columns of conj_condition_rows(g^-1, g), through the exact Smith
+    lattice."""
+    p = g.ctx.p
+    rows = [([1, 0], 0, 1), ([0, 1], 0, 1)]
+    rows += [r for nums, t, den in conj_rows(g.inv(), g) if constrains(r := (nums[:2], t, den), p)]
+    return lattice_measure_oracle(rows, p, lambda x: (1 + x[0]) % p != 0) / (1 - Fraction(1, p))
+
+
+def delta1_vectors(ctx):
+    """(phi, gs, case) of delta1's two K[p] summands, inert and split."""
+    p, one = ctx.p, Mat2.identity(ctx)
+    phi = SchwartzFn.phi_p2(p)
+    return [
+        (phi, (one,), "inert"),
+        (phi, (Mat2.upper(QuadElem(0, Fraction(1, p), ctx), ctx),), "inert"),
+        (phi, (one, one), "split"),
+        (phi, (one, Mat2.upper(Fraction(1, p), ctx)), "split"),
+    ]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_volumes_match_the_identity_stacked_route(p):
+    # the congruence count on the rows that constrain, g^-1 X g off g's
+    # block, against the old route: unit rows stacked, rows through Mat2.inv,
+    # the exact Smith lattice.  On the old route too each volume is 1 / an
+    # integer index, the invariant the count is checked against
+    ctx = QuadCtx.make(p)
+    rng = random.Random(700 + p)
+    cases = [(phi, gs, "K[p]") for phi, gs, _ in delta1_vectors(ctx)]
+    for level in ("K", "K[p]"):
+        for case in ("inert", "split"):
+            for star in (False, True):
+                for _ in range(4):
+                    vec = random_integral_vector(ctx, rng, level, rng.random() < 0.5, case=case, star=star)
+                    (phi, gs, _), = vec.summands
+                    cases.append((phi, gs, level))
+    for phi, gs, level in cases:
+        mode = DET_MODE[level]
+        branches = heckemod.stabilizer_conditions(phi, gs, ctx)
+        want = identity_stacked_volume(p, inverse_route_branches(phi, gs, ctx), mode)
+        assert want.numerator == 1
+        assert subgroup_volume(p, branches, mode) == want
+        assert integrality_check(phi, gs, level, ctx)[0] == 1 / want
+    # vol K^1_(0,1)(p^2) = 1 / (p^2 nu_p): three affine rows mod p^2
+    rows = [([int(i == k) for i in range(4)], t, p ** 2) for k, t in [(0, 1), (2, 0), (3, 1)]]
+    want = identity_stacked_volume(p, [rows], "unit")
+    assert heckemod._vol_k011(ctx) == want == Fraction(1, p ** 3 * (p - 1) ** 2 * (p + 1))
+    for a in range(4):
+        for b in range(4):
+            g = pgk_canonical(a, b, ctx)
+            want = inverse_route_mirabolic_volume(g)
+            assert want.numerator == 1
+            assert mirabolic_volume(g) == want

@@ -23,6 +23,7 @@ is raw_writing in test_whitzeta, the differential oracle of that writing.
 """
 
 import ast
+from functools import lru_cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,16 +33,23 @@ LIST_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort",
 DICT_MUTATORS = {"update", "pop", "popitem", "setdefault", "clear", "__setitem__", "__delitem__"}
 
 
+@lru_cache(maxsize=None)
+def nodes(source: str) -> tuple:
+    """Every node of the source's tree: each file is parsed and walked once
+    for all the scans below."""
+    return tuple(ast.walk(ast.parse(source)))
+
+
 def private_uses(source: str, names: set[str]) -> list[tuple[int, str]]:
     """(line, name) of each attribute access to one of names."""
-    return [(node.lineno, node.attr) for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute) and node.attr in names]
+    return [(node.lineno, node.attr) for node in nodes(source) if isinstance(node, ast.Attribute) and node.attr in names]
 
 
 def attribute_writes(source: str, attr: str, mutators: set[str] = frozenset()) -> list[tuple[int, str]]:
     """(line, attr) of each assignment or deletion of .attr or .attr[...],
     and of each call .attr.m(...) with m in mutators."""
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in nodes(source):
         if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
             node, stored = node.value, True
         else:
@@ -148,7 +156,7 @@ def test_only_whitzeta_writes_schwartz_cells():
     oracle = "tests/test_whitzeta.py"
     (helper,) = [
         node
-        for node in ast.walk(ast.parse((ROOT / oracle).read_text()))
+        for node in nodes((ROOT / oracle).read_text())
         if isinstance(node, ast.FunctionDef) and node.name == "raw_writing"
     ]
     lines = {line for path, line, _ in found if path == oracle and helper.lineno <= line <= helper.end_lineno}

@@ -21,11 +21,12 @@ from padicasai.padicgrp import (
     coset_reps,
     gen_cartan_label,
     iwasawa_F,
+    congruence_measure,
     conj_condition_rows,
+    conjugation_rows,
     constrains,
     gen_cartan_candidates,
     kck_membership,
-    lattice_measure,
     lattice_residues,
     lattice_solve_affine,
     pgk_canonical,
@@ -254,6 +255,12 @@ def int_rows(rows, target):
     return [condition_row(r, x) for r, x in zip(rows, target)]
 
 
+def conj_rows(left, right):
+    """conj_condition_rows of left * X * right for two Mat2, on their blocks."""
+    (L, dl), (R, dr) = left.int_block(), right.int_block()
+    return conj_condition_rows(L, R, dl * dr, left.ctx.r)
+
+
 def smith_view(rows, target, p):
     """plocal_smith on Fraction rows and target, read back as the oracle's
     Fractions: (U*target, exps, V)."""
@@ -319,9 +326,13 @@ def test_conj_condition_rows_match_triple_products(p):
     rng = random.Random(p)
     for _ in range(300):
         left, right = rand_gl2(ctx, rng, -3, 3), rand_gl2(ctx, rng, -3, 3)
-        rows = conj_condition_rows(left, right)
+        rows = conj_rows(left, right)
         assert all(t == 0 and den > 0 for _, t, den in rows)
         assert [[Fraction(x, den) for x in nums] for nums, _, den in rows] == conj_condition_rows_oracle(left, right)
+        # g^-1 X g off g's block alone, with no inverse built
+        rows = conjugation_rows(left)
+        assert all(t == 0 and den > 0 for _, t, den in rows)
+        assert [[Fraction(x, den) for x in nums] for nums, _, den in rows] == conj_condition_rows_oracle(left.inv(), left)
 
 
 def kck_membership_oracle(g, cell):
@@ -384,7 +395,7 @@ def test_residue_classes_step_like_the_sums(p):
     for _ in range(25):
         g = criterion_3_matrix(ctx, rng)
         for label in gen_cartan_candidates(g):
-            rows = padicgrp.identity_rows() + conj_condition_rows(cartan_cell(*label, ctx).inv(), g)
+            rows = padicgrp.identity_rows() + conj_rows(cartan_cell(*label, ctx).inv(), g)
             res = lattice_residues(rows, p)
             if res is not None:
                 frees.add(len(res[0]))
@@ -606,8 +617,49 @@ def id_rows():
     return rows
 
 
+def lattice_classes_oracle(rows, p):
+    """(weight, classes): the residue classes mod p of lattice_residues, each
+    of measure weight, as a list ([] for an empty coset)."""
+    res = lattice_residues(rows, p)
+    if res is None:
+        return 0, []
+    _, weight, classes = res
+    return weight, [x for _, x in classes]
+
+
+def lattice_measure_oracle(rows, p, accept):
+    """lattice_measure as it was, the identity-stacked route through the
+    exact Smith lattice: the residue classes of lattice_residues that accept
+    takes, each of its weight.  rows must confine x to Z_p^n (unit rows)."""
+    weight, classes = lattice_classes_oracle(rows, p)
+    return Fraction(sum(map(bool, map(accept, classes)))) * weight
+
+
+def unit_rows(n):
+    return [([int(i == j) for j in range(n)], 0, 1) for i in range(n)]
+
+
+def brute_solutions(rows, n, p):
+    """(the solutions mod p^E reduced mod p, p^(nE)) by enumeration of
+    (Z/p^E)^n, E >= 1 the largest v(den): every row checked as
+    nums.x = t mod p^v(den) at every point.  Shares no elimination code with
+    the count; the measure is the share of solutions accept takes."""
+    vs = [val_p(Fraction(den), p) for _, _, den in rows]
+    q = p ** max(vs + [1])
+    sols = [
+        [c % p for c in x]
+        for x in product(range(q), repeat=n)
+        if all((sum(a * b for a, b in zip(nums, x)) - t) % p ** v == 0 for (nums, t, _), v in zip(rows, vs))
+    ]
+    return sols, q ** n
+
+
 def measure(rows, target, p, accept):
-    return lattice_measure(int_rows(rows, target), p, accept)
+    return lattice_measure_oracle(int_rows(rows, target), p, accept)
+
+
+def count(rows, target, p, accept):
+    return congruence_measure(int_rows(rows, target), len(rows[0]), p, accept)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -629,6 +681,106 @@ def test_lattice_measure_of_simple_cosets(p):
     # ... or a basis vector of level -1: L = p^-1 Z_p x Z_p^3
     with pytest.raises(DecompositionError, match=r"lattice not contained in Z_p\^n"):
         measure([[p * x for x in r] for r in id_rows()[:1]] + id_rows()[1:], zero, p, lambda x: True)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_congruence_measure_of_simple_cosets(p):
+    # the same cosets with no unit row: the domain Z_p^4 is implicit
+    assert congruence_measure([], 4, p, lambda x: True) == 1
+    assert congruence_measure([], 4, p, lambda x: x[0] != 0) == Fraction(p - 1, p)
+    r = [Fraction(1, p), Fraction(0), Fraction(0), Fraction(0)]
+    assert count([r], [Fraction(1, p)], p, lambda x: x[0] == 1) == Fraction(1, p)
+    assert count([r], [Fraction(1, p)], p, lambda x: x[0] == 0) == 0
+    assert count([r], [Fraction(1, p ** 2)], p, lambda x: True) == 0
+    # x_1 = 1 mod p and x_1 = 2 mod p: a row beyond the rank asks 1 = 0 mod p
+    assert count([r, r], [Fraction(1, p), Fraction(2, p)], p, lambda x: True) == 0
+    # p x_1 = 1 mod p^2: the pivot p misses its target
+    assert count([[Fraction(1, p)]], [Fraction(1, p ** 2)], p, lambda x: True) == 0
+
+
+def congruence_system(rng, p, n):
+    """Up to five rows on n unknowns over p^e u, e <= 3, u a unit: each a
+    multiple of an earlier row (rank deficiency), a zero row, or entries
+    p^v a; the targets all zero or random."""
+    def entry():
+        return p ** rng.randrange(4) * rng.randint(-p * p, p * p)
+
+    zero_target = rng.random() < 0.5
+    rows = []
+    for _ in range(rng.randrange(6)):
+        kind = rng.randrange(5)
+        if kind == 0 and rows:
+            c = entry()
+            nums = [c * x for x in rng.choice(rows)[0]]
+        elif kind == 1:
+            nums = [0] * n
+        else:
+            nums = [entry() for _ in range(n)]
+        den = p ** rng.randrange(4) * rng.choice([u for u in (1, 2, 4) if u % p])
+        rows.append((nums, 0 if zero_target else entry(), den))
+    return rows
+
+
+def det_form(x):
+    """The determinant of x as a 2x2 matrix (n = 4), x_1 x_2 at n = 2."""
+    return x[0] * x[3] - x[1] * x[2] if len(x) == 4 else x[0] * x[1]
+
+
+# accept functions on x mod p: everything, a unit first coordinate, a unit
+# or unit-one det_form, and a pseudo-random subset of residues (tuple
+# hashes of ints are fixed), which only the right V finds
+ACCEPTS = {
+    "all": lambda p: lambda x: True,
+    "unit": lambda p: lambda x: x[0] % p != 0,
+    "det": lambda p: lambda x: det_form(x) % p != 0,
+    "det_one": lambda p: lambda x: det_form(x) % p == 1,
+    "hash": lambda p: lambda x: hash((p, *x)) % 3 != 0,
+}
+
+# an empty coset beyond the rank, a pivot missing its target, a rank-deficient
+# pair, a row that vanishes mod p^E, and a pivot below a unit entry
+CONGRUENCE_EXAMPLES = [
+    ([([1, 2], 0, 3), ([2, 4], 1, 3)], 2, 3, "all"),
+    ([([3, 0, 0, 0], 1, 9)], 4, 3, "all"),
+    ([([1, 1, 0, 0], 0, 25), ([5, 5, 0, 0], 0, 25)], 4, 5, "det"),
+    ([([27, 0], 0, 27), ([0, 1], 1, 7)], 2, 7, "hash"),
+    ([([3, 1, 0, 0], 0, 9), ([1, 0, 0, 3], 2, 27)], 4, 3, "det_one"),
+]
+
+
+def congruence_cases(p, n, count):
+    """The examples at (p, n), then count seeded random systems."""
+    rng = random.Random(100 * p + n)
+    yield from (rows for rows, m, q, _ in CONGRUENCE_EXAMPLES if (q, m) == (p, n))
+    for _ in range(count):
+        yield congruence_system(rng, p, n)
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (3, 4), (5, 2), (5, 4), (7, 2), (7, 4)])
+def test_congruence_measure_matches_the_lattice_and_brute_force(p, n):
+    # the count on the rows alone, under every accept function, against the
+    # old route, unit rows stacked through the exact Smith lattice; and on
+    # small cases against an enumeration mod p^E
+    outcomes = set()
+    for rows in congruence_cases(p, n, 30):
+        small = p ** (n * max([val_p(Fraction(d), p) for _, _, d in rows] + [1])) <= 3 ** 8
+        sols, points = brute_solutions(rows, n, p) if small else (None, None)
+        weight, classes = lattice_classes_oracle(unit_rows(n) + rows, p)
+        for kind, make in ACCEPTS.items():
+            accept = make(p)
+            got = congruence_measure(rows, n, p, accept)
+            assert got == sum(map(bool, map(accept, classes))) * weight, (rows, kind)
+            if small:
+                assert got == Fraction(sum(map(bool, map(accept, sols))), points), (rows, kind)
+            outcomes.add(got == 0)
+    assert outcomes == {True, False}
+
+
+def test_congruence_examples_reach_every_outcome():
+    # empty by a row beyond the rank and by a pivot's target; nonempty with
+    # a rank-deficient system and with a row that vanishes mod p^E
+    got = [congruence_measure(rows, n, p, ACCEPTS["all"](p)) for rows, n, p, _ in CONGRUENCE_EXAMPLES]
+    assert got == [0, 0, Fraction(1, 25), Fraction(1, 7), Fraction(1, 3 ** 5)]
 
 
 def test_volume_full_K(F3):
@@ -1235,7 +1387,7 @@ def test_zero_target_residues_build_no_fraction_but_the_weight(monkeypatch):
     ctx = QuadCtx.make(5)
     g = criterion_3_matrix(ctx, random.Random(5))
     cell = cartan_cell(*gen_cartan_candidates(g)[0], ctx)
-    rows = padicgrp.identity_rows() + conj_condition_rows(cell.inv(), g)
+    rows = padicgrp.identity_rows() + conj_rows(cell.inv(), g)
     built = []
 
     class Counted(Fraction):
